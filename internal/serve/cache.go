@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -10,7 +9,7 @@ import (
 )
 
 // lruCache is the query-result cache: a classic map+list LRU keyed on
-// "v<version>|<normalized query>". Because the view version is part of
+// (view version, normalized query). Because the view version is part of
 // the key, a published version bump invalidates every prior entry by
 // construction — a stale result cannot be served — and dead-version
 // entries age out through normal LRU eviction. A capacity < 0 disables
@@ -19,15 +18,23 @@ type lruCache struct {
 	mu      sync.Mutex
 	cap     int
 	order   *list.List // front = most recently used
-	entries map[string]*list.Element
+	entries map[cacheKey]*list.Element
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
+// cacheKey identifies one result: the rendered normalized query and the
+// version of the view it was computed from. Comparable, so a lookup
+// hashes the two fields instead of formatting them into one string.
+type cacheKey struct {
+	version uint64
+	query   string
+}
+
 // cacheEntry is one stored result.
 type cacheEntry struct {
-	key   string
+	key   cacheKey
 	rules []mining.Rule
 }
 
@@ -36,24 +43,16 @@ func newLRUCache(capacity int) *lruCache {
 	return &lruCache{
 		cap:     capacity,
 		order:   list.New(),
-		entries: make(map[string]*list.Element),
+		entries: make(map[cacheKey]*list.Element),
 	}
 }
 
-// versionedKey prefixes a query key with the view version it was
-// computed from.
-func versionedKey(version uint64, key string) string {
-	return fmt.Sprintf("v%d|%s", version, key)
-}
-
-// get looks up the result for (version, key), promoting a hit to
-// most-recently-used.
-func (c *lruCache) get(version uint64, key string) ([]mining.Rule, bool) {
+// get looks up the result for k, promoting a hit to most-recently-used.
+func (c *lruCache) get(k cacheKey) ([]mining.Rule, bool) {
 	if c.cap < 0 {
 		c.misses.Add(1)
 		return nil, false
 	}
-	k := versionedKey(version, key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
@@ -66,13 +65,12 @@ func (c *lruCache) get(version uint64, key string) ([]mining.Rule, bool) {
 	return el.Value.(*cacheEntry).rules, true
 }
 
-// put stores the result for (version, key), evicting the least recently
-// used entry when the cache is full.
-func (c *lruCache) put(version uint64, key string, rules []mining.Rule) {
+// put stores the result for k, evicting the least recently used entry
+// when the cache is full.
+func (c *lruCache) put(k cacheKey, rules []mining.Rule) {
 	if c.cap <= 0 {
 		return
 	}
-	k := versionedKey(version, key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {

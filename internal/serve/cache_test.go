@@ -90,7 +90,7 @@ func TestCacheNeverServesStaleVersion(t *testing.T) {
 	}
 	// The recomputed answer must match the new view's from-scratch state.
 	_, wantRules := mineFromScratch(t, model.snapshotRows(), testMinSup, testFloor)
-	want := topRules(&View{rules: wantRules}, RulesQuery{K: 8, By: BySupport, MinConfidence: 0})
+	want := newView(0, 0, mining.MaintainStats{}, nil, wantRules).topRules(RulesQuery{K: 8, By: BySupport, MinConfidence: 0})
 	if !reflect.DeepEqual(fresh, want) {
 		t.Fatal("post-publish query does not match the new version's from-scratch rules")
 	}
@@ -197,20 +197,20 @@ func TestLRUCacheUnit(t *testing.T) {
 	c := newLRUCache(2)
 	rulesA := []mining.Rule{{Support: 1}}
 	rulesB := []mining.Rule{{Support: 2}}
-	c.put(1, "q", rulesA)
-	c.put(1, "q", rulesB) // overwrite moves to front, no growth
-	if got, ok := c.get(1, "q"); !ok || !reflect.DeepEqual(got, rulesB) {
+	c.put(cacheKey{1, "q"}, rulesA)
+	c.put(cacheKey{1, "q"}, rulesB) // overwrite moves to front, no growth
+	if got, ok := c.get(cacheKey{1, "q"}); !ok || !reflect.DeepEqual(got, rulesB) {
 		t.Fatal("overwrite lost the newest value")
 	}
-	if _, ok := c.get(2, "q"); ok {
+	if _, ok := c.get(cacheKey{2, "q"}); ok {
 		t.Fatal("version 2 hit a version-1 entry")
 	}
-	c.put(2, "q", rulesA)
-	c.put(3, "q", rulesB) // evicts (1, "q") — the least recently used
-	if _, ok := c.get(1, "q"); ok {
+	c.put(cacheKey{2, "q"}, rulesA)
+	c.put(cacheKey{3, "q"}, rulesB) // evicts (1, "q") — the least recently used
+	if _, ok := c.get(cacheKey{1, "q"}); ok {
 		t.Fatal("evicted entry still present")
 	}
-	if _, ok := c.get(3, "q"); !ok {
+	if _, ok := c.get(cacheKey{3, "q"}); !ok {
 		t.Fatal("newest entry missing")
 	}
 }

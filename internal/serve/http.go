@@ -205,12 +205,13 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	rules, version, err := s.TopRules(q)
+	v := s.View()
+	rules, err := s.topRulesOn(v, q)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, rulesResponse{Version: version, NumTx: s.View().NumTx(), Rules: toRuleJSON(rules)})
+	writeJSON(w, rulesResponse{Version: v.version, NumTx: v.numTx, Rules: toRuleJSON(rules)})
 }
 
 // handleSupport serves GET /v1/support.
@@ -244,12 +245,13 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	rules, version, err := s.Recommend(items, k)
+	v := s.View()
+	rules, err := s.recommendOn(v, items, k)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, rulesResponse{Version: version, NumTx: s.View().NumTx(), Rules: toRuleJSON(rules)})
+	writeJSON(w, rulesResponse{Version: v.version, NumTx: v.numTx, Rules: toRuleJSON(rules)})
 }
 
 // handleStats serves GET /v1/stats.

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,17 +88,29 @@ func (q RulesQuery) normalize() (RulesQuery, error) {
 	return q, nil
 }
 
-// key renders the normalized query as its cache key.
+// key renders the normalized query as the query half of its cache key,
+// appending into a stack buffer so the string is the one allocation.
 func (q RulesQuery) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "rules|k=%d|by=%s|conf=%g|ant=", q.K, q.By, q.MinConfidence)
-	for i, it := range q.Antecedent {
+	var buf [96]byte
+	b := append(buf[:0], "rules|k="...)
+	b = strconv.AppendInt(b, int64(q.K), 10)
+	b = append(b, "|by="...)
+	b = append(b, q.By...)
+	b = append(b, "|conf="...)
+	b = strconv.AppendFloat(b, q.MinConfidence, 'g', -1, 64)
+	b = append(b, "|ant="...)
+	return string(appendItems(b, q.Antecedent))
+}
+
+// appendItems appends items to b, comma-separated.
+func appendItems(b []byte, items []int) []byte {
+	for i, it := range items {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(strconv.Itoa(it))
+		b = strconv.AppendInt(b, int64(it), 10)
 	}
-	return b.String()
+	return b
 }
 
 // normalizeItems sorts, deduplicates and bounds-checks a query item list.
@@ -199,50 +213,94 @@ type SupportResult struct {
 // slice is shared and read-only; the version identifies the view it was
 // computed from.
 func (s *Server) TopRules(q RulesQuery) ([]mining.Rule, uint64, error) {
-	nq, err := q.normalize()
+	v := s.View()
+	rules, err := s.topRulesOn(v, q)
 	if err != nil {
 		return nil, 0, err
 	}
-	v := s.View()
-	key := nq.key()
-	if rules, ok := s.cache.get(v.version, key); ok {
-		return rules, v.version, nil
-	}
-	rules := topRules(v, nq)
-	s.cache.put(v.version, key, rules)
 	return rules, v.version, nil
 }
 
-// topRules computes q over one immutable view.
-func topRules(v *View, q RulesQuery) []mining.Rule {
-	matched := make([]mining.Rule, 0, q.K)
-	for _, r := range v.rules {
-		if r.Confidence < q.MinConfidence {
-			continue
-		}
-		if len(q.Antecedent) > 0 && !containsAll(r.Antecedent, q.Antecedent) {
-			continue
-		}
-		matched = append(matched, r)
+// topRulesOn answers q from v, through the cache. Callers that report
+// more of the view than its version (the HTTP and RPC surfaces) load the
+// view once and pass it here, so the whole response is one snapshot.
+func (s *Server) topRulesOn(v *View, q RulesQuery) ([]mining.Rule, error) {
+	nq, err := q.normalize()
+	if err != nil {
+		return nil, err
 	}
-	rankRules(matched, q.By)
-	if len(matched) > q.K {
-		matched = matched[:q.K]
+	key := cacheKey{version: v.version, query: nq.key()}
+	if rules, ok := s.cache.get(key); ok {
+		return rules, nil
 	}
-	return matched
+	rules := v.topRules(nq)
+	s.cache.put(key, rules)
+	return rules, nil
 }
 
-// rankRules stably sorts rules by the chosen metric descending; the
-// incoming GenerateRules order breaks ties.
-func rankRules(rules []mining.Rule, by RankBy) {
-	switch by {
-	case BySupport:
-		sort.SliceStable(rules, func(i, j int) bool { return rules[i].Support > rules[j].Support })
-	case ByLift:
-		sort.SliceStable(rules, func(i, j int) bool { return rules[i].Lift > rules[j].Lift })
-	default:
-		// ByConfidence is the GenerateRules order already.
+// matchedOnStack is how many matched rule ids a query collects before its
+// scratch list spills from the stack to the heap.
+const matchedOnStack = 128
+
+// topRules computes the normalized query q from the index, in time
+// proportional to the ids it walks plus K — never to the rule set.
+func (v *View) topRules(q RulesQuery) []mining.Rule {
+	rules := v.rules
+	// Confidence is non-increasing in rule id, so the rules at or above
+	// MinConfidence are exactly the ids below a cutoff.
+	pass := sort.Search(len(rules), func(i int) bool { return rules[i].Confidence < q.MinConfidence })
+	if len(q.Antecedent) == 0 {
+		n := min(q.K, pass)
+		if q.By == ByConfidence {
+			return slices.Clone(rules[:n])
+		}
+		order := v.index.bySupport
+		if q.By == ByLift {
+			order = v.index.byLift
+		}
+		out := make([]mining.Rule, 0, n)
+		for _, id := range order {
+			if len(out) == n {
+				break
+			}
+			if int(id) < pass {
+				out = append(out, rules[id])
+			}
+		}
+		return out
 	}
+	// Any one item's posting list is a superset of the answer; walk the
+	// shortest and check the other items on the rules it names.
+	list := v.index.contains.of(q.Antecedent[0])
+	for _, it := range q.Antecedent[1:] {
+		if l := v.index.contains.of(it); len(l) < len(list) {
+			list = l
+		}
+	}
+	var buf [matchedOnStack]int32
+	matched := buf[:0]
+	for _, id := range list {
+		if int(id) >= pass || (q.By == ByConfidence && len(matched) == q.K) {
+			break
+		}
+		if len(q.Antecedent) == 1 || containsAll(rules[id].Antecedent, q.Antecedent) {
+			matched = append(matched, id)
+		}
+	}
+	if q.By != ByConfidence {
+		slices.SortFunc(matched, rankCmp(rules, q.By))
+	}
+	return v.take(matched, q.K)
+}
+
+// take returns the rules of the first k ids.
+func (v *View) take(ids []int32, k int) []mining.Rule {
+	ids = ids[:min(k, len(ids))]
+	out := make([]mining.Rule, len(ids))
+	for i, id := range ids {
+		out[i] = v.rules[id]
+	}
+	return out
 }
 
 // containsAll reports whether the sorted list haystack contains every
@@ -284,15 +342,26 @@ func (s *Server) ItemsetSupport(items ...int) (SupportResult, error) {
 // by lift, then the published order). The returned slice is shared and
 // read-only.
 func (s *Server) Recommend(basket []int, k int) ([]mining.Rule, uint64, error) {
-	norm, err := normalizeItems(basket)
+	v := s.View()
+	rules, err := s.recommendOn(v, basket, k)
 	if err != nil {
 		return nil, 0, err
 	}
+	return rules, v.version, nil
+}
+
+// recommendOn answers a recommendation from v, through the cache — the
+// single-snapshot counterpart of topRulesOn.
+func (s *Server) recommendOn(v *View, basket []int, k int) ([]mining.Rule, error) {
+	norm, err := normalizeItems(basket)
+	if err != nil {
+		return nil, err
+	}
 	if len(norm) == 0 {
-		return nil, 0, fmt.Errorf("%w: empty basket", ErrBadQuery)
+		return nil, fmt.Errorf("%w: empty basket", ErrBadQuery)
 	}
 	if k < 0 {
-		return nil, 0, fmt.Errorf("%w: negative top-k %d", ErrBadQuery, k)
+		return nil, fmt.Errorf("%w: negative top-k %d", ErrBadQuery, k)
 	}
 	if k == 0 {
 		k = DefaultTopK
@@ -300,49 +369,50 @@ func (s *Server) Recommend(basket []int, k int) ([]mining.Rule, uint64, error) {
 	if k > MaxTopK {
 		k = MaxTopK
 	}
-	v := s.View()
-	key := recommendKey(norm, k)
-	if rules, ok := s.cache.get(v.version, key); ok {
-		return rules, v.version, nil
+	key := cacheKey{version: v.version, query: recommendKey(norm, k)}
+	if rules, ok := s.cache.get(key); ok {
+		return rules, nil
 	}
-	rules := recommend(v, norm, k)
-	s.cache.put(v.version, key, rules)
-	return rules, v.version, nil
+	rules := v.recommend(norm, k)
+	s.cache.put(key, rules)
+	return rules, nil
 }
 
-// recommendKey renders a recommendation request as its cache key.
+// recommendKey renders a recommendation request as the query half of its
+// cache key.
 func recommendKey(basket []int, k int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "rec|k=%d|items=", k)
-	for i, it := range basket {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(it))
-	}
-	return b.String()
+	var buf [96]byte
+	b := append(buf[:0], "rec|k="...)
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, "|items="...)
+	return string(appendItems(b, basket))
 }
 
-// recommend computes the recommendation rules over one immutable view.
-func recommend(v *View, basket []int, k int) []mining.Rule {
-	var matched []mining.Rule
-	for _, r := range v.rules {
-		if !containsAll(basket, r.Antecedent) {
-			continue
+// recommend computes the recommendation rules for a normalized basket. An
+// antecedent inside the basket has its first item in the basket, so the
+// first-item posting lists of the basket's items hold every candidate,
+// each exactly once; only the matches are ranked.
+func (v *View) recommend(basket []int, k int) []mining.Rule {
+	rules := v.rules
+	var buf [matchedOnStack]int32
+	matched := buf[:0]
+	for _, it := range basket {
+		for _, id := range v.index.first.of(it) {
+			r := &rules[id]
+			// A consequent inside the basket has nothing new to recommend.
+			if containsAll(basket, r.Antecedent) && !containsAll(basket, r.Consequent) {
+				matched = append(matched, id)
+			}
 		}
-		if containsAll(basket, r.Consequent) {
-			continue // nothing new to recommend
-		}
-		matched = append(matched, r)
 	}
-	sort.SliceStable(matched, func(i, j int) bool {
-		if matched[i].Confidence != matched[j].Confidence {
-			return matched[i].Confidence > matched[j].Confidence
+	slices.SortFunc(matched, func(a, b int32) int {
+		if c := cmp.Compare(rules[b].Confidence, rules[a].Confidence); c != 0 {
+			return c
 		}
-		return matched[i].Lift > matched[j].Lift
+		if c := cmp.Compare(rules[b].Lift, rules[a].Lift); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
-	if len(matched) > k {
-		matched = matched[:k]
-	}
-	return matched
+	return v.take(matched, k)
 }

@@ -52,7 +52,8 @@ type RecommendArgs struct {
 
 // TopRules answers a rule query (see Server.TopRules).
 func (r *RPC) TopRules(args RulesArgs, reply *RulesReply) error {
-	rules, version, err := r.s.TopRules(RulesQuery{
+	v := r.s.View()
+	rules, err := r.s.topRulesOn(v, RulesQuery{
 		K:             args.K,
 		By:            RankBy(args.By),
 		MinConfidence: args.MinConfidence,
@@ -61,7 +62,7 @@ func (r *RPC) TopRules(args RulesArgs, reply *RulesReply) error {
 	if err != nil {
 		return err
 	}
-	reply.Version, reply.NumTx, reply.Rules = version, r.s.View().NumTx(), rules
+	reply.Version, reply.NumTx, reply.Rules = v.version, v.numTx, rules
 	return nil
 }
 
@@ -77,11 +78,12 @@ func (r *RPC) Support(args SupportArgs, reply *SupportResult) error {
 
 // Recommend answers a recommendation request (see Server.Recommend).
 func (r *RPC) Recommend(args RecommendArgs, reply *RulesReply) error {
-	rules, version, err := r.s.Recommend(args.Items, args.K)
+	v := r.s.View()
+	rules, err := r.s.recommendOn(v, args.Items, args.K)
 	if err != nil {
 		return err
 	}
-	reply.Version, reply.NumTx, reply.Rules = version, r.s.View().NumTx(), rules
+	reply.Version, reply.NumTx, reply.Rules = v.version, v.numTx, rules
 	return nil
 }
 

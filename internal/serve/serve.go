@@ -23,9 +23,31 @@
 //   - a View, once obtained, never changes — readers may hold it across
 //     any number of concurrent Maintains.
 //
-// Query results (top-k rules, recommendations) are cached in a small LRU
-// keyed on (view version, normalized query), so a version bump can never
-// serve a stale entry: the new version misses by construction.
+// # Queries
+//
+// Every read — over HTTP, net/rpc or the Go API — loads the view pointer
+// once and is answered from that one snapshot, so a response never mixes
+// the version of one view with the size of the next.
+//
+// A view carries a query index, built once when it is published (newView,
+// on the ingest goroutine; four flat allocations, linear in the rule set
+// plus two sorts): the rule ids ranked by support and by lift — the
+// published order already is the confidence ranking — and two posting
+// lists keyed by item, the rules whose antecedent contains the item and
+// the rules whose antecedent starts with it. A query then costs the
+// postings it walks plus the K rules it returns, not the rule set: top-k
+// with no antecedent reads the head of one ranking; with an antecedent it
+// walks the shortest posting list of the asked items, stops at the
+// confidence cutoff, and ranks only what matched; a recommendation walks
+// the first-item postings of the basket's items, which name every rule
+// whose antecedent can lie inside the basket exactly once, and ranks the
+// matches. The answers are identical to filtering and stably sorting the
+// whole rule set (TestIndexMatchesScan keeps that scan as its reference).
+//
+// Results are also kept in a small LRU keyed on (view version, normalized
+// query), so a version bump can never serve a stale entry: the new
+// version misses by construction. With the index a miss costs about
+// three hits, so the cache no longer decides read latency.
 //
 // # Durability
 //
@@ -218,6 +240,18 @@ type View struct {
 	res     *mining.Result
 	rules   []mining.Rule
 	canon   []byte
+	index   queryIndex
+}
+
+// newView is the one constructor of a View: whatever gets published has
+// its query index built here, exactly once. A nil res is an empty store
+// (no result, no canonical bytes); rules must be in GenerateRules order.
+func newView(version, ops uint64, stats mining.MaintainStats, res *mining.Result, rules []mining.Rule) *View {
+	v := &View{version: version, ops: ops, stats: stats, res: res, rules: rules, index: newQueryIndex(rules)}
+	if res != nil {
+		v.numTx, v.canon = res.NumTx(), res.Canonical()
+	}
+	return v
 }
 
 // Version is the publish sequence number, strictly increasing from 1
@@ -238,8 +272,10 @@ func (v *View) MaintainStats() mining.MaintainStats { return v.stats }
 func (v *View) Empty() bool { return v.res == nil }
 
 // Rules returns the published rule set at the server's confidence floor,
-// in assoc.GenerateRules order (confidence desc, support desc, antecedent
-// order). The slice is shared and read-only.
+// in assoc.GenerateRules order (confidence desc, support desc, then
+// antecedent and consequent order). The query index counts on the
+// confidence part: a rule's position is its confidence rank. The slice is
+// shared and read-only.
 func (v *View) Rules() []mining.Rule { return v.rules }
 
 // Canonical returns the deterministic byte encoding of the view's
@@ -400,7 +436,7 @@ func New(db *mining.DB, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.session = session
-	s.publish(&View{}) // version 0: empty until the first maintain
+	s.publish(newView(0, 0, mining.MaintainStats{}, nil, nil)) // version 0: empty until the first maintain
 	fail := func(err error) (*Server, error) {
 		session.Close()
 		if s.log != nil {
@@ -764,7 +800,7 @@ func (s *Server) maintainPublish(ctx context.Context) error {
 	res, mstats, err := s.session.Maintain(ctx)
 	if err != nil {
 		if errors.Is(err, mining.ErrEmptyDB) {
-			s.publish(&View{version: prev.version + 1, ops: ops, stats: mstats})
+			s.publish(newView(prev.version+1, ops, mstats, nil, nil))
 			s.maintains.Add(1)
 			return nil
 		}
@@ -776,15 +812,7 @@ func (s *Server) maintainPublish(ctx context.Context) error {
 		s.ingestErrors.Add(1)
 		return err
 	}
-	s.publish(&View{
-		version: prev.version + 1,
-		ops:     ops,
-		numTx:   res.NumTx(),
-		stats:   mstats,
-		res:     res,
-		rules:   rules,
-		canon:   res.Canonical(),
-	})
+	s.publish(newView(prev.version+1, ops, mstats, res, rules))
 	s.maintains.Add(1)
 	if mstats.FullRun {
 		s.fullRuns.Add(1)

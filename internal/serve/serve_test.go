@@ -2,11 +2,15 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,7 +47,7 @@ func fixtureRows(n, items int, seed int64) [][]int {
 }
 
 // mustDB wraps mining.NewDB.
-func mustDB(t *testing.T, rows [][]int) *mining.DB {
+func mustDB(t testing.TB, rows [][]int) *mining.DB {
 	t.Helper()
 	db, err := mining.NewDB(rows)
 	if err != nil {
@@ -326,7 +330,9 @@ func TestConfigValidation(t *testing.T) {
 // query paths while the writer runs Enqueue/Flush cycles. Every observed
 // (version, canonical, rules) triple must be byte-identical to a
 // from-scratch mine over the op-log replayed to that view's Ops()
-// position, versions must be monotone per reader, and nothing may leak.
+// position, versions must be monotone per reader, every HTTP and RPC
+// response must carry the (version, num_tx) of one published view — not
+// the version of one and the size of the next — and nothing may leak.
 // CI runs it under -race.
 func TestSnapshotSwapProperty(t *testing.T) {
 	goroutinesBefore := runtime.NumGoroutine()
@@ -363,6 +369,21 @@ func TestSnapshotSwapProperty(t *testing.T) {
 		}
 	}
 
+	// answered collects the (version, num_tx) pairs of wire responses:
+	// each must belong to one published view, whatever was published while
+	// the request ran.
+	answered := map[uint64]int{}
+	recordAnswer := func(version uint64, numTx int) {
+		obsMu.Lock()
+		defer obsMu.Unlock()
+		if prev, ok := answered[version]; ok && prev != numTx {
+			t.Errorf("version %d answered with num_tx %d and %d", version, prev, numTx)
+		}
+		answered[version] = numTx
+	}
+	handler := srv.Handler()
+	rpcFace := NewRPC(srv)
+
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
@@ -383,11 +404,32 @@ func TestSnapshotSwapProperty(t *testing.T) {
 				// report must also be monotone for this reader.
 				var qv uint64
 				var err error
-				switch rrng.Intn(3) {
+				switch rrng.Intn(6) {
 				case 0:
 					_, qv, err = srv.TopRules(RulesQuery{K: 5, By: BySupport})
 				case 1:
 					_, qv, err = srv.Recommend([]int{rrng.Intn(18)}, 3)
+				case 2, 3:
+					url := "/v1/rules?k=5&by=lift"
+					if rrng.Intn(2) == 0 {
+						url = "/v1/recommend?k=3&items=" + strconv.Itoa(rrng.Intn(18))
+					}
+					rec := httptest.NewRecorder()
+					handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+					var body rulesResponse
+					if err = json.Unmarshal(rec.Body.Bytes(), &body); err == nil {
+						qv = body.Version
+						recordAnswer(body.Version, body.NumTx)
+					}
+				case 4:
+					var reply RulesReply
+					if rrng.Intn(2) == 0 {
+						err = rpcFace.TopRules(RulesArgs{K: 5}, &reply)
+					} else {
+						err = rpcFace.Recommend(RecommendArgs{Items: []int{rrng.Intn(18)}, K: 3}, &reply)
+					}
+					qv = reply.Version
+					recordAnswer(reply.Version, reply.NumTx)
 				default:
 					res, serr := srv.ItemsetSupport(rrng.Intn(18))
 					qv, err = res.Version, serr
@@ -406,9 +448,12 @@ func TestSnapshotSwapProperty(t *testing.T) {
 	}
 
 	// The writer: random append/delete batches, Flush after each batch.
+	// Flush is the only publisher here, so published ends up holding the
+	// size of every version a reader can have been answered from.
 	var opLog []Op
 	driver := opModel{rows: append([][]int(nil), initial...)}
 	ctx := context.Background()
+	published := map[uint64]int{1: len(initial)}
 	for round := 0; round < rounds; round++ {
 		batch := 1 + rng.Intn(6)
 		for i := 0; i < batch; i++ {
@@ -432,9 +477,22 @@ func TestSnapshotSwapProperty(t *testing.T) {
 		if v.Ops() != uint64(len(opLog)) {
 			t.Fatalf("round %d: view ops %d, want %d", round, v.Ops(), len(opLog))
 		}
+		if v.NumTx() != len(driver.rows) {
+			t.Fatalf("round %d: view num_tx %d, want %d", round, v.NumTx(), len(driver.rows))
+		}
+		published[v.Version()] = v.NumTx()
 	}
 	stop.Store(true)
 	wg.Wait()
+
+	if len(answered) == 0 {
+		t.Fatal("no wire response was recorded")
+	}
+	for version, numTx := range answered {
+		if want, ok := published[version]; !ok || want != numTx {
+			t.Errorf("a response paired version %d with num_tx %d; that view has %d (published: %v)", version, numTx, want, ok)
+		}
+	}
 
 	// Verify every observed version against an independent from-scratch
 	// mine at its op position.
