@@ -28,8 +28,13 @@ func TestRegistryNonEmpty(t *testing.T) {
 func TestInvalidFlagsExitNonzero(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nosuch"},
-		{"-workers", "NaN"},
 		{"-exp", "NOPE"},
+		// One per retired flag family: a stale script must fail loudly,
+		// not silently run every table.
+		{"-paralleljson", "x"},
+		{"-dist"},
+		{"-distfaults", "seed=1"},
+		{"-workers", "2"},
 	} {
 		err := run(args)
 		if !errors.Is(err, cliutil.ErrInvalidFlags) {

@@ -118,8 +118,7 @@ func runAssoc(args []string) error {
 	workers := cliutil.AddWorkersFlag(fs)
 	inc := cliutil.AddIncrementalFlags(fs)
 	dist := cliutil.AddDistFlags(fs,
-		"mine through the distributed coordinator/worker backend (in-process transport; -algo selects Apriori or FPGrowth as the engine)",
-		"distributed: worker count for the in-process transport; 0 means GOMAXPROCS")
+		"mine through the distributed coordinator/worker backend (in-process transport; -algo selects Apriori or FPGrowth as the engine)")
 	faultSpec := cliutil.AddFaultsFlag(fs)
 	if err := cliutil.Parse(fs, args); err != nil {
 		return err

@@ -90,8 +90,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		shardCap = fs.Int("shardcap", 0, "transactions per store shard (0 = 1024)")
 		sf       = cliutil.AddServeFlags(fs)
 		dist     = cliutil.AddDistFlags(fs,
-			"fan support counting out to the distributed backend (in-process gob transport)",
-			"distributed: worker count for the in-process transport; 0 means GOMAXPROCS")
+			"fan support counting out to the distributed backend (in-process gob transport)")
 		faultSpec = cliutil.AddFaultsFlag(fs)
 	)
 	if err := cliutil.Parse(fs, args); err != nil {

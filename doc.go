@@ -31,8 +31,9 @@
 // the candidate-free engine: per-shard FP-trees (internal/fptree) merge by
 // the same commutative-addition contract into a global tree, and mining
 // fans per-item conditional projections out across workers — the
-// low-support winner (EXP-P3). assoc.Auto probes the pass-1 scan and
-// dispatches each Mine to the expected-fastest of these engines.
+// low-support winner (bench metrics assoc.apriori_ms.* vs
+// assoc.fpgrowth_ms.*). assoc.Auto probes the pass-1 scan and dispatches
+// each Mine to the expected-fastest of these engines.
 //
 // The incremental backend (assoc.Incremental over transactions.ShardedDB)
 // exploits the same seams under updates: shards are version-stamped, the
@@ -49,12 +50,13 @@
 // deployment), workers scan their replicas into the identical per-shard
 // structures — including serialized FP-tree builds — and the coordinator
 // merges the returned buffers with the same commutative adds, so
-// distributed results are byte-identical to local runs (EXP-P4 tracks the
-// shipping and serialization overhead). Binding a ShardedDB re-ships only
-// dirty shards after updates, which lets assoc.Incremental use Distributed
-// as its full-run base.
+// distributed results are byte-identical to local runs (the bench metrics
+// dist.overhead_x and dist.gob_share track the shipping and serialization
+// overhead). Binding a ShardedDB re-ships only dirty shards after updates,
+// which lets assoc.Incremental use Distributed as its full-run base.
 //
-// See README.md for the tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for measured-vs-published results. The root-level
-// benchmarks in bench_test.go mirror the experiment index.
+// See README.md for the tour. cmd/dmbench prints the paper-shaped
+// experiment tables; bench/ (bench/README.md) is the one performance
+// harness, and the root-level bench_test.go keeps the design-decision
+// ablations neither of them covers.
 package repro

@@ -1,8 +1,9 @@
-// Package cliutil holds the flag plumbing cmd/dmine and cmd/dmbench
-// share: the mining flag groups (workers, support, incremental,
-// distributed) registered with one help text and one resolution rule, and
-// a Parse/ExitCode pair that makes every invalid-flag path exit nonzero
-// with consistent error text instead of whatever each FlagSet improvised.
+// Package cliutil holds the flag plumbing cmd/dmine, cmd/dmserve and
+// cmd/dmbench share: a Parse/ExitCode pair that makes every invalid-flag
+// path exit nonzero with consistent error text instead of whatever each
+// FlagSet improvised, and the mining flag groups of cmd/dmine and
+// cmd/dmserve (workers, support, incremental, distributed, fault
+// injection) registered with one help text and one resolution rule.
 package cliutil
 
 import (
@@ -113,25 +114,23 @@ func AddIncrementalFlags(fs *flag.FlagSet) *IncrementalFlags {
 	return f
 }
 
-// DistFlags are the distributed-backend flags. The two commands apply
-// -distworkers differently (transport size vs. sweep-ladder narrowing),
-// so the usage strings are parameters while the names and types are
-// shared.
+// DistFlags are the distributed-backend flags.
 type DistFlags struct {
 	Dist    bool
 	Workers int
 }
 
-// AddDistFlags registers -dist and -distworkers with the given usage.
-func AddDistFlags(fs *flag.FlagSet, distUsage, workersUsage string) *DistFlags {
+// AddDistFlags registers -dist with the given usage and -distworkers, the
+// in-process transport's worker count.
+func AddDistFlags(fs *flag.FlagSet, distUsage string) *DistFlags {
 	d := &DistFlags{}
 	fs.BoolVar(&d.Dist, "dist", false, distUsage)
-	fs.IntVar(&d.Workers, "distworkers", 0, workersUsage)
+	fs.IntVar(&d.Workers, "distworkers", 0,
+		"distributed: worker count for the in-process transport; 0 means GOMAXPROCS")
 	return d
 }
 
-// EffectiveWorkers resolves -distworkers for the transport-sizing use:
-// <= 0 means GOMAXPROCS.
+// EffectiveWorkers resolves -distworkers: <= 0 means GOMAXPROCS.
 func (d *DistFlags) EffectiveWorkers() int { return ResolveWorkers(d.Workers) }
 
 // ServeFlags are cmd/dmserve's serving-tier flags: listen addresses,
@@ -214,7 +213,7 @@ func ParseFsync(spec string) (FsyncSetting, error) {
 }
 
 // AddFaultsFlag registers -distfaults, the reproducible fault-injection
-// schedule both commands accept. Parse the value with ParseFaults.
+// schedule cmd/dmine and cmd/dmserve accept. Parse the value with ParseFaults.
 func AddFaultsFlag(fs *flag.FlagSet) *string {
 	return fs.String("distfaults", "",
 		"distributed: seeded fault-injection schedule, e.g. 'seed=7,drop=0.05,err=0.1,kill=0.02,delay=1ms,delayprob=0.1,partition=40,timeout=250ms,attempts=3,backoff=2ms'")

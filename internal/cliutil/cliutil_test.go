@@ -51,7 +51,7 @@ func TestParseValid(t *testing.T) {
 	workers := AddWorkersFlag(fs)
 	sup := AddSupportFlags(fs)
 	inc := AddIncrementalFlags(fs)
-	dist := AddDistFlags(fs, "dist usage", "workers usage")
+	dist := AddDistFlags(fs, "dist usage")
 	if err := Parse(fs, []string{"-workers", "4", "-minsup", "0.02", "-incremental", "-dist", "-distworkers", "3"}); err != nil {
 		t.Fatal(err)
 	}

@@ -65,14 +65,8 @@ func RunA1(w io.Writer, s Scale) error {
 		for _, sup := range supports {
 			fmt.Fprintf(w, "%-8.2f", sup*100)
 			for _, name := range a1Algorithms() {
-				opts := []mining.Option{mining.Algorithm(name), mining.MinSupport(sup)}
-				// Mirror withWorkers: only Apriori takes the -workers
-				// fan-out here, and 0/1 keeps the serial scans.
-				if name == "Apriori" && DefaultWorkers > 1 {
-					opts = append(opts, mining.Workers(DefaultWorkers))
-				}
 				dur, err := timeIt(func() error {
-					_, e := mining.Mine(ctx, db, opts...)
+					_, e := mining.Mine(ctx, db, mining.Algorithm(name), mining.MinSupport(sup))
 					return e
 				})
 				if err != nil {
@@ -98,7 +92,7 @@ func RunA2(w io.Writer, s Scale) error {
 	if err != nil {
 		return err
 	}
-	for _, m := range []assoc.Miner{withWorkers(&assoc.Apriori{}), &assoc.AIS{}} {
+	for _, m := range []assoc.Miner{&assoc.Apriori{}, &assoc.AIS{}} {
 		res, err := m.Mine(db, 0.0075)
 		if err != nil {
 			return err
@@ -118,7 +112,7 @@ func RunA3(w io.Writer, s Scale) error {
 	if s == Full {
 		sizes = []int{2500, 5000, 10000, 25000, 50000}
 	}
-	miners := []assoc.Miner{withWorkers(&assoc.Apriori{}), &assoc.AprioriTid{}, &assoc.AprioriHybrid{}}
+	miners := []assoc.Miner{&assoc.Apriori{}, &assoc.AprioriTid{}, &assoc.AprioriHybrid{}}
 	fmt.Fprintf(w, "%-10s", "D")
 	for _, m := range miners {
 		fmt.Fprintf(w, "%14s", m.Name())
@@ -154,7 +148,7 @@ func RunA4(w io.Writer, s Scale) error {
 	if s == Full {
 		budget = 100000
 	}
-	miners := []assoc.Miner{withWorkers(&assoc.Apriori{}), &assoc.AprioriTid{}, &assoc.AprioriHybrid{}}
+	miners := []assoc.Miner{&assoc.Apriori{}, &assoc.AprioriTid{}, &assoc.AprioriHybrid{}}
 	fmt.Fprintf(w, "%-8s%-10s", "T", "D")
 	for _, m := range miners {
 		fmt.Fprintf(w, "%14s", m.Name())
@@ -210,7 +204,7 @@ func RunA5(w io.Writer, s Scale) error {
 	for _, sup := range supports {
 		fmt.Fprintf(w, "%-8.2f", sup*100)
 		dur, err := timeIt(func() error {
-			_, e := withWorkers(&assoc.Apriori{}).Mine(db, sup)
+			_, e := (&assoc.Apriori{}).Mine(db, sup)
 			return e
 		})
 		if err != nil {
@@ -218,7 +212,7 @@ func RunA5(w io.Writer, s Scale) error {
 		}
 		fmt.Fprintf(w, "%14s", ms(dur))
 		for _, p := range parts {
-			m := withWorkers(&assoc.Partition{NumPartitions: p})
+			m := &assoc.Partition{NumPartitions: p}
 			dur, err := timeIt(func() error {
 				_, e := m.Mine(db, sup)
 				return e

@@ -1,31 +1,19 @@
-// Package experiments regenerates every table and figure of the
-// reproduction's experiment index (DESIGN.md): the canonical evaluations of
-// the algorithms the SIGMOD'96 tutorial surveys. Each experiment prints a
-// plain-text table shaped like its source figure; cmd/dmbench is the CLI
-// front end and EXPERIMENTS.md records measured-vs-published shapes. The
-// engine-trajectory experiments additionally persist machine-readable
-// baselines: EXP-P1 writes BENCH_parallel.json (count-distribution scaling
-// and Eclat layouts), EXP-P2 writes BENCH_incremental.json (dirty-shard
-// maintenance vs full re-mining), EXP-P3 writes BENCH_fpgrowth.json
-// (pattern growth vs candidate generation across a support ladder), and
-// EXP-P4 writes BENCH_dist.json (distributed shard-shipping overhead vs
-// local counting, with transport traffic counters), EXP-F1 writes
-// BENCH_faults.json (fault-free cost of the retry/deadline layer plus the
-// recovery cost of one worker death), EXP-SV1 writes BENCH_serve.json
-// (serving-tier QPS and latency percentiles under a live update stream,
-// every sampled snapshot replay-verified against a from-scratch mine),
-// and EXP-D1 writes BENCH_durable.json (per-fsync-policy durable ingest
-// cost and crash-recovery time vs log length and snapshot interval).
-// Every baseline records
-// heap allocations (alloc_bytes, allocs) alongside wall-clock so memory
-// regressions show up in the trajectory too.
+// Package experiments regenerates the paper-shaped tables of the
+// reproduction: the canonical evaluations of the algorithms the SIGMOD'96
+// tutorial surveys (A1-A6, S1, C1-C4, T1-T3, K1, R1, Q1, E1), the SIGMOD'00
+// pattern-growth support ladder (P3), and the fault-tolerance cost table
+// (F1). Each experiment prints a plain-text table shaped like its source
+// figure; the lineups run the published serial comparison (no worker
+// fan-out). cmd/dmbench is the CLI front end. Performance of the engine
+// stack itself — parallel counting, incremental maintenance, the
+// distributed transport, serving and durability — is measured by the
+// bench/ harness, not here.
 package experiments
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"time"
 )
@@ -71,13 +59,8 @@ func All() []Experiment {
 		{ID: "R1", Title: "Rule extraction from decision trees", Run: RunR1},
 		{ID: "Q1", Title: "Quantitative association rules (SIGMOD'96)", Run: RunQ1},
 		{ID: "E1", Title: "Bagging and boosting vs single trees", Run: RunE1},
-		{ID: "P1", Title: "Parallel count-distribution scaling and Eclat layouts", Run: RunP1},
-		{ID: "P2", Title: "Incremental maintenance: dirty-shard re-count vs full re-mine", Run: RunP2},
 		{ID: "P3", Title: "Pattern growth (FP-growth) vs candidate generation across supports", Run: RunP3},
-		{ID: "P4", Title: "Distributed mining: serialization and merge overhead vs local", Run: RunP4},
 		{ID: "F1", Title: "Fault tolerance: fault-free overhead and failover recovery", Run: RunF1},
-		{ID: "SV1", Title: "Serving tier: concurrent reads under a live update stream", Run: RunSV1},
-		{ID: "D1", Title: "Durable serving: fsync-policy ingest cost and crash-recovery time", Run: RunD1},
 	}
 }
 
@@ -106,30 +89,6 @@ func timeIt(fn func() error) (time.Duration, error) {
 	start := time.Now()
 	err := fn()
 	return time.Since(start), err
-}
-
-// AllocStats records the heap allocation delta of one measured run —
-// the B/op and allocs/op columns of the BENCH_*.json baselines. Memory
-// regressions are as real a perf trajectory as wall-clock, so every
-// emitter records both.
-type AllocStats struct {
-	// Bytes is the total heap bytes allocated during the run.
-	Bytes uint64 `json:"alloc_bytes"`
-	// Allocs is the number of heap allocations during the run.
-	Allocs uint64 `json:"allocs"`
-}
-
-// timeItAlloc measures fn's wall-clock duration and heap allocation delta
-// (via runtime.MemStats, so allocations on every goroutine fn spawns are
-// included).
-func timeItAlloc(fn func() error) (time.Duration, AllocStats, error) {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	err := fn()
-	d := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	return d, AllocStats{Bytes: m1.TotalAlloc - m0.TotalAlloc, Allocs: m1.Mallocs - m0.Mallocs}, err
 }
 
 // ms renders a duration in milliseconds with sensible precision.

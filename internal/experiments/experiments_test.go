@@ -9,7 +9,7 @@ import (
 
 func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
-	want := []string{"A1", "A2", "A3", "A4", "A5", "A6", "C1", "C2", "C3", "C4", "D1", "E1", "F1", "K1", "P1", "P2", "P3", "P4", "Q1", "R1", "S1", "SV1", "T1", "T2", "T3"}
+	want := []string{"A1", "A2", "A3", "A4", "A5", "A6", "C1", "C2", "C3", "C4", "E1", "F1", "K1", "P3", "Q1", "R1", "S1", "T1", "T2", "T3"}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)
 	}

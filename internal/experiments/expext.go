@@ -26,8 +26,8 @@ func RunA6(w io.Writer, s Scale) error {
 		return err
 	}
 	miners := []assoc.Miner{
-		withWorkers(&assoc.Apriori{}),
-		withWorkers(&assoc.Eclat{}),
+		&assoc.Apriori{},
+		&assoc.Eclat{},
 		&assoc.Sampling{},
 		&assoc.Sampling{SampleFraction: 0.1, LowerFactor: 0.7, Seed: 5},
 	}

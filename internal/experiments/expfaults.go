@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -13,68 +12,58 @@ import (
 	"repro/internal/transactions"
 )
 
+// distEngines lists the distributed engine strategies EXP-F1 measures,
+// each named by its assoc.Distributed Engine value and paired with the
+// local miner its results must equal.
+func distEngines() []namedMiner {
+	return []namedMiner{
+		{assoc.DistEngineApriori, &assoc.Apriori{}},
+		{assoc.DistEngineFPGrowth, &assoc.FPGrowth{}},
+	}
+}
+
 // faultGuardTimeout is the per-attempt deadline the guarded configuration
 // measures: generous enough that a fault-free in-process call never trips
 // it, so the measured cost is pure bookkeeping (one context.WithTimeout
 // per call plus the retry-loop plumbing).
 const faultGuardTimeout = 250 * time.Millisecond
 
-// FaultOverheadRun is one fault-free (engine, workers) comparison of
-// EXP-F1: the same distributed mine with the retry/timeout machinery off
-// (MaxAttempts 1, no deadline — the pre-fault-tolerance coordinator) and
-// on (defaults plus a per-call deadline).
-type FaultOverheadRun struct {
-	Engine  string `json:"engine"`
-	Workers int    `json:"workers"`
-	// BareMillis is the fastest of f1OverheadRuns mines with retries
-	// disabled.
-	BareMillis float64 `json:"bare_ms"`
-	// GuardedMillis is the fastest of f1OverheadRuns mines under the
-	// default retry policy with a per-call deadline.
-	GuardedMillis float64 `json:"guarded_ms"`
+// faultOverheadRun is one fault-free engine comparison of EXP-F1: the same
+// distributed mine with the retry/timeout machinery off (MaxAttempts 1, no
+// deadline — the pre-fault-tolerance coordinator) and on (defaults plus a
+// per-call deadline).
+type faultOverheadRun struct {
+	Engine string
+	// BareMillis and GuardedMillis are the fastest of f1OverheadRuns mines
+	// with retries disabled, and under the default retry policy with a
+	// per-call deadline.
+	BareMillis    float64
+	GuardedMillis float64
 	// OverheadPct is the median of the per-round guarded/bare time ratios,
 	// minus one, in percent: what arming the fault-tolerance layer costs
-	// when nothing faults. The acceptance target is < 5.
-	OverheadPct float64 `json:"overhead_pct"`
+	// when nothing faults. The target is < 5.
+	OverheadPct float64
 	// Retries and Failovers are the guarded run's coordinator counters —
 	// both must be zero on a fault-free transport.
-	Retries   int `json:"retries"`
-	Failovers int `json:"failovers"`
-	AllocStats
+	Retries   int
+	Failovers int
 }
 
-// FaultRecoveryRun is one recovery measurement of EXP-F1: a scripted
+// faultRecoveryRun is one recovery measurement of EXP-F1: a scripted
 // fault transport kills one worker after its first successful call, and
 // the mine must fail over and still finish byte-identically.
-type FaultRecoveryRun struct {
-	Engine  string `json:"engine"`
-	Workers int    `json:"workers"`
+type faultRecoveryRun struct {
+	Engine string
 	// Millis is the single-run wall clock with the injected kill;
-	// FaultFreeMillis is the same configuration's guarded best-of-three.
-	Millis          float64 `json:"ms"`
-	FaultFreeMillis float64 `json:"fault_free_ms"`
-	// RecoverySlowdown is Millis / FaultFreeMillis: time-to-recover from
-	// one worker death, expressed against the undisturbed run.
-	RecoverySlowdown float64 `json:"recovery_slowdown"`
+	// FaultFreeMillis is the same configuration's guarded best time.
+	Millis          float64
+	FaultFreeMillis float64
 	// Retries / Failovers / ShippedShards are the coordinator's counters
 	// for the faulted run: the failover and the re-shipped shards show up
 	// here.
-	Retries       int `json:"retries"`
-	Failovers     int `json:"failovers"`
-	ShippedShards int `json:"shipped_shards"`
-}
-
-// FaultsBaseline is the machine-readable output of EXP-F1, persisted as
-// BENCH_faults.json: the cost of the fault-tolerance layer when healthy
-// and the cost of recovering from one worker death.
-type FaultsBaseline struct {
-	Fixture    string             `json:"fixture"`
-	MinSupport float64            `json:"minsup"`
-	GOMAXPROCS int                `json:"gomaxprocs"`
-	NumCPU     int                `json:"numcpu"`
-	Overhead   []FaultOverheadRun `json:"overhead"`
-	Recovery   []FaultRecoveryRun `json:"recovery"`
-	Note       string             `json:"note,omitempty"`
+	Retries       int
+	Failovers     int
+	ShippedShards int
 }
 
 // f1Workers is the worker count both EXP-F1 measurements run at: two
@@ -92,8 +81,8 @@ const f1OverheadRuns = 15
 // measureFaultOverhead times one engine bare vs guarded on a fault-free
 // transport (interleaved rounds, minimum of each) and byte-checks every
 // run against want.
-func measureFaultOverhead(db *transactions.DB, engine, want string) (FaultOverheadRun, float64, error) {
-	run := FaultOverheadRun{Engine: engine, Workers: f1Workers}
+func measureFaultOverhead(db *transactions.DB, engine, want string) (faultOverheadRun, error) {
+	run := faultOverheadRun{Engine: engine}
 	bare := &assoc.Distributed{
 		Transport: dist.NewLocalTransport(f1Workers, true),
 		Workers:   f1Workers,
@@ -110,32 +99,31 @@ func measureFaultOverhead(db *transactions.DB, engine, want string) (FaultOverhe
 		Retry:     dist.RetryPolicy{CallTimeout: faultGuardTimeout},
 	}
 	defer guarded.Close()
-	mineOnce := func(d *assoc.Distributed) (time.Duration, AllocStats, error) {
+	mineOnce := func(d *assoc.Distributed) (time.Duration, error) {
 		var res *assoc.Result
-		dur, alloc, err := timeItAlloc(func() error {
+		dur, err := timeIt(func() error {
 			var merr error
-			res, merr = d.Mine(db, p1MinSup)
+			res, merr = d.Mine(db, engineMinSup)
 			return merr
 		})
 		if err != nil {
-			return 0, alloc, err
+			return 0, err
 		}
 		if string(res.Canonical()) != want {
-			return 0, alloc, fmt.Errorf("EXP-F1: %s overhead run diverges from the local engine", engine)
+			return 0, fmt.Errorf("EXP-F1: %s overhead run diverges from the local engine", engine)
 		}
-		return dur, alloc, nil
+		return dur, nil
 	}
 	var bareBest, guardedBest time.Duration
-	var guardedAlloc AllocStats
 	ratios := make([]float64, 0, f1OverheadRuns)
 	for i := 0; i < f1OverheadRuns; i++ {
-		bd, _, err := mineOnce(bare)
+		bd, err := mineOnce(bare)
 		if err != nil {
-			return run, 0, err
+			return run, err
 		}
-		gd, galloc, err := mineOnce(guarded)
+		gd, err := mineOnce(guarded)
 		if err != nil {
-			return run, 0, err
+			return run, err
 		}
 		ratios = append(ratios, float64(gd)/float64(bd))
 		if i == 0 || bd < bareBest {
@@ -143,7 +131,6 @@ func measureFaultOverhead(db *transactions.DB, engine, want string) (FaultOverhe
 		}
 		if i == 0 || gd < guardedBest {
 			guardedBest = gd
-			guardedAlloc = galloc
 		}
 	}
 	sort.Float64s(ratios)
@@ -152,15 +139,14 @@ func measureFaultOverhead(db *transactions.DB, engine, want string) (FaultOverhe
 	run.GuardedMillis = float64(guardedBest.Microseconds()) / 1000.0
 	run.OverheadPct = (ratios[len(ratios)/2] - 1) * 100
 	run.Retries, run.Failovers = stats.Retries, stats.Failovers
-	run.AllocStats = guardedAlloc
-	return run, run.GuardedMillis, nil
+	return run, nil
 }
 
 // measureFaultRecovery times one engine through a scripted worker death:
 // worker 1 completes its first call (the shard shipping) and then dies,
 // forcing a failover onto worker 0 mid-mine.
-func measureFaultRecovery(db *transactions.DB, engine, want string, faultFreeMS float64) (FaultRecoveryRun, error) {
-	run := FaultRecoveryRun{Engine: engine, Workers: f1Workers, FaultFreeMillis: faultFreeMS}
+func measureFaultRecovery(db *transactions.DB, engine, want string, faultFreeMS float64) (faultRecoveryRun, error) {
+	run := faultRecoveryRun{Engine: engine, FaultFreeMillis: faultFreeMS}
 	ft := dist.NewFaultTransport(dist.NewLocalTransport(f1Workers, true), dist.FaultPlan{})
 	ft.FailNext(1, dist.FaultNone, dist.FaultKill)
 	d := &assoc.Distributed{
@@ -175,7 +161,7 @@ func measureFaultRecovery(db *transactions.DB, engine, want string, faultFreeMS 
 	var res *assoc.Result
 	dur, err := timeIt(func() error {
 		var merr error
-		res, merr = d.Mine(db, p1MinSup)
+		res, merr = d.Mine(db, engineMinSup)
 		return merr
 	})
 	if err != nil {
@@ -189,116 +175,37 @@ func measureFaultRecovery(db *transactions.DB, engine, want string, faultFreeMS 
 		return run, fmt.Errorf("EXP-F1: %s recovery run recorded no failover — the scripted kill missed", engine)
 	}
 	run.Millis = float64(dur.Microseconds()) / 1000.0
-	if faultFreeMS > 0 {
-		run.RecoverySlowdown = run.Millis / faultFreeMS
-	}
 	run.Retries, run.Failovers, run.ShippedShards = stats.Retries, stats.Failovers, stats.ShippedShards
 	return run, nil
 }
 
-// MeasureFaultsBaseline runs EXP-F1: for each distributed engine at two
-// workers, the fault-free cost of arming retries and deadlines (bare vs
-// guarded, best-of-three, byte-identity-checked), then the time to
-// recover from one scripted worker death.
-func MeasureFaultsBaseline(s Scale) (*FaultsBaseline, error) {
-	db, fixture, err := p1Fixture(s)
+// measureFaults runs EXP-F1: for each distributed engine at two workers,
+// the fault-free cost of arming retries and deadlines (bare vs guarded,
+// byte-identity-checked), then the time to recover from one scripted
+// worker death.
+func measureFaults(s Scale) (fixture string, overhead []faultOverheadRun, recovery []faultRecoveryRun, err error) {
+	db, fixture, err := engineFixture(s)
 	if err != nil {
-		return nil, err
+		return "", nil, nil, err
 	}
-	base := &FaultsBaseline{
-		Fixture:    fixture,
-		MinSupport: p1MinSup,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	for _, eng := range p4Engines() {
-		localRes, _, _, err := bestOf(eng.Local, db, p1MinSup)
+	for _, eng := range distEngines() {
+		localRes, err := eng.Miner.Mine(db, engineMinSup)
 		if err != nil {
-			return nil, err
+			return "", nil, nil, err
 		}
 		want := string(localRes.Canonical())
-		over, guardedMS, err := measureFaultOverhead(db, eng.Engine, want)
+		over, err := measureFaultOverhead(db, eng.Name, want)
 		if err != nil {
-			return nil, err
+			return "", nil, nil, err
 		}
-		base.Overhead = append(base.Overhead, over)
-		rec, err := measureFaultRecovery(db, eng.Engine, want, guardedMS)
+		overhead = append(overhead, over)
+		rec, err := measureFaultRecovery(db, eng.Name, want, over.GuardedMillis)
 		if err != nil {
-			return nil, err
+			return "", nil, nil, err
 		}
-		base.Recovery = append(base.Recovery, rec)
+		recovery = append(recovery, rec)
 	}
-	base.Note = "overhead_pct is the fault-free cost of the retry/deadline layer (target < 5); " +
-		"recovery_slowdown is one scripted worker death absorbed by failover, against the guarded fault-free time; " +
-		"every run byte-identity-checked against the local engine"
-	return base, nil
-}
-
-// WriteFaultsBaseline emits the EXP-F1 baseline as indented JSON.
-func WriteFaultsBaseline(w io.Writer, s Scale) error {
-	base, err := MeasureFaultsBaseline(s)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(base)
-}
-
-// RunFaultSmoke mines the EXP-F1 fixture once per distributed engine
-// under the given injected fault schedule and retry policy — the
-// reproducible chaos run behind dmbench -distfaults. A completed mine is
-// byte-checked against the local engine; a mine the schedule kills
-// entirely degrades to the local fallback and is byte-checked too, so
-// the smoke fails only on a real divergence, a hang, or a transport bug.
-func RunFaultSmoke(w io.Writer, s Scale, plan dist.FaultPlan, retry dist.RetryPolicy) error {
-	db, fixture, err := p1Fixture(s)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "chaos smoke: %s at minsup %.4f, %d workers, schedule %+v\n",
-		fixture, p1MinSup, f1Workers, plan)
-	for _, eng := range p4Engines() {
-		localRes, err := eng.Local.Mine(db, p1MinSup)
-		if err != nil {
-			return err
-		}
-		ft := dist.NewFaultTransport(dist.NewLocalTransport(f1Workers, true), plan)
-		d := &assoc.Distributed{
-			Transport: ft,
-			Workers:   f1Workers,
-			Engine:    eng.Engine,
-			Retry:     retry,
-		}
-		var res *assoc.Result
-		dur, err := timeIt(func() error {
-			var merr error
-			res, merr = d.Mine(db, p1MinSup)
-			return merr
-		})
-		if err != nil {
-			d.Close()
-			return fmt.Errorf("chaos smoke: %s failed under schedule (injected: %+v): %w",
-				eng.Engine, ft.Stats(), err)
-		}
-		if string(res.Canonical()) != string(localRes.Canonical()) {
-			d.Close()
-			return fmt.Errorf("chaos smoke: %s diverges from the local engine (injected: %+v)",
-				eng.Engine, ft.Stats())
-		}
-		stats := d.Coordinator().Stats()
-		mode := "remote"
-		if d.Degraded() {
-			mode = "degraded (local fallback)"
-		}
-		if cerr := d.Close(); cerr != nil {
-			return cerr
-		}
-		fmt.Fprintf(w, "  %-10s %s in %s ms, byte-identical; injected %+v; retries=%d failovers=%d\n",
-			eng.Engine, mode, ms(dur), ft.Stats(), stats.Retries, stats.Failovers)
-	}
-	fmt.Fprintln(w, "chaos smoke passed: every mine byte-identical to the local engine")
-	return nil
+	return fixture, overhead, recovery, nil
 }
 
 // RunF1 prints the fault-tolerance experiment as two tables: the
@@ -306,28 +213,28 @@ func RunFaultSmoke(w io.Writer, s Scale, plan dist.FaultPlan, retry dist.RetryPo
 // of one worker death.
 func RunF1(w io.Writer, s Scale) error {
 	header(w, "F1", "fault tolerance: fault-free overhead and failover recovery")
-	base, err := MeasureFaultsBaseline(s)
+	fixture, overhead, recovery, err := measureFaults(s)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "\n%s at minsup %.4f (GOMAXPROCS=%d, %d workers)\n",
-		base.Fixture, base.MinSupport, base.GOMAXPROCS, f1Workers)
+		fixture, engineMinSup, runtime.GOMAXPROCS(0), f1Workers)
 	fmt.Fprintf(w, "%-12s%12s%12s%12s%10s%10s\n",
 		"engine", "bare ms", "guarded ms", "overhead%", "retries", "failovers")
-	for _, r := range base.Overhead {
+	for _, r := range overhead {
 		fmt.Fprintf(w, "%-12s%12.1f%12.1f%12.2f%10d%10d\n",
 			r.Engine, r.BareMillis, r.GuardedMillis, r.OverheadPct, r.Retries, r.Failovers)
 	}
 	fmt.Fprintf(w, "\nrecovery from one worker death (scripted kill after the first call)\n")
 	fmt.Fprintf(w, "%-12s%12s%14s%10s%10s%10s%10s\n",
 		"engine", "ms", "fault-free ms", "slowdown", "retries", "failovers", "shipped")
-	for _, r := range base.Recovery {
+	for _, r := range recovery {
 		fmt.Fprintf(w, "%-12s%12.1f%14.1f%10.2f%10d%10d%10d\n",
-			r.Engine, r.Millis, r.FaultFreeMillis, r.RecoverySlowdown,
+			r.Engine, r.Millis, r.FaultFreeMillis, r.Millis/r.FaultFreeMillis,
 			r.Retries, r.Failovers, r.ShippedShards)
 	}
-	if base.Note != "" {
-		fmt.Fprintf(w, "\nnote: %s\n", base.Note)
-	}
+	fmt.Fprintln(w, "\nnote: overhead% is the fault-free cost of the retry/deadline layer (target < 5); "+
+		"slowdown is one scripted worker death absorbed by failover, against the guarded fault-free time; "+
+		"every run byte-identity-checked against the local engine")
 	return nil
 }

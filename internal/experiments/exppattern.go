@@ -1,16 +1,66 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
+	"time"
 
 	"repro/internal/assoc"
+	"repro/internal/synth"
+	"repro/internal/transactions"
 )
 
-// p3SupportLevels is the EXP-P3 support ladder. It runs deliberately lower
-// than EXP-P1's fixed support: the pattern-growth argument is about the
+// engineFixture returns the T10.I4 workload EXP-P3 and EXP-F1 run on.
+func engineFixture(s Scale) (*transactions.DB, string, error) {
+	d := 1000
+	if s == Full {
+		d = 4000
+	}
+	db, err := synth.Baskets(synth.TxI(10, 4, d, 94))
+	return db, fmt.Sprintf("T10.I4.D%d", d), err
+}
+
+// engineMinSup is the fixed support EXP-F1 mines engineFixture at.
+const engineMinSup = 0.0075
+
+// allocStats is the heap allocation delta of one measured run.
+type allocStats struct {
+	Bytes  uint64
+	Allocs uint64
+}
+
+// bestOf mines three times and returns the fastest run's wall-clock
+// duration, allocation delta (via runtime.MemStats, so allocations on
+// every goroutine the miner spawns are included) and Result — the usual
+// noise guard for coarse single-shot timings.
+func bestOf(m assoc.Miner, db *transactions.DB, minSup float64) (*assoc.Result, time.Duration, allocStats, error) {
+	var (
+		best      time.Duration
+		bestAlloc allocStats
+		bestRes   *assoc.Result
+	)
+	for i := 0; i < 3; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		start := time.Now()
+		res, err := m.Mine(db, minSup)
+		d := time.Since(start)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			return nil, 0, allocStats{}, err
+		}
+		if i == 0 || d < best {
+			best = d
+			bestAlloc = allocStats{Bytes: m1.TotalAlloc - m0.TotalAlloc, Allocs: m1.Mallocs - m0.Mallocs}
+			bestRes = res
+		}
+	}
+	return bestRes, best, bestAlloc, nil
+}
+
+// p3SupportLevels is the EXP-P3 support ladder. It runs deliberately
+// lower than engineMinSup: the pattern-growth argument is about the
 // low-support regime, where level-wise candidate sets explode while the
 // FP-tree only deepens a little. The quick scale doubles the relative
 // supports so the absolute count floor stays meaningful on the smaller
@@ -23,129 +73,87 @@ func p3SupportLevels(s Scale) []float64 {
 	return []float64{0.02, 0.01, 0.0066, 0.004, 0.002}
 }
 
+// namedMiner is one lineup entry: a miner under the name its table prints.
+type namedMiner struct {
+	Name  string
+	Miner assoc.Miner
+}
+
 // p3Lineup returns the engines the pattern-growth sweep compares: the
-// level-wise reference, the vertical bitset layout, and pattern growth.
-func p3Lineup() []assoc.Miner {
-	return []assoc.Miner{
-		withWorkers(&assoc.Apriori{}),
-		withWorkers(&assoc.Eclat{Layout: assoc.LayoutBitset}),
-		withWorkers(&assoc.FPGrowth{}),
+// level-wise reference (first, so speedups are relative to it), the
+// vertical bitset layout, and pattern growth.
+func p3Lineup() []namedMiner {
+	return []namedMiner{
+		{"Apriori", &assoc.Apriori{}},
+		{"Eclat(bitset)", &assoc.Eclat{Layout: assoc.LayoutBitset}},
+		{"FPGrowth", &assoc.FPGrowth{}},
 	}
 }
 
-// p3Name labels a lineup miner in the baseline (Eclat carries its layout).
-func p3Name(m assoc.Miner) string {
-	if e, ok := m.(*assoc.Eclat); ok && e.Layout == assoc.LayoutBitset {
-		return "Eclat(bitset)"
-	}
-	return m.Name()
+// patternRun is one timed (miner, support) row of EXP-P3.
+type patternRun struct {
+	Miner    string
+	MinSup   float64
+	Frequent int // itemsets found (identical across miners)
+	Millis   float64
+	Speedup  float64 // Apriori time / this time, same support
+	allocStats
 }
 
-// PatternRun is one timed (miner, support) configuration of EXP-P3.
-type PatternRun struct {
-	Miner    string  `json:"miner"`
-	MinSup   float64 `json:"minsup"`
-	Frequent int     `json:"frequent"` // itemsets found (identical across miners)
-	Millis   float64 `json:"ms"`
-	Speedup  float64 `json:"speedup"` // Apriori time / this time, same support
-	AllocStats
-}
-
-// PatternBaseline is the machine-readable output of EXP-P3, persisted as
-// BENCH_fpgrowth.json: the candidate-generation vs pattern-growth
-// trajectory across a support ladder on the T10.I4 fixture, with
-// allocations recorded alongside wall-clock.
-type PatternBaseline struct {
-	Fixture    string       `json:"fixture"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	NumCPU     int          `json:"numcpu"`
-	Runs       []PatternRun `json:"runs"`
-	// LowestSupportSpeedup is FPGrowth's speedup over Apriori at the
-	// lowest support of the ladder — the acceptance headline.
-	LowestSupportSpeedup float64 `json:"lowest_support_speedup"`
-	Note                 string  `json:"note,omitempty"`
-}
-
-// MeasurePatternBaseline runs the EXP-P3 sweep: every lineup engine at
-// every support level, best-of-three wall clock with the fastest run's
-// allocations, plus a cross-check that the engines found the same number
-// of itemsets.
-func MeasurePatternBaseline(s Scale) (*PatternBaseline, error) {
-	db, fixture, err := p1Fixture(s)
+// measurePattern runs the EXP-P3 sweep: every lineup engine at every
+// support level, best-of-three wall clock with the fastest run's
+// allocations, failing if the engines disagree on the number of itemsets.
+func measurePattern(s Scale) (fixture string, runs []patternRun, err error) {
+	db, fixture, err := engineFixture(s)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	base := &PatternBaseline{
-		Fixture:    fixture,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-	}
-	levels := p3SupportLevels(s)
-	for _, minSup := range levels {
-		aprioriMS := 0.0
-		frequent := -1
-		for _, m := range p3Lineup() {
-			res, d, alloc, err := bestOf(m, db, minSup)
+	for _, minSup := range p3SupportLevels(s) {
+		var aprioriMS float64
+		var frequent int
+		for i, e := range p3Lineup() {
+			res, d, alloc, err := bestOf(e.Miner, db, minSup)
 			if err != nil {
-				return nil, err
-			}
-			if frequent == -1 {
-				frequent = res.NumFrequent()
-			} else if res.NumFrequent() != frequent {
-				return nil, fmt.Errorf("EXP-P3: %s found %d itemsets at %v, want %d",
-					p3Name(m), res.NumFrequent(), minSup, frequent)
+				return "", nil, err
 			}
 			msVal := float64(d.Microseconds()) / 1000.0
-			if p3Name(m) == "Apriori" {
-				aprioriMS = msVal
+			if i == 0 {
+				aprioriMS, frequent = msVal, res.NumFrequent()
+			} else if res.NumFrequent() != frequent {
+				return "", nil, fmt.Errorf("EXP-P3: %s found %d itemsets at %v, want %d",
+					e.Name, res.NumFrequent(), minSup, frequent)
 			}
 			speedup := 0.0
-			if aprioriMS > 0 && msVal > 0 {
+			if msVal > 0 {
 				speedup = aprioriMS / msVal
 			}
-			base.Runs = append(base.Runs, PatternRun{
-				Miner: p3Name(m), MinSup: minSup, Frequent: frequent,
-				Millis: msVal, Speedup: speedup, AllocStats: alloc,
+			runs = append(runs, patternRun{
+				Miner: e.Name, MinSup: minSup, Frequent: frequent,
+				Millis: msVal, Speedup: speedup, allocStats: alloc,
 			})
-			if p3Name(m) == "FPGrowth" && minSup == levels[len(levels)-1] {
-				base.LowestSupportSpeedup = speedup
-			}
 		}
 	}
-	base.Note = "speedup is Apriori's time over the run's time at the same support; " +
-		"pattern growth wins grow as support falls and candidate sets explode"
-	return base, nil
-}
-
-// WritePatternBaseline emits the EXP-P3 baseline as indented JSON.
-func WritePatternBaseline(w io.Writer, s Scale) error {
-	base, err := MeasurePatternBaseline(s)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(base)
+	return fixture, runs, nil
 }
 
 // RunP3 prints the pattern-growth sweep as a table: each engine at each
 // support level with wall-clock, speedup over Apriori, and allocations.
 func RunP3(w io.Writer, s Scale) error {
 	header(w, "P3", "pattern growth vs candidate generation across supports")
-	base, err := MeasurePatternBaseline(s)
+	fixture, runs, err := measurePattern(s)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "\n%s (GOMAXPROCS=%d)\n", base.Fixture, base.GOMAXPROCS)
+	fmt.Fprintf(w, "\n%s (GOMAXPROCS=%d)\n", fixture, runtime.GOMAXPROCS(0))
 	fmt.Fprintf(w, "%-10s%-16s%10s%12s%10s%12s%12s\n",
 		"minsup", "miner", "frequent", "ms", "speedup", "alloc MB", "allocs")
-	for _, r := range base.Runs {
+	for _, r := range runs {
 		fmt.Fprintf(w, "%-10.4f%-16s%10d%12.1f%10.2f%12.1f%12d\n",
 			r.MinSup, r.Miner, r.Frequent, r.Millis, r.Speedup, float64(r.Bytes)/1e6, r.Allocs)
 	}
-	fmt.Fprintf(w, "\nFPGrowth at the lowest support: %.2fx over Apriori\n", base.LowestSupportSpeedup)
-	if base.Note != "" {
-		fmt.Fprintf(w, "note: %s\n", base.Note)
-	}
+	// The lineup ends with FPGrowth and the ladder with its lowest support.
+	fmt.Fprintf(w, "\nFPGrowth at the lowest support: %.2fx over Apriori\n", runs[len(runs)-1].Speedup)
+	fmt.Fprintln(w, "note: speedup is Apriori's time over the run's time at the same support; "+
+		"pattern growth wins grow as support falls and candidate sets explode")
 	return nil
 }
