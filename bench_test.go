@@ -1,16 +1,14 @@
 package repro
 
 // Ablation benches for design decisions no other harness measures: Eclat's
-// two vertical layouts and their intersect kernels, hash-tree vs map
-// candidate counting, k-means seeding, k-d tree leaf size and the BIRCH
-// leaf budget. The paper-shaped tables are cmd/dmbench's; performance of
+// bitset intersect kernel, k-means seeding, k-d tree leaf size and the
+// BIRCH leaf budget. The paper-shaped tables are cmd/dmbench's; performance of
 // the engine stack is measured by bench/ (bench/README.md).
 
 import (
 	"sync"
 	"testing"
 
-	"repro/internal/assoc"
 	"repro/internal/cluster"
 	"repro/internal/knn"
 	"repro/internal/synth"
@@ -20,27 +18,12 @@ import (
 // --- shared fixtures, built once ---
 
 var (
-	basketOnce sync.Once
-	basketDB   *transactions.DB
-
 	pointsOnce sync.Once
 	points     [][]float64
 
 	gridOnce sync.Once
 	gridPts  [][]float64
 )
-
-func baskets(b *testing.B) *transactions.DB {
-	b.Helper()
-	basketOnce.Do(func() {
-		db, err := synth.Baskets(synth.TxI(10, 4, 4000, 94))
-		if err != nil {
-			panic(err)
-		}
-		basketDB = db
-	})
-	return basketDB
-}
 
 func gaussPoints(b *testing.B) [][]float64 {
 	b.Helper()
@@ -70,96 +53,24 @@ func grid(b *testing.B) [][]float64 {
 	return gridPts
 }
 
-func benchMiner(b *testing.B, m assoc.Miner) {
-	db := baskets(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Mine(db, 0.0075); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Eclat vertical-layout ablation: sorted tid-list merging vs bitset
-// word-AND + popcount, on the sparse benchmark fixture and on a dense
-// small-universe one where bitsets shine.
-func denseBaskets(b *testing.B) *transactions.DB {
-	b.Helper()
-	denseOnce.Do(func() {
-		c := synth.TxI(10, 4, 4000, 94)
-		c.NumItems = 100
-		c.NumPatterns = 200
-		db, err := synth.Baskets(c)
-		if err != nil {
-			panic(err)
-		}
-		denseDB = db
-	})
-	return denseDB
-}
-
-var (
-	denseOnce sync.Once
-	denseDB   *transactions.DB
-)
-
-func benchEclat(b *testing.B, db *transactions.DB, layout assoc.TidLayout) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&assoc.Eclat{Layout: layout}).Mine(db, 0.0075); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEclatTIDListSparse(b *testing.B) { benchEclat(b, baskets(b), assoc.LayoutTIDList) }
-func BenchmarkEclatBitsetSparse(b *testing.B)  { benchEclat(b, baskets(b), assoc.LayoutBitset) }
-func BenchmarkEclatTIDListDense(b *testing.B)  { benchEclat(b, denseBaskets(b), assoc.LayoutTIDList) }
-func BenchmarkEclatBitsetDense(b *testing.B)   { benchEclat(b, denseBaskets(b), assoc.LayoutBitset) }
-
-// Micro-ablation: one intersection of two dense tid-sets in each layout.
-func intersectFixture() (a, bb []int, ba, bbBits *transactions.Bitset) {
+// One intersection of two dense bitset tid-sets — the kernel Eclat joins with.
+func BenchmarkIntersectBitset(b *testing.B) {
 	const n = 100000
-	a = make([]int, 0, n/8)
-	bb = make([]int, 0, n/8)
+	var x, y []int
 	for i := 0; i < n; i++ {
 		if i%8 == 0 {
-			a = append(a, i)
+			x = append(x, i)
 		}
 		if i%8 == 2 || i%16 == 0 {
-			bb = append(bb, i)
+			y = append(y, i)
 		}
 	}
-	return a, bb, transactions.BitsetFromTIDs(a, n), transactions.BitsetFromTIDs(bb, n)
-}
-
-func BenchmarkIntersectTIDList(b *testing.B) {
-	a, bb, _, _ := intersectFixture()
+	bx, by := transactions.BitsetFromTIDs(x, n), transactions.BitsetFromTIDs(y, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		transactions.IntersectSorted(a, bb)
+		transactions.AndBitset(bx, by)
 	}
-}
-
-func BenchmarkIntersectBitset(b *testing.B) {
-	_, _, ba, bbBits := intersectFixture()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		transactions.AndBitset(ba, bbBits)
-	}
-}
-
-// Hash tree vs map-based candidate counting inside Apriori.
-func BenchmarkAblationCountHashTree(b *testing.B) {
-	benchMiner(b, &assoc.Apriori{Strategy: assoc.CountHashTree})
-}
-
-func BenchmarkAblationCountMap(b *testing.B) {
-	benchMiner(b, &assoc.Apriori{Strategy: assoc.CountMap})
 }
 
 // k-means seeding strategies.

@@ -1,6 +1,6 @@
 // Command dmserve is the long-running rule-serving tier: it loads an
 // optional initial basket file into a mining session, then serves
-// HTTP/JSON (and optionally net/rpc) queries — top-k rules by support,
+// HTTP/JSON queries — top-k rules by support,
 // confidence or lift, itemset support lookups, per-antecedent
 // recommendations — while ingesting appends and deletes through a
 // bounded queue. Readers always see a complete, versioned rule set:
@@ -10,7 +10,6 @@
 // Usage:
 //
 //	dmserve -in baskets.txt -addr 127.0.0.1:8080
-//	        [-rpcaddr 127.0.0.1:8081]
 //	        [-minsup 0.01 -rulefloor 0.5 -algo Auto -workers 0 -shardcap 1024]
 //	        [-maintainafter 256 -maintainevery 2s -queue 1024 -cache 512]
 //	        [-data dir -fsync always|interval[=100ms]|never -snapshotevery 4096]
@@ -223,16 +222,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	}
 	fmt.Fprintf(stdout, "listening on http://%s\n", ln.Addr())
 
-	if sf.RPCAddr != "" {
-		rln, err := net.Listen("tcp", sf.RPCAddr)
-		if err != nil {
-			httpSrv.Close()
-			return err
-		}
-		defer rln.Close()
-		go srv.ServeRPC(rln)
-		fmt.Fprintf(stdout, "rpc listening on %s (service %s)\n", rln.Addr(), serve.RPCService)
-	}
 	if ready != nil {
 		ready <- ln.Addr().String()
 	}

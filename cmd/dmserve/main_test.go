@@ -217,27 +217,12 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRPCTransportFlag starts dmserve with -rpcaddr and checks the
-// banner advertises both listeners.
-func TestRPCTransportFlag(t *testing.T) {
-	path, _ := writeFixture(t, 60)
-	_, out, stop := startServer(t, []string{
-		"-in", path,
-		"-addr", "127.0.0.1:0",
-		"-rpcaddr", "127.0.0.1:0",
-		"-maintainevery", "0",
-	})
-	stop()
-	if !strings.Contains(out.String(), "rpc listening on") {
-		t.Fatalf("rpc banner missing:\n%s", out.String())
-	}
-}
-
 // TestBadFlags pins the invalid-flag exit class.
 func TestBadFlags(t *testing.T) {
 	cases := [][]string{
 		{"-bogus"},
-		{"-distfaults", "err=0.1"}, // requires -dist
+		{"-rpcaddr", "127.0.0.1:0"}, // no such flag: HTTP is the only transport
+		{"-distfaults", "err=0.1"},  // requires -dist
 		{"-distfaults", "nonsense", "-dist"},
 	}
 	for _, args := range cases {

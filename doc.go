@@ -17,17 +17,19 @@
 // results are byte-identical through either path, a contract the test
 // suite and an exported-API golden gate pin in CI.
 //
-// Support counting — the hot path of every level-wise miner — runs on a
-// shared count-distribution engine (internal/assoc): the transaction
-// database is split into contiguous zero-copy shards
-// (transactions.DB.Shards), each worker scans its shard into private
-// counters (flat item counts, the pass-2 triangular pair array, or a
-// hashtree.CountBuffer over the read-only candidate tree), and the
-// private counters are merged after the pass. Merged results are
-// bit-identical to the serial scan, so Apriori, DHP and Partition take a
-// Workers option that changes only wall-clock time. Eclat instead mines
-// the vertical layout and picks between sorted tid-lists and
-// transactions.Bitset (word-wise AND + popcount) by density. FPGrowth is
+// The level-wise loop and the pattern-growth sequence are each written
+// once (internal/assoc) against a four-method scan source — pass-1 item
+// counts, the pass-2 pair triangle, the pass-k hash-tree count, the
+// FP-tree build — and the engines differ only in where those scans run.
+// The local source is count distribution: the transaction database is
+// split into contiguous zero-copy shards (transactions.DB.Shards), each
+// worker scans its shard into private counters (flat item counts, the
+// pass-2 triangular pair array, or a hashtree.CountBuffer over the
+// read-only candidate tree), and the private counters are merged after
+// the pass. Merged results are bit-identical to the serial scan, so
+// Apriori, DHP and Partition take a Workers option that changes only
+// wall-clock time. Eclat instead mines the vertical layout as
+// transactions.Bitset tid-sets (word-wise AND + popcount). FPGrowth is
 // the candidate-free engine: per-shard FP-trees (internal/fptree) merge by
 // the same commutative-addition contract into a global tree, and mining
 // fans per-item conditional projections out across workers — the
@@ -43,14 +45,15 @@
 // negative border is crossed. Results stay byte-identical to a
 // from-scratch run at every step.
 //
-// The distributed backend (internal/dist + assoc.Distributed) carries the
-// same contract across a process boundary: a coordinator ships
+// The distributed backend (internal/dist + assoc.Distributed) is the
+// remote scan source under the same two drivers: a coordinator ships
 // version-stamped shard snapshots to workers over a pluggable transport
 // (in-process channels for single-binary use, net/rpc over gob for real
-// deployment), workers scan their replicas into the identical per-shard
-// structures — including serialized FP-tree builds — and the coordinator
+// deployment), workers scan their replicas with the same per-transaction
+// kernels — including serialized FP-tree builds — and the coordinator
 // merges the returned buffers with the same commutative adds, so
-// distributed results are byte-identical to local runs (the bench metrics
+// distributed results are byte-identical to local runs, and a mine that
+// loses its whole cluster finishes on the local source (the bench metrics
 // dist.overhead_x and dist.gob_share track the shipping and serialization
 // overhead). Binding a ShardedDB re-ships only dirty shards after updates,
 // which lets assoc.Incremental use Distributed as its full-run base.

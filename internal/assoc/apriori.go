@@ -4,32 +4,12 @@ import (
 	"context"
 	"sort"
 
-	"repro/internal/hashtree"
 	"repro/internal/transactions"
 )
 
-// CountStrategy selects the candidate-counting data structure used by
-// Apriori. The hash tree is the paper's structure; the map counter is a
-// simpler alternative kept for the ablation benchmarks.
-type CountStrategy int
-
-const (
-	// CountHashTree counts candidates with the VLDB'94 hash tree.
-	CountHashTree CountStrategy = iota
-	// CountMap counts candidates by enumerating each transaction's
-	// k-subsets into a hash map. Exponential in transaction size for
-	// large k, but cheap for small candidate sets.
-	CountMap
-)
-
-// Apriori is the level-wise miner of Agrawal & Srikant (VLDB'94).
+// Apriori is the level-wise miner of Agrawal & Srikant (VLDB'94): the
+// levelwise driver over this process's scans.
 type Apriori struct {
-	// Strategy selects the counting structure; zero value is the paper's
-	// hash tree.
-	Strategy CountStrategy
-	// Fanout and MaxLeaf override the hash-tree parameters when positive.
-	Fanout  int
-	MaxLeaf int
 	// Workers distributes every counting scan across this many goroutines
 	// (count distribution: private per-worker counters over contiguous
 	// database shards, merged after the pass). Values <= 1 run serially;
@@ -60,73 +40,83 @@ func (a *Apriori) MineContext(ctx context.Context, db *transactions.DB, minSuppo
 		return emptyResult(), err
 	}
 	res := &Result{MinCount: minCount, NumTx: db.Len()}
-
-	level, err := frequentOneWorkers(ctx, db, minCount, a.Workers)
-	if err != nil {
+	emit := func(stat PassStat, level []ItemsetCount) { res.addPass(a.hook, stat, level) }
+	if err := levelwise(ctx, scanLocal(db, a.Workers), minCount, res, emit); err != nil {
 		return nil, err
 	}
-	res.addPass(a.hook, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)}, level)
+	return res, nil
+}
+
+// levelwise is the level-wise control loop — count, threshold, apriori-gen,
+// repeat — written once against the scan source: Apriori runs it over
+// local scans, Distributed over the coordinator's, and nothing else in the
+// loop can differ between them. Levels are appended to res; every pass is
+// reported through emit, which records it on res (the engines differ only
+// in the hook they forward to and in how they stamp PassStat.Degraded).
+func levelwise(ctx context.Context, src scanSource, minCount int, res *Result, emit PassHook) error {
+	counts, err := src.countItems(ctx)
+	if err != nil {
+		return err
+	}
+	numItems := len(counts)
+	level := thresholdItems(counts, minCount)
+	emit(PassStat{K: 1, Candidates: numItems, Frequent: len(level)}, level)
 	for k := 2; len(level) > 0; k++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		res.Levels = append(res.Levels, level)
-		if k == 2 && a.Strategy == CountHashTree {
+		if k == 2 {
 			// Pass-2 special case from the paper: C2 is the full join of
 			// L1, so candidates are counted in a triangular array indexed
 			// by L1 rank — no tree needed.
-			nCands := len(level) * (len(level) - 1) / 2
-			level, err = countPairsTriangular(ctx, db, level, minCount, a.Workers)
-			if err != nil {
-				return nil, err
+			n := len(level)
+			var l2 []ItemsetCount
+			if n >= 2 {
+				pairs, err := src.countPairs(ctx, l1Ranks(level, numItems), n)
+				if err != nil {
+					return err
+				}
+				l2 = thresholdTriangle(level, pairs, minCount)
 			}
-			res.addPass(a.hook, PassStat{K: 2, Candidates: nCands, Frequent: len(level)}, level)
+			emit(PassStat{K: 2, Candidates: n * (n - 1) / 2, Frequent: len(l2)}, l2)
+			level = l2
 			continue
 		}
 		cands := aprioriGen(itemsetsOf(level))
 		if len(cands) == 0 {
 			break
 		}
-		var counted []ItemsetCount
-		if a.Strategy == CountMap {
-			counted, err = countWithMapWorkers(ctx, db, cands, k, a.Workers)
-		} else {
-			counted, err = a.countWithHashTree(ctx, db, cands, k)
-		}
+		candCounts, err := src.countCandidates(ctx, k, cands)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		level = level[:0:0]
-		for _, ic := range counted {
-			if ic.Count >= minCount {
-				level = append(level, ic)
+		for i, cand := range cands {
+			if candCounts[i] >= minCount {
+				level = append(level, ItemsetCount{Items: cand, Count: candCounts[i]})
 			}
 		}
 		sortLevel(level)
-		res.addPass(a.hook, PassStat{K: k, Candidates: len(cands), Frequent: len(level)}, level)
+		emit(PassStat{K: k, Candidates: len(cands), Frequent: len(level)}, level)
 	}
-	return res, nil
+	return nil
 }
 
-// countPairsTriangular counts every pair of frequent items with a
-// triangular array over L1 ranks — the VLDB'94 second-pass optimisation.
-// l1 is sorted by item id, so emitted pairs are already lexicographic.
-// The scan is distributed across workers (each merges into a private
-// triangle) when workers > 1.
-func countPairsTriangular(ctx context.Context, db *transactions.DB, l1 []ItemsetCount, minCount, workers int) ([]ItemsetCount, error) {
-	n := len(l1)
-	if n < 2 {
-		return nil, ctx.Err()
+// thresholdItems filters a pass-1 count array to L1, in item order.
+func thresholdItems(counts []int, minCount int) []ItemsetCount {
+	var out []ItemsetCount
+	for item, c := range counts {
+		if c >= minCount {
+			out = append(out, ItemsetCount{Items: transactions.Itemset{item}, Count: c})
+		}
 	}
-	counts, err := countTriangle(ctx, db, l1Ranks(l1, db.NumItems()), n, workers)
-	if err != nil {
-		return nil, err
-	}
-	return thresholdTriangle(l1, counts, minCount), nil
+	return out
 }
 
 // l1Ranks builds the item-id -> L1-rank map of the triangular pass-2 scan
-// (-1 marks infrequent items). l1 is in item order, as frequentOne emits.
+// (-1 marks infrequent items). l1 is in item order, as thresholdItems
+// emits.
 func l1Ranks(l1 []ItemsetCount, numItems int) []int {
 	rank := make([]int, numItems)
 	for i := range rank {
@@ -139,16 +129,14 @@ func l1Ranks(l1 []ItemsetCount, numItems int) []int {
 }
 
 // thresholdTriangle filters a merged triangular pair-count array to the
-// frequent pairs, emitted in lexicographic order. It is shared by the
-// local and the distributed pass-2 paths, so thresholding cannot diverge
-// between them.
+// frequent pairs. l1 is sorted by item id, so the pairs are emitted in
+// lexicographic order.
 func thresholdTriangle(l1 []ItemsetCount, counts []int, minCount int) []ItemsetCount {
 	n := len(l1)
-	tri := func(i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
 	var out []ItemsetCount
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if c := counts[tri(i, j)]; c >= minCount {
+			if c := counts[transactions.TriIndex(n, i, j)]; c >= minCount {
 				out = append(out, ItemsetCount{
 					Items: transactions.Itemset{l1[i].Items[0], l1[j].Items[0]},
 					Count: c,
@@ -159,36 +147,18 @@ func thresholdTriangle(l1 []ItemsetCount, counts []int, minCount int) []ItemsetC
 	return out
 }
 
-func (a *Apriori) countWithHashTree(ctx context.Context, db *transactions.DB, cands []transactions.Itemset, k int) ([]ItemsetCount, error) {
-	maxLeaf := hashtree.DefaultMaxLeaf
-	if a.MaxLeaf > 0 {
-		maxLeaf = a.MaxLeaf
+// countPairsTriangular is pass 2 of the serial museum engines (AprioriTid's
+// hybrid): the triangular scan over db followed by thresholdTriangle.
+func countPairsTriangular(ctx context.Context, db *transactions.DB, l1 []ItemsetCount, minCount int) ([]ItemsetCount, error) {
+	n := len(l1)
+	if n < 2 {
+		return nil, ctx.Err()
 	}
-	fanout := a.Fanout
-	if fanout <= 0 {
-		// Size the fanout so that a depth-k tree can hold the candidates
-		// within the leaf capacity: leaves at depth k cannot split further,
-		// so a fixed small fanout degenerates for the huge C2 of pass 2.
-		fanout = adaptiveFanout(len(cands), k, maxLeaf)
-	}
-	tree, err := hashtree.NewWithParams(k, fanout, maxLeaf)
+	counts, err := scanLocal(db, 1).countPairs(ctx, l1Ranks(l1, db.NumItems()), n)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cands {
-		if _, err := tree.Insert(c); err != nil {
-			return nil, err
-		}
-	}
-	if err := countTree(ctx, db, tree, a.Workers); err != nil {
-		return nil, err
-	}
-	entries := tree.EntriesByID()
-	out := make([]ItemsetCount, len(entries))
-	for i, e := range entries {
-		out[i] = ItemsetCount{Items: e.Items, Count: e.Count}
-	}
-	return out, nil
+	return thresholdTriangle(l1, counts, minCount), nil
 }
 
 // countWithMap counts candidates by direct subset checks against an index

@@ -233,7 +233,6 @@ func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, mi
 	}
 	res.Levels = append(res.Levels, level)
 
-	apriori := &Apriori{}
 	switched := false
 	var bar []tidEntry
 	for k := 2; ; k++ {
@@ -259,7 +258,7 @@ func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, mi
 				}
 				est += m * (m - 1) / 2
 			}
-			level, err = countPairsTriangular(ctx, db, level, minCount, 1)
+			level, err = countPairsTriangular(ctx, db, level, minCount)
 			if err != nil {
 				return nil, err
 			}
@@ -281,20 +280,13 @@ func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, mi
 		}
 		var counts []int
 		if !switched {
-			counted, err := apriori.countWithHashTree(ctx, db, cands, k)
+			counts, err = scanLocal(db, 1).countCandidates(ctx, k, cands)
 			if err != nil {
 				return nil, err
 			}
-			// countWithHashTree returns entries in tree order; align to cands.
-			byKey := make(map[string]int, len(counted))
-			for _, ic := range counted {
-				byKey[ic.Items.Key()] = ic.Count
-			}
-			counts = make([]int, len(cands))
 			estBar := db.Len()
-			for i, c := range cands {
-				counts[i] = byKey[c.Key()]
-				estBar += counts[i]
+			for _, c := range counts {
+				estBar += c
 			}
 			// Switch for the next pass when C̄k+1 is estimated to fit.
 			if estBar <= budget {

@@ -16,19 +16,31 @@
 //
 // All miners produce identical frequent-itemset results on the same input —
 // a property the test suite checks — and differ only in how much work they
-// do, which is what the EXP-A benchmarks measure. The level-wise miners
-// cost O(passes × |D| × candidate-tests) where the hash tree bounds each
-// transaction's candidate tests; Eclat replaces rescans with tid-set
-// intersections, O(sum of joined list lengths) per candidate.
+// do, which is what the dmbench -exp A1 to A6 tables measure. The
+// level-wise miners cost O(passes × |D| × candidate-tests) where the hash
+// tree bounds each transaction's candidate tests; Eclat replaces rescans
+// with bitset tid-set intersections, O(|D|/64) words per candidate.
 //
-// Support counting follows the shard/count/merge contract (parallel.go):
-// the database splits into contiguous shards, every counting structure
-// (flat pass-1 arrays, the triangular pass-2 pair array, hash-tree count
-// buffers) fills per shard, and merging is commutative integer addition —
-// so distributed, parallel and incremental counts are all bit-identical to
-// a serial scan. The incremental maintainer adds one more consequence:
-// integer addition is invertible, so a dirty shard's stale counts can be
-// subtracted back out and only changed shards are ever re-scanned.
+// The level-wise loop and the pattern-growth sequence are each written
+// once (levelwise in apriori.go, growth in fpgrowth.go) against scanSource,
+// a four-method seam naming the database scans a mine needs: pass-1 item
+// counts, the triangular pass-2 pair array, the pass-k hash-tree count and
+// the FP-tree build. Where the scans run is the only thing that differs
+// between engines: Apriori and FPGrowth run them on this process's
+// goroutines (localScans, parallel.go), Distributed sends them to a
+// dist.Coordinator (remoteScans, distributed.go), and a distributed mine
+// that loses its whole cluster degrades by switching to the local scans
+// for the rest of the mine. Below the seam every scan follows the
+// shard/count/merge contract: the database splits into contiguous shards,
+// each shard fills a private counting structure through per-transaction
+// kernels that have one definition for every caller
+// (transactions.CountItems and CountPairs, hashtree count buffers,
+// fptree.Build), and merging is commutative integer addition — so
+// distributed, parallel, degraded and incremental counts are all
+// bit-identical to a serial scan. The incremental maintainer adds one more
+// consequence: integer addition is invertible, so a dirty shard's stale
+// counts can be subtracted back out and only changed shards are ever
+// re-scanned.
 //
 // Every registered miner additionally implements ContextMiner (hot loops
 // poll the context every ctxStride transactions, so cancellation returns
@@ -58,9 +70,9 @@ type PassStat struct {
 	K          int // itemset length of the pass
 	Candidates int // candidates counted in the pass
 	Frequent   int // candidates that met minimum support
-	// Degraded marks a pass the distributed engine served through its
-	// local fallback after losing every worker — the counts are still
-	// exact, but nothing ran remotely. Always false on local engines.
+	// Degraded marks a pass the distributed engine ran on its local scans
+	// after losing every worker — the counts are still exact, but nothing
+	// ran remotely. Local engines never set it.
 	Degraded bool
 }
 
@@ -211,9 +223,14 @@ func checkInput(db *transactions.DB, minSupport float64) (int, error) {
 // table test pins this contract.
 func emptyResult() *Result { return &Result{} }
 
-// frequentOne computes L1 by a counting scan, returned in item order.
+// frequentOne computes L1 by a serial counting scan, returned in item
+// order — pass 1 of the serial museum engines (AIS, SETM, AprioriTid).
 func frequentOne(ctx context.Context, db *transactions.DB, minCount int) ([]ItemsetCount, error) {
-	return frequentOneWorkers(ctx, db, minCount, 1)
+	counts, err := scanLocal(db, 1).countItems(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return thresholdItems(counts, minCount), nil
 }
 
 // sortLevel orders a level lexicographically in place.

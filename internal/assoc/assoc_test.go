@@ -37,7 +37,6 @@ var paperExpected = map[string]int{
 func allMiners() []Miner {
 	return []Miner{
 		&Apriori{},
-		&Apriori{Strategy: CountMap},
 		&AprioriTid{},
 		&AprioriHybrid{},
 		&AIS{},

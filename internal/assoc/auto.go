@@ -12,18 +12,18 @@ import (
 // anyway, so probing costs one pass):
 //
 //   - genuinely dense frequent items (mean tid-list density >=
-//     AutoDensityCutoff over at least AutoMinDenseItems of them): Eclat in
-//     the bitset layout — word-wise AND + popcount intersections are the
-//     measured winner on dense data (EXP-P1's layout ablation);
+//     AutoDensityCutoff over at least AutoMinDenseItems of them): Eclat
+//     — word-wise AND + popcount intersections win on dense data;
 //   - a large frequent-item universe, where level-wise pair candidates
 //     (|L1|^2/2) dwarf the database scan: FPGrowth — pattern growth never
-//     materialises candidates (EXP-P3);
+//     materialises candidates (the dmbench -exp P3 ladder);
 //   - otherwise: Apriori — for small frequent universes the triangular
 //     pass-2 array and hash tree are cheap and scan-bound.
 //
 // Every engine returns identical results, so the dispatch only moves
-// wall-clock time; the registry equivalence tests cover Auto like any
-// other miner.
+// wall-clock time — bench reports what a wrong pick costs as
+// assoc.auto_regret.* — and the registry equivalence tests cover Auto like
+// any other miner.
 type Auto struct {
 	// Workers is forwarded to whichever engine is selected.
 	Workers int
@@ -33,10 +33,8 @@ type Auto struct {
 }
 
 // AutoDensityCutoff is the mean frequent-item density above which Auto
-// prefers the bitset Eclat engine. It is deliberately higher than Eclat's
-// own DefaultDensityCutoff: that constant decides bitsets vs tid-lists
-// inside Eclat, this one decides whether the workload is dense enough for
-// vertical intersections to beat the other engine families outright.
+// prefers Eclat: the point where the workload is dense enough for vertical
+// bitset intersections to beat the other engine families outright.
 const AutoDensityCutoff = 1.0 / 16
 
 // AutoMinDenseItems is the minimum frequent-item count for the dense arm:
@@ -75,7 +73,7 @@ func (a *Auto) SelectContext(ctx context.Context, db *transactions.DB, minSuppor
 	if err != nil {
 		return nil, err
 	}
-	counts, err := countItems(ctx, db, a.Workers)
+	counts, err := scanLocal(db, a.Workers).countItems(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +90,7 @@ func (a *Auto) SelectContext(ctx context.Context, db *transactions.DB, minSuppor
 	case nFreq == 0:
 		m = &Apriori{Workers: a.Workers}
 	case nFreq >= AutoMinDenseItems && float64(totalTids)/float64(nFreq*db.Len()) >= AutoDensityCutoff:
-		m = &Eclat{Layout: LayoutBitset, Workers: a.Workers}
+		m = &Eclat{Workers: a.Workers}
 		name = "Eclat(bitset)"
 	case nFreq*(nFreq-1)/2 > 4*db.Len():
 		m = &FPGrowth{Workers: a.Workers}

@@ -16,9 +16,7 @@ import (
 // promises:
 //
 //	Workers        0 (and 1) mean serial, identical results at any count
-//	Apriori        Strategy=CountHashTree, adaptive Fanout/MaxLeaf
 //	DHP            NumBuckets=1<<16
-//	Eclat          Layout=LayoutAuto, DensityCutoff=DefaultDensityCutoff
 //	Partition      NumPartitions<=1 degenerates to one partition
 //	Sampling       SampleFraction=0.2, LowerFactor=0.8
 //	AprioriHybrid  BudgetEntries=8*|D|
@@ -36,10 +34,9 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 		explicit  Miner
 		closeBoth bool
 	}{
-		{name: "Apriori", zero: &Apriori{}, explicit: &Apriori{Strategy: CountHashTree, Workers: 1}},
-		{name: "Apriori/CountMap-params", zero: &Apriori{Strategy: CountMap}, explicit: &Apriori{Strategy: CountMap, Workers: 1}},
+		{name: "Apriori", zero: &Apriori{}, explicit: &Apriori{Workers: 1}},
 		{name: "DHP", zero: &DHP{}, explicit: &DHP{NumBuckets: 1 << 16, Workers: 1}},
-		{name: "Eclat", zero: &Eclat{}, explicit: &Eclat{Layout: LayoutAuto, DensityCutoff: DefaultDensityCutoff, Workers: 1}},
+		{name: "Eclat", zero: &Eclat{}, explicit: &Eclat{Workers: 1}},
 		{name: "Partition", zero: &Partition{}, explicit: &Partition{NumPartitions: 1, Workers: 1}},
 		{name: "Sampling", zero: &Sampling{}, explicit: &Sampling{SampleFraction: 0.2, LowerFactor: 0.8}},
 		{name: "AprioriHybrid", zero: &AprioriHybrid{}, explicit: &AprioriHybrid{BudgetEntries: 8 * 400}},

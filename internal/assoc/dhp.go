@@ -59,9 +59,7 @@ func (d *DHP) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 			if off%ctxStride == 0 && ctx.Err() != nil {
 				return
 			}
-			for _, item := range tx {
-				ic[item]++
-			}
+			transactions.CountItems(tx, ic)
 			for i := 0; i < len(tx); i++ {
 				for j := i + 1; j < len(tx); j++ {
 					bc[pairHash(tx[i], tx[j], buckets)]++
@@ -69,37 +67,17 @@ func (d *DHP) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 			}
 		}
 	}
-	var itemCounts, bucket []int
-	if d.Workers <= 1 {
-		itemCounts = make([]int, db.NumItems())
-		bucket = make([]int, buckets)
-		scan(transactions.Shard{Transactions: db.Transactions}, itemCounts, bucket)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		// Part slices are sized to the worker cap; shards may be fewer and
-		// the resulting nil tails are no-ops for mergeCounts.
-		itemParts := make([][]int, d.Workers)
-		bucketParts := make([][]int, d.Workers)
-		if err := forEachShard(ctx, db, d.Workers, func(shard int, sh transactions.Shard) {
-			ic := make([]int, db.NumItems())
-			bc := make([]int, buckets)
-			scan(sh, ic, bc)
-			itemParts[shard] = ic
-			bucketParts[shard] = bc
-		}); err != nil {
-			return nil, err
-		}
-		itemCounts = mergeCounts(itemParts, db.NumItems())
-		bucket = mergeCounts(bucketParts, buckets)
+	itemParts := make([][]int, max(d.Workers, 1))
+	bucketParts := make([][]int, max(d.Workers, 1))
+	if err := forEachShard(ctx, db, d.Workers, func(shard int, sh transactions.Shard) {
+		itemParts[shard] = make([]int, db.NumItems())
+		bucketParts[shard] = make([]int, buckets)
+		scan(sh, itemParts[shard], bucketParts[shard])
+	}); err != nil {
+		return nil, err
 	}
-	var level []ItemsetCount
-	for item, c := range itemCounts {
-		if c >= minCount {
-			level = append(level, ItemsetCount{Items: transactions.Itemset{item}, Count: c})
-		}
-	}
+	bucket := foldCounts(bucketParts)
+	level := thresholdItems(foldCounts(itemParts), minCount)
 	res.addPass(d.hook, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)}, level)
 	if len(level) == 0 {
 		return res, nil
@@ -116,7 +94,7 @@ func (d *DHP) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 			}
 		}
 	}
-	apriori := &Apriori{Workers: d.Workers}
+	scans := scanLocal(db, d.Workers)
 	for k := 2; ; k++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -130,14 +108,14 @@ func (d *DHP) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 		if len(cands) == 0 {
 			break
 		}
-		counted, err := apriori.countWithHashTree(ctx, db, cands, k)
+		counts, err := scans.countCandidates(ctx, k, cands)
 		if err != nil {
 			return nil, err
 		}
 		level = nil
-		for _, ic := range counted {
-			if ic.Count >= minCount {
-				level = append(level, ic)
+		for i, cand := range cands {
+			if counts[i] >= minCount {
+				level = append(level, ItemsetCount{Items: cand, Count: counts[i]})
 			}
 		}
 		sortLevel(level)

@@ -13,23 +13,26 @@ import (
 
 // Engine names Distributed dispatches between.
 const (
-	// DistEngineApriori runs level-wise count distribution: every pass's
-	// counting scan fans out over the workers (pass-1 arrays, triangular
-	// pass 2, hash-tree buffers for k >= 3) and the coordinator merges and
-	// thresholds, exactly Apriori's structure with the scans remoted.
+	// DistEngineApriori runs the levelwise driver with every counting scan
+	// fanned out over the workers (pass-1 arrays, triangular pass 2,
+	// hash-tree buffers for k >= 3); generation and thresholding are the
+	// same code Apriori runs.
 	DistEngineApriori = "Apriori"
-	// DistEngineFPGrowth builds the FP-tree distributed (one tree per
-	// worker over its shards, merged path-wise by the coordinator) and
-	// runs pattern growth locally over the merged tree.
+	// DistEngineFPGrowth runs the growth driver with the two database
+	// scans remote (one FP-tree per worker over its shards, merged
+	// path-wise by the coordinator) and pattern growth local over the
+	// merged tree.
 	DistEngineFPGrowth = "FPGrowth"
 )
 
-// Distributed is the coordinator-side mining engine over internal/dist: it
-// ships database shards to workers once, runs every counting scan remotely
-// and merges the returned buffers with the same commutative integer adds
-// the local engines use — so distributed results are byte-identical to a
-// local Apriori or FPGrowth run, a property the tests pin at workers 1, 2
-// and 4.
+// Distributed is the coordinator-side mining engine over internal/dist. It
+// owns no mining loop: it ships database shards to workers and runs the
+// same levelwise or growth driver Apriori and FPGrowth run, over a scan
+// source (remoteScans) that sends each scan to the dist.Coordinator. The
+// coordinator merges the returned buffers with the commutative integer
+// adds the local scans use, so distributed results — levels and pass stats
+// — are byte-identical to a local Apriori or FPGrowth run, a property the
+// tests pin at workers 1, 2 and 4.
 //
 // Two shard sources exist. A plain Mine(db, minSupport) splits db into one
 // contiguous shard per worker and ships them all (a fresh epoch per call,
@@ -46,8 +49,9 @@ type Distributed struct {
 	// serialization.
 	Transport dist.Transport
 	// Workers sizes the lazily built default transport and bounds the
-	// coordinator-side pattern-growth projection fan-out; <= 1 means 1.
-	// It does not resize a Transport the caller provided.
+	// goroutines of everything that runs in this process: pattern growth's
+	// projection fan-out and, once degraded, the local scans. <= 1 means
+	// 1. It does not resize a Transport the caller provided.
 	Workers int
 	// Engine selects the mining strategy: DistEngineApriori (the default
 	// for "") or DistEngineFPGrowth. Both produce identical results.
@@ -59,7 +63,7 @@ type Distributed struct {
 	Retry dist.RetryPolicy
 	// NoLocalFallback disables graceful degradation: with it set, losing
 	// every worker fails the mine with an error wrapping
-	// dist.ErrNoHealthyWorkers instead of falling back to local counting.
+	// dist.ErrNoHealthyWorkers instead of falling back to local scans.
 	NoLocalFallback bool
 
 	hook     PassHook
@@ -67,7 +71,6 @@ type Distributed struct {
 	store    *transactions.ShardedDB
 	epoch    uint64
 	degraded bool
-	fallback *dist.Worker
 	// onStorePath remembers whether the last sync shipped store shards;
 	// switching between the plain and store paths resets the coordinator,
 	// since both use small-integer shard ids and a leftover plain-epoch
@@ -205,13 +208,14 @@ func (d *Distributed) Mine(db *transactions.DB, minSupport float64) (*Result, er
 //
 // When the whole cluster is lost (every call path has exhausted retries
 // and failover, surfacing dist.ErrNoHealthyWorkers) and NoLocalFallback
-// is unset, the mine degrades instead of failing: the remaining scans run
-// on an in-process fallback worker holding the whole database as one
-// shard — the exact per-shard counting code the workers run, so the
+// is unset, the mine degrades instead of failing: the scan that hit the
+// loss and every later one run on the local scan source over db — the
+// scans Apriori and FPGrowth run, sharded over Workers goroutines, so the
 // result stays byte-identical — and every pass emitted from then on
 // carries PassStat.Degraded. Degradation lasts for the rest of that mine;
-// the next Mine tries the cluster again (and fails fast onto the fallback
-// while the workers stay marked down — Coordinator.Revive clears them).
+// the next Mine tries the cluster again (and fails fast onto the local
+// scans while the workers stay marked down — Coordinator.Revive clears
+// them).
 func (d *Distributed) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
@@ -224,220 +228,94 @@ func (d *Distributed) MineContext(ctx context.Context, db *transactions.DB, minS
 	default:
 		return nil, fmt.Errorf("assoc: unknown distributed engine %q", d.Engine)
 	}
-	d.degraded, d.fallback = false, nil
+	d.degraded = false
 	d.Coordinator().SetRetry(d.Retry)
-	numItems, err := d.sync(ctx, db)
-	if err != nil {
-		if !d.canDegrade(err) {
-			return nil, err
-		}
-		if derr := d.degrade(ctx, db); derr != nil {
-			return nil, derr
-		}
-		numItems = db.NumItems()
+	src := &remoteScans{d: d, db: db, numItems: db.NumItems()}
+	if n, err := d.sync(ctx, db); err == nil {
+		src.numItems = n
+	} else if !src.degrade(err) {
+		return nil, err
+	}
+	res := &Result{MinCount: minCount, NumTx: db.Len()}
+	emit := func(stat PassStat, level []ItemsetCount) {
+		stat.Degraded = d.degraded
+		res.addPass(d.hook, stat, level)
 	}
 	if d.Engine == DistEngineFPGrowth {
-		return d.mineFPGrowth(ctx, db, numItems, minCount)
+		err = growth(ctx, src, minCount, d.Workers, res, emit)
+	} else {
+		err = levelwise(ctx, src, minCount, res, emit)
 	}
-	return d.mineApriori(ctx, db, numItems, minCount)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
-// Degraded reports whether the last Mine fell back to local counting.
+// Degraded reports whether the last Mine fell back to local scans.
 func (d *Distributed) Degraded() bool { return d.degraded }
 
-// canDegrade reports whether err is the total-cluster-loss sentinel and
-// local fallback is allowed.
-func (d *Distributed) canDegrade(err error) bool {
-	return !d.NoLocalFallback && errors.Is(err, dist.ErrNoHealthyWorkers)
+// remoteScans is the cluster scanSource of one mine: every scan goes to
+// the engine's coordinator over the shards sync shipped, until the cluster
+// is lost — from then on local holds the local scan source over the same
+// database and serves the rest of the mine.
+type remoteScans struct {
+	d        *Distributed
+	db       *transactions.DB
+	numItems int
+	local    *localScans
 }
 
-// degrade builds the local fallback: an in-process dist.Worker holding
-// the whole database as shard 0. Counting through the same Worker code
-// path the cluster runs keeps the degraded result byte-identical.
-func (d *Distributed) degrade(ctx context.Context, db *transactions.DB) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// degrade reports whether err is total cluster loss that the engine may
+// absorb, and if so switches the mine to local scans.
+func (r *remoteScans) degrade(err error) bool {
+	if r.d.NoLocalFallback || !errors.Is(err, dist.ErrNoHealthyWorkers) {
+		return false
 	}
-	w := dist.NewWorker()
-	if err := w.Ship(dist.ShipArgs{Shards: []dist.ShardPayload{{ID: 0, Version: 1, Txs: db.Transactions}}}, &dist.ShipReply{}); err != nil {
-		return err
-	}
-	d.fallback = w
-	d.degraded = true
-	return nil
+	r.local = &localScans{db: r.db, numItems: r.numItems, workers: r.d.Workers}
+	r.d.degraded = true
+	return true
 }
 
-// fallbackIDs is the degraded scan target: the single whole-db shard.
-var fallbackIDs = []int{0}
-
-// countItems is the pass-1 scan, remote or degraded; a cluster lost
-// mid-mine degrades here and the scan reruns locally.
-func (d *Distributed) countItems(ctx context.Context, db *transactions.DB, numItems int) ([]int, error) {
-	if d.fallback != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+func (r *remoteScans) countItems(ctx context.Context) ([]int, error) {
+	if r.local == nil {
+		counts, err := r.d.coord.CountItems(ctx, r.numItems)
+		if !r.degrade(err) {
+			return counts, err
 		}
-		var reply dist.CountsReply
-		if err := d.fallback.CountItems(dist.CountItemsArgs{ShardIDs: fallbackIDs, NumItems: numItems}, &reply); err != nil {
-			return nil, err
-		}
-		return reply.Counts, nil
 	}
-	counts, err := d.Coordinator().CountItems(ctx, numItems)
-	if err != nil && d.canDegrade(err) {
-		if derr := d.degrade(ctx, db); derr != nil {
-			return nil, derr
-		}
-		return d.countItems(ctx, db, numItems)
-	}
-	return counts, err
+	return r.local.countItems(ctx)
 }
 
-// countPairs is the triangular pass-2 scan, remote or degraded.
-func (d *Distributed) countPairs(ctx context.Context, db *transactions.DB, rank []int, n int) ([]int, error) {
-	if d.fallback != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+func (r *remoteScans) countPairs(ctx context.Context, rank []int, n int) ([]int, error) {
+	if r.local == nil {
+		counts, err := r.d.coord.CountPairs(ctx, rank, n)
+		if !r.degrade(err) {
+			return counts, err
 		}
-		var reply dist.CountsReply
-		if err := d.fallback.CountPairs(dist.CountPairsArgs{ShardIDs: fallbackIDs, Rank: rank, N: n}, &reply); err != nil {
-			return nil, err
-		}
-		return reply.Counts, nil
 	}
-	counts, err := d.Coordinator().CountPairs(ctx, rank, n)
-	if err != nil && d.canDegrade(err) {
-		if derr := d.degrade(ctx, db); derr != nil {
-			return nil, derr
-		}
-		return d.countPairs(ctx, db, rank, n)
-	}
-	return counts, err
+	return r.local.countPairs(ctx, rank, n)
 }
 
-// countCandidates is the pass-k (k >= 3) scan, remote or degraded.
-func (d *Distributed) countCandidates(ctx context.Context, db *transactions.DB, k, fanout, maxLeaf int, cands []transactions.Itemset) ([]int, error) {
-	if d.fallback != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var reply dist.CountsReply
-		if err := d.fallback.CountCandidates(dist.CountCandidatesArgs{ShardIDs: fallbackIDs, K: k, Fanout: fanout, MaxLeaf: maxLeaf, Candidates: cands}, &reply); err != nil {
-			return nil, err
-		}
-		return reply.Counts, nil
-	}
-	counts, err := d.Coordinator().CountCandidates(ctx, k, fanout, maxLeaf, cands)
-	if err != nil && d.canDegrade(err) {
-		if derr := d.degrade(ctx, db); derr != nil {
-			return nil, derr
-		}
-		return d.countCandidates(ctx, db, k, fanout, maxLeaf, cands)
-	}
-	return counts, err
-}
-
-// buildTree is the pattern-growth tree build, remote or degraded.
-func (d *Distributed) buildTree(ctx context.Context, db *transactions.DB, ranks *fptree.Ranks) (*fptree.Tree, error) {
-	if d.fallback != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var reply dist.TreeReply
-		if err := d.fallback.BuildTree(dist.BuildTreeArgs{ShardIDs: fallbackIDs, Ranks: ranks}, &reply); err != nil {
-			return nil, err
-		}
-		return fptree.Import(ranks, reply.Nodes)
-	}
-	tree, err := d.Coordinator().BuildTree(ctx, ranks)
-	if err != nil && d.canDegrade(err) {
-		if derr := d.degrade(ctx, db); derr != nil {
-			return nil, derr
-		}
-		return d.buildTree(ctx, db, ranks)
-	}
-	return tree, err
-}
-
-// mineApriori is Apriori.Mine with every counting scan remoted through the
-// coordinator (or the degraded fallback); generation and thresholding stay
-// local and identical.
-func (d *Distributed) mineApriori(ctx context.Context, db *transactions.DB, numItems, minCount int) (*Result, error) {
-	res := &Result{MinCount: minCount, NumTx: db.Len()}
-
-	counts, err := d.countItems(ctx, db, numItems)
-	if err != nil {
-		return nil, err
-	}
-	var level []ItemsetCount
-	for item, cnt := range counts {
-		if cnt >= minCount {
-			level = append(level, ItemsetCount{Items: transactions.Itemset{item}, Count: cnt})
-		}
-	}
-	res.addPass(d.hook, PassStat{K: 1, Candidates: numItems, Frequent: len(level), Degraded: d.degraded}, level)
-	for k := 2; len(level) > 0; k++ {
-		res.Levels = append(res.Levels, level)
-		if k == 2 {
-			n := len(level)
-			var l2 []ItemsetCount
-			if n >= 2 {
-				pairCounts, err := d.countPairs(ctx, db, l1Ranks(level, numItems), n)
-				if err != nil {
-					return nil, err
-				}
-				l2 = thresholdTriangle(level, pairCounts, minCount)
-			}
-			res.addPass(d.hook, PassStat{K: 2, Candidates: n * (n - 1) / 2, Frequent: len(l2), Degraded: d.degraded}, l2)
-			level = l2
-			continue
-		}
-		cands := aprioriGen(itemsetsOf(level))
-		if len(cands) == 0 {
-			break
-		}
+func (r *remoteScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
+	if r.local == nil {
+		// Tree parameters travel with the request so every worker builds
+		// the same tree; the counts do not depend on them.
 		maxLeaf := hashtree.DefaultMaxLeaf
-		fanout := adaptiveFanout(len(cands), k, maxLeaf)
-		candCounts, err := d.countCandidates(ctx, db, k, fanout, maxLeaf, cands)
-		if err != nil {
-			return nil, err
+		counts, err := r.d.coord.CountCandidates(ctx, k, adaptiveFanout(len(cands), k, maxLeaf), maxLeaf, cands)
+		if !r.degrade(err) {
+			return counts, err
 		}
-		level = level[:0:0]
-		for i, cand := range cands {
-			if candCounts[i] >= minCount {
-				level = append(level, ItemsetCount{Items: cand, Count: candCounts[i]})
-			}
-		}
-		sortLevel(level)
-		res.addPass(d.hook, PassStat{K: k, Candidates: len(cands), Frequent: len(level), Degraded: d.degraded}, level)
 	}
-	return res, nil
+	return r.local.countCandidates(ctx, k, cands)
 }
 
-// mineFPGrowth distributes the pass-1 scan and the tree build, then grows
-// patterns locally over the merged tree — FPGrowth.Mine with the two
-// database passes remoted (or served by the degraded fallback).
-func (d *Distributed) mineFPGrowth(ctx context.Context, db *transactions.DB, numItems, minCount int) (*Result, error) {
-	res := &Result{MinCount: minCount, NumTx: db.Len()}
-
-	counts, err := d.countItems(ctx, db, numItems)
-	if err != nil {
-		return nil, err
+func (r *remoteScans) buildTree(ctx context.Context, ranks *fptree.Ranks) (*fptree.Tree, error) {
+	if r.local == nil {
+		tree, err := r.d.coord.BuildTree(ctx, ranks)
+		if !r.degrade(err) {
+			return tree, err
+		}
 	}
-	ranks := fptree.NewRanks(counts, minCount)
-	res.addPass(d.hook, PassStat{K: 1, Candidates: numItems, Frequent: ranks.Len(), Degraded: d.degraded}, nil)
-	if ranks.Len() == 0 {
-		return res, nil
-	}
-	tree, err := d.buildTree(ctx, db, ranks)
-	if err != nil {
-		return nil, err
-	}
-	grower := &FPGrowth{Workers: d.Workers}
-	perRank, err := grower.minePerRank(ctx, tree, minCount)
-	if err != nil {
-		return nil, err
-	}
-	assembleGrowthLevels(res, d.hook, perRank, d.degraded)
-	return res, nil
+	return r.local.buildTree(ctx, ranks)
 }

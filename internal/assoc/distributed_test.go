@@ -62,10 +62,10 @@ func TestDistributedByteIdenticalProperty(t *testing.T) {
 	}
 }
 
-// TestDistributedSyntheticWorkload runs the equivalence once on a
-// Quest-generator workload deep enough for multi-level passes and real
-// hash-tree counting, at workers 4.
-func TestDistributedSyntheticWorkload(t *testing.T) {
+// deepFixture is a Quest-generator workload deep enough for multi-level
+// passes and real hash-tree counting at minimum support 0.02.
+func deepFixture(t *testing.T) *transactions.DB {
+	t.Helper()
 	db, err := synth.Baskets(synth.BasketConfig{
 		NumTransactions: 400, AvgTxSize: 8, AvgPatternSize: 3,
 		NumPatterns: 40, NumItems: 60,
@@ -74,6 +74,14 @@ func TestDistributedSyntheticWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return db
+}
+
+// TestDistributedSyntheticWorkload runs the equivalence once on a
+// Quest-generator workload deep enough for multi-level passes and real
+// hash-tree counting, at workers 4.
+func TestDistributedSyntheticWorkload(t *testing.T) {
+	db := deepFixture(t)
 	for _, engine := range []string{DistEngineApriori, DistEngineFPGrowth} {
 		want, err := (&Apriori{}).Mine(db, 0.02)
 		if err != nil {

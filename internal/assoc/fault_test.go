@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -198,6 +199,76 @@ func TestDegradesMidMine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPassStatsMatchAcrossScanSources pins what the shared drivers give by
+// construction: a distributed mine records the passes its local engine
+// records, field for field apart from Degraded, at workers 1, 2 and 4 —
+// over a healthy cluster, and with the cluster partitioned away after the
+// pass-1 scan, where pass 1 stays remote and every later pass runs (and is
+// stamped) degraded. The degraded mines run their local scans on Workers
+// goroutines; none may outlive its mine.
+func TestPassStatsMatchAcrossScanSources(t *testing.T) {
+	db := deepFixture(t)
+	const minSup = 0.02
+	before := runtime.NumGoroutine()
+	for _, tc := range []struct {
+		engine string
+		local  Miner
+	}{
+		{DistEngineApriori, &Apriori{}},
+		{DistEngineFPGrowth, &FPGrowth{}},
+	} {
+		want, err := tc.local.Mine(db, minSup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Passes) < 3 {
+			t.Fatalf("%s: fixture too shallow: %d passes", tc.engine, len(want.Passes))
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, partitioned := range []bool{false, true} {
+				var plan dist.FaultPlan
+				if partitioned {
+					// Ship and the pass-1 scan are one call per worker
+					// each; the first call of the second scan cuts the
+					// cluster off.
+					plan.PartitionAfter = 2 * workers
+				}
+				ft := dist.NewFaultTransport(dist.NewLocalTransport(workers, true), plan)
+				// No drops are injected, so no per-call deadline: a slow
+				// (race-detector) scan must not read as a lost worker.
+				d := &Distributed{Transport: ft, Workers: workers, Engine: tc.engine, Retry: dist.RetryPolicy{MaxAttempts: 1}}
+				got, err := d.MineContext(context.Background(), db, minSup)
+				if cerr := d.Close(); cerr != nil {
+					t.Fatal(cerr)
+				}
+				label := fmt.Sprintf("%s workers=%d partitioned=%v", tc.engine, workers, partitioned)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !bytes.Equal(got.Canonical(), want.Canonical()) {
+					t.Errorf("%s: result differs from the local engine", label)
+				}
+				if d.Degraded() != partitioned {
+					t.Errorf("%s: Degraded() = %v", label, d.Degraded())
+				}
+				if len(got.Passes) != len(want.Passes) {
+					t.Fatalf("%s: %d passes, local engine has %d", label, len(got.Passes), len(want.Passes))
+				}
+				for i, p := range got.Passes {
+					if wantDegraded := partitioned && i > 0; p.Degraded != wantDegraded {
+						t.Errorf("%s: pass K=%d Degraded = %v, want %v", label, p.K, p.Degraded, wantDegraded)
+					}
+					p.Degraded = false
+					if p != want.Passes[i] {
+						t.Errorf("%s: pass %d = %+v, local engine has %+v", label, i, p, want.Passes[i])
+					}
+				}
+			}
+		}
+	}
+	assocWaitForGoroutines(t, before)
 }
 
 // TestNoFallbackSurfacesSentinel pins the NoLocalFallback contract: the

@@ -14,12 +14,13 @@ import (
 // generating and counting candidate sets pass by pass, it compresses the
 // database into an FP-tree (internal/fptree) and grows frequent itemsets
 // by recursive conditional projection. At low support this sidesteps the
-// candidate explosion entirely, which is what EXP-P3 measures.
+// candidate explosion entirely, which is what dmbench -exp P3 measures.
 //
-// The tree build follows the shard → count → merge contract: with Workers
-// > 1 each worker builds a private tree over one contiguous shard and the
-// trees merge by serial path-wise integer addition, so the global tree's
-// counts are bit-identical to a single-threaded build. Mining then fans
+// FPGrowth is the growth driver over this process's scans. The tree build
+// follows the shard → count → merge contract: with Workers > 1 each worker
+// builds a private tree over one contiguous shard and the trees merge by
+// serial path-wise integer addition, so the global tree's counts are
+// bit-identical to a single-threaded build. Mining then fans
 // the per-item conditional projections out across workers (each frequent
 // item's patterns are disjoint from every other's), with a single-path
 // shortcut that enumerates subset patterns without further projection and
@@ -58,37 +59,47 @@ func (f *FPGrowth) MineContext(ctx context.Context, db *transactions.DB, minSupp
 		return emptyResult(), err
 	}
 	res := &Result{MinCount: minCount, NumTx: db.Len()}
-
-	counts, err := countItems(ctx, db, f.Workers)
-	if err != nil {
+	emit := func(stat PassStat, level []ItemsetCount) { res.addPass(f.hook, stat, level) }
+	if err := growth(ctx, scanLocal(db, f.Workers), minCount, f.Workers, res, emit); err != nil {
 		return nil, err
+	}
+	return res, nil
+}
+
+// growth is the pattern-growth sequence — count items, build the global
+// FP-tree, grow patterns over it — written once against the scan source:
+// FPGrowth runs the two database scans locally, Distributed on the
+// coordinator's workers, and the growth phase always runs in this process
+// over up to workers goroutines. Levels are assembled into res; passes are
+// reported through emit like levelwise's.
+func growth(ctx context.Context, src scanSource, minCount, workers int, res *Result, emit PassHook) error {
+	counts, err := src.countItems(ctx)
+	if err != nil {
+		return err
 	}
 	ranks := fptree.NewRanks(counts, minCount)
-	res.addPass(f.hook, PassStat{K: 1, Candidates: db.NumItems(), Frequent: ranks.Len()}, nil)
+	emit(PassStat{K: 1, Candidates: len(counts), Frequent: ranks.Len()}, nil)
 	if ranks.Len() == 0 {
-		return res, nil
+		return nil
 	}
-	tree, err := buildTree(ctx, db, ranks, f.Workers)
+	tree, err := src.buildTree(ctx, ranks)
 	if err != nil {
-		return nil, err
+		return err
 	}
-
-	perRank, err := f.minePerRank(ctx, tree, minCount)
+	perRank, err := minePerRank(ctx, tree, minCount, workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	assembleGrowthLevels(res, f.hook, perRank, false)
-	return res, nil
+	assembleGrowthLevels(res, emit, perRank)
+	return nil
 }
 
 // assembleGrowthLevels groups the per-rank pattern buckets by itemset
 // length into canonical sorted levels. The buckets are disjoint, so
 // concatenation order cannot change the sorted levels — workers (and, for
 // the distributed engine, shard placement) only affect wall-clock time.
-// Each level's pass event fires once the level is sorted, i.e. final.
-// degraded stamps every emitted pass (the distributed engine's fallback
-// marker; local engines pass false).
-func assembleGrowthLevels(res *Result, hook PassHook, perRank [][]ItemsetCount, degraded bool) {
+// Each level's pass is emitted once the level is sorted, i.e. final.
+func assembleGrowthLevels(res *Result, emit PassHook, perRank [][]ItemsetCount) {
 	for _, bucket := range perRank {
 		for _, ic := range bucket {
 			k := len(ic.Items)
@@ -105,50 +116,18 @@ func assembleGrowthLevels(res *Result, hook PassHook, perRank [][]ItemsetCount, 
 		sortLevel(res.Levels[k-1])
 		// Pattern growth generates no candidate sets; the per-pass stat
 		// mirrors the frequent count so pass tables stay comparable.
-		res.addPass(hook, PassStat{K: k, Candidates: len(res.Levels[k-1]), Frequent: len(res.Levels[k-1]), Degraded: degraded}, res.Levels[k-1])
+		emit(PassStat{K: k, Candidates: len(res.Levels[k-1]), Frequent: len(res.Levels[k-1])}, res.Levels[k-1])
 	}
 	sortLevel(res.Levels[0])
 }
 
-// buildTree constructs the global FP-tree: per-shard private builds when
-// workers > 1, merged serially into shard 0's tree.
-func buildTree(ctx context.Context, db *transactions.DB, ranks *fptree.Ranks, workers int) (*fptree.Tree, error) {
-	if workers <= 1 {
-		t := fptree.Build(db.Transactions, ranks)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return t, nil
-	}
-	trees := make([]*fptree.Tree, workers)
-	if err := forEachShard(ctx, db, workers, func(shard int, sh transactions.Shard) {
-		trees[shard] = fptree.Build(sh.Transactions, ranks)
-	}); err != nil {
-		return nil, err
-	}
-	var global *fptree.Tree
-	for _, t := range trees {
-		switch {
-		case t == nil:
-		case global == nil:
-			global = t
-		default:
-			global.Merge(t)
-		}
-	}
-	if global == nil {
-		global = fptree.New(ranks)
-	}
-	return global, nil
-}
-
 // minePerRank mines every frequent item's conditional patterns, returning
-// one bucket per rank. With Workers > 1 the ranks are pulled by workers
+// one bucket per rank. With workers > 1 the ranks are pulled by workers
 // from an atomic cursor — each rank's patterns are independent given the
 // read-only global tree, so this is the projection analogue of count
 // distribution. Workers poll ctx per rank (and growPatterns polls per
 // projection), so cancellation surfaces within one conditional mine.
-func (f *FPGrowth) minePerRank(ctx context.Context, tree *fptree.Tree, minCount int) ([][]ItemsetCount, error) {
+func minePerRank(ctx context.Context, tree *fptree.Tree, minCount, workers int) ([][]ItemsetCount, error) {
 	ranks := tree.Ranks()
 	n := ranks.Len()
 	perRank := make([][]ItemsetCount, n)
@@ -167,7 +146,6 @@ func (f *FPGrowth) minePerRank(ctx context.Context, tree *fptree.Tree, minCount 
 		perRank[rk] = out
 	}
 
-	workers := f.Workers
 	if workers > n {
 		workers = n
 	}

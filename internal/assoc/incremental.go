@@ -328,12 +328,11 @@ func (inc *Incremental) countShard(sh transactions.Shard, version uint64) *shard
 	}
 	var touched []int32
 	n := len(inc.l1Items)
-	tri := func(i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
 	ranks := make([]int, 0, 64)
 	for off, tx := range sh.Transactions {
-		for _, item := range tx {
-			c.items[item]++
-		}
+		transactions.CountItems(tx, c.items)
+		// The pair pass stays apart from transactions.CountPairs: it
+		// records which triangle cells the shard touches as it counts.
 		ranks = ranks[:0]
 		for _, item := range tx {
 			if item < len(inc.rank) && inc.rank[item] >= 0 {
@@ -342,7 +341,7 @@ func (inc *Incremental) countShard(sh transactions.Shard, version uint64) *shard
 		}
 		for a := 0; a < len(ranks); a++ {
 			for b := a + 1; b < len(ranks); b++ {
-				idx := tri(ranks[a], ranks[b])
+				idx := transactions.TriIndex(n, ranks[a], ranks[b])
 				if scratch[idx] == 0 {
 					touched = append(touched, int32(idx))
 				}
@@ -373,12 +372,7 @@ func (inc *Incremental) threshold() (*Result, bool, string) {
 
 	// Level 1 is always fully tracked: the pass-1 arrays cover the whole
 	// item universe.
-	var level []ItemsetCount
-	for item, c := range inc.itemTotals {
-		if c >= minCount {
-			level = append(level, ItemsetCount{Items: transactions.Itemset{item}, Count: c})
-		}
-	}
+	level := thresholdItems(inc.itemTotals, minCount)
 	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: len(inc.itemTotals), Frequent: len(level)})
 	if len(level) == 0 {
 		return res, true, ""
@@ -395,12 +389,11 @@ func (inc *Incremental) threshold() (*Result, bool, string) {
 			}
 		}
 		n := len(inc.l1Items)
-		tri := func(i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
 		var l2 []ItemsetCount
 		for a := 0; a < len(level); a++ {
 			for b := a + 1; b < len(level); b++ {
 				i, j := inc.rank[level[a].Items[0]], inc.rank[level[b].Items[0]]
-				if c := inc.triTotals[tri(i, j)]; c >= minCount {
+				if c := inc.triTotals[transactions.TriIndex(n, i, j)]; c >= minCount {
 					l2 = append(l2, ItemsetCount{
 						Items: transactions.Itemset{level[a].Items[0], level[b].Items[0]},
 						Count: c,

@@ -158,16 +158,15 @@ func TestIncrementalBorderCrossingFallsBack(t *testing.T) {
 }
 
 // TestIncrementalAgreesAcrossBaseMiners checks that the maintainer plumbed
-// through each level-wise miner (and Eclat's bitset layout) as the
+// through each level-wise miner (and Eclat) as the
 // full-run base produces the same bytes.
 func TestIncrementalAgreesAcrossBaseMiners(t *testing.T) {
 	pool := incrementalFixture(t, 300)
 	bases := []Miner{
 		&Apriori{},
-		&Apriori{Strategy: CountMap},
 		&DHP{},
 		&Partition{NumPartitions: 3},
-		&Eclat{Layout: LayoutBitset},
+		&Eclat{},
 		&FPGrowth{},
 		&FPGrowth{Workers: 4},
 		&Partition{NumPartitions: 3, LocalMiner: &FPGrowth{}},

@@ -33,7 +33,7 @@ func TestCountPairsTriangular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := countPairsTriangular(ctx, db, l1, 2, 1)
+	got, err := countPairsTriangular(ctx, db, l1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCountPairsTriangular(t *testing.T) {
 		}
 	}
 	// Fewer than two frequent items: no pairs.
-	if got, err := countPairsTriangular(ctx, db, l1[:1], 2, 1); err != nil || got != nil {
+	if got, err := countPairsTriangular(ctx, db, l1[:1], 2); err != nil || got != nil {
 		t.Errorf("single-item pairs = %v (err %v)", got, err)
 	}
 }

@@ -1,6 +1,6 @@
 package assoc
 
-// The count-distribution engine shared by the level-wise miners.
+// The local scan source: count distribution over goroutines.
 //
 // Every support-counting pass has the same shape: scan the transactions,
 // accumulate counts into some structure, threshold. Count distribution
@@ -10,22 +10,27 @@ package assoc
 // the merged result is bit-identical to the serial scan because integer
 // addition is commutative and the shards tile the database exactly.
 //
-// The helpers here are the per-structure instantiations of that scheme:
-// flat item counters (pass 1), the triangular pair array (pass 2), the
-// candidate hash tree (pass 3+), and the candidate-index map counter used
-// by Partition's global phase. Miners opt in through a Workers option;
+// localScans holds the per-structure instantiations of that scheme — flat
+// item counters (pass 1), the triangular pair array (pass 2), the
+// candidate hash tree (pass 3+) and the per-shard FP-tree build — behind
+// scanSource, the seam the two mining drivers are written against;
+// countCandidatesDirect is the candidate-index map counter of Partition's
+// and Sampling's global phases. The per-transaction arithmetic is not
+// here: it is transactions.CountItems/CountPairs, hashtree's count
+// buffers and fptree.Build, the same kernels the dist workers run.
 // workers <= 1 runs the identical scan inline with no goroutines.
 //
-// Every helper takes a context and honours cancellation: scan loops poll
+// Every scan takes a context and honours cancellation: scan loops poll
 // ctx every ctxStride transactions and bail out early, workers drain
-// through the same poll (no goroutine outlives its helper call), and the
-// helper returns ctx.Err() instead of partial counts. Under
+// through the same poll (no goroutine outlives its scan), and the scan
+// returns ctx.Err() instead of partial counts. Under
 // context.Background() the poll is a nil check per stride — free.
 
 import (
 	"context"
 	"sync"
 
+	"repro/internal/fptree"
 	"repro/internal/hashtree"
 	"repro/internal/transactions"
 )
@@ -65,51 +70,28 @@ func forEachShard(ctx context.Context, db *transactions.DB, workers int, fn func
 	return ctx.Err()
 }
 
-// countShardedInts is the engine's common case: scan fills a private
-// []int counter of length n from one shard; the per-shard counters are
-// merged by addition. workers <= 1 scans the whole database inline. The
-// scan callback is responsible for polling ctx (use ctxStride).
+// countShardedInts is the common case: scan fills a private []int counter
+// of length n from one shard, and the per-shard counters are folded by
+// addition. The scan callback is responsible for polling ctx (use
+// ctxStride).
 func countShardedInts(ctx context.Context, db *transactions.DB, workers, n int, scan func(sh transactions.Shard, counts []int)) ([]int, error) {
-	if workers <= 1 {
-		counts := make([]int, n)
-		scan(transactions.Shard{Transactions: db.Transactions}, counts)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return counts, nil
-	}
-	// Sized to workers, not the (possibly smaller) shard count; nil tails
-	// are no-ops for mergeCounts.
-	parts := make([][]int, workers)
+	parts := make([][]int, max(workers, 1))
 	if err := forEachShard(ctx, db, workers, func(shard int, sh transactions.Shard) {
-		counts := make([]int, n)
-		scan(sh, counts)
-		parts[shard] = counts
+		parts[shard] = make([]int, n)
+		scan(sh, parts[shard])
 	}); err != nil {
 		return nil, err
 	}
-	return mergeCounts(parts, n), nil
+	return foldCounts(parts), nil
 }
 
-// countItems returns per-item transaction-occurrence counts (the pass-1
-// scan), distributed across workers.
-func countItems(ctx context.Context, db *transactions.DB, workers int) ([]int, error) {
-	return countShardedInts(ctx, db, workers, db.NumItems(), func(sh transactions.Shard, counts []int) {
-		for off, tx := range sh.Transactions {
-			if off%ctxStride == 0 && ctx.Err() != nil {
-				return
-			}
-			for _, item := range tx {
-				counts[item]++
-			}
-		}
-	})
-}
-
-// mergeCounts sums per-worker count arrays into one.
-func mergeCounts(parts [][]int, n int) []int {
-	out := make([]int, n)
-	for _, p := range parts {
+// foldCounts sums per-shard count arrays into the first and returns it.
+// Callers size parts to the worker cap; a database with fewer transactions
+// yields fewer shards, and the nil tails are skipped. Shard 0 always
+// exists: every engine rejects an empty database before its first scan.
+func foldCounts(parts [][]int) []int {
+	out := parts[0]
+	for _, p := range parts[1:] {
 		for i, c := range p {
 			out[i] += c
 		}
@@ -117,40 +99,89 @@ func mergeCounts(parts [][]int, n int) []int {
 	return out
 }
 
-// frequentOneWorkers is frequentOne with the scan distributed.
-func frequentOneWorkers(ctx context.Context, db *transactions.DB, minCount, workers int) ([]ItemsetCount, error) {
-	counts, err := countItems(ctx, db, workers)
+// scanSource is the one thing that differs between mining in process and
+// mining over a cluster: where the four database scans of a mine run. The
+// level-wise driver (levelwise) and the pattern-growth driver (growth) are
+// written once against it; localScans runs the scans on this process's
+// goroutines, remoteScans (distributed.go) on a dist.Coordinator's workers.
+// Every method returns exact whole-database totals or an error, never a
+// partial merge.
+type scanSource interface {
+	// countItems is the pass-1 scan: per-item occurrence counts, one
+	// counter per item of the universe.
+	countItems(ctx context.Context) ([]int, error)
+	// countPairs is the triangular pass-2 scan: rank maps item id to L1
+	// rank (-1 for infrequent items) and the result is the n*(n-1)/2
+	// pair array over ranks (transactions.TriIndex).
+	countPairs(ctx context.Context, rank []int, n int) ([]int, error)
+	// countCandidates is the pass-k (k >= 3) hash-tree scan; the counts
+	// are indexed like cands.
+	countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error)
+	// buildTree is pattern growth's second scan: the global FP-tree under
+	// the shared rank table.
+	buildTree(ctx context.Context, ranks *fptree.Ranks) (*fptree.Tree, error)
+}
+
+// localScans is the in-process scanSource: each scan shards db across
+// workers goroutines (count distribution) and merges by integer addition;
+// workers <= 1 scans inline. numItems sizes the pass-1 array — db's own
+// universe, except when a degraded distributed mine carries over the
+// universe its cluster was counting under.
+type localScans struct {
+	db       *transactions.DB
+	numItems int
+	workers  int
+}
+
+// scanLocal returns the local scan source over db's own item universe.
+func scanLocal(db *transactions.DB, workers int) localScans {
+	return localScans{db: db, numItems: db.NumItems(), workers: workers}
+}
+
+func (s localScans) countItems(ctx context.Context) ([]int, error) {
+	return countShardedInts(ctx, s.db, s.workers, s.numItems, func(sh transactions.Shard, counts []int) {
+		for off, tx := range sh.Transactions {
+			if off%ctxStride == 0 && ctx.Err() != nil {
+				return
+			}
+			transactions.CountItems(tx, counts)
+		}
+	})
+}
+
+func (s localScans) countPairs(ctx context.Context, rank []int, n int) ([]int, error) {
+	return countShardedInts(ctx, s.db, s.workers, n*(n-1)/2, func(sh transactions.Shard, counts []int) {
+		ranks := make([]int, 0, 64)
+		for off, tx := range sh.Transactions {
+			if off%ctxStride == 0 && ctx.Err() != nil {
+				return
+			}
+			ranks = transactions.CountPairs(tx, rank, n, counts, ranks)
+		}
+	})
+}
+
+// countCandidates builds the candidate hash tree (insertion order makes
+// entry ids equal candidate indices) and counts every shard into a private
+// hashtree.CountBuffer — the tree itself is only read. On cancellation
+// nothing is merged, so a caller that (wrongly) ignored the error could
+// never observe partial counts.
+func (s localScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
+	// Size the fanout so that a depth-k tree can hold the candidates
+	// within the leaf capacity: leaves at depth k cannot split further,
+	// so a fixed small fanout degenerates for large candidate sets.
+	maxLeaf := hashtree.DefaultMaxLeaf
+	tree, err := hashtree.NewWithParams(k, adaptiveFanout(len(cands), k, maxLeaf), maxLeaf)
 	if err != nil {
 		return nil, err
 	}
-	var out []ItemsetCount
-	for item, c := range counts {
-		if c >= minCount {
-			out = append(out, ItemsetCount{Items: transactions.Itemset{item}, Count: c})
+	for _, c := range cands {
+		if _, err := tree.Insert(c); err != nil {
+			return nil, err
 		}
 	}
-	return out, nil
-}
-
-// countTree scans the database through a fully built candidate hash tree.
-// With workers > 1 each worker counts its shard into a private
-// hashtree.CountBuffer (the tree itself is only read), merged afterwards.
-// On cancellation nothing is merged into the tree, so a caller that
-// (wrongly) ignored the error could never observe partial counts.
-func countTree(ctx context.Context, db *transactions.DB, tree *hashtree.Tree, workers int) error {
-	if workers <= 1 {
-		for tid, tx := range db.Transactions {
-			if tid%ctxStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			tree.CountTransaction(tx, tid)
-		}
-		return ctx.Err()
-	}
-	bufs := make([]*hashtree.CountBuffer, workers)
-	if err := forEachShard(ctx, db, workers, func(shard int, sh transactions.Shard) {
+	parts := make([][]int, max(s.workers, 1))
+	if err := forEachShard(ctx, s.db, s.workers, func(shard int, sh transactions.Shard) {
 		buf := tree.NewCountBuffer()
 		for off, tx := range sh.Transactions {
 			if off%ctxStride == 0 && ctx.Err() != nil {
@@ -158,45 +189,29 @@ func countTree(ctx context.Context, db *transactions.DB, tree *hashtree.Tree, wo
 			}
 			tree.CountTransactionInto(tx, sh.Base+off, buf)
 		}
-		bufs[shard] = buf
+		parts[shard] = buf.Counts
 	}); err != nil {
-		return err
+		return nil, err
 	}
-	for _, buf := range bufs {
-		if buf != nil {
-			tree.Merge(buf)
-		}
-	}
-	return nil
+	return foldCounts(parts), nil
 }
 
-// countTriangle runs the pass-2 triangular pair scan: rank maps item id to
-// L1 rank (-1 for infrequent items), and the result is the merged
-// n*(n-1)/2 triangular count array over ranks.
-func countTriangle(ctx context.Context, db *transactions.DB, rank []int, n, workers int) ([]int, error) {
-	scan := func(txs []transactions.Itemset, counts []int) {
-		tri := func(i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
-		ranks := make([]int, 0, 64)
-		for off, tx := range txs {
-			if off%ctxStride == 0 && ctx.Err() != nil {
-				return
-			}
-			ranks = ranks[:0]
-			for _, item := range tx {
-				if r := rank[item]; r >= 0 {
-					ranks = append(ranks, r)
-				}
-			}
-			for a := 0; a < len(ranks); a++ {
-				for b := a + 1; b < len(ranks); b++ {
-					counts[tri(ranks[a], ranks[b])]++
-				}
-			}
+// buildTree builds one private FP-tree per shard and merges them serially
+// into shard 0's tree (path-wise integer addition).
+func (s localScans) buildTree(ctx context.Context, ranks *fptree.Ranks) (*fptree.Tree, error) {
+	trees := make([]*fptree.Tree, max(s.workers, 1))
+	if err := forEachShard(ctx, s.db, s.workers, func(shard int, sh transactions.Shard) {
+		trees[shard] = fptree.Build(sh.Transactions, ranks)
+	}); err != nil {
+		return nil, err
+	}
+	global := trees[0]
+	for _, t := range trees[1:] {
+		if t != nil {
+			global.Merge(t)
 		}
 	}
-	return countShardedInts(ctx, db, workers, n*(n-1)/2, func(sh transactions.Shard, counts []int) {
-		scan(sh.Transactions, counts)
-	})
+	return global, nil
 }
 
 // countCandidatesDirect counts each candidate's support by direct subset

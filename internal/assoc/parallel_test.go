@@ -34,13 +34,10 @@ func randomDB(seed int64) *transactions.DB {
 func parallelVariants(workers int) []Miner {
 	return []Miner{
 		&Apriori{Workers: workers},
-		&Apriori{Strategy: CountMap, Workers: workers},
 		&DHP{Workers: workers},
 		&DHP{NumBuckets: 64, Workers: workers},
 		&Partition{NumPartitions: 3, Workers: workers},
 		&Eclat{Workers: workers},
-		&Eclat{Layout: LayoutTIDList, Workers: workers},
-		&Eclat{Layout: LayoutBitset, Workers: workers},
 		&FPGrowth{Workers: workers},
 	}
 }
@@ -62,11 +59,6 @@ func serialCounterpart(m Miner) Miner {
 	case *Eclat:
 		cp := *v
 		cp.Workers = 0
-		// The serial reference for Eclat is the tid-list layout — the
-		// bitset layout must reproduce it exactly too.
-		if cp.Layout == LayoutAuto {
-			cp.Layout = LayoutTIDList
-		}
 		return &cp
 	case *FPGrowth:
 		cp := *v
@@ -139,30 +131,6 @@ func TestParallelMinersMatchSerialSynthetic(t *testing.T) {
 			if !reflect.DeepEqual(got.Levels, want.Levels) {
 				t.Errorf("%s workers=%d: levels diverge from serial", m.Name(), workers)
 			}
-		}
-	}
-}
-
-// TestEclatLayoutsAgree pins the density dispatch: forced bitset and
-// forced tid-list runs must agree with each other and with auto.
-func TestEclatLayoutsAgree(t *testing.T) {
-	db := randomDB(42)
-	want, err := (&Eclat{Layout: LayoutTIDList}).Mine(db, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range []*Eclat{
-		{},
-		{Layout: LayoutBitset},
-		{DensityCutoff: 1e-9}, // forces auto to pick bitsets
-		{DensityCutoff: 2},    // forces auto to keep tid-lists
-	} {
-		got, err := e.Mine(db, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Levels, want.Levels) {
-			t.Errorf("Eclat %+v: levels diverge from tid-list layout", e)
 		}
 	}
 }

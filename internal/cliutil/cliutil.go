@@ -133,12 +133,11 @@ func AddDistFlags(fs *flag.FlagSet, distUsage string) *DistFlags {
 // EffectiveWorkers resolves -distworkers: <= 0 means GOMAXPROCS.
 func (d *DistFlags) EffectiveWorkers() int { return ResolveWorkers(d.Workers) }
 
-// ServeFlags are cmd/dmserve's serving-tier flags: listen addresses,
+// ServeFlags are cmd/dmserve's serving-tier flags: the listen address,
 // the ingest/maintenance pacing knobs of internal/serve, and the
 // durability knobs (data directory, fsync policy, snapshot cadence).
 type ServeFlags struct {
 	Addr          string
-	RPCAddr       string
 	MaintainAfter int
 	MaintainEvery time.Duration
 	Queue         int
@@ -149,14 +148,12 @@ type ServeFlags struct {
 	SnapshotEvery int
 }
 
-// AddServeFlags registers -addr, -rpcaddr, -maintainafter,
-// -maintainevery, -queue, -cache, -rulefloor, -data, -fsync and
-// -snapshotevery with dmserve's defaults (0 values defer to
-// internal/serve's documented defaults).
+// AddServeFlags registers -addr, -maintainafter, -maintainevery, -queue,
+// -cache, -rulefloor, -data, -fsync and -snapshotevery with dmserve's
+// defaults (0 values defer to internal/serve's documented defaults).
 func AddServeFlags(fs *flag.FlagSet) *ServeFlags {
 	f := &ServeFlags{}
 	fs.StringVar(&f.Addr, "addr", "127.0.0.1:8080", "HTTP listen address")
-	fs.StringVar(&f.RPCAddr, "rpcaddr", "", "optional net/rpc (gob) listen address")
 	fs.IntVar(&f.MaintainAfter, "maintainafter", 0,
 		"ops between maintains (dirty threshold; 0 = 256)")
 	fs.DurationVar(&f.MaintainEvery, "maintainevery", 2*time.Second,

@@ -164,7 +164,7 @@ func TestAddServeFlags(t *testing.T) {
 	if err := Parse(fs, nil); err != nil {
 		t.Fatal(err)
 	}
-	if sf.Addr != "127.0.0.1:8080" || sf.RPCAddr != "" || sf.MaintainEvery != 2*time.Second {
+	if sf.Addr != "127.0.0.1:8080" || sf.MaintainEvery != 2*time.Second {
 		t.Errorf("defaults = %+v", sf)
 	}
 	if sf.MaintainAfter != 0 || sf.Queue != 0 || sf.Cache != 0 || sf.RuleFloor != 0 {
@@ -178,7 +178,7 @@ func TestAddServeFlags(t *testing.T) {
 	fs.SetOutput(io.Discard)
 	sf = AddServeFlags(fs)
 	args := []string{
-		"-addr", "0.0.0.0:9999", "-rpcaddr", "127.0.0.1:9998",
+		"-addr", "0.0.0.0:9999",
 		"-maintainafter", "64", "-maintainevery", "500ms",
 		"-queue", "32", "-cache", "-1", "-rulefloor", "0.75",
 		"-data", "/tmp/dm", "-fsync", "interval=250ms", "-snapshotevery", "128",
@@ -186,7 +186,7 @@ func TestAddServeFlags(t *testing.T) {
 	if err := Parse(fs, args); err != nil {
 		t.Fatal(err)
 	}
-	if sf.Addr != "0.0.0.0:9999" || sf.RPCAddr != "127.0.0.1:9998" ||
+	if sf.Addr != "0.0.0.0:9999" ||
 		sf.MaintainAfter != 64 || sf.MaintainEvery != 500*time.Millisecond ||
 		sf.Queue != 32 || sf.Cache != -1 || sf.RuleFloor != 0.75 ||
 		sf.Data != "/tmp/dm" || sf.Fsync != "interval=250ms" || sf.SnapshotEvery != 128 {

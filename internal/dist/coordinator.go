@@ -14,9 +14,10 @@ import (
 
 // Stats counts a coordinator's transport traffic and fault handling — the
 // observable side of the dirty-shard protocol and of failover. Tests
-// assert ShippedShards to prove clean shards are never re-shipped, EXP-P4
-// reports the traffic totals as the distribution overhead trail, and
-// EXP-F1 reports the fault counters as the recovery trail.
+// assert ShippedShards to prove clean shards are never re-shipped, bench's
+// mine_dist workload pins the traffic totals (dist.calls,
+// dist.shipped_shards), and dmbench -exp F1 reports the fault counters as
+// the recovery trail.
 type Stats struct {
 	// ShippedShards counts shard snapshots that actually arrived (the
 	// Ship call succeeded); a failover re-ship counts again.

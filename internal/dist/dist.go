@@ -1,11 +1,15 @@
-// Package dist is the distributed counting backend: a coordinator ships
+// Package dist is the distributed counting backend — the remote
+// implementation of the four scans a mine needs. A Coordinator ships
 // transactions.ShardedDB shard snapshots to workers over a pluggable
-// Transport, workers run the repo's per-shard counting structures (flat
-// pass-1 item arrays, the triangular pass-2 pair array, hash-tree count
-// buffers for candidate lengths >= 3, and per-shard FP-tree builds) and
-// return serialized mergeable buffers, and the coordinator folds the
-// buffers together with the same commutative integer adds the parallel and
-// incremental engines use locally.
+// Transport and exposes exactly those scans (CountItems, CountPairs,
+// CountCandidates, BuildTree); workers answer them by running the same
+// per-transaction kernels the local scans run (transactions.CountItems
+// and CountPairs, hash-tree count buffers for candidate lengths >= 3,
+// FP-tree builds) over their replicas and return serialized mergeable
+// buffers; and the coordinator folds the buffers together with the same
+// commutative integer adds the parallel and incremental engines use
+// locally. The package holds no mining loop: internal/assoc's drivers call
+// the coordinator through their scan-source seam.
 //
 // The transport/merge contract, stated once:
 //
@@ -26,7 +30,8 @@
 // round-tripping every message so serialization cost is real), and
 // RPCTransport speaks net/rpc's gob codec to remote worker processes
 // (ServeWorker is the listening side). internal/assoc's Distributed miner
-// is the engine built on top of this package.
+// is the engine built on top of this package: it syncs the shards and
+// hands the coordinator to the level-wise or pattern-growth driver.
 //
 // # Fault model
 //
@@ -41,8 +46,8 @@
 // round-robin across the surviving workers and re-shipped from the
 // retained payloads through the same versioned Sync machinery. When no
 // healthy worker remains, calls fail with errors wrapping
-// ErrNoHealthyWorkers (the Distributed engine reacts by degrading to
-// local counting rather than failing the mine).
+// ErrNoHealthyWorkers (the Distributed engine reacts by running the rest
+// of the mine on its local scans rather than failing it).
 //
 // The invariant all of this preserves is byte-identity under faults:
 // a shard's buffer is merged exactly once per scan no matter how many

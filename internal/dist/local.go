@@ -19,8 +19,9 @@ type localCall struct {
 // each serving calls from its own channel — the tests/single-binary
 // transport. With Encode set every argument and reply makes a gob round
 // trip through fresh message values, so the bytes moved (and the
-// serialization cost EXP-P4 measures) are exactly what RPCTransport would
-// move; without it, payloads pass by reference with zero copies.
+// serialization cost bench reports as dist.gob_share) are exactly what
+// RPCTransport would move; without it, payloads pass by reference with
+// zero copies.
 type LocalTransport struct {
 	// Encode turns on the gob round trip per call.
 	Encode bool

@@ -6,11 +6,14 @@ import (
 
 	"repro/internal/fptree"
 	"repro/internal/hashtree"
+	"repro/internal/transactions"
 )
 
 // Worker is the counting side of the backend: it keeps version-stamped
-// shard replicas and answers count requests by scanning them into the
-// repo's per-shard counting structures, returning mergeable buffers. The
+// shard replicas and answers count requests by scanning them with the
+// same per-transaction kernels the local scans call (transactions.CountItems
+// and CountPairs, hashtree count buffers, fptree.AddTransaction),
+// returning mergeable buffers. The
 // method signatures follow net/rpc conventions so one implementation
 // serves both transports.
 //
@@ -55,7 +58,9 @@ func (w *Worker) replicas(ids []int) ([]ShardPayload, error) {
 	return out, nil
 }
 
-// CountItems runs the pass-1 scan over the requested replicas.
+// CountItems runs the pass-1 scan over the requested replicas. The
+// replicas are wire input, so every item is checked against the universe
+// before the kernel indexes with it.
 func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
@@ -68,38 +73,25 @@ func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
 				if item < 0 || item >= args.NumItems {
 					return fmt.Errorf("dist: shard %d: item %d outside universe %d", sh.ID, item, args.NumItems)
 				}
-				counts[item]++
 			}
+			transactions.CountItems(tx, counts)
 		}
 	}
 	reply.Counts = counts
 	return nil
 }
 
-// CountPairs runs the triangular pass-2 scan over the requested replicas,
-// the same arithmetic as the local engine's countTriangle.
+// CountPairs runs the triangular pass-2 scan over the requested replicas.
 func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
 		return err
 	}
-	n := args.N
-	counts := make([]int, n*(n-1)/2)
-	tri := func(i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
+	counts := make([]int, args.N*(args.N-1)/2)
 	ranks := make([]int, 0, 64)
 	for _, sh := range shards {
 		for _, tx := range sh.Txs {
-			ranks = ranks[:0]
-			for _, item := range tx {
-				if item < len(args.Rank) && args.Rank[item] >= 0 {
-					ranks = append(ranks, args.Rank[item])
-				}
-			}
-			for a := 0; a < len(ranks); a++ {
-				for b := a + 1; b < len(ranks); b++ {
-					counts[tri(ranks[a], ranks[b])]++
-				}
-			}
+			ranks = transactions.CountPairs(tx, args.Rank, args.N, counts, ranks)
 		}
 	}
 	reply.Counts = counts

@@ -81,11 +81,11 @@ type namedMiner struct {
 
 // p3Lineup returns the engines the pattern-growth sweep compares: the
 // level-wise reference (first, so speedups are relative to it), the
-// vertical bitset layout, and pattern growth.
+// vertical (bitset) engine, and pattern growth.
 func p3Lineup() []namedMiner {
 	return []namedMiner{
 		{"Apriori", &assoc.Apriori{}},
-		{"Eclat(bitset)", &assoc.Eclat{Layout: assoc.LayoutBitset}},
+		{"Eclat", &assoc.Eclat{}},
 		{"FPGrowth", &assoc.FPGrowth{}},
 	}
 }

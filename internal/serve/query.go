@@ -222,7 +222,7 @@ func (s *Server) TopRules(q RulesQuery) ([]mining.Rule, uint64, error) {
 }
 
 // topRulesOn answers q from v, through the cache. Callers that report
-// more of the view than its version (the HTTP and RPC surfaces) load the
+// more of the view than its version (the HTTP handlers) load the
 // view once and pass it here, so the whole response is one snapshot.
 func (s *Server) topRulesOn(v *View, q RulesQuery) ([]mining.Rule, error) {
 	nq, err := q.normalize()

@@ -25,7 +25,7 @@
 //
 // # Queries
 //
-// Every read — over HTTP, net/rpc or the Go API — loads the view pointer
+// Every read — over HTTP or the Go API — loads the view pointer
 // once and is answered from that one snapshot, so a response never mixes
 // the version of one view with the size of the next.
 //

@@ -330,7 +330,7 @@ func TestConfigValidation(t *testing.T) {
 // query paths while the writer runs Enqueue/Flush cycles. Every observed
 // (version, canonical, rules) triple must be byte-identical to a
 // from-scratch mine over the op-log replayed to that view's Ops()
-// position, versions must be monotone per reader, every HTTP and RPC
+// position, versions must be monotone per reader, every HTTP
 // response must carry the (version, num_tx) of one published view — not
 // the version of one and the size of the next — and nothing may leak.
 // CI runs it under -race.
@@ -382,7 +382,6 @@ func TestSnapshotSwapProperty(t *testing.T) {
 		answered[version] = numTx
 	}
 	handler := srv.Handler()
-	rpcFace := NewRPC(srv)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -404,7 +403,7 @@ func TestSnapshotSwapProperty(t *testing.T) {
 				// report must also be monotone for this reader.
 				var qv uint64
 				var err error
-				switch rrng.Intn(6) {
+				switch rrng.Intn(5) {
 				case 0:
 					_, qv, err = srv.TopRules(RulesQuery{K: 5, By: BySupport})
 				case 1:
@@ -421,15 +420,6 @@ func TestSnapshotSwapProperty(t *testing.T) {
 						qv = body.Version
 						recordAnswer(body.Version, body.NumTx)
 					}
-				case 4:
-					var reply RulesReply
-					if rrng.Intn(2) == 0 {
-						err = rpcFace.TopRules(RulesArgs{K: 5}, &reply)
-					} else {
-						err = rpcFace.Recommend(RecommendArgs{Items: []int{rrng.Intn(18)}, K: 3}, &reply)
-					}
-					qv = reply.Version
-					recordAnswer(reply.Version, reply.NumTx)
 				default:
 					res, serr := srv.ItemsetSupport(rrng.Intn(18))
 					qv, err = res.Version, serr

@@ -10,7 +10,8 @@
 // DB is the flat horizontal database (one itemset per transaction) whose
 // Shards method hands out the zero-copy contiguous views the
 // count-distribution engine scans in parallel; Vertical/VerticalBits are
-// the inverted tid-list and bitset layouts Eclat intersects; ShardedDB is
+// the inverted tid-list layout of Partition's local phase and the bitset
+// layout Eclat intersects; ShardedDB is
 // the updatable store of the incremental backend — fixed-capacity,
 // version-stamped shards where appends fill the tail, deletes compact in
 // place, and a mutation dirties exactly one shard. Shard capacities are

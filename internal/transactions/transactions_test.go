@@ -357,3 +357,50 @@ func TestVerticalSupportProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCountKernels pins the pass-1 and pass-2 kernels against Support:
+// TriIndex tiles the triangle exactly once, and CountPairs counts every
+// pair of ranked items while skipping unranked ones and items beyond the
+// rank table (a replica can hold items the table was never sized for).
+func TestCountKernels(t *testing.T) {
+	const n = 5
+	seen := make([]bool, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			idx := TriIndex(n, i, j)
+			if seen[idx] {
+				t.Fatalf("TriIndex(%d, %d, %d) = %d collides", n, i, j, idx)
+			}
+			seen[idx] = true
+		}
+	}
+
+	db := NewDB()
+	for _, tx := range [][]int{{0, 1, 2, 7}, {1, 2, 3}, {0, 2, 9}, {2}, {1, 3, 8}} {
+		if err := db.Add(tx...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	items := make([]int, db.NumItems())
+	rank := []int{0, 1, 2, -1, -1, -1, -1, 3} // items 8 and 9 lie beyond the table
+	ranked := []int{0, 1, 2, 7}
+	pairs := make([]int, len(ranked)*(len(ranked)-1)/2)
+	var scratch []int
+	for _, tx := range db.Transactions {
+		CountItems(tx, items)
+		scratch = CountPairs(tx, rank, len(ranked), pairs, scratch)
+	}
+	for item, got := range items {
+		if want := db.Support(NewItemset(item)); got != want {
+			t.Errorf("CountItems: item %d = %d, want %d", item, got, want)
+		}
+	}
+	for i, a := range ranked {
+		for j := i + 1; j < len(ranked); j++ {
+			got, want := pairs[TriIndex(len(ranked), i, j)], db.Support(NewItemset(a, ranked[j]))
+			if got != want {
+				t.Errorf("CountPairs: {%d,%d} = %d, want %d", a, ranked[j], got, want)
+			}
+		}
+	}
+}
