@@ -30,8 +30,9 @@
 // Apriori, DHP and Partition take a Workers option that changes only
 // wall-clock time. Eclat instead mines the vertical layout as
 // transactions.Bitset tid-sets (word-wise AND + popcount). FPGrowth is
-// the candidate-free engine: per-shard FP-trees (internal/fptree) merge by
-// the same commutative-addition contract into a global tree, and mining
+// the candidate-free engine: per-shard FP-trees (internal/fptree) are mined
+// together as a forest — the same commutative additions, made inside the
+// projections instead of by a merge into a global tree — and mining
 // fans per-item conditional projections out across workers — the
 // low-support winner (bench metrics assoc.apriori_ms.* vs
 // assoc.fpgrowth_ms.*). assoc.Auto probes the pass-1 scan and dispatches

@@ -32,12 +32,13 @@
 // that loses its whole cluster degrades by switching to the local scans
 // for the rest of the mine. Below the seam every scan follows the
 // shard/count/merge contract: the database splits into contiguous shards,
-// each shard fills a private counting structure through per-transaction
-// kernels that have one definition for every caller
-// (transactions.CountItems and CountPairs, hashtree count buffers,
-// fptree.Build), and merging is commutative integer addition — so
-// distributed, parallel, degraded and incremental counts are all
-// bit-identical to a serial scan. The incremental maintainer adds one more
+// each shard fills a private counting structure through kernels that have
+// one definition for every caller (transactions.CountItems and CountPairs,
+// hashtree count buffers, fptree.Build), and merging is commutative
+// integer addition — for the count arrays a fold after the scan, for the
+// FP-trees the sums fptree.Forest takes over its trees' header chains
+// while projecting — so distributed, parallel, degraded and incremental
+// counts are all bit-identical to a serial scan. The incremental maintainer adds one more
 // consequence: integer addition is invertible, so a dirty shard's stale
 // counts can be subtracted back out and only changed shards are ever
 // re-scanned.

@@ -19,9 +19,9 @@ const (
 	// same code Apriori runs.
 	DistEngineApriori = "Apriori"
 	// DistEngineFPGrowth runs the growth driver with the two database
-	// scans remote (one FP-tree per worker over its shards, merged
-	// path-wise by the coordinator) and pattern growth local over the
-	// merged tree.
+	// scans remote (one FP-tree per worker over its shards, imported by
+	// the coordinator as a forest — never merged) and pattern growth local
+	// over that forest.
 	DistEngineFPGrowth = "FPGrowth"
 )
 
@@ -88,7 +88,7 @@ func (d *Distributed) SetWorkers(n int) { d.Workers = n }
 
 // SetPassHook implements PassObserver. The Apriori strategy emits final
 // levels per pass; the FPGrowth strategy emits them in one burst at the
-// end, after the merged tree is mined (pass 1 carries a nil level).
+// end, after the imported forest is mined (pass 1 carries a nil level).
 func (d *Distributed) SetPassHook(h PassHook) { d.hook = h }
 
 // BindStore attaches the updatable store whose shard snapshots Mine
@@ -310,11 +310,11 @@ func (r *remoteScans) countCandidates(ctx context.Context, k int, cands []transa
 	return r.local.countCandidates(ctx, k, cands)
 }
 
-func (r *remoteScans) buildTree(ctx context.Context, ranks *fptree.Ranks) (*fptree.Tree, error) {
+func (r *remoteScans) buildTree(ctx context.Context, ranks *fptree.Ranks) (fptree.Forest, error) {
 	if r.local == nil {
-		tree, err := r.d.coord.BuildTree(ctx, ranks)
+		forest, err := r.d.coord.BuildTree(ctx, ranks)
 		if !r.degrade(err) {
-			return tree, err
+			return forest, err
 		}
 	}
 	return r.local.buildTree(ctx, ranks)

@@ -18,9 +18,10 @@ import (
 //
 // FPGrowth is the growth driver over this process's scans. The tree build
 // follows the shard → count → merge contract: with Workers > 1 each worker
-// builds a private tree over one contiguous shard and the trees merge by
-// serial path-wise integer addition, so the global tree's counts are
-// bit-identical to a single-threaded build. Mining then fans
+// builds a private tree over one contiguous shard, and the shard trees are
+// mined together as a forest — the merge is the integer addition each
+// first-level projection does over every tree's header chain, so the
+// counts are bit-identical to a single-threaded build. Mining fans
 // the per-item conditional projections out across workers (each frequent
 // item's patterns are disjoint from every other's), with a single-path
 // shortcut that enumerates subset patterns without further projection and
@@ -66,8 +67,8 @@ func (f *FPGrowth) MineContext(ctx context.Context, db *transactions.DB, minSupp
 	return res, nil
 }
 
-// growth is the pattern-growth sequence — count items, build the global
-// FP-tree, grow patterns over it — written once against the scan source:
+// growth is the pattern-growth sequence — count items, build the FP-tree
+// forest, grow patterns over it — written once against the scan source:
 // FPGrowth runs the two database scans locally, Distributed on the
 // coordinator's workers, and the growth phase always runs in this process
 // over up to workers goroutines. Levels are assembled into res; passes are
@@ -82,11 +83,11 @@ func growth(ctx context.Context, src scanSource, minCount, workers int, res *Res
 	if ranks.Len() == 0 {
 		return nil
 	}
-	tree, err := src.buildTree(ctx, ranks)
+	forest, err := src.buildTree(ctx, ranks)
 	if err != nil {
 		return err
 	}
-	perRank, err := minePerRank(ctx, tree, minCount, workers)
+	perRank, err := minePerRank(ctx, forest, minCount, workers)
 	if err != nil {
 		return err
 	}
@@ -124,11 +125,11 @@ func assembleGrowthLevels(res *Result, emit PassHook, perRank [][]ItemsetCount) 
 // minePerRank mines every frequent item's conditional patterns, returning
 // one bucket per rank. With workers > 1 the ranks are pulled by workers
 // from an atomic cursor — each rank's patterns are independent given the
-// read-only global tree, so this is the projection analogue of count
+// read-only forest, so this is the projection analogue of count
 // distribution. Workers poll ctx per rank (and growPatterns polls per
 // projection), so cancellation surfaces within one conditional mine.
-func minePerRank(ctx context.Context, tree *fptree.Tree, minCount, workers int) ([][]ItemsetCount, error) {
-	ranks := tree.Ranks()
+func minePerRank(ctx context.Context, forest fptree.Forest, minCount, workers int) ([][]ItemsetCount, error) {
+	ranks := forest.Ranks()
 	n := ranks.Len()
 	perRank := make([][]ItemsetCount, n)
 	mineOne := func(rk int, s *fptree.Scratch) {
@@ -136,9 +137,9 @@ func minePerRank(ctx context.Context, tree *fptree.Tree, minCount, workers int) 
 		item := int(ranks.Items[rk])
 		out = append(out, ItemsetCount{
 			Items: transactions.Itemset{item},
-			Count: tree.Total(int32(rk)),
+			Count: forest.Total(int32(rk)),
 		})
-		cond := tree.Project(int32(rk), minCount, s)
+		cond := forest.Project(int32(rk), minCount, s)
 		if !cond.Empty() {
 			out = growPatterns(ctx, cond, minCount, []int{item}, s, out)
 		}

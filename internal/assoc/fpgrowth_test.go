@@ -73,6 +73,41 @@ func TestFPGrowthMatchesAprioriSynthetic(t *testing.T) {
 	}
 }
 
+// TestForestEqualsSingleTree holds forest mining to one-tree mining: on
+// seeded Quest data, FPGrowth over 1, 2, 3 and 8 shard trees — shard counts
+// that do and do not divide the database evenly — is byte-identical to
+// FPGrowth over the single tree of the whole database, and to Apriori.
+func TestForestEqualsSingleTree(t *testing.T) {
+	for _, seed := range []int64{7, 94} {
+		db, err := synth.Baskets(synth.TxI(8, 3, 501, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, minSup := range []float64{0.03, 0.008} {
+			apriori, err := (&Apriori{}).Mine(db, minSup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneTree, err := (&FPGrowth{Workers: 1}).Mine(db, minSup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(oneTree.Canonical(), apriori.Canonical()) {
+				t.Fatalf("seed %d minsup %v: one-tree FPGrowth diverges from Apriori", seed, minSup)
+			}
+			for _, shards := range []int{1, 2, 3, 8} {
+				got, err := (&FPGrowth{Workers: shards}).Mine(db, minSup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Canonical(), oneTree.Canonical()) {
+					t.Errorf("seed %d minsup %v: forest of %d trees diverges from the single tree", seed, minSup, shards)
+				}
+			}
+		}
+	}
+}
+
 // TestFPGrowthPassStats pins the pass-stat shape: pass 1 reports the item
 // scan, later passes mirror the frequent counts (pattern growth has no
 // candidate sets), and levels agree with the stats.

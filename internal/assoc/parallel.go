@@ -12,12 +12,13 @@ package assoc
 //
 // localScans holds the per-structure instantiations of that scheme — flat
 // item counters (pass 1), the triangular pair array (pass 2), the
-// candidate hash tree (pass 3+) and the per-shard FP-tree build — behind
+// candidate hash tree (pass 3+) and the per-shard FP-tree forest — behind
 // scanSource, the seam the two mining drivers are written against;
 // countCandidatesDirect is the candidate-index map counter of Partition's
-// and Sampling's global phases. The per-transaction arithmetic is not
-// here: it is transactions.CountItems/CountPairs, hashtree's count
-// buffers and fptree.Build, the same kernels the dist workers run.
+// and Sampling's global phases. The arithmetic is not here: it is
+// transactions.CountItems/CountPairs and hashtree's count buffers per
+// transaction and fptree.Build per shard (the shard trees are handed on
+// unmerged, as a forest), the same kernels the dist workers run.
 // workers <= 1 runs the identical scan inline with no goroutines.
 //
 // Every scan takes a context and honours cancellation: scan loops poll
@@ -117,9 +118,9 @@ type scanSource interface {
 	// countCandidates is the pass-k (k >= 3) hash-tree scan; the counts
 	// are indexed like cands.
 	countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error)
-	// buildTree is pattern growth's second scan: the global FP-tree under
-	// the shared rank table.
-	buildTree(ctx context.Context, ranks *fptree.Ranks) (*fptree.Tree, error)
+	// buildTree is pattern growth's second scan: the FP-trees of the
+	// database's parts under the shared rank table, as one forest.
+	buildTree(ctx context.Context, ranks *fptree.Ranks) (fptree.Forest, error)
 }
 
 // localScans is the in-process scanSource: each scan shards db across
@@ -196,22 +197,19 @@ func (s localScans) countCandidates(ctx context.Context, k int, cands []transact
 	return foldCounts(parts), nil
 }
 
-// buildTree builds one private FP-tree per shard and merges them serially
-// into shard 0's tree (path-wise integer addition).
-func (s localScans) buildTree(ctx context.Context, ranks *fptree.Ranks) (*fptree.Tree, error) {
+// buildTree builds one private FP-tree per shard. The trees are not merged:
+// growth mines them as a forest, so the additions a merge would make
+// serially happen inside the first-level projections instead. A database
+// with fewer transactions than workers leaves the tail entries nil, which
+// the forest skips.
+func (s localScans) buildTree(ctx context.Context, ranks *fptree.Ranks) (fptree.Forest, error) {
 	trees := make([]*fptree.Tree, max(s.workers, 1))
 	if err := forEachShard(ctx, s.db, s.workers, func(shard int, sh transactions.Shard) {
 		trees[shard] = fptree.Build(sh.Transactions, ranks)
 	}); err != nil {
-		return nil, err
+		return fptree.Forest{}, err
 	}
-	global := trees[0]
-	for _, t := range trees[1:] {
-		if t != nil {
-			global.Merge(t)
-		}
-	}
-	return global, nil
+	return fptree.NewForest(ranks, trees...), nil
 }
 
 // countCandidatesDirect counts each candidate's support by direct subset

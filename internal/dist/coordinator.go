@@ -40,8 +40,9 @@ type Stats struct {
 // snapshots to their workers (round-robin by id, re-shipping only versions
 // the worker has not seen), and the Count*/BuildTree methods fan a scan
 // out over every worker holding shards and fold the mergeable replies with
-// plain integer adds (or fptree.Merge), so results are byte-identical to a
-// local scan.
+// plain integer adds (FP-trees are gathered into a forest, whose
+// projections do the adding), so results are byte-identical to a local
+// scan.
 //
 // Under faults (see the package doc) every call gets Retry's deadline and
 // retry budget; a worker that exhausts it is marked down, its shards are
@@ -444,11 +445,13 @@ func (c *Coordinator) CountCandidates(ctx context.Context, k, fanout, maxLeaf in
 	})
 }
 
-// BuildTree has every worker build an FP-tree over its shards and merges
-// the imported trees path-wise — counts bit-identical to one local build,
-// by the same commutativity the per-shard parallel builds rely on.
-func (c *Coordinator) BuildTree(ctx context.Context, r *fptree.Ranks) (*fptree.Tree, error) {
-	var global *fptree.Tree
+// BuildTree has every worker build an FP-tree over its shards and returns
+// the imported trees as a forest, with no coordinator-side merge — mined
+// together they give counts bit-identical to one local build, by the same
+// commutativity the per-shard parallel builds rely on. A scan over no
+// shards returns the empty forest.
+func (c *Coordinator) BuildTree(ctx context.Context, r *fptree.Ranks) (fptree.Forest, error) {
+	var trees []*fptree.Tree
 	err := c.scatter(ctx, MethodBuildTree,
 		func(ids []int) any { return &BuildTreeArgs{ShardIDs: ids, Ranks: r} },
 		func() any { return new(TreeReply) },
@@ -457,18 +460,11 @@ func (c *Coordinator) BuildTree(ctx context.Context, r *fptree.Ranks) (*fptree.T
 			if err != nil {
 				return err
 			}
-			if global == nil {
-				global = t
-			} else {
-				global.Merge(t)
-			}
+			trees = append(trees, t)
 			return nil
 		})
 	if err != nil {
-		return nil, err
+		return fptree.Forest{}, err
 	}
-	if global == nil {
-		global = fptree.New(r)
-	}
-	return global, nil
+	return fptree.NewForest(r, trees...), nil
 }

@@ -152,6 +152,16 @@ func TestCountCandidatesMatchesSupport(t *testing.T) {
 	})
 }
 
+// mergedNodes folds a forest's trees into one with Merge — the reference a
+// forest must equal — and returns its node count.
+func mergedNodes(r *fptree.Ranks, forest fptree.Forest) int {
+	merged := fptree.New(r)
+	for _, t := range forest.Trees() {
+		merged.Merge(t)
+	}
+	return merged.NumNodes()
+}
+
 func TestBuildTreeMatchesLocalBuild(t *testing.T) {
 	db := testDB(t)
 	ranks := fptree.NewRanks(localCounts(db), 2)
@@ -161,17 +171,20 @@ func TestBuildTreeMatchesLocalBuild(t *testing.T) {
 		if err := c.Sync(ctx, testShards(db, tr.NumWorkers(), 1)); err != nil {
 			t.Fatal(err)
 		}
-		tree, err := c.BuildTree(ctx, ranks)
+		forest, err := c.BuildTree(ctx, ranks)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := len(forest.Trees()); got != tr.NumWorkers() {
+			t.Errorf("forest has %d trees, want one per worker (%d): no coordinator-side merge", got, tr.NumWorkers())
+		}
 		for rk := int32(0); int(rk) < ranks.Len(); rk++ {
-			if tree.Total(rk) != local.Total(rk) {
-				t.Errorf("total(rank %d) = %d, want %d", rk, tree.Total(rk), local.Total(rk))
+			if forest.Total(rk) != local.Total(rk) {
+				t.Errorf("total(rank %d) = %d, want %d", rk, forest.Total(rk), local.Total(rk))
 			}
 		}
-		if tree.NumNodes() != local.NumNodes() {
-			t.Errorf("nodes = %d, want %d", tree.NumNodes(), local.NumNodes())
+		if n := mergedNodes(ranks, forest); n != local.NumNodes() {
+			t.Errorf("nodes = %d, want %d", n, local.NumNodes())
 		}
 	})
 }
@@ -289,13 +302,13 @@ func TestRPCTransport(t *testing.T) {
 	}
 	// FP-tree build over RPC: the Ranks pointer round-trips through gob.
 	ranks := fptree.NewRanks(want, 2)
-	tree, err := c.BuildTree(ctx, ranks)
+	forest, err := c.BuildTree(ctx, ranks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	local := fptree.Build(db.Transactions, ranks)
-	if tree.NumNodes() != local.NumNodes() {
-		t.Errorf("rpc tree nodes = %d, want %d", tree.NumNodes(), local.NumNodes())
+	if n := mergedNodes(ranks, forest); n != local.NumNodes() {
+		t.Errorf("rpc tree nodes = %d, want %d", n, local.NumNodes())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // Worker is the counting side of the backend: it keeps version-stamped
 // shard replicas and answers count requests by scanning them with the
 // same per-transaction kernels the local scans call (transactions.CountItems
-// and CountPairs, hashtree count buffers, fptree.AddTransaction),
+// and CountPairs, hashtree count buffers, fptree.Build),
 // returning mergeable buffers. The
 // method signatures follow net/rpc conventions so one implementation
 // serves both transports.
@@ -137,13 +137,16 @@ func (w *Worker) BuildTree(args BuildTreeArgs, reply *TreeReply) error {
 	if err != nil {
 		return err
 	}
-	tree := fptree.New(args.Ranks)
-	var buf []int32
-	for _, sh := range shards {
-		for _, tx := range sh.Txs {
-			buf = tree.AddTransaction(tx, buf)
+	// fptree.Build takes one run; several replicas are joined by their
+	// itemset headers (the items themselves are not copied).
+	var txs []transactions.Itemset
+	if len(shards) == 1 {
+		txs = shards[0].Txs
+	} else {
+		for _, sh := range shards {
+			txs = append(txs, sh.Txs...)
 		}
 	}
-	reply.Nodes = tree.Export()
+	reply.Nodes = fptree.Build(txs, args.Ranks).Export()
 	return nil
 }

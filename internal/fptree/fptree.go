@@ -4,31 +4,45 @@
 // pooled-node FP-tree with header tables over support-descending item
 // ranks.
 //
-// The package obeys the repo-wide build/merge/project contract:
+// The package obeys the repo-wide shard/count/merge contract in its
+// pattern-growth form, build/project-over-forest:
 //
 //   - Build: a tree is constructed per contiguous database shard by
-//     inserting each transaction's frequent items in rank order, so common
-//     prefixes share nodes and the tree is a compressed representation of
-//     the shard (nodes live in one pooled slice, links are int32 indices —
-//     no per-node allocations, no pointer chasing across the heap).
-//   - Merge: per-shard trees combine by serial path-wise integer addition
-//     into a global tree. Addition is commutative, so the merged counts
-//     (node counts and header totals alike) are bit-identical to a
-//     single-threaded build over the whole database regardless of shard
-//     count or merge order.
-//   - Project: mining grows patterns by projecting a rank's conditional
-//     pattern base (the prefix paths of its header chain) into a pruned
-//     conditional tree, using a Scratch that recycles count arrays, path
-//     buffers and whole trees across the recursion. Projection never
-//     rescans the database; every conditional count is an exact support.
+//     sort-then-scan. Each transaction is filtered to its frequent items
+//     and rank-sorted into one flat buffer, the transactions are ordered
+//     lexicographically, and the common-prefix length of each path against
+//     its predecessor gives the exact node count — so the arena is
+//     allocated once and nodes are laid down in depth-first order with no
+//     child lookup (nodes live in one pooled slice, links are int32
+//     indices — no per-node allocations, and a node's ancestors sit just
+//     before it in memory). A prefix tree is canonical: the tree holds the
+//     same nodes and counts whatever order the transactions arrive in.
+//   - Project over a Forest: the shard trees are never merged. They form a
+//     Forest under one shared *Ranks; a rank's support is the sum of its
+//     totals over the forest, and projecting a rank walks its header chain
+//     in every tree into one pruned conditional tree, using a Scratch that
+//     recycles count arrays, the prefix-path buffer and whole trees across
+//     the recursion. A conditional count is a sum of node counts over
+//     header chains and integer addition is commutative, so it does not
+//     matter which tree of the forest a chain node lives in: every
+//     projection is byte-identical to projecting one tree built over the
+//     whole database, regardless of shard count or shard order.
+//     Projection never rescans the database; every conditional count is
+//     an exact support.
+//
+// Merge (serial path-wise addition of one tree into another) is the
+// reference the tests hold the forest to — "forest ≡ merged" — and is not
+// on any mining path.
 //
 // internal/assoc's FPGrowth drives the recursion (single-path shortcut,
 // per-item fan-out across workers) and assembles the Result.
 package fptree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/transactions"
 )
@@ -60,12 +74,11 @@ func NewRanks(counts []int, minCount int) *Ranks {
 			order = append(order, int32(item))
 		}
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if counts[a] != counts[b] {
-			return counts[a] > counts[b]
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(counts[b], counts[a]); c != 0 {
+			return c
 		}
-		return a < b
+		return cmp.Compare(a, b)
 	})
 	r.Items = order
 	r.Counts = make([]int, len(order))
@@ -111,25 +124,166 @@ type Tree struct {
 }
 
 // New returns an empty tree over the given rank table.
-func New(r *Ranks) *Tree {
+func New(r *Ranks) *Tree { return newTree(r, 64) }
+
+// newTree returns an empty tree whose arena holds nodeCap nodes (the root
+// included) before it has to grow.
+func newTree(r *Ranks, nodeCap int) *Tree {
 	return &Tree{
 		ranks:   r,
-		nodes:   make([]node, 1, 64),
+		nodes:   make([]node, 1, nodeCap),
 		heads:   make([]int32, r.Len()),
 		totals:  make([]int, r.Len()),
 		rootIdx: make([]int32, r.Len()),
 	}
 }
 
+// pathRef locates one transaction's rank path in Build's flat buffer. key
+// packs the path's first two ranks (the second shifted by one so that "no
+// second rank" sorts first), which decides almost every comparison of the
+// lexicographic sort without touching the buffer.
+type pathRef struct {
+	key    uint64
+	lo, hi int32
+}
+
 // Build constructs one tree from a run of transactions — the per-shard
-// construction step; shard trees combine with Merge.
+// construction step; shard trees are mined together as a Forest. Items
+// that are infrequent or lie outside the rank table are dropped, and a
+// transaction left with no item contributes nothing.
+//
+// The build is sort-then-scan. A prefix tree does not depend on insertion
+// order, so the transactions are first ordered lexicographically by rank
+// path; then every path shares a prefix with its predecessor and opens new
+// nodes only below it. That makes the node count known before the first
+// node exists (the arena is allocated once, exactly), replaces the child
+// lookup with a comparison against the previous path, and lays the nodes
+// down depth-first. The number of allocations is a constant, independent
+// of the transaction count.
+//
+// Node links are int32, so a run with more than math.MaxInt32 item
+// occurrences cannot be indexed; Build panics on one rather than wrap.
+//
+//invcheck:hotpath
 func Build(txs []transactions.Itemset, r *Ranks) *Tree {
-	t := New(r)
-	var buf []int32
+	occurrences := runLength(txs)
+	// Scan 1: every transaction becomes an ascending rank path in flat.
+	flat := make([]int32, 0, occurrences)
+	paths := make([]pathRef, 0, len(txs))
 	for _, tx := range txs {
-		buf = t.AddTransaction(tx, buf)
+		lo := len(flat)
+		for _, item := range tx {
+			if uint(item) < uint(len(r.OfItem)) {
+				if rk := r.OfItem[item]; rk >= 0 {
+					flat = append(flat, rk)
+				}
+			}
+		}
+		p := flat[lo:]
+		if len(p) == 0 {
+			continue
+		}
+		// Insertion sort: transactions are short, and arrive ordered by
+		// item id, which is not rank order.
+		for i := 1; i < len(p); i++ {
+			for j := i; j > 0 && p[j] < p[j-1]; j-- {
+				p[j], p[j-1] = p[j-1], p[j]
+			}
+		}
+		key := uint64(p[0]) << 32
+		if len(p) > 1 {
+			key |= uint64(p[1]) + 1
+		}
+		paths = append(paths, pathRef{key: key, lo: int32(lo), hi: int32(len(flat))})
 	}
+	sortPaths(paths, flat)
+
+	// Scan 2: a path adds one node per rank below the prefix it shares
+	// with its predecessor.
+	numNodes, maxLen := 0, 0
+	var prev []int32
+	for _, p := range paths {
+		path := flat[p.lo:p.hi]
+		shared := 0
+		for shared < len(prev) && shared < len(path) && prev[shared] == path[shared] {
+			shared++
+		}
+		numNodes += len(path) - shared
+		maxLen = max(maxLen, len(path))
+		prev = path
+	}
+
+	// Scan 3: lay the nodes down. open[d] is the node at depth d of the
+	// previous path, so the shared prefix is read off the arena itself.
+	t := newTree(r, numNodes+1)
+	t.nodes = t.nodes[:numNodes+1]
+	nodes := t.nodes
+	open := make([]int32, maxLen)
+	depth, next := 0, int32(1)
+	for _, p := range paths {
+		path := flat[p.lo:p.hi]
+		d, parent := 0, int32(0)
+		for d < depth && d < len(path) && nodes[open[d]].rank == path[d] {
+			parent = open[d]
+			nodes[parent].count++
+			d++
+		}
+		for ; d < len(path); d++ {
+			rk := path[d]
+			nodes[next] = node{rank: rk, parent: parent, sibling: nodes[parent].child, next: t.heads[rk], count: 1}
+			nodes[parent].child = next
+			t.heads[rk] = next
+			open[d] = next
+			parent = next
+			next++
+		}
+		depth = len(path)
+		for _, rk := range path {
+			t.totals[rk]++
+		}
+	}
+	for c := nodes[0].child; c != 0; c = nodes[c].sibling {
+		t.rootIdx[nodes[c].rank] = c
+	}
+	present := make([]int32, 0, r.Len())
+	for rk, total := range t.totals {
+		if total > 0 {
+			present = append(present, int32(rk))
+		}
+	}
+	t.present = present
 	return t
+}
+
+// runLength returns the number of item occurrences in txs — the bound on
+// both Build's flat buffer and its node count — checked against the int32
+// link range.
+func runLength(txs []transactions.Itemset) int {
+	occurrences := 0
+	for _, tx := range txs {
+		occurrences += len(tx)
+	}
+	if occurrences > math.MaxInt32 {
+		panic("fptree: Build: run exceeds the int32 node-link range; shard the database")
+	}
+	return occurrences
+}
+
+// sortPaths orders the rank paths lexicographically. Equal paths are
+// indistinguishable to the scan that follows, so the sort need not be
+// stable.
+func sortPaths(paths []pathRef, flat []int32) {
+	slices.SortFunc(paths, func(a, b pathRef) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		// Equal keys: the same one-rank path twice, or the same two ranks
+		// and the order is decided by what follows them.
+		if a.hi-a.lo < 2 {
+			return 0
+		}
+		return slices.Compare(flat[a.lo+2:a.hi], flat[b.lo+2:b.hi])
+	})
 }
 
 // Ranks returns the shared rank table.
@@ -144,35 +298,6 @@ func (t *Tree) Empty() bool { return len(t.nodes) == 1 }
 
 // NumNodes returns the number of item nodes (the root is not counted).
 func (t *Tree) NumNodes() int { return len(t.nodes) - 1 }
-
-// AddTransaction filters tx to its ranked items, orders them by ascending
-// rank (most frequent first) and inserts the path with count 1. buf is a
-// reusable rank buffer; the possibly-grown buffer is returned so callers
-// can thread it through a build loop without reallocating.
-//
-//invcheck:hotpath
-func (t *Tree) AddTransaction(tx transactions.Itemset, buf []int32) []int32 {
-	buf = buf[:0]
-	for _, item := range tx {
-		if item < len(t.ranks.OfItem) {
-			if rk := t.ranks.OfItem[item]; rk >= 0 {
-				//lint:ignore invcheck/allocbound buf is the caller-threaded scratch buffer: it grows to the longest transaction once and is reused for the rest of the build
-				buf = append(buf, rk)
-			}
-		}
-	}
-	// Insertion sort: transactions are short and an itemset never repeats
-	// an item, so this beats sort.Slice on the build hot path.
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
-	if len(buf) > 0 {
-		t.Insert(buf, 1)
-	}
-	return buf
-}
 
 // Insert adds one rank path (ascending ranks, i.e. most frequent first)
 // with the given count, sharing existing prefix nodes.
@@ -195,7 +320,7 @@ func (t *Tree) Insert(path []int32, count int) {
 // a tiny fraction of the rank universe — which keeps the mining recursion
 // at O(ranks present) per tree instead of O(|L1|).
 func (t *Tree) Present() []int32 {
-	sort.Slice(t.present, func(i, j int) bool { return t.present[i] < t.present[j] })
+	slices.Sort(t.present)
 	return t.present
 }
 
@@ -236,8 +361,12 @@ func (t *Tree) step(cur, rk int32, count int) int32 {
 // inserted into t with its count. Merging shard trees in any order yields
 // node counts and header totals bit-identical to building one tree over
 // the concatenated shards, because addition is commutative and paths are
-// independent of shard boundaries. Merge is serial by design — the
-// parallelism lives in the per-shard builds.
+// independent of shard boundaries.
+//
+// No mining path calls Merge: shard trees are mined as a Forest, which
+// does the same additions inside the first-level projections. It stays
+// exported because bench/probes.go times it (fptree.merge_ms) and because
+// the tests use the merged tree as the reference a forest must equal.
 func (t *Tree) Merge(o *Tree) {
 	t.mergeChildren(0, 0, o)
 }
@@ -329,21 +458,33 @@ func Import(r *Ranks, nodes []EncodedNode) (*Tree, error) {
 
 // Scratch pools the buffers conditional projection and single-path
 // detection reuse across the mining recursion: the per-rank conditional
-// count array (zeroed back after every projection), the ancestor walk
-// buffer, the single-path buffers, and released conditional trees. One
+// count array (zeroed back after every projection), the pattern-base
+// buffers, the single-path buffers, and released conditional trees. One
 // Scratch serves one goroutine; it must not be shared concurrently.
 type Scratch struct {
-	counts   []int   // per-rank conditional counts, transiently non-zero
-	touched  []int32 // ranks written into counts by the current projection
-	path     []int32 // ancestor path buffer
-	spRanks  []int32 // SinglePath rank buffer
-	spCounts []int   // SinglePath count buffer
-	free     []*Tree // released conditional trees, ready for reuse
+	counts  []int   // per-rank conditional counts, transiently non-zero
+	touched []int32 // ranks written into counts by the current projection; len |L1|
+	// The conditional pattern base of the current projection: path i is
+	// pathRanks[pathEnds[i-1]:pathEnds[i]] (deepest ancestor first, as the
+	// upward walk meets them) and carries pathCounts[i] transactions.
+	pathRanks  []int32
+	pathEnds   []int
+	pathCounts []int
+	spRanks    []int32 // SinglePath rank buffer
+	spCounts   []int   // SinglePath count buffer
+	free       []*Tree // released conditional trees, ready for reuse
 }
 
 // NewScratch returns a scratch sized for the rank universe.
 func NewScratch(r *Ranks) *Scratch {
-	return &Scratch{counts: make([]int, r.Len())}
+	return &Scratch{counts: make([]int, r.Len()), touched: make([]int32, r.Len())}
+}
+
+// grown returns b at more than twice its length, contents kept — the
+// amortized growth step of the scratch's pattern-base buffers, which
+// Project writes by index up to their length.
+func grown[T any](b []T) []T {
+	return append(b, make([]T, len(b)+64)...)
 }
 
 // Release returns a conditional tree obtained from Project to the pool so
@@ -391,41 +532,117 @@ func (t *Tree) reset(r *Ranks) {
 // frequent extension context of rank. The tree comes from the scratch
 // pool — hand it back with s.Release once its recursion finishes.
 func (t *Tree) Project(rank int32, minCount int, s *Scratch) *Tree {
-	// Pass 1 over the header chain: exact conditional counts per ancestor
-	// rank, touching only the ranks that actually occur.
-	s.touched = s.touched[:0]
-	for n := t.heads[rank]; n != 0; n = t.nodes[n].next {
-		cnt := t.nodes[n].count
-		for p := t.nodes[n].parent; p != 0; p = t.nodes[p].parent {
-			rk := t.nodes[p].rank
-			if s.counts[rk] == 0 {
-				s.touched = append(s.touched, rk)
-			}
-			s.counts[rk] += cnt
+	return project(t.ranks, []*Tree{t}, rank, minCount, s)
+}
+
+// Forest is a set of trees over disjoint parts of one database, sharing
+// one *Ranks — the per-shard trees of a parallel build, or the per-worker
+// trees of a distributed one. It stands in for the tree a build over the
+// whole database would give: Total and Project sum over the member trees,
+// and since both are sums of node counts the results are identical to the
+// single tree's. The zero-tree forest is the empty database.
+type Forest struct {
+	ranks *Ranks
+	trees []*Tree
+}
+
+// NewForest gathers trees built under r. Nil entries — the shards a short
+// database never filled — are skipped.
+func NewForest(r *Ranks, trees ...*Tree) Forest {
+	f := Forest{ranks: r, trees: make([]*Tree, 0, len(trees))}
+	for _, t := range trees {
+		if t != nil {
+			f.trees = append(f.trees, t)
 		}
 	}
-	cond := s.getTree(t.ranks)
-	// Pass 2: insert each prefix path, filtered to surviving ranks. The
-	// upward walk yields descending ranks; reverse before inserting.
-	for n := t.heads[rank]; n != 0; n = t.nodes[n].next {
-		cnt := t.nodes[n].count
-		s.path = s.path[:0]
-		for p := t.nodes[n].parent; p != 0; p = t.nodes[p].parent {
-			if rk := t.nodes[p].rank; s.counts[rk] >= minCount {
-				s.path = append(s.path, rk)
+	return f
+}
+
+// Ranks returns the shared rank table.
+func (f Forest) Ranks() *Ranks { return f.ranks }
+
+// Trees returns the member trees.
+func (f Forest) Trees() []*Tree { return f.trees }
+
+// Total returns rank's support over the whole forest.
+func (f Forest) Total(rank int32) int {
+	total := 0
+	for _, t := range f.trees {
+		total += t.totals[rank]
+	}
+	return total
+}
+
+// Project builds the conditional FP-tree of rank over the whole forest:
+// every member's header chain for rank feeds one pattern base and one
+// conditional tree, exactly as Tree.Project does for a single tree.
+func (f Forest) Project(rank int32, minCount int, s *Scratch) *Tree {
+	return project(f.ranks, f.trees, rank, minCount, s)
+}
+
+// project is the projection kernel. It chases each chain node's parent
+// links once: the upward walk both sums the conditional counts and records
+// the prefix path in the scratch's pattern-base buffers, and the
+// conditional tree is then built from those buffers alone.
+//
+//invcheck:hotpath
+func project(r *Ranks, trees []*Tree, rank int32, minCount int, s *Scratch) *Tree {
+	ranks, ends, counts := s.pathRanks, s.pathEnds, s.pathCounts
+	nRanks, nPaths, nTouched := 0, 0, 0
+	for _, t := range trees {
+		nodes := t.nodes
+		for n := t.heads[rank]; n != 0; n = nodes[n].next {
+			p := nodes[n].parent
+			if p == 0 {
+				continue
+			}
+			cnt := nodes[n].count
+			for ; p != 0; p = nodes[p].parent {
+				rk := nodes[p].rank
+				if s.counts[rk] == 0 {
+					s.touched[nTouched] = rk
+					nTouched++
+				}
+				s.counts[rk] += cnt
+				if nRanks == len(ranks) {
+					ranks = grown(ranks)
+				}
+				ranks[nRanks] = rk
+				nRanks++
+			}
+			if nPaths == len(ends) {
+				ends, counts = grown(ends), grown(counts)
+			}
+			ends[nPaths], counts[nPaths] = nRanks, cnt
+			nPaths++
+		}
+	}
+	s.pathRanks, s.pathEnds, s.pathCounts = ranks, ends, counts
+
+	cond := s.getTree(r)
+	lo := 0
+	for i := 0; i < nPaths; i++ {
+		// Keep the surviving ranks, compacted in place and reversed: the
+		// walk recorded them deepest first, insertion wants ascending.
+		path := ranks[lo:ends[i]]
+		lo = ends[i]
+		kept := 0
+		for _, rk := range path {
+			if s.counts[rk] >= minCount {
+				path[kept] = rk
+				kept++
 			}
 		}
-		if len(s.path) == 0 {
+		if kept == 0 {
 			continue
 		}
-		for i, j := 0, len(s.path)-1; i < j; i, j = i+1, j-1 {
-			s.path[i], s.path[j] = s.path[j], s.path[i]
-		}
-		cond.Insert(s.path, cnt)
+		path = path[:kept]
+		slices.Reverse(path)
+		cond.Insert(path, counts[i])
 	}
 	// Zero only the touched counters so the array is clean for the next
 	// projection at O(distinct ranks seen), not O(|L1|).
-	for _, rk := range s.touched {
+	for _, rk := range s.touched[:nTouched] {
 		s.counts[rk] = 0
 	}
 	return cond

@@ -1,8 +1,10 @@
 package fptree
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/transactions"
@@ -245,25 +247,223 @@ func TestScratchTreeReuse(t *testing.T) {
 	}
 }
 
-func TestAddTransactionIgnoresInfrequentAndOutOfRange(t *testing.T) {
+func TestBuildIgnoresInfrequentAndOutOfRange(t *testing.T) {
 	txs := []transactions.Itemset{
 		transactions.NewItemset(0, 1),
 		transactions.NewItemset(0, 1),
 		transactions.NewItemset(2), // infrequent at minCount 2
 	}
 	r := NewRanks(countItems(txs, 3), 2)
-	tree := New(r)
-	var buf []int32
-	for _, tx := range txs {
-		buf = tree.AddTransaction(tx, buf)
-	}
 	// An item beyond the rank table (seen only after ranks froze) is skipped.
-	buf = tree.AddTransaction(transactions.NewItemset(0, 7), buf)
+	tree := Build(append(txs, transactions.NewItemset(0, 7)), r)
 	if got := tree.Total(r.OfItem[0]); got != 3 {
 		t.Fatalf("Total(item 0) = %d, want 3", got)
 	}
 	if tree.NumNodes() != 2 {
 		t.Fatalf("NumNodes = %d, want 2 (shared prefix)", tree.NumNodes())
+	}
+}
+
+// insertReference is the incremental build Build replaced, kept as the
+// reference: filter each transaction to its ranked items, rank-sort it and
+// insert the path with count 1, finding or creating each child on the way
+// down. It shares Insert with the conditional trees but none of Build's
+// sorting, prefix counting or arena layout.
+func insertReference(txs []transactions.Itemset, r *Ranks) *Tree {
+	t := New(r)
+	var buf []int32
+	for _, tx := range txs {
+		buf = buf[:0]
+		for _, item := range tx {
+			if item >= 0 && item < len(r.OfItem) {
+				if rk := r.OfItem[item]; rk >= 0 {
+					buf = append(buf, rk)
+				}
+			}
+		}
+		slices.Sort(buf)
+		if len(buf) > 0 {
+			t.Insert(buf, 1)
+		}
+	}
+	return t
+}
+
+// randomTxs draws n transactions of up to maxLen items from a universe of
+// numItems, skewed so that low item ids are frequent and prefixes share.
+func randomTxs(rng *rand.Rand, n, maxLen, numItems int) []transactions.Itemset {
+	txs := make([]transactions.Itemset, n)
+	for i := range txs {
+		items := make([]int, 1+rng.Intn(maxLen))
+		for j := range items {
+			items[j] = rng.Intn(1 + rng.Intn(numItems))
+		}
+		txs[i] = transactions.NewItemset(items...)
+	}
+	return txs
+}
+
+// requireSameTrie fails unless got and want hold the same prefix tree: a
+// trie is canonical, so the node counts must match exactly, and so must
+// every rank's total and every rank's conditional supports.
+func requireSameTrie(t *testing.T, got, want *Tree, minCount int) {
+	t.Helper()
+	r := want.Ranks()
+	if got.NumNodes() != want.NumNodes() {
+		t.Fatalf("NumNodes = %d, want %d", got.NumNodes(), want.NumNodes())
+	}
+	if !slices.Equal(got.Present(), want.Present()) {
+		t.Fatalf("Present = %v, want %v", got.Present(), want.Present())
+	}
+	sg, sw := NewScratch(r), NewScratch(r)
+	for rk := int32(0); int(rk) < r.Len(); rk++ {
+		if got.Total(rk) != want.Total(rk) {
+			t.Fatalf("Total(rank %d) = %d, want %d", rk, got.Total(rk), want.Total(rk))
+		}
+		cg, cw := got.Project(rk, minCount, sg), want.Project(rk, minCount, sw)
+		if cg.NumNodes() != cw.NumNodes() {
+			t.Fatalf("Project(rank %d) has %d nodes, want %d", rk, cg.NumNodes(), cw.NumNodes())
+		}
+		for p := int32(0); int(p) < r.Len(); p++ {
+			if cg.Total(p) != cw.Total(p) {
+				t.Fatalf("Project(rank %d).Total(%d) = %d, want %d", rk, p, cg.Total(p), cw.Total(p))
+			}
+		}
+		sg.Release(cg)
+		sw.Release(cw)
+	}
+}
+
+// TestBuildMatchesInsertReference holds the sort-then-scan build to the
+// incremental insertion it replaced, on random runs and on the degenerate
+// ones: no transactions, no ranked items, every item infrequent, duplicate
+// transactions, one-item paths, and item ids outside the rank table.
+func TestBuildMatchesInsertReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	type run struct {
+		name     string
+		txs      []transactions.Itemset
+		counted  []transactions.Itemset // what the ranks are drawn from; nil = txs
+		minCount int
+	}
+	dup := transactions.NewItemset(1, 3, 5)
+	cases := []run{
+		{name: "no transactions", txs: nil, counted: paperTxs(), minCount: 2},
+		{name: "no ranked items", txs: paperTxs(), minCount: 99},
+		{name: "every item infrequent here", txs: []transactions.Itemset{transactions.NewItemset(3, 7)}, counted: paperTxs(), minCount: 3},
+		{name: "duplicate transactions", txs: []transactions.Itemset{dup, dup, dup, transactions.NewItemset(1, 3), dup}, minCount: 1},
+		{name: "one-item paths", txs: []transactions.Itemset{{4}, {2}, {4}, {}, {9}}, minCount: 1},
+		{name: "out-of-range item ids", txs: []transactions.Itemset{{0, 1, 400}, {-5, 0, 1}, {1, 1 << 40}}, counted: paperTxs(), minCount: 2},
+		{name: "paper example", txs: paperTxs(), minCount: 2},
+	}
+	for trial := 0; trial < 40; trial++ {
+		cases = append(cases, run{
+			name:     fmt.Sprintf("random %d", trial),
+			txs:      randomTxs(rng, rng.Intn(120), 9, 14),
+			minCount: 1 + rng.Intn(5),
+		})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			counted := tc.counted
+			if counted == nil {
+				counted = tc.txs
+			}
+			r := NewRanks(countItems(counted, 14), tc.minCount)
+			requireSameTrie(t, Build(tc.txs, r), insertReference(tc.txs, r), tc.minCount)
+		})
+	}
+}
+
+// FuzzBuild drives the same comparison from fuzzed bytes: each byte is an
+// item (the high bit ends the transaction), so the fuzzer controls path
+// lengths, duplicates and sharing.
+func FuzzBuild(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 0x80, 1, 2, 0x80, 1, 2, 3, 0x80, 7}, uint8(1))
+	f.Add([]byte{0x80, 0x80, 5, 5, 5}, uint8(2))
+	f.Add([]byte{}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, minRaw uint8) {
+		txs := []transactions.Itemset{nil}
+		for _, b := range data {
+			last := &txs[len(txs)-1]
+			*last = append(*last, int(b&0x1f))
+			if b&0x80 != 0 {
+				txs = append(txs, nil)
+			}
+		}
+		for i, tx := range txs {
+			txs[i] = transactions.NewItemset(tx...)
+		}
+		minCount := 1 + int(minRaw%4)
+		r := NewRanks(countItems(txs, 32), minCount)
+		requireSameTrie(t, Build(txs, r), insertReference(txs, r), minCount)
+	})
+}
+
+// TestBuildAllocationsAreConstant pins the arena contract: Build sizes the
+// node pool exactly before laying a node down, so its allocation count does
+// not depend on how many transactions it is given. (The incremental build
+// regrew the pool by doubling and failed this.)
+func TestBuildAllocationsAreConstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	txs := randomTxs(rng, 20000, 10, 200)
+	r := NewRanks(countItems(txs, 200), 20)
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() { Build(txs[:n], r) })
+	}
+	small, large := allocs(200), allocs(len(txs))
+	if small != large {
+		t.Fatalf("Build allocates %v times on 200 transactions and %v on %d; want the same constant", small, large, len(txs))
+	}
+	if large > 12 {
+		t.Fatalf("Build allocates %v times; want a small constant", large)
+	}
+}
+
+// TestForestProjectsLikeMergedTree is the forest's own contract, below the
+// miner: for every split of a run into shards — including empty shards,
+// shards whose every item is infrequent and nil entries — each rank's
+// total and conditional tree over the forest equal those of the one tree
+// Merge folds the same shards into.
+func TestForestProjectsLikeMergedTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 30; trial++ {
+		txs := randomTxs(rng, 5+rng.Intn(80), 8, 12)
+		minCount := 1 + rng.Intn(4)
+		r := NewRanks(countItems(txs, 12), minCount)
+		var trees []*Tree
+		merged := New(r)
+		for lo := 0; lo < len(txs); {
+			hi := min(len(txs), lo+rng.Intn(30)) // zero-length shards included
+			trees = append(trees, Build(txs[lo:hi], r), nil)
+			merged.Merge(Build(txs[lo:hi], r))
+			lo = hi
+		}
+		trees = append(trees, Build([]transactions.Itemset{{99}, {-1}}, r))
+		forest := NewForest(r, trees...)
+		sf, sm := NewScratch(r), NewScratch(r)
+		for rk := int32(0); int(rk) < r.Len(); rk++ {
+			if forest.Total(rk) != merged.Total(rk) {
+				t.Fatalf("trial %d: forest Total(%d) = %d, want %d", trial, rk, forest.Total(rk), merged.Total(rk))
+			}
+			cf, cm := forest.Project(rk, minCount, sf), merged.Project(rk, minCount, sm)
+			requireSameTrie(t, cf, cm, minCount)
+			sf.Release(cf)
+			sm.Release(cm)
+		}
+	}
+	// The empty forest is the empty database, with or without ranks.
+	for _, r := range []*Ranks{NewRanks(nil, 1), NewRanks([]int{4, 4}, 2)} {
+		empty := NewForest(r, nil, nil)
+		if len(empty.Trees()) != 0 {
+			t.Fatalf("nil trees kept: %v", empty.Trees())
+		}
+		s := NewScratch(r)
+		for rk := int32(0); int(rk) < r.Len(); rk++ {
+			if empty.Total(rk) != 0 || !empty.Project(rk, 1, s).Empty() {
+				t.Fatalf("empty forest reports support for rank %d", rk)
+			}
+		}
 	}
 }
 
@@ -356,5 +556,41 @@ func TestImportRejectsMalformedNodes(t *testing.T) {
 	}
 	if _, err := Import(r, []EncodedNode{{Rank: 0, Parent: 0, Count: -3}}); err == nil {
 		t.Error("negative count accepted")
+	}
+}
+
+// benchTxs is a run shaped like the mining workloads: short transactions
+// over a skewed universe, so prefixes share near the root and fan out below.
+func benchTxs() ([]transactions.Itemset, *Ranks) {
+	txs := randomTxs(rand.New(rand.NewSource(1)), 20000, 12, 400)
+	return txs, NewRanks(countItems(txs, 400), 40)
+}
+
+var benchSink int
+
+func BenchmarkBuild(b *testing.B) {
+	txs, r := benchTxs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += Build(txs, r).NumNodes()
+	}
+}
+
+// BenchmarkProjectForest projects every rank once over a two-tree forest —
+// the first level of a two-worker mine.
+func BenchmarkProjectForest(b *testing.B) {
+	txs, r := benchTxs()
+	half := len(txs) / 2
+	forest := NewForest(r, Build(txs[:half], r), Build(txs[half:], r))
+	s := NewScratch(r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for rk := int32(0); int(rk) < r.Len(); rk++ {
+			cond := forest.Project(rk, 40, s)
+			benchSink += cond.NumNodes()
+			s.Release(cond)
+		}
 	}
 }

@@ -326,7 +326,7 @@ func (c *config) buildMiner() (assoc.Miner, io.Closer, error) {
 			})
 		}
 		// The coordinator-side work (FPGrowth's projection fan-out over
-		// the merged tree) defaults to the transport's worker count, so a
+		// the imported forest) defaults to the transport's worker count, so a
 		// 4-worker transport parallelises the whole pipeline without a
 		// separate Workers option; an explicit Workers(n > 1) overrides.
 		workers := c.workers
