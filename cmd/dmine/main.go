@@ -215,9 +215,10 @@ func runAssoc(args []string) error {
 
 // runAssocIncremental mines db through a mining.Session: the transactions
 // are bulk-loaded into the session's sharded store, an initial full mine
-// builds the per-shard count caches, and the optional update script is
+// counts the tracked candidate set, and the optional update script is
 // replayed with a Maintain step at every '=' line (and a final one),
-// re-counting only dirty shards unless the negative border is crossed.
+// counting only the transactions each step added or deleted unless the
+// negative border is crossed.
 // With -verify, every maintained result is checked byte-identical to a
 // one-shot Mine over a store snapshot with the same options.
 func runAssocIncremental(ctx context.Context, db *mining.DB, opts []mining.Option, inc *cliutil.IncrementalFlags) (*mining.Result, error) {
@@ -261,8 +262,8 @@ func runAssocIncremental(ctx context.Context, db *mining.DB, opts []mining.Optio
 			fmt.Printf("  step %d: %d transactions, %d frequent; full re-mine (%s)\n",
 				step, s.Len(), res.NumFrequent(), stats.Reason)
 		} else {
-			fmt.Printf("  step %d: %d transactions, %d frequent; re-counted %d/%d shards (%d transactions)\n",
-				step, s.Len(), res.NumFrequent(), stats.DirtyShards, stats.NumShards, stats.RecountedTx)
+			fmt.Printf("  step %d: %d transactions, %d frequent; counted a delta of %d transactions (%d/%d shards touched)\n",
+				step, s.Len(), res.NumFrequent(), stats.RecountedTx, stats.DirtyShards, stats.NumShards)
 		}
 		return verifyNow(fmt.Sprintf("step %d", step))
 	}

@@ -39,12 +39,14 @@
 // each Mine to the expected-fastest of these engines.
 //
 // The incremental backend (assoc.Incremental over transactions.ShardedDB)
-// exploits the same seams under updates: shards are version-stamped, the
-// per-shard counting structures are cached, and because integer merges are
-// invertible an append or delete re-counts only the dirty shards —
-// falling back to a full re-mine only when the maintained frequent set's
-// negative border is crossed. Results stay byte-identical to a
-// from-scratch run at every step.
+// exploits the same seams under updates: the store journals every append
+// and delete, the maintainer keeps one exact running total per tracked
+// count, and because integer merges are invertible an update is absorbed
+// by counting only the journalled transactions — added ones in, deleted
+// ones out — so the work follows the update, not the store. It falls back
+// to a full re-mine only when the maintained frequent set's negative
+// border is crossed or the journal cannot account for the store. Results
+// stay byte-identical to a from-scratch run at every step.
 //
 // The distributed backend (internal/dist + assoc.Distributed) is the
 // remote scan source under the same two drivers: a coordinator ships

@@ -63,7 +63,7 @@ func run() error {
 	}
 
 	// The stateful handle: a session keeps the result current as data
-	// arrives, re-counting only the shards each update dirties.
+	// arrives, counting only the transactions each update adds or deletes.
 	s, err := mining.NewSession(db, mining.MinSupport(0.005))
 	if err != nil {
 		return err
@@ -81,8 +81,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("session: +50 transactions -> %d frequent; re-counted %d/%d shards\n",
-		upd.NumFrequent(), stats.DirtyShards, stats.NumShards)
+	fmt.Printf("session: +50 transactions -> %d frequent; counted %d transactions (%d/%d shards touched)\n",
+		upd.NumFrequent(), stats.RecountedTx, stats.DirtyShards, stats.NumShards)
 
 	// --- Clustering ---------------------------------------------------
 	pts, err := synth.GaussianMixture(synth.GaussianConfig{

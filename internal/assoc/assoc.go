@@ -39,9 +39,9 @@
 // FP-trees the sums fptree.Forest takes over its trees' header chains
 // while projecting — so distributed, parallel, degraded and incremental
 // counts are all bit-identical to a serial scan. The incremental maintainer adds one more
-// consequence: integer addition is invertible, so a dirty shard's stale
-// counts can be subtracted back out and only changed shards are ever
-// re-scanned.
+// consequence: integer addition is invertible, so a deleted transaction's
+// counts can be subtracted back out and only the transactions an update
+// added or deleted are ever scanned.
 //
 // Every registered miner additionally implements ContextMiner (hot loops
 // poll the context every ctxStride transactions, so cancellation returns

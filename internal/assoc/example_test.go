@@ -34,9 +34,9 @@ func ExampleApriori() {
 }
 
 // ExampleIncremental shows the mine → maintain lifecycle: an initial full
-// mine over a sharded store builds per-shard count caches, and a later
-// update is folded in by re-counting only dirty shards — with a result
-// byte-identical to re-mining from scratch.
+// mine over a sharded store counts the tracked candidate set, and a later
+// update is folded in by counting only the transactions it added or
+// deleted — with a result byte-identical to re-mining from scratch.
 func ExampleIncremental() {
 	store := transactions.NewShardedDB(64)
 	for _, basket := range [][]int{{1, 2, 3}, {1, 2}, {2, 3}, {1, 2, 3}, {2}, {1, 2}} {
@@ -52,7 +52,7 @@ func ExampleIncremental() {
 	fmt.Println("mined:", res.NumFrequent(), "frequent itemsets")
 
 	// The store takes appends and deletes; Maintain brings the result up
-	// to date, re-counting only the shards the update touched.
+	// to date, counting only the transactions the update journalled.
 	if err := store.Append(1, 2); err != nil {
 		panic(err)
 	}

@@ -4,33 +4,37 @@ package assoc
 // appends and deletes (Cheung et al., ICDE'96 — the update-time
 // counterpart of the SIGMOD'96 tutorial's level-wise miners).
 //
-// The maintainer keeps, per shard of a transactions.ShardedDB, the cached
-// counting structures of the PR 1 engine: the flat pass-1 item array, the
-// triangular pass-2 pair array over the last rebuild's L1 ranks, and one
-// hashtree.CountBuffer per candidate length >= 3. The tracked candidate
-// set is the frequent set at a slack-lowered support plus its negative
-// border (so near-threshold itemsets are already covered), and after an
-// update the maintainer:
+// At every full run the maintainer freezes a tracked candidate set — the
+// frequent set at a slack-lowered support plus its negative border, so
+// near-threshold itemsets are already covered — and from then on keeps one
+// exact running total per tracked count: the flat pass-1 item array, the
+// triangular pass-2 pair array over the full run's L1 ranks, and one
+// totals array per hash tree of tracked k-itemsets, k >= 3. The store
+// (transactions.ShardedDB) journals every mutation once the maintainer has
+// attached, and after an update the maintainer:
 //
-//  1. re-counts only the shards whose version changed (dirty shards),
-//     subtracting their stale cached counts from the running totals and
-//     adding the fresh ones — clean shards cost nothing, not even a merge;
+//  1. drains the journal and counts only those transactions against the
+//     tracked structures — an appended transaction adds to the totals, a
+//     deleted one subtracts — so the work follows the size of the update,
+//     not the size of the store or of its shards;
 //  2. re-thresholds the totals level by level, pruning candidate
 //     generation to itemsets whose exact counts are already tracked;
-//  3. falls back to a full re-mine only when the border is crossed — some
+//  3. falls back to a full re-mine when the border is crossed (some
 //     candidate the new frequent set needs was never tracked, so its count
-//     is unknown.
+//     is unknown), when the store's mutation counter says the journal
+//     missed a mutation, or when the delta has outgrown the live store.
 //
-// Because every tracked count is exact (the caches tile the database and
-// integer addition is invertible), the maintained result is byte-identical
-// to a from-scratch run at every step; the property tests verify this
-// across randomized append/delete sequences.
+// A full run counts through the same routine, fed every live transaction
+// as an append. Because every tracked count is exact (integer addition is
+// invertible, and each mutation is journalled and counted exactly once),
+// the maintained result is byte-identical to a from-scratch run at every
+// step; the property tests verify this across randomized append/delete
+// sequences.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/hashtree"
 	"repro/internal/transactions"
@@ -51,65 +55,63 @@ type StoreBinder interface {
 // MaintainStats describes the work one Maintain call did.
 type MaintainStats struct {
 	NumShards   int    // shards in the store
-	DirtyShards int    // shards re-counted (version changed or new)
-	RecountedTx int    // transactions scanned while re-counting
+	DirtyShards int    // shards the update touched (version changed or new); all of them on a full run
+	RecountedTx int    // transactions counted: the journalled delta, or every live one on a full run
 	FullRun     bool   // true when the update fell back to a full re-mine
 	Reason      string // why the full run happened; "" when incremental
 }
 
-// shardCache is one shard's cached counting structures, valid for the
-// shard version it was counted at. The pair counts are sparse — a shard
-// touches far fewer pairs than the full triangle addresses — so caching
-// and re-merging a shard costs O(pairs it contains), not O(|L1|^2).
-type shardCache struct {
-	version uint64
-	numTx   int
-	items   []int                         // pass-1 flat array
-	triIdx  []int32                       // touched triangular indices over rebuild L1 ranks
-	triCnt  []int32                       // counts parallel to triIdx
-	bufs    map[int]*hashtree.CountBuffer // per-length candidate counts, k >= 3
+// trackedLevel is the tracked k-itemsets of one length k >= 3 (frequent at
+// the tracking support, plus the border) with their exact supports.
+type trackedLevel struct {
+	tree   *hashtree.Tree
+	ids    map[string]int // itemset key -> entry id
+	totals []int          // support by entry id
 }
 
 // Incremental maintains the frequent itemsets of a ShardedDB across
-// appends and deletes, re-counting only dirty shards (see the package
-// comment above). Attach runs the initial full mine and builds the caches;
-// Maintain brings the result up to date after mutations.
+// appends and deletes by counting only the journalled delta (see the
+// package comment above). Attach runs the initial full mine and counts the
+// tracked set; Maintain brings the result up to date after mutations.
 type Incremental struct {
 	// Base is the miner used for full runs (Attach and border-crossing
 	// fallbacks). Any of the package's miners works — they produce
 	// identical results; nil means Apriori sharing Workers.
 	Base Miner
-	// Workers bounds how many dirty shards are re-counted concurrently;
-	// <= 1 re-counts serially. Results are identical either way.
+	// Workers bounds how many goroutines share the counting of one delta
+	// (or of the whole store on a full run); <= 1 counts serially. Results
+	// are identical either way.
 	Workers int
 	// TrackSlack lowers the support at which the tracked candidate set is
 	// frozen: rebuilds mine at minSupport*TrackSlack, so itemsets near the
-	// threshold already have cached counts and small updates that nudge
+	// threshold already have tracked counts and small updates that nudge
 	// them across it stay incremental (the same slack idea as Toivonen's
 	// lowered sample threshold). Results are exact regardless — slack only
-	// trades cache memory against fallback frequency. 0 means the default
-	// 0.8; 1 tracks exactly the frequent set and its border.
+	// trades tracked-set memory against fallback frequency. 0 means the
+	// default 0.8; 1 tracks exactly the frequent set and its border.
 	TrackSlack float64
 
 	store      *transactions.ShardedDB
 	minSupport float64
 
-	// Tracked candidate set, frozen at the last rebuild.
-	rank    []int                  // item id -> L1 rank at rebuild, -1 if not frequent then
-	l1Items []int                  // rank -> item id
-	trees   map[int]*hashtree.Tree // tracked k-itemsets (frequent + border), k >= 3
-	treeIdx map[int]map[string]int // itemset key -> entry id per tree
-
-	// Per-shard caches and the incrementally maintained global totals.
-	cache      []*shardCache
+	// Tracked candidate set, frozen at the last rebuild, with the running
+	// totals the deltas are spliced into.
+	rank       []int          // item id -> L1 rank at rebuild, -1 if not frequent then
+	l1Items    []int          // rank -> item id
+	levels     []trackedLevel // tracked k-itemsets at index k-3
 	itemTotals []int
 	triTotals  []int
-	treeTotals map[int][]int // summed CountBuffer counts by entry id
 
-	// triScratch pools zeroed dense triangles for countShard: each worker
-	// borrows one, counts into it, extracts the touched entries into the
-	// sparse cache, re-zeroes only those, and returns it.
-	triScratch sync.Pool
+	// The delta the totals do not cover yet: drained from the store's
+	// journal, and kept across a cancelled Maintain for the next one.
+	added, deleted []transactions.Itemset
+	// counted is the store's mutation count the totals are exact through;
+	// counted + the pending delta must equal store.Mutations(), or the
+	// journal missed something.
+	counted uint64
+	// versions are the shard version stamps at the last successful
+	// Maintain; they only feed MaintainStats.DirtyShards.
+	versions []uint64
 
 	prev *Result
 }
@@ -135,8 +137,9 @@ func (inc *Incremental) trackSupport() float64 {
 }
 
 // Attach binds the maintainer to a store, runs the initial full mine at
-// minSupport and builds the per-shard caches. It returns the initial
-// result; the stats report a full run over every shard.
+// minSupport and counts the tracked set. It returns the initial result;
+// the stats report a full run over every shard. The store journals its
+// mutations from here on, until Detach or the next Attach.
 func (inc *Incremental) Attach(store *transactions.ShardedDB, minSupport float64) (*Result, MaintainStats, error) {
 	return inc.AttachContext(context.Background(), store, minSupport)
 }
@@ -146,13 +149,24 @@ func (inc *Incremental) AttachContext(ctx context.Context, store *transactions.S
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, MaintainStats{}, fmt.Errorf("%w: %v", ErrBadSupport, minSupport)
 	}
+	inc.Detach()
 	inc.store = store
 	inc.minSupport = minSupport
-	inc.prev = nil
+	store.Track()
 	if sb, ok := inc.Base.(StoreBinder); ok {
 		sb.BindStore(store)
 	}
 	return inc.MaintainContext(ctx)
+}
+
+// Detach ends the maintainer's tracking: the store stops journalling and
+// Maintain reports ErrNotAttached until the next Attach. A maintainer that
+// was never attached detaches to no effect.
+func (inc *Incremental) Detach() {
+	if inc.store != nil {
+		inc.store.Untrack()
+	}
+	inc.store, inc.prev = nil, nil
 }
 
 // Result returns the currently maintained frequent set (nil before Attach).
@@ -168,19 +182,21 @@ func (inc *Incremental) Rules(minConfidence float64) ([]Rule, error) {
 	return GenerateRules(inc.prev, minConfidence)
 }
 
-// Maintain brings the frequent set up to date with the store: dirty shards
-// are re-counted, totals are re-thresholded, and a full re-mine runs only
-// when the tracked border no longer covers the answer.
+// Maintain brings the frequent set up to date with the store: the
+// journalled delta is counted into the totals, the totals are
+// re-thresholded, and a full re-mine runs only when the tracked border no
+// longer covers the answer or the journal cannot account for the store.
 func (inc *Incremental) Maintain() (*Result, MaintainStats, error) {
 	return inc.MaintainContext(context.Background())
 }
 
 // MaintainContext is Maintain under ctx. A cancelled maintain returns
-// ctx.Err() before any cached totals are spliced, so the maintainer's
-// state stays exactly what it was and the next call resumes cleanly —
-// except when the cancellation lands inside a full rebuild, which resets
-// the caches first; that case marks the maintainer dirty so the next call
-// runs a fresh full mine instead of trusting half-built caches.
+// ctx.Err() before anything is spliced into the totals and keeps the
+// drained delta pending, so the maintainer's state stays exactly what it
+// was and the next call counts that delta (plus whatever arrived since)
+// once — except when the cancellation lands inside a full rebuild, which
+// has already dropped the maintained state; the next call then runs a
+// fresh full mine instead of trusting half-built totals.
 func (inc *Incremental) MaintainContext(ctx context.Context) (*Result, MaintainStats, error) {
 	var stats MaintainStats
 	if inc.store == nil {
@@ -194,15 +210,26 @@ func (inc *Incremental) MaintainContext(ctx context.Context) (*Result, MaintainS
 		return inc.rebuild(ctx, &stats, "initial full mine")
 	}
 
-	dirty := inc.dirtyShards()
-	stats.DirtyShards = len(dirty)
-	if len(dirty) == 0 && inc.prev.NumTx == inc.store.Len() {
-		// Nothing changed: same shards, same threshold, same answer.
+	added, deleted := inc.store.Drain()
+	inc.added = append(inc.added, added...)
+	inc.deleted = append(inc.deleted, deleted...)
+	delta := len(inc.added) + len(inc.deleted)
+	switch {
+	case inc.counted+uint64(delta) != inc.store.Mutations():
+		return inc.rebuild(ctx, &stats, fmt.Sprintf("journal incomplete: %d mutations since the last maintain, %d journalled",
+			inc.store.Mutations()-inc.counted, delta))
+	case delta == 0:
+		// Nothing changed: same transactions, same threshold, same answer.
 		return inc.prev, stats, nil
+	case delta > inc.store.Len():
+		return inc.rebuild(ctx, &stats, fmt.Sprintf("delta of %d transactions outgrew the %d live ones", delta, inc.store.Len()))
 	}
-	if err := inc.recount(ctx, dirty, &stats); err != nil {
+	stats.DirtyShards = inc.dirtyShards()
+	if err := inc.count(ctx, inc.added, inc.deleted); err != nil {
 		return nil, stats, err
 	}
+	stats.RecountedTx = delta
+	inc.settle()
 
 	res, ok, reason := inc.threshold()
 	if !ok {
@@ -212,154 +239,120 @@ func (inc *Incremental) MaintainContext(ctx context.Context) (*Result, MaintainS
 	return res, stats, nil
 }
 
-// dirtyShards lists the shard indices whose cache is missing or stale,
-// growing the cache slice to the store's shard count.
-func (inc *Incremental) dirtyShards() []int {
-	n := inc.store.NumShards()
-	for len(inc.cache) < n {
-		inc.cache = append(inc.cache, nil)
-	}
-	var dirty []int
-	for i := 0; i < n; i++ {
-		if c := inc.cache[i]; c == nil || c.version != inc.store.Version(i) {
-			dirty = append(dirty, i)
+// dirtyShards counts the shards whose version moved since the last
+// successful Maintain (or that did not exist then).
+func (inc *Incremental) dirtyShards() int {
+	dirty := 0
+	for i := 0; i < inc.store.NumShards(); i++ {
+		if i >= len(inc.versions) || inc.versions[i] != inc.store.Version(i) {
+			dirty++
 		}
 	}
 	return dirty
 }
 
-// recount re-counts the given shards into fresh caches (concurrently up to
-// Workers) and splices them into the running totals: stale counts are
-// subtracted, fresh ones added. Counting is per-shard private, so the
-// concurrent path is race-free and bit-identical to the serial one. On
-// cancellation it returns ctx.Err() before the splice, leaving the totals
-// and caches untouched.
-func (inc *Incremental) recount(ctx context.Context, dirty []int, stats *MaintainStats) error {
-	fresh := make([]*shardCache, len(dirty))
-	count := func(slot, shard int) {
-		if ctx.Err() != nil {
-			return
-		}
-		view, version := inc.store.ShardView(shard)
-		fresh[slot] = inc.countShard(view, version)
+// settle records that the totals now cover the store as it stands: no
+// pending delta, the current mutation count, the current shard versions.
+func (inc *Incremental) settle() {
+	inc.added, inc.deleted = nil, nil
+	inc.counted = inc.store.Mutations()
+	inc.versions = inc.versions[:0]
+	for i := 0; i < inc.store.NumShards(); i++ {
+		inc.versions = append(inc.versions, inc.store.Version(i))
 	}
-	if inc.Workers > 1 && len(dirty) > 1 {
-		sem := make(chan struct{}, inc.Workers)
-		var wg sync.WaitGroup
-		for slot, shard := range dirty {
-			wg.Add(1)
-			go func(slot, shard int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				count(slot, shard)
-			}(slot, shard)
-		}
-		wg.Wait()
-	} else {
-		for slot, shard := range dirty {
-			count(slot, shard)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Totals splice (serial: plain integer adds, order-independent).
-	inc.growTotals()
-	for slot, shard := range dirty {
-		if old := inc.cache[shard]; old != nil {
-			inc.spliceTotals(old, -1)
-		}
-		inc.spliceTotals(fresh[slot], +1)
-		inc.cache[shard] = fresh[slot]
-		stats.RecountedTx += fresh[slot].numTx
-	}
-	return nil
 }
 
-// growTotals extends the pass-1 totals to the store's current item
-// universe (NumItems is monotone, so existing slots keep their counts).
-func (inc *Incremental) growTotals() {
+// count is the one counting routine, of a delta and of a full run alike.
+// It scans added and deleted against the tracked hash trees into private
+// per-worker buffers and then — only once ctx is known not to be cancelled
+// — splices totals += added − deleted. The item and pair totals need no
+// buffers: they take the signed adds directly during the splice, which is
+// serial and never polls ctx. On cancellation it returns ctx.Err() with
+// every total untouched.
+func (inc *Incremental) count(ctx context.Context, added, deleted []transactions.Itemset) error {
+	add, err := inc.countTrees(ctx, added)
+	if err != nil {
+		return err
+	}
+	del, err := inc.countTrees(ctx, deleted)
+	if err != nil {
+		return err
+	}
+	for i, lv := range inc.levels {
+		for id, c := range add[i] {
+			lv.totals[id] += c
+		}
+		for id, c := range del[i] {
+			lv.totals[id] -= c
+		}
+	}
+	// NumItems is monotone, so existing slots keep their counts.
 	for len(inc.itemTotals) < inc.store.NumItems() {
 		inc.itemTotals = append(inc.itemTotals, 0)
 	}
+	inc.spliceFlat(added, +1)
+	inc.spliceFlat(deleted, -1)
+	return nil
 }
 
-// spliceTotals adds sign*counts of one shard cache into the totals.
-func (inc *Incremental) spliceTotals(c *shardCache, sign int) {
-	for i, v := range c.items {
-		inc.itemTotals[i] += sign * v
+// countTrees scans txs against every tracked hash tree, each of up to
+// Workers goroutines counting a contiguous share into its own buffers, and
+// returns the folded counts by level (all nil when there is nothing to
+// scan or nothing tracked to scan for). Offsets within a share serve as
+// the dedup tids — they only need to be distinct within one buffer's scan.
+func (inc *Incremental) countTrees(ctx context.Context, txs []transactions.Itemset) ([][]int, error) {
+	out := make([][]int, len(inc.levels))
+	if len(txs) == 0 || len(out) == 0 {
+		return out, ctx.Err()
 	}
-	for i, idx := range c.triIdx {
-		inc.triTotals[idx] += sign * int(c.triCnt[i])
+	parts := make([][][]int, len(inc.levels)) // level -> worker -> counts
+	for i := range parts {
+		parts[i] = make([][]int, max(inc.Workers, 1))
 	}
-	for k, buf := range c.bufs {
-		tot := inc.treeTotals[k]
-		for id, v := range buf.Counts {
-			tot[id] += sign * v
+	err := forEachShard(ctx, &transactions.DB{Transactions: txs}, inc.Workers, func(w int, sh transactions.Shard) {
+		bufs := make([]*hashtree.CountBuffer, len(inc.levels))
+		for i, lv := range inc.levels {
+			bufs[i] = lv.tree.NewCountBuffer()
+			parts[i][w] = bufs[i].Counts
 		}
+		for off, tx := range sh.Transactions {
+			if off%ctxStride == 0 && ctx.Err() != nil {
+				return
+			}
+			for i, lv := range inc.levels {
+				lv.tree.CountTransactionInto(tx, off, bufs[i])
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
+	for i := range parts {
+		out[i] = foldCounts(parts[i])
+	}
+	return out, nil
 }
 
-// countShard scans one shard into a fresh cache: pass-1 item counts, the
-// triangular pair array over the rebuild's L1 ranks, and one CountBuffer
-// per tracked tree. Shard-local transaction offsets serve as the dedup
-// tids — they only need to be distinct within the buffer's own scan.
-func (inc *Incremental) countShard(sh transactions.Shard, version uint64) *shardCache {
-	c := &shardCache{
-		version: version,
-		numTx:   len(sh.Transactions),
-		items:   make([]int, inc.store.NumItems()),
-		bufs:    make(map[int]*hashtree.CountBuffer, len(inc.trees)),
-	}
-	for k, tree := range inc.trees {
-		c.bufs[k] = tree.NewCountBuffer()
-	}
-	// Borrow a zeroed dense triangle, count into it, then keep only the
-	// touched entries: a shard contains far fewer distinct pairs than the
-	// triangle addresses, and the sparse form makes cache memory and merge
-	// cost proportional to the shard, not to |L1|^2.
-	var scratch []int
-	if v := inc.triScratch.Get(); v != nil {
-		scratch = v.([]int)
-	}
-	if len(scratch) < len(inc.triTotals) {
-		scratch = make([]int, len(inc.triTotals))
-	}
-	var touched []int32
+// spliceFlat adds sign per occurrence of txs' items and ranked pairs into
+// the pass-1 and triangular totals. It stays apart from
+// transactions.CountItems/CountPairs because those only count up.
+func (inc *Incremental) spliceFlat(txs []transactions.Itemset, sign int) {
 	n := len(inc.l1Items)
 	ranks := make([]int, 0, 64)
-	for off, tx := range sh.Transactions {
-		transactions.CountItems(tx, c.items)
-		// The pair pass stays apart from transactions.CountPairs: it
-		// records which triangle cells the shard touches as it counts.
+	for _, tx := range txs {
 		ranks = ranks[:0]
 		for _, item := range tx {
+			inc.itemTotals[item] += sign
 			if item < len(inc.rank) && inc.rank[item] >= 0 {
 				ranks = append(ranks, inc.rank[item])
 			}
 		}
 		for a := 0; a < len(ranks); a++ {
 			for b := a + 1; b < len(ranks); b++ {
-				idx := transactions.TriIndex(n, ranks[a], ranks[b])
-				if scratch[idx] == 0 {
-					touched = append(touched, int32(idx))
-				}
-				scratch[idx]++
+				inc.triTotals[transactions.TriIndex(n, ranks[a], ranks[b])] += sign
 			}
 		}
-		for k, tree := range inc.trees {
-			tree.CountTransactionInto(tx, off, c.bufs[k])
-		}
 	}
-	c.triIdx = touched
-	c.triCnt = make([]int32, len(touched))
-	for i, idx := range touched {
-		c.triCnt[i] = int32(scratch[idx])
-		scratch[idx] = 0
-	}
-	inc.triScratch.Put(scratch)
-	return c
 }
 
 // threshold re-derives the frequent set from the maintained totals. It
@@ -418,18 +411,17 @@ func (inc *Incremental) threshold() (*Result, bool, string) {
 		if len(cands) == 0 {
 			return res, true, ""
 		}
-		idx := inc.treeIdx[k]
-		totals := inc.treeTotals[k]
-		if idx == nil {
+		if k-3 >= len(inc.levels) {
 			return nil, false, fmt.Sprintf("no tracked candidates of length %d", k)
 		}
+		lv := inc.levels[k-3]
 		level = level[:0:0]
 		for _, cand := range cands {
-			id, ok := idx[cand.Key()]
+			id, ok := lv.ids[cand.Key()]
 			if !ok {
 				return nil, false, fmt.Sprintf("candidate %v of length %d was never counted", cand, k)
 			}
-			if c := totals[id]; c >= minCount {
+			if c := lv.totals[id]; c >= minCount {
 				level = append(level, ItemsetCount{Items: cand, Count: c})
 			}
 		}
@@ -443,24 +435,28 @@ func (inc *Incremental) threshold() (*Result, bool, string) {
 
 // rebuild runs a full mine over a snapshot at the slack-lowered tracking
 // support, refreezes the tracked set (slack-frequent itemsets plus their
-// negative border), re-counts every shard into fresh caches, and derives
-// the exact result at the real support by re-thresholding — so the next
-// update can merge clean-shard counts for free.
+// negative border), counts every live transaction into zeroed totals
+// through count — a full run is a delta that appends the whole store — and
+// derives the exact result at the real support by re-thresholding.
 func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reason string) (*Result, MaintainStats, error) {
 	stats.FullRun = true
 	stats.Reason = reason
-	full, err := MineContext(ctx, inc.base(), inc.store.Snapshot(), inc.trackSupport())
+	// The totals are about to be replaced (and threshold() may just have
+	// found them unable to derive the answer), and the full run counts the
+	// live store, not the journal. Drop the maintained state first, so a
+	// rebuild that fails anywhere below leaves a maintainer whose next
+	// Maintain runs this full mine again rather than trusting stale or
+	// half-built totals.
+	inc.prev = nil
+	inc.store.Drain()
+	inc.added, inc.deleted = nil, nil
+	snap := inc.store.Snapshot()
+	full, err := MineContext(ctx, inc.base(), snap, inc.trackSupport())
 	if err != nil {
-		// The caches may already hold spliced-in fresh counts from the
-		// recount that preceded this rebuild, and threshold() has decided
-		// they cannot derive the answer. Drop the maintained state so the
-		// next Maintain cannot take the nothing-changed fast path back to
-		// the stale result — it must run this full mine again.
-		inc.prev = nil
 		return nil, *stats, err
 	}
 
-	// Freeze the tracked set: L1 ranks for the triangular pass-2 cache,
+	// Freeze the tracked set: L1 ranks for the triangular pass-2 totals,
 	// and one hash tree per length >= 3 holding F_k plus the border's
 	// k-itemsets.
 	inc.rank = make([]int, inc.store.NumItems())
@@ -474,11 +470,17 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 			inc.l1Items = append(inc.l1Items, ic.Items[0])
 		}
 	}
-	byLen := make(map[int][]transactions.Itemset)
+	var sets [][]transactions.Itemset // tracked k-itemsets at index k-3
+	track := func(s transactions.Itemset) {
+		for len(sets) <= len(s)-3 {
+			sets = append(sets, nil)
+		}
+		sets[len(s)-3] = append(sets[len(s)-3], s)
+	}
 	for _, lv := range full.Levels {
 		for _, ic := range lv {
 			if len(ic.Items) >= 3 {
-				byLen[len(ic.Items)] = append(byLen[len(ic.Items)], ic.Items)
+				track(ic.Items)
 			}
 		}
 	}
@@ -487,46 +489,32 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	// level-2 border through aprioriGen would dwarf the full mine itself.
 	if len(full.Levels) > 1 {
 		for _, b := range negativeBorder(full.Levels[1:]) {
-			byLen[len(b)] = append(byLen[len(b)], b)
+			track(b)
 		}
 	}
-	inc.trees = make(map[int]*hashtree.Tree, len(byLen))
-	inc.treeIdx = make(map[int]map[string]int, len(byLen))
-	inc.treeTotals = make(map[int][]int, len(byLen))
-	for k, sets := range byLen {
-		tree := hashtree.New(k)
-		idx := make(map[string]int, len(sets))
-		for _, s := range sets {
-			e, err := tree.Insert(s)
+	inc.levels = make([]trackedLevel, len(sets))
+	for i, ksets := range sets {
+		lv := trackedLevel{tree: hashtree.New(i + 3), ids: make(map[string]int, len(ksets))}
+		for _, s := range ksets {
+			e, err := lv.tree.Insert(s)
 			if err != nil {
 				return nil, *stats, err
 			}
-			idx[s.Key()] = e.ID()
+			lv.ids[s.Key()] = e.ID()
 		}
-		inc.trees[k] = tree
-		inc.treeIdx[k] = idx
-		inc.treeTotals[k] = make([]int, tree.Len())
+		lv.totals = make([]int, lv.tree.Len())
+		inc.levels[i] = lv
 	}
 
-	// Reset totals and re-count every shard into the new structures.
 	n := len(inc.l1Items)
 	inc.itemTotals = make([]int, inc.store.NumItems())
 	inc.triTotals = make([]int, n*(n-1)/2)
-	inc.cache = make([]*shardCache, inc.store.NumShards())
-	all := make([]int, inc.store.NumShards())
-	for i := range all {
-		all[i] = i
-	}
-	rebuildStats := MaintainStats{}
-	if err := inc.recount(ctx, all, &rebuildStats); err != nil {
-		// The tracked set was already refrozen and the caches reset: drop
-		// the maintained state so the next Maintain runs a full mine
-		// rather than thresholding half-built totals.
-		inc.prev = nil
+	if err := inc.count(ctx, snap.Transactions, nil); err != nil {
 		return nil, *stats, err
 	}
-	stats.DirtyShards = len(all)
-	stats.RecountedTx = rebuildStats.RecountedTx
+	inc.settle()
+	stats.DirtyShards = stats.NumShards
+	stats.RecountedTx = len(snap.Transactions)
 
 	// The real-support answer is a threshold filter of the tracked set:
 	// every itemset frequent at minSupport is frequent at the lowered

@@ -2,7 +2,12 @@ package assoc
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/synth"
@@ -272,5 +277,333 @@ func TestIncrementalRulesMatchScratch(t *testing.T) {
 		if got[i].String() != want[i].String() {
 			t.Fatalf("rule %d: %s != %s", i, got[i], want[i])
 		}
+	}
+}
+
+// requireScratchEqual fails unless res is byte-identical to a from-scratch
+// Apriori run over the store's current contents.
+func requireScratchEqual(t *testing.T, store *transactions.ShardedDB, minSup float64, res *Result, step string) {
+	t.Helper()
+	want, err := (&Apriori{}).Mine(store.Snapshot(), minSup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res.Canonical(), want.Canonical()) {
+		t.Fatalf("%s: maintained result diverged from a from-scratch run", step)
+	}
+	if res.MinCount != want.MinCount || res.NumTx != want.NumTx {
+		t.Fatalf("%s: MinCount/NumTx %d/%d, want %d/%d", step, res.MinCount, res.NumTx, want.MinCount, want.NumTx)
+	}
+}
+
+// TestIncrementalCountsTheDelta extends the equivalence property to the
+// shapes delta counting has to get right: transactions appended and
+// deleted inside one batch, random deletes anywhere in the store, and —
+// the point of the journal — work that equals the number of ops since the
+// last Maintain whatever the shard capacity, where re-counting dirty
+// shards scaled with it.
+func TestIncrementalCountsTheDelta(t *testing.T) {
+	for _, shardCap := range []int{64, 4096} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("cap%d/workers%d", shardCap, workers), func(t *testing.T) {
+				pool := incrementalFixture(t, 900)
+				store := transactions.NewShardedDB(shardCap)
+				for _, tx := range pool[:500] {
+					if err := store.Append(tx...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				const minSup = 0.03
+				inc := &Incremental{Workers: workers}
+				if _, stats, err := inc.Attach(store, minSup); err != nil {
+					t.Fatal(err)
+				} else if !stats.FullRun || stats.RecountedTx != store.Len() {
+					t.Fatalf("attach stats = %+v, want a full run counting all %d transactions", stats, store.Len())
+				}
+
+				rng := rand.New(rand.NewSource(int64(shardCap + workers)))
+				next, incRuns := 500, 0
+				for step := 0; step < 14; step++ {
+					ops := 0
+					for i := rng.Intn(12); i > 0 && next < len(pool); i-- {
+						if err := store.Append(pool[next]...); err != nil {
+							t.Fatal(err)
+						}
+						next++
+						ops++
+					}
+					for i := rng.Intn(6); i > 0; i-- {
+						if _, err := store.DeleteAt(rng.Intn(store.Len())); err != nil {
+							t.Fatal(err)
+						}
+						ops++
+					}
+					// Appended and deleted again before any Maintain saw it:
+					// the two journal entries must cancel exactly.
+					for i := rng.Intn(4); i > 0; i-- {
+						if err := store.Append(pool[rng.Intn(len(pool))]...); err != nil {
+							t.Fatal(err)
+						}
+						if _, err := store.DeleteAt(store.Len() - 1); err != nil {
+							t.Fatal(err)
+						}
+						ops += 2
+					}
+					res, stats := mustMaintain(t, inc)
+					requireScratchEqual(t, store, minSup, res, fmt.Sprintf("step %d (stats %+v)", step, stats))
+					if stats.FullRun {
+						continue
+					}
+					incRuns++
+					if stats.RecountedTx != ops {
+						t.Fatalf("step %d: counted %d transactions for a batch of %d ops (stats %+v)", step, stats.RecountedTx, ops, stats)
+					}
+				}
+				if incRuns == 0 {
+					t.Fatal("no update was handled incrementally")
+				}
+			})
+		}
+	}
+}
+
+// TestIncrementalDeleteToEmptyAndRefill empties the store under the
+// maintainer, which must refuse to mine nothing, and refills it: the delta
+// now dwarfs the live store, so the maintainer re-mines instead of
+// counting it, and is incremental again afterwards.
+func TestIncrementalDeleteToEmptyAndRefill(t *testing.T) {
+	pool := incrementalFixture(t, 300)
+	store := transactions.NewShardedDB(64)
+	for _, tx := range pool[:200] {
+		if err := store.Append(tx...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const minSup = 0.05
+	inc := &Incremental{}
+	if _, _, err := inc.Attach(store, minSup); err != nil {
+		t.Fatal(err)
+	}
+	for store.Len() > 0 {
+		if _, err := store.DeleteAt(store.Len() / 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := inc.Maintain(); !errors.Is(err, ErrEmptyDB) {
+		t.Fatalf("Maintain on the emptied store: err = %v, want ErrEmptyDB", err)
+	}
+	for _, tx := range pool[200:260] {
+		if err := store.Append(tx...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, stats := mustMaintain(t, inc)
+	if !stats.FullRun || stats.Reason == "" {
+		t.Fatalf("refill stats = %+v, want a full run with a reason (the delta outgrew the store)", stats)
+	}
+	requireScratchEqual(t, store, minSup, res, "after the refill")
+
+	for _, tx := range pool[260:270] {
+		if err := store.Append(tx...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, stats = mustMaintain(t, inc)
+	requireScratchEqual(t, store, minSup, res, "after the follow-up batch")
+	if !stats.FullRun && stats.RecountedTx != 10 {
+		t.Fatalf("follow-up stats = %+v, want the 10 appended transactions counted", stats)
+	}
+}
+
+// TestIncrementalIncompleteJournalFallsBack: whenever the store's mutation
+// counter says the journal cannot account for the store — it was mutated
+// before tracking began, someone else drained it, or tracking was switched
+// off and on around a mutation — the maintainer must say so and re-mine.
+// Counting what is left of the journal would publish a stale answer.
+func TestIncrementalIncompleteJournalFallsBack(t *testing.T) {
+	pool := incrementalFixture(t, 400)
+	store := transactions.NewShardedDB(64)
+	// Mutated, deletes included, before any maintainer looked.
+	for _, tx := range pool[:250] {
+		if err := store.Append(tx...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := store.DeleteAt(i * 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const minSup = 0.05
+	inc := &Incremental{}
+	res, stats, err := inc.Attach(store, minSup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.FullRun || stats.Reason == "" || stats.RecountedTx != store.Len() {
+		t.Fatalf("attach stats = %+v, want a reasoned full run over the %d live transactions", stats, store.Len())
+	}
+	requireScratchEqual(t, store, minSup, res, "attach to a pre-mutated store")
+
+	next := 250
+	mutate := func() {
+		for i := 0; i < 6; i++ {
+			if err := store.Append(pool[next]...); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if _, err := store.DeleteAt(7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	interference := map[string]func(){
+		"drained by someone else": func() { mutate(); store.Drain(); mutate() },
+		"tracking restarted":      func() { mutate(); store.Track(); mutate() },
+		"mutated while untracked": func() { store.Untrack(); mutate(); store.Track() },
+	}
+	for name, interfere := range interference {
+		interfere()
+		res, stats := mustMaintain(t, inc)
+		if !stats.FullRun || !strings.Contains(stats.Reason, "journal incomplete") {
+			t.Fatalf("%s: stats = %+v, want a full run blaming the journal", name, stats)
+		}
+		requireScratchEqual(t, store, minSup, res, name)
+
+		// The re-mine re-synchronised maintainer and journal.
+		mutate()
+		res, stats = mustMaintain(t, inc)
+		requireScratchEqual(t, store, minSup, res, name+", next batch")
+		if !stats.FullRun && stats.RecountedTx != 7 {
+			t.Fatalf("%s, next batch: stats = %+v, want the 7 ops counted", name, stats)
+		}
+	}
+}
+
+// countdownCtx reports cancellation from its (left+1)-th Err call on, so a
+// test can land a cancellation on any one of a Maintain's context polls.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestIncrementalCancelledCountKeepsDelta cancels a Maintain at each of
+// its context polls in turn — before, between and after the counting
+// scans, always ahead of the splice — with more mutations arriving after
+// every failed attempt. The call that finally goes through must count
+// every op since the last successful Maintain exactly once: nothing the
+// cancelled calls drained may be lost, and nothing they counted may have
+// reached the totals.
+func TestIncrementalCancelledCountKeepsDelta(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			pool := incrementalFixture(t, 600)
+			store := transactions.NewShardedDB(64)
+			for _, tx := range pool[:400] {
+				if err := store.Append(tx...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const minSup = 0.03
+			// Generous slack keeps the border out of reach, so every call
+			// here stays on the counting path the test is about.
+			inc := &Incremental{Workers: workers, TrackSlack: 0.5}
+			attached, _, err := inc.Attach(store, minSup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next, ops, cancelled := 400, 0, 0
+			for polls := int64(0); ; polls++ {
+				for i := 0; i < 5; i++ {
+					if err := store.Append(pool[next]...); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+				if _, err := store.DeleteAt(int(polls) % store.Len()); err != nil {
+					t.Fatal(err)
+				}
+				ops += 6
+				ctx := &countdownCtx{Context: context.Background()}
+				ctx.left.Store(polls)
+				res, stats, err := inc.MaintainContext(ctx)
+				if errors.Is(err, context.Canceled) {
+					cancelled++
+					if inc.Result() != attached {
+						t.Fatalf("cancelled after %d polls: the maintained result moved", polls)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireScratchEqual(t, store, minSup, res, fmt.Sprintf("first Maintain to survive (%d polls)", polls))
+				if stats.FullRun || stats.RecountedTx != ops {
+					t.Fatalf("after %d cancelled calls: stats %+v, want all %d ops counted once, incrementally",
+						cancelled, stats, ops)
+				}
+				break
+			}
+			if cancelled < 3 {
+				t.Fatalf("only %d Maintains were cancelled; the count's polls were not reached", cancelled)
+			}
+			// And the splice happened once: a quiet Maintain changes nothing.
+			res, stats := mustMaintain(t, inc)
+			if stats.FullRun || stats.RecountedTx != 0 {
+				t.Fatalf("quiet Maintain stats = %+v, want no work", stats)
+			}
+			requireScratchEqual(t, store, minSup, res, "quiet Maintain")
+		})
+	}
+}
+
+// TestIncrementalDetachEndsJournalling: a store pays for the journal only
+// while a maintainer is attached to it.
+func TestIncrementalDetachEndsJournalling(t *testing.T) {
+	first, second := transactions.NewShardedDB(64), transactions.NewShardedDB(64)
+	for _, s := range []*transactions.ShardedDB{first, second} {
+		for i := 0; i < 20; i++ {
+			if err := s.Append(i%4, 4+i%3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	journals := func(s *transactions.ShardedDB) bool {
+		t.Helper()
+		if err := s.Append(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		added, _ := s.Drain()
+		return len(added) == 1
+	}
+	inc := &Incremental{}
+	if journals(first) {
+		t.Fatal("a store no maintainer attached to is journalling")
+	}
+	if _, _, err := inc.Attach(first, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	if !journals(first) {
+		t.Fatal("Attach did not start the journal")
+	}
+	if _, _, err := inc.Attach(second, 0.2); err != nil {
+		t.Fatal(err)
+	}
+	if journals(first) || !journals(second) {
+		t.Fatal("re-attaching must move the journal from the old store to the new one")
+	}
+	inc.Detach()
+	if journals(second) {
+		t.Fatal("Detach left the store journalling")
+	}
+	if _, _, err := inc.Maintain(); !errors.Is(err, ErrNotAttached) {
+		t.Fatalf("Maintain after Detach: err = %v, want ErrNotAttached", err)
 	}
 }

@@ -104,7 +104,7 @@ type IncrementalFlags struct {
 func AddIncrementalFlags(fs *flag.FlagSet) *IncrementalFlags {
 	f := &IncrementalFlags{}
 	fs.BoolVar(&f.Enabled, "incremental", false,
-		"mine through the incremental maintenance backend (dirty-shard re-count)")
+		"mine through the incremental maintenance backend (counts only each update's delta)")
 	fs.StringVar(&f.Updates, "updates", "",
 		"incremental: update script ('+ items…' append, '- tid' delete, '=' re-maintain)")
 	fs.IntVar(&f.ShardCap, "shardcap", 0,

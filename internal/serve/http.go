@@ -261,10 +261,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleAppend serves POST /v1/append: the body is basket lines
 // (whitespace-separated item ids, one transaction per line), each
-// enqueued as one OpAppend. The enqueue respects the request context, so
-// a client timeout unblocks a full queue's backpressure.
+// enqueued as one OpAppend. The whole body is parsed before anything is
+// enqueued, so a malformed line anywhere answers 400 with no line applied
+// — a client may fix the body and resend it without duplicating a prefix.
+// The enqueue respects the request context, so a client timeout unblocks a
+// full queue's backpressure.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	enqueued := 0
+	var ops []Op
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
 	for sc.Scan() {
@@ -280,17 +283,19 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		if len(items) == 0 {
 			continue
 		}
-		if err := s.Enqueue(r.Context(), Op{Kind: OpAppend, Items: items}); err != nil {
-			writeError(w, err)
-			return
-		}
-		enqueued++
+		ops = append(ops, Op{Kind: OpAppend, Items: items})
 	}
 	if err := sc.Err(); err != nil {
 		writeError(w, fmt.Errorf("%w: reading body: %v", ErrBadQuery, err))
 		return
 	}
-	writeJSON(w, map[string]int{"enqueued": enqueued})
+	for _, op := range ops {
+		if err := s.Enqueue(r.Context(), op); err != nil {
+			writeError(w, err)
+			return
+		}
+	}
+	writeJSON(w, map[string]int{"enqueued": len(ops)})
 }
 
 // handleDelete serves POST /v1/delete?tid=N.

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,6 +11,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/wal"
 )
 
 // startHTTP wraps a test server's handler in an httptest server.
@@ -176,6 +179,53 @@ func TestHTTPIngestFlushRoundTrip(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/healthz", http.StatusOK, &health)
 	if health["status"] != "ok" {
 		t.Fatalf("healthz: %v", health)
+	}
+}
+
+// TestHTTPAppendIsAllOrNothing: a body with a malformed line answers 400
+// and applies none of its lines, not the valid prefix. The view's op
+// count, the store and the write-ahead log (read back by a restart) all
+// stay where the last good request left them.
+func TestHTTPAppendIsAllOrNothing(t *testing.T) {
+	fs := wal.NewMemFS()
+	rows := fixtureRows(100, 12, 24)
+	srv := newTestServer(t, rows, Config{FS: fs})
+	ts := startHTTP(t, srv)
+	ctx := context.Background()
+
+	postStatus(t, ts.URL+"/v1/append", "1 2 3\n4 5 6\n", http.StatusOK)
+	before, err := srv.Flush(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.Ops() != 2 || srv.session.Len() != len(rows)+2 {
+		t.Fatalf("after the good body: ops %d, store %d", before.Ops(), srv.session.Len())
+	}
+
+	bad := strings.Repeat("7 8 9\n", 8) + "7 x 9\n" + "10 11\n"
+	postStatus(t, ts.URL+"/v1/append", bad, http.StatusBadRequest)
+	after, err := srv.Flush(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Ops() != before.Ops() || srv.Stats().Ops != before.Ops() {
+		t.Fatalf("ops moved across a rejected body: view %d, consumed %d, want %d",
+			after.Ops(), srv.Stats().Ops, before.Ops())
+	}
+	if got := srv.session.Len(); got != len(rows)+2 {
+		t.Fatalf("store holds %d transactions after a rejected body, want %d", got, len(rows)+2)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := New(nil, Config{MinSupport: testMinSup, RuleFloor: testFloor,
+		MaintainAfter: manualTrigger, FS: fs})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer restarted.Close()
+	if ops, found := restarted.Recovered(); !found || ops != before.Ops() {
+		t.Fatalf("WAL holds %d ops (found=%v) after a rejected body, want %d", ops, found, before.Ops())
 	}
 }
 

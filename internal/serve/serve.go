@@ -460,9 +460,8 @@ func New(db *mining.DB, cfg Config) (*Server, error) {
 			}
 		case rec.Truncated || rec.Ops > rec.SnapshotOps:
 			// Compact the replayed tail so the next recovery starts from
-			// here. Best-effort: failure just means a longer replay.
-			//lint:ignore invcheck/walfailstop startup compaction is best-effort by design — writeSnapshot counts its own failures in walErrors and the longer replay tail stays authoritative
-			s.writeSnapshot()
+			// here; failure just means a longer replay.
+			s.compact()
 		}
 	}
 	if db.Len() > 0 || s.consumed.Load() > 0 {
@@ -679,8 +678,7 @@ func (s *Server) shutdown() {
 	if err := s.log.Sync(); err != nil {
 		s.walErrors.Add(1)
 	} else if s.consumed.Load() > s.lastSnapOps {
-		//lint:ignore invcheck/walfailstop shutdown compaction is best-effort — every acked op is already synced above, writeSnapshot counts failures in walErrors, and recovery replays the un-compacted tail
-		s.writeSnapshot()
+		s.compact()
 	}
 	if err := s.log.Close(); err != nil {
 		s.walErrors.Add(1)
@@ -766,9 +764,18 @@ func (s *Server) maybeSnapshot() {
 		return
 	}
 	if s.consumed.Load()-s.lastSnapOps >= uint64(s.cfg.SnapshotEvery) {
-		//lint:ignore invcheck/walfailstop periodic compaction is best-effort — acked ops are durable in the log, writeSnapshot counts failures in walErrors, and the previous snapshot stays authoritative
-		s.writeSnapshot()
+		s.compact()
 	}
+}
+
+// compact is the best-effort snapshot behind the three compaction sites:
+// after a replayed startup, on shutdown, and every SnapshotEvery ops. None
+// of them is what makes an op durable — an acked op is already synced in
+// the log — so a failed compaction must not stop ingestion the way a
+// failed append does.
+func (s *Server) compact() {
+	//lint:ignore invcheck/walfailstop compaction is best-effort at every call site — acked ops are already synced in the log, writeSnapshot counts its failures in walErrors, and the previous snapshot plus the un-compacted tail stay authoritative for recovery
+	s.writeSnapshot()
 }
 
 // writeSnapshot persists the session's current rows as the fold of the

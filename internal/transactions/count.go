@@ -4,8 +4,10 @@ package transactions
 // counting structure of their own (the pass-k hash tree and the FP-tree
 // live in internal/hashtree and internal/fptree). Every scan that counts
 // items or pairs — the local goroutine-sharded scans, the dist worker's
-// replica scans, the incremental maintainer's shard recount — calls these,
-// so the arithmetic behind byte-identical counts has one definition.
+// replica scans — calls these, so the arithmetic behind byte-identical
+// counts has one definition; the incremental maintainer, which also counts
+// deleted transactions back out, shares TriIndex and keeps its own signed
+// loop.
 
 // CountItems adds tx's items into the flat pass-1 array counts, which must
 // cover the item universe (every item < len(counts)).

@@ -17,7 +17,7 @@ var (
 const DefaultShardCap = 1024
 
 // versionedShard is one fixed-capacity run of transactions with a version
-// counter that is bumped on every mutation, so caches keyed by (shard,
+// counter that is bumped on every mutation, so replicas keyed by (shard,
 // version) can tell clean shards from dirty ones without diffing contents.
 type versionedShard struct {
 	txs     []Itemset
@@ -27,9 +27,16 @@ type versionedShard struct {
 // ShardedDB is the updatable counterpart of DB: transactions are stored in
 // fixed-capacity shards, appends fill the last shard, and deletes compact
 // within the owning shard only. Every mutation bumps the owning shard's
-// version, which is how the incremental mining backend (internal/assoc)
-// knows which per-shard count caches are stale — an update re-counts only
-// the dirty shards and re-merges the cached clean ones.
+// version, which is how the distributed engine (internal/dist) knows which
+// shard replicas on its workers are stale and re-ships only those.
+//
+// Once a maintainer has called Track, every mutation's itemset is also
+// journalled, and Drain hands the journal over: the incremental mining
+// backend (internal/assoc) absorbs an update by counting exactly those
+// itemsets, so its work follows the update and not the store. Mutations
+// counts every mutation whether or not it was journalled, which is how a
+// maintainer tells a complete journal from one that began late or that
+// someone else drained. An untracked store journals nothing.
 //
 // The shard capacity is always rounded up to a multiple of 64 so that a
 // per-shard bitset over shard-local transaction ids occupies whole 64-bit
@@ -48,6 +55,11 @@ type ShardedDB struct {
 	shards   []*versionedShard
 	numItems int // 1 + max item id ever seen (monotone, like DB's)
 	total    int // live transactions across shards
+
+	mutations uint64    // appends + deletes since the store was created
+	tracking  bool      // journal mutations (see Track)
+	added     []Itemset // journalled appends since the last Drain
+	deleted   []Itemset // journalled deletes since the last Drain
 }
 
 // NewShardedDB returns an empty sharded database. shardCap <= 0 selects
@@ -121,6 +133,10 @@ func (s *ShardedDB) appendSet(tx Itemset) {
 	sh.txs = append(sh.txs, tx)
 	sh.version++
 	s.total++
+	s.mutations++
+	if s.tracking {
+		s.added = append(s.added, tx)
+	}
 }
 
 // DeleteAt removes the transaction with global id tid (its position in the
@@ -140,10 +156,43 @@ func (s *ShardedDB) DeleteAt(tid int) (Itemset, error) {
 		sh.txs = append(sh.txs[:tid:tid], sh.txs[tid+1:]...)
 		sh.version++
 		s.total--
+		s.mutations++
+		if s.tracking {
+			s.deleted = append(s.deleted, tx)
+		}
 		return tx, nil
 	}
 	// Unreachable: the shard lengths sum to s.total.
 	return nil, fmt.Errorf("%w: %d", ErrTIDRange, tid)
+}
+
+// Mutations returns how many appends and deletes the store has applied
+// since it was created (bulk loads included). It never decreases.
+func (s *ShardedDB) Mutations() uint64 { return s.mutations }
+
+// Track starts journalling: from now on every Append and DeleteAt records
+// its itemset until Drain collects it. Whatever was journalled before is
+// dropped, so the caller's picture of the store must start at the current
+// contents and Mutations.
+func (s *ShardedDB) Track() {
+	s.tracking = true
+	s.added, s.deleted = nil, nil
+}
+
+// Untrack stops journalling and drops the journal.
+func (s *ShardedDB) Untrack() {
+	s.tracking = false
+	s.added, s.deleted = nil, nil
+}
+
+// Drain returns the itemsets appended and deleted since the last Drain (or
+// Track) and empties the journal; each mutation is handed out exactly once.
+// A transaction appended and then deleted appears in both lists. The
+// itemsets are shared with the store: treat them as read-only.
+func (s *ShardedDB) Drain() (added, deleted []Itemset) {
+	added, deleted = s.added, s.deleted
+	s.added, s.deleted = nil, nil
+	return added, deleted
 }
 
 // ShardView returns shard i as a zero-copy Shard (Base set to the shard's

@@ -462,3 +462,82 @@ func TestShardedDBVerticalBitsetWithEmptyShards(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedDBJournal pins the journal a maintainer counts its deltas
+// from: nothing is recorded until Track, every mutation after it is handed
+// out by exactly one Drain with the deleted itemset itself, failed
+// mutations leave no trace, and Mutations counts every applied mutation
+// whether or not it was journalled.
+func TestShardedDBJournal(t *testing.T) {
+	s := NewShardedDBFrom(&DB{Transactions: []Itemset{{1, 2}, {2, 3}, {3, 4}}}, 64)
+	if s.Mutations() != 3 {
+		t.Fatalf("Mutations after a 3-row bulk load = %d, want 3", s.Mutations())
+	}
+	if err := s.Append(5, 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.DeleteAt(0); err != nil {
+		t.Fatal(err)
+	}
+	if added, deleted := s.Drain(); len(added)+len(deleted) != 0 {
+		t.Fatalf("untracked store journalled %v / %v", added, deleted)
+	}
+	if s.Mutations() != 5 {
+		t.Fatalf("Mutations = %d, want 5 (untracked mutations still count)", s.Mutations())
+	}
+
+	s.Track()
+	if err := s.Append(9, 7, 7); err != nil { // normalised to {7, 9}
+		t.Fatal(err)
+	}
+	gone, err := s.DeleteAt(1) // {3, 4}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(8); err != nil {
+		t.Fatal(err)
+	}
+	last, err := s.DeleteAt(s.Len() - 1) // the {8} just appended
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(-1); err == nil {
+		t.Fatal("Append(-1) should fail")
+	}
+	if _, err := s.DeleteAt(s.Len()); err == nil {
+		t.Fatal("DeleteAt(len) should fail")
+	}
+	added, deleted := s.Drain()
+	if len(added) != 2 || !added[0].Equal(Itemset{7, 9}) || !added[1].Equal(Itemset{8}) {
+		t.Fatalf("journalled appends = %v, want [{7, 9} {8}]", added)
+	}
+	if len(deleted) != 2 || !deleted[0].Equal(gone) || !gone.Equal(Itemset{3, 4}) ||
+		!deleted[1].Equal(last) || !last.Equal(Itemset{8}) {
+		t.Fatalf("journalled deletes = %v, want [{3, 4} {8}] (DeleteAt returned %v, %v)", deleted, gone, last)
+	}
+	if s.Mutations() != 9 {
+		t.Fatalf("Mutations = %d, want 9 (failed mutations do not count)", s.Mutations())
+	}
+	if added, deleted := s.Drain(); len(added)+len(deleted) != 0 {
+		t.Fatalf("second Drain handed out %v / %v again", added, deleted)
+	}
+
+	// Track restarts the journal; Untrack ends it and drops what it held.
+	if err := s.Append(10); err != nil {
+		t.Fatal(err)
+	}
+	s.Track()
+	if err := s.Append(11); err != nil {
+		t.Fatal(err)
+	}
+	s.Untrack()
+	if err := s.Append(12); err != nil {
+		t.Fatal(err)
+	}
+	if added, deleted := s.Drain(); len(added)+len(deleted) != 0 {
+		t.Fatalf("Drain after Untrack = %v / %v, want nothing", added, deleted)
+	}
+	if s.Mutations() != 12 {
+		t.Fatalf("Mutations = %d, want 12", s.Mutations())
+	}
+}

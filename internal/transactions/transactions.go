@@ -14,7 +14,8 @@
 // layout Eclat intersects; ShardedDB is
 // the updatable store of the incremental backend — fixed-capacity,
 // version-stamped shards where appends fill the tail, deletes compact in
-// place, and a mutation dirties exactly one shard. Shard capacities are
+// place, and a mutation dirties exactly one shard and, once a maintainer
+// tracks the store, is journalled for it to count. Shard capacities are
 // multiples of 64 so per-shard bitsets concatenate word-aligned
 // (ConcatBitsets).
 package transactions
@@ -138,16 +139,19 @@ func (s Itemset) Without(item int) Itemset {
 	return out
 }
 
-// Key returns a canonical string key for map indexing.
+// Key returns a canonical string key for map indexing. The digits are
+// rendered into a stack buffer, so the returned string is the only
+// allocation for any itemset whose key fits it.
 func (s Itemset) Key() string {
-	var sb strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range s {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		sb.WriteString(strconv.Itoa(v))
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // String renders the itemset as "{a, b, c}".

@@ -97,6 +97,24 @@ func TestKeyString(t *testing.T) {
 	}
 }
 
+// TestKeyAllocatesOnce pins Key at one allocation (the returned string)
+// for itemsets of multi-digit ids, the shape every string-keyed lookup of
+// the maintainer and Canonical pays per itemset.
+func TestKeyAllocatesOnce(t *testing.T) {
+	s := NewItemset(7, 120, 4031, 99999, 100000)
+	if got := s.Key(); got != "7,120,4031,99999,100000" {
+		t.Fatalf("Key = %q", got)
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = s.Key() }); n != 1 {
+		t.Errorf("Key allocated %v times per call, want 1", n)
+	}
+	_ = sink
+	if got := (Itemset{}).Key(); got != "" {
+		t.Errorf("empty Key = %q", got)
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	a := NewItemset(1, 2)
 	b := a.Clone()

@@ -64,7 +64,7 @@ func ExampleMineStream() {
 
 // ExampleSession shows the stateful handle: mine, append, maintain. The
 // maintained result is byte-identical to re-mining from scratch, but
-// after an update only the dirtied shards are re-counted.
+// after an update only the appended and deleted transactions are counted.
 func ExampleSession() {
 	db, err := mining.NewDB([][]int{
 		{0, 1, 2},

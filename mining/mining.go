@@ -29,11 +29,11 @@
 // # Stateful sessions
 //
 // Session owns an updatable sharded store and keeps its mined result
-// current under appends and deletes: Maintain re-counts only the shards an
-// update dirtied (the FUP-style incremental maintainer), falling back to a
-// full re-mine only when the maintained frequent set's negative border is
-// crossed. Results stay byte-identical to a from-scratch run at every
-// step. With Transport configured the session's full runs ship only dirty
+// current under appends and deletes: Maintain counts only the transactions
+// an update added or deleted (the FUP-style incremental maintainer),
+// falling back to a full re-mine only when the maintained frequent set's
+// negative border is crossed. Results stay byte-identical to a
+// from-scratch run at every step. With Transport configured the session's full runs ship only dirty
 // shards to the distributed workers, composing the incremental and
 // distributed backends.
 //

@@ -241,6 +241,13 @@ func TestSessionMatchesFromScratch(t *testing.T) {
 	if _, err := s.Mine(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("Mine after Close: err = %v, want ErrClosed", err)
 	}
+	// Close detached the maintainer, so the store no longer journals.
+	if err := s.store.Append(1); err != nil {
+		t.Fatal(err)
+	}
+	if added, _ := s.store.Drain(); len(added) != 0 {
+		t.Errorf("store still journalling after Close: %v", added)
+	}
 }
 
 // TestSessionWithDistributedBase pins the Transport composition: a

@@ -259,8 +259,9 @@ func Faults(spec FaultSpec) Option {
 }
 
 // ShardCap sets a session store's per-shard transaction capacity (rounded
-// up to a multiple of 64; smaller shards mean finer-grained incremental
-// re-counting, larger ones fewer version stamps). n == 0 keeps
+// up to a multiple of 64; smaller shards mean finer-grained re-shipping
+// to distributed workers, larger ones fewer version stamps — incremental
+// maintenance costs the same at any capacity). n == 0 keeps
 // DefaultShardCap; negative n is an error. Mine and MineStream ignore it.
 func ShardCap(n int) Option {
 	return func(c *config) error {

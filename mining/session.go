@@ -13,9 +13,12 @@ import (
 type MaintainStats struct {
 	// NumShards is the store's shard count.
 	NumShards int
-	// DirtyShards is how many shards were re-counted (version changed).
+	// DirtyShards is how many shards the update touched (version changed
+	// or new); every shard on a full run. It no longer measures work.
 	DirtyShards int
-	// RecountedTx is how many transactions those shards held.
+	// RecountedTx is how many transactions were counted: the delta — one
+	// per Append or DeleteAt since the last Maintain — or, on a full run,
+	// every live transaction.
 	RecountedTx int
 	// FullRun reports a fall-back to a full re-mine, with Reason saying
 	// why ("" when the update stayed incremental).
@@ -29,11 +32,13 @@ type MaintainStats struct {
 // previously reachable only through CLI plumbing.
 //
 // Mine (or Maintain, which also reports work stats) brings the result up
-// to date: the first call runs a full mine and caches per-shard counting
-// structures; later calls re-count only the shards an update dirtied,
-// falling back to a full re-mine only when the maintained frequent set's
-// negative border is crossed. Every returned Result is byte-identical to
-// a from-scratch run over the store's current contents.
+// to date: the first call runs a full mine and counts a tracked candidate
+// set; later calls count only the transactions appended or deleted since
+// (the store journals them), so a Maintain costs in proportion to the
+// update, not to the store. It falls back to a full re-mine only when the
+// maintained frequent set's negative border is crossed. Every returned
+// Result is byte-identical to a from-scratch run over the store's current
+// contents.
 //
 // The Algorithm option selects the full-run engine; with Transport the
 // distributed engine is bound to the store, so full runs re-ship only
@@ -134,8 +139,9 @@ func (s *Session) Mine(ctx context.Context) (*Result, error) {
 	return res, err
 }
 
-// Maintain is Mine with the work stats: how many shards were re-counted,
-// and whether (and why) the update fell back to a full re-mine.
+// Maintain is Mine with the work stats: how many transactions were
+// counted, how many shards the update touched, and whether (and why) it
+// fell back to a full re-mine.
 func (s *Session) Maintain(ctx context.Context) (*Result, MaintainStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -207,9 +213,10 @@ func (s *Session) Rules(minConfidence float64) ([]Rule, error) {
 	return out, nil
 }
 
-// Close releases the engine's resources (the distributed transport's
-// worker goroutines or rpc connections). The session is unusable
-// afterwards; Close is idempotent.
+// Close detaches the maintainer (the store stops journalling mutations)
+// and releases the engine's resources (the distributed transport's worker
+// goroutines or rpc connections). The session is unusable afterwards;
+// Close is idempotent.
 func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -217,6 +224,7 @@ func (s *Session) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.inc.Detach()
 	if s.closer != nil {
 		return s.closer.Close()
 	}
