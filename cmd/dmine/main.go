@@ -113,7 +113,7 @@ func runAssoc(args []string) error {
 	fs := cliutil.NewFlagSet("assoc")
 	in := fs.String("in", "", "basket file (one transaction per line)")
 	sup := cliutil.AddSupportFlags(fs)
-	algo := fs.String("algo", "Apriori", "mining engine (see mining.Algorithms)")
+	algo := fs.String("algo", "Apriori", "mining engine, one of "+strings.Join(mining.Algorithms(), ", "))
 	topN := fs.Int("top", 20, "rules to print")
 	workers := cliutil.AddWorkersFlag(fs)
 	inc := cliutil.AddIncrementalFlags(fs)

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cliutil"
+	"repro/mining"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -75,8 +77,12 @@ func TestRunAssocEndToEnd(t *testing.T) {
 	if err := runAssoc([]string{"-in", path, "-minsup", "0.3", "-minconf", "0.5"}); err != nil {
 		t.Fatalf("runAssoc: %v", err)
 	}
-	if err := runAssoc([]string{"-in", path, "-algo", "nope"}); err == nil {
-		t.Error("unknown algorithm should error")
+	// The paper-table reference engines are not selectable: the name is
+	// rejected with the list of engines that are, and main exits non-zero.
+	err := runAssoc([]string{"-in", path, "-algo", "AIS"})
+	if !errors.Is(err, mining.ErrUnknownAlgorithm) || cliutil.ExitCode(err) != 1 ||
+		!strings.Contains(err.Error(), "[Apriori DHP Eclat FPGrowth Auto Distributed]") {
+		t.Errorf("-algo AIS: err = %v (exit %d), want ErrUnknownAlgorithm listing the six engines", err, cliutil.ExitCode(err))
 	}
 }
 

@@ -56,6 +56,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -84,7 +85,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	var (
 		in       = fs.String("in", "", "optional initial basket file (one transaction per line)")
 		sup      = cliutil.AddSupportFlags(fs)
-		algo     = fs.String("algo", "Auto", "mining engine (see mining.Algorithms)")
+		algo     = fs.String("algo", "Auto", "mining engine, one of "+strings.Join(mining.Algorithms(), ", "))
 		workers  = cliutil.AddWorkersFlag(fs)
 		shardCap = fs.Int("shardcap", 0, "transactions per store shard (0 = 1024)")
 		sf       = cliutil.AddServeFlags(fs)

@@ -18,22 +18,17 @@ import (
 // The paper's memory-management refinements (candidate estimation and
 // pruning functions) are omitted; they reduce constants but do not change
 // the asymptotic picture the EXP-A1 benchmark reproduces.
-type AIS struct {
-	hook PassHook
-}
+type AIS struct{}
 
 // Name implements Miner.
 func (a *AIS) Name() string { return "AIS" }
-
-// SetPassHook implements PassObserver. Every emitted level is final.
-func (a *AIS) SetPassHook(h PassHook) { a.hook = h }
 
 // Mine implements Miner.
 func (a *AIS) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
 	return a.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (a *AIS) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
@@ -45,7 +40,7 @@ func (a *AIS) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 	if err != nil {
 		return nil, err
 	}
-	res.addPass(a.hook, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)}, level)
+	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)})
 	for k := 2; len(level) > 0; k++ {
 		res.Levels = append(res.Levels, level)
 		counts := make(map[string]int)
@@ -83,7 +78,7 @@ func (a *AIS) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 			}
 		}
 		sortLevel(level)
-		res.addPass(a.hook, PassStat{K: k, Candidates: len(counts), Frequent: len(level)}, level)
+		res.Passes = append(res.Passes, PassStat{K: k, Candidates: len(counts), Frequent: len(level)})
 	}
 	return res, nil
 }

@@ -2,7 +2,6 @@ package assoc
 
 import (
 	"context"
-	"sort"
 
 	"repro/internal/transactions"
 )
@@ -22,10 +21,10 @@ type Apriori struct {
 // Name implements Miner.
 func (a *Apriori) Name() string { return "Apriori" }
 
-// SetWorkers implements WorkerSetter.
+// SetWorkers implements Engine.
 func (a *Apriori) SetWorkers(n int) { a.Workers = n }
 
-// SetPassHook implements PassObserver. Every emitted level is final.
+// SetPassHook implements Engine. Every emitted level is final.
 func (a *Apriori) SetPassHook(h PassHook) { a.hook = h }
 
 // Mine implements Miner.
@@ -33,7 +32,7 @@ func (a *Apriori) Mine(db *transactions.DB, minSupport float64) (*Result, error)
 	return a.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (a *Apriori) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
@@ -147,7 +146,7 @@ func thresholdTriangle(l1 []ItemsetCount, counts []int, minCount int) []ItemsetC
 	return out
 }
 
-// countPairsTriangular is pass 2 of the serial museum engines (AprioriTid's
+// countPairsTriangular is pass 2 of the serial reference engines (AprioriTid's
 // hybrid): the triangular scan over db followed by thresholdTriangle.
 func countPairsTriangular(ctx context.Context, db *transactions.DB, l1 []ItemsetCount, minCount int) ([]ItemsetCount, error) {
 	n := len(l1)
@@ -162,25 +161,43 @@ func countPairsTriangular(ctx context.Context, db *transactions.DB, l1 []Itemset
 }
 
 // countWithMap counts candidates by direct subset checks against an index
-// of candidate keys. To avoid enumerating all k-subsets of long
-// transactions it checks each candidate against each transaction when the
-// candidate set is small, and otherwise enumerates transaction subsets.
+// of candidate keys — the global counting scan of the Partition and
+// Sampling reference engines, serial like they are. To avoid enumerating
+// all k-subsets of long transactions it checks each candidate against the
+// transaction when the candidate set is small, and otherwise enumerates
+// the transaction's subsets. The counted candidates come back in
+// lexicographic order.
 func countWithMap(ctx context.Context, db *transactions.DB, cands []transactions.Itemset, k int) ([]ItemsetCount, error) {
-	return countWithMapWorkers(ctx, db, cands, k, 1)
-}
-
-// countWithMapWorkers is countWithMap with the scan distributed across
-// workers via per-worker count arrays indexed by candidate rank.
-func countWithMapWorkers(ctx context.Context, db *transactions.DB, cands []transactions.Itemset, k, workers int) ([]ItemsetCount, error) {
-	counts, err := countCandidatesDirect(ctx, db, cands, k, workers)
-	if err != nil {
-		return nil, err
-	}
+	idx := make(map[string]int, len(cands))
 	out := make([]ItemsetCount, len(cands))
 	for i, c := range cands {
-		out[i] = ItemsetCount{Items: c, Count: counts[i]}
+		idx[c.Key()] = i
+		out[i].Items = c
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Items.Compare(out[j].Items) < 0 })
+	for tid, tx := range db.Transactions {
+		if tid%ctxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if len(tx) < k {
+			continue
+		}
+		if choose(len(tx), k) <= len(cands) {
+			forEachSubset(tx, k, func(sub transactions.Itemset) {
+				if i, ok := idx[sub.Key()]; ok {
+					out[i].Count++
+				}
+			})
+		} else {
+			for i, c := range cands {
+				if tx.ContainsAll(c) {
+					out[i].Count++
+				}
+			}
+		}
+	}
+	sortLevel(out)
 	return out, nil
 }
 

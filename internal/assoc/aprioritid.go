@@ -10,15 +10,10 @@ import (
 // rescans the database. Instead it carries C̄k — for every transaction, the
 // ids of the candidate k-itemsets it contains — and derives C̄k+1 from C̄k
 // using the two generator (k-1)-itemsets of each candidate.
-type AprioriTid struct {
-	hook PassHook
-}
+type AprioriTid struct{}
 
 // Name implements Miner.
 func (a *AprioriTid) Name() string { return "AprioriTid" }
-
-// SetPassHook implements PassObserver. Every emitted level is final.
-func (a *AprioriTid) SetPassHook(h PassHook) { a.hook = h }
 
 // tidEntry is one transaction's surviving candidate ids.
 type tidEntry struct {
@@ -31,7 +26,7 @@ func (a *AprioriTid) Mine(db *transactions.DB, minSupport float64) (*Result, err
 	return a.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (a *AprioriTid) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
@@ -43,7 +38,7 @@ func (a *AprioriTid) MineContext(ctx context.Context, db *transactions.DB, minSu
 	if err != nil {
 		return nil, err
 	}
-	res.addPass(a.hook, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)}, level)
+	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)})
 	if len(level) == 0 {
 		return res, nil
 	}
@@ -75,7 +70,7 @@ func (a *AprioriTid) MineContext(ctx context.Context, db *transactions.DB, minSu
 				level = append(level, ItemsetCount{Items: cands[ci], Count: c})
 			}
 		}
-		res.addPass(a.hook, PassStat{K: k, Candidates: len(cands), Frequent: len(level)}, level)
+		res.Passes = append(res.Passes, PassStat{K: k, Candidates: len(cands), Frequent: len(level)})
 		if len(level) == 0 {
 			break
 		}
@@ -196,22 +191,17 @@ type AprioriHybrid struct {
 	// Zero means 8x the number of transactions, a laptop-scale stand-in
 	// for the paper's "fits in memory" test.
 	BudgetEntries int
-
-	hook PassHook
 }
 
 // Name implements Miner.
 func (a *AprioriHybrid) Name() string { return "AprioriHybrid" }
-
-// SetPassHook implements PassObserver. Every emitted level is final.
-func (a *AprioriHybrid) SetPassHook(h PassHook) { a.hook = h }
 
 // Mine implements Miner.
 func (a *AprioriHybrid) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
 	return a.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
@@ -227,7 +217,7 @@ func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, mi
 	if err != nil {
 		return nil, err
 	}
-	res.addPass(a.hook, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)}, level)
+	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)})
 	if len(level) == 0 {
 		return res, nil
 	}
@@ -262,7 +252,7 @@ func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, mi
 			if err != nil {
 				return nil, err
 			}
-			res.addPass(a.hook, PassStat{K: 2, Candidates: nCands, Frequent: len(level)}, level)
+			res.Passes = append(res.Passes, PassStat{K: 2, Candidates: nCands, Frequent: len(level)})
 			if len(level) == 0 {
 				break
 			}
@@ -314,7 +304,7 @@ func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, mi
 				level = append(level, ItemsetCount{Items: cands[ci], Count: c})
 			}
 		}
-		res.addPass(a.hook, PassStat{K: k, Candidates: len(cands), Frequent: len(level)}, level)
+		res.Passes = append(res.Passes, PassStat{K: k, Candidates: len(cands), Frequent: len(level)})
 		if len(level) == 0 {
 			break
 		}

@@ -43,12 +43,17 @@
 // counts can be subtracted back out and only the transactions an update
 // added or deleted are ever scanned.
 //
-// Every registered miner additionally implements ContextMiner (hot loops
-// poll the context every ctxStride transactions, so cancellation returns
-// promptly without goroutine leaks) and PassObserver (a hook observes each
-// completed pass) — the contract the public mining package builds its
-// cancellation, progress and streaming features on. This package stays
-// internal; programs use the module-root mining facade.
+// Every Miner honours context cancellation: hot loops poll the context
+// every ctxStride transactions, so MineContext returns promptly without
+// goroutine leaks. The six engines Registered lists — Apriori, DHP, Eclat,
+// FPGrowth, Auto, Distributed — are Engines: they additionally report each
+// completed pass to a hook and take a worker count, which is what the
+// public mining package builds its progress, streaming and Workers
+// features on. AIS, SETM, AprioriTid, AprioriHybrid, Partition and
+// Sampling are reference engines: plain Miners that internal/experiments
+// constructs directly for paper tables A1 to A6 and that the equivalence
+// tests pin byte-identical to Apriori. This package stays internal;
+// programs use the module-root mining facade.
 package assoc
 
 import (
@@ -94,56 +99,46 @@ var (
 	ErrEmptyDB    = errors.New("assoc: empty transaction database")
 )
 
-// Miner is the common interface of all association miners.
+// Miner is the common interface of all association miners. MineContext
+// returns ctx.Err() promptly (within one counting stride or one pass
+// fan-out, whichever is shorter) once ctx is done, leaking no goroutines;
+// Mine is MineContext under context.Background().
 type Miner interface {
 	// Name identifies the algorithm, e.g. "Apriori".
 	Name() string
 	// Mine finds all itemsets with relative support >= minSupport.
 	Mine(db *transactions.DB, minSupport float64) (*Result, error)
-}
-
-// ContextMiner is a Miner whose hot loops honour context cancellation:
-// MineContext returns ctx.Err() promptly (within one counting stride or one
-// pass fan-out, whichever is shorter) once ctx is done, leaking no
-// goroutines. Every registered miner implements it; Mine is MineContext
-// under context.Background().
-type ContextMiner interface {
-	Miner
+	// MineContext is Mine under ctx.
 	MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error)
 }
 
-// MineContext mines db with m under ctx. Miners implementing ContextMiner
-// get the context threaded through their counting loops; for any other
-// Miner the context is only checked up front, since a foreign Mine cannot
-// be interrupted mid-pass.
+// MineContext mines db with m under ctx: the function form of the method,
+// kept for callers that hold the engine as a value (bench/).
 func MineContext(ctx context.Context, m Miner, db *transactions.DB, minSupport float64) (*Result, error) {
-	if cm, ok := m.(ContextMiner); ok {
-		return cm.MineContext(ctx, db, minSupport)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return m.Mine(db, minSupport)
+	return m.MineContext(ctx, db, minSupport)
 }
 
 // PassHook observes a completed counting pass: stat describes the pass and
 // level holds its frequent itemsets in canonical order. Engines pass a nil
 // level when the pass's itemsets are not final at emission time (pattern
-// growth assembles levels only at the end; Toivonen's repair step may widen
-// verified levels afterwards) — consumers must treat a nil level as "read
-// it from the final Result". Hooks run on the engine's coordinating
-// goroutine, never concurrently with themselves.
+// growth and Eclat assemble levels only at the end) — consumers must treat
+// a nil level as "read it from the final Result". Hooks run on the
+// engine's coordinating goroutine, never concurrently with themselves.
 type PassHook func(stat PassStat, level []ItemsetCount)
 
-// PassObserver is implemented by miners that report pass completion to a
-// hook — every registered miner. The public mining package uses it for
-// progress reporting and result streaming.
-type PassObserver interface {
+// Engine is the contract of the registered engines, the one the public
+// mining package programs against: a Miner that reports each completed
+// pass to a hook (progress and result streaming) and whose scans can be
+// spread over n goroutines with byte-identical results (n <= 1 is serial).
+// Both setters take effect from the next Mine.
+type Engine interface {
+	Miner
 	SetPassHook(PassHook)
+	SetWorkers(n int)
 }
 
 // addPass records a completed pass on r and notifies hook, the single
-// emission point every engine routes through so pass stats and hook events
+// emission point every Engine routes through so pass stats and hook events
 // cannot diverge.
 func (r *Result) addPass(hook PassHook, stat PassStat, level []ItemsetCount) {
 	r.Passes = append(r.Passes, stat)
@@ -225,7 +220,7 @@ func checkInput(db *transactions.DB, minSupport float64) (int, error) {
 func emptyResult() *Result { return &Result{} }
 
 // frequentOne computes L1 by a serial counting scan, returned in item
-// order — pass 1 of the serial museum engines (AIS, SETM, AprioriTid).
+// order — pass 1 of the serial reference engines (AIS, SETM, AprioriTid).
 func frequentOne(ctx context.Context, db *transactions.DB, minCount int) ([]ItemsetCount, error) {
 	counts, err := scanLocal(db, 1).countItems(ctx)
 	if err != nil {

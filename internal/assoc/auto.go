@@ -45,10 +45,10 @@ const AutoMinDenseItems = 8
 // Name implements Miner.
 func (a *Auto) Name() string { return "Auto" }
 
-// SetWorkers implements WorkerSetter.
+// SetWorkers implements Engine.
 func (a *Auto) SetWorkers(n int) { a.Workers = n }
 
-// SetPassHook implements PassObserver; the hook is forwarded to whichever
+// SetPassHook implements Engine; the hook is forwarded to whichever
 // engine the dispatch selects, so its level semantics are the engine's.
 func (a *Auto) SetPassHook(h PassHook) { a.hook = h }
 
@@ -63,12 +63,12 @@ func (a *Auto) Selected() string {
 
 // Select runs the dispatch heuristic and returns the chosen engine without
 // mining. Mine is Select followed by the engine's Mine.
-func (a *Auto) Select(db *transactions.DB, minSupport float64) (Miner, error) {
+func (a *Auto) Select(db *transactions.DB, minSupport float64) (Engine, error) {
 	return a.SelectContext(context.Background(), db, minSupport)
 }
 
 // SelectContext is Select with the probe scan under ctx.
-func (a *Auto) SelectContext(ctx context.Context, db *transactions.DB, minSupport float64) (Miner, error) {
+func (a *Auto) SelectContext(ctx context.Context, db *transactions.DB, minSupport float64) (Engine, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
 		return nil, err
@@ -84,23 +84,18 @@ func (a *Auto) SelectContext(ctx context.Context, db *transactions.DB, minSuppor
 			totalTids += c
 		}
 	}
-	var m Miner
-	name := ""
+	var m Engine
 	switch {
 	case nFreq == 0:
 		m = &Apriori{Workers: a.Workers}
 	case nFreq >= AutoMinDenseItems && float64(totalTids)/float64(nFreq*db.Len()) >= AutoDensityCutoff:
 		m = &Eclat{Workers: a.Workers}
-		name = "Eclat(bitset)"
 	case nFreq*(nFreq-1)/2 > 4*db.Len():
 		m = &FPGrowth{Workers: a.Workers}
 	default:
 		m = &Apriori{Workers: a.Workers}
 	}
-	if name == "" {
-		name = m.Name()
-	}
-	a.selected.Store(name)
+	a.selected.Store(m.Name())
 	return m, nil
 }
 
@@ -109,17 +104,13 @@ func (a *Auto) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
 	return a.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner: SelectContext followed by the
-// chosen engine's MineContext, with the pass hook forwarded.
+// MineContext implements Miner: SelectContext followed by the chosen
+// engine's MineContext, with the pass hook forwarded.
 func (a *Auto) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	m, err := a.SelectContext(ctx, db, minSupport)
 	if err != nil {
 		return emptyResult(), err
 	}
-	if a.hook != nil {
-		if po, ok := m.(PassObserver); ok {
-			po.SetPassHook(a.hook)
-		}
-	}
-	return MineContext(ctx, m, db, minSupport)
+	m.SetPassHook(a.hook)
+	return m.MineContext(ctx, db, minSupport)
 }

@@ -6,8 +6,7 @@ import (
 	"repro/internal/transactions"
 )
 
-// selectName runs Auto.Select and returns the chosen engine's display name
-// (Selected carries the bitset-layout suffix a bare Name() lacks).
+// selectName runs Auto.Select and returns the name Selected reports.
 func selectName(t *testing.T, db *transactions.DB, minSup float64) string {
 	t.Helper()
 	a := &Auto{}
@@ -31,8 +30,8 @@ func TestAutoSelectDensityCutoffBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := selectName(t, db, 0.05); got != "Eclat(bitset)" {
-		t.Errorf("at exactly AutoDensityCutoff: selected %s, want Eclat(bitset)", got)
+	if got := selectName(t, db, 0.05); got != "Eclat" {
+		t.Errorf("at exactly AutoDensityCutoff: selected %s, want Eclat", got)
 	}
 	// One empty transaction more: density 16/(16*17) < 1/16. The dense arm
 	// must not fire; with |L1| = 16 the pair explosion check (120 > 4*17)
@@ -62,8 +61,8 @@ func TestAutoSelectMinDenseItemsBoundary(t *testing.T) {
 		}
 		return db
 	}
-	if got := selectName(t, dense(AutoMinDenseItems), 1); got != "Eclat(bitset)" {
-		t.Errorf("at exactly AutoMinDenseItems: selected %s, want Eclat(bitset)", got)
+	if got := selectName(t, dense(AutoMinDenseItems), 1); got != "Eclat" {
+		t.Errorf("at exactly AutoMinDenseItems: selected %s, want Eclat", got)
 	}
 	// One frequent item fewer at the same (maximal) density: the dense arm
 	// is barred; 7 items' 21 pair candidates exceed 4*4 transactions, so

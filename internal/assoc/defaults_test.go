@@ -37,7 +37,7 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 		{name: "Apriori", zero: &Apriori{}, explicit: &Apriori{Workers: 1}},
 		{name: "DHP", zero: &DHP{}, explicit: &DHP{NumBuckets: 1 << 16, Workers: 1}},
 		{name: "Eclat", zero: &Eclat{}, explicit: &Eclat{Workers: 1}},
-		{name: "Partition", zero: &Partition{}, explicit: &Partition{NumPartitions: 1, Workers: 1}},
+		{name: "Partition", zero: &Partition{}, explicit: &Partition{NumPartitions: 1}},
 		{name: "Sampling", zero: &Sampling{}, explicit: &Sampling{SampleFraction: 0.2, LowerFactor: 0.8}},
 		{name: "AprioriHybrid", zero: &AprioriHybrid{}, explicit: &AprioriHybrid{BudgetEntries: 8 * 400}},
 		{name: "FPGrowth", zero: &FPGrowth{}, explicit: &FPGrowth{Workers: 1}},
@@ -69,13 +69,9 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 		t.Errorf("zero Partition name = %q", got)
 	}
 
-	// Workers=0 is serial for every WorkerSetter engine: byte-identical
-	// to the zero value and to an explicit 4-worker run.
+	// Workers=0 is serial for every registered engine: byte-identical to
+	// the zero value and to an explicit 4-worker run.
 	for _, m := range Registered() {
-		ws, ok := m.(WorkerSetter)
-		if !ok {
-			continue
-		}
 		t.Run(m.Name()+"/workers", func(t *testing.T) {
 			if c, ok := m.(interface{ Close() error }); ok {
 				defer c.Close()
@@ -85,7 +81,7 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, w := range []int{0, 4} {
-				ws.SetWorkers(w)
+				m.SetWorkers(w)
 				got, err := m.Mine(db, minSup)
 				if err != nil {
 					t.Fatal(err)
@@ -151,7 +147,7 @@ func (c *cancellingBase) Mine(db *transactions.DB, minSupport float64) (*Result,
 	return c.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (c *cancellingBase) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	c.calls++
 	if c.calls == c.cancelOn {

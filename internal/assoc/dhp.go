@@ -29,10 +29,10 @@ type DHP struct {
 // Name implements Miner.
 func (d *DHP) Name() string { return "DHP" }
 
-// SetWorkers implements WorkerSetter.
+// SetWorkers implements Engine.
 func (d *DHP) SetWorkers(n int) { d.Workers = n }
 
-// SetPassHook implements PassObserver. Every emitted level is final.
+// SetPassHook implements Engine. Every emitted level is final.
 func (d *DHP) SetPassHook(h PassHook) { d.hook = h }
 
 // Mine implements Miner.
@@ -40,7 +40,7 @@ func (d *DHP) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
 	return d.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (d *DHP) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {

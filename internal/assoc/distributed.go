@@ -82,11 +82,11 @@ type Distributed struct {
 // Name implements Miner.
 func (d *Distributed) Name() string { return "Distributed" }
 
-// SetWorkers implements WorkerSetter; it sizes the default transport, so
+// SetWorkers implements Engine; it sizes the default transport, so
 // it must be called before the first Mine to take effect.
 func (d *Distributed) SetWorkers(n int) { d.Workers = n }
 
-// SetPassHook implements PassObserver. The Apriori strategy emits final
+// SetPassHook implements Engine. The Apriori strategy emits final
 // levels per pass; the FPGrowth strategy emits them in one burst at the
 // end, after the imported forest is mined (pass 1 carries a nil level).
 func (d *Distributed) SetPassHook(h PassHook) { d.hook = h }
@@ -124,7 +124,7 @@ func (d *Distributed) Coordinator() *dist.Coordinator {
 
 // Close releases the transport (in-process workers or RPC connections).
 // The engine is not usable afterwards. Consumers that obtain the engine
-// generically (core.Miners) can reach this through io.Closer; without a
+// generically (Registered) can reach this through io.Closer; without a
 // Close the lazily built default transport's worker goroutines live until
 // process exit.
 func (d *Distributed) Close() error {
@@ -202,7 +202,7 @@ func (d *Distributed) Mine(db *transactions.DB, minSupport float64) (*Result, er
 	return d.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner: the coordinator's shard shipping
+// MineContext implements Miner: the coordinator's shard shipping
 // and scan fan-outs all run under ctx, so cancellation unblocks mid-pass
 // even while a worker call is in flight.
 //

@@ -40,10 +40,10 @@ type FPGrowth struct {
 // Name implements Miner.
 func (f *FPGrowth) Name() string { return "FPGrowth" }
 
-// SetWorkers implements WorkerSetter.
+// SetWorkers implements Engine.
 func (f *FPGrowth) SetWorkers(n int) { f.Workers = n }
 
-// SetPassHook implements PassObserver. Pattern growth assembles levels
+// SetPassHook implements Engine. Pattern growth assembles levels
 // only after all projections finish, so the pass-1 event carries a nil
 // level and later passes are emitted in one burst at the end.
 func (f *FPGrowth) SetPassHook(h PassHook) { f.hook = h }
@@ -53,7 +53,7 @@ func (f *FPGrowth) Mine(db *transactions.DB, minSupport float64) (*Result, error
 	return f.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (f *FPGrowth) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {

@@ -2,7 +2,6 @@ package assoc
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -130,29 +129,6 @@ func TestFPGrowthPassStats(t *testing.T) {
 	}
 }
 
-// TestPartitionWithFPGrowthLocalMiner checks phase 1 through the
-// pattern-growth engine finds the same global answer, serial and parallel.
-func TestPartitionWithFPGrowthLocalMiner(t *testing.T) {
-	db, err := synth.Baskets(synth.TxI(8, 3, 400, 17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := (&Partition{NumPartitions: 4}).Mine(db, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 4} {
-		p := &Partition{NumPartitions: 4, LocalMiner: &FPGrowth{}, Workers: workers}
-		got, err := p.Mine(db, 0.02)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Levels, want.Levels) {
-			t.Errorf("workers=%d: Partition(FPGrowth local) diverges from tid-list local mining", workers)
-		}
-	}
-}
-
 // TestAutoDispatch pins the Auto heuristic's three arms and that Selected
 // reports the engine used.
 func TestAutoDispatch(t *testing.T) {
@@ -172,8 +148,8 @@ func TestAutoDispatch(t *testing.T) {
 	if _, err := a.Mine(dense, 0.05); err != nil {
 		t.Fatal(err)
 	}
-	if a.Selected() != "Eclat(bitset)" {
-		t.Errorf("dense: selected %q, want Eclat(bitset)", a.Selected())
+	if a.Selected() != "Eclat" {
+		t.Errorf("dense: selected %q, want Eclat", a.Selected())
 	}
 
 	// Sparse, huge frequent universe relative to the database → FPGrowth.

@@ -116,9 +116,6 @@ type Incremental struct {
 	prev *Result
 }
 
-// SetWorkers implements WorkerSetter.
-func (inc *Incremental) SetWorkers(n int) { inc.Workers = n }
-
 // base returns the full-run miner.
 func (inc *Incremental) base() Miner {
 	if inc.Base != nil {
@@ -451,7 +448,7 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	inc.store.Drain()
 	inc.added, inc.deleted = nil, nil
 	snap := inc.store.Snapshot()
-	full, err := MineContext(ctx, inc.base(), snap, inc.trackSupport())
+	full, err := inc.base().MineContext(ctx, snap, inc.trackSupport())
 	if err != nil {
 		return nil, *stats, err
 	}

@@ -174,7 +174,6 @@ func TestIncrementalAgreesAcrossBaseMiners(t *testing.T) {
 		&Eclat{},
 		&FPGrowth{},
 		&FPGrowth{Workers: 4},
-		&Partition{NumPartitions: 3, LocalMiner: &FPGrowth{}},
 	}
 	var want []byte
 	for _, b := range bases {

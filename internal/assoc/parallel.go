@@ -13,13 +13,12 @@ package assoc
 // localScans holds the per-structure instantiations of that scheme — flat
 // item counters (pass 1), the triangular pair array (pass 2), the
 // candidate hash tree (pass 3+) and the per-shard FP-tree forest — behind
-// scanSource, the seam the two mining drivers are written against;
-// countCandidatesDirect is the candidate-index map counter of Partition's
-// and Sampling's global phases. The arithmetic is not here: it is
-// transactions.CountItems/CountPairs and hashtree's count buffers per
-// transaction and fptree.Build per shard (the shard trees are handed on
-// unmerged, as a forest), the same kernels the dist workers run.
-// workers <= 1 runs the identical scan inline with no goroutines.
+// scanSource, the seam the two mining drivers are written against. The
+// arithmetic is not here: it is transactions.CountItems/CountPairs and
+// hashtree's count buffers per transaction and fptree.Build per shard (the
+// shard trees are handed on unmerged, as a forest), the same kernels the
+// dist workers run. workers <= 1 runs the identical scan inline with no
+// goroutines.
 //
 // Every scan takes a context and honours cancellation: scan loops poll
 // ctx every ctxStride transactions and bail out early, workers drain
@@ -35,12 +34,6 @@ import (
 	"repro/internal/hashtree"
 	"repro/internal/transactions"
 )
-
-// WorkerSetter is implemented by the miners that support count-distribution
-// parallelism; the CLIs use it to apply a -workers flag uniformly.
-type WorkerSetter interface {
-	SetWorkers(n int)
-}
 
 // ctxStride is how many transactions a counting scan processes between
 // context polls. Cancellation is therefore detected within one stride per
@@ -210,42 +203,4 @@ func (s localScans) buildTree(ctx context.Context, ranks *fptree.Ranks) (fptree.
 		return fptree.Forest{}, err
 	}
 	return fptree.NewForest(ranks, trees...), nil
-}
-
-// countCandidatesDirect counts each candidate's support by direct subset
-// tests / subset enumeration (the map strategy), returning counts indexed
-// like cands. The per-transaction strategy choice depends only on the
-// transaction, so sharding does not change which branch runs for a given
-// transaction and the merged counts equal the serial scan's.
-func countCandidatesDirect(ctx context.Context, db *transactions.DB, cands []transactions.Itemset, k, workers int) ([]int, error) {
-	idx := make(map[string]int, len(cands))
-	for i, c := range cands {
-		idx[c.Key()] = i
-	}
-	scan := func(txs []transactions.Itemset, counts []int) {
-		for off, tx := range txs {
-			if off%ctxStride == 0 && ctx.Err() != nil {
-				return
-			}
-			if len(tx) < k {
-				continue
-			}
-			if choose(len(tx), k) <= len(cands) {
-				forEachSubset(tx, k, func(sub transactions.Itemset) {
-					if i, ok := idx[sub.Key()]; ok {
-						counts[i]++
-					}
-				})
-			} else {
-				for i, c := range cands {
-					if tx.ContainsAll(c) {
-						counts[i]++
-					}
-				}
-			}
-		}
-	}
-	return countShardedInts(ctx, db, workers, len(cands), func(sh transactions.Shard, counts []int) {
-		scan(sh.Transactions, counts)
-	})
 }

@@ -36,7 +36,6 @@ func parallelVariants(workers int) []Miner {
 		&Apriori{Workers: workers},
 		&DHP{Workers: workers},
 		&DHP{NumBuckets: 64, Workers: workers},
-		&Partition{NumPartitions: 3, Workers: workers},
 		&Eclat{Workers: workers},
 		&FPGrowth{Workers: workers},
 	}
@@ -49,10 +48,6 @@ func serialCounterpart(m Miner) Miner {
 		cp.Workers = 0
 		return &cp
 	case *DHP:
-		cp := *v
-		cp.Workers = 0
-		return &cp
-	case *Partition:
 		cp := *v
 		cp.Workers = 0
 		return &cp
@@ -132,25 +127,5 @@ func TestParallelMinersMatchSerialSynthetic(t *testing.T) {
 				t.Errorf("%s workers=%d: levels diverge from serial", m.Name(), workers)
 			}
 		}
-	}
-}
-
-// TestSetWorkers pins the WorkerSetter wiring the CLIs rely on.
-func TestSetWorkers(t *testing.T) {
-	miners := []Miner{&Apriori{}, &DHP{}, &Partition{}, &Eclat{}}
-	for _, m := range miners {
-		ws, ok := m.(WorkerSetter)
-		if !ok {
-			t.Fatalf("%s does not implement WorkerSetter", m.Name())
-		}
-		ws.SetWorkers(4)
-	}
-	if (&Apriori{}).Workers != 0 {
-		t.Fatal("zero value changed")
-	}
-	a := &Apriori{}
-	a.SetWorkers(8)
-	if a.Workers != 8 {
-		t.Fatalf("SetWorkers: Workers = %d", a.Workers)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/transactions"
 )
@@ -20,27 +19,7 @@ type Partition struct {
 	// NumPartitions is the number of chunks; zero or one degenerates to a
 	// single partition (still a correct, two-scan run).
 	NumPartitions int
-	// Workers bounds how many partitions are mined concurrently in phase 1
-	// and distributes the phase-2 global counting scan; <= 1 runs serially
-	// with identical results.
-	Workers int
-	// LocalMiner overrides the phase-1 per-partition miner; nil keeps the
-	// paper's vertical tid-list method. Any of the package's miners works
-	// (they find identical local frequent sets); FPGrowth is the
-	// pattern-growth option for low local supports. With Workers > 1 the
-	// same LocalMiner value mines partitions concurrently, so it must be
-	// safe for concurrent Mine calls — every miner in this package is.
-	LocalMiner Miner
-
-	hook PassHook
 }
-
-// SetWorkers implements WorkerSetter.
-func (p *Partition) SetWorkers(n int) { p.Workers = n }
-
-// SetPassHook implements PassObserver. Passes are emitted by the phase-2
-// global count, one per candidate length; every emitted level is final.
-func (p *Partition) SetPassHook(h PassHook) { p.hook = h }
 
 // Name implements Miner.
 func (p *Partition) Name() string {
@@ -55,7 +34,7 @@ func (p *Partition) Mine(db *transactions.DB, minSupport float64) (*Result, erro
 	return p.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (p *Partition) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
@@ -70,51 +49,14 @@ func (p *Partition) MineContext(ctx context.Context, db *transactions.DB, minSup
 	// Phase 1: local frequent itemsets per partition, via tidlists. The
 	// local minimum support is ceil(rel * partition size), matching the
 	// paper's guarantee that a globally frequent itemset is locally
-	// frequent somewhere. Partitions are independent, so with Workers > 1
-	// they are mined concurrently (bounded by a semaphore) and their local
-	// results merged in partition order.
-	mineLocal := func(part *transactions.DB) ([]transactions.Itemset, error) {
-		if p.LocalMiner == nil {
-			return mineVertical(ctx, part, part.AbsoluteSupport(minSupport))
-		}
-		res, err := MineContext(ctx, p.LocalMiner, part, minSupport)
+	// frequent somewhere.
+	candidateKeys := make(map[string]transactions.Itemset)
+	for _, part := range parts {
+		local, err := mineVertical(ctx, part, part.AbsoluteSupport(minSupport))
 		if err != nil {
 			return nil, err
 		}
-		out := make([]transactions.Itemset, 0, res.NumFrequent())
-		for _, ic := range res.All() {
-			out = append(out, ic.Items)
-		}
-		return out, nil
-	}
-	local := make([][]transactions.Itemset, len(parts))
-	errs := make([]error, len(parts))
-	if p.Workers > 1 {
-		sem := make(chan struct{}, p.Workers)
-		var wg sync.WaitGroup
-		for i, part := range parts {
-			wg.Add(1)
-			go func(i int, part *transactions.DB) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				local[i], errs[i] = mineLocal(part)
-			}(i, part)
-		}
-		wg.Wait()
-	} else {
-		for i, part := range parts {
-			local[i], errs[i] = mineLocal(part)
-		}
-	}
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	candidateKeys := make(map[string]transactions.Itemset)
-	for _, sets := range local {
-		for _, is := range sets {
+		for _, is := range local {
 			if _, ok := candidateKeys[is.Key()]; !ok {
 				candidateKeys[is.Key()] = is
 			}
@@ -138,7 +80,7 @@ func (p *Partition) countGlobal(ctx context.Context, db *transactions.DB, candid
 	sort.Ints(lens)
 	for _, l := range lens {
 		cands := byLen[l]
-		counted, err := countWithMapWorkers(ctx, db, cands, l, p.Workers)
+		counted, err := countWithMap(ctx, db, cands, l)
 		if err != nil {
 			return nil, err
 		}
@@ -149,7 +91,7 @@ func (p *Partition) countGlobal(ctx context.Context, db *transactions.DB, candid
 			}
 		}
 		sortLevel(level)
-		res.addPass(p.hook, PassStat{K: l, Candidates: len(cands), Frequent: len(level)}, level)
+		res.Passes = append(res.Passes, PassStat{K: l, Candidates: len(cands), Frequent: len(level)})
 		if len(level) > 0 {
 			for len(res.Levels) < l {
 				res.Levels = append(res.Levels, nil)
@@ -168,15 +110,8 @@ func (p *Partition) countGlobal(ctx context.Context, db *transactions.DB, candid
 // mineVertical finds all locally frequent itemsets of a partition with the
 // paper's tidlist method: L1 from the inverted index, then level-wise
 // candidate generation where each candidate's tidlist is the intersection
-// of its generators' tidlists. ctx is polled once per level.
-//
-// The allocation sites below are inherent to the tidlist method — every
-// surviving candidate materializes a new itemset and tidlist — and they
-// dominate Partition's allocation profile (the ROADMAP's 76 MB / 1.4 M
-// allocs per run). They are suppressed individually so allocbound keeps
-// flagging any *new* allocation introduced here.
-//
-//invcheck:hotpath
+// of its generators' tidlists. ctx is polled once per level and every
+// ctxStride join rows.
 func mineVertical(ctx context.Context, db *transactions.DB, minCount int) ([]transactions.Itemset, error) {
 	vert := db.ToVertical()
 	type node struct {
@@ -191,7 +126,6 @@ func mineVertical(ctx context.Context, db *transactions.DB, minCount int) ([]tra
 	sort.Ints(items)
 	for _, item := range items {
 		if tids := vert.TIDLists[item]; len(tids) >= minCount {
-			//lint:ignore invcheck/allocbound L1 seeding runs once per partition, not per transaction; each frequent item needs its own singleton itemset
 			level = append(level, node{items: transactions.Itemset{item}, tids: tids})
 		}
 	}
@@ -201,7 +135,6 @@ func mineVertical(ctx context.Context, db *transactions.DB, minCount int) ([]tra
 			return nil, err
 		}
 		for _, nd := range level {
-			//lint:ignore invcheck/allocbound result accumulation: the final size is unknown until mining finishes, and growth amortizes across levels
 			out = append(out, nd.items)
 		}
 		// Join nodes sharing a (k-1)-prefix; intersect tidlists.
@@ -222,7 +155,6 @@ func mineVertical(ctx context.Context, db *transactions.DB, minCount int) ([]tra
 				cand := make(transactions.Itemset, len(a.items)+1)
 				copy(cand, a.items)
 				cand[len(a.items)] = b.items[len(b.items)-1]
-				//lint:ignore invcheck/allocbound each surviving candidate is a distinct itemset that outlives the level; the tidlist method has no reusable scratch here
 				next = append(next, node{items: cand, tids: tids})
 			}
 		}

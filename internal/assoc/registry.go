@@ -1,54 +1,19 @@
 package assoc
 
-// Registered returns fresh instances of the canonical miner lineup — the
-// EXP-A1 suite plus the engines later milestones added. core.Miners and
-// the public mining package both build on this list, so a new engine
-// registers once and appears everywhere (CLIs, experiment sweeps, the
-// public Algorithm option). Every returned miner implements ContextMiner
-// and PassObserver; the compile-time assertions below keep that true.
-func Registered() []Miner {
-	return []Miner{
-		&AIS{},
-		&SETM{},
+// Registered returns fresh instances of the engines something runs — the
+// names the public Algorithm option accepts, in the order
+// mining.Algorithms lists them. The slice literal is the compile-time
+// check that each one is an Engine. The reference engines of paper tables
+// A1 to A6 (AIS, SETM, AprioriTid, AprioriHybrid, Partition, Sampling) are
+// not here: internal/experiments and the equivalence tests construct them
+// directly.
+func Registered() []Engine {
+	return []Engine{
 		&Apriori{},
-		&AprioriTid{},
-		&AprioriHybrid{},
-		&Partition{NumPartitions: 4},
 		&DHP{},
 		&Eclat{},
 		&FPGrowth{},
-		&Sampling{},
 		&Auto{},
 		&Distributed{},
 	}
 }
-
-// Every registered miner supports context cancellation and pass
-// observation — the contract the public mining facade relies on.
-var (
-	_ ContextMiner = (*AIS)(nil)
-	_ ContextMiner = (*SETM)(nil)
-	_ ContextMiner = (*Apriori)(nil)
-	_ ContextMiner = (*AprioriTid)(nil)
-	_ ContextMiner = (*AprioriHybrid)(nil)
-	_ ContextMiner = (*Partition)(nil)
-	_ ContextMiner = (*DHP)(nil)
-	_ ContextMiner = (*Eclat)(nil)
-	_ ContextMiner = (*FPGrowth)(nil)
-	_ ContextMiner = (*Sampling)(nil)
-	_ ContextMiner = (*Auto)(nil)
-	_ ContextMiner = (*Distributed)(nil)
-
-	_ PassObserver = (*AIS)(nil)
-	_ PassObserver = (*SETM)(nil)
-	_ PassObserver = (*Apriori)(nil)
-	_ PassObserver = (*AprioriTid)(nil)
-	_ PassObserver = (*AprioriHybrid)(nil)
-	_ PassObserver = (*Partition)(nil)
-	_ PassObserver = (*DHP)(nil)
-	_ PassObserver = (*Eclat)(nil)
-	_ PassObserver = (*FPGrowth)(nil)
-	_ PassObserver = (*Sampling)(nil)
-	_ PassObserver = (*Auto)(nil)
-	_ PassObserver = (*Distributed)(nil)
-)

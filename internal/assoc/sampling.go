@@ -21,24 +21,17 @@ type Sampling struct {
 	// (default 0.8, i.e. 20% slack).
 	LowerFactor float64
 	Seed        int64
-
-	hook PassHook
 }
 
 // Name implements Miner.
 func (s *Sampling) Name() string { return "Sampling" }
-
-// SetPassHook implements PassObserver. Levels are emitted nil: Toivonen's
-// miss-repair step may widen verified levels after their pass event, so
-// only the final Result's levels are authoritative.
-func (s *Sampling) SetPassHook(h PassHook) { s.hook = h }
 
 // Mine implements Miner.
 func (s *Sampling) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
 	return s.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (s *Sampling) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
@@ -191,7 +184,7 @@ func (s *Sampling) verify(ctx context.Context, db *transactions.DB, candidates m
 			}
 		}
 		sortLevel(level)
-		res.addPass(s.hook, PassStat{K: l, Candidates: len(cands), Frequent: len(level)}, nil)
+		res.Passes = append(res.Passes, PassStat{K: l, Candidates: len(cands), Frequent: len(level)})
 		if len(level) == 0 {
 			break
 		}

@@ -14,15 +14,10 @@ import (
 // aggregates the resulting (tid, candidate) tuples to counts. Materialising
 // every occurrence tuple is what makes SETM slow and memory-hungry at low
 // supports, the behaviour EXP-A1 reproduces.
-type SETM struct {
-	hook PassHook
-}
+type SETM struct{}
 
 // Name implements Miner.
 func (s *SETM) Name() string { return "SETM" }
-
-// SetPassHook implements PassObserver. Every emitted level is final.
-func (s *SETM) SetPassHook(h PassHook) { s.hook = h }
 
 // setmTuple is one occurrence of an itemset in a transaction.
 type setmTuple struct {
@@ -35,7 +30,7 @@ func (s *SETM) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
 	return s.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (s *SETM) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
@@ -48,7 +43,7 @@ func (s *SETM) MineContext(ctx context.Context, db *transactions.DB, minSupport 
 	if err != nil {
 		return nil, err
 	}
-	res.addPass(s.hook, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)}, level)
+	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)})
 	if len(level) == 0 {
 		return res, nil
 	}
@@ -98,7 +93,7 @@ func (s *SETM) MineContext(ctx context.Context, db *transactions.DB, minSupport 
 			}
 		}
 		sortLevel(level)
-		res.addPass(s.hook, PassStat{K: k, Candidates: len(counts), Frequent: len(level)}, level)
+		res.Passes = append(res.Passes, PassStat{K: k, Candidates: len(counts), Frequent: len(level)})
 		if len(level) == 0 {
 			break
 		}

@@ -28,10 +28,10 @@ type Eclat struct {
 // Name implements Miner.
 func (e *Eclat) Name() string { return "Eclat" }
 
-// SetWorkers implements WorkerSetter.
+// SetWorkers implements Engine.
 func (e *Eclat) SetWorkers(n int) { e.Workers = n }
 
-// SetPassHook implements PassObserver. Levels are emitted nil: a level's
+// SetPassHook implements Engine. Levels are emitted nil: a level's
 // ItemsetCounts are materialised one loop iteration after its pass stat,
 // so consumers read the levels from the final Result.
 func (e *Eclat) SetPassHook(h PassHook) { e.hook = h }
@@ -48,7 +48,7 @@ func (e *Eclat) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
 	return e.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements ContextMiner.
+// MineContext implements Miner.
 func (e *Eclat) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {

@@ -6,15 +6,14 @@
 // frequent-itemset mining the public, versioned entry point is the
 // module-root mining package (context-aware Mine/MineStream and the
 // stateful mining.Session, which finally absorbs the incremental
-// maintainer); the miner registry here is a thin re-export of
-// assoc.Registered, the single list both facades share.
+// maintainer) over assoc.Registered; there is no itemset-miner registry
+// here.
 package core
 
 import (
 	"errors"
 	"fmt"
 
-	"repro/internal/assoc"
 	"repro/internal/bayes"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
@@ -304,23 +303,6 @@ func PartitionClusterers(k int, seed int64) []Clusterer {
 		&CLARAClusterer{cluster.CLARA{K: k, Seed: seed}},
 		&CLARANSClusterer{cluster.CLARANS{K: k, Seed: seed}},
 	}
-}
-
-// Miners returns the association-rule miner suite, the EXP-A1 lineup. The
-// canonical list lives in assoc.Registered, which the public mining
-// package shares, so this is a thin re-export.
-func Miners() []assoc.Miner {
-	return assoc.Registered()
-}
-
-// MinerByName finds a miner by its Name().
-func MinerByName(name string) (assoc.Miner, error) {
-	for _, m := range Miners() {
-		if m.Name() == name {
-			return m, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, name)
 }
 
 // SequenceMiners returns the sequential-pattern lineup of EXP-S1.

@@ -152,28 +152,6 @@ func TestDensityAndBirchAdapters(t *testing.T) {
 	}
 }
 
-func TestMinersRegistry(t *testing.T) {
-	ms := Miners()
-	if len(ms) != 12 {
-		t.Fatalf("miners = %d", len(ms))
-	}
-	m, err := MinerByName("Apriori")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Name() != "Apriori" {
-		t.Errorf("Name = %s", m.Name())
-	}
-	for _, name := range []string{"FPGrowth", "Auto", "Distributed"} {
-		if _, err := MinerByName(name); err != nil {
-			t.Errorf("MinerByName(%s): %v", name, err)
-		}
-	}
-	if _, err := MinerByName("nope"); !errors.Is(err, ErrUnknownAlgorithm) {
-		t.Errorf("unknown error = %v", err)
-	}
-}
-
 func TestSequenceMinersRegistry(t *testing.T) {
 	ms := SequenceMiners()
 	if len(ms) != 2 {

@@ -1,37 +1,19 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/assoc"
 	"repro/internal/synth"
 	"repro/internal/transactions"
-	"repro/mining"
 )
 
-// a1Algorithms is the VLDB'94 Fig. 4 lineup, named for the public API.
-func a1Algorithms() []string {
-	return []string{"SETM", "AIS", "AprioriTid", "Apriori", "AprioriHybrid"}
-}
-
-// miningDB adapts an internal database to the public facade once per
-// workload (the row headers are shared, the DB wrapper re-normalises).
-func miningDB(db *transactions.DB) (*mining.DB, error) {
-	rows := make([][]int, db.Len())
-	for i, tx := range db.Transactions {
-		rows[i] = tx
-	}
-	return mining.NewDB(rows)
-}
-
-// RunA1 reproduces the execution-time-vs-support figure on the three
-// classic workloads, driven through the public mining API — the same
-// sweep a library consumer would write, which keeps the facade's overhead
-// honest in the headline experiment.
+// RunA1 reproduces the execution-time-vs-support figure (VLDB'94 Fig. 4)
+// on the three classic workloads.
 func RunA1(w io.Writer, s Scale) error {
 	header(w, "A1", "execution time (ms) vs minimum support")
+	miners := []assoc.Miner{&assoc.SETM{}, &assoc.AIS{}, &assoc.AprioriTid{}, &assoc.Apriori{}, &assoc.AprioriHybrid{}}
 	d := 2000
 	supports := []float64{0.02, 0.01, 0.0075, 0.005}
 	if s == Full {
@@ -46,27 +28,22 @@ func RunA1(w io.Writer, s Scale) error {
 		{"T10.I4", 10, 4},
 		{"T20.I6", 20, 6},
 	}
-	ctx := context.Background()
 	for _, ds := range datasets {
-		raw, err := synth.Baskets(synth.TxI(ds.t, ds.i, d, 94))
-		if err != nil {
-			return err
-		}
-		db, err := miningDB(raw)
+		db, err := synth.Baskets(synth.TxI(ds.t, ds.i, d, 94))
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "\n%s.D%d\n", ds.name, d)
 		fmt.Fprintf(w, "%-8s", "minsup")
-		for _, name := range a1Algorithms() {
-			fmt.Fprintf(w, "%14s", name)
+		for _, m := range miners {
+			fmt.Fprintf(w, "%14s", m.Name())
 		}
 		fmt.Fprintln(w)
 		for _, sup := range supports {
 			fmt.Fprintf(w, "%-8.2f", sup*100)
-			for _, name := range a1Algorithms() {
+			for _, m := range miners {
 				dur, err := timeIt(func() error {
-					_, e := mining.Mine(ctx, db, mining.Algorithm(name), mining.MinSupport(sup))
+					_, e := m.Mine(db, sup)
 					return e
 				})
 				if err != nil {

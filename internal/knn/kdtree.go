@@ -45,8 +45,7 @@ func NewKDTree(points [][]float64) (*KDTree, error) {
 	return NewKDTreeLeaf(points, DefaultLeafSize)
 }
 
-// NewKDTreeLeaf builds a tree with an explicit leaf size (for the
-// ablation benchmark).
+// NewKDTreeLeaf builds a tree with an explicit leaf size.
 func NewKDTreeLeaf(points [][]float64, leafSize int) (*KDTree, error) {
 	if len(points) == 0 {
 		return nil, ErrNoPoints

@@ -185,3 +185,24 @@ func sameInts(a, b []int) bool {
 	}
 	return reflect.DeepEqual(a, b)
 }
+
+// BenchmarkIntersectBitset times one intersection of two dense bitset
+// tid-sets — the kernel Eclat joins with.
+func BenchmarkIntersectBitset(b *testing.B) {
+	const n = 100000
+	var x, y []int
+	for i := 0; i < n; i++ {
+		if i%8 == 0 {
+			x = append(x, i)
+		}
+		if i%8 == 2 || i%16 == 0 {
+			y = append(y, i)
+		}
+	}
+	bx, by := BitsetFromTIDs(x, n), BitsetFromTIDs(y, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		AndBitset(bx, by)
+	}
+}

@@ -26,12 +26,8 @@ func Mine(ctx context.Context, db *DB, opts ...Option) (*Result, error) {
 	if closer != nil {
 		defer closer.Close()
 	}
-	if hook := cfg.passHook(); hook != nil {
-		if po, ok := m.(assoc.PassObserver); ok {
-			po.SetPassHook(hook)
-		}
-	}
-	res, err := assoc.MineContext(ctx, m, db.unwrap(), cfg.minSupport)
+	m.SetPassHook(cfg.passHook())
+	res, err := m.MineContext(ctx, db.unwrap(), cfg.minSupport)
 	return wrapResult(res), err
 }
 
@@ -51,7 +47,7 @@ type Level struct {
 //
 // Streaming granularity is engine-dependent: the level-wise engines yield
 // per completed pass, while engines that assemble levels at the end
-// (FPGrowth, Eclat, Sampling) yield everything once mining finishes. The
+// (FPGrowth, Eclat) yield everything once mining finishes. The
 // concatenation of the yielded levels is always byte-identical to Mine's
 // result. Errors — including ctx cancellation and the degenerate-input
 // sentinels — arrive as the final yielded element with a zero Level.
@@ -81,27 +77,25 @@ func MineStream(ctx context.Context, db *DB, opts ...Option) iter.Seq2[Level, er
 		stop := make(chan struct{})
 		var stopOnce sync.Once
 		progress := cfg.passHook()
-		if po, ok := m.(assoc.PassObserver); ok {
-			po.SetPassHook(func(stat assoc.PassStat, level []assoc.ItemsetCount) {
-				if progress != nil {
-					progress(stat, level)
-				}
-				if len(level) == 0 {
-					return // not final at this point; the Result has it
-				}
-				select {
-				case events <- event{stat.K, level}:
-				case <-stop:
-				}
-			})
-		}
+		m.SetPassHook(func(stat assoc.PassStat, level []assoc.ItemsetCount) {
+			if progress != nil {
+				progress(stat, level)
+			}
+			if len(level) == 0 {
+				return // not final at this point; the Result has it
+			}
+			select {
+			case events <- event{stat.K, level}:
+			case <-stop:
+			}
+		})
 		type outcome struct {
 			res *assoc.Result
 			err error
 		}
 		done := make(chan outcome, 1)
 		go func() {
-			res, err := assoc.MineContext(ctx, m, db.unwrap(), cfg.minSupport)
+			res, err := m.MineContext(ctx, db.unwrap(), cfg.minSupport)
 			done <- outcome{res, err}
 			close(events)
 		}()

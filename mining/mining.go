@@ -1,9 +1,10 @@
 // Package mining is the public, versioned frequent-itemset mining API of
-// this module — the single way in to the twelve engines the internal
-// packages implement (the level-wise family AIS/SETM/Apriori/AprioriTid/
-// AprioriHybrid/DHP, the two-scan Partition, vertical Eclat, Toivonen
-// Sampling, pattern-growth FPGrowth, the workload-probing Auto dispatch,
-// and the coordinator/worker Distributed backend).
+// this module — the single way in to the six engines internal/assoc
+// registers (level-wise Apriori and DHP, vertical Eclat, pattern-growth
+// FPGrowth, the workload-probing Auto dispatch, and the coordinator/worker
+// Distributed backend). The survey's first-generation miners (AIS, SETM,
+// AprioriTid, AprioriHybrid, Partition, Sampling) are reference engines
+// for the paper tables and are not selectable here.
 //
 // # One-shot mining
 //

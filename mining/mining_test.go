@@ -3,7 +3,10 @@ package mining
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/assoc"
@@ -47,22 +50,52 @@ func TestMineMatchesInternalCallPaths(t *testing.T) {
 	}
 }
 
-// internalMine runs the pre-facade call path: a registry miner configured
-// by struct fields / SetWorkers, closed if it owns resources.
+// internalMine runs the pre-facade call path: a registry engine configured
+// by SetWorkers, closed if it owns resources.
 func internalMine(name string, db *transactions.DB, minSup float64, workers int) (*assoc.Result, error) {
 	for _, m := range assoc.Registered() {
 		if m.Name() != name {
 			continue
 		}
-		if ws, ok := m.(assoc.WorkerSetter); ok && workers != 1 {
-			ws.SetWorkers(workers)
-		}
+		m.SetWorkers(workers)
 		if c, ok := m.(interface{ Close() error }); ok {
 			defer c.Close()
 		}
 		return m.Mine(db, minSup)
 	}
 	return nil, errors.New("no such miner: " + name)
+}
+
+// TestAlgorithmsAreTheSixRegisteredEngines pins the boundary of the public
+// Algorithm option: exactly the six registered engines, and each reference
+// engine of paper tables A1 to A6 — runnable only from internal/assoc — is
+// rejected by Mine, MineStream and NewSession with ErrUnknownAlgorithm
+// naming the six, before anything is scanned (no Progress event fires).
+func TestAlgorithmsAreTheSixRegisteredEngines(t *testing.T) {
+	want := []string{"Apriori", "DHP", "Eclat", "FPGrowth", "Auto", "Distributed"}
+	if got := Algorithms(); !slices.Equal(got, want) {
+		t.Fatalf("Algorithms() = %v, want %v", got, want)
+	}
+	db, _ := testData(t, 50, 1)
+	ctx := context.Background()
+	for _, name := range []string{"AIS", "SETM", "AprioriTid", "AprioriHybrid", "Partition(4)", "Sampling"} {
+		opts := []Option{Algorithm(name), Progress(func(PassStat) {
+			t.Errorf("%s: a pass ran before the name was rejected", name)
+		})}
+		_, mineErr := Mine(ctx, db, opts...)
+		var streamErr error
+		for _, err := range MineStream(ctx, db, opts...) {
+			streamErr = err
+		}
+		_, sessionErr := NewSession(db, opts...)
+		for call, err := range map[string]error{"Mine": mineErr, "MineStream": streamErr, "NewSession": sessionErr} {
+			if !errors.Is(err, ErrUnknownAlgorithm) {
+				t.Errorf("%s(%s): err = %v, want ErrUnknownAlgorithm", call, name, err)
+			} else if !strings.Contains(err.Error(), fmt.Sprint(want)) {
+				t.Errorf("%s(%s): %q does not list %v", call, name, err, want)
+			}
+		}
+	}
 }
 
 // TestMineWithTransportMatchesLocal pins the Transport option: the
@@ -98,7 +131,7 @@ func TestMineWithTransportMatchesLocal(t *testing.T) {
 func TestMineStreamMatchesMine(t *testing.T) {
 	db, _ := testData(t, 500, 3)
 	const minSup = 0.01
-	for _, algo := range []string{"Apriori", "FPGrowth", "Eclat", "Sampling"} {
+	for _, algo := range []string{"Apriori", "FPGrowth", "Eclat", "DHP"} {
 		want, err := Mine(context.Background(), db, Algorithm(algo), MinSupport(minSup))
 		if err != nil {
 			t.Fatal(err)

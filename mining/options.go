@@ -299,7 +299,7 @@ func TrackSlack(s float64) Option {
 // one Session. The returned closer (possibly nil) releases resources the
 // engine owns — the distributed transport's worker goroutines or rpc
 // connections — and must be closed when the engine is done.
-func (c *config) buildMiner() (assoc.Miner, io.Closer, error) {
+func (c *config) buildMiner() (assoc.Engine, io.Closer, error) {
 	if c.transport != nil {
 		engine := ""
 		switch c.algorithm {
@@ -350,11 +350,7 @@ func (c *config) buildMiner() (assoc.Miner, io.Closer, error) {
 		if m.Name() != c.algorithm {
 			continue
 		}
-		if c.workers != 1 {
-			if ws, ok := m.(assoc.WorkerSetter); ok {
-				ws.SetWorkers(c.workers)
-			}
-		}
+		m.SetWorkers(c.workers)
 		closer, _ := m.(io.Closer) // the plain Distributed engine owns a lazy transport
 		return m, closer, nil
 	}

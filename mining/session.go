@@ -71,11 +71,7 @@ func NewSession(db *DB, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	if hook := cfg.passHook(); hook != nil {
-		if po, ok := base.(assoc.PassObserver); ok {
-			po.SetPassHook(hook)
-		}
-	}
+	base.SetPassHook(cfg.passHook())
 	var store *transactions.ShardedDB
 	if db != nil && db.Len() > 0 {
 		store = transactions.NewShardedDBFrom(db.db, cfg.shardCap)

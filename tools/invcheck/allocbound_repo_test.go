@@ -5,24 +5,23 @@ import (
 	"testing"
 )
 
-// TestAllocBoundReportsPartitionLocalPhase pins the analyzer against the
-// real repository, not a fixture: Partition's phase-1 local miner
-// (mineVertical in internal/assoc/partition.go) is the ROADMAP's named
-// allocation hotspot (76 MB / 1.4 M allocs per run), and its sites are
-// deliberately suppressed in-tree with reasons. This test bypasses the
-// suppression layer and asserts the raw analyzer still proves every one
-// of those sites, so the suppressions stay honest: if a refactor removes
-// an allocation the stale directive shows up here, and if allocbound
-// regresses into missing them the repo gate would silently stop
-// guarding the hot path.
-func TestAllocBoundReportsPartitionLocalPhase(t *testing.T) {
-	units, err := sharedLoader.loadUnits("../../internal/assoc")
+// TestAllocBoundReportsFPTreeSuppressedSites pins the analyzer against the
+// real repository, not a fixture: internal/fptree/fptree.go carries the
+// tree's only allocbound suppressions — the present-rank append in Insert
+// and the node-arena append in step, both bounded growth on a hot path.
+// This test bypasses the suppression layer and asserts the raw analyzer
+// still proves each of those sites, so the suppressions stay honest: if a
+// refactor removes an allocation the stale directive shows up here, and
+// if allocbound regresses into missing them the repo gate would silently
+// stop guarding the hot path.
+func TestAllocBoundReportsFPTreeSuppressedSites(t *testing.T) {
+	units, err := sharedLoader.loadUnits("../../internal/fptree")
 	if err != nil {
-		t.Fatalf("loading internal/assoc: %v", err)
+		t.Fatalf("loading internal/fptree: %v", err)
 	}
 	var raw []Finding
 	for _, u := range units {
-		if u.Pkg != "assoc" {
+		if u.Pkg != "fptree" {
 			continue
 		}
 		for _, f := range u.Files {
@@ -30,40 +29,23 @@ func TestAllocBoundReportsPartitionLocalPhase(t *testing.T) {
 		}
 	}
 	sortFindings(raw)
-
-	var mineVertical []Finding
 	for _, fd := range raw {
-		if strings.Contains(fd.Message, "mineVertical") {
-			mineVertical = append(mineVertical, fd)
-			if !strings.HasSuffix(fd.File, "partition.go") {
-				t.Errorf("mineVertical finding outside partition.go: %s", fd)
-			}
+		if !strings.HasSuffix(fd.File, "fptree.go") {
+			t.Errorf("allocbound finding outside fptree.go: %s", fd)
 		}
 	}
 
-	// The known local-phase allocation sites, in source order: the L1
-	// singleton itemset literal and its level append (same line), the
-	// result accumulation append, and the per-candidate join append.
+	// The known sites, in source order.
 	wants := []string{
-		"allocates a slice literal transactions.Itemset",
-		"appends to level",
-		"appends to out",
-		"appends to next",
+		"Insert appends to t.present",
+		"step appends to t.nodes",
 	}
-	if len(mineVertical) != len(wants) {
-		t.Fatalf("mineVertical findings = %d, want %d:\n%s",
-			len(mineVertical), len(wants), joinFindings(mineVertical))
+	if len(raw) != len(wants) {
+		t.Fatalf("raw fptree findings = %d, want %d:\n%s", len(raw), len(wants), joinFindings(raw))
 	}
-	for _, want := range wants {
-		found := false
-		for _, fd := range mineVertical {
-			if strings.Contains(fd.Message, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no mineVertical finding matching %q in:\n%s", want, joinFindings(mineVertical))
+	for i, want := range wants {
+		if !strings.Contains(raw[i].Message, want) {
+			t.Errorf("finding %d = %s, want one matching %q", i, raw[i], want)
 		}
 	}
 
