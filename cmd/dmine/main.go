@@ -154,7 +154,7 @@ func runAssoc(args []string) error {
 		}
 		wn := dist.EffectiveWorkers()
 		opts = append(opts, mining.Transport(mining.LocalTransport(wn)))
-		fmt.Printf("distributed: %s engine over %d in-process workers (gob transport)\n", *algo, wn)
+		fmt.Printf("distributed: %s engine over %d in-process workers (wire-codec transport)\n", *algo, wn)
 		if faults != nil {
 			opts = append(opts,
 				mining.Retry(mining.RetrySpec{

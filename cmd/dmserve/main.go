@@ -39,7 +39,7 @@
 // behind panic-recovery middleware.
 //
 // With -dist the session's support counting fans out to in-process
-// distributed workers over the gob transport (the BindStore path: full
+// distributed workers over the encoding transport (the BindStore path: full
 // re-mines re-ship only dirty shards); -distfaults arms the seeded fault
 // injector plus the retry/failover layer on top, exactly as in dmine.
 // The server prints "listening on http://ADDR" once ready and exits
@@ -90,7 +90,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		shardCap = fs.Int("shardcap", 0, "transactions per store shard (0 = 1024)")
 		sf       = cliutil.AddServeFlags(fs)
 		dist     = cliutil.AddDistFlags(fs,
-			"fan support counting out to the distributed backend (in-process gob transport)")
+			"fan support counting out to the distributed backend (in-process wire-codec transport)")
 		faultSpec = cliutil.AddFaultsFlag(fs)
 	)
 	if err := cliutil.Parse(fs, args); err != nil {
@@ -124,7 +124,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		}
 		wn := dist.EffectiveWorkers()
 		opts = append(opts, mining.Transport(mining.LocalTransport(wn)))
-		fmt.Fprintf(stdout, "distributed: %s engine over %d in-process workers (gob transport)\n", *algo, wn)
+		fmt.Fprintf(stdout, "distributed: %s engine over %d in-process workers (wire-codec transport)\n", *algo, wn)
 		if faults != nil {
 			opts = append(opts,
 				mining.Retry(mining.RetrySpec{

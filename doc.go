@@ -51,13 +51,15 @@
 // The distributed backend (internal/dist + assoc.Distributed) is the
 // remote scan source under the same two drivers: a coordinator ships
 // version-stamped shard snapshots to workers over a pluggable transport
-// (in-process channels for single-binary use, net/rpc over gob for real
-// deployment), workers scan their replicas with the same per-transaction
+// (in-process channels for single-binary use, net/rpc carrying the same
+// varint wire codec in length-prefixed frames for real deployment),
+// workers scan their replicas with the same per-transaction
 // kernels — including serialized FP-tree builds — and the coordinator
 // merges the returned buffers with the same commutative adds, so
 // distributed results are byte-identical to local runs, and a mine that
 // loses its whole cluster finishes on the local source (the bench metrics
-// dist.overhead_x and dist.gob_share track the shipping and serialization
+// dist.overhead_x and dist.gob_share — the codec's share, under the name
+// of the codec it replaced — track the shipping and serialization
 // overhead). Binding a ShardedDB re-ships only dirty shards after updates,
 // which lets assoc.Incremental use Distributed as its full-run base.
 //

@@ -13,8 +13,11 @@ import (
 // minimum support, which removes most of the usually enormous C2. Later
 // passes proceed as in Apriori.
 //
-// The paper's progressive transaction trimming is omitted — it reduces
-// constants on later passes without changing which candidates exist.
+// The paper's transaction trimming is not DHP's alone here: the pass-k scan
+// every level-wise engine shares (hashtree.CountAllInto) drops, before the
+// tree sees a transaction, every item that occurs in no candidate of the
+// pass. It reduces constants on later passes without changing which
+// candidates exist. Trimmed rows are not carried from pass to pass.
 type DHP struct {
 	// NumBuckets sizes the pass-1 hash table; zero means 1<<16.
 	NumBuckets int

@@ -44,8 +44,8 @@ const (
 // Incremental base (only dirty shards travel after an Append/DeleteAt).
 type Distributed struct {
 	// Transport carries shards and count requests. nil lazily builds an
-	// in-process channel transport with Workers workers in gob round-trip
-	// mode, so even the single-binary default pays (and measures) real
+	// in-process channel transport with Workers workers in encode mode
+	// (every message through the dist wire codec), so even the single-binary default pays (and measures) real
 	// serialization.
 	Transport dist.Transport
 	// Workers sizes the lazily built default transport and bounds the

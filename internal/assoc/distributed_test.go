@@ -1,9 +1,13 @@
 package assoc
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"net"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/synth"
@@ -11,7 +15,7 @@ import (
 )
 
 // newDistributed builds a Distributed engine over a fresh in-process
-// gob-encoding transport; the caller must Close it.
+// transport in encode mode; the caller must Close it.
 func newDistributed(engine string, workers int) *Distributed {
 	return &Distributed{
 		Transport: dist.NewLocalTransport(workers, true),
@@ -23,7 +27,7 @@ func newDistributed(engine string, workers int) *Distributed {
 // TestDistributedByteIdenticalProperty is the acceptance gate: on random
 // databases, the distributed Apriori path is byte-identical to local
 // Apriori and the distributed FPGrowth path to local FPGrowth, at workers
-// 1, 2 and 4 over the in-process gob transport.
+// 1, 2 and 4 over the in-process encoding transport.
 func TestDistributedByteIdenticalProperty(t *testing.T) {
 	f := func(seed int64, minRaw uint8) bool {
 		db := randomDB(seed)
@@ -345,5 +349,101 @@ func TestDistributedDegenerateInputs(t *testing.T) {
 	}
 	if res == nil || len(res.Canonical()) != 0 {
 		t.Fatalf("minsup 0 result = %+v, want canonical empty", res)
+	}
+}
+
+// loopbackRPC serves n workers on loopback TCP and dials them; the
+// listeners close with the test, the connections with the transport.
+func loopbackRPC(t *testing.T, n int) dist.Transport {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < n; i++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Skipf("loopback listen unavailable: %v", err)
+		}
+		t.Cleanup(func() { l.Close() })
+		addrs = append(addrs, l.Addr().String())
+		go dist.ServeWorker(l, dist.NewWorker())
+	}
+	tr, err := dist.DialRPC(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestDistributedSameBytesOverEveryTransport: one codec, three ways to
+// carry it. A mine returns the same Canonical bytes and the same pass
+// stats whether messages pass by reference, through the in-process
+// encode/decode round trip, or in frames over loopback TCP — for both
+// engines, on a healthy cluster and under seeded retry/failover schedules
+// (where passes may be stamped Degraded but count the same).
+func TestDistributedSameBytesOverEveryTransport(t *testing.T) {
+	db := deepFixture(t)
+	const minSup, workers = 0.02, 2
+	transports := map[string]func() dist.Transport{
+		"local":        func() dist.Transport { return dist.NewLocalTransport(workers, false) },
+		"local-encode": func() dist.Transport { return dist.NewLocalTransport(workers, true) },
+		"rpc":          func() dist.Transport { return loopbackRPC(t, workers) },
+	}
+	plans := map[string]dist.FaultPlan{
+		"healthy": {},
+		"retries": {Seed: 5, Error: 0.3},
+		// Plus a scripted kill of worker 1 on its first scan, below.
+		"failover": {Seed: 11, Error: 0.1, Delay: 200 * time.Microsecond, DelayProb: 0.2},
+	}
+	for _, tc := range []struct {
+		engine string
+		local  Miner
+	}{{DistEngineApriori, &Apriori{}}, {DistEngineFPGrowth, &FPGrowth{}}} {
+		want, err := tc.local.Mine(db, minSup)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tname, open := range transports {
+			for pname, plan := range plans {
+				label := tc.engine + "/" + tname + "/" + pname
+				ft := dist.NewFaultTransport(open(), plan)
+				if pname == "failover" {
+					ft.FailNext(1, dist.FaultNone, dist.FaultKill)
+				}
+				d := &Distributed{
+					Transport: ft,
+					Workers:   workers,
+					Engine:    tc.engine,
+					// No drops are injected, so no per-call deadline: a
+					// slow race-detector scan must not read as a fault.
+					Retry: dist.RetryPolicy{BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond},
+				}
+				got, err := d.MineContext(context.Background(), db, minSup)
+				st := d.Coordinator().Stats()
+				if cerr := d.Close(); cerr != nil {
+					t.Fatalf("%s: close: %v", label, cerr)
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				// The schedules must bite, or the test shows nothing.
+				if pname == "retries" && st.Retries == 0 || pname == "failover" && st.Failovers == 0 {
+					t.Errorf("%s: schedule injected nothing: %+v", label, st)
+				}
+				if !bytes.Equal(got.Canonical(), want.Canonical()) {
+					t.Errorf("%s: Canonical differs from the local engine", label)
+				}
+				if len(got.Passes) != len(want.Passes) {
+					t.Fatalf("%s: %d passes, local engine has %d", label, len(got.Passes), len(want.Passes))
+				}
+				for i, p := range got.Passes {
+					if pname == "healthy" && p.Degraded {
+						t.Errorf("%s: pass K=%d degraded on a healthy cluster", label, p.K)
+					}
+					p.Degraded = false
+					if p != want.Passes[i] {
+						t.Errorf("%s: pass %d = %+v, local engine has %+v", label, i, p, want.Passes[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -157,9 +157,10 @@ func (s localScans) countPairs(ctx context.Context, rank []int, n int) ([]int, e
 
 // countCandidates builds the candidate hash tree (insertion order makes
 // entry ids equal candidate indices) and counts every shard into a private
-// hashtree.CountBuffer — the tree itself is only read. On cancellation
-// nothing is merged, so a caller that (wrongly) ignored the error could
-// never observe partial counts.
+// hashtree.CountBuffer with the tree's trimmed scan (CountAllInto, the
+// loop the dist worker runs too) — the tree itself is only read. On
+// cancellation nothing is merged, so a caller that (wrongly) ignored the
+// error could never observe partial counts.
 func (s localScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
 	// Size the fanout so that a depth-k tree can hold the candidates
 	// within the leaf capacity: leaves at depth k cannot split further,
@@ -177,11 +178,12 @@ func (s localScans) countCandidates(ctx context.Context, k int, cands []transact
 	parts := make([][]int, max(s.workers, 1))
 	if err := forEachShard(ctx, s.db, s.workers, func(shard int, sh transactions.Shard) {
 		buf := tree.NewCountBuffer()
-		for off, tx := range sh.Transactions {
-			if off%ctxStride == 0 && ctx.Err() != nil {
+		for off := 0; off < len(sh.Transactions); off += ctxStride {
+			if ctx.Err() != nil {
 				return
 			}
-			tree.CountTransactionInto(tx, sh.Base+off, buf)
+			end := min(off+ctxStride, len(sh.Transactions))
+			tree.CountAllInto(sh.Transactions[off:end], sh.Base+off, buf)
 		}
 		parts[shard] = buf.Counts
 	}); err != nil {

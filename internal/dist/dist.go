@@ -26,12 +26,15 @@
 //     of the incremental engine, carried across the network boundary.
 //
 // Two transports are provided: LocalTransport runs workers as in-process
-// goroutines fed by channels (tests and single-binary use; optionally gob
-// round-tripping every message so serialization cost is real), and
-// RPCTransport speaks net/rpc's gob codec to remote worker processes
-// (ServeWorker is the listening side). internal/assoc's Distributed miner
-// is the engine built on top of this package: it syncs the shards and
-// hands the coordinator to the level-wise or pattern-growth driver.
+// goroutines fed by channels (tests and single-binary use; optionally
+// encoding and decoding every message so serialization cost is real), and
+// RPCTransport carries the same bytes in length-prefixed frames to remote
+// worker processes (ServeWorker is the listening side). The byte format
+// (wire.go) is one codec for both: varint integer blocks and the
+// transactions package's stable encoding for shard rows and candidates.
+// internal/assoc's Distributed miner is the engine built on top of this
+// package: it syncs the shards and hands the coordinator to the level-wise
+// or pattern-growth driver.
 //
 // # Fault model
 //
@@ -78,6 +81,9 @@ var (
 	ErrBadMethod = errors.New("dist: unknown transport method")
 	// ErrClosed reports a call through a closed transport.
 	ErrClosed = errors.New("dist: transport is closed")
+	// ErrNoSuchWorker reports a call to a worker index the transport does
+	// not reach.
+	ErrNoSuchWorker = errors.New("dist: worker index out of range")
 	// ErrNoWorkers reports a transport with no workers to place shards on.
 	ErrNoWorkers = errors.New("dist: transport has no workers")
 	// ErrWorkerUnavailable reports a connection-level failure talking to a
@@ -220,7 +226,7 @@ func copyReply(dst, src any) {
 }
 
 // message returns fresh zero-valued args and reply instances for a method,
-// the decode targets of LocalTransport's gob round-trip mode.
+// the decode targets of LocalTransport's encode mode.
 func message(method string) (args, reply any, err error) {
 	switch method {
 	case MethodShip:

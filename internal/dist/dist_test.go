@@ -56,6 +56,8 @@ func localCounts(db *transactions.DB) []int {
 
 func eachTransport(t *testing.T, fn func(t *testing.T, tr Transport)) {
 	t.Helper()
+	// "local-gob" is the encode mode; the label predates the wire codec and
+	// stays so the subtest ids CI tracks do not move.
 	for _, tc := range []struct {
 		name   string
 		encode bool
@@ -300,7 +302,7 @@ func TestRPCTransport(t *testing.T) {
 			t.Errorf("count[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	// FP-tree build over RPC: the Ranks pointer round-trips through gob.
+	// FP-tree build over RPC: the rank table round-trips through the wire.
 	ranks := fptree.NewRanks(want, 2)
 	forest, err := c.BuildTree(ctx, ranks)
 	if err != nil {

@@ -1,9 +1,8 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"fmt"
 	"sync"
 )
 
@@ -17,13 +16,13 @@ type localCall struct {
 
 // LocalTransport runs workers as in-process goroutines, one per worker,
 // each serving calls from its own channel — the tests/single-binary
-// transport. With Encode set every argument and reply makes a gob round
-// trip through fresh message values, so the bytes moved (and the
-// serialization cost bench reports as dist.gob_share) are exactly what
-// RPCTransport would move; without it, payloads pass by reference with
-// zero copies.
+// transport. With Encode set every argument and reply is encoded with the
+// wire.go codec and decoded into fresh message values, so the bytes moved
+// (and the serialization cost bench reports as dist.gob_share, a name it
+// keeps from the codec this one replaced) are exactly what RPCTransport
+// would move; without it, payloads pass by reference with zero copies.
 type LocalTransport struct {
-	// Encode turns on the gob round trip per call.
+	// Encode turns on the encode/decode round trip per call.
 	Encode bool
 
 	workers []*Worker
@@ -35,7 +34,7 @@ type LocalTransport struct {
 }
 
 // NewLocalTransport starts n in-process workers (n < 1 is treated as 1).
-// encode selects the gob round-trip mode.
+// encode selects the encode/decode round-trip mode.
 func NewLocalTransport(n int, encode bool) *LocalTransport {
 	if n < 1 {
 		n = 1
@@ -60,15 +59,16 @@ func NewLocalTransport(n int, encode bool) *LocalTransport {
 // NumWorkers implements Transport.
 func (t *LocalTransport) NumWorkers() int { return len(t.workers) }
 
-// Call implements Transport. In encode mode the args are gob-encoded and
+// Call implements Transport. In encode mode the args are wire-encoded and
 // decoded into a fresh message before the worker sees them, and the reply
 // makes the reverse trip, so no memory is shared across the "wire". A
-// cancelled ctx abandons the request: if the worker already took it, the
-// buffered done channel absorbs its eventual reply, so neither side
-// blocks or leaks. The worker always fills a fresh reply value that is
-// copied into the caller's only on success, so an abandoned request that
-// completes late never scribbles over a reply object the caller has
-// handed to a retry.
+// closed transport returns ErrClosed, a worker index out of range
+// ErrNoSuchWorker. A cancelled ctx abandons the request: if the worker
+// already took it, the buffered done channel absorbs its eventual reply,
+// so neither side blocks or leaks. The worker always fills a fresh reply
+// value that is copied into the caller's only on success, so an abandoned
+// request that completes late never scribbles over a reply object the
+// caller has handed to a retry.
 func (t *LocalTransport) Call(ctx context.Context, w int, method string, args, reply any) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -79,7 +79,7 @@ func (t *LocalTransport) Call(ctx context.Context, w int, method string, args, r
 		if err != nil {
 			return err
 		}
-		if err := gobRoundTrip(args, wireArgs); err != nil {
+		if err := wireRoundTrip(args, wireArgs); err != nil {
 			return err
 		}
 		c.args, c.reply = wireArgs, wireReply
@@ -91,6 +91,10 @@ func (t *LocalTransport) Call(ctx context.Context, w int, method string, args, r
 	if t.closed {
 		t.mu.RUnlock()
 		return ErrClosed
+	}
+	if w < 0 || w >= len(t.calls) {
+		t.mu.RUnlock()
+		return fmt.Errorf("%w: %d of %d", ErrNoSuchWorker, w, len(t.calls))
 	}
 	select {
 	case t.calls[w] <- c:
@@ -108,7 +112,7 @@ func (t *LocalTransport) Call(ctx context.Context, w int, method string, args, r
 		return ctx.Err()
 	}
 	if t.Encode {
-		return gobRoundTrip(c.reply, reply)
+		return wireRoundTrip(c.reply, reply)
 	}
 	copyReply(reply, c.reply)
 	return nil
@@ -131,12 +135,13 @@ func (t *LocalTransport) Close() error {
 	return nil
 }
 
-// gobRoundTrip encodes src and decodes the bytes into dst — the
-// serialization leg of the local transport's encode mode.
-func gobRoundTrip(src, dst any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(src); err != nil {
+// wireRoundTrip encodes src and decodes the bytes into dst — the
+// serialization leg of the local transport's encode mode, through the
+// same two functions RPCTransport's codecs call.
+func wireRoundTrip(src, dst any) error {
+	b, err := appendMessage(nil, src)
+	if err != nil {
 		return err
 	}
-	return gob.NewDecoder(&buf).Decode(dst)
+	return decodeMessage(b, dst)
 }

@@ -12,10 +12,9 @@ import (
 // Worker is the counting side of the backend: it keeps version-stamped
 // shard replicas and answers count requests by scanning them with the
 // same per-transaction kernels the local scans call (transactions.CountItems
-// and CountPairs, hashtree count buffers, fptree.Build),
-// returning mergeable buffers. The
-// method signatures follow net/rpc conventions so one implementation
-// serves both transports.
+// and CountPairs, the hash tree's trimmed pass-k scan, fptree.Build),
+// returning mergeable buffers. The method signatures follow net/rpc
+// conventions so one implementation serves both transports.
 //
 // A worker is safe for concurrent calls (net/rpc may interleave them), but
 // the coordinator's protocol never counts a shard while re-shipping it, so
@@ -82,7 +81,26 @@ func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
 }
 
 // CountPairs runs the triangular pass-2 scan over the requested replicas.
+// N and the rank table are wire input and are checked before the triangle
+// is allocated or indexed: N must not exceed the table (N ranked items need
+// N entries), and the ranks must lie in [-1, N) and ascend with item id,
+// which is what lets transactions.CountPairs index the triangle unchecked.
 func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
+	if args.N < 0 || args.N > len(args.Rank) {
+		return fmt.Errorf("dist: pair scan over %d ranks with a rank table of %d items", args.N, len(args.Rank))
+	}
+	prev := -1
+	for item, r := range args.Rank {
+		if r < -1 || r >= args.N {
+			return fmt.Errorf("dist: item %d has rank %d outside [-1, %d)", item, r, args.N)
+		}
+		if r >= 0 {
+			if r <= prev {
+				return fmt.Errorf("dist: item %d has rank %d after rank %d: ranks must ascend with item id", item, r, prev)
+			}
+			prev = r
+		}
+	}
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
 		return err
@@ -100,8 +118,9 @@ func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 
 // CountCandidates rebuilds the request's candidate hash tree (identical
 // parameters and insertion order make entry ids equal candidate indices)
-// and counts the replicas into one private buffer. Scan offsets serve as
-// dedup tids; they only need to be distinct within this one scan.
+// and counts the replicas into one private buffer with the shared trimmed
+// scan (hashtree.CountAllInto). Scan offsets serve as dedup tids; they
+// only need to be distinct within this one scan.
 func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) error {
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
@@ -119,10 +138,8 @@ func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) e
 	buf := tree.NewCountBuffer()
 	tid := 0
 	for _, sh := range shards {
-		for _, tx := range sh.Txs {
-			tree.CountTransactionInto(tx, tid, buf)
-			tid++
-		}
+		tree.CountAllInto(sh.Txs, tid, buf)
+		tid += len(sh.Txs)
 	}
 	reply.Counts = buf.Counts
 	return nil

@@ -52,7 +52,17 @@ type Tree struct {
 	root    *node
 	size    int
 	byID    []*Entry // entries in insertion order, indexed by Entry.id
+
+	// live[item] = 1 if some candidate names item, maintained by Insert
+	// for the trimmed scan (CountAllInto). It reaches only as far as the
+	// largest such item below maxLive.
+	live []uint8
 }
+
+// maxLive bounds the live table, so a candidate naming an enormous item
+// (they arrive off the wire) costs no memory: items from maxLive up are
+// never trimmed.
+const maxLive = 1 << 20
 
 type node struct {
 	children []*node  // non-nil for interior nodes
@@ -99,6 +109,15 @@ func (t *Tree) Insert(items transactions.Itemset) (*Entry, error) {
 		return nil, ErrWrongLength
 	}
 	e := &Entry{Items: items, id: t.size}
+	for _, item := range items {
+		if item >= maxLive {
+			break
+		}
+		if item >= len(t.live) {
+			t.live = append(t.live, make([]uint8, item+1-len(t.live))...)
+		}
+		t.live[item] = 1
+	}
 	t.insert(t.root, e, 0)
 	t.byID = append(t.byID, e)
 	t.size++
@@ -182,6 +201,8 @@ func (t *Tree) count(n *node, tx transactions.Itemset, start, depth, tid int) {
 type CountBuffer struct {
 	Counts []int
 	seen   []int // tid+1 of the last transaction counted per entry; 0 = none
+
+	row transactions.Itemset // CountAllInto's scratch: the current transaction, trimmed
 }
 
 // NewCountBuffer returns a zeroed buffer sized for the tree's entries.
@@ -218,6 +239,47 @@ func (t *Tree) countInto(n *node, tx transactions.Itemset, start, depth, tid int
 		child := n.children[tx[i]%t.fanout]
 		if child != nil {
 			t.countInto(child, tx, i+1, depth+1, tid, buf)
+		}
+	}
+}
+
+// CountAllInto is the pass-k scan: it counts every transaction of txs into
+// buf, with tid0+i as the i-th transaction's dedup tid, and is the one
+// loop the local scans and the dist worker both run. Each transaction is
+// first trimmed to the items that occur in some candidate (the transaction
+// trimming of Park, Chen & Yu's DHP; the tree marks them as candidates are
+// inserted), and rows left with fewer than k items never reach the tree.
+// Counts equal those of calling CountTransactionInto on every transaction,
+// because a candidate is a subset of tx exactly when it is a subset of
+// tx's live items; what changes is that the traversal hashes and compares
+// only items a candidate could match. Transactions must be sorted
+// ascending, as everywhere in this package. A scan that must stay
+// cancellable calls it once per stride of transactions; the scratch row
+// lives in buf, so later calls allocate nothing.
+//
+//invcheck:hotpath
+func (t *Tree) CountAllInto(txs []transactions.Itemset, tid0 int, buf *CountBuffer) {
+	// Size the scratch row before the counting loop, not in it.
+	longest := 0
+	for _, tx := range txs {
+		longest = max(longest, len(tx))
+	}
+	if cap(buf.row) < longest {
+		buf.row = make(transactions.Itemset, longest)
+	}
+	row, live := buf.row[:longest], t.live
+	for off, tx := range txs {
+		n := 0
+		for _, item := range tx {
+			row[n] = item
+			if uint(item) < uint(len(live)) {
+				n += int(live[item])
+			} else if item >= maxLive {
+				n++
+			}
+		}
+		if n >= t.k {
+			t.countInto(t.root, row[:n], 0, 0, tid0+off, buf)
 		}
 	}
 }

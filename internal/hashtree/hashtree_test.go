@@ -358,3 +358,158 @@ func TestConcurrentCountMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// scanBoth counts txs against cands twice — the untrimmed per-transaction
+// loop and the trimmed scan — over trees built with the same parameters,
+// and returns both count arrays.
+func scanBoth(t *testing.T, k, fanout, maxLeaf int, cands, txs []transactions.Itemset) (untrimmed, trimmed []int) {
+	t.Helper()
+	tree, err := NewWithParams(k, fanout, maxLeaf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cands {
+		if _, err := tree.Insert(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain := tree.NewCountBuffer()
+	for tid, tx := range txs {
+		tree.CountTransactionInto(tx, 100+tid, plain)
+	}
+	// In strides, as the cancellable local scan calls it: the scratch row
+	// is resized between calls.
+	buf := tree.NewCountBuffer()
+	for off := 0; off < len(txs); off += 97 {
+		tree.CountAllInto(txs[off:min(off+97, len(txs))], 100+off, buf)
+	}
+	return plain.Counts, buf.Counts
+}
+
+// randomSets returns n distinct sorted k-itemsets over items below top.
+func randomSets(rng *rand.Rand, n, k, top int) []transactions.Itemset {
+	seen := map[string]bool{}
+	var out []transactions.Itemset
+	for len(out) < n {
+		set := transactions.NewItemset(rng.Perm(top)[:k]...)
+		if key := set.String(); !seen[key] {
+			seen[key] = true
+			out = append(out, set)
+		}
+	}
+	return out
+}
+
+// TestTrimmedScanMatchesUntrimmed is the equivalence the trimming rests
+// on: dropping the items no candidate names changes no count. It compares
+// whole count arrays at k = 3..5 for random candidate sets, candidates that
+// between them name every item (nothing is trimmed), candidates that share
+// one item or are one set (nearly everything is), and databases holding
+// transactions shorter than k, empty ones included.
+func TestTrimmedScanMatchesUntrimmed(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const top = 40
+	txs := make([]transactions.Itemset, 600)
+	for i := range txs {
+		txs[i] = transactions.NewItemset(rng.Perm(top)[:rng.Intn(14)]...)
+	}
+	for k := 3; k <= 5; k++ {
+		every := randomSets(rng, 60, k, top)
+		for item := 0; item+k <= top; item += k {
+			set := make([]int, k)
+			for j := range set {
+				set[j] = item + j
+			}
+			every = append(every, transactions.NewItemset(set...))
+		}
+		hub := make([]transactions.Itemset, 0, 12)
+		for _, rest := range randomSets(rng, 12, k-1, top-1) {
+			shifted := make([]int, 0, k)
+			for _, item := range rest {
+				shifted = append(shifted, item+1)
+			}
+			hub = append(hub, transactions.NewItemset(append(shifted, 0)...))
+		}
+		for name, cands := range map[string][]transactions.Itemset{
+			"random":              randomSets(rng, 80, k, top),
+			"every item live":     every,
+			"one shared item":     hub,
+			"one candidate":       randomSets(rng, 1, k, top),
+			"items past the data": {transactions.NewItemset(append(rng.Perm(top)[:k-1], top+1000)...)},
+		} {
+			for _, params := range [][2]int{{DefaultFanout, DefaultMaxLeaf}, {3, 2}} {
+				want, got := scanBoth(t, k, params[0], params[1], cands, txs)
+				if len(got) != len(cands) {
+					t.Fatalf("k=%d %s: %d counters for %d candidates", k, name, len(got), len(cands))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("k=%d %s fanout=%d: count[%d] (%v) = %d trimmed, %d untrimmed",
+							k, name, params[0], i, cands[i], got[i], want[i])
+					}
+				}
+			}
+		}
+		// A database of nothing but short rows counts nothing, trimmed or not.
+		short := make([]transactions.Itemset, 50)
+		for i := range short {
+			short[i] = transactions.NewItemset(rng.Perm(top)[:rng.Intn(k)]...)
+		}
+		want, got := scanBoth(t, k, DefaultFanout, DefaultMaxLeaf, randomSets(rng, 20, k, top), short)
+		for i := range want {
+			if got[i] != 0 || want[i] != 0 {
+				t.Errorf("k=%d short rows: count[%d] = %d trimmed, %d untrimmed, want 0", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestTrimmedScanPastTheLiveTable: the live table stops at maxLive, so a
+// candidate naming an enormous item costs no memory; items from there up
+// are kept untrimmed and counts stay those of the untrimmed loop, on both
+// sides of the boundary.
+func TestTrimmedScanPastTheLiveTable(t *testing.T) {
+	const huge = 1 << 40
+	pool := []int{1, 2, 3, 4, maxLive - 1, maxLive, maxLive + 7, huge}
+	rng := rand.New(rand.NewSource(7))
+	txs := make([]transactions.Itemset, 300)
+	for i := range txs {
+		var tx []int
+		for _, item := range pool {
+			if rng.Intn(3) > 0 {
+				tx = append(tx, item)
+			}
+		}
+		txs[i] = transactions.NewItemset(tx...)
+	}
+	cands := []transactions.Itemset{
+		{1, 2, 3}, {1, 2, maxLive}, {2, maxLive, huge}, {3, maxLive - 1, maxLive + 7}, {maxLive, maxLive + 7, huge},
+	}
+	want, got := scanBoth(t, 3, DefaultFanout, DefaultMaxLeaf, cands, txs)
+	for i := range want {
+		if got[i] != want[i] || want[i] == 0 {
+			t.Errorf("count[%d] (%v) = %d trimmed, %d untrimmed (want equal and positive)", i, cands[i], got[i], want[i])
+		}
+	}
+	tree := New(3)
+	if _, err := tree.Insert(transactions.Itemset{5, huge, huge + 1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(tree.live) != 6 {
+		t.Fatalf("live table of %d entries for a candidate naming %d", len(tree.live), huge)
+	}
+}
+
+// TestTrimmedScanEmpty: a scan over no transactions counts nothing.
+func TestTrimmedScanEmpty(t *testing.T) {
+	tree := New(3)
+	if _, err := tree.Insert(transactions.NewItemset(1, 2, 3)); err != nil {
+		t.Fatal(err)
+	}
+	buf := tree.NewCountBuffer()
+	tree.CountAllInto(nil, 0, buf)
+	tree.CountAllInto([]transactions.Itemset{{}, {}}, 0, buf)
+	if buf.Counts[0] != 0 {
+		t.Fatalf("empty scans counted %d", buf.Counts[0])
+	}
+}

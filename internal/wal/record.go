@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -186,16 +185,15 @@ func decodeSegmentHeader(data []byte) (uint64, int, error) {
 // encodeSnapshot encodes the transaction rows as a snapshot covering the
 // first ops log operations.
 func encodeSnapshot(txs []transactions.Itemset, ops uint64) ([]byte, error) {
-	var body bytes.Buffer
-	b := binary.AppendUvarint(nil, ops)
-	body.Write(b)
-	if err := transactions.EncodeStable(&body, txs); err != nil {
+	body := binary.AppendUvarint(nil, ops)
+	body, err := transactions.AppendStable(body, txs)
+	if err != nil {
 		return nil, err
 	}
 	buf := append([]byte(nil), snapMagic...)
-	buf = binary.AppendUvarint(buf, uint64(body.Len()))
-	buf = append(buf, body.Bytes()...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body.Bytes(), castagnoli)), nil
+	buf = binary.AppendUvarint(buf, uint64(len(body)))
+	buf = append(buf, body...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli)), nil
 }
 
 // decodeSnapshot decodes a snapshot file into its rows and the op offset
@@ -223,7 +221,7 @@ func decodeSnapshot(data []byte) ([]transactions.Itemset, uint64, error) {
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("%w: op offset", ErrBadSnapshot)
 	}
-	txs, err := transactions.DecodeStable(bytes.NewReader(body[n:]))
+	txs, _, err := transactions.DecodeStableBytes(body[n:])
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}

@@ -99,7 +99,7 @@ func TestAlgorithmsAreTheSixRegisteredEngines(t *testing.T) {
 }
 
 // TestMineWithTransportMatchesLocal pins the Transport option: the
-// distributed engine over an in-process gob transport is byte-identical
+// distributed engine over an in-process encoding transport is byte-identical
 // to the local engines for both counting strategies.
 func TestMineWithTransportMatchesLocal(t *testing.T) {
 	db, tdb := testData(t, 400, 11)

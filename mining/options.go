@@ -142,8 +142,8 @@ type TransportSpec struct {
 }
 
 // LocalTransport runs n in-process workers fed by channels, with every
-// payload making a real gob round trip — the single-binary deployment
-// that still measures true serialization cost. n <= 0 means 1.
+// payload encoded and decoded by the dist wire codec — the single-binary
+// deployment that still measures true serialization cost. n <= 0 means 1.
 func LocalTransport(n int) TransportSpec {
 	if n < 1 {
 		n = 1
@@ -152,7 +152,7 @@ func LocalTransport(n int) TransportSpec {
 }
 
 // RPCTransport reaches one worker process per "host:port" address over
-// net/rpc's gob codec. Dialing happens when mining starts (or when the
+// net/rpc, in length-prefixed frames of the same wire codec. Dialing happens when mining starts (or when the
 // session is created); a dial failure surfaces from that call.
 func RPCTransport(addrs ...string) TransportSpec {
 	return TransportSpec{addrs: append([]string(nil), addrs...)}
