@@ -57,49 +57,69 @@ func levelwise(ctx context.Context, src scanSource, minCount int, res *Result, e
 	if err != nil {
 		return err
 	}
-	numItems := len(counts)
-	level := thresholdItems(counts, minCount)
-	emit(PassStat{K: 1, Candidates: numItems, Frequent: len(level)}, level)
-	for k := 2; len(level) > 0; k++ {
+	l1 := thresholdItems(counts, minCount)
+	emit(PassStat{K: 1, Candidates: len(counts), Frequent: len(l1)}, l1)
+	if len(l1) == 0 {
+		return nil
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	res.Levels = append(res.Levels, l1)
+	// Pass-2 special case from the paper: C2 is the full join of L1, so
+	// candidates are counted in a triangular array indexed by L1 rank — no
+	// tree needed.
+	n := len(l1)
+	var l2 []ItemsetCount
+	if n >= 2 {
+		rank := l1Ranks(l1, len(counts))
+		pairs, err := src.countPairs(ctx, rank, n)
+		if err != nil {
+			return err
+		}
+		l2 = thresholdTriangle(l1, rank, n, pairs, minCount)
+	}
+	emit(PassStat{K: 2, Candidates: n * (n - 1) / 2, Frequent: len(l2)}, l2)
+	return levelsFrom3(ctx, l2, minCount, res, emit, src.countCandidates)
+}
+
+// levelsFrom3 is pass k >= 3 of every level-wise engine, written once:
+// from L2 on it appends each non-empty level to res, generates C_k from it,
+// counts it with count (supports indexed like cands), thresholds, sorts
+// and emits, until a level or its candidate set comes out empty. A count
+// error ends the loop and is returned as is.
+func levelsFrom3(ctx context.Context, level []ItemsetCount, minCount int, res *Result, emit PassHook,
+	count func(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error)) error {
+	for k := 3; len(level) > 0; k++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		res.Levels = append(res.Levels, level)
-		if k == 2 {
-			// Pass-2 special case from the paper: C2 is the full join of
-			// L1, so candidates are counted in a triangular array indexed
-			// by L1 rank — no tree needed.
-			n := len(level)
-			var l2 []ItemsetCount
-			if n >= 2 {
-				pairs, err := src.countPairs(ctx, l1Ranks(level, numItems), n)
-				if err != nil {
-					return err
-				}
-				l2 = thresholdTriangle(level, pairs, minCount)
-			}
-			emit(PassStat{K: 2, Candidates: n * (n - 1) / 2, Frequent: len(l2)}, l2)
-			level = l2
-			continue
-		}
 		cands := aprioriGen(itemsetsOf(level))
 		if len(cands) == 0 {
 			break
 		}
-		candCounts, err := src.countCandidates(ctx, k, cands)
+		counts, err := count(ctx, k, cands)
 		if err != nil {
 			return err
 		}
-		level = level[:0:0]
-		for i, cand := range cands {
-			if candCounts[i] >= minCount {
-				level = append(level, ItemsetCount{Items: cand, Count: candCounts[i]})
-			}
-		}
-		sortLevel(level)
+		level = frequentOf(cands, counts, minCount)
 		emit(PassStat{K: k, Candidates: len(cands), Frequent: len(level)}, level)
 	}
 	return nil
+}
+
+// frequentOf keeps the candidates whose count reaches minCount, in
+// lexicographic order.
+func frequentOf(cands []transactions.Itemset, counts []int, minCount int) []ItemsetCount {
+	var level []ItemsetCount
+	for i, cand := range cands {
+		if counts[i] >= minCount {
+			level = append(level, ItemsetCount{Items: cand, Count: counts[i]})
+		}
+	}
+	sortLevel(level)
+	return level
 }
 
 // thresholdItems filters a pass-1 count array to L1, in item order.
@@ -127,19 +147,17 @@ func l1Ranks(l1 []ItemsetCount, numItems int) []int {
 	return rank
 }
 
-// thresholdTriangle filters a merged triangular pair-count array to the
-// frequent pairs. l1 is sorted by item id, so the pairs are emitted in
-// lexicographic order.
-func thresholdTriangle(l1 []ItemsetCount, counts []int, minCount int) []ItemsetCount {
-	n := len(l1)
+// thresholdTriangle filters a triangular pair-count array over n ranks to
+// the frequent pairs of l1's items, which rank maps into it (every item of
+// l1 must have a rank). l1 is sorted by item id, so the pairs are emitted
+// in lexicographic order.
+func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int, minCount int) []ItemsetCount {
 	var out []ItemsetCount
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if c := counts[transactions.TriIndex(n, i, j)]; c >= minCount {
-				out = append(out, ItemsetCount{
-					Items: transactions.Itemset{l1[i].Items[0], l1[j].Items[0]},
-					Count: c,
-				})
+	for a := range l1 {
+		for b := a + 1; b < len(l1); b++ {
+			x, y := l1[a].Items[0], l1[b].Items[0]
+			if c := counts[transactions.TriIndex(n, rank[x], rank[y])]; c >= minCount {
+				out = append(out, ItemsetCount{Items: transactions.Itemset{x, y}, Count: c})
 			}
 		}
 	}
@@ -153,11 +171,12 @@ func countPairsTriangular(ctx context.Context, db *transactions.DB, l1 []Itemset
 	if n < 2 {
 		return nil, ctx.Err()
 	}
-	counts, err := scanLocal(db, 1).countPairs(ctx, l1Ranks(l1, db.NumItems()), n)
+	rank := l1Ranks(l1, db.NumItems())
+	counts, err := scanLocal(db, 1).countPairs(ctx, rank, n)
 	if err != nil {
 		return nil, err
 	}
-	return thresholdTriangle(l1, counts, minCount), nil
+	return thresholdTriangle(l1, rank, n, counts, minCount), nil
 }
 
 // countWithMap counts candidates by direct subset checks against an index
@@ -199,30 +218,6 @@ func countWithMap(ctx context.Context, db *transactions.DB, cands []transactions
 	}
 	sortLevel(out)
 	return out, nil
-}
-
-// adaptiveFanout returns the smallest power of two f with f^k ≥
-// nCands/maxLeaf, clamped to [16, 4096].
-func adaptiveFanout(nCands, k, maxLeaf int) int {
-	cells := nCands/maxLeaf + 1
-	f := 16
-	for f < 4096 {
-		// f^k >= cells?
-		prod := 1
-		ok := false
-		for i := 0; i < k; i++ {
-			prod *= f
-			if prod >= cells {
-				ok = true
-				break
-			}
-		}
-		if ok {
-			break
-		}
-		f *= 2
-	}
-	return f
 }
 
 // choose returns C(n, k) saturating at a large bound to avoid overflow.

@@ -25,20 +25,25 @@
 // once (levelwise in apriori.go, growth in fpgrowth.go) against scanSource,
 // a four-method seam naming the database scans a mine needs: pass-1 item
 // counts, the triangular pass-2 pair array, the pass-k hash-tree count and
-// the FP-tree build. Where the scans run is the only thing that differs
+// the FP-tree build. Pass k >= 3 is one loop (levelsFrom3) over a count
+// function — levelwise's scan source, DHP's local scans, the incremental
+// maintainer's lookup in its totals — so the maintained answer equals
+// re-evaluation by construction; every hash tree comes from
+// hashtree.Build. Where the scans run is the only thing that differs
 // between engines: Apriori and FPGrowth run them on this process's
 // goroutines (localScans, parallel.go), Distributed sends them to a
 // dist.Coordinator (remoteScans, distributed.go), and a distributed mine
 // that loses its whole cluster degrades by switching to the local scans
-// for the rest of the mine. Below the seam every scan follows the
-// shard/count/merge contract: the database splits into contiguous shards,
-// each shard fills a private counting structure through kernels that have
-// one definition for every caller (transactions.CountItems and CountPairs,
-// hashtree count buffers, fptree.Build), and merging is commutative
-// integer addition — for the count arrays a fold after the scan, for the
-// FP-trees the sums fptree.Forest takes over its trees' header chains
-// while projecting — so distributed, parallel, degraded and incremental
-// counts are all bit-identical to a serial scan. The incremental maintainer adds one more
+// for the rest of the mine.
+// Below the seam every scan follows the shard/count/merge contract: the
+// database splits into contiguous shards, each shard fills a private
+// counting structure through kernels that have one definition for every
+// caller (transactions.CountItems and CountPairs, the hash tree's trimmed
+// scan, fptree.Build), and merging is commutative integer addition — for
+// the count arrays a fold after the scan, for the FP-trees the sums
+// fptree.Forest takes over its trees' header chains while projecting — so
+// distributed, parallel, degraded and incremental counts are all
+// bit-identical to a serial scan. The incremental maintainer adds one more
 // consequence: integer addition is invertible, so a deleted transaction's
 // counts can be subtracted back out and only the transactions an update
 // added or deleted are ever scanned.

@@ -10,8 +10,10 @@ import (
 // (SIGMOD'95). During pass 1 it additionally hashes every 2-subset of every
 // transaction into a bucket-count array; pass 2 then admits a candidate
 // pair only if both items are frequent AND its bucket count reached the
-// minimum support, which removes most of the usually enormous C2. Later
-// passes proceed as in Apriori.
+// minimum support, which removes most of the usually enormous C2, and
+// counts the survivors in a hash tree (hashtree.Build, as for any pass k)
+// rather than a triangle. From pass 3 on DHP runs Apriori's own loop
+// (levelsFrom3): the same generation, hash-tree count and threshold.
 //
 // The paper's transaction trimming is not DHP's alone here: the pass-k scan
 // every level-wise engine shares (hashtree.CountAllInto) drops, before the
@@ -87,7 +89,8 @@ func (d *DHP) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 	}
 	res.Levels = append(res.Levels, level)
 
-	// Pass 2: candidate pairs pre-filtered by the bucket histogram.
+	// Pass 2: candidate pairs pre-filtered by the bucket histogram, counted
+	// in a hash tree; every later pass is the shared level-wise loop.
 	var c2 []transactions.Itemset
 	for i := 0; i < len(level); i++ {
 		for j := i + 1; j < len(level); j++ {
@@ -97,36 +100,22 @@ func (d *DHP) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 			}
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(c2) == 0 {
+		return res, nil
+	}
 	scans := scanLocal(db, d.Workers)
-	for k := 2; ; k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		var cands []transactions.Itemset
-		if k == 2 {
-			cands = c2
-		} else {
-			cands = aprioriGen(itemsetsOf(level))
-		}
-		if len(cands) == 0 {
-			break
-		}
-		counts, err := scans.countCandidates(ctx, k, cands)
-		if err != nil {
-			return nil, err
-		}
-		level = nil
-		for i, cand := range cands {
-			if counts[i] >= minCount {
-				level = append(level, ItemsetCount{Items: cand, Count: counts[i]})
-			}
-		}
-		sortLevel(level)
-		res.addPass(d.hook, PassStat{K: k, Candidates: len(cands), Frequent: len(level)}, level)
-		if len(level) == 0 {
-			break
-		}
-		res.Levels = append(res.Levels, level)
+	counts, err := scans.countCandidates(ctx, 2, c2)
+	if err != nil {
+		return nil, err
+	}
+	l2 := frequentOf(c2, counts, minCount)
+	emit := func(stat PassStat, level []ItemsetCount) { res.addPass(d.hook, stat, level) }
+	emit(PassStat{K: 2, Candidates: len(c2), Frequent: len(l2)}, l2)
+	if err := levelsFrom3(ctx, l2, minCount, res, emit, scans.countCandidates); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/fptree"
-	"repro/internal/hashtree"
 	"repro/internal/transactions"
 )
 
@@ -299,10 +298,7 @@ func (r *remoteScans) countPairs(ctx context.Context, rank []int, n int) ([]int,
 
 func (r *remoteScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
 	if r.local == nil {
-		// Tree parameters travel with the request so every worker builds
-		// the same tree; the counts do not depend on them.
-		maxLeaf := hashtree.DefaultMaxLeaf
-		counts, err := r.d.coord.CountCandidates(ctx, k, adaptiveFanout(len(cands), k, maxLeaf), maxLeaf, cands)
+		counts, err := r.d.coord.CountCandidates(ctx, k, cands)
 		if !r.degrade(err) {
 			return counts, err
 		}

@@ -16,9 +16,12 @@ package assoc
 //  1. drains the journal and counts only those transactions against the
 //     tracked structures — an appended transaction adds to the totals, a
 //     deleted one subtracts — so the work follows the size of the update,
-//     not the size of the store or of its shards;
-//  2. re-thresholds the totals level by level, pruning candidate
-//     generation to itemsets whose exact counts are already tracked;
+//     not the size of the store or of its shards; the hash trees count
+//     with the local scans' own pass-k scan;
+//  2. re-thresholds the totals level by level: passes 1 and 2 off the flat
+//     arrays, and from pass 3 on the level-wise miners' own loop
+//     (levelsFrom3), whose count step is a merge-join of each sorted
+//     candidate set against the sorted tracked itemsets;
 //  3. falls back to a full re-mine when the border is crossed (some
 //     candidate the new frequent set needs was never tracked, so its count
 //     is unknown), when the store's mutation counter says the journal
@@ -35,6 +38,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/hashtree"
 	"repro/internal/transactions"
@@ -62,12 +66,22 @@ type MaintainStats struct {
 }
 
 // trackedLevel is the tracked k-itemsets of one length k >= 3 (frequent at
-// the tracking support, plus the border) with their exact supports.
+// the tracking support, plus the border) in lexicographic order, the hash
+// tree that counts them and their exact supports. Tree entry ids and
+// totals are both indexed by position in sets.
 type trackedLevel struct {
+	sets   []transactions.Itemset
 	tree   *hashtree.Tree
-	ids    map[string]int // itemset key -> entry id
-	totals []int          // support by entry id
+	totals []int
 }
+
+// borderCrossed is threshold's one error: a candidate the new frequent set
+// needs has no tracked count (the negative border was crossed), so only a
+// full run can answer. Its text is that run's MaintainStats.Reason.
+type borderCrossed string
+
+// Error implements error.
+func (b borderCrossed) Error() string { return string(b) }
 
 // Incremental maintains the frequent itemsets of a ShardedDB across
 // appends and deletes by counting only the journalled delta (see the
@@ -228,9 +242,9 @@ func (inc *Incremental) MaintainContext(ctx context.Context) (*Result, MaintainS
 	stats.RecountedTx = delta
 	inc.settle()
 
-	res, ok, reason := inc.threshold()
-	if !ok {
-		return inc.rebuild(ctx, &stats, reason)
+	res, err := inc.threshold()
+	if err != nil {
+		return inc.rebuild(ctx, &stats, err.Error())
 	}
 	inc.prev = res
 	return res, stats, nil
@@ -260,26 +274,34 @@ func (inc *Incremental) settle() {
 }
 
 // count is the one counting routine, of a delta and of a full run alike.
-// It scans added and deleted against the tracked hash trees into private
-// per-worker buffers and then — only once ctx is known not to be cancelled
-// — splices totals += added − deleted. The item and pair totals need no
-// buffers: they take the signed adds directly during the splice, which is
-// serial and never polls ctx. On cancellation it returns ctx.Err() with
-// every total untouched.
+// It counts added and deleted into every tracked hash tree with the local
+// scans' pass-k scan (countTree) and then — only once ctx is known not to
+// be cancelled — splices totals += added − deleted. The item and pair
+// totals need no buffers: they take the signed adds directly during the
+// splice, which is serial and never polls ctx. On cancellation it returns
+// ctx.Err() with every total untouched.
 func (inc *Incremental) count(ctx context.Context, added, deleted []transactions.Itemset) error {
-	add, err := inc.countTrees(ctx, added)
-	if err != nil {
-		return err
+	delta := make([][2][]int, len(inc.levels)) // level -> added, deleted counts by entry id
+	for side, txs := range [2][]transactions.Itemset{added, deleted} {
+		if len(txs) == 0 {
+			continue
+		}
+		scans := localScans{db: &transactions.DB{Transactions: txs}, workers: inc.Workers}
+		for i, lv := range inc.levels {
+			var err error
+			if delta[i][side], err = scans.countTree(ctx, lv.tree); err != nil {
+				return err
+			}
+		}
 	}
-	del, err := inc.countTrees(ctx, deleted)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
 	for i, lv := range inc.levels {
-		for id, c := range add[i] {
+		for id, c := range delta[i][0] {
 			lv.totals[id] += c
 		}
-		for id, c := range del[i] {
+		for id, c := range delta[i][1] {
 			lv.totals[id] -= c
 		}
 	}
@@ -290,44 +312,6 @@ func (inc *Incremental) count(ctx context.Context, added, deleted []transactions
 	inc.spliceFlat(added, +1)
 	inc.spliceFlat(deleted, -1)
 	return nil
-}
-
-// countTrees scans txs against every tracked hash tree, each of up to
-// Workers goroutines counting a contiguous share into its own buffers, and
-// returns the folded counts by level (all nil when there is nothing to
-// scan or nothing tracked to scan for). Offsets within a share serve as
-// the dedup tids — they only need to be distinct within one buffer's scan.
-func (inc *Incremental) countTrees(ctx context.Context, txs []transactions.Itemset) ([][]int, error) {
-	out := make([][]int, len(inc.levels))
-	if len(txs) == 0 || len(out) == 0 {
-		return out, ctx.Err()
-	}
-	parts := make([][][]int, len(inc.levels)) // level -> worker -> counts
-	for i := range parts {
-		parts[i] = make([][]int, max(inc.Workers, 1))
-	}
-	err := forEachShard(ctx, &transactions.DB{Transactions: txs}, inc.Workers, func(w int, sh transactions.Shard) {
-		bufs := make([]*hashtree.CountBuffer, len(inc.levels))
-		for i, lv := range inc.levels {
-			bufs[i] = lv.tree.NewCountBuffer()
-			parts[i][w] = bufs[i].Counts
-		}
-		for off, tx := range sh.Transactions {
-			if off%ctxStride == 0 && ctx.Err() != nil {
-				return
-			}
-			for i, lv := range inc.levels {
-				lv.tree.CountTransactionInto(tx, off, bufs[i])
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range parts {
-		out[i] = foldCounts(parts[i])
-	}
-	return out, nil
 }
 
 // spliceFlat adds sign per occurrence of txs' items and ranked pairs into
@@ -352,82 +336,72 @@ func (inc *Incremental) spliceFlat(txs []transactions.Itemset, sign int) {
 	}
 }
 
-// threshold re-derives the frequent set from the maintained totals. It
-// reports ok=false with a reason when a candidate the new frequent set
-// needs was never tracked (the border was crossed), in which case the
-// caller must fall back to a full run.
-func (inc *Incremental) threshold() (*Result, bool, string) {
+// threshold re-derives the frequent set from the maintained totals. Its
+// one error is a borderCrossed, returned when a candidate the new
+// frequent set needs was never tracked, in which case the caller must
+// fall back to a full run.
+func (inc *Incremental) threshold() (*Result, error) {
 	minCount := inc.store.AbsoluteSupport(inc.minSupport)
 	res := &Result{MinCount: minCount, NumTx: inc.store.Len()}
+	emit := func(stat PassStat, level []ItemsetCount) { res.addPass(nil, stat, level) }
 
 	// Level 1 is always fully tracked: the pass-1 arrays cover the whole
 	// item universe.
-	level := thresholdItems(inc.itemTotals, minCount)
-	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: len(inc.itemTotals), Frequent: len(level)})
-	if len(level) == 0 {
-		return res, true, ""
+	l1 := thresholdItems(inc.itemTotals, minCount)
+	emit(PassStat{K: 1, Candidates: len(inc.itemTotals), Frequent: len(l1)}, l1)
+	if len(l1) == 0 {
+		return res, nil
 	}
-	res.Levels = append(res.Levels, level)
+	res.Levels = append(res.Levels, l1)
+	if len(l1) == 1 {
+		return res, nil
+	}
 
 	// Level 2 from the triangular array — tracked only for items that were
 	// frequent at the last rebuild (they have an L1 rank).
-	if len(level) >= 2 {
-		for _, ic := range level {
-			item := ic.Items[0]
-			if item >= len(inc.rank) || inc.rank[item] < 0 {
-				return nil, false, fmt.Sprintf("item %d newly frequent: its pairs were never counted", item)
-			}
+	for _, ic := range l1 {
+		item := ic.Items[0]
+		if item >= len(inc.rank) || inc.rank[item] < 0 {
+			return nil, borderCrossed(fmt.Sprintf("item %d newly frequent: its pairs were never counted", item))
 		}
-		n := len(inc.l1Items)
-		var l2 []ItemsetCount
-		for a := 0; a < len(level); a++ {
-			for b := a + 1; b < len(level); b++ {
-				i, j := inc.rank[level[a].Items[0]], inc.rank[level[b].Items[0]]
-				if c := inc.triTotals[transactions.TriIndex(n, i, j)]; c >= minCount {
-					l2 = append(l2, ItemsetCount{
-						Items: transactions.Itemset{level[a].Items[0], level[b].Items[0]},
-						Count: c,
-					})
-				}
-			}
-		}
-		res.Passes = append(res.Passes, PassStat{K: 2, Candidates: len(level) * (len(level) - 1) / 2, Frequent: len(l2)})
-		if len(l2) == 0 {
-			return res, true, ""
-		}
-		res.Levels = append(res.Levels, l2)
-		level = l2
-	} else {
-		return res, true, ""
 	}
+	l2 := thresholdTriangle(l1, inc.rank, len(inc.l1Items), inc.triTotals, minCount)
+	emit(PassStat{K: 2, Candidates: len(l1) * (len(l1) - 1) / 2, Frequent: len(l2)}, l2)
 
-	// Levels 3+: candidate generation pruned to the tracked trees. Any
-	// candidate outside a tree has an unknown count — border crossed.
-	for k := 3; ; k++ {
-		cands := aprioriGen(itemsetsOf(level))
-		if len(cands) == 0 {
-			return res, true, ""
-		}
-		if k-3 >= len(inc.levels) {
-			return nil, false, fmt.Sprintf("no tracked candidates of length %d", k)
-		}
-		lv := inc.levels[k-3]
-		level = level[:0:0]
-		for _, cand := range cands {
-			id, ok := lv.ids[cand.Key()]
-			if !ok {
-				return nil, false, fmt.Sprintf("candidate %v of length %d was never counted", cand, k)
-			}
-			if c := lv.totals[id]; c >= minCount {
-				level = append(level, ItemsetCount{Items: cand, Count: c})
-			}
-		}
-		res.Passes = append(res.Passes, PassStat{K: k, Candidates: len(cands), Frequent: len(level)})
-		if len(level) == 0 {
-			return res, true, ""
-		}
-		res.Levels = append(res.Levels, level)
+	// Levels 3+: the miners' own loop, counting by lookup in the tracked
+	// totals. It runs under a context nothing can cancel, because the
+	// totals it reads are already spliced: giving up here would throw away
+	// an update the maintainer has already absorbed.
+	if err := levelsFrom3(context.Background(), l2, minCount, res, emit, inc.lookup); err != nil {
+		return nil, err
 	}
+	return res, nil
+}
+
+// lookup is threshold's countFunc: the supports of cands, sorted like the
+// tracked level they are merge-joined against, read off the maintained
+// totals. A candidate outside the tracked set has an unknown count — the
+// border was crossed — and fails the lookup with a borderCrossed.
+func (inc *Incremental) lookup(_ context.Context, k int, cands []transactions.Itemset) ([]int, error) {
+	if k-3 >= len(inc.levels) {
+		return nil, borderCrossed(fmt.Sprintf("no tracked candidates of length %d", k))
+	}
+	lv := inc.levels[k-3]
+	counts := make([]int, len(cands))
+	j := 0
+	for i, cand := range cands {
+		c := -1
+		for ; j < len(lv.sets); j++ {
+			if c = lv.sets[j].Compare(cand); c >= 0 {
+				break
+			}
+		}
+		if c != 0 {
+			return nil, borderCrossed(fmt.Sprintf("candidate %v of length %d was never counted", cand, k))
+		}
+		counts[i] = lv.totals[j]
+	}
+	return counts, nil
 }
 
 // rebuild runs a full mine over a snapshot at the slack-lowered tracking
@@ -491,16 +465,12 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	}
 	inc.levels = make([]trackedLevel, len(sets))
 	for i, ksets := range sets {
-		lv := trackedLevel{tree: hashtree.New(i + 3), ids: make(map[string]int, len(ksets))}
-		for _, s := range ksets {
-			e, err := lv.tree.Insert(s)
-			if err != nil {
-				return nil, *stats, err
-			}
-			lv.ids[s.Key()] = e.ID()
+		slices.SortFunc(ksets, transactions.Itemset.Compare)
+		tree, err := hashtree.Build(i+3, ksets)
+		if err != nil {
+			return nil, *stats, err
 		}
-		lv.totals = make([]int, lv.tree.Len())
-		inc.levels[i] = lv
+		inc.levels[i] = trackedLevel{sets: ksets, tree: tree, totals: make([]int, len(ksets))}
 	}
 
 	n := len(inc.l1Items)
@@ -516,9 +486,9 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	// The real-support answer is a threshold filter of the tracked set:
 	// every itemset frequent at minSupport is frequent at the lowered
 	// tracking support too, so threshold cannot miss here.
-	res, ok, why := inc.threshold()
-	if !ok {
-		return nil, *stats, fmt.Errorf("assoc: internal: tracked set does not cover its own threshold: %s", why)
+	res, err := inc.threshold()
+	if err != nil {
+		return nil, *stats, fmt.Errorf("assoc: internal: tracked set does not cover its own threshold: %w", err)
 	}
 	inc.prev = res
 	return res, *stats, nil

@@ -162,6 +162,86 @@ func TestIncrementalBorderCrossingFallsBack(t *testing.T) {
 	}
 }
 
+// TestIncrementalThresholdFallbacks reaches each way threshold can find the
+// tracked set short of the new answer — an item newly frequent (its pairs
+// were never counted), a level longer than any tracked one, and a
+// candidate missing from its tracked level — and checks each ends in a full
+// run that says why and equals a scratch mine.
+func TestIncrementalThresholdFallbacks(t *testing.T) {
+	repeat := func(n int, items ...int) [][]int {
+		out := make([][]int, n)
+		for i := range out {
+			out[i] = items
+		}
+		return out
+	}
+	concat := func(parts ...[][]int) [][]int {
+		var out [][]int
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name           string
+		initial, flood [][]int
+		minSup         float64
+		reason         string
+	}{
+		{
+			// Items 50 and 51 were infrequent at the rebuild, so no pair
+			// through them has a triangle slot.
+			name:    "newly frequent item",
+			initial: concat(repeat(200, 0, 1, 2, 3, 4), repeat(1, 50)),
+			flood:   repeat(100, 50, 51),
+			minSup:  0.1,
+			reason:  "item 50 newly frequent",
+		},
+		{
+			// Only {0,1} was a frequent pair, so nothing of length 3 was
+			// generated, frequent or border; the flood makes {0,1,2} a
+			// candidate.
+			name:    "no tracked length",
+			initial: concat(repeat(100, 0, 1), repeat(100, 2)),
+			flood:   repeat(100, 0, 1, 2),
+			minSup:  0.2,
+			reason:  "no tracked candidates of length 3",
+		},
+		{
+			// {0,1,2} is the tracked level 3; the flood makes every pair of
+			// 2, 3, 4 frequent, and {2,3,4} was never generated.
+			name:    "candidate never counted",
+			initial: concat(repeat(100, 0, 1, 2), repeat(100, 3), repeat(100, 4)),
+			flood:   repeat(150, 2, 3, 4),
+			minSup:  0.2,
+			reason:  "of length 3 was never counted",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := transactions.NewShardedDB(64)
+			for _, tx := range tc.initial {
+				if err := store.Append(tx...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inc := &Incremental{}
+			if _, _, err := inc.Attach(store, tc.minSup); err != nil {
+				t.Fatal(err)
+			}
+			for _, tx := range tc.flood {
+				if err := store.Append(tx...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, stats := mustMaintain(t, inc)
+			if !stats.FullRun || !strings.Contains(stats.Reason, tc.reason) {
+				t.Fatalf("stats = %+v, want a full run because %q", stats, tc.reason)
+			}
+			requireScratchEqual(t, store, tc.minSup, res, tc.name)
+		})
+	}
+}
+
 // TestIncrementalAgreesAcrossBaseMiners checks that the maintainer plumbed
 // through each level-wise miner (and Eclat) as the
 // full-run base produces the same bytes.
@@ -503,7 +583,10 @@ func (c *countdownCtx) Err() error {
 func TestIncrementalCancelledCountKeepsDelta(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			pool := incrementalFixture(t, 600)
+			// Every attempt appends five more transactions, and the count
+			// polls once per tracked level, side and shard, so the pool
+			// must outlast some fifty cancelled attempts at four workers.
+			pool := incrementalFixture(t, 800)
 			store := transactions.NewShardedDB(64)
 			for _, tx := range pool[:400] {
 				if err := store.Append(tx...); err != nil {

@@ -7,25 +7,6 @@ import (
 	"repro/internal/transactions"
 )
 
-func TestAdaptiveFanout(t *testing.T) {
-	tests := []struct {
-		nCands, k, maxLeaf int
-		want               int
-	}{
-		{100, 2, 32, 16},        // 16² = 256 cells >= 4
-		{200000, 2, 32, 128},    // need f² >= 6251
-		{200000, 3, 32, 32},     // need f³ >= 6251 -> 32³ = 32768
-		{10, 1, 32, 16},         // minimum
-		{100000000, 2, 1, 4096}, // clamped at 4096
-	}
-	for _, tt := range tests {
-		if got := adaptiveFanout(tt.nCands, tt.k, tt.maxLeaf); got != tt.want {
-			t.Errorf("adaptiveFanout(%d, %d, %d) = %d, want %d",
-				tt.nCands, tt.k, tt.maxLeaf, got, tt.want)
-		}
-	}
-}
-
 func TestCountPairsTriangular(t *testing.T) {
 	db := paperDB(t)
 	ctx := context.Background()

@@ -14,11 +14,11 @@ package assoc
 // item counters (pass 1), the triangular pair array (pass 2), the
 // candidate hash tree (pass 3+) and the per-shard FP-tree forest — behind
 // scanSource, the seam the two mining drivers are written against. The
-// arithmetic is not here: it is transactions.CountItems/CountPairs and
-// hashtree's count buffers per transaction and fptree.Build per shard (the
-// shard trees are handed on unmerged, as a forest), the same kernels the
-// dist workers run. workers <= 1 runs the identical scan inline with no
-// goroutines.
+// arithmetic is not here: it is transactions.CountItems/CountPairs, the
+// hash tree's trimmed scan (hashtree.CountAllInto) and fptree.Build per
+// shard (the shard trees are handed on unmerged, as a forest), the same
+// kernels the dist workers run. workers <= 1 runs the identical scan
+// inline with no goroutines.
 //
 // Every scan takes a context and honours cancellation: scan loops poll
 // ctx every ctxStride transactions and bail out early, workers drain
@@ -155,26 +155,23 @@ func (s localScans) countPairs(ctx context.Context, rank []int, n int) ([]int, e
 	})
 }
 
-// countCandidates builds the candidate hash tree (insertion order makes
-// entry ids equal candidate indices) and counts every shard into a private
-// hashtree.CountBuffer with the tree's trimmed scan (CountAllInto, the
-// loop the dist worker runs too) — the tree itself is only read. On
-// cancellation nothing is merged, so a caller that (wrongly) ignored the
-// error could never observe partial counts.
+// countCandidates builds the candidate hash tree (hashtree.Build: entry
+// ids equal candidate indices) and counts the database into it.
 func (s localScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
-	// Size the fanout so that a depth-k tree can hold the candidates
-	// within the leaf capacity: leaves at depth k cannot split further,
-	// so a fixed small fanout degenerates for large candidate sets.
-	maxLeaf := hashtree.DefaultMaxLeaf
-	tree, err := hashtree.NewWithParams(k, adaptiveFanout(len(cands), k, maxLeaf), maxLeaf)
+	tree, err := hashtree.Build(k, cands)
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range cands {
-		if _, err := tree.Insert(c); err != nil {
-			return nil, err
-		}
-	}
+	return s.countTree(ctx, tree)
+}
+
+// countTree counts every shard into a private hashtree.CountBuffer with
+// the tree's trimmed scan (CountAllInto, the loop the dist worker runs
+// too), one ctxStride of transactions per call, and returns the folded
+// counts by entry id — the tree itself is only read. On cancellation
+// nothing is merged, so a caller that (wrongly) ignored the error could
+// never observe partial counts.
+func (s localScans) countTree(ctx context.Context, tree *hashtree.Tree) ([]int, error) {
 	parts := make([][]int, max(s.workers, 1))
 	if err := forEachShard(ctx, s.db, s.workers, func(shard int, sh transactions.Shard) {
 		buf := tree.NewCountBuffer()

@@ -437,11 +437,11 @@ func (c *Coordinator) CountPairs(ctx context.Context, rank []int, n int) ([]int,
 }
 
 // CountCandidates runs a distributed pass-k (k >= 3) scan; the returned
-// counts are indexed like cands because every worker rebuilds the hash
-// tree in the same insertion order.
-func (c *Coordinator) CountCandidates(ctx context.Context, k, fanout, maxLeaf int, cands []transactions.Itemset) ([]int, error) {
+// counts are indexed like cands because every worker builds its hash tree
+// with hashtree.Build, whose entry ids are candidate indices.
+func (c *Coordinator) CountCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
 	return c.countMerged(ctx, len(cands), MethodCountCandidates, func(ids []int) any {
-		return &CountCandidatesArgs{ShardIDs: ids, K: k, Fanout: fanout, MaxLeaf: maxLeaf, Candidates: cands}
+		return &CountCandidatesArgs{ShardIDs: ids, K: k, Candidates: cands}
 	})
 }
 

@@ -147,16 +147,16 @@ type CountPairsArgs struct {
 	N        int
 }
 
-// CountCandidatesArgs requests a pass-k (k >= 3) scan: the worker builds a
-// candidate hash tree with exactly these parameters and insertion order, so
-// entry ids equal candidate indices, and counts the listed shards into one
-// buffer. Dedup tids are request-local scan offsets — distinct per
-// transaction, which is all the hash tree's double-count guard needs.
+// CountCandidatesArgs requests a pass-k (k >= 3) scan: the worker builds
+// the candidate hash tree with hashtree.Build, which sizes the tree from
+// the candidates alone and numbers the entries in candidate order, and
+// counts the listed shards into one buffer — so the reply is indexed like
+// Candidates and no request can choose the tree's shape. Dedup tids are
+// request-local scan offsets — distinct per transaction, which is all the
+// hash tree's double-count guard needs.
 type CountCandidatesArgs struct {
 	ShardIDs   []int
 	K          int
-	Fanout     int
-	MaxLeaf    int
 	Candidates []transactions.Itemset
 }
 

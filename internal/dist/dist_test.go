@@ -142,7 +142,7 @@ func TestCountCandidatesMatchesSupport(t *testing.T) {
 		if err := c.Sync(ctx, testShards(db, tr.NumWorkers(), 1)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.CountCandidates(ctx, 3, 16, 32, cands)
+		got, err := c.CountCandidates(ctx, 3, cands)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,8 +29,7 @@ import (
 //	ShipReply            empty
 //	CountItemsArgs       int block shard ids, int universe size
 //	CountPairsArgs       int block shard ids, int N, int block rank+1
-//	CountCandidatesArgs  int block shard ids, int K, int fanout,
-//	                     int leaf capacity, stable candidates
+//	CountCandidatesArgs  int block shard ids, int K, stable candidates
 //	BuildTreeArgs        int block shard ids, then the rank table as int
 //	                     blocks: item->rank+1, rank->item, rank->count
 //	CountsReply          int block counts
@@ -281,8 +280,6 @@ func appendCountCandidatesArgs(dst []byte, a *CountCandidatesArgs) ([]byte, erro
 	w := wireWriter{b: dst}
 	appendInts(&w, a.ShardIDs, 0)
 	w.int(a.K)
-	w.int(a.Fanout)
-	w.int(a.MaxLeaf)
 	w.stable(a.Candidates)
 	return w.b, w.err
 }
@@ -290,7 +287,7 @@ func appendCountCandidatesArgs(dst []byte, a *CountCandidatesArgs) ([]byte, erro
 func decodeCountCandidatesArgs(b []byte, a *CountCandidatesArgs) error {
 	r := wireReader{b: b}
 	a.ShardIDs = readInts[int](&r, 0, math.MaxInt)
-	a.K, a.Fanout, a.MaxLeaf = r.int(), r.int(), r.int()
+	a.K = r.int()
 	a.Candidates = r.stable()
 	return r.done()
 }

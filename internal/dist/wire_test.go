@@ -55,8 +55,7 @@ func sameMessage(a, b any) bool {
 		return slices.Equal(x.ShardIDs, y.ShardIDs) && x.N == y.N && slices.Equal(x.Rank, y.Rank)
 	case *CountCandidatesArgs:
 		y := b.(*CountCandidatesArgs)
-		return slices.Equal(x.ShardIDs, y.ShardIDs) && x.K == y.K && x.Fanout == y.Fanout &&
-			x.MaxLeaf == y.MaxLeaf && sameRows(x.Candidates, y.Candidates)
+		return slices.Equal(x.ShardIDs, y.ShardIDs) && x.K == y.K && sameRows(x.Candidates, y.Candidates)
 	case *BuildTreeArgs:
 		y := b.(*BuildTreeArgs)
 		return slices.Equal(x.ShardIDs, y.ShardIDs) && slices.Equal(x.Ranks.OfItem, y.Ranks.OfItem) &&
@@ -114,7 +113,7 @@ func randomMessages(rng *rand.Rand) []any {
 		&ShipReply{},
 		&CountItemsArgs{ShardIDs: randomInts(rng, rng.Intn(5), 0, 40), NumItems: rng.Intn(5000)},
 		&CountPairsArgs{ShardIDs: randomInts(rng, rng.Intn(5), 0, 40), N: rng.Intn(300), Rank: randomInts(rng, rng.Intn(40), -1, 299)},
-		&CountCandidatesArgs{ShardIDs: randomInts(rng, rng.Intn(5), 0, 40), K: k, Fanout: 1 + rng.Intn(64), MaxLeaf: 1 + rng.Intn(64), Candidates: cands},
+		&CountCandidatesArgs{ShardIDs: randomInts(rng, rng.Intn(5), 0, 40), K: k, Candidates: cands},
 		&BuildTreeArgs{ShardIDs: randomInts(rng, rng.Intn(5), 0, 40), Ranks: ranks},
 		&CountsReply{Counts: randomInts(rng, rng.Intn(200), 0, 1<<20)},
 		tree,
@@ -134,7 +133,7 @@ func edgeMessages() []any {
 		&CountPairsArgs{},
 		&CountPairsArgs{ShardIDs: []int{top}, N: top, Rank: []int{-1, 0, top, -1}},
 		&CountCandidatesArgs{},
-		&CountCandidatesArgs{ShardIDs: []int{1}, K: top, Fanout: top, MaxLeaf: top, Candidates: []transactions.Itemset{{math.MaxInt32, top - 1, top}}},
+		&CountCandidatesArgs{ShardIDs: []int{1}, K: top, Candidates: []transactions.Itemset{{math.MaxInt32, top - 1, top}}},
 		&BuildTreeArgs{Ranks: &fptree.Ranks{}},
 		&BuildTreeArgs{ShardIDs: []int{top}, Ranks: &fptree.Ranks{OfItem: []int32{-1, math.MaxInt32}, Items: []int32{math.MaxInt32, 0}, Counts: []int{top, 0}}},
 		&CountsReply{},
@@ -268,20 +267,26 @@ func kindOf(m any) byte {
 	panic("not a wire message")
 }
 
-// minedMessages runs the scans of a small two-worker mine — ship, pass 1,
-// pass 2, a pass-3 candidate scan and a tree build — and returns every
-// message that crossed the transport, each prefixed with its kind byte.
-func minedMessages(t testing.TB) [][]byte {
+// minedShards returns the two shards minedMessages mines.
+func minedShards(t testing.TB) (*transactions.DB, []ShardPayload) {
 	db := transactions.NewDB()
 	for _, tx := range [][]int{{1, 3, 4}, {2, 3, 5}, {1, 2, 3, 5}, {2, 5}, {0, 1, 2}, {3, 4, 5}, {1, 2}, {}} {
 		if err := db.Add(tx...); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return db, testShards(db, 2, 7)
+}
+
+// minedMessages runs the scans of a small two-worker mine — ship, pass 1,
+// pass 2, a pass-3 candidate scan and a tree build — and returns every
+// message that crossed the transport, each prefixed with its kind byte.
+func minedMessages(t testing.TB) [][]byte {
+	db, shards := minedShards(t)
 	rec := &recordingTransport{Transport: NewLocalTransport(2, false)}
 	defer rec.Close()
 	c := NewCoordinator(rec)
-	if err := c.Sync(ctx, testShards(db, 2, 7)); err != nil {
+	if err := c.Sync(ctx, shards); err != nil {
 		t.Fatal(err)
 	}
 	counts, err := c.CountItems(ctx, db.NumItems())
@@ -293,7 +298,7 @@ func minedMessages(t testing.TB) [][]byte {
 		t.Fatal(err)
 	}
 	cands := []transactions.Itemset{transactions.NewItemset(1, 2, 3), transactions.NewItemset(2, 3, 5)}
-	if _, err := c.CountCandidates(ctx, 3, 16, 32, cands); err != nil {
+	if _, err := c.CountCandidates(ctx, 3, cands); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.BuildTree(ctx, fptree.NewRanks(counts, 2)); err != nil {

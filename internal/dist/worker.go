@@ -57,10 +57,20 @@ func (w *Worker) replicas(ids []int) ([]ShardPayload, error) {
 	return out, nil
 }
 
+// errReplySize refuses a count reply of n counters that no frame could
+// carry (each counter takes at least one byte), before it is allocated.
+func errReplySize(n int) error {
+	return fmt.Errorf("dist: a reply of %d counters exceeds the %d-byte frame cap", n, maxFrame)
+}
+
 // CountItems runs the pass-1 scan over the requested replicas. The
-// replicas are wire input, so every item is checked against the universe
-// before the kernel indexes with it.
+// universe size and the replicas are wire input, so the reply must fit a
+// frame and every item is checked against the universe before the kernel
+// indexes with it.
 func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
+	if args.NumItems > maxFrame {
+		return errReplySize(args.NumItems)
+	}
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
 		return err
@@ -83,11 +93,15 @@ func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
 // CountPairs runs the triangular pass-2 scan over the requested replicas.
 // N and the rank table are wire input and are checked before the triangle
 // is allocated or indexed: N must not exceed the table (N ranked items need
-// N entries), and the ranks must lie in [-1, N) and ascend with item id,
-// which is what lets transactions.CountPairs index the triangle unchecked.
+// N entries), the triangle must fit a reply, and the ranks must lie in
+// [-1, N) and ascend with item id, which is what lets
+// transactions.CountPairs index the triangle unchecked.
 func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 	if args.N < 0 || args.N > len(args.Rank) {
 		return fmt.Errorf("dist: pair scan over %d ranks with a rank table of %d items", args.N, len(args.Rank))
+	}
+	if n := args.N * (args.N - 1) / 2; n > maxFrame {
+		return errReplySize(n)
 	}
 	prev := -1
 	for item, r := range args.Rank {
@@ -116,24 +130,20 @@ func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 	return nil
 }
 
-// CountCandidates rebuilds the request's candidate hash tree (identical
-// parameters and insertion order make entry ids equal candidate indices)
-// and counts the replicas into one private buffer with the shared trimmed
-// scan (hashtree.CountAllInto). Scan offsets serve as dedup tids; they
-// only need to be distinct within this one scan.
+// CountCandidates builds the request's candidate hash tree with
+// hashtree.Build — the constructor the local scans use, whose entry ids
+// are candidate indices and whose shape no request chooses — and counts
+// the replicas into one private buffer with the shared trimmed scan
+// (hashtree.CountAllInto). Scan offsets serve as dedup tids; they only
+// need to be distinct within this one scan.
 func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) error {
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
 		return err
 	}
-	tree, err := hashtree.NewWithParams(args.K, args.Fanout, args.MaxLeaf)
+	tree, err := hashtree.Build(args.K, args.Candidates)
 	if err != nil {
 		return err
-	}
-	for _, c := range args.Candidates {
-		if _, err := tree.Insert(c); err != nil {
-			return err
-		}
 	}
 	buf := tree.NewCountBuffer()
 	tid := 0
@@ -148,8 +158,12 @@ func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) e
 // BuildTree builds one FP-tree over the requested replicas under the
 // shared rank table and returns its exported node pool. Building all
 // shards into one tree equals building per shard and merging — the
-// package's commutative-add contract.
+// package's commutative-add contract. The rank table is wire input and is
+// checked (checkRanks) before fptree.Build indexes with it.
 func (w *Worker) BuildTree(args BuildTreeArgs, reply *TreeReply) error {
+	if err := checkRanks(args.Ranks); err != nil {
+		return err
+	}
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
 		return err
@@ -165,5 +179,30 @@ func (w *Worker) BuildTree(args BuildTreeArgs, reply *TreeReply) error {
 		}
 	}
 	reply.Nodes = fptree.Build(txs, args.Ranks).Export()
+	return nil
+}
+
+// checkRanks validates a rank table off the wire the way CountPairs
+// validates its ranks: every OfItem value lies in [-1, len(Items)), Items
+// and OfItem are mutual inverses, and there is one count per rank —
+// fptree.Build indexes its per-rank arrays with OfItem's values unchecked.
+// Each ranked item naming itself through Items makes OfItem one-to-one on
+// them, so the inverse holds once they number exactly len(Items).
+func checkRanks(r *fptree.Ranks) error {
+	if r == nil {
+		return fmt.Errorf("dist: tree build without a rank table")
+	}
+	ranked := 0
+	for item, rk := range r.OfItem {
+		if rk < -1 || int(rk) >= len(r.Items) || (rk >= 0 && int(r.Items[rk]) != item) {
+			return fmt.Errorf("dist: item %d has rank %d, which a table of %d ranks does not give it", item, rk, len(r.Items))
+		}
+		if rk >= 0 {
+			ranked++
+		}
+	}
+	if ranked != len(r.Items) || len(r.Counts) != len(r.Items) {
+		return fmt.Errorf("dist: %d ranked items and %d counts for a table of %d ranks", ranked, len(r.Counts), len(r.Items))
+	}
 	return nil
 }

@@ -12,11 +12,13 @@
 // matching candidates are never entered — the structure that keeps a pass
 // over |D| transactions near-linear instead of |D|·|C_k|.
 //
-// The tree participates in the engine's shard/count/merge contract through
-// CountBuffer: after all inserts, the tree is read-only, each worker (or
-// each shard of the incremental backend's cache) counts into a private
-// buffer indexed by entry id, and Merge folds buffers back with plain
-// integer adds — bit-identical to a serial scan in any merge order.
+// Build is the one constructor of a counting pass — it owns the tree's
+// shape and numbers entries in candidate order — and the local scans, the
+// dist worker and the incremental maintainer all build through it. After
+// Build the tree is read-only: each worker counts its transactions into a
+// private CountBuffer indexed by entry id with the trimmed scan
+// (CountAllInto), and the buffers fold back with plain integer adds —
+// bit-identical to a serial scan in any merge order.
 package hashtree
 
 import (
@@ -25,24 +27,11 @@ import (
 	"repro/internal/transactions"
 )
 
-// Entry is a candidate itemset with its running support count.
+// Entry is a candidate itemset stored in the tree.
 type Entry struct {
 	Items transactions.Itemset
-	Count int
-
-	// id is the entry's insertion rank, the index into per-worker count
-	// buffers in the concurrent counting mode.
-	id int
-
-	// seen guards against counting the same transaction twice when the
-	// traversal reaches the same leaf along different hash paths. It stores
-	// tid+1 so that the zero value means "no transaction seen yet" — storing
-	// the tid directly would make a zero-valued Entry silently skip tid 0.
-	seen int
+	id    int // insertion rank: the entry's index in every count buffer
 }
-
-// ID returns the entry's insertion rank, in [0, Tree.Len()).
-func (e *Entry) ID() int { return e.id }
 
 // Tree is a hash tree over candidate itemsets of a single length k.
 type Tree struct {
@@ -51,12 +40,14 @@ type Tree struct {
 	maxLeaf int
 	root    *node
 	size    int
-	byID    []*Entry // entries in insertion order, indexed by Entry.id
 
 	// live[item] = 1 if some candidate names item, maintained by Insert
 	// for the trimmed scan (CountAllInto). It reaches only as far as the
 	// largest such item below maxLive.
 	live []uint8
+
+	// own is CountTransaction's buffer, grown to the entries by Counts.
+	own CountBuffer
 }
 
 // maxLive bounds the live table, so a candidate naming an enormous item
@@ -69,27 +60,71 @@ type node struct {
 	entries  []*Entry // leaf payload
 }
 
-// Defaults match the spirit of the paper's implementation.
+// Defaults match the spirit of the paper's implementation. Build's fanout
+// ranges from DefaultFanout to maxFanout.
 const (
 	DefaultFanout  = 16
 	DefaultMaxLeaf = 32
+	maxFanout      = 4096
 )
 
 // Errors returned by the tree.
 var (
 	ErrWrongLength = errors.New("hashtree: itemset length does not match tree")
-	ErrBadParams   = errors.New("hashtree: fanout and leaf capacity must be positive")
+	ErrBadParams   = errors.New("hashtree: candidate length, fanout and leaf capacity must be positive")
 )
 
-// New returns an empty hash tree for candidates of length k.
+// Build returns the hash tree of one counting pass over cands, distinct
+// sorted itemsets of length k, inserted in order so that entry id i is
+// cands[i]. The shape is the tree's own — a fanout from the candidate
+// count (adaptiveFanout) and DefaultMaxLeaf — so no caller, the dist
+// worker's wire input included, can make it allocate more than the
+// candidates. k < 1 is ErrBadParams, a candidate of another length
+// ErrWrongLength.
+func Build(k int, cands []transactions.Itemset) (*Tree, error) {
+	t, err := newWithParams(k, adaptiveFanout(len(cands), k, DefaultMaxLeaf), DefaultMaxLeaf)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cands {
+		if _, err := t.Insert(c); err != nil {
+			return nil, err
+		}
+	}
+	return t, nil
+}
+
+// adaptiveFanout returns the smallest power of two f with f^k ≥
+// nCands/maxLeaf, clamped to [DefaultFanout, maxFanout]: leaves at depth k
+// cannot split further, so a fixed small fanout would degenerate into long
+// leaf scans for large candidate sets.
+func adaptiveFanout(nCands, k, maxLeaf int) int {
+	cells := nCands/maxLeaf + 1
+	f := DefaultFanout
+	for f < maxFanout {
+		// f^k >= cells?
+		prod := 1
+		for i := 0; i < k && prod < cells; i++ {
+			prod *= f
+		}
+		if prod >= cells {
+			break
+		}
+		f *= 2
+	}
+	return f
+}
+
+// New returns an empty hash tree for candidates of length k with the
+// default shape, for callers that insert one candidate at a time.
 func New(k int) *Tree {
-	t, _ := NewWithParams(k, DefaultFanout, DefaultMaxLeaf)
+	t, _ := newWithParams(k, DefaultFanout, DefaultMaxLeaf)
 	return t
 }
 
-// NewWithParams returns an empty hash tree with explicit fanout and leaf
-// capacity, for the ablation benchmarks.
-func NewWithParams(k, fanout, maxLeaf int) (*Tree, error) {
+// newWithParams returns an empty hash tree with an explicit shape, which
+// the tests vary to force splits and hash collisions.
+func newWithParams(k, fanout, maxLeaf int) (*Tree, error) {
 	if fanout < 1 || maxLeaf < 1 || k < 1 {
 		return nil, ErrBadParams
 	}
@@ -119,7 +154,6 @@ func (t *Tree) Insert(items transactions.Itemset) (*Entry, error) {
 		t.live[item] = 1
 	}
 	t.insert(t.root, e, 0)
-	t.byID = append(t.byID, e)
 	t.size++
 	return e, nil
 }
@@ -153,42 +187,25 @@ func (t *Tree) insert(n *node, e *Entry, depth int) {
 	}
 }
 
-// CountTransaction increments the count of every candidate that is a
-// subset of tx, using the paper's recursive traversal: at an interior node
-// of depth d, hash each remaining transaction item and descend; at a leaf,
-// verify containment per candidate. tid must be distinct per transaction
-// (and non-negative); it guards against double counting when a leaf is
-// reachable along several hash paths.
+// CountTransaction adds tx to the tree's own counts (Counts): one
+// transaction, untrimmed, through the same traversal as the buffered scan.
+// tid must be distinct per transaction (and non-negative); it guards
+// against double counting when a leaf is reachable along several hash
+// paths.
 func (t *Tree) CountTransaction(tx transactions.Itemset, tid int) {
-	if len(tx) < t.k {
-		return
+	t.Counts() // size the own buffer to the entries inserted so far
+	if len(tx) >= t.k {
+		t.countInto(t.root, tx, 0, 0, tid, &t.own)
 	}
-	t.count(t.root, tx, 0, 0, tid)
 }
 
-// count descends from n; items before start are already consumed by the
-// path, depth is the node's depth in the tree. The recursion is
-// allocation-free: support counting runs once per transaction per pass,
-// and allocbound holds it to zero provable allocation sites.
-//
-//invcheck:hotpath
-func (t *Tree) count(n *node, tx transactions.Itemset, start, depth, tid int) {
-	if n.children == nil {
-		for _, e := range n.entries {
-			if e.seen != tid+1 && tx.ContainsAll(e.Items) {
-				e.Count++
-				e.seen = tid + 1
-			}
-		}
-		return
+// Counts returns the supports CountTransaction has counted, by entry id.
+func (t *Tree) Counts() []int {
+	if n := t.size - len(t.own.Counts); n > 0 {
+		t.own.Counts = append(t.own.Counts, make([]int, n)...)
+		t.own.seen = append(t.own.seen, make([]int, n)...)
 	}
-	// Need k-depth more items; stop early when too few remain.
-	for i := start; i <= len(tx)-(t.k-depth); i++ {
-		child := n.children[tx[i]%t.fanout]
-		if child != nil {
-			t.count(child, tx, i+1, depth+1, tid)
-		}
-	}
+	return t.own.Counts
 }
 
 // CountBuffer holds one worker's private support counters for the
@@ -197,7 +214,7 @@ func (t *Tree) count(n *node, tx transactions.Itemset, start, depth, tid int) {
 // own buffer, so any number of them may count disjoint transaction shards
 // concurrently; the buffers are merged serially after the scan
 // (count-distribution). All candidate insertions must happen before the
-// first concurrent count.
+// first concurrent count — Build makes sure of it.
 type CountBuffer struct {
 	Counts []int
 	seen   []int // tid+1 of the last transaction counted per entry; 0 = none
@@ -210,19 +227,13 @@ func (t *Tree) NewCountBuffer() *CountBuffer {
 	return &CountBuffer{Counts: make([]int, t.size), seen: make([]int, t.size)}
 }
 
-// CountTransactionInto is CountTransaction for the concurrent mode: counts
-// and duplicate guards go into buf instead of the shared entries. The tree
-// itself is only read, so concurrent calls with distinct buffers are
-// race-free.
-func (t *Tree) CountTransactionInto(tx transactions.Itemset, tid int, buf *CountBuffer) {
-	if len(tx) < t.k {
-		return
-	}
-	t.countInto(t.root, tx, 0, 0, tid, buf)
-}
-
-// countInto is count for the concurrent mode; like count it must stay
-// allocation-free, since it runs once per transaction per worker.
+// countInto is the paper's recursive traversal: at an interior node of
+// depth d, hash each remaining transaction item and descend; at a leaf,
+// verify containment per candidate. Items before start are already
+// consumed by the path, and counts and duplicate guards go into buf, so
+// the tree is only read and concurrent calls with distinct buffers are
+// race-free. It must stay allocation-free — it runs once per transaction
+// per pass — and allocbound holds it to zero provable allocation sites.
 //
 //invcheck:hotpath
 func (t *Tree) countInto(n *node, tx transactions.Itemset, start, depth, tid int, buf *CountBuffer) {
@@ -235,6 +246,7 @@ func (t *Tree) countInto(n *node, tx transactions.Itemset, start, depth, tid int
 		}
 		return
 	}
+	// Need k-depth more items; stop early when too few remain.
 	for i := start; i <= len(tx)-(t.k-depth); i++ {
 		child := n.children[tx[i]%t.fanout]
 		if child != nil {
@@ -245,17 +257,17 @@ func (t *Tree) countInto(n *node, tx transactions.Itemset, start, depth, tid int
 
 // CountAllInto is the pass-k scan: it counts every transaction of txs into
 // buf, with tid0+i as the i-th transaction's dedup tid, and is the one
-// loop the local scans and the dist worker both run. Each transaction is
-// first trimmed to the items that occur in some candidate (the transaction
-// trimming of Park, Chen & Yu's DHP; the tree marks them as candidates are
-// inserted), and rows left with fewer than k items never reach the tree.
-// Counts equal those of calling CountTransactionInto on every transaction,
-// because a candidate is a subset of tx exactly when it is a subset of
-// tx's live items; what changes is that the traversal hashes and compares
-// only items a candidate could match. Transactions must be sorted
-// ascending, as everywhere in this package. A scan that must stay
-// cancellable calls it once per stride of transactions; the scratch row
-// lives in buf, so later calls allocate nothing.
+// loop the local scans, the dist worker and the incremental maintainer
+// run. Each transaction is first trimmed to the items that occur in some
+// candidate (the transaction trimming of Park, Chen & Yu's DHP; the tree
+// marks them as candidates are inserted), and rows left with fewer than k
+// items never reach the tree. Counts equal those of CountTransaction on
+// every transaction, because a candidate is a subset of tx exactly when it
+// is a subset of tx's live items; what changes is that the traversal
+// hashes and compares only items a candidate could match. Transactions
+// must be sorted ascending, as everywhere in this package. A scan that
+// must stay cancellable calls it once per stride of transactions; the
+// scratch row lives in buf, so later calls allocate nothing.
 //
 //invcheck:hotpath
 func (t *Tree) CountAllInto(txs []transactions.Itemset, tid0 int, buf *CountBuffer) {
@@ -282,37 +294,4 @@ func (t *Tree) CountAllInto(txs []transactions.Itemset, tid0 int, buf *CountBuff
 			t.countInto(t.root, row[:n], 0, 0, tid0+off, buf)
 		}
 	}
-}
-
-// Merge folds a worker buffer's counts into the shared entry counts. Call
-// it from a single goroutine after all concurrent counting has finished.
-//
-//invcheck:hotpath
-func (t *Tree) Merge(buf *CountBuffer) {
-	for id, c := range buf.Counts {
-		t.byID[id].Count += c
-	}
-}
-
-// EntriesByID returns the stored entries in insertion order (deterministic,
-// unlike Entries). The slice is shared with the tree; do not modify it.
-func (t *Tree) EntriesByID() []*Entry { return t.byID }
-
-// Entries appends all stored entries to dst and returns it; iteration
-// order is unspecified.
-func (t *Tree) Entries(dst []*Entry) []*Entry {
-	return collect(t.root, dst)
-}
-
-func collect(n *node, dst []*Entry) []*Entry {
-	if n == nil {
-		return dst
-	}
-	if n.children == nil {
-		return append(dst, n.entries...)
-	}
-	for _, c := range n.children {
-		dst = collect(c, dst)
-	}
-	return dst
 }

@@ -3,6 +3,7 @@ package hashtree
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -10,6 +11,37 @@ import (
 
 	"repro/internal/transactions"
 )
+
+// ID returns the entry's insertion rank, in [0, Tree.Len()).
+func (e *Entry) ID() int { return e.id }
+
+// count returns e's support as CountTransaction has counted it.
+func (t *Tree) count(e *Entry) int { return t.Counts()[e.id] }
+
+// Entries appends all stored entries to dst in tree order and returns it.
+func (t *Tree) Entries(dst []*Entry) []*Entry { return collect(t.root, dst) }
+
+func collect(n *node, dst []*Entry) []*Entry {
+	if n == nil {
+		return dst
+	}
+	if n.children == nil {
+		return append(dst, n.entries...)
+	}
+	for _, c := range n.children {
+		dst = collect(c, dst)
+	}
+	return dst
+}
+
+// EntriesByID returns the stored entries in insertion order.
+func (t *Tree) EntriesByID() []*Entry {
+	out := make([]*Entry, t.Len())
+	for _, e := range t.Entries(nil) {
+		out[e.id] = e
+	}
+	return out
+}
 
 func TestInsertAndLen(t *testing.T) {
 	tr := New(2)
@@ -31,14 +63,79 @@ func TestInsertAndLen(t *testing.T) {
 }
 
 func TestNewWithParamsValidation(t *testing.T) {
-	if _, err := NewWithParams(2, 0, 4); !errors.Is(err, ErrBadParams) {
+	if _, err := newWithParams(2, 0, 4); !errors.Is(err, ErrBadParams) {
 		t.Errorf("fanout=0 error = %v", err)
 	}
-	if _, err := NewWithParams(2, 4, 0); !errors.Is(err, ErrBadParams) {
+	if _, err := newWithParams(2, 4, 0); !errors.Is(err, ErrBadParams) {
 		t.Errorf("leaf=0 error = %v", err)
 	}
-	if _, err := NewWithParams(0, 4, 4); !errors.Is(err, ErrBadParams) {
+	if _, err := newWithParams(0, 4, 4); !errors.Is(err, ErrBadParams) {
 		t.Errorf("k=0 error = %v", err)
+	}
+}
+
+func TestAdaptiveFanout(t *testing.T) {
+	tests := []struct {
+		nCands, k, maxLeaf int
+		want               int
+	}{
+		{100, 2, 32, 16},        // 16² = 256 cells >= 4
+		{200000, 2, 32, 128},    // need f² >= 6251
+		{200000, 3, 32, 32},     // need f³ >= 6251 -> 32³ = 32768
+		{10, 1, 32, 16},         // minimum
+		{100000000, 2, 1, 4096}, // clamped at 4096
+	}
+	for _, tt := range tests {
+		if got := adaptiveFanout(tt.nCands, tt.k, tt.maxLeaf); got != tt.want {
+			t.Errorf("adaptiveFanout(%d, %d, %d) = %d, want %d",
+				tt.nCands, tt.k, tt.maxLeaf, got, tt.want)
+		}
+	}
+}
+
+// TestBuild: Build sizes the fanout from the candidate count, numbers the
+// entries in candidate order, and refuses a length it cannot build for —
+// including the lengths a hostile peer could send — without allocating
+// for them.
+func TestBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	cands := randomSets(rng, 5000, 3, 60)
+	tree, err := Build(3, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Len() != len(cands) || tree.K() != 3 || tree.fanout != adaptiveFanout(len(cands), 3, DefaultMaxLeaf) || tree.maxLeaf != DefaultMaxLeaf {
+		t.Fatalf("Build: %d entries, k=%d, fanout %d, leaf %d", tree.Len(), tree.K(), tree.fanout, tree.maxLeaf)
+	}
+	for i, e := range tree.EntriesByID() {
+		if e.ID() != i || !slices.Equal(e.Items, cands[i]) {
+			t.Fatalf("entry %d is %v (id %d), want candidate %v", i, e.Items, e.ID(), cands[i])
+		}
+	}
+	for name, tc := range map[string]struct {
+		k     int
+		cands []transactions.Itemset
+		want  error
+	}{
+		"k = 0":          {0, nil, ErrBadParams},
+		"negative k":     {-3, cands[:1], ErrBadParams},
+		"k past the set": {1 << 40, cands[:2], ErrWrongLength},
+		"mixed lengths":  {3, []transactions.Itemset{{1, 2, 3}, {1, 2}}, ErrWrongLength},
+	} {
+		if _, err := Build(tc.k, tc.cands); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
+	}
+	// A length no candidate has, over no candidates, is an empty tree that
+	// counts nothing.
+	empty, err := Build(1<<40, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := empty.NewCountBuffer()
+	empty.CountAllInto([]transactions.Itemset{{1, 2, 3}}, 0, buf)
+	if empty.Len() != 0 || len(buf.Counts) != 0 {
+		t.Fatalf("empty tree: %d entries, %d counters", empty.Len(), len(buf.Counts))
 	}
 }
 
@@ -57,14 +154,14 @@ func TestCountSimple(t *testing.T) {
 	for tid, tx := range txs {
 		tr.CountTransaction(tx, tid)
 	}
-	if e12.Count != 2 {
-		t.Errorf("{1,2} count = %d, want 2", e12.Count)
+	if tr.count(e12) != 2 {
+		t.Errorf("{1,2} count = %d, want 2", tr.count(e12))
 	}
-	if e13.Count != 1 {
-		t.Errorf("{1,3} count = %d, want 1", e13.Count)
+	if tr.count(e13) != 1 {
+		t.Errorf("{1,3} count = %d, want 1", tr.count(e13))
 	}
-	if e24.Count != 1 {
-		t.Errorf("{2,4} count = %d, want 1", e24.Count)
+	if tr.count(e24) != 1 {
+		t.Errorf("{2,4} count = %d, want 1", tr.count(e24))
 	}
 }
 
@@ -72,15 +169,15 @@ func TestCountShortTransactionSkipped(t *testing.T) {
 	tr := New(3)
 	e, _ := tr.Insert(transactions.NewItemset(1, 2, 3))
 	tr.CountTransaction(transactions.NewItemset(1, 2), 0)
-	if e.Count != 0 {
-		t.Errorf("count = %d, want 0", e.Count)
+	if c := tr.count(e); c != 0 {
+		t.Errorf("count = %d, want 0", c)
 	}
 }
 
 func TestLeafSplitStillCorrect(t *testing.T) {
 	// Force splits with a tiny leaf capacity and verify counts against
 	// brute force.
-	tr, err := NewWithParams(2, 4, 1)
+	tr, err := newWithParams(2, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +213,8 @@ func TestLeafSplitStillCorrect(t *testing.T) {
 		}
 	}
 	for _, e := range tr.Entries(nil) {
-		if e.Count != want[e.Items.Key()] {
-			t.Errorf("candidate %v count = %d, want %d", e.Items, e.Count, want[e.Items.Key()])
+		if c := tr.count(e); c != want[e.Items.Key()] {
+			t.Errorf("candidate %v count = %d, want %d", e.Items, c, want[e.Items.Key()])
 		}
 	}
 }
@@ -125,7 +222,7 @@ func TestLeafSplitStillCorrect(t *testing.T) {
 func TestNoDoubleCountAcrossHashCollisions(t *testing.T) {
 	// Fanout 2 forces heavy collisions; items 1 and 3 share hash, so a
 	// transaction with both could reach the same leaf twice.
-	tr, err := NewWithParams(2, 2, 1)
+	tr, err := newWithParams(2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +238,13 @@ func TestNoDoubleCountAcrossHashCollisions(t *testing.T) {
 		}
 	}
 	tr.CountTransaction(transactions.NewItemset(1, 3, 5), 7)
-	if e.Count != 1 {
-		t.Errorf("{1,3} counted %d times in one transaction, want 1", e.Count)
+	if c := tr.count(e); c != 1 {
+		t.Errorf("{1,3} counted %d times in one transaction, want 1", c)
 	}
 }
 
 func TestEntriesReturnsAll(t *testing.T) {
-	tr, _ := NewWithParams(3, 4, 2)
+	tr, _ := newWithParams(3, 4, 2)
 	keys := map[string]bool{}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 40; i++ {
@@ -181,7 +278,7 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 		maxLeaf := int(leafRaw%5) + 1
 		local := rand.New(rand.NewSource(seed))
 		k := 1 + local.Intn(3)
-		tr, err := NewWithParams(k, fanout, maxLeaf)
+		tr, err := newWithParams(k, fanout, maxLeaf)
 		if err != nil {
 			return false
 		}
@@ -223,7 +320,7 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 			}
 		}
 		for _, e := range tr.Entries(nil) {
-			if e.Count != want[e.Items.Key()] {
+			if tr.count(e) != want[e.Items.Key()] {
 				return false
 			}
 		}
@@ -253,7 +350,7 @@ func TestEntriesSortable(t *testing.T) {
 // with transaction id 0 — tid 0 has to be counted on the very first leaf
 // visit, including through leaves reachable along several hash paths.
 func TestTransactionZeroCounted(t *testing.T) {
-	tr, err := NewWithParams(2, 2, 1)
+	tr, err := newWithParams(2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,13 +361,13 @@ func TestTransactionZeroCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.CountTransaction(transactions.NewItemset(0, 2, 4), 0)
-	if e.Count != 1 {
-		t.Fatalf("tid 0: {0,2} count = %d, want 1", e.Count)
+	if c := tr.count(e); c != 1 {
+		t.Fatalf("tid 0: {0,2} count = %d, want 1", c)
 	}
 	// The guard must still admit the next transaction.
 	tr.CountTransaction(transactions.NewItemset(0, 2), 1)
-	if e.Count != 2 {
-		t.Fatalf("tid 1: {0,2} count = %d, want 2", e.Count)
+	if c := tr.count(e); c != 2 {
+		t.Fatalf("tid 1: {0,2} count = %d, want 2", c)
 	}
 }
 
@@ -280,8 +377,8 @@ func TestTransactionZeroCounted(t *testing.T) {
 func TestConcurrentCountMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, workers := range []int{1, 2, 4, 8} {
-		serial, _ := NewWithParams(2, 3, 2)
-		parallel, _ := NewWithParams(2, 3, 2)
+		serial, _ := newWithParams(2, 3, 2)
+		parallel, _ := newWithParams(2, 3, 2)
 		var cands []transactions.Itemset
 		seen := map[string]bool{}
 		for i := 0; i < 25; i++ {
@@ -327,44 +424,35 @@ func TestConcurrentCountMatchesSerial(t *testing.T) {
 			wg.Add(1)
 			go func(w, start, end int) {
 				defer wg.Done()
-				for tid := start; tid < end; tid++ {
-					parallel.CountTransactionInto(txs[tid], tid, bufs[w])
-				}
+				parallel.CountAllInto(txs[start:end], start, bufs[w])
 			}(w, start, end)
 		}
 		wg.Wait()
+		// The trees are built alike, so entry ids match across them.
+		got := make([]int, parallel.Len())
 		for _, buf := range bufs {
 			if buf != nil {
-				parallel.Merge(buf)
+				for id, c := range buf.Counts {
+					got[id] += c
+				}
 			}
 		}
-
-		wantByKey := map[string]int{}
-		for _, e := range serial.Entries(nil) {
-			wantByKey[e.Items.Key()] = e.Count
+		if want := serial.Counts(); !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: merged counts %v, serial %v", workers, got, want)
 		}
-		ids := map[int]bool{}
-		for _, e := range parallel.EntriesByID() {
-			if e.Count != wantByKey[e.Items.Key()] {
-				t.Fatalf("workers=%d: %v count = %d, want %d", workers, e.Items, e.Count, wantByKey[e.Items.Key()])
+		for id, e := range parallel.EntriesByID() {
+			if e == nil || !slices.Equal(e.Items, cands[id]) {
+				t.Fatalf("entry id %d is %v, want candidate %v", id, e, cands[id])
 			}
-			if ids[e.ID()] {
-				t.Fatalf("duplicate entry id %d", e.ID())
-			}
-			ids[e.ID()] = true
-		}
-		if len(parallel.EntriesByID()) != len(cands) {
-			t.Fatalf("EntriesByID returned %d entries, want %d", len(parallel.EntriesByID()), len(cands))
 		}
 	}
 }
 
 // scanBoth counts txs against cands twice — the untrimmed per-transaction
-// loop and the trimmed scan — over trees built with the same parameters,
-// and returns both count arrays.
+// loop and the trimmed scan — in one tree, and returns both count arrays.
 func scanBoth(t *testing.T, k, fanout, maxLeaf int, cands, txs []transactions.Itemset) (untrimmed, trimmed []int) {
 	t.Helper()
-	tree, err := NewWithParams(k, fanout, maxLeaf)
+	tree, err := newWithParams(k, fanout, maxLeaf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,9 +461,8 @@ func scanBoth(t *testing.T, k, fanout, maxLeaf int, cands, txs []transactions.It
 			t.Fatal(err)
 		}
 	}
-	plain := tree.NewCountBuffer()
 	for tid, tx := range txs {
-		tree.CountTransactionInto(tx, 100+tid, plain)
+		tree.CountTransaction(tx, 100+tid)
 	}
 	// In strides, as the cancellable local scan calls it: the scratch row
 	// is resized between calls.
@@ -383,7 +470,7 @@ func scanBoth(t *testing.T, k, fanout, maxLeaf int, cands, txs []transactions.It
 	for off := 0; off < len(txs); off += 97 {
 		tree.CountAllInto(txs[off:min(off+97, len(txs))], 100+off, buf)
 	}
-	return plain.Counts, buf.Counts
+	return tree.Counts(), buf.Counts
 }
 
 // randomSets returns n distinct sorted k-itemsets over items below top.

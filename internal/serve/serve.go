@@ -136,7 +136,7 @@ type Op struct {
 
 // Config tunes a Server. The zero value of every field selects a
 // documented default; Options forwards arbitrary mining options
-// (Algorithm, Workers, Transport, ShardCap, TrackSlack...) to the
+// (Algorithm, Workers, Transport, ShardCap...) to the
 // underlying session, which is how a serving tier fans counting out to
 // distributed workers.
 type Config struct {

@@ -49,7 +49,9 @@
 //	Transport    none (in-process mining)
 //	Progress     none
 //	ShardCap     1024 transactions per session shard
-//	TrackSlack   0.8 (sessions track candidates at 0.8x the support)
+//
+// Sessions track candidates at 0.8x the support (not an option: the
+// slack moves only how often a maintain falls back to a full re-mine).
 //
 // The defaults are pinned by the cross-engine defaults test in
 // internal/assoc and the option tests here.

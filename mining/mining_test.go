@@ -344,9 +344,6 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := NewSession(db, ShardCap(-1)); !errors.Is(err, ErrBadOption) {
 		t.Errorf("negative shard cap: err = %v", err)
 	}
-	if _, err := NewSession(db, TrackSlack(1.5)); !errors.Is(err, ErrBadOption) {
-		t.Errorf("out-of-range track slack: err = %v", err)
-	}
 	// Workers(0) resolves to GOMAXPROCS; results stay identical to serial.
 	a, err := Mine(context.Background(), db, Workers(0), Algorithm("Apriori"))
 	if err != nil {

@@ -19,9 +19,6 @@ const (
 	// DefaultAlgorithm probes the workload's pass-1 scan and dispatches
 	// to the expected-fastest engine; results are identical regardless.
 	DefaultAlgorithm = "Auto"
-	// DefaultTrackSlack is the factor sessions lower the support by when
-	// freezing the tracked candidate set (see TrackSlack).
-	DefaultTrackSlack = 0.8
 	// DefaultShardCap is the per-shard transaction capacity of a
 	// session's store when ShardCap is not given.
 	DefaultShardCap = 1024
@@ -43,7 +40,6 @@ type config struct {
 	faults     *FaultSpec
 	progress   func(PassStat)
 	shardCap   int
-	trackSlack float64
 }
 
 // newConfig applies opts over the defaults.
@@ -52,7 +48,6 @@ func newConfig(opts []Option) (*config, error) {
 		minSupport: DefaultMinSupport,
 		algorithm:  DefaultAlgorithm,
 		workers:    1,
-		trackSlack: DefaultTrackSlack,
 		shardCap:   DefaultShardCap,
 	}
 	for _, opt := range opts {
@@ -272,25 +267,6 @@ func ShardCap(n int) Option {
 			n = DefaultShardCap
 		}
 		c.shardCap = n
-		return nil
-	}
-}
-
-// TrackSlack sets the factor in (0, 1] a session lowers the support by
-// when freezing its tracked candidate set: tracking at s*minSupport keeps
-// near-threshold itemsets' counts cached so small updates stay
-// incremental. Results are exact regardless — slack only trades cache
-// memory against full-re-mine frequency. s == 0 keeps DefaultTrackSlack;
-// values outside [0, 1] are an error. Mine and MineStream ignore it.
-func TrackSlack(s float64) Option {
-	return func(c *config) error {
-		if s < 0 || s > 1 {
-			return fmt.Errorf("%w: TrackSlack(%v)", ErrBadOption, s)
-		}
-		if s == 0 {
-			s = DefaultTrackSlack
-		}
-		c.trackSlack = s
 		return nil
 	}
 }

@@ -60,8 +60,10 @@ type Session struct {
 
 // NewSession creates a session over a copy-free bulk load of db (which
 // must not be mutated afterwards); a nil db starts empty. The options are
-// the same set Mine takes, plus the session-only ShardCap and TrackSlack;
-// MinSupport is fixed for the session's lifetime.
+// the same set Mine takes, plus the session-only ShardCap; MinSupport is
+// fixed for the session's lifetime. The session tracks candidates at 0.8x
+// the support, so itemsets near the threshold already have counts and
+// small updates stay incremental; results are exact regardless.
 func NewSession(db *DB, opts ...Option) (*Session, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
@@ -79,13 +81,9 @@ func NewSession(db *DB, opts ...Option) (*Session, error) {
 		store = transactions.NewShardedDB(cfg.shardCap)
 	}
 	return &Session{
-		cfg:   cfg,
-		store: store,
-		inc: &assoc.Incremental{
-			Base:       base,
-			Workers:    cfg.workers,
-			TrackSlack: cfg.trackSlack,
-		},
+		cfg:    cfg,
+		store:  store,
+		inc:    &assoc.Incremental{Base: base, Workers: cfg.workers},
 		closer: closer,
 	}, nil
 }
