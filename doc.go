@@ -35,8 +35,9 @@
 // projections instead of by a merge into a global tree — and mining
 // fans per-item conditional projections out across workers — the
 // low-support winner (bench metrics assoc.apriori_ms.* vs
-// assoc.fpgrowth_ms.*). assoc.Auto probes the pass-1 scan and dispatches
-// each Mine to the expected-fastest of these engines.
+// assoc.fpgrowth_ms.*). assoc.Auto runs passes 1 and 2 once, measures C3
+// = apriori-gen(L2) without a scan, and goes on level-wise or hands the
+// pass-1 counts to pattern growth — no engine runs twice.
 //
 // The incremental backend (assoc.Incremental over transactions.ShardedDB)
 // exploits the same seams under updates: the store journals every append

@@ -74,10 +74,10 @@ func run() error {
 	}
 
 	// The analysis itself uses the auto-selected fastest engine — the
-	// facade's default. The internal dispatcher reports which engine the
-	// workload probe picked (density, frequent-universe size).
+	// facade's default. The internal engine reports which engine its mine
+	// became (from the frequent items' density and the size of C3).
 	auto := &assoc.Auto{}
-	if _, err := auto.Select(raw, minSupport); err != nil {
+	if _, err := auto.Mine(raw, minSupport); err != nil {
 		return err
 	}
 	fmt.Printf("\nauto-selected engine: %s\n", auto.Selected())

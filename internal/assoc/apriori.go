@@ -62,40 +62,59 @@ func levelwise(ctx context.Context, src scanSource, minCount int, res *Result, e
 	if len(l1) == 0 {
 		return nil
 	}
-	if err := ctx.Err(); err != nil {
+	l2, err := countL2(ctx, src, l1, len(counts), minCount)
+	if err != nil {
 		return err
 	}
-	res.Levels = append(res.Levels, l1)
-	// Pass-2 special case from the paper: C2 is the full join of L1, so
-	// candidates are counted in a triangular array indexed by L1 rank — no
-	// tree needed.
+	return levelsFrom2(ctx, l1, l2, aprioriGen(itemsetsOf(l2)), minCount, res, emit, src.countCandidates)
+}
+
+// countFunc counts the k-itemsets cands over the database, supports indexed
+// like cands: a scan source's countCandidates, or the incremental
+// maintainer's lookup in its totals.
+type countFunc func(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error)
+
+// countL2 is the paper's pass-2 special case: C2 is the full join of L1
+// (in item order, as thresholdItems emits it from a numItems-long pass-1
+// array), so src counts it in a triangular array indexed by L1 rank — no
+// tree needed — and the frequent pairs come back in lexicographic order.
+// Fewer than two frequent items count nothing.
+func countL2(ctx context.Context, src scanSource, l1 []ItemsetCount, numItems, minCount int) ([]ItemsetCount, error) {
 	n := len(l1)
-	var l2 []ItemsetCount
-	if n >= 2 {
-		rank := l1Ranks(l1, len(counts))
-		pairs, err := src.countPairs(ctx, rank, n)
-		if err != nil {
-			return err
-		}
-		l2 = thresholdTriangle(l1, rank, n, pairs, minCount)
+	if n < 2 {
+		return nil, ctx.Err()
 	}
+	rank := l1Ranks(l1, numItems)
+	pairs, err := src.countPairs(ctx, rank, n)
+	if err != nil {
+		return nil, err
+	}
+	return thresholdTriangle(l1, rank, n, pairs, minCount), nil
+}
+
+// levelsFrom2 continues a level-wise mine whose first two passes are
+// counted: it records L1, emits pass 2 (n(n-1)/2 candidates over n
+// frequent items) with L2, and runs levelsFrom3 from L2 and its candidates
+// c3.
+func levelsFrom2(ctx context.Context, l1, l2 []ItemsetCount, c3 []transactions.Itemset, minCount int, res *Result, emit PassHook, count countFunc) error {
+	res.Levels = append(res.Levels, l1)
+	n := len(l1)
 	emit(PassStat{K: 2, Candidates: n * (n - 1) / 2, Frequent: len(l2)}, l2)
-	return levelsFrom3(ctx, l2, minCount, res, emit, src.countCandidates)
+	return levelsFrom3(ctx, l2, c3, minCount, res, emit, count)
 }
 
 // levelsFrom3 is pass k >= 3 of every level-wise engine, written once:
-// from L2 on it appends each non-empty level to res, generates C_k from it,
-// counts it with count (supports indexed like cands), thresholds, sorts
-// and emits, until a level or its candidate set comes out empty. A count
-// error ends the loop and is returned as is.
-func levelsFrom3(ctx context.Context, level []ItemsetCount, minCount int, res *Result, emit PassHook,
-	count func(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error)) error {
+// from L2 and its candidates C3 = aprioriGen(L2) on, it appends each
+// non-empty level to res, counts the level's candidates with count,
+// thresholds, sorts, emits and generates the next candidates, until a
+// level or its candidate set comes out empty. A count error ends the loop
+// and is returned as is.
+func levelsFrom3(ctx context.Context, level []ItemsetCount, cands []transactions.Itemset, minCount int, res *Result, emit PassHook, count countFunc) error {
 	for k := 3; len(level) > 0; k++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		res.Levels = append(res.Levels, level)
-		cands := aprioriGen(itemsetsOf(level))
 		if len(cands) == 0 {
 			break
 		}
@@ -105,6 +124,7 @@ func levelsFrom3(ctx context.Context, level []ItemsetCount, minCount int, res *R
 		}
 		level = frequentOf(cands, counts, minCount)
 		emit(PassStat{K: k, Candidates: len(cands), Frequent: len(level)}, level)
+		cands = aprioriGen(itemsetsOf(level))
 	}
 	return nil
 }
@@ -162,21 +182,6 @@ func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int, minCo
 		}
 	}
 	return out
-}
-
-// countPairsTriangular is pass 2 of the serial reference engines (AprioriTid's
-// hybrid): the triangular scan over db followed by thresholdTriangle.
-func countPairsTriangular(ctx context.Context, db *transactions.DB, l1 []ItemsetCount, minCount int) ([]ItemsetCount, error) {
-	n := len(l1)
-	if n < 2 {
-		return nil, ctx.Err()
-	}
-	rank := l1Ranks(l1, db.NumItems())
-	counts, err := scanLocal(db, 1).countPairs(ctx, rank, n)
-	if err != nil {
-		return nil, err
-	}
-	return thresholdTriangle(l1, rank, n, counts, minCount), nil
 }
 
 // countWithMap counts candidates by direct subset checks against an index

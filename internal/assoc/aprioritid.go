@@ -248,7 +248,7 @@ func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, mi
 				}
 				est += m * (m - 1) / 2
 			}
-			level, err = countPairsTriangular(ctx, db, level, minCount)
+			level, err = countL2(ctx, scanLocal(db, 1), level, db.NumItems(), minCount)
 			if err != nil {
 				return nil, err
 			}

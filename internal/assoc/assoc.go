@@ -8,8 +8,9 @@
 //   - DHP, direct hashing and pruning (Park, Chen & Yu, SIGMOD'95)
 //
 // plus Eclat's vertical-layout mining, Toivonen's Sampling, the
-// candidate-free FP-growth successor (FPGrowth over internal/fptree, with
-// an Auto dispatch that picks the expected-fastest engine per workload),
+// candidate-free FP-growth successor (FPGrowth over internal/fptree, and
+// Auto, which shares passes 1 and 2 and then finishes level-wise or by
+// pattern growth as the measured C3 favours),
 // confidence/lift rule generation (the ap-genrules procedure), and
 // FUP-style incremental maintenance (Incremental) over an updatable
 // sharded store.
@@ -65,6 +66,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/transactions"
@@ -253,14 +256,20 @@ func AprioriGen(prev []transactions.Itemset) []transactions.Itemset {
 // removes candidates with an infrequent (k-1)-subset. prev must be sorted
 // lexicographically. The returned candidates are sorted.
 func aprioriGen(prev []transactions.Itemset) []transactions.Itemset {
+	cands, _ := aprioriGenUpTo(prev, math.MaxInt)
+	return cands
+}
+
+// aprioriGenUpTo is aprioriGen that gives up, reporting false, as soon as
+// more than limit candidates pass the prune — how Auto measures C3 without
+// paying for a whole generation it would throw away.
+func aprioriGenUpTo(prev []transactions.Itemset, limit int) ([]transactions.Itemset, bool) {
 	if len(prev) == 0 {
-		return nil
+		return nil, true
 	}
 	k := len(prev[0]) + 1
-	prevSet := make(map[string]struct{}, len(prev))
-	for _, p := range prev {
-		prevSet[p.Key()] = struct{}{}
-	}
+	cand := make(transactions.Itemset, k)
+	sub := make(transactions.Itemset, 0, k-1)
 	var cands []transactions.Itemset
 	for i := 0; i < len(prev); i++ {
 		for j := i + 1; j < len(prev); j++ {
@@ -269,15 +278,18 @@ func aprioriGen(prev []transactions.Itemset) []transactions.Itemset {
 				break // prev is sorted: once prefixes diverge, no more joins for i
 			}
 			// Join: a ++ last(b); a < b lexicographically so order holds.
-			cand := make(transactions.Itemset, k)
 			copy(cand, a)
 			cand[k-1] = b[k-2]
-			if hasAllSubsetsFrequent(cand, prevSet) {
-				cands = append(cands, cand)
+			if !hasAllSubsetsFrequent(cand, prev, sub) {
+				continue
 			}
+			if len(cands) == limit {
+				return nil, false
+			}
+			cands = append(cands, slices.Clone(cand))
 		}
 	}
-	return cands
+	return cands, true
 }
 
 func samePrefix(a, b transactions.Itemset, n int) bool {
@@ -290,19 +302,14 @@ func samePrefix(a, b transactions.Itemset, n int) bool {
 }
 
 // hasAllSubsetsFrequent checks the Apriori prune: every (k-1)-subset of
-// cand must be in prevSet. The two subsets that formed the join are
-// members by construction, so only the others need testing, but testing
-// all keeps the code simple and the cost is identical asymptotically.
-func hasAllSubsetsFrequent(cand transactions.Itemset, prevSet map[string]struct{}) bool {
-	buf := make(transactions.Itemset, 0, len(cand)-1)
-	for drop := range cand {
-		buf = buf[:0]
-		for i, v := range cand {
-			if i != drop {
-				buf = append(buf, v)
-			}
-		}
-		if _, ok := prevSet[buf.Key()]; !ok {
+// cand must be in prev, which is sorted. Dropping either of the last two
+// items gives one of the joined generators, a member by construction, so
+// only the other subsets are looked up — by binary search, built in sub,
+// with no allocation and no string key.
+func hasAllSubsetsFrequent(cand transactions.Itemset, prev []transactions.Itemset, sub transactions.Itemset) bool {
+	for drop := 0; drop < len(cand)-2; drop++ {
+		sub = append(append(sub[:0], cand[:drop]...), cand[drop+1:]...)
+		if _, ok := slices.BinarySearchFunc(prev, sub, transactions.Itemset.Compare); !ok {
 			return false
 		}
 	}

@@ -251,6 +251,26 @@ func TestAprioriGenJoinAndPrune(t *testing.T) {
 	if !got[0].Equal(transactions.NewItemset(1, 2, 3)) || !got[1].Equal(transactions.NewItemset(1, 2, 4)) {
 		t.Errorf("candidates = %v", got)
 	}
+	// The capped form counts only candidates that survive the prune: two
+	// fit a limit of two, not of one.
+	if capped, ok := aprioriGenUpTo(prev, 2); !ok || len(capped) != 2 {
+		t.Errorf("aprioriGenUpTo(prev, 2) = %v, %v", capped, ok)
+	}
+	if capped, ok := aprioriGenUpTo(prev, 1); ok || capped != nil {
+		t.Errorf("aprioriGenUpTo(prev, 1) = %v, %v; want nil, false", capped, ok)
+	}
+	// Length 4 from L3 = {123, 124, 134, 234, 125}: 1234 keeps all four
+	// subsets, 1245 lacks 145 and 245.
+	l3 := []transactions.Itemset{
+		transactions.NewItemset(1, 2, 3),
+		transactions.NewItemset(1, 2, 4),
+		transactions.NewItemset(1, 2, 5),
+		transactions.NewItemset(1, 3, 4),
+		transactions.NewItemset(2, 3, 4),
+	}
+	if got := aprioriGen(l3); len(got) != 1 || !got[0].Equal(transactions.NewItemset(1, 2, 3, 4)) {
+		t.Errorf("length-4 candidates = %v, want [1 2 3 4]", got)
+	}
 }
 
 func TestAprioriGenEmpty(t *testing.T) {

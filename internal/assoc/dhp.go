@@ -114,7 +114,7 @@ func (d *DHP) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 	l2 := frequentOf(c2, counts, minCount)
 	emit := func(stat PassStat, level []ItemsetCount) { res.addPass(d.hook, stat, level) }
 	emit(PassStat{K: 2, Candidates: len(c2), Frequent: len(l2)}, l2)
-	if err := levelsFrom3(ctx, l2, minCount, res, emit, scans.countCandidates); err != nil {
+	if err := levelsFrom3(ctx, l2, aprioriGen(itemsetsOf(l2)), minCount, res, emit, scans.countCandidates); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -80,6 +80,13 @@ func growth(ctx context.Context, src scanSource, minCount, workers int, res *Res
 	}
 	ranks := fptree.NewRanks(counts, minCount)
 	emit(PassStat{K: 1, Candidates: len(counts), Frequent: ranks.Len()}, nil)
+	return growFrom(ctx, src, ranks, minCount, workers, res, emit)
+}
+
+// growFrom is pattern growth past pass 1: build the FP-tree forest under
+// ranks, grow the patterns and assemble them into res. Auto enters here
+// with ranks from the pass-1 counts it has already scanned.
+func growFrom(ctx context.Context, src scanSource, ranks *fptree.Ranks, minCount, workers int, res *Result, emit PassHook) error {
 	if ranks.Len() == 0 {
 		return nil
 	}

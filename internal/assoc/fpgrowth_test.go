@@ -129,8 +129,8 @@ func TestFPGrowthPassStats(t *testing.T) {
 	}
 }
 
-// TestAutoDispatch pins the Auto heuristic's three arms and that Selected
-// reports the engine used.
+// TestAutoDispatch pins Auto's three arms and that Selected reports the
+// engine the mine became.
 func TestAutoDispatch(t *testing.T) {
 	a := &Auto{}
 	if a.Selected() != "" {
@@ -152,22 +152,11 @@ func TestAutoDispatch(t *testing.T) {
 		t.Errorf("dense: selected %q, want Eclat", a.Selected())
 	}
 
-	// Sparse, huge frequent universe relative to the database → FPGrowth.
-	sparse := transactions.NewDB()
-	for i := 0; i < 40; i++ {
-		tx := make([]int, 0, 8)
-		for j := 0; j < 8; j++ {
-			tx = append(tx, (i*977+j*5003)%4000)
-		}
-		if err := sparse.Add(tx...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m, err := a.Select(sparse, 0.01)
-	if err != nil {
+	// Sparse, with far more triples than autoMaxC3 → FPGrowth.
+	if _, err := a.Mine(sparseDB(t), 0.01); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := m.(*FPGrowth); !ok {
+	if a.Selected() != "FPGrowth" {
 		t.Errorf("sparse low-support: selected %q, want FPGrowth", a.Selected())
 	}
 

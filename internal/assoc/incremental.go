@@ -372,7 +372,7 @@ func (inc *Incremental) threshold() (*Result, error) {
 	// totals. It runs under a context nothing can cancel, because the
 	// totals it reads are already spliced: giving up here would throw away
 	// an update the maintainer has already absorbed.
-	if err := levelsFrom3(context.Background(), l2, minCount, res, emit, inc.lookup); err != nil {
+	if err := levelsFrom3(context.Background(), l2, aprioriGen(itemsetsOf(l2)), minCount, res, emit, inc.lookup); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -14,7 +14,8 @@ func TestCountPairsTriangular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := countPairsTriangular(ctx, db, l1, 2)
+	src := scanLocal(db, 1)
+	got, err := countL2(ctx, src, l1, db.NumItems(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestCountPairsTriangular(t *testing.T) {
 		}
 	}
 	// Fewer than two frequent items: no pairs.
-	if got, err := countPairsTriangular(ctx, db, l1[:1], 2); err != nil || got != nil {
+	if got, err := countL2(ctx, src, l1[:1], db.NumItems(), 2); err != nil || got != nil {
 		t.Errorf("single-item pairs = %v (err %v)", got, err)
 	}
 }

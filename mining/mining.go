@@ -1,10 +1,10 @@
 // Package mining is the public, versioned frequent-itemset mining API of
 // this module — the single way in to the six engines internal/assoc
 // registers (level-wise Apriori and DHP, vertical Eclat, pattern-growth
-// FPGrowth, the workload-probing Auto dispatch, and the coordinator/worker
-// Distributed backend). The survey's first-generation miners (AIS, SETM,
-// AprioriTid, AprioriHybrid, Partition, Sampling) are reference engines
-// for the paper tables and are not selectable here.
+// FPGrowth, Auto — which picks a family after pass 2 — and the
+// coordinator/worker Distributed backend). The survey's first-generation
+// miners (AIS, SETM, AprioriTid, AprioriHybrid, Partition, Sampling) are
+// reference engines for the paper tables and are not selectable here.
 //
 // # One-shot mining
 //
@@ -44,7 +44,7 @@
 // NewSession. Zero values and omitted options mean:
 //
 //	MinSupport   0.01 (DefaultMinSupport)
-//	Algorithm    "Auto" (DefaultAlgorithm): probe the workload, dispatch
+//	Algorithm    "Auto" (DefaultAlgorithm): level-wise or growth, decided after pass 2
 //	Workers      1 (serial); Workers(0) resolves to runtime.GOMAXPROCS
 //	Transport    none (in-process mining)
 //	Progress     none

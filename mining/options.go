@@ -16,8 +16,9 @@ const (
 	// DefaultMinSupport is the relative support used when MinSupport is
 	// not given.
 	DefaultMinSupport = 0.01
-	// DefaultAlgorithm probes the workload's pass-1 scan and dispatches
-	// to the expected-fastest engine; results are identical regardless.
+	// DefaultAlgorithm shares passes 1 and 2 with Apriori, then finishes
+	// level-wise or by pattern growth, whichever the measured C3 favours;
+	// results are identical regardless.
 	DefaultAlgorithm = "Auto"
 	// DefaultShardCap is the per-shard transaction capacity of a
 	// session's store when ShardCap is not given.
@@ -97,8 +98,9 @@ func Workers(n int) Option {
 }
 
 // Algorithm selects the engine by name — any name in Algorithms(). The
-// default "Auto" probes the workload and dispatches; every engine finds
-// identical itemsets, so the choice moves only wall-clock time.
+// default "Auto" decides between the engine families after pass 2; every
+// engine finds identical itemsets, so the choice moves only wall-clock
+// time.
 func Algorithm(name string) Option {
 	return func(c *config) error {
 		c.algorithm = name
