@@ -10,7 +10,7 @@
 // Usage:
 //
 //	dmserve -in baskets.txt -addr 127.0.0.1:8080
-//	        [-minsup 0.01 -rulefloor 0.5 -algo Auto -workers 0 -shardcap 1024]
+//	        [-minsup 0.01 -rulefloor 0.5 -workers 0 -shardcap 1024]
 //	        [-maintainafter 256 -maintainevery 2s -queue 1024 -cache 512]
 //	        [-data dir -fsync always|interval[=100ms]|never -snapshotevery 4096]
 //	        [-dist -distworkers 4 [-distfaults seed=1,err=0.1,timeout=250ms]]
@@ -38,10 +38,12 @@
 // carries slow-client (slowloris) read timeouts, and every handler runs
 // behind panic-recovery middleware.
 //
-// With -dist the session's support counting fans out to in-process
-// distributed workers over the encoding transport (the BindStore path: full
-// re-mines re-ship only dirty shards); -distfaults arms the seeded fault
-// injector plus the retry/failover layer on top, exactly as in dmine.
+// The session's full runs count level-wise and keep those counts as the
+// maintained totals, so there is no engine to pick. With -dist their scans
+// fan out to in-process distributed workers over the encoding transport,
+// which keep the store's shards between full runs and receive only dirty
+// ones; -distfaults arms the seeded fault injector plus the retry/failover
+// layer on top, exactly as in dmine.
 // The server prints "listening on http://ADDR" once ready and exits
 // cleanly on SIGINT/SIGTERM.
 package main
@@ -56,7 +58,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -85,7 +86,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	var (
 		in       = fs.String("in", "", "optional initial basket file (one transaction per line)")
 		sup      = cliutil.AddSupportFlags(fs)
-		algo     = fs.String("algo", "Auto", "mining engine, one of "+strings.Join(mining.Algorithms(), ", "))
 		workers  = cliutil.AddWorkersFlag(fs)
 		shardCap = fs.Int("shardcap", 0, "transactions per store shard (0 = 1024)")
 		sf       = cliutil.AddServeFlags(fs)
@@ -112,19 +112,13 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	}
 
 	opts := []mining.Option{
-		mining.Algorithm(*algo),
 		mining.Workers(cliutil.ResolveWorkers(*workers)),
 		mining.ShardCap(*shardCap),
 	}
 	if dist.Dist {
-		switch *algo {
-		case "Apriori", "FPGrowth", "Auto", "Distributed":
-		default:
-			return fmt.Errorf("-dist supports -algo Apriori or FPGrowth, not %q", *algo)
-		}
 		wn := dist.EffectiveWorkers()
 		opts = append(opts, mining.Transport(mining.LocalTransport(wn)))
-		fmt.Fprintf(stdout, "distributed: %s engine over %d in-process workers (wire-codec transport)\n", *algo, wn)
+		fmt.Fprintf(stdout, "distributed: counting over %d in-process workers (wire-codec transport)\n", wn)
 		if faults != nil {
 			opts = append(opts,
 				mining.Retry(mining.RetrySpec{

@@ -224,6 +224,7 @@ func TestBadFlags(t *testing.T) {
 		{"-rpcaddr", "127.0.0.1:0"}, // no such flag: HTTP is the only transport
 		{"-distfaults", "err=0.1"},  // requires -dist
 		{"-distfaults", "nonsense", "-dist"},
+		{"-algo", "Apriori"}, // no such flag: sessions count level-wise
 	}
 	for _, args := range cases {
 		var out bytes.Buffer

@@ -46,8 +46,10 @@
 // by counting only the journalled transactions — added ones in, deleted
 // ones out — so the work follows the update, not the store. It falls back
 // to a full re-mine only when the maintained frequent set's negative
-// border is crossed or the journal cannot account for the store. Results
-// stay byte-identical to a from-scratch run at every step.
+// border is crossed or the journal cannot account for the store. A full
+// re-mine is one level-wise run at the tracking support whose pass counts
+// become the totals, so the store is counted once. Results stay
+// byte-identical to a from-scratch run at every step.
 //
 // The distributed backend (internal/dist + assoc.Distributed) is the
 // remote scan source under the same two drivers: a coordinator ships
@@ -61,8 +63,9 @@
 // loses its whole cluster finishes on the local source (the bench metrics
 // dist.overhead_x and dist.gob_share — the codec's share, under the name
 // of the codec it replaced — track the shipping and serialization
-// overhead). Binding a ShardedDB re-ships only dirty shards after updates,
-// which lets assoc.Incremental use Distributed as its full-run base.
+// overhead). The maintainer's full runs (assoc.Incremental.Remote) sync a
+// ShardedDB's version-stamped shards, so only dirty ones re-ship after
+// updates.
 //
 // See README.md for the tour. cmd/dmbench prints the paper-shaped
 // experiment tables; bench/ (bench/README.md) is the one performance

@@ -7,10 +7,11 @@ import "repro/internal/transactions"
 // level that are not themselves frequent. Every such candidate has all of
 // its proper subsets frequent (aprioriGen's prune guarantees it), so these
 // are exactly the minimal infrequent itemsets of length >= 2. The level-1
-// part of the border — the infrequent single items — is not included;
-// callers that need it (Toivonen's Sampling, the FUP-style incremental
-// maintainer) track all single items anyway, because a flat pass-1 count
-// array covers the whole item universe for free.
+// part of the border — the infrequent single items — is not included:
+// Toivonen's Sampling, its one caller, counts all single items anyway,
+// because a flat pass-1 count array covers the whole item universe for
+// free. (The incremental maintainer needs no border of its own: the
+// level-wise run of its full run counts C_k = L_k plus the border.)
 //
 // The returned itemsets are deduplicated and appear in level order.
 func negativeBorder(levels [][]ItemsetCount) []transactions.Itemset {

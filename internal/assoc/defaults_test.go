@@ -130,74 +130,57 @@ func floatEq(a, b float64) bool {
 	return d < 1e-12 && d > -1e-12
 }
 
-// cancellingBase is a full-run base miner that cancels its context on the
-// Nth call and otherwise delegates to Apriori — the deterministic way to
-// land a cancellation inside rebuild's full mine.
-type cancellingBase struct {
-	cancel   context.CancelFunc
-	calls    int
-	cancelOn int
-}
-
-// Name implements Miner.
-func (c *cancellingBase) Name() string { return "cancelling" }
-
-// Mine implements Miner.
-func (c *cancellingBase) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
-	return c.MineContext(context.Background(), db, minSupport)
-}
-
-// MineContext implements Miner.
-func (c *cancellingBase) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
-	c.calls++
-	if c.calls == c.cancelOn {
-		c.cancel()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return (&Apriori{}).MineContext(ctx, db, minSupport)
-}
-
 // TestCancelledRebuildDropsStaleResult pins the recovery contract: when a
-// Maintain's recount succeeds (caches now clean) but the border-crossing
-// rebuild is cancelled mid-full-mine, the maintainer must not let a later
-// Maintain take the nothing-changed fast path back to the stale result —
-// the store length is unchanged (append+delete), so only the dropped
-// state forces the re-mine.
+// Maintain's delta count succeeds but the border-crossing rebuild is
+// cancelled mid-full-run, the maintainer must not let a later Maintain take
+// the nothing-changed fast path back to the stale result — the store length
+// is unchanged (append+delete), so only the dropped state forces the
+// re-mine. A countdown context lands the cancellation on each of the
+// Maintain's context polls in turn, until one falls inside the full run
+// (the one place that drops the maintained result).
 func TestCancelledRebuildDropsStaleResult(t *testing.T) {
-	store := transactions.NewShardedDB(64)
-	for i := 0; i < 10; i++ {
-		if err := store.Append(i%3, 3+i%2); err != nil {
+	for polls := int64(0); ; polls++ {
+		store := transactions.NewShardedDB(64)
+		for i := 0; i < 10; i++ {
+			if err := store.Append(i%3, 3+i%2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inc := &Incremental{}
+		if _, _, err := inc.Attach(store, 0.1); err != nil {
 			t.Fatal(err)
 		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	base := &cancellingBase{cancel: cancel, cancelOn: 2} // attach mines once
-	inc := &Incremental{Base: base}
-	if _, _, err := inc.Attach(store, 0.1); err != nil {
-		t.Fatal(err)
-	}
-	// Same length, new frequent item 9: the tracked set cannot cover it,
-	// so Maintain recounts, fails threshold, and the rebuild is cancelled.
-	if err := store.Append(9, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.DeleteAt(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := inc.MaintainContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled rebuild: err = %v, want context.Canceled", err)
-	}
-	res, _, err := inc.Maintain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := (&Apriori{}).Mine(store.Snapshot(), 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Canonical()) != string(want.Canonical()) {
-		t.Fatal("post-cancel Maintain returned a stale result instead of re-mining")
+		// Same length, new frequent item 9: the tracked set cannot cover it,
+		// so Maintain counts the delta, fails threshold and rebuilds.
+		if err := store.Append(9, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.DeleteAt(0); err != nil {
+			t.Fatal(err)
+		}
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(polls)
+		_, stats, err := inc.MaintainContext(ctx)
+		if err == nil {
+			t.Fatalf("no cancellation landed inside the full run (stats %+v after %d polls)", stats, polls)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled rebuild: err = %v, want context.Canceled", err)
+		}
+		if inc.Result() != nil {
+			continue // cancelled in the delta count, before the full run
+		}
+		res, _, err := inc.Maintain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := (&Apriori{}).Mine(store.Snapshot(), 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(res.Canonical()) != string(want.Canonical()) {
+			t.Fatal("post-cancel Maintain returned a stale result instead of re-mining")
+		}
+		return
 	}
 }

@@ -35,12 +35,11 @@ const (
 //
 // Two shard sources exist. A plain Mine(db, minSupport) splits db into one
 // contiguous shard per worker and ships them all (a fresh epoch per call,
-// since a plain DB carries no version stamps). BindStore attaches a
-// transactions.ShardedDB instead: Mine then ships the store's shards under
-// their own version stamps and re-ships only shards whose version changed
-// since the last run — the incremental maintainer's dirty-shard protocol
-// carried across the transport, which is what makes Distributed a useful
-// Incremental base (only dirty shards travel after an Append/DeleteAt).
+// since a plain DB carries no version stamps). The incremental maintainer's
+// full runs (Incremental.Remote) sync a transactions.ShardedDB instead
+// (storeScans): its shards travel under their own version stamps, and only
+// shards whose version changed since the last sync re-ship — the
+// dirty-shard protocol carried across the transport.
 type Distributed struct {
 	// Transport carries shards and count requests. nil lazily builds an
 	// in-process channel transport with Workers workers in encode mode
@@ -65,17 +64,16 @@ type Distributed struct {
 	// dist.ErrNoHealthyWorkers instead of falling back to local scans.
 	NoLocalFallback bool
 
-	hook     PassHook
-	coord    *dist.Coordinator
+	hook  PassHook
+	coord *dist.Coordinator
+	// store is the ShardedDB whose shards the workers hold, nil after a
+	// plain Mine. Switching stores, or between a store and the plain path,
+	// resets the coordinator: both use small-integer shard ids, and a
+	// leftover version could otherwise collide with a new one and leave a
+	// stale replica in place.
 	store    *transactions.ShardedDB
 	epoch    uint64
 	degraded bool
-	// onStorePath remembers whether the last sync shipped store shards;
-	// switching between the plain and store paths resets the coordinator,
-	// since both use small-integer shard ids and a leftover plain-epoch
-	// version could otherwise collide with a store version stamp and leave
-	// a stale replica in place.
-	onStorePath bool
 }
 
 // Name implements Miner.
@@ -89,18 +87,6 @@ func (d *Distributed) SetWorkers(n int) { d.Workers = n }
 // levels per pass; the FPGrowth strategy emits them in one burst at the
 // end, after the imported forest is mined (pass 1 carries a nil level).
 func (d *Distributed) SetPassHook(h PassHook) { d.hook = h }
-
-// BindStore attaches the updatable store whose shard snapshots Mine
-// ships. Placement and version state reset, so the next Mine re-ships
-// everything and later Mines re-ship only dirty shards. Binding nil
-// returns to the plain split-per-Mine mode.
-func (d *Distributed) BindStore(s *transactions.ShardedDB) {
-	d.store = s
-	d.onStorePath = false
-	if d.coord != nil {
-		d.coord.Reset()
-	}
-}
 
 // Coordinator returns the engine's coordinator, creating the default
 // transport if none was provided — the handle tests and benchmarks use to
@@ -133,67 +119,46 @@ func (d *Distributed) Close() error {
 	return nil
 }
 
-// storeMatches reports whether db is a current snapshot of the bound
-// store: same live length and, transaction by transaction, the same
-// backing itemsets (Snapshot shares itemset headers with the store, so
-// identity is a cheap pointer walk — no content comparison). A stale
-// snapshot taken before mutations, or an unrelated database that merely
-// matches the store's length, fails the walk and takes the plain-DB path
-// instead of silently mining the store's current contents.
-func (d *Distributed) storeMatches(db *transactions.DB) bool {
-	if d.store == nil || d.store.Len() != db.Len() {
-		return false
-	}
-	k := 0
-	for i := 0; i < d.store.NumShards(); i++ {
-		view, _ := d.store.ShardView(i)
-		for _, tx := range view.Transactions {
-			o := db.Transactions[k]
-			k++
-			if len(tx) != len(o) {
-				return false
-			}
-			if len(tx) > 0 && &tx[0] != &o[0] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// sync ships the current shard set and returns the item universe size the
-// pass-1 arrays are sized for. With a bound store of which db is a
-// current snapshot (what Incremental hands a base miner), the store's
-// version-stamped shards are synced and clean replicas are reused; any
-// other db is split fresh under a new epoch so stale replicas can never
-// leak into the counts.
-func (d *Distributed) sync(ctx context.Context, db *transactions.DB) (int, error) {
+// sync ships db as one contiguous shard per worker, versioned by a fresh
+// epoch per call because a plain DB carries no version stamps of its own,
+// so stale replicas can never leak into the counts.
+func (d *Distributed) sync(ctx context.Context, db *transactions.DB) error {
 	c := d.Coordinator()
-	if d.storeMatches(db) {
-		if !d.onStorePath {
-			// Entering the store path (after a bind or a plain-path mine):
-			// drop all placement/version state so every shard re-ships.
-			c.Reset()
-			d.onStorePath = true
-		}
-		payloads := make([]dist.ShardPayload, d.store.NumShards())
-		for i := range payloads {
-			view, version := d.store.ShardView(i)
-			payloads[i] = dist.ShardPayload{ID: i, Version: version, Txs: view.Transactions}
-		}
-		return d.store.NumItems(), c.Sync(ctx, payloads)
-	}
-	// Plain DB: one contiguous shard per worker, versioned by a fresh
-	// epoch per call because the db carries no version stamps of its own.
 	c.Reset()
-	d.onStorePath = false
+	d.store = nil
 	d.epoch++
 	shards := db.Shards(c.Transport().NumWorkers())
 	payloads := make([]dist.ShardPayload, len(shards))
 	for i, sh := range shards {
 		payloads[i] = dist.ShardPayload{ID: i, Version: d.epoch, Txs: sh.Transactions}
 	}
-	return db.NumItems(), c.Sync(ctx, payloads)
+	return c.Sync(ctx, payloads)
+}
+
+// storeScans is the maintainer's way onto the cluster: it syncs store's
+// version-stamped shards, so only the shards an Append or DeleteAt dirtied
+// since the last sync re-ship, and returns the scan source of one full run
+// over them. snap must be a current snapshot of store: once the cluster is
+// lost, the run goes on over it with local scans, and every pass it emits
+// from then on is Degraded, exactly as in MineContext.
+func (d *Distributed) storeScans(ctx context.Context, store *transactions.ShardedDB, snap *transactions.DB) (*remoteScans, error) {
+	c := d.Coordinator()
+	c.SetRetry(d.Retry)
+	d.degraded = false
+	if d.store != store {
+		c.Reset()
+		d.store = store
+	}
+	payloads := make([]dist.ShardPayload, store.NumShards())
+	for i := range payloads {
+		view, version := store.ShardView(i)
+		payloads[i] = dist.ShardPayload{ID: i, Version: version, Txs: view.Transactions}
+	}
+	src := &remoteScans{d: d, db: snap, numItems: store.NumItems()}
+	if err := c.Sync(ctx, payloads); err != nil && !src.degrade(err) {
+		return nil, err
+	}
+	return src, nil
 }
 
 // Mine implements Miner.
@@ -230,9 +195,7 @@ func (d *Distributed) MineContext(ctx context.Context, db *transactions.DB, minS
 	d.degraded = false
 	d.Coordinator().SetRetry(d.Retry)
 	src := &remoteScans{d: d, db: db, numItems: db.NumItems()}
-	if n, err := d.sync(ctx, db); err == nil {
-		src.numItems = n
-	} else if !src.degrade(err) {
+	if err := d.sync(ctx, db); err != nil && !src.degrade(err) {
 		return nil, err
 	}
 	res := &Result{MinCount: minCount, NumTx: db.Len()}

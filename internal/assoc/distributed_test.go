@@ -141,8 +141,11 @@ func TestDistributedUnknownEngine(t *testing.T) {
 }
 
 // TestDistributedStoreReshipsOnlyDirtyShards is the incremental acceptance
-// check: with a bound store, a full re-mine after one Append re-ships
-// exactly the shards the mutation dirtied, not the whole database.
+// check on the maintainer path: every full run of an Incremental with a
+// Remote syncs the store, re-shipping exactly the shards a mutation
+// dirtied, not the whole database — and a plain Mine in between, whose
+// epoch-versioned shards share the store's ids, makes the next full run
+// re-ship everything.
 func TestDistributedStoreReshipsOnlyDirtyShards(t *testing.T) {
 	store := transactions.NewShardedDB(64)
 	for i := 0; i < 300; i++ {
@@ -152,44 +155,57 @@ func TestDistributedStoreReshipsOnlyDirtyShards(t *testing.T) {
 	}
 	d := newDistributed(DistEngineApriori, 2)
 	defer d.Close()
-	d.BindStore(store)
-
-	mineStore := func() *Result {
+	inc := &Incremental{Remote: d}
+	shipped := func() int { return d.Coordinator().Stats().ShippedShards }
+	// fullRun re-attaches when fresh is set, and otherwise drains the
+	// journal behind the maintainer's back, so Maintain must run a full run.
+	fullRun := func(fresh bool) *Result {
 		t.Helper()
-		res, err := d.Mine(store.Snapshot(), 0.05)
+		var res *Result
+		var stats MaintainStats
+		var err error
+		if fresh {
+			res, stats, err = inc.Attach(store, 0.05)
+		} else {
+			store.Drain()
+			res, stats, err = inc.Maintain()
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !stats.FullRun {
+			t.Fatalf("stats = %+v, want a full run", stats)
+		}
 		return res
 	}
-	mineStore()
-	shipped := d.Coordinator().Stats().ShippedShards
-	if shipped != store.NumShards() {
-		t.Fatalf("initial mine shipped %d shards, want %d", shipped, store.NumShards())
+	fullRun(true)
+	before := shipped()
+	if before != store.NumShards() {
+		t.Fatalf("attach shipped %d shards, want %d", before, store.NumShards())
 	}
 
-	// Clean re-mine: nothing moves.
-	mineStore()
-	if got := d.Coordinator().Stats().ShippedShards; got != shipped {
-		t.Fatalf("clean re-mine shipped %d more shards", got-shipped)
+	// Clean full run: nothing moves.
+	fullRun(true)
+	if got := shipped(); got != before {
+		t.Fatalf("clean full run shipped %d more shards", got-before)
 	}
 
 	// One append dirties exactly the tail shard; one delete in shard 0
-	// dirties exactly shard 0. Each re-mine moves only those.
+	// dirties exactly shard 0. Each full run moves only those.
 	if err := store.Append(0, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	mineStore()
-	if got := d.Coordinator().Stats().ShippedShards; got != shipped+1 {
-		t.Fatalf("append re-mine shipped %d shards, want 1", got-shipped)
+	fullRun(false)
+	if got := shipped(); got != before+1 {
+		t.Fatalf("append full run shipped %d shards, want 1", got-before)
 	}
-	shipped = d.Coordinator().Stats().ShippedShards
+	before = shipped()
 	if _, err := store.DeleteAt(0); err != nil {
 		t.Fatal(err)
 	}
-	mineStore()
-	if got := d.Coordinator().Stats().ShippedShards; got != shipped+1 {
-		t.Fatalf("delete re-mine shipped %d shards, want 1", got-shipped)
+	res := fullRun(false)
+	if got := shipped(); got != before+1 {
+		t.Fatalf("delete full run shipped %d shards, want 1", got-before)
 	}
 
 	// The store-backed result still matches a local from-scratch run.
@@ -197,15 +213,26 @@ func TestDistributedStoreReshipsOnlyDirtyShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(mineStore().Canonical()) != string(want.Canonical()) {
-		t.Error("store-backed distributed mine diverges from local Apriori")
+	if string(res.Canonical()) != string(want.Canonical()) {
+		t.Error("store-backed distributed full run diverges from local Apriori")
+	}
+
+	// A plain Mine replaces the replicas under the same shard ids; the
+	// next full run must not trust any of them.
+	if _, err := d.Mine(store.Snapshot(), 0.05); err != nil {
+		t.Fatal(err)
+	}
+	before = shipped()
+	fullRun(true)
+	if got := shipped(); got != before+store.NumShards() {
+		t.Fatalf("full run after a plain Mine shipped %d shards, want all %d", got-before, store.NumShards())
 	}
 }
 
 // TestIncrementalWithDistributedBase drives the maintainer with a
-// Distributed base through appends and deletes: every maintained result is
-// byte-identical to a from-scratch run, and the full re-mines triggered by
-// border crossings re-ship only dirty shards (Attach binds the store).
+// Distributed Remote through appends and deletes: every maintained result
+// is byte-identical to a from-scratch run, and the full re-mines triggered
+// by border crossings re-ship only dirty shards.
 func TestIncrementalWithDistributedBase(t *testing.T) {
 	store := transactions.NewShardedDB(64)
 	for i := 0; i < 256; i++ {
@@ -215,7 +242,7 @@ func TestIncrementalWithDistributedBase(t *testing.T) {
 	}
 	d := newDistributed(DistEngineApriori, 2)
 	defer d.Close()
-	inc := &Incremental{Base: d}
+	inc := &Incremental{Remote: d}
 	res, _, err := inc.Attach(store, 0.1)
 	if err != nil {
 		t.Fatal(err)
@@ -237,8 +264,8 @@ func TestIncrementalWithDistributedBase(t *testing.T) {
 	verify()
 
 	// A burst of appends introducing a brand-new frequent item crosses the
-	// negative border, forcing a full re-mine through the distributed
-	// base. Only the dirtied tail shards may travel.
+	// negative border, forcing a full re-mine over the cluster. Only the
+	// dirtied tail shards may travel.
 	for i := 0; i < 40; i++ {
 		if err := store.Append(50, 51); err != nil {
 			t.Fatal(err)
@@ -274,59 +301,6 @@ func TestIncrementalWithDistributedBase(t *testing.T) {
 	verify()
 	if got := d.Coordinator().Stats().ShippedShards - before; got > 1 {
 		t.Errorf("post-delete maintenance re-shipped %d shards, want <= 1", got)
-	}
-}
-
-// TestDistributedStaleSnapshotTakesPlainPath pins the store-match
-// identity walk: a snapshot taken before mutations that happen to leave
-// the store at the same length must NOT be treated as the store — the
-// engine mines the snapshot it was given (via the plain path), not the
-// store's current contents.
-func TestDistributedStaleSnapshotTakesPlainPath(t *testing.T) {
-	store := transactions.NewShardedDB(64)
-	for i := 0; i < 100; i++ {
-		if err := store.Append(i%5, 5+i%3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d := newDistributed(DistEngineApriori, 2)
-	defer d.Close()
-	d.BindStore(store)
-
-	snap := store.Snapshot()
-	// One delete plus one append keeps the length equal while changing
-	// the contents.
-	if _, err := store.DeleteAt(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append(40, 41); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != snap.Len() {
-		t.Fatalf("setup broken: store %d vs snap %d", store.Len(), snap.Len())
-	}
-	got, err := d.Mine(snap, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := (&Apriori{}).Mine(snap, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got.Canonical()) != string(want.Canonical()) {
-		t.Error("stale snapshot mined as the store's current contents")
-	}
-	// A fresh snapshot passes the identity walk again (store path).
-	fresh, err := d.Mine(store.Snapshot(), 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFresh, err := (&Apriori{}).Mine(store.Snapshot(), 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(fresh.Canonical()) != string(wantFresh.Canonical()) {
-		t.Error("fresh snapshot diverges after plain-path interlude")
 	}
 }
 

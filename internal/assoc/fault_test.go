@@ -290,7 +290,7 @@ func TestNoFallbackSurfacesSentinel(t *testing.T) {
 }
 
 // TestIncrementalAttachUnderFaults pins the Session-facing path: an
-// Incremental over a faulty Distributed base attaches, maintains through
+// Incremental over a faulty Distributed Remote attaches, maintains through
 // appends, and stays byte-identical to from-scratch local mining — the
 // dirty-shard protocol and the retry layer composing, not fighting.
 func TestIncrementalAttachUnderFaults(t *testing.T) {
@@ -300,7 +300,7 @@ func TestIncrementalAttachUnderFaults(t *testing.T) {
 		dist.FaultPlan{Seed: 5, Error: 0.15, Delay: 100 * time.Microsecond, DelayProb: 0.1})
 	d := &Distributed{Transport: ft, Workers: 2, Retry: chaosRetry(5)}
 	defer d.Close()
-	inc := &Incremental{Base: d, Workers: 2}
+	inc := &Incremental{Remote: d, Workers: 2}
 
 	const minSup = 0.2
 	res, _, err := inc.AttachContext(context.Background(), store, minSup)

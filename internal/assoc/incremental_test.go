@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -242,46 +243,119 @@ func TestIncrementalThresholdFallbacks(t *testing.T) {
 	}
 }
 
-// TestIncrementalAgreesAcrossBaseMiners checks that the maintainer plumbed
-// through each level-wise miner (and Eclat) as the
-// full-run base produces the same bytes.
-func TestIncrementalAgreesAcrossBaseMiners(t *testing.T) {
-	pool := incrementalFixture(t, 300)
-	bases := []Miner{
-		&Apriori{},
-		&DHP{},
-		&Partition{NumPartitions: 3},
-		&Eclat{},
-		&FPGrowth{},
-		&FPGrowth{Workers: 4},
-	}
-	var want []byte
-	for _, b := range bases {
-		store := transactions.NewShardedDB(64)
-		for _, tx := range pool[:250] {
-			if err := store.Append(tx...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		inc := &Incremental{Base: b}
-		if _, _, err := inc.Attach(store, 0.04); err != nil {
-			t.Fatalf("%s: %v", b.Name(), err)
-		}
-		for _, tx := range pool[250:] {
-			if err := store.Append(tx...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := store.DeleteAt(10); err != nil {
+// TestAttachTracksTheCandidateSets pins what a full run leaves tracked: on
+// random stores, at workers 1 and 4, over local scans and over a Remote
+// cluster, the item totals, the pair triangle over the L1 ranks and every
+// level's sets and totals equal a brute-force count of C_1, C_2 and each
+// aprioriGen(L_{k-1}) at the tracking support. With a Remote, the
+// coordinator saw one scan per counted pass and nothing more: the full run
+// does not count the store a second time.
+func TestAttachTracksTheCandidateSets(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := synth.TxI(float64(4+rng.Intn(6)), float64(2+rng.Intn(3)), 100+rng.Intn(300), seed)
+		cfg.NumItems, cfg.NumPatterns = 30+rng.Intn(30), 10+rng.Intn(20)
+		db, err := synth.Baskets(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		res, _ := mustMaintain(t, inc)
-		got := res.Canonical()
-		if want == nil {
-			want = got
-		} else if !bytes.Equal(got, want) {
-			t.Fatalf("%s as base miner diverged", b.Name())
+		store := transactions.NewShardedDBFrom(db, 64)
+		minSup := 0.02 + 0.06*rng.Float64()
+		for _, workers := range []int{1, 4} {
+			for _, remote := range []bool{false, true} {
+				name := fmt.Sprintf("seed%d/workers%d/remote=%v", seed, workers, remote)
+				inc := &Incremental{Workers: workers}
+				if remote {
+					inc.Remote = newDistributed(DistEngineApriori, 2)
+				}
+				scans := 0
+				inc.SetPassHook(func(stat PassStat, _ []ItemsetCount) {
+					if stat.Candidates > 0 {
+						scans++
+					}
+				})
+				if _, _, err := inc.Attach(store, minSup); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				requireBruteForceTracked(t, name, inc, store.Snapshot(), store.NumItems(), store.AbsoluteSupport(inc.trackSupport()))
+				if remote {
+					holders := min(store.NumShards(), 2) // round-robin placement
+					if got := inc.Remote.Coordinator().Stats().CountCalls; got != scans*holders {
+						t.Errorf("%s: %d scan calls for %d passes over %d workers, want one per pass and worker",
+							name, got, scans, holders)
+					}
+					inc.Remote.Close()
+				}
+			}
 		}
+	}
+}
+
+// requireBruteForceTracked recounts the level-wise candidate sets of db at
+// minCount by containment checks and fails unless inc tracks exactly them.
+func requireBruteForceTracked(t *testing.T, name string, inc *Incremental, db *transactions.DB, numItems, minCount int) {
+	t.Helper()
+	support := func(s transactions.Itemset) int {
+		n := 0
+		for _, tx := range db.Transactions {
+			if tx.ContainsAll(s) {
+				n++
+			}
+		}
+		return n
+	}
+	items := make([]int, numItems)
+	var l1 []int
+	for item := range items {
+		if items[item] = support(transactions.Itemset{item}); items[item] >= minCount {
+			l1 = append(l1, item)
+		}
+	}
+	if !slices.Equal(inc.itemTotals, items) {
+		t.Fatalf("%s: item totals %v, want %v", name, inc.itemTotals, items)
+	}
+	if !slices.Equal(inc.l1Items, l1) {
+		t.Fatalf("%s: L1 ranks %v, want %v", name, inc.l1Items, l1)
+	}
+	n := len(l1)
+	tri := make([]int, n*(n-1)/2)
+	var prev []transactions.Itemset // L_{k-1}, lexicographic
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			pair := transactions.Itemset{l1[a], l1[b]}
+			if tri[transactions.TriIndex(n, a, b)] = support(pair); tri[transactions.TriIndex(n, a, b)] >= minCount {
+				prev = append(prev, pair)
+			}
+		}
+	}
+	if !slices.Equal(inc.triTotals, tri) {
+		t.Fatalf("%s: pair totals %v, want %v", name, inc.triTotals, tri)
+	}
+	k := 3
+	for ; len(prev) > 0; k++ {
+		cands := aprioriGen(prev)
+		if len(cands) == 0 {
+			break
+		}
+		if k-3 >= len(inc.levels) {
+			t.Fatalf("%s: no tracked level %d, want the %d candidates %v", name, k, len(cands), cands)
+		}
+		lv := inc.levels[k-3]
+		if !slices.EqualFunc(lv.sets, cands, transactions.Itemset.Equal) {
+			t.Fatalf("%s: level %d tracks %v, want %v", name, k, lv.sets, cands)
+		}
+		prev = prev[:0:0]
+		for i, cand := range cands {
+			if got, want := lv.totals[i], support(cand); got != want {
+				t.Fatalf("%s: level %d total of %v = %d, want %d", name, k, cand, got, want)
+			}
+			if lv.totals[i] >= minCount {
+				prev = append(prev, cand)
+			}
+		}
+	}
+	if len(inc.levels) != k-3 {
+		t.Fatalf("%s: %d tracked levels, want %d", name, len(inc.levels), k-3)
 	}
 }
 

@@ -3,6 +3,7 @@ package mining
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -151,4 +152,69 @@ func TestSessionUnderFaults(t *testing.T) {
 		t.Fatalf("post-close Append err = %v, want ErrClosed", err)
 	}
 	waitForGoroutines(t, before)
+}
+
+// TestSessionProgress pins the Progress contract of sessions: the attach
+// and a border-crossing full run report their counting passes, a maintain
+// that stays incremental reports none, and under a transport partitioned
+// before the first full run every event of both full runs carries
+// Degraded. Every result still matches a from-scratch mine.
+func TestSessionProgress(t *testing.T) {
+	db, tdb := testData(t, 300, 41)
+	for _, partitioned := range []bool{false, true} {
+		var events []PassStat
+		opts := []Option{MinSupport(0.02), ShardCap(64), Progress(func(p PassStat) { events = append(events, p) })}
+		if partitioned {
+			opts = append(opts, Transport(LocalTransport(2)), Retry(testRetry(1)),
+				Faults(FaultSpec{Seed: 1, PartitionAfter: 1}))
+		}
+		s, err := NewSession(db, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := func(label string, wantFull bool) {
+			t.Helper()
+			label = fmt.Sprintf("partitioned=%v, %s", partitioned, label)
+			events = nil
+			res, stats, err := s.Maintain(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if stats.FullRun != wantFull {
+				t.Fatalf("%s: stats = %+v, want FullRun %v", label, stats, wantFull)
+			}
+			switch {
+			case !wantFull && len(events) > 0:
+				t.Errorf("%s: an incremental maintain reported %d passes", label, len(events))
+			case wantFull && (len(events) == 0 || events[0].K != 1):
+				t.Errorf("%s: full run reported passes %+v, want one per pass from K=1", label, events)
+			}
+			for _, p := range events {
+				if p.Degraded != partitioned {
+					t.Errorf("%s: pass %+v, want Degraded %v", label, p, partitioned)
+				}
+			}
+			want, err := Mine(context.Background(), s.Snapshot(), Algorithm("Apriori"), MinSupport(0.02))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(res.Canonical()) != string(want.Canonical()) {
+				t.Fatalf("%s: maintained result differs from a from-scratch mine", label)
+			}
+		}
+		step("attach", true)
+		if err := s.Append(tdb.Transactions[0]...); err != nil {
+			t.Fatal(err)
+		}
+		step("incremental maintain", false)
+		for i := 0; i < 60; i++ {
+			if err := s.Append(5000, 5001); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step("border crossing", true)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -33,10 +33,12 @@
 // current under appends and deletes: Maintain counts only the transactions
 // an update added or deleted (the FUP-style incremental maintainer),
 // falling back to a full re-mine only when the maintained frequent set's
-// negative border is crossed. Results stay byte-identical to a
-// from-scratch run at every step. With Transport configured the session's full runs ship only dirty
-// shards to the distributed workers, composing the incremental and
-// distributed backends.
+// negative border is crossed. A full run counts level-wise, and its pass
+// counts are the maintained totals, so the store is counted once. Results
+// stay byte-identical to a from-scratch run at every step. With Transport
+// configured the full runs' scans go to the distributed workers, which
+// receive only dirty shards, composing the incremental and distributed
+// backends.
 //
 // # Options and defaults
 //

@@ -97,10 +97,12 @@ func Workers(n int) Option {
 	}
 }
 
-// Algorithm selects the engine by name — any name in Algorithms(). The
-// default "Auto" decides between the engine families after pass 2; every
-// engine finds identical itemsets, so the choice moves only wall-clock
-// time.
+// Algorithm selects the engine of Mine and MineStream by name — any name
+// in Algorithms(). The default "Auto" decides between the engine families
+// after pass 2; every engine finds identical itemsets, so the choice moves
+// only wall-clock time. A Session validates the name the same way but
+// always counts its full runs level-wise: the maintainer keeps those
+// passes' counts as its tracked totals.
 func Algorithm(name string) Option {
 	return func(c *config) error {
 		c.algorithm = name
@@ -120,9 +122,11 @@ func Algorithms() []string {
 
 // Progress registers a callback invoked after each completed counting
 // pass, on the mining goroutine (keep it fast; it runs inside the mining
-// hot path). Sessions report progress for full mines — the attach and any
-// border-crossing re-mine — while purely incremental maintains finish
-// without pass events.
+// hot path). Sessions report the level-wise counting passes of their full
+// runs — the attach and any border-crossing re-mine, at the session's
+// tracking support — while purely incremental maintains count no pass and
+// report none. Passes a distributed full run served locally after losing
+// its cluster carry Degraded.
 func Progress(fn func(PassStat)) Option {
 	return func(c *config) error {
 		c.progress = fn
@@ -161,7 +165,9 @@ func RPCTransport(addrs ...string) TransportSpec {
 // name, "Auto", "Distributed" or the default select distributed Apriori,
 // and any other engine is an error (those engines have no distributed
 // form). Coordinator-side fan-outs default to the transport's worker
-// count (override with an explicit Workers). Distributed results are
+// count (override with an explicit Workers). A Session's full runs count
+// level-wise over the transport whatever the Algorithm, syncing the
+// store's shards so only dirty ones re-ship. Distributed results are
 // byte-identical to local ones.
 func Transport(spec TransportSpec) Option {
 	return func(c *config) error {
@@ -273,54 +279,15 @@ func ShardCap(n int) Option {
 	}
 }
 
-// buildMiner constructs a fresh engine for one Mine/MineStream call or
-// one Session. The returned closer (possibly nil) releases resources the
-// engine owns — the distributed transport's worker goroutines or rpc
-// connections — and must be closed when the engine is done.
+// buildMiner constructs a fresh engine for one Mine/MineStream call. The
+// returned closer (possibly nil) releases resources the engine owns — the
+// distributed transport's worker goroutines or rpc connections — and must
+// be closed when the engine is done.
 func (c *config) buildMiner() (assoc.Engine, io.Closer, error) {
 	if c.transport != nil {
-		engine := ""
-		switch c.algorithm {
-		case "", "Auto", "Distributed", assoc.DistEngineApriori:
-			engine = assoc.DistEngineApriori
-		case assoc.DistEngineFPGrowth:
-			engine = assoc.DistEngineFPGrowth
-		default:
-			return nil, nil, fmt.Errorf("%w: Transport supports Algorithm %q or %q, not %q",
-				ErrBadOption, assoc.DistEngineApriori, assoc.DistEngineFPGrowth, c.algorithm)
-		}
-		t, err := c.transport.open()
+		d, err := c.distributed()
 		if err != nil {
 			return nil, nil, err
-		}
-		if c.faults != nil {
-			t = dist.NewFaultTransport(t, dist.FaultPlan{
-				Seed:           c.faults.Seed,
-				Drop:           c.faults.Drop,
-				Error:          c.faults.Error,
-				Kill:           c.faults.Kill,
-				Delay:          c.faults.Delay,
-				DelayProb:      c.faults.DelayProb,
-				PartitionAfter: c.faults.PartitionAfter,
-			})
-		}
-		// The coordinator-side work (FPGrowth's projection fan-out over
-		// the imported forest) defaults to the transport's worker count, so a
-		// 4-worker transport parallelises the whole pipeline without a
-		// separate Workers option; an explicit Workers(n > 1) overrides.
-		workers := c.workers
-		if workers <= 1 {
-			workers = t.NumWorkers()
-		}
-		d := &assoc.Distributed{Transport: t, Workers: workers, Engine: engine}
-		if c.retry != nil {
-			d.Retry = dist.RetryPolicy{
-				MaxAttempts: c.retry.MaxAttempts,
-				CallTimeout: c.retry.CallTimeout,
-				BaseBackoff: c.retry.Backoff,
-				MaxBackoff:  c.retry.MaxBackoff,
-				Seed:        c.retry.Seed,
-			}
 		}
 		return d, d, nil
 	}
@@ -332,7 +299,61 @@ func (c *config) buildMiner() (assoc.Engine, io.Closer, error) {
 		closer, _ := m.(io.Closer) // the plain Distributed engine owns a lazy transport
 		return m, closer, nil
 	}
-	return nil, nil, fmt.Errorf("%w: %q (want one of %v)", ErrUnknownAlgorithm, c.algorithm, Algorithms())
+	return nil, nil, c.unknownAlgorithm()
+}
+
+// unknownAlgorithm is the error for an Algorithm name not in Algorithms().
+func (c *config) unknownAlgorithm() error {
+	return fmt.Errorf("%w: %q (want one of %v)", ErrUnknownAlgorithm, c.algorithm, Algorithms())
+}
+
+// distributed builds the distributed engine over the configured Transport
+// (with Faults and Retry applied); the caller must Close it.
+func (c *config) distributed() (*assoc.Distributed, error) {
+	engine := ""
+	switch c.algorithm {
+	case "", "Auto", "Distributed", assoc.DistEngineApriori:
+		engine = assoc.DistEngineApriori
+	case assoc.DistEngineFPGrowth:
+		engine = assoc.DistEngineFPGrowth
+	default:
+		return nil, fmt.Errorf("%w: Transport supports Algorithm %q or %q, not %q",
+			ErrBadOption, assoc.DistEngineApriori, assoc.DistEngineFPGrowth, c.algorithm)
+	}
+	t, err := c.transport.open()
+	if err != nil {
+		return nil, err
+	}
+	if c.faults != nil {
+		t = dist.NewFaultTransport(t, dist.FaultPlan{
+			Seed:           c.faults.Seed,
+			Drop:           c.faults.Drop,
+			Error:          c.faults.Error,
+			Kill:           c.faults.Kill,
+			Delay:          c.faults.Delay,
+			DelayProb:      c.faults.DelayProb,
+			PartitionAfter: c.faults.PartitionAfter,
+		})
+	}
+	// The coordinator-side work (FPGrowth's projection fan-out over
+	// the imported forest) defaults to the transport's worker count, so a
+	// 4-worker transport parallelises the whole pipeline without a
+	// separate Workers option; an explicit Workers(n > 1) overrides.
+	workers := c.workers
+	if workers <= 1 {
+		workers = t.NumWorkers()
+	}
+	d := &assoc.Distributed{Transport: t, Workers: workers, Engine: engine}
+	if c.retry != nil {
+		d.Retry = dist.RetryPolicy{
+			MaxAttempts: c.retry.MaxAttempts,
+			CallTimeout: c.retry.CallTimeout,
+			BaseBackoff: c.retry.Backoff,
+			MaxBackoff:  c.retry.MaxBackoff,
+			Seed:        c.retry.Seed,
+		}
+	}
+	return d, nil
 }
 
 // open dials or starts the transport.

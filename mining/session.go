@@ -2,7 +2,7 @@ package mining
 
 import (
 	"context"
-	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/assoc"
@@ -40,10 +40,13 @@ type MaintainStats struct {
 // Result is byte-identical to a from-scratch run over the store's current
 // contents.
 //
-// The Algorithm option selects the full-run engine; with Transport the
-// distributed engine is bound to the store, so full runs re-ship only
-// dirty shards to the workers. Close releases whatever the engine owns
-// (in-process transport workers, rpc connections).
+// A full run is one level-wise mine of the store at the tracking support
+// whose pass counts become the maintained totals, so the store is counted
+// once; the Algorithm option is validated but does not change it. With
+// Transport its scans run on the distributed workers, which keep the
+// store's shards between full runs and receive only dirty ones. Close
+// releases whatever the transport owns (in-process workers, rpc
+// connections).
 //
 // A Session serialises its own methods with a mutex, so it is safe for
 // concurrent use; mutations simply block while a Maintain is running.
@@ -52,7 +55,6 @@ type Session struct {
 	cfg      *config
 	store    *transactions.ShardedDB
 	inc      *assoc.Incremental
-	closer   io.Closer
 	attached bool
 	closed   bool
 	last     *Result
@@ -69,23 +71,22 @@ func NewSession(db *DB, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, closer, err := cfg.buildMiner()
-	if err != nil {
-		return nil, err
+	inc := &assoc.Incremental{Workers: cfg.workers}
+	inc.SetPassHook(cfg.passHook())
+	if cfg.transport != nil {
+		if inc.Remote, err = cfg.distributed(); err != nil {
+			return nil, err
+		}
+	} else if !slices.Contains(Algorithms(), cfg.algorithm) {
+		return nil, cfg.unknownAlgorithm()
 	}
-	base.SetPassHook(cfg.passHook())
 	var store *transactions.ShardedDB
 	if db != nil && db.Len() > 0 {
 		store = transactions.NewShardedDBFrom(db.db, cfg.shardCap)
 	} else {
 		store = transactions.NewShardedDB(cfg.shardCap)
 	}
-	return &Session{
-		cfg:    cfg,
-		store:  store,
-		inc:    &assoc.Incremental{Base: base, Workers: cfg.workers},
-		closer: closer,
-	}, nil
+	return &Session{cfg: cfg, store: store, inc: inc}, nil
 }
 
 // Len returns the number of live transactions in the store.
@@ -208,7 +209,7 @@ func (s *Session) Rules(minConfidence float64) ([]Rule, error) {
 }
 
 // Close detaches the maintainer (the store stops journalling mutations)
-// and releases the engine's resources (the distributed transport's worker
+// and releases the transport's resources (the distributed worker
 // goroutines or rpc connections). The session is unusable afterwards;
 // Close is idempotent.
 func (s *Session) Close() error {
@@ -219,8 +220,8 @@ func (s *Session) Close() error {
 	}
 	s.closed = true
 	s.inc.Detach()
-	if s.closer != nil {
-		return s.closer.Close()
+	if s.inc.Remote != nil {
+		return s.inc.Remote.Close()
 	}
 	return nil
 }
