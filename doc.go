@@ -37,7 +37,12 @@
 // low-support winner (bench metrics assoc.apriori_ms.* vs
 // assoc.fpgrowth_ms.*). assoc.Auto runs passes 1 and 2 once, measures C3
 // = apriori-gen(L2) without a scan, and goes on level-wise or hands the
-// pass-1 counts to pattern growth — no engine runs twice.
+// pass-1 counts to pattern growth — no engine runs twice. The survey's
+// first-generation miners (AIS, SETM, AprioriTid/AprioriHybrid, Partition,
+// Sampling) are internal/assoc/reference: serial engines for the paper
+// tables, pinned byte-identical to Apriori, that count with the same
+// kernels (the hash tree, the pass-1/pass-2 kernels, Eclat as Partition's
+// local phase).
 //
 // The incremental backend (assoc.Incremental over transactions.ShardedDB)
 // exploits the same seams under updates: the store journals every append

@@ -210,80 +210,3 @@ func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int, minCo
 	}
 	return out
 }
-
-// countWithMap counts candidates by direct subset checks against an index
-// of candidate keys — the global counting scan of the Partition and
-// Sampling reference engines, serial like they are. To avoid enumerating
-// all k-subsets of long transactions it checks each candidate against the
-// transaction when the candidate set is small, and otherwise enumerates
-// the transaction's subsets. The counted candidates come back in
-// lexicographic order.
-func countWithMap(ctx context.Context, db *transactions.DB, cands []transactions.Itemset, k int) ([]ItemsetCount, error) {
-	idx := make(map[string]int, len(cands))
-	out := make([]ItemsetCount, len(cands))
-	for i, c := range cands {
-		idx[c.Key()] = i
-		out[i].Items = c
-	}
-	for tid, tx := range db.Transactions {
-		if tid%ctxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if len(tx) < k {
-			continue
-		}
-		if choose(len(tx), k) <= len(cands) {
-			forEachSubset(tx, k, func(sub transactions.Itemset) {
-				if i, ok := idx[sub.Key()]; ok {
-					out[i].Count++
-				}
-			})
-		} else {
-			for i, c := range cands {
-				if tx.ContainsAll(c) {
-					out[i].Count++
-				}
-			}
-		}
-	}
-	sortLevel(out)
-	return out, nil
-}
-
-// choose returns C(n, k) saturating at a large bound to avoid overflow.
-func choose(n, k int) int {
-	if k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	c := 1
-	for i := 0; i < k; i++ {
-		c = c * (n - i) / (i + 1)
-		if c > 1<<30 {
-			return 1 << 30
-		}
-	}
-	return c
-}
-
-// forEachSubset calls fn for every k-subset of sorted set s. The callback
-// receives a shared buffer; it must not retain it.
-func forEachSubset(s transactions.Itemset, k int, fn func(transactions.Itemset)) {
-	buf := make(transactions.Itemset, k)
-	var rec func(start, depth int)
-	rec = func(start, depth int) {
-		if depth == k {
-			fn(buf)
-			return
-		}
-		for i := start; i <= len(s)-(k-depth); i++ {
-			buf[depth] = s[i]
-			rec(i+1, depth+1)
-		}
-	}
-	rec(0, 0)
-}

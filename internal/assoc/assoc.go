@@ -1,26 +1,29 @@
-// Package assoc implements the first generation of association-rule mining
-// algorithms surveyed by the SIGMOD'96 tutorial:
+// Package assoc is the production core of frequent-itemset mining: the
+// six engines the mining facade reaches and what they share.
 //
-//   - AIS (Agrawal, Imielinski & Swami, SIGMOD'93)
-//   - SETM (Houtsma & Swami, 1995)
-//   - Apriori, AprioriTid and AprioriHybrid (Agrawal & Srikant, VLDB'94)
-//   - Partition (Savasere, Omiecinski & Navathe, VLDB'95)
-//   - DHP, direct hashing and pruning (Park, Chen & Yu, SIGMOD'95)
+//   - Apriori (Agrawal & Srikant, VLDB'94) and DHP, direct hashing and
+//     pruning (Park, Chen & Yu, SIGMOD'95): level-wise candidate
+//     generation and counting
+//   - Eclat (Zaki et al.): bitset tid-set intersections in the vertical
+//     layout
+//   - FPGrowth: candidate-free pattern growth over internal/fptree
+//   - Auto: shares passes 1 and 2, then finishes level-wise or by pattern
+//     growth as the measured C3 favours
+//   - Distributed: the same drivers over a dist.Coordinator's workers
 //
-// plus Eclat's vertical-layout mining, Toivonen's Sampling, the
-// candidate-free FP-growth successor (FPGrowth over internal/fptree, and
-// Auto, which shares passes 1 and 2 and then finishes level-wise or by
-// pattern growth as the measured C3 favours),
-// confidence/lift rule generation (the ap-genrules procedure), and
+// plus confidence/lift rule generation (the ap-genrules procedure) and
 // FUP-style incremental maintenance (Incremental) over an updatable
-// sharded store.
+// sharded store. The survey's first-generation miners — AIS, SETM,
+// AprioriTid, AprioriHybrid, Partition and Sampling — live in
+// internal/assoc/reference, which builds them from this package's exported
+// names and counts with the same kernels.
 //
-// All miners produce identical frequent-itemset results on the same input —
-// a property the test suite checks — and differ only in how much work they
-// do, which is what the dmbench -exp A1 to A6 tables measure. The
-// level-wise miners cost O(passes × |D| × candidate-tests) where the hash
-// tree bounds each transaction's candidate tests; Eclat replaces rescans
-// with bitset tid-set intersections, O(|D|/64) words per candidate.
+// All engines produce identical frequent-itemset results on the same
+// input — a property the test suite checks — and differ only in how much
+// work they do. The level-wise miners cost O(passes × |D| ×
+// candidate-tests) where the hash tree bounds each transaction's
+// candidate tests; Eclat replaces rescans with bitset tid-set
+// intersections, O(|D|/64) words per candidate.
 //
 // The level-wise loop and the pattern-growth sequence are each written
 // once (levelwise in apriori.go, growth in fpgrowth.go) against scanSource,
@@ -51,14 +54,10 @@
 //
 // Every Miner honours context cancellation: hot loops poll the context
 // every ctxStride transactions, so MineContext returns promptly without
-// goroutine leaks. The six engines Registered lists — Apriori, DHP, Eclat,
-// FPGrowth, Auto, Distributed — are Engines: they additionally report each
-// completed pass to a hook and take a worker count, which is what the
-// public mining package builds its progress, streaming and Workers
-// features on. AIS, SETM, AprioriTid, AprioriHybrid, Partition and
-// Sampling are reference engines: plain Miners that internal/experiments
-// constructs directly for paper tables A1 to A6 and that the equivalence
-// tests pin byte-identical to Apriori. This package stays internal;
+// goroutine leaks. The six engines Registered lists are Engines: they
+// additionally report each completed pass to a hook and take a worker
+// count, which is what the public mining package builds its progress,
+// streaming and Workers features on. This package stays internal;
 // programs use the module-root mining facade.
 package assoc
 
@@ -261,16 +260,6 @@ func checkInput(db *transactions.DB, minSupport float64) (int, error) {
 // table test pins this contract.
 func emptyResult() *Result { return &Result{} }
 
-// frequentOne computes L1 by a serial counting scan, returned in item
-// order — pass 1 of the serial reference engines (AIS, SETM, AprioriTid).
-func frequentOne(ctx context.Context, db *transactions.DB, minCount int) ([]ItemsetCount, error) {
-	counts, err := scanLocal(db, 1).countItems(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return thresholdItems(counts, minCount), nil
-}
-
 // sortLevel orders a level lexicographically in place.
 func sortLevel(level []ItemsetCount) {
 	slices.SortFunc(level, func(a, b ItemsetCount) int { return a.Items.Compare(b.Items) })
@@ -278,7 +267,8 @@ func sortLevel(level []ItemsetCount) {
 
 // AprioriGen exposes the VLDB'94 candidate generation for reuse by the
 // sequential-pattern miners (AprioriAll's litemset phase uses the same
-// join/prune step). prev must be sorted lexicographically.
+// join/prune step) and the reference engines. prev must be sorted
+// lexicographically.
 func AprioriGen(prev []transactions.Itemset) []transactions.Itemset {
 	return aprioriGen(prev)
 }

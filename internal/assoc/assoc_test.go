@@ -34,23 +34,17 @@ var paperExpected = map[string]int{
 	"2,3,5": 2,
 }
 
-// allMiners returns one instance of every algorithm.
+// allMiners returns one instance of every local registered engine, DHP
+// in two configurations (the reference engines have the same tables in
+// internal/assoc/reference).
 func allMiners() []Miner {
 	return []Miner{
 		&Apriori{},
-		&AprioriTid{},
-		&AprioriHybrid{},
-		&AIS{},
-		&SETM{},
-		&Partition{NumPartitions: 1},
-		&Partition{NumPartitions: 3},
 		&DHP{},
 		&DHP{NumBuckets: 64},
 		&Eclat{},
 		&FPGrowth{},
 		&Auto{},
-		&Sampling{Seed: 7},
-		&Sampling{SampleFraction: 0.5, LowerFactor: 0.6, Seed: 9},
 	}
 }
 
@@ -84,10 +78,7 @@ func TestAllMinersPaperExample(t *testing.T) {
 }
 
 // TestMinersAgreeOnSyntheticData is the cross-engine equivalence table:
-// the six registered engines and the six reference engines (AIS, SETM,
-// AprioriTid, AprioriHybrid, Partition, Sampling — reachable only by
-// constructing them, as internal/experiments does) must each return
-// Apriori's result byte for byte.
+// the registered engines must each return Apriori's result byte for byte.
 func TestMinersAgreeOnSyntheticData(t *testing.T) {
 	db, err := synth.Baskets(synth.BasketConfig{
 		NumTransactions: 300, AvgTxSize: 8, AvgPatternSize: 3,
@@ -246,37 +237,6 @@ func TestPassStatsRecorded(t *testing.T) {
 	}
 }
 
-func TestAISCountsMoreCandidatesThanApriori(t *testing.T) {
-	// The VLDB'94 claim: AIS generates candidates Apriori's join/prune
-	// never would (extensions by infrequent items). At moderate supports,
-	// where Apriori's C2 = C(|L1|, 2) stays small, this shows directly in
-	// the candidate counts. (At very low supports Apriori's C2 dominates
-	// by count but is counted cheaply in one hash-tree scan; the paper's
-	// comparison is execution time, reproduced in EXP-A1.)
-	db, err := synth.Baskets(synth.TxI(8, 3, 300, 41))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap, err := (&Apriori{}).Mine(db, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ais, err := (&AIS{}).Mine(db, 0.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	apCands, aisCands := 0, 0
-	for _, p := range ap.Passes[1:] { // skip pass 1 (same for both)
-		apCands += p.Candidates
-	}
-	for _, p := range ais.Passes[1:] {
-		aisCands += p.Candidates
-	}
-	if aisCands <= apCands {
-		t.Errorf("AIS candidates %d <= Apriori candidates %d; expected more", aisCands, apCands)
-	}
-}
-
 func TestAprioriGenJoinAndPrune(t *testing.T) {
 	// L2 = {12, 13, 14, 23, 24}: join gives 123, 124, 134, 234; prune
 	// removes 134 (34 missing) and 234 (34 missing).
@@ -322,40 +282,6 @@ func TestAprioriGenEmpty(t *testing.T) {
 	}
 }
 
-func TestParseKeyRoundTrip(t *testing.T) {
-	for _, s := range []transactions.Itemset{
-		transactions.NewItemset(0),
-		transactions.NewItemset(1, 22, 333),
-		transactions.NewItemset(7, 1000000),
-	} {
-		if got := parseKey(s.Key()); !got.Equal(s) {
-			t.Errorf("parseKey(%q) = %v, want %v", s.Key(), got, s)
-		}
-	}
-}
-
-func TestForEachSubset(t *testing.T) {
-	s := transactions.NewItemset(1, 2, 3, 4)
-	var got []string
-	forEachSubset(s, 2, func(sub transactions.Itemset) {
-		got = append(got, sub.Key())
-	})
-	if len(got) != 6 {
-		t.Fatalf("2-subsets of 4 items = %d, want 6: %v", len(got), got)
-	}
-}
-
-func TestChoose(t *testing.T) {
-	tests := []struct{ n, k, want int }{
-		{4, 2, 6}, {5, 0, 1}, {5, 5, 1}, {3, 4, 0}, {10, 3, 120},
-	}
-	for _, tt := range tests {
-		if got := choose(tt.n, tt.k); got != tt.want {
-			t.Errorf("choose(%d,%d) = %d, want %d", tt.n, tt.k, got, tt.want)
-		}
-	}
-}
-
 func TestSingleItemOnlyDB(t *testing.T) {
 	db := transactions.NewDB()
 	for i := 0; i < 10; i++ {
@@ -388,45 +314,6 @@ func TestNoFrequentItemsets(t *testing.T) {
 		}
 		if res.NumFrequent() != 0 {
 			t.Errorf("%s: frequent = %d, want 0", m.Name(), res.NumFrequent())
-		}
-	}
-}
-
-func TestHybridSwitches(t *testing.T) {
-	// With a huge budget the hybrid switches immediately after pass 2;
-	// results must still match Apriori.
-	db, err := synth.Baskets(synth.TxI(6, 2, 150, 51))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := resultMapFrom(t, &Apriori{}, db, 0.03)
-	hybrid := &AprioriHybrid{BudgetEntries: 1 << 30}
-	got := resultMapFrom(t, hybrid, db, 0.03)
-	compareMaps(t, "hybrid(big budget)", got, want)
-
-	// With budget 1 it never switches (pure Apriori path).
-	hybrid = &AprioriHybrid{BudgetEntries: 1}
-	got = resultMapFrom(t, hybrid, db, 0.03)
-	compareMaps(t, "hybrid(budget 1)", got, want)
-}
-
-func resultMapFrom(t *testing.T, m Miner, db *transactions.DB, minSup float64) map[string]int {
-	t.Helper()
-	res, err := m.Mine(db, minSup)
-	if err != nil {
-		t.Fatalf("%s: %v", m.Name(), err)
-	}
-	return resultMap(res)
-}
-
-func compareMaps(t *testing.T, label string, got, want map[string]int) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Errorf("%s: %d itemsets, want %d", label, len(got), len(want))
-	}
-	for k, w := range want {
-		if got[k] != w {
-			t.Errorf("%s: support(%s) = %d, want %d", label, k, got[k], w)
 		}
 	}
 }

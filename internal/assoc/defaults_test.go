@@ -13,13 +13,11 @@ import (
 // every registered engine, the zero-valued struct must behave exactly
 // like the struct with its documented defaults spelled out. This pins the
 // zero-value semantics the public mining package's option documentation
-// promises:
+// promises (the reference engines' defaults have the same audit in
+// internal/assoc/reference):
 //
 //	Workers        0 (and 1) mean serial, identical results at any count
 //	DHP            NumBuckets=1<<16
-//	Partition      NumPartitions<=1 degenerates to one partition
-//	Sampling       SampleFraction=0.2, LowerFactor=0.8
-//	AprioriHybrid  BudgetEntries=8*|D|
 //	Distributed    Workers=1 transport, Engine=DistEngineApriori
 //	Incremental    TrackSlack=0.8
 func TestZeroValueOptionDefaults(t *testing.T) {
@@ -37,9 +35,6 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 		{name: "Apriori", zero: &Apriori{}, explicit: &Apriori{Workers: 1}},
 		{name: "DHP", zero: &DHP{}, explicit: &DHP{NumBuckets: 1 << 16, Workers: 1}},
 		{name: "Eclat", zero: &Eclat{}, explicit: &Eclat{Workers: 1}},
-		{name: "Partition", zero: &Partition{}, explicit: &Partition{NumPartitions: 1}},
-		{name: "Sampling", zero: &Sampling{}, explicit: &Sampling{SampleFraction: 0.2, LowerFactor: 0.8}},
-		{name: "AprioriHybrid", zero: &AprioriHybrid{}, explicit: &AprioriHybrid{BudgetEntries: 8 * 400}},
 		{name: "FPGrowth", zero: &FPGrowth{}, explicit: &FPGrowth{Workers: 1}},
 		{name: "Auto", zero: &Auto{}, explicit: &Auto{Workers: 1}},
 		{name: "Distributed", zero: &Distributed{}, explicit: &Distributed{Workers: 1, Engine: DistEngineApriori}, closeBoth: true},
@@ -62,11 +57,6 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 				t.Fatalf("zero-value %s differs from its documented defaults", tc.name)
 			}
 		})
-	}
-
-	// Partition's zero value also names itself without a partition count.
-	if got := (&Partition{}).Name(); got != "Partition" {
-		t.Errorf("zero Partition name = %q", got)
 	}
 
 	// Workers=0 is serial for every registered engine: byte-identical to

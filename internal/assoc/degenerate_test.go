@@ -12,9 +12,8 @@ import (
 )
 
 // degenerateEngines returns the engine lineup the uniform-degenerate
-// contract covers (the ISSUE-4 five plus everything else registered, since
-// the contract is package-wide). The cleanup func closes the distributed
-// transport.
+// contract covers: allMiners plus Distributed, so every registered
+// engine. The cleanup func closes the distributed transport.
 func degenerateEngines() ([]Miner, func()) {
 	d := &Distributed{}
 	miners := append(allMiners(), d)

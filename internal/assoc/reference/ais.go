@@ -1,9 +1,10 @@
-package assoc
+package reference
 
 import (
 	"context"
 	"sort"
 
+	"repro/internal/assoc"
 	"repro/internal/transactions"
 )
 
@@ -20,27 +21,20 @@ import (
 // the asymptotic picture the EXP-A1 benchmark reproduces.
 type AIS struct{}
 
-// Name implements Miner.
+// Name implements assoc.Miner.
 func (a *AIS) Name() string { return "AIS" }
 
-// Mine implements Miner.
-func (a *AIS) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
+// Mine implements assoc.Miner.
+func (a *AIS) Mine(db *transactions.DB, minSupport float64) (*assoc.Result, error) {
 	return a.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements Miner.
-func (a *AIS) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
-	minCount, err := checkInput(db, minSupport)
+// MineContext implements assoc.Miner.
+func (a *AIS) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*assoc.Result, error) {
+	res, level, err := startResult(ctx, db, minSupport)
 	if err != nil {
-		return emptyResult(), err
+		return res, err
 	}
-	res := &Result{MinCount: minCount, NumTx: db.Len()}
-
-	level, err := frequentOne(ctx, db, minCount)
-	if err != nil {
-		return nil, err
-	}
-	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)})
 	for k := 2; len(level) > 0; k++ {
 		res.Levels = append(res.Levels, level)
 		counts := make(map[string]int)
@@ -73,12 +67,12 @@ func (a *AIS) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 		}
 		level = nil
 		for key, c := range counts {
-			if c >= minCount {
-				level = append(level, ItemsetCount{Items: parseKey(key), Count: c})
+			if c >= res.MinCount {
+				level = append(level, assoc.ItemsetCount{Items: parseKey(key), Count: c})
 			}
 		}
 		sortLevel(level)
-		res.Passes = append(res.Passes, PassStat{K: k, Candidates: len(counts), Frequent: len(level)})
+		res.Passes = append(res.Passes, assoc.PassStat{K: k, Candidates: len(counts), Frequent: len(level)})
 	}
 	return res, nil
 }

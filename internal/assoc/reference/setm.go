@@ -1,9 +1,10 @@
-package assoc
+package reference
 
 import (
 	"context"
 	"sort"
 
+	"repro/internal/assoc"
 	"repro/internal/transactions"
 )
 
@@ -16,7 +17,7 @@ import (
 // supports, the behaviour EXP-A1 reproduces.
 type SETM struct{}
 
-// Name implements Miner.
+// Name implements assoc.Miner.
 func (s *SETM) Name() string { return "SETM" }
 
 // setmTuple is one occurrence of an itemset in a transaction.
@@ -25,27 +26,17 @@ type setmTuple struct {
 	items transactions.Itemset
 }
 
-// Mine implements Miner.
-func (s *SETM) Mine(db *transactions.DB, minSupport float64) (*Result, error) {
+// Mine implements assoc.Miner.
+func (s *SETM) Mine(db *transactions.DB, minSupport float64) (*assoc.Result, error) {
 	return s.MineContext(context.Background(), db, minSupport)
 }
 
-// MineContext implements Miner.
-func (s *SETM) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*Result, error) {
-	minCount, err := checkInput(db, minSupport)
-	if err != nil {
-		return emptyResult(), err
-	}
-	res := &Result{MinCount: minCount, NumTx: db.Len()}
-
+// MineContext implements assoc.Miner.
+func (s *SETM) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*assoc.Result, error) {
 	// Pass 1: occurrence tuples for frequent single items.
-	level, err := frequentOne(ctx, db, minCount)
-	if err != nil {
-		return nil, err
-	}
-	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: db.NumItems(), Frequent: len(level)})
-	if len(level) == 0 {
-		return res, nil
+	res, level, err := startResult(ctx, db, minSupport)
+	if err != nil || len(level) == 0 {
+		return res, err
 	}
 	res.Levels = append(res.Levels, level)
 
@@ -55,6 +46,11 @@ func (s *SETM) MineContext(ctx context.Context, db *transactions.DB, minSupport 
 	}
 	var tuples []setmTuple
 	for tid, tx := range db.Transactions {
+		if tid%ctxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		for _, item := range tx {
 			if _, ok := freq1[item]; ok {
 				tuples = append(tuples, setmTuple{tid: tid, items: transactions.Itemset{item}})
@@ -88,12 +84,12 @@ func (s *SETM) MineContext(ctx context.Context, db *transactions.DB, minSupport 
 		// frequent candidates (the SQL HAVING + join back).
 		level = nil
 		for key, c := range counts {
-			if c >= minCount {
-				level = append(level, ItemsetCount{Items: parseKey(key), Count: c})
+			if c >= res.MinCount {
+				level = append(level, assoc.ItemsetCount{Items: parseKey(key), Count: c})
 			}
 		}
 		sortLevel(level)
-		res.Passes = append(res.Passes, PassStat{K: k, Candidates: len(counts), Frequent: len(level)})
+		res.Passes = append(res.Passes, assoc.PassStat{K: k, Candidates: len(counts), Frequent: len(level)})
 		if len(level) == 0 {
 			break
 		}

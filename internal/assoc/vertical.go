@@ -11,12 +11,10 @@ import (
 
 // Eclat mines frequent itemsets in the vertical layout: candidate tid-sets
 // are the intersections of their generators' tid-sets, so support counting
-// needs no database rescans (Zaki et al.; the same machinery the Partition
-// algorithm applies per partition — here run over the whole database).
-// Tid-sets are bitsets: an intersection is a word-wise AND with popcount
-// support, which beat sorted tid-list merging 8-10x on sparse and dense
-// fixtures alike, so the tid-list form lives on only in Partition's local
-// phase.
+// needs no database rescans (Zaki et al.; the reference Partition engine
+// runs it as its local phase, once per partition). Tid-sets are bitsets:
+// an intersection is a word-wise AND with popcount support, which beat
+// sorted tid-list merging 8-10x on sparse and dense fixtures alike.
 type Eclat struct {
 	// Workers distributes each level's candidate intersections across this
 	// many goroutines; <= 1 runs serially with identical results.

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/assoc"
+	"repro/internal/assoc/reference"
 	"repro/internal/synth"
 	"repro/internal/transactions"
 )
@@ -13,7 +14,7 @@ import (
 // on the three classic workloads.
 func RunA1(w io.Writer, s Scale) error {
 	header(w, "A1", "execution time (ms) vs minimum support")
-	miners := []assoc.Miner{&assoc.SETM{}, &assoc.AIS{}, &assoc.AprioriTid{}, &assoc.Apriori{}, &assoc.AprioriHybrid{}}
+	miners := []assoc.Miner{&reference.SETM{}, &reference.AIS{}, &reference.AprioriTid{}, &assoc.Apriori{}, &reference.AprioriHybrid{}}
 	d := 2000
 	supports := []float64{0.02, 0.01, 0.0075, 0.005}
 	if s == Full {
@@ -69,7 +70,7 @@ func RunA2(w io.Writer, s Scale) error {
 	if err != nil {
 		return err
 	}
-	for _, m := range []assoc.Miner{&assoc.Apriori{}, &assoc.AIS{}} {
+	for _, m := range []assoc.Miner{&assoc.Apriori{}, &reference.AIS{}} {
 		res, err := m.Mine(db, 0.0075)
 		if err != nil {
 			return err
@@ -89,7 +90,7 @@ func RunA3(w io.Writer, s Scale) error {
 	if s == Full {
 		sizes = []int{2500, 5000, 10000, 25000, 50000}
 	}
-	miners := []assoc.Miner{&assoc.Apriori{}, &assoc.AprioriTid{}, &assoc.AprioriHybrid{}}
+	miners := []assoc.Miner{&assoc.Apriori{}, &reference.AprioriTid{}, &reference.AprioriHybrid{}}
 	fmt.Fprintf(w, "%-10s", "D")
 	for _, m := range miners {
 		fmt.Fprintf(w, "%14s", m.Name())
@@ -125,7 +126,7 @@ func RunA4(w io.Writer, s Scale) error {
 	if s == Full {
 		budget = 100000
 	}
-	miners := []assoc.Miner{&assoc.Apriori{}, &assoc.AprioriTid{}, &assoc.AprioriHybrid{}}
+	miners := []assoc.Miner{&assoc.Apriori{}, &reference.AprioriTid{}, &reference.AprioriHybrid{}}
 	fmt.Fprintf(w, "%-8s%-10s", "T", "D")
 	for _, m := range miners {
 		fmt.Fprintf(w, "%14s", m.Name())
@@ -189,7 +190,7 @@ func RunA5(w io.Writer, s Scale) error {
 		}
 		fmt.Fprintf(w, "%14s", ms(dur))
 		for _, p := range parts {
-			m := &assoc.Partition{NumPartitions: p}
+			m := &reference.Partition{NumPartitions: p}
 			dur, err := timeIt(func() error {
 				_, e := m.Mine(db, sup)
 				return e

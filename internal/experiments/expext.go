@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/assoc"
+	"repro/internal/assoc/reference"
 	"repro/internal/ensemble"
 	"repro/internal/quant"
 	"repro/internal/synth"
@@ -28,8 +29,8 @@ func RunA6(w io.Writer, s Scale) error {
 	miners := []assoc.Miner{
 		&assoc.Apriori{},
 		&assoc.Eclat{},
-		&assoc.Sampling{},
-		&assoc.Sampling{SampleFraction: 0.1, LowerFactor: 0.7, Seed: 5},
+		&reference.Sampling{},
+		&reference.Sampling{SampleFraction: 0.1, LowerFactor: 0.7, Seed: 5},
 	}
 	fmt.Fprintf(w, "%-8s%14s%14s%14s%18s\n", "minsup",
 		"Apriori", "Eclat", "Sampling(20%)", "Sampling(10%)")

@@ -2,72 +2,92 @@ package transactions
 
 import (
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 )
+
+// bitsetFrom returns the bitset over [0, len(member)) whose set bits are
+// the members.
+func bitsetFrom(member []bool) *Bitset {
+	b := NewBitset(len(member))
+	for i, in := range member {
+		if in {
+			b.Set(i)
+		}
+	}
+	return b
+}
+
+// sameBits reports whether a and b address the same bits and set the
+// same ones.
+func sameBits(a, b *Bitset) bool {
+	return a.n == b.n && slices.Equal(a.words, b.words)
+}
+
+func randomMembers(rng *rand.Rand, n int) []bool {
+	member := make([]bool, n)
+	for i := 0; i < n/4+1; i++ {
+		member[rng.Intn(n)] = true
+	}
+	return member
+}
 
 func TestBitsetRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(300)
-		want := map[int]bool{}
+		want := make([]bool, n)
+		ones := 0
 		b := NewBitset(n)
 		for i := 0; i < n/3+1; i++ {
 			tid := rng.Intn(n)
-			want[tid] = true
+			if !want[tid] {
+				want[tid] = true
+				ones++
+			}
 			b.Set(tid)
 		}
-		if got := b.OnesCount(); got != len(want) {
-			t.Fatalf("OnesCount=%d want %d", got, len(want))
+		if got := b.OnesCount(); got != ones {
+			t.Fatalf("OnesCount=%d want %d", got, ones)
 		}
-		var tids []int
-		tids = b.AppendTIDs(tids)
-		if len(tids) != len(want) {
-			t.Fatalf("AppendTIDs returned %d tids, want %d", len(tids), len(want))
-		}
-		for i, tid := range tids {
-			if !want[tid] {
-				t.Fatalf("unexpected tid %d", tid)
-			}
-			if i > 0 && tids[i-1] >= tid {
-				t.Fatalf("tids not strictly ascending: %v", tids)
-			}
-			if !b.Has(tid) {
-				t.Fatalf("Has(%d)=false after Set", tid)
+		// Bit i is set exactly when it meets a one-bit bitset at i.
+		for i := range want {
+			one := NewBitset(n)
+			one.Set(i)
+			if got := AndCount(b, one) == 1; got != want[i] {
+				t.Fatalf("bit %d set = %v after Set, want %v", i, got, want[i])
 			}
 		}
 	}
 }
 
-func TestBitsetAndMatchesIntersectSorted(t *testing.T) {
+func TestBitsetAndMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := 64 + rng.Intn(200)
-		a := randomTIDs(rng, n)
-		b := randomTIDs(rng, n)
-		want := IntersectSorted(a, b)
+		a, b := randomMembers(rng, n), randomMembers(rng, n)
+		both := make([]bool, n)
+		want := 0
+		for i := range both {
+			both[i] = a[i] && b[i]
+			if both[i] {
+				want++
+			}
+		}
 
-		ba, bb := BitsetFromTIDs(a, n), BitsetFromTIDs(b, n)
-		if got := AndCount(ba, bb); got != len(want) {
-			t.Fatalf("AndCount=%d want %d", got, len(want))
+		ba, bb := bitsetFrom(a), bitsetFrom(b)
+		if got := AndCount(ba, bb); got != want {
+			t.Fatalf("AndCount=%d want %d", got, want)
 		}
 		out := AndBitset(ba, bb)
-		if got := out.AppendTIDs(nil); !sameInts(got, want) {
-			t.Fatalf("AndBitset tids=%v want %v", got, want)
+		if !sameBits(out, bitsetFrom(both)) {
+			t.Fatalf("AndBitset differs from the brute-force intersection")
 		}
-		if out.OnesCount() != len(want) {
-			t.Fatalf("OnesCount=%d want %d", out.OnesCount(), len(want))
-		}
-		// In-place And must agree and report the popcount.
-		cp := ba.Clone()
-		if sup := cp.And(bb); sup != len(want) {
-			t.Fatalf("And returned %d want %d", sup, len(want))
-		}
-		if got := cp.AppendTIDs(nil); !sameInts(got, want) {
-			t.Fatalf("in-place And tids=%v want %v", got, want)
+		if out.OnesCount() != want {
+			t.Fatalf("OnesCount=%d want %d", out.OnesCount(), want)
 		}
 		// ba must be untouched by AndBitset.
-		if got := ba.AppendTIDs(nil); !sameInts(got, a) {
+		if !sameBits(ba, bitsetFrom(a)) {
 			t.Fatalf("AndBitset mutated its input")
 		}
 	}
@@ -80,16 +100,13 @@ func TestBitsetBounds(t *testing.T) {
 	if b.OnesCount() != 0 {
 		t.Fatalf("out-of-range Set changed the bitset")
 	}
-	if b.Has(-1) || b.Has(10) {
-		t.Fatalf("out-of-range Has returned true")
-	}
 	empty := NewBitset(0)
 	if empty.OnesCount() != 0 || empty.Len() != 0 {
 		t.Fatalf("empty bitset misbehaves")
 	}
 }
 
-func TestToVerticalBitsetMatchesVertical(t *testing.T) {
+func TestToVerticalBitsetMatchesContains(t *testing.T) {
 	db := NewDB()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 40; i++ {
@@ -101,19 +118,32 @@ func TestToVerticalBitsetMatchesVertical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vert := db.ToVertical()
 	vb := db.ToVerticalBitset()
-	if vb.NumTx != vert.NumTx {
-		t.Fatalf("NumTx=%d want %d", vb.NumTx, vert.NumTx)
+	if vb.NumTx != db.Len() {
+		t.Fatalf("NumTx=%d want %d", vb.NumTx, db.Len())
 	}
-	if len(vb.Bits) != len(vert.TIDLists) {
-		t.Fatalf("%d items in bitset layout, %d in tid-list layout", len(vb.Bits), len(vert.TIDLists))
-	}
-	for item, tids := range vert.TIDLists {
-		got := vb.Bits[item].AppendTIDs(nil)
-		if !sameInts(got, tids) {
-			t.Fatalf("item %d: bitset tids %v want %v", item, got, tids)
+	present := 0
+	for item := 0; item < 12; item++ {
+		member := make([]bool, db.Len())
+		found := false
+		for tid, tx := range db.Transactions {
+			member[tid] = tx.Contains(item)
+			found = found || member[tid]
 		}
+		bits, ok := vb.Bits[item]
+		if ok != found {
+			t.Fatalf("item %d: in bitset layout = %v, in some transaction = %v", item, ok, found)
+		}
+		if !found {
+			continue
+		}
+		present++
+		if !sameBits(bits, bitsetFrom(member)) {
+			t.Fatalf("item %d: bitset differs from the transactions containing it", item)
+		}
+	}
+	if len(vb.Bits) != present {
+		t.Fatalf("%d items in bitset layout, %d in the transactions", len(vb.Bits), present)
 	}
 }
 
@@ -161,45 +191,19 @@ func TestShards(t *testing.T) {
 	}
 }
 
-func randomTIDs(rng *rand.Rand, n int) []int {
-	set := map[int]bool{}
-	for i := 0; i < n/4+1; i++ {
-		set[rng.Intn(n)] = true
-	}
-	out := make([]int, 0, len(set))
-	for tid := range set {
-		out = append(out, tid)
-	}
-	// IntersectSorted needs ascending input.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-func sameInts(a, b []int) bool {
-	if len(a) == 0 && len(b) == 0 {
-		return true
-	}
-	return reflect.DeepEqual(a, b)
-}
-
 // BenchmarkIntersectBitset times one intersection of two dense bitset
 // tid-sets — the kernel Eclat joins with.
 func BenchmarkIntersectBitset(b *testing.B) {
 	const n = 100000
-	var x, y []int
+	bx, by := NewBitset(n), NewBitset(n)
 	for i := 0; i < n; i++ {
 		if i%8 == 0 {
-			x = append(x, i)
+			bx.Set(i)
 		}
 		if i%8 == 2 || i%16 == 0 {
-			y = append(y, i)
+			by.Set(i)
 		}
 	}
-	bx, by := BitsetFromTIDs(x, n), BitsetFromTIDs(y, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

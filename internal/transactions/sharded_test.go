@@ -142,14 +142,12 @@ func TestConcatBitsetsAligned(t *testing.T) {
 	if out.Len() != 222 {
 		t.Fatalf("len=%d, want 222", out.Len())
 	}
-	want := []int{0, 63, 64, 127, 128 + 5, 192 + 29}
-	if got := out.OnesCount(); got != len(want) {
-		t.Fatalf("popcount=%d, want %d", got, len(want))
+	want := NewBitset(222)
+	for _, i := range []int{0, 63, 64, 127, 128 + 5, 192 + 29} {
+		want.Set(i)
 	}
-	for _, i := range want {
-		if !out.Has(i) {
-			t.Fatalf("bit %d not set", i)
-		}
+	if !sameBits(out, want) {
+		t.Fatalf("concat sets %d bits, want %d at the shifted offsets", out.OnesCount(), want.OnesCount())
 	}
 }
 
@@ -164,13 +162,12 @@ func TestConcatBitsetsUnaligned(t *testing.T) {
 	if out.Len() != 110 {
 		t.Fatalf("len=%d, want 110", out.Len())
 	}
+	want := NewBitset(110)
 	for _, i := range []int{9, 10, 109} {
-		if !out.Has(i) {
-			t.Fatalf("bit %d not set", i)
-		}
+		want.Set(i)
 	}
-	if out.OnesCount() != 3 {
-		t.Fatalf("popcount=%d, want 3", out.OnesCount())
+	if !sameBits(out, want) {
+		t.Fatalf("concat sets %d bits, want bits 9, 10 and 109", out.OnesCount())
 	}
 }
 
@@ -194,7 +191,7 @@ func TestConcatBitsetsEmptyParts(t *testing.T) {
 		{empty, a, empty},
 	} {
 		out := ConcatBitsets(parts...)
-		if out.Len() != 70 || out.OnesCount() != 2 || !out.Has(0) || !out.Has(69) {
+		if !sameBits(out, a) {
 			t.Fatalf("concat with empty parts: len=%d popcount=%d", out.Len(), out.OnesCount())
 		}
 	}
@@ -211,7 +208,7 @@ func TestConcatBitsetsSingleShard(t *testing.T) {
 		t.Fatalf("single-part concat: len=%d popcount=%d", out.Len(), out.OnesCount())
 	}
 	out.Set(1)
-	if a.Has(1) {
+	if a.OnesCount() != 3 {
 		t.Fatal("single-part concat aliases its input")
 	}
 }
@@ -243,13 +240,8 @@ func TestConcatBitsetsWordBoundaryCaps(t *testing.T) {
 		for _, i := range wantBits {
 			want.Set(i)
 		}
-		if out.OnesCount() != want.OnesCount() {
-			t.Fatalf("shardCap %d: popcount=%d, want %d", shardCap, out.OnesCount(), want.OnesCount())
-		}
-		for i := 0; i < out.Len(); i++ {
-			if out.Has(i) != want.Has(i) {
-				t.Fatalf("shardCap %d: bit %d = %v, want %v", shardCap, i, out.Has(i), want.Has(i))
-			}
+		if !sameBits(out, want) {
+			t.Fatalf("shardCap %d: popcount=%d, want %d at the same bits", shardCap, out.OnesCount(), want.OnesCount())
 		}
 	}
 	// A word-multiple part followed by a short tail (the live last shard):
@@ -259,7 +251,10 @@ func TestConcatBitsetsWordBoundaryCaps(t *testing.T) {
 	tail := NewBitset(17)
 	tail.Set(16)
 	out := ConcatBitsets(a, tail)
-	if out.Len() != 209 || !out.Has(191) || !out.Has(192+16) || out.OnesCount() != 2 {
+	want := NewBitset(209)
+	want.Set(191)
+	want.Set(192 + 16)
+	if !sameBits(out, want) {
 		t.Fatalf("word-multiple + tail: len=%d popcount=%d", out.Len(), out.OnesCount())
 	}
 }
@@ -292,14 +287,9 @@ func TestShardedDBToVerticalBitset(t *testing.T) {
 		if gotBits == nil {
 			t.Fatalf("item %d missing", item)
 		}
-		if gotBits.Len() != wantBits.Len() || gotBits.OnesCount() != wantBits.OnesCount() {
+		if !sameBits(gotBits, wantBits) {
 			t.Fatalf("item %d: len/popcount %d/%d != %d/%d",
 				item, gotBits.Len(), gotBits.OnesCount(), wantBits.Len(), wantBits.OnesCount())
-		}
-		for tid := 0; tid < s.Len(); tid++ {
-			if gotBits.Has(tid) != wantBits.Has(tid) {
-				t.Fatalf("item %d tid %d: concat=%v whole=%v", item, tid, gotBits.Has(tid), wantBits.Has(tid))
-			}
 		}
 	}
 }
@@ -452,13 +442,8 @@ func TestShardedDBVerticalBitsetWithEmptyShards(t *testing.T) {
 		if !ok {
 			t.Fatalf("item %d missing", item)
 		}
-		if gb.OnesCount() != wb.OnesCount() {
-			t.Fatalf("item %d: count %d, want %d", item, gb.OnesCount(), wb.OnesCount())
-		}
-		for tid := 0; tid < got.NumTx; tid++ {
-			if gb.Has(tid) != wb.Has(tid) {
-				t.Fatalf("item %d tid %d: %v, want %v", item, tid, gb.Has(tid), wb.Has(tid))
-			}
+		if !sameBits(gb, wb) {
+			t.Fatalf("item %d: count %d, want %d at the same tids", item, gb.OnesCount(), wb.OnesCount())
 		}
 	}
 }

@@ -9,9 +9,8 @@
 // Storage comes in three layouts, each the substrate of one mining mode:
 // DB is the flat horizontal database (one itemset per transaction) whose
 // Shards method hands out the zero-copy contiguous views the
-// count-distribution engine scans in parallel; Vertical/VerticalBits are
-// the inverted tid-list layout of Partition's local phase and the bitset
-// layout Eclat intersects; ShardedDB is
+// count-distribution engine scans in parallel; VerticalBits is the bitset
+// vertical layout Eclat intersects; ShardedDB is
 // the updatable store of the incremental backend — fixed-capacity,
 // version-stamped shards where appends fill the tail, deletes compact in
 // place, and a mutation dirties exactly one shard and, once a maintainer
@@ -305,50 +304,6 @@ func (db *DB) Shards(n int) []Shard {
 		start += size
 	}
 	return out
-}
-
-// Vertical is the inverted (tid-list) layout: for each item, the sorted
-// list of transaction ids containing it.
-type Vertical struct {
-	TIDLists map[int][]int
-	NumTx    int
-}
-
-// ToVertical converts the database to the vertical layout.
-func (db *DB) ToVertical() *Vertical {
-	v := &Vertical{TIDLists: make(map[int][]int), NumTx: len(db.Transactions)}
-	for tid, t := range db.Transactions {
-		for _, item := range t {
-			v.TIDLists[item] = append(v.TIDLists[item], tid)
-		}
-	}
-	return v
-}
-
-// IntersectSorted returns the intersection of two ascending id lists.
-func IntersectSorted(a, b []int) []int {
-	out := make([]int, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ReadBasket parses whitespace-separated item ids, one transaction per

@@ -216,40 +216,6 @@ func TestPartition(t *testing.T) {
 	}
 }
 
-func TestToVertical(t *testing.T) {
-	db := NewDB()
-	mustAdd(t, db, 1, 2)
-	mustAdd(t, db, 2)
-	mustAdd(t, db, 1, 2, 3)
-	v := db.ToVertical()
-	if v.NumTx != 3 {
-		t.Errorf("NumTx = %d", v.NumTx)
-	}
-	wantTids := map[int][]int{1: {0, 2}, 2: {0, 1, 2}, 3: {2}}
-	for item, want := range wantTids {
-		got := v.TIDLists[item]
-		if len(got) != len(want) {
-			t.Fatalf("item %d tids = %v, want %v", item, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("item %d tids = %v, want %v", item, got, want)
-			}
-		}
-	}
-}
-
-func TestIntersectSorted(t *testing.T) {
-	got := IntersectSorted([]int{1, 3, 5, 7}, []int{2, 3, 5, 8})
-	want := []int{3, 5}
-	if len(got) != len(want) || got[0] != 3 || got[1] != 5 {
-		t.Errorf("IntersectSorted = %v, want %v", got, want)
-	}
-	if got := IntersectSorted(nil, []int{1}); len(got) != 0 {
-		t.Errorf("nil intersect = %v", got)
-	}
-}
-
 func TestReadWriteBasket(t *testing.T) {
 	in := "1 2 3\n\n# comment\n2 3\n5\n"
 	db, err := ReadBasket(strings.NewReader(in))
@@ -345,7 +311,8 @@ func TestContainsAllProperty(t *testing.T) {
 	}
 }
 
-// Property: IntersectSorted of tid lists equals the support semantics.
+// Property: the popcount of two items' tid-set intersection is the
+// support of the pair.
 func TestVerticalSupportProperty(t *testing.T) {
 	f := func(txRaw [][3]uint8) bool {
 		if len(txRaw) == 0 || len(txRaw) > 50 {
@@ -358,11 +325,17 @@ func TestVerticalSupportProperty(t *testing.T) {
 				return false
 			}
 		}
-		v := db.ToVertical()
+		v := db.ToVerticalBitset()
+		tids := func(item int) *Bitset {
+			if bits, ok := v.Bits[item]; ok {
+				return bits
+			}
+			return NewBitset(v.NumTx)
+		}
 		// Pairwise: |tids(a) ∩ tids(b)| == Support({a,b}).
 		for a := 0; a < 8; a++ {
 			for b := a + 1; b < 8; b++ {
-				got := len(IntersectSorted(v.TIDLists[a], v.TIDLists[b]))
+				got := AndCount(tids(a), tids(b))
 				want := db.Support(NewItemset(a, b))
 				if got != want {
 					return false

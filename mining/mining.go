@@ -4,7 +4,8 @@
 // FPGrowth, Auto — which picks a family after pass 2 — and the
 // coordinator/worker Distributed backend). The survey's first-generation
 // miners (AIS, SETM, AprioriTid, AprioriHybrid, Partition, Sampling) are
-// reference engines for the paper tables and are not selectable here.
+// reference engines for the paper tables, in internal/assoc/reference, and
+// are not selectable here.
 //
 // # One-shot mining
 //

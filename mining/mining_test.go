@@ -68,7 +68,8 @@ func internalMine(name string, db *transactions.DB, minSup float64, workers int)
 
 // TestAlgorithmsAreTheSixRegisteredEngines pins the boundary of the public
 // Algorithm option: exactly the six registered engines, and each reference
-// engine of paper tables A1 to A6 — runnable only from internal/assoc — is
+// engine of paper tables A1 to A6 — runnable only from
+// internal/assoc/reference — is
 // rejected by Mine, MineStream and NewSession with ErrUnknownAlgorithm
 // naming the six, before anything is scanned (no Progress event fires).
 func TestAlgorithmsAreTheSixRegisteredEngines(t *testing.T) {

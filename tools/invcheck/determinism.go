@@ -11,9 +11,11 @@ import (
 // transports, and WAL replays. Wall-clock reads, the global math/rand
 // source, and map iteration order are the three ways nondeterminism has
 // historically crept into mining engines, so all three are gated in the
-// packages whose outputs are compared byte-for-byte. The serving tier
-// and the sequence miners are in scope too: serve's views replay
-// against from-scratch mines, and seqmine is next onto the substrate.
+// packages whose outputs are compared byte-for-byte. The serving tier,
+// the sequence miners and the reference engines are in scope too:
+// serve's views replay against from-scratch mines, seqmine is next onto
+// the substrate, and the reference engines' results and pass tables are
+// pinned byte for byte to Apriori's.
 //
 // The typed pass resolves callees through go/types (renamed imports and
 // wrapper aliases cannot hide a wall-clock read) and recognizes ranges
@@ -23,7 +25,7 @@ var analyzerDeterminism = &Analyzer{
 	Name: "determinism",
 	Doc:  "no wall-clock, unseeded rand, or unsorted map-range output in byte-identity packages",
 	Packages: []string{
-		"assoc", "fptree", "hashtree", "transactions", "dist", "wal", "serve", "seqmine",
+		"assoc", "reference", "fptree", "hashtree", "transactions", "dist", "wal", "serve", "seqmine",
 	},
 	Run: runDeterminism,
 }
