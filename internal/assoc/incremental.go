@@ -173,16 +173,6 @@ func (inc *Incremental) Detach() {
 // Result returns the currently maintained frequent set (nil before Attach).
 func (inc *Incremental) Result() *Result { return inc.prev }
 
-// Rules regenerates the association rules from the maintained frequent
-// set — the rule-maintenance face of FUP: itemset counts are maintained
-// incrementally and rules are cheap post-processing over them.
-func (inc *Incremental) Rules(minConfidence float64) ([]Rule, error) {
-	if inc.prev == nil {
-		return nil, ErrNotAttached
-	}
-	return GenerateRules(inc.prev, minConfidence)
-}
-
 // Maintain brings the frequent set up to date with the store: the
 // journalled delta is counted into the totals, the totals are
 // re-thresholded, and a full re-mine runs only when the tracked border no

@@ -365,9 +365,6 @@ func TestIncrementalErrors(t *testing.T) {
 	if _, _, err := inc.Maintain(); err != ErrNotAttached {
 		t.Fatalf("Maintain before Attach: err=%v, want ErrNotAttached", err)
 	}
-	if _, err := inc.Rules(0.5); err != ErrNotAttached {
-		t.Fatalf("Rules before Attach: err=%v, want ErrNotAttached", err)
-	}
 	store := transactions.NewShardedDB(64)
 	if _, _, err := inc.Attach(store, 0); err == nil {
 		t.Fatal("Attach with bad support should fail")
@@ -411,7 +408,7 @@ func TestIncrementalRulesMatchScratch(t *testing.T) {
 		}
 	}
 	mustMaintain(t, inc)
-	got, err := inc.Rules(0.6)
+	got, err := GenerateRules(inc.Result(), 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}

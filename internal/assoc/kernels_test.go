@@ -207,7 +207,7 @@ func TestGenerateRulesMatchesEnumeration(t *testing.T) {
 // benchKernels is the fixture of the kernel benchmarks: a 20k-row Quest
 // T10.I4 database over the serving benchmark's 1,000-item universe, at its
 // 0.2 % support.
-func benchKernels(b *testing.B) (*transactions.DB, int) {
+func benchKernels(b testing.TB) (*transactions.DB, int) {
 	b.Helper()
 	db, err := synth.Baskets(synth.T10I4(20000, 1996))
 	if err != nil {

@@ -1,8 +1,10 @@
 package assoc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/transactions"
@@ -84,8 +86,57 @@ func GenerateRules(res *Result, minConfidence float64) ([]Rule, error) {
 	if len(g.rules) == 0 {
 		return nil, nil
 	}
-	slices.SortFunc(g.rules, compareRules)
+	sortRules(g.rules)
 	return g.rules, nil
+}
+
+// ruleKey is what the rule sort compares first: a rule's confidence and
+// support, which decide almost every comparison without loading the
+// rule, and its index. The support saturates at MaxInt32; a tie on the
+// saturated value falls through to compareRules, which compares the
+// full one, so the order stays exact.
+type ruleKey struct {
+	conf float64
+	sup  int32
+	idx  int32
+}
+
+// sortRules sorts rules into compareRules order. It sorts 16-byte keys
+// instead of the rules, falls back to compareRules only when confidence
+// and support tie, and then moves each rule once, following the sorted
+// permutation's cycles in place. A rule set past 2^31 entries would not
+// fit in memory, so an int32 index suffices.
+func sortRules(rules []Rule) {
+	keys := make([]ruleKey, len(rules))
+	for i := range rules {
+		keys[i] = ruleKey{conf: rules[i].Confidence, sup: int32(min(rules[i].Support, math.MaxInt32)), idx: int32(i)}
+	}
+	slices.SortFunc(keys, func(a, b ruleKey) int {
+		switch {
+		case a.conf != b.conf:
+			return cmp.Compare(b.conf, a.conf)
+		case a.sup != b.sup:
+			return cmp.Compare(b.sup, a.sup)
+		}
+		return compareRules(rules[a.idx], rules[b.idx])
+	})
+	// Position i takes rule keys[i].idx. Walk each cycle from its lowest
+	// position, marking a placed position by pointing its key at itself.
+	for i := range keys {
+		if int(keys[i].idx) == i {
+			continue
+		}
+		first, j := rules[i], i
+		for {
+			k := int(keys[j].idx)
+			keys[j].idx = int32(j)
+			if k == i {
+				rules[j] = first
+				break
+			}
+			rules[j], j = rules[k], k
+		}
+	}
 }
 
 // compareRules is the published rule order: confidence descending, then

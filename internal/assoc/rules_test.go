@@ -3,6 +3,9 @@ package assoc
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -334,4 +337,102 @@ func TestRuleOrderStableOnTies(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRuleSortTieBreak pins the tie-break of the rule sort: rules that
+// tie on confidence and support — here most of them, across antecedent
+// sizes — come out in antecedent, then consequent order, exactly the
+// order compareRules gives.
+func TestRuleSortTieBreak(t *testing.T) {
+	set := func(count int, items ...int) ItemsetCount {
+		return ItemsetCount{Items: transactions.NewItemset(items...), Count: count}
+	}
+	res := &Result{
+		NumTx: 4,
+		Levels: [][]ItemsetCount{
+			{set(2, 1), set(2, 2), set(2, 3), set(4, 4), set(3, 5)},
+			{set(2, 1, 2), set(2, 1, 3), set(2, 1, 4), set(2, 2, 3), set(3, 4, 5)},
+			{set(2, 1, 2, 3)},
+		},
+	}
+	rules, err := GenerateRules(res, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"{5} => {4} (sup=3, conf=1.000, lift=1.000)",
+		"{1} => {2} (sup=2, conf=1.000, lift=2.000)",
+		"{1} => {2, 3} (sup=2, conf=1.000, lift=2.000)",
+		"{1} => {3} (sup=2, conf=1.000, lift=2.000)",
+		"{1} => {4} (sup=2, conf=1.000, lift=1.000)",
+		"{1, 2} => {3} (sup=2, conf=1.000, lift=2.000)",
+		"{1, 3} => {2} (sup=2, conf=1.000, lift=2.000)",
+		"{2} => {1} (sup=2, conf=1.000, lift=2.000)",
+		"{2} => {1, 3} (sup=2, conf=1.000, lift=2.000)",
+		"{2} => {3} (sup=2, conf=1.000, lift=2.000)",
+		"{2, 3} => {1} (sup=2, conf=1.000, lift=2.000)",
+		"{3} => {1} (sup=2, conf=1.000, lift=2.000)",
+		"{3} => {1, 2} (sup=2, conf=1.000, lift=2.000)",
+		"{3} => {2} (sup=2, conf=1.000, lift=2.000)",
+		"{4} => {5} (sup=3, conf=0.750, lift=1.000)",
+		"{4} => {1} (sup=2, conf=0.500, lift=1.000)",
+	}
+	got := make([]string, len(rules))
+	for i, r := range rules {
+		got[i] = r.String()
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("rule order:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestSortRulesMatchesCompareRules sorts shuffled copies of the kernel
+// fixture's rule set with sortRules and checks each against a stable
+// comparator sort: the same rules, field for field, in the same order.
+func TestSortRulesMatchesCompareRules(t *testing.T) {
+	res := kernelResult(t)
+	rules, err := GenerateRules(res, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(rules)
+	slices.SortStableFunc(want, compareRules)
+	if !reflect.DeepEqual(rules, want) {
+		t.Fatal("GenerateRules output is not in compareRules order")
+	}
+	rng := rand.New(rand.NewSource(7))
+	for rep := 0; rep < 5; rep++ {
+		got := slices.Clone(rules)
+		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		sortRules(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rep %d: sortRules of a shuffled copy differs from the comparator sort", rep)
+		}
+	}
+}
+
+// TestGenerateRulesAllocations pins GenerateRules' allocations on the
+// BenchmarkGenerateRules fixture: 21 before the rule sort took its key
+// buffer, which is the only one it may add.
+func TestGenerateRulesAllocations(t *testing.T) {
+	res := kernelResult(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := GenerateRules(res, 0.3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 21+1 {
+		t.Errorf("GenerateRules: %v allocations per call, want at most 22", allocs)
+	}
+}
+
+// kernelResult is the BenchmarkGenerateRules fixture's frequent set.
+func kernelResult(t *testing.T) *Result {
+	t.Helper()
+	db, _ := benchKernels(t)
+	res, err := (&Apriori{Workers: 2}).Mine(db, 0.002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }

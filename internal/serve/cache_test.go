@@ -90,7 +90,7 @@ func TestCacheNeverServesStaleVersion(t *testing.T) {
 	}
 	// The recomputed answer must match the new view's from-scratch state.
 	_, wantRules := mineFromScratch(t, model.snapshotRows(), testMinSup, testFloor)
-	want := newView(0, 0, mining.MaintainStats{}, nil, wantRules).topRules(RulesQuery{K: 8, By: BySupport, MinConfidence: 0})
+	want := newView(0, 0, mining.MaintainStats{}, nil, wantRules, nil).topRules(RulesQuery{K: 8, By: BySupport, MinConfidence: 0})
 	if !reflect.DeepEqual(fresh, want) {
 		t.Fatal("post-publish query does not match the new version's from-scratch rules")
 	}

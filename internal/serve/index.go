@@ -2,14 +2,16 @@ package serve
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"repro/mining"
 )
 
 // queryIndex is the read-side index of one published View. newView builds
-// it exactly once, on the ingest goroutine, and nothing writes it again,
-// so readers share it without synchronization.
+// it exactly once, on the publisher goroutine (or in New, for the first
+// view), and nothing writes it again, so readers share it without
+// synchronization.
 //
 // A rule id is the rule's position in View.rules. That order is the
 // published GenerateRules order, confidence non-increasing, so ascending
@@ -81,8 +83,10 @@ func newPostings(rules []mining.Rule, numItems int, keysOf func(antecedent []int
 	return postings{off: off[:numItems+1], ids: ids}
 }
 
-// newQueryIndex indexes rules, which must be in published order.
-func newQueryIndex(rules []mining.Rule) queryIndex {
+// newQueryIndex indexes rules, which must be in published order. keys
+// is the scratch the rankings are sorted in, grown as needed and kept for
+// the next build (nil: a fresh one).
+func newQueryIndex(rules []mining.Rule, keys *[]uint64) queryIndex {
 	if len(rules) == 0 {
 		return queryIndex{}
 	}
@@ -92,18 +96,86 @@ func newQueryIndex(rules []mining.Rule) queryIndex {
 			numItems = max(numItems, ant[len(ant)-1]+1) // antecedents are sorted
 		}
 	}
-	ix := queryIndex{
-		bySupport: make([]int32, len(rules)),
-		byLift:    make([]int32, len(rules)),
+	if keys == nil {
+		keys = new([]uint64)
+	}
+	*keys = slices.Grow((*keys)[:0], len(rules))[:len(rules)]
+	return queryIndex{
+		bySupport: rankBySupport(rules, *keys),
+		byLift:    rankByLift(rules, *keys),
 		contains:  newPostings(rules, numItems, func(ant []int) []int { return ant }),
 		first:     newPostings(rules, numItems, func(ant []int) []int { return ant[:min(1, len(ant))] }),
 	}
+}
+
+// rankBySupport returns the rule ids in rankCmp(rules, BySupport) order,
+// sorting one packed key per rule in keys: the complemented support above
+// the id, so ascending keys are support descending, ties toward the lower
+// id. A support is below 2^32 — the store would otherwise hold more
+// transactions than fit in memory.
+func rankBySupport(rules []mining.Rule, keys []uint64) []int32 {
 	for i := range rules {
-		ix.bySupport[i], ix.byLift[i] = int32(i), int32(i)
+		keys[i] = uint64(^uint32(rules[i].Support))<<32 | uint64(i)
 	}
-	slices.SortFunc(ix.bySupport, rankCmp(rules, BySupport))
-	slices.SortFunc(ix.byLift, rankCmp(rules, ByLift))
-	return ix
+	slices.Sort(keys)
+	return idsOf(keys)
+}
+
+// rankByLift returns the rule ids in rankCmp(rules, ByLift) order. A
+// packed key holds only the top 32 bits of liftKey above the id, so one
+// slices.Sort is exact except within a run of keys that share those bits
+// but not the lift: there, ids stand in for the lost low bits. Such a run
+// (lifts equal to one part in a million) is re-sorted with the full keys.
+func rankByLift(rules []mining.Rule, keys []uint64) []int32 {
+	for i := range rules {
+		keys[i] = liftKey(rules[i].Lift)&^math.MaxUint32 | uint64(i)
+	}
+	slices.Sort(keys)
+	full := func(a, b uint64) int {
+		if c := cmp.Compare(liftKey(rules[uint32(a)].Lift), liftKey(rules[uint32(b)].Lift)); c != 0 {
+			return c
+		}
+		return cmp.Compare(uint32(a), uint32(b))
+	}
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
+			hi++
+		}
+		if run := keys[lo:hi]; !slices.IsSortedFunc(run, full) {
+			slices.SortFunc(run, full)
+		}
+		lo = hi
+	}
+	return idsOf(keys)
+}
+
+// liftKey maps a lift to a key whose ascending order is the lift's
+// descending order under cmp.Compare: -0 equals +0 and every NaN sorts
+// last. Setting the sign bit of a non-negative float, or flipping all
+// bits of a negative one, orders the bits as the floats; the complement
+// reverses that.
+func liftKey(lift float64) uint64 {
+	if lift != lift {
+		return math.MaxUint64
+	}
+	if lift == 0 {
+		lift = 0 // -0 to +0
+	}
+	b := math.Float64bits(lift)
+	if b>>63 == 0 {
+		return ^(b | 1<<63)
+	}
+	return b
+}
+
+// idsOf cuts the ids out of sorted packed keys.
+func idsOf(keys []uint64) []int32 {
+	ids := make([]int32, len(keys))
+	for i, k := range keys {
+		ids[i] = int32(uint32(k))
+	}
+	return ids
 }
 
 // rankCmp is the total order of rule ids under by: the metric

@@ -8,6 +8,7 @@ import (
 	"net/url"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -86,7 +87,7 @@ func viewOf(t testing.TB, rows [][]int) *View {
 	if err != nil {
 		t.Fatalf("rules: %v", err)
 	}
-	return newView(1, 0, mining.MaintainStats{}, res, rules)
+	return newView(1, 0, mining.MaintainStats{}, res, rules, nil)
 }
 
 // syntheticRules draws n rules over the given item universe in
@@ -156,8 +157,8 @@ func checkAgainstScan(t *testing.T, v *View, q RulesQuery, basket []int, k int) 
 func TestIndexMatchesScan(t *testing.T) {
 	const items = 16
 	views := map[string]*View{
-		"empty":     newView(0, 0, mining.MaintainStats{}, nil, nil),
-		"synthetic": newView(1, 0, mining.MaintainStats{}, nil, syntheticRules(1500, 40, 99)),
+		"empty":     newView(0, 0, mining.MaintainStats{}, nil, nil, nil),
+		"synthetic": newView(1, 0, mining.MaintainStats{}, nil, syntheticRules(1500, 40, 99), nil),
 	}
 	for seed := int64(1); seed <= 6; seed++ {
 		v := viewOf(t, fixtureRows(300, items, seed))
@@ -236,8 +237,9 @@ func FuzzQueryIndex(f *testing.F) {
 // TestIndexOrderInvariants pins what the index walks lean on: published
 // rules are confidence non-increasing with non-empty antecedents (so an
 // id cutoff is a confidence filter and first-item postings cover every
-// rule), the permutations are the comparators' sorted orders, and the
-// comparators are total orders even over NaN and infinite lifts.
+// rule), the permutations are the comparators' sorted orders — the packed
+// key sorts agree with a stable comparator sort even over tied supports,
+// equal, infinite and NaN lifts — and the comparators are total orders.
 func TestIndexOrderInvariants(t *testing.T) {
 	srv := newTestServer(t, fixtureRows(300, 16, 21), Config{})
 	v := srv.View()
@@ -276,6 +278,9 @@ func TestIndexOrderInvariants(t *testing.T) {
 		{Lift: math.NaN()}, {Lift: math.Inf(1)}, {Lift: 1.5}, {Lift: math.NaN()},
 		{Lift: 1.5}, {Lift: math.Inf(-1)}, {Lift: 0}, {Lift: math.Copysign(0, -1)},
 	}
+	checkRankings(t, rules)
+	checkRankings(t, odd)
+	checkRankings(t, oddRankRules(rand.New(rand.NewSource(21)), 3000))
 	for _, by := range []RankBy{ByConfidence, BySupport, ByLift} {
 		cmpIDs := rankCmp(odd, by)
 		n := int32(len(odd))
@@ -292,6 +297,55 @@ func TestIndexOrderInvariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkRankings checks the packed-key rankings of newQueryIndex against a
+// stable sort of the ids under rankCmp, building the index twice over one
+// scratch to cover its reuse.
+func checkRankings(t *testing.T, rules []mining.Rule) {
+	t.Helper()
+	keys := []uint64{42} // a dirty scratch from some earlier build
+	for rep := 0; rep < 2; rep++ {
+		ix := newQueryIndex(rules, &keys)
+		for _, by := range []RankBy{BySupport, ByLift} {
+			want := make([]int32, len(rules))
+			for i := range want {
+				want[i] = int32(i)
+			}
+			slices.SortStableFunc(want, rankCmp(rules, by))
+			got := ix.bySupport
+			if by == ByLift {
+				got = ix.byLift
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d rules, build %d: %s ranking differs from the comparator sort", len(rules), rep, by)
+			}
+		}
+	}
+}
+
+// oddRankRules draws n rules whose supports tie often and whose lifts mix
+// repeats, both zeros, ±Inf, NaNs of both signs and payloads, negatives,
+// and neighbours that agree in their top 32 bits but not below — the runs
+// the lift ranking re-sorts.
+func oddRankRules(rng *rand.Rand, n int) []mining.Rule {
+	lifts := []float64{
+		math.NaN(), math.Float64frombits(0xfff8000000000001), math.Inf(1), math.Inf(-1),
+		0, math.Copysign(0, -1), 1, math.Nextafter(1, 2), 1 + 1e-9, 1 + 3e-9,
+		math.Nextafter(1, 0), 2.5, -2.5, math.SmallestNonzeroFloat64, -math.MaxFloat64,
+	}
+	rules := make([]mining.Rule, n)
+	for i := range rules {
+		rules[i].Support = rng.Intn(8)
+		if rng.Intn(4) == 0 {
+			rules[i].Support = math.MaxUint32 - rng.Intn(3)
+		}
+		rules[i].Lift = lifts[rng.Intn(len(lifts))]
+		if rng.Intn(3) == 0 {
+			rules[i].Lift = rng.NormFloat64() * 3
+		}
+	}
+	return rules
 }
 
 // TestIndexMissAllocationBounded pins that a miss allocates for its answer,
@@ -363,10 +417,11 @@ func TestRecommendOnOneSnapshot(t *testing.T) {
 // 0.5 ms and 60 KB.
 func BenchmarkIndexBuild(b *testing.B) {
 	rules := syntheticRules(2129, 870, 7)
+	var keys []uint64 // the publisher's scratch, reused across builds
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := newQueryIndex(rules)
+		ix := newQueryIndex(rules, &keys)
 		if len(ix.bySupport) != len(rules) {
 			b.Fatal("short index")
 		}
@@ -377,7 +432,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 // set of the bench fixture's size.
 func BenchmarkQueryMiss(b *testing.B) {
 	rules := syntheticRules(2129, 870, 7)
-	v := newView(1, 0, mining.MaintainStats{}, nil, rules)
+	v := newView(1, 0, mining.MaintainStats{}, nil, rules, nil)
 	item := rules[len(rules)/2].Antecedent[0]
 	basket, _ := normalizeItems(append([]int{item, 3, 99, 400}, rules[7].Antecedent...))
 	for _, by := range []RankBy{ByConfidence, BySupport, ByLift} {

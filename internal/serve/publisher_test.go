@@ -1,0 +1,160 @@
+package serve
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/wal"
+	"repro/mining"
+)
+
+// TestPublisherContract pins the hand-off between the ingest goroutine
+// and the publisher. A scripted append/delete stream runs through a
+// durable server that maintains every n applied ops, with Flushes at
+// arbitrary points, while one reader polls View(). A durable Enqueue
+// returns only once its op is applied, so a lone writer's ops are applied
+// one batch each, and a Maintain starts after exactly n of them since the
+// last Maintain or Flush. The contract:
+//   - the views the reader sees have strictly increasing versions;
+//   - each view's Ops() is a Flush point or n, 2n, ... ops past the last
+//     one, and its canonical bytes and rules equal a from-scratch mine of
+//     the store at Ops();
+//   - Flush returns a view whose Ops() equals the ops acked so far, and
+//     every handed-off Maintain is published: none is coalesced away;
+//   - Close with a publish in flight publishes it and leaks no goroutine.
+func TestPublisherContract(t *testing.T) {
+	goroutinesBefore := runtime.NumGoroutine()
+	const n = 7
+	rng := rand.New(rand.NewSource(30))
+	initial := fixtureRows(120, 18, 30)
+	srv := newTestServer(t, initial, Config{FS: wal.NewMemFS(), MaintainAfter: n})
+
+	type observation struct {
+		version, ops uint64
+		canon        string
+		rules        []mining.Rule
+	}
+	var (
+		observed []observation // reader-owned until wg.Wait
+		stop     atomic.Bool
+		wg       sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last *View
+		for !stop.Load() {
+			v := srv.View()
+			if v == last {
+				runtime.Gosched()
+				continue
+			}
+			if last != nil && v.Version() <= last.Version() {
+				t.Errorf("version %d observed after version %d", v.Version(), last.Version())
+				return
+			}
+			last = v
+			observed = append(observed, observation{v.Version(), v.Ops(), string(v.Canonical()), v.Rules()})
+		}
+	}()
+
+	ctx := context.Background()
+	driver := opModel{rows: append([][]int(nil), initial...)}
+	var opLog []Op
+	flushPoints := map[uint64]bool{0: true} // New publishes at op 0
+	dirty, maintains := 0, uint64(1)        // New's publish is the first
+	flush := func() {
+		t.Helper()
+		v, err := srv.Flush(ctx)
+		if err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		if v.Ops() != uint64(len(opLog)) {
+			t.Fatalf("Flush after %d acked ops returned a view at %d", len(opLog), v.Ops())
+		}
+		if dirty > 0 {
+			maintains++
+		}
+		dirty = 0
+		flushPoints[v.Ops()] = true
+	}
+	for len(opLog) < 300 {
+		op := Op{Kind: OpAppend, Items: []int{rng.Intn(18), rng.Intn(18), rng.Intn(18)}}
+		if len(driver.rows) > 100 && rng.Intn(2) == 0 {
+			op = Op{Kind: OpDelete, TID: rng.Intn(len(driver.rows))}
+		}
+		if err := srv.Enqueue(ctx, op); err != nil {
+			t.Fatalf("Enqueue: %v", err)
+		}
+		opLog = append(opLog, op)
+		driver.apply(op)
+		if dirty++; dirty == n {
+			dirty = 0
+			maintains++
+		}
+		if rng.Intn(40) == 0 {
+			flush()
+		}
+	}
+	flush()
+	if got := srv.Stats().Maintains; got != maintains {
+		t.Errorf("Stats().Maintains = %d after %d hand-offs", got, maintains)
+	}
+
+	// Close right after the op that hands a Maintain off: its view is
+	// published before Close returns.
+	for i := 0; i < n; i++ {
+		op := Op{Kind: OpAppend, Items: []int{1, 2, 3}}
+		if err := srv.Enqueue(ctx, op); err != nil {
+			t.Fatalf("Enqueue: %v", err)
+		}
+		opLog = append(opLog, op)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if v := srv.View(); v.Ops() != uint64(len(opLog)) {
+		t.Errorf("after Close the view is at op %d, want the in-flight publish at %d", v.Ops(), len(opLog))
+	}
+	stop.Store(true)
+	wg.Wait()
+
+	if len(observed) < 3 {
+		t.Fatalf("the reader saw only %d views", len(observed))
+	}
+	points := make([]uint64, 0, len(flushPoints))
+	for p := range flushPoints {
+		points = append(points, p)
+	}
+	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
+	replay := opModel{rows: append([][]int(nil), initial...)}
+	replayed := uint64(0)
+	for _, obs := range observed {
+		last := points[sort.Search(len(points), func(i int) bool { return points[i] > obs.ops })-1]
+		if !flushPoints[obs.ops] && (obs.ops-last)%n != 0 {
+			t.Errorf("version %d at op %d: neither a Flush point nor a multiple of %d past the one at %d", obs.version, obs.ops, n, last)
+		}
+		for ; replayed < obs.ops; replayed++ {
+			replay.apply(opLog[replayed])
+		}
+		wantCanon, wantRules := mineFromScratch(t, replay.snapshotRows(), testMinSup, testFloor)
+		if obs.canon != string(wantCanon) || !reflect.DeepEqual(obs.rules, wantRules) {
+			t.Errorf("version %d at op %d differs from a from-scratch mine", obs.version, obs.ops)
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutinesBefore && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > goroutinesBefore {
+		t.Errorf("goroutine leak: %d before, %d after", goroutinesBefore, got)
+	}
+}

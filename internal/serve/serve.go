@@ -7,12 +7,17 @@
 //
 // The server separates one writer from many readers. A single ingest
 // goroutine drains a bounded queue of Ops (appends and deletes) into the
-// session and triggers Maintain on a dirty-op threshold or a timer. Each
-// completed Maintain publishes an immutable View — version, maintained
-// Result and the rule set at the configured confidence floor — behind one
-// atomic pointer swap (copy-on-write). Readers load the pointer and never
-// take a lock, so queries never block the maintainer and the maintainer
-// never blocks queries. The result's canonical bytes are not encoded at
+// session and triggers Maintain on a dirty-op threshold or a timer. It
+// hands each completed Maintain to one publisher goroutine over a
+// one-entry channel and goes back to acknowledging ops. The publisher, in
+// hand-off order, derives the rule set at the configured confidence floor
+// and the query index and publishes an immutable View — version,
+// maintained Result, rules, index — behind one atomic pointer swap
+// (copy-on-write). Readers load the pointer and never take a lock, so
+// queries never block the maintainer and the maintainer never blocks
+// queries. Flush answers from the publisher, once the view covering the
+// ops it drained is published; Close publishes every handed-off Maintain
+// before it returns. The result's canonical bytes are not encoded at
 // publish: the first reader that asks for them encodes them once under a
 // sync.Once, so a write path with no /v1/canonical reader never pays for
 // them. The contract, pinned by the concurrency property tests:
@@ -32,18 +37,18 @@
 // the version of one view with the size of the next.
 //
 // A view carries a query index, built once when it is published (newView,
-// on the ingest goroutine; four flat allocations, linear in the rule set
-// plus two sorts): the rule ids ranked by support and by lift — the
-// published order already is the confidence ranking — and two posting
-// lists keyed by item, the rules whose antecedent contains the item and
-// the rules whose antecedent starts with it. A query then costs the
-// postings it walks plus the K rules it returns, not the rule set: top-k
-// with no antecedent reads the head of one ranking; with an antecedent it
-// walks the shortest posting list of the asked items, stops at the
-// confidence cutoff, and ranks only what matched; a recommendation walks
-// the first-item postings of the basket's items, which name every rule
-// whose antecedent can lie inside the basket exactly once, and ranks the
-// matches. The answers are identical to filtering and stably sorting the
+// on the publisher goroutine; four flat allocations, linear in the rule
+// set plus two sorts of packed keys): the rule ids ranked by support and
+// by lift — the published order already is the confidence ranking — and
+// two posting lists keyed by item, the rules whose antecedent contains
+// the item and the rules whose antecedent starts with it. A query then
+// costs the postings it walks plus the K rules it returns, not the rule
+// set: top-k with no antecedent reads the head of one ranking; with an
+// antecedent it walks the shortest posting list of the asked items, stops
+// at the confidence cutoff, and ranks only what matched; a recommendation
+// walks the first-item postings of the basket's items, which name every
+// rule whose antecedent can lie inside the basket exactly once, and ranks
+// the matches. The answers are identical to filtering and stably sorting the
 // whole rule set (TestIndexMatchesScan keeps that scan as its reference).
 //
 // Results are also kept in a small LRU keyed on (view version, normalized
@@ -248,11 +253,12 @@ type View struct {
 }
 
 // newView is the one constructor of a View: whatever gets published has
-// its query index built here, exactly once. A nil res is an empty store
-// (no result, no canonical bytes); rules must be in GenerateRules order.
-// The canonical bytes are not encoded here but on the first Canonical call.
-func newView(version, ops uint64, stats mining.MaintainStats, res *mining.Result, rules []mining.Rule) *View {
-	v := &View{version: version, ops: ops, stats: stats, res: res, rules: rules, index: newQueryIndex(rules)}
+// its query index built here, exactly once, with keys as the ranking
+// scratch (nil: a fresh one). A nil res is an empty store (no result, no
+// canonical bytes); rules must be in GenerateRules order. The canonical
+// bytes are not encoded here but on the first Canonical call.
+func newView(version, ops uint64, stats mining.MaintainStats, res *mining.Result, rules []mining.Rule, keys *[]uint64) *View {
+	v := &View{version: version, ops: ops, stats: stats, res: res, rules: rules, index: newQueryIndex(rules, keys)}
 	if res != nil {
 		v.numTx = res.NumTx()
 	}
@@ -341,9 +347,10 @@ type Stats struct {
 }
 
 // Server is the long-running query tier: one ingest goroutine feeding a
-// mining.Session, an atomically swapped immutable View for readers, and
-// a version-keyed query cache. All methods are safe for concurrent use;
-// the query methods never block on ingestion or maintenance.
+// mining.Session, one publisher goroutine turning its maintained results
+// into atomically swapped immutable Views for readers, and a
+// version-keyed query cache. All methods are safe for concurrent use;
+// the query methods never block on ingestion, maintenance or publishing.
 type Server struct {
 	cfg     Config
 	session *mining.Session
@@ -358,7 +365,8 @@ type Server struct {
 	closed  bool
 
 	log          *wal.Log
-	lastSnapOps  uint64 // ingest-goroutine owned after New
+	lastSnapOps  uint64   // ingest-goroutine owned after New
+	rankKeys     []uint64 // newQueryIndex scratch, publisher owned after New
 	recovered    bool
 	recoveredOps uint64
 	ready        atomic.Bool
@@ -449,7 +457,7 @@ func New(db *mining.DB, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.session = session
-	s.publish(newView(0, 0, mining.MaintainStats{}, nil, nil)) // version 0: empty until the first maintain
+	s.publish(newView(0, 0, mining.MaintainStats{}, nil, nil, nil)) // version 0: empty until the first maintain
 	fail := func(err error) (*Server, error) {
 		session.Close()
 		if s.log != nil {
@@ -478,7 +486,11 @@ func New(db *mining.DB, cfg Config) (*Server, error) {
 		}
 	}
 	if db.Len() > 0 || s.consumed.Load() > 0 {
-		if err := s.maintainPublish(context.Background()); err != nil {
+		w := s.maintain(context.Background())
+		if w.err != nil {
+			return fail(w.err)
+		}
+		if err := s.publishMaintained(w); err != nil {
 			return fail(err)
 		}
 	}
@@ -582,10 +594,12 @@ func (s *Server) Enqueue(ctx context.Context, op Op) error {
 }
 
 // Flush synchronously drains the queue and, if any op was applied since
-// the last publish (or nothing was ever published), runs one Maintain
-// and publishes the resulting view — the deterministic trigger tests and
-// bulk loads use. With a WAL attached, Flush implies fsync: every op it
-// drained is durable before it returns. It returns the now-current view.
+// the last Maintain (or nothing was ever maintained), runs one Maintain
+// — the deterministic trigger tests and bulk loads use. It returns once
+// the publisher has published every Maintain handed off before it, this
+// one included, so the returned view covers every op it drained. With a
+// WAL attached, Flush implies fsync: every op it drained is durable
+// before it returns.
 func (s *Server) Flush(ctx context.Context) (*View, error) {
 	reply := make(chan flushReply, 1)
 	select {
@@ -606,7 +620,9 @@ func (s *Server) Flush(ctx context.Context) (*View, error) {
 // Close stops the ingest loop and releases the session. With a WAL
 // attached the shutdown is a graceful drain: queued ops are persisted,
 // applied and acknowledged, the log is synced, a final snapshot written,
-// and the log closed. It is idempotent.
+// and the log closed. Every Maintain already handed off is published
+// before Close returns; ops applied since are not maintained. It is
+// idempotent.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	if s.closed {
@@ -621,9 +637,19 @@ func (s *Server) Close() error {
 }
 
 // loop is the single ingest goroutine: it owns every session mutation
-// and every log write after New.
+// and every log write after New. It hands each Maintain's result to the
+// publisher goroutine it starts here and joins on exit, after the
+// graceful drain, so every handed-off view is published before Close
+// returns.
 func (s *Server) loop() {
 	defer close(s.done)
+	work := make(chan publishWork, 1)
+	published := make(chan struct{})
+	go s.publisher(work, published)
+	defer func() {
+		close(work)
+		<-published
+	}()
 	var tick <-chan time.Time
 	if s.cfg.MaintainEvery > 0 {
 		t := time.NewTicker(s.cfg.MaintainEvery)
@@ -636,7 +662,16 @@ func (s *Server) loop() {
 		defer t.Stop()
 		syncTick = t.C
 	}
-	dirty := 0
+	// maintained reports whether any view past New's empty version 0 was
+	// handed off; a Flush before that publishes one even with nothing dirty.
+	dirty, maintained := 0, s.View().Version() > 0
+	maintain := func() publishWork {
+		w := s.maintain(context.Background())
+		if w.err == nil {
+			dirty, maintained = 0, true
+		}
+		return w
+	}
 	for {
 		select {
 		case q := <-s.ops:
@@ -644,9 +679,7 @@ func (s *Server) loop() {
 			dirty += s.ingest(batch)
 			s.maybeSnapshot()
 			if dirty >= s.cfg.MaintainAfter {
-				if s.maintainPublish(context.Background()) == nil {
-					dirty = 0
-				}
+				work <- maintain()
 			}
 		case <-syncTick:
 			if err := s.log.Sync(); err != nil {
@@ -654,28 +687,45 @@ func (s *Server) loop() {
 			}
 		case <-tick:
 			if dirty > 0 {
-				if s.maintainPublish(context.Background()) == nil {
-					dirty = 0
-				}
+				work <- maintain()
 			}
 		case reply := <-s.flushCh:
 			dirty += s.ingest(s.drainQueued())
-			var err error
+			var w publishWork
 			if s.log != nil {
-				if err = s.log.Sync(); err != nil {
+				if w.err = s.log.Sync(); w.err != nil {
 					s.walErrors.Add(1)
 				}
 			}
-			if err == nil && (dirty > 0 || s.View().Version() == 0) {
-				if err = s.maintainPublish(context.Background()); err == nil {
-					dirty = 0
-				}
+			if w.err == nil && (dirty > 0 || !maintained) {
+				w = maintain()
 			}
+			w.reply = reply
 			s.maybeSnapshot()
-			reply <- flushReply{view: s.View(), err: err}
+			work <- w
 		case <-s.quit:
 			s.shutdown()
 			return
+		}
+	}
+}
+
+// publisher is the publish goroutine: it turns each handed-off Maintain
+// result into a View — rules at the floor, query index — and publishes
+// it, in hand-off order, so versions stay strictly monotone and each
+// view's Ops is the op count its Maintain saw. A Flush's reply rides on
+// its work item and is answered once that item is published, so Flush
+// returns the view that covers every op it drained. It exits when loop
+// closes work, after the last item.
+func (s *Server) publisher(work <-chan publishWork, published chan<- struct{}) {
+	defer close(published)
+	for w := range work {
+		err := s.publishMaintained(w)
+		if w.reply != nil {
+			if w.err != nil {
+				err = w.err
+			}
+			w.reply <- flushReply{view: s.View(), err: err}
 		}
 	}
 }
@@ -810,31 +860,53 @@ func (s *Server) writeSnapshot() error {
 	return nil
 }
 
-// maintainPublish runs one Maintain over the session and publishes the
-// immutable result view. An empty store publishes an empty view (readers
-// must never keep seeing deleted data); any other error leaves the
-// current view in place for the next trigger to retry.
-func (s *Server) maintainPublish(ctx context.Context) error {
-	prev := s.view.Load()
+// publishWork is one hand-off from the ingest goroutine to the
+// publisher: a maintained state to publish (when view is set), the Flush
+// waiting on it (nil when none) and the Maintain or sync error that Flush
+// gets back.
+type publishWork struct {
+	view  bool
+	ops   uint64
+	stats mining.MaintainStats
+	res   *mining.Result // nil with view set: the store is empty
+	reply chan flushReply
+	err   error
+}
+
+// maintain runs one Maintain over the session and returns what to
+// publish. An empty store yields an empty view (readers must never keep
+// seeing deleted data); any other error is counted and returned in err
+// with no view, so the current one stays until the next trigger retries.
+func (s *Server) maintain(ctx context.Context) publishWork {
 	ops := s.consumed.Load()
-	res, mstats, err := s.session.Maintain(ctx)
-	if err != nil {
-		if errors.Is(err, mining.ErrEmptyDB) {
-			s.publish(newView(prev.version+1, ops, mstats, nil, nil))
-			s.maintains.Add(1)
-			return nil
+	res, stats, err := s.session.Maintain(ctx)
+	if err != nil && !errors.Is(err, mining.ErrEmptyDB) {
+		s.ingestErrors.Add(1)
+		return publishWork{err: err}
+	}
+	return publishWork{view: true, ops: ops, stats: stats, res: res}
+}
+
+// publishMaintained derives the rules and the query index of w's state
+// and publishes the view, one version past the current one; w without a
+// view publishes nothing. It takes no session lock: a maintained Result
+// is immutable. New calls it for the first publish; after that only the
+// publisher goroutine does.
+func (s *Server) publishMaintained(w publishWork) error {
+	if !w.view {
+		return nil
+	}
+	var rules []mining.Rule
+	if w.res != nil {
+		var err error
+		if rules, err = w.res.Rules(s.cfg.RuleFloor); err != nil {
+			s.ingestErrors.Add(1)
+			return err
 		}
-		s.ingestErrors.Add(1)
-		return err
 	}
-	rules, err := s.session.Rules(s.cfg.RuleFloor)
-	if err != nil {
-		s.ingestErrors.Add(1)
-		return err
-	}
-	s.publish(newView(prev.version+1, ops, mstats, res, rules))
+	s.publish(newView(s.View().version+1, w.ops, w.stats, w.res, rules, &s.rankKeys))
 	s.maintains.Add(1)
-	if mstats.FullRun {
+	if w.stats.FullRun {
 		s.fullRuns.Add(1)
 	}
 	return nil

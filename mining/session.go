@@ -181,31 +181,21 @@ func (s *Session) Result() *Result {
 	return s.last
 }
 
-// Rules regenerates the association rules from the maintained frequent
-// set — itemset counts are maintained incrementally and rules are cheap
-// post-processing over them. It returns ErrClosed after Close and
-// assoc's ErrNotAttached error before the first successful Mine.
+// Rules regenerates the association rules from the last maintained
+// frequent set (Result.Rules of the session's Result) — itemset counts
+// are maintained incrementally and rules are cheap post-processing over
+// them. It returns ErrClosed after Close and assoc's ErrNotAttached error
+// before the first successful Mine.
 func (s *Session) Rules(minConfidence float64) ([]Rule, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	rules, err := s.inc.Rules(minConfidence)
-	if err != nil {
-		return nil, err
+	if s.last == nil {
+		return nil, assoc.ErrNotAttached
 	}
-	out := make([]Rule, len(rules))
-	for i, rule := range rules {
-		out[i] = Rule{
-			Antecedent: rule.Antecedent,
-			Consequent: rule.Consequent,
-			Support:    rule.Support,
-			Confidence: rule.Confidence,
-			Lift:       rule.Lift,
-		}
-	}
-	return out, nil
+	return s.last.Rules(minConfidence)
 }
 
 // Close detaches the maintainer (the store stops journalling mutations)
