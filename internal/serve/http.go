@@ -13,8 +13,12 @@ import (
 	"repro/mining"
 )
 
-// maxIngestBody bounds one POST /v1/append body (16 MiB).
-const maxIngestBody = 16 << 20
+// maxIngestBody bounds one POST /v1/append body (16 MiB), and
+// maxIngestLine one line of it (1 MiB, newline included).
+const (
+	maxIngestBody = 16 << 20
+	maxIngestLine = 1 << 20
+)
 
 // ruleJSON is the wire form of one rule.
 type ruleJSON struct {
@@ -269,7 +273,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var ops []Op
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
+	sc.Buffer(nil, maxIngestLine) // start small and grow: most bodies are a few lines
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {

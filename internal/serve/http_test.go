@@ -182,6 +182,44 @@ func TestHTTPIngestFlushRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHTTPAppendLineCap pins POST /v1/append's 1 MiB line cap (newline
+// included): a body whose one line just fits is accepted, and a longer
+// line answers 400 with ErrBadQuery and applies nothing.
+func TestHTTPAppendLineCap(t *testing.T) {
+	const lineCap = 1 << 20
+	rows := fixtureRows(100, 12, 24)
+	srv := newTestServer(t, rows, Config{})
+	ts := startHTTP(t, srv)
+	line := func(n int) string { // n bytes, newline included
+		return "3 17 29" + strings.Repeat(" ", n-len("3 17 29")-1) + "\n"
+	}
+
+	body := postStatus(t, ts.URL+"/v1/append", line(lineCap), http.StatusOK)
+	var enq map[string]int
+	if err := json.Unmarshal(body, &enq); err != nil || enq["enqueued"] != 1 {
+		t.Fatalf("append reply %s (err %v), want enqueued=1", body, err)
+	}
+	v, err := srv.Flush(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Ops() != 1 || srv.session.Len() != len(rows)+1 {
+		t.Fatalf("after the longest line: ops %d, store %d, want 1 and %d", v.Ops(), srv.session.Len(), len(rows)+1)
+	}
+
+	var reply map[string]string
+	body = postStatus(t, ts.URL+"/v1/append", "1 2\n"+line(lineCap+1), http.StatusBadRequest)
+	if err := json.Unmarshal(body, &reply); err != nil || !strings.Contains(reply["error"], ErrBadQuery.Error()) {
+		t.Fatalf("over-cap reply %s (err %v), want an %q error", body, err, ErrBadQuery)
+	}
+	if v, err = srv.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if v.Ops() != 1 {
+		t.Fatalf("after the over-cap body: ops %d, want 1", v.Ops())
+	}
+}
+
 // TestHTTPAppendIsAllOrNothing: a body with a malformed line answers 400
 // and applies none of its lines, not the valid prefix. The view's op
 // count, the store and the write-ahead log (read back by a restart) all

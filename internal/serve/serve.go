@@ -845,10 +845,9 @@ func (s *Server) compact() {
 // consumed op prefix, truncating the log. Errors are counted and leave
 // the previous snapshot authoritative.
 func (s *Server) writeSnapshot() error {
-	rows := s.session.Snapshot().Rows()
-	txs := make([]transactions.Itemset, len(rows))
-	for i, r := range rows {
-		txs[i] = transactions.Itemset(r)
+	txs := make([]transactions.Itemset, 0, s.session.Len())
+	for row := range s.session.All() {
+		txs = append(txs, row)
 	}
 	ops := s.consumed.Load()
 	if err := s.log.Snapshot(txs, ops); err != nil {

@@ -33,7 +33,7 @@ func ExampleDB() {
 }
 
 // ExampleShardedDB shows the updatable store behind the incremental
-// mining backend: appends fill the tail shard, deletes compact within the
+// mining backend: appends fill the tail shard, deletes stay within the
 // owning shard, and every mutation bumps exactly one shard version — the
 // signal caches use to re-count only dirty shards.
 func ExampleShardedDB() {

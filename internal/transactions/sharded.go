@@ -3,6 +3,7 @@ package transactions
 import (
 	"errors"
 	"fmt"
+	"iter"
 )
 
 // Errors returned by ShardedDB.
@@ -25,10 +26,18 @@ type versionedShard struct {
 }
 
 // ShardedDB is the updatable counterpart of DB: transactions are stored in
-// fixed-capacity shards, appends fill the last shard, and deletes compact
-// within the owning shard only. Every mutation bumps the owning shard's
-// version, which is how the distributed engine (internal/dist) knows which
-// shard replicas on its workers are stale and re-ships only those.
+// fixed-capacity shards, appends fill the last shard, and deletes touch
+// the owning shard only. Every mutation bumps the owning shard's version,
+// which is how the distributed engine (internal/dist) knows which shard
+// replicas on its workers are stale and re-ships only those.
+//
+// No mutation writes a slot inside a shard slice already handed out by
+// ShardView: an append writes only at the shard's length, past every
+// earlier view; a delete of a shard's first or last row reslices; a
+// middle delete copies the shard's survivors into a fresh array; and no
+// itemset is ever modified. So a view, like a Snapshot, keeps reading
+// exactly the itemsets it had when it was taken, even across later
+// mutations, which is what lets readers alias the store.
 //
 // Once a maintainer has called Track, every mutation's itemset is also
 // journalled, and Drain hands the journal over: the incremental mining
@@ -46,7 +55,7 @@ type versionedShard struct {
 // A transaction's global id is its position in the concatenation of the
 // live shards, so deletes shift the ids of later transactions. Support
 // counts do not depend on ids, only on the multiset of transactions, which
-// is why shard-local compaction preserves mining results exactly.
+// is why shard-local deletes preserve mining results exactly.
 //
 // ShardedDB is not safe for concurrent mutation; the incremental miner
 // reads shards concurrently only between mutations.
@@ -140,9 +149,17 @@ func (s *ShardedDB) appendSet(tx Itemset) {
 }
 
 // DeleteAt removes the transaction with global id tid (its position in the
-// live concatenation) and returns it. The owning shard compacts in place,
-// so only its version changes; later shards keep their contents and
-// versions even though their transactions' global ids shift down.
+// live concatenation) and returns it. Only the owning shard changes, so
+// only its version moves; later shards keep their contents and versions
+// even though their transactions' global ids shift down.
+//
+// A delete of a shard's first or last row costs nothing: the first
+// reslices past it, the last trims the length and the capacity, so a
+// later append reallocates rather than overwrite a viewed slot. Removing
+// a shard's last live row drops its array. Only a middle delete copies,
+// into a fresh array. A front reslice leaves the deleted rows in the
+// array's dead prefix, reachable until the array is dropped or
+// reallocated: at most one shard's worth of itemsets per shard.
 func (s *ShardedDB) DeleteAt(tid int) (Itemset, error) {
 	if tid < 0 || tid >= s.total {
 		return nil, fmt.Errorf("%w: %d (len %d)", ErrTIDRange, tid, s.total)
@@ -153,7 +170,14 @@ func (s *ShardedDB) DeleteAt(tid int) (Itemset, error) {
 			continue
 		}
 		tx := sh.txs[tid]
-		sh.txs = append(sh.txs[:tid:tid], sh.txs[tid+1:]...)
+		switch {
+		case len(sh.txs) == 1:
+			sh.txs = nil
+		case tid == 0:
+			sh.txs = sh.txs[1:]
+		default:
+			sh.txs = append(sh.txs[:tid:tid], sh.txs[tid+1:]...)
+		}
 		sh.version++
 		s.total--
 		s.mutations++
@@ -197,8 +221,9 @@ func (s *ShardedDB) Drain() (added, deleted []Itemset) {
 
 // ShardView returns shard i as a zero-copy Shard (Base set to the shard's
 // current global offset) together with its version. The view aliases the
-// store; callers must not mutate transactions through it and must not hold
-// it across mutations.
+// store; callers must not mutate transactions through it. A view held
+// across later mutations keeps its contents (see ShardedDB), but its Base
+// and version describe the shard as it was when the view was taken.
 func (s *ShardedDB) ShardView(i int) (Shard, uint64) {
 	base := 0
 	for j := 0; j < i; j++ {
@@ -253,6 +278,26 @@ func (s *ShardedDB) ToVerticalBitset() *VerticalBits {
 		v.Bits[item] = ConcatBitsets(ps...)
 	}
 	return v
+}
+
+// All returns an iterator over the live transactions in global-id order,
+// as the store is now: it captures each shard's slice, so later mutations
+// do not change what it yields (see ShardedDB). The itemsets are shared
+// with the store; treat them as read-only.
+func (s *ShardedDB) All() iter.Seq[Itemset] {
+	parts := make([][]Itemset, len(s.shards))
+	for i, sh := range s.shards {
+		parts[i] = sh.txs
+	}
+	return func(yield func(Itemset) bool) {
+		for _, part := range parts {
+			for _, tx := range part {
+				if !yield(tx) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // Snapshot materialises the live transactions as a plain DB, recomputing

@@ -1,6 +1,7 @@
 package transactions
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -524,5 +525,110 @@ func TestShardedDBJournal(t *testing.T) {
 	}
 	if s.Mutations() != 12 {
 		t.Fatalf("Mutations = %d, want 12", s.Mutations())
+	}
+}
+
+// TestShardedDBViewsSurviveMutations holds every ShardView and Snapshot
+// taken during seeded random runs of appends and deletes — of a shard's
+// first row, its last row, a middle row and its last live row — and
+// checks at the end that each still reads exactly the itemsets it had
+// when it was taken: no mutation writes a slot inside a handed-out slice.
+func TestShardedDBViewsSurviveMutations(t *testing.T) {
+	type held struct {
+		view, want []Itemset
+		at         string
+	}
+	const (
+		delFirst = iota
+		delLast
+		delMiddle
+		delLastLive
+		numDeleteKinds
+	)
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewShardedDB(64)
+		var views []held
+		var deletes [numDeleteKinds]int
+		hold := func(view []Itemset, at string) {
+			views = append(views, held{view, append([]Itemset(nil), view...), at})
+		}
+		// deleteIn removes the row of shard i that kind names, if the
+		// shard has one.
+		deleteIn := func(i, kind int) {
+			view, _ := s.ShardView(i)
+			n := len(view.Transactions)
+			off := 0
+			switch {
+			case n == 0, kind == delLastLive && n != 1, kind != delLastLive && n == 1:
+				return
+			case kind == delLast:
+				off = n - 1
+			case kind == delMiddle:
+				if n < 3 {
+					return
+				}
+				off = 1 + rng.Intn(n-2)
+			}
+			if _, err := s.DeleteAt(view.Base + off); err != nil {
+				t.Fatal(err)
+			}
+			deletes[kind]++
+		}
+		for step := 0; step < 1500; step++ {
+			if s.Len() == 0 || rng.Intn(2) == 0 {
+				// Every itemset is unique, so a slot overwritten with any
+				// other row shows up.
+				if err := s.Append(step, step+1+rng.Intn(4)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				kind, i := rng.Intn(numDeleteKinds), rng.Intn(s.NumShards())
+				if kind == delLastLive {
+					// Drain the shard to one row so its last live row goes.
+					for view, _ := s.ShardView(i); len(view.Transactions) > 1; view, _ = s.ShardView(i) {
+						deleteIn(i, delFirst)
+					}
+				}
+				deleteIn(i, kind)
+			}
+			if rng.Intn(4) == 0 {
+				for i := 0; i < s.NumShards(); i++ {
+					view, _ := s.ShardView(i)
+					hold(view.Transactions, fmt.Sprintf("seed %d step %d shard %d", seed, step, i))
+				}
+				hold(s.Snapshot().Transactions, fmt.Sprintf("seed %d step %d snapshot", seed, step))
+			}
+		}
+		for kind, n := range deletes {
+			if n == 0 {
+				t.Fatalf("seed %d: no delete of kind %d; the run does not cover it", seed, kind)
+			}
+		}
+		for _, h := range views {
+			for j := range h.view {
+				if !h.view[j].Equal(h.want[j]) {
+					t.Fatalf("%s: row %d reads %v, want %v", h.at, j, h.view[j], h.want[j])
+				}
+			}
+		}
+	}
+}
+
+// TestShardedDBFrontDeleteAllocs: deleting the first row of a full shard
+// reslices it and allocates nothing.
+func TestShardedDBFrontDeleteAllocs(t *testing.T) {
+	s := NewShardedDB(DefaultShardCap)
+	for i := 0; i < DefaultShardCap; i++ {
+		if err := s.Append(i, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(DefaultShardCap/2, func() {
+		if _, err := s.DeleteAt(0); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("DeleteAt(0) allocates %.1f times per call, want 0", allocs)
 	}
 }

@@ -12,8 +12,8 @@
 // count-distribution engine scans in parallel; VerticalBits is the bitset
 // vertical layout Eclat intersects; ShardedDB is
 // the updatable store of the incremental backend — fixed-capacity,
-// version-stamped shards where appends fill the tail, deletes compact in
-// place, and a mutation dirties exactly one shard and, once a maintainer
+// version-stamped shards where appends fill the tail, deletes stay within
+// their shard, and a mutation dirties exactly one shard and, once a maintainer
 // tracks the store, is journalled for it to count. Shard capacities are
 // multiples of 64 so per-shard bitsets concatenate word-aligned
 // (ConcatBitsets).

@@ -183,17 +183,22 @@ func decodeSegmentHeader(data []byte) (uint64, int, error) {
 }
 
 // encodeSnapshot encodes the transaction rows as a snapshot covering the
-// first ops log operations.
+// first ops log operations. The body is encoded once, behind room for the
+// longest magic-and-length prefix, and the prefix is then written right in
+// front of it, so the body is never copied.
 func encodeSnapshot(txs []transactions.Itemset, ops uint64) ([]byte, error) {
-	body := binary.AppendUvarint(nil, ops)
-	body, err := transactions.AppendStable(body, txs)
+	const room = len(snapMagic) + binary.MaxVarintLen64
+	buf := binary.AppendUvarint(make([]byte, room), ops)
+	buf, err := transactions.AppendStable(buf, txs)
 	if err != nil {
 		return nil, err
 	}
-	buf := append([]byte(nil), snapMagic...)
-	buf = binary.AppendUvarint(buf, uint64(len(body)))
-	buf = append(buf, body...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli)), nil
+	body := buf[room:]
+	var hdr [room]byte
+	prefix := binary.AppendUvarint(append(hdr[:0], snapMagic...), uint64(len(body)))
+	start := room - len(prefix)
+	copy(buf[start:], prefix)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))[start:], nil
 }
 
 // decodeSnapshot decodes a snapshot file into its rows and the op offset

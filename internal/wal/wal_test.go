@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -135,6 +136,70 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	bad[len(bad)-6] ^= 1
 	if _, _, err := decodeSnapshot(bad); !errors.Is(err, ErrBadSnapshot) {
 		t.Fatalf("flip: got %v", err)
+	}
+}
+
+// TestSnapshotBytesMatchTwoBufferLayout pins encodeSnapshot's bytes to
+// the layout written out here the plain way — magic, uvarint body length,
+// body, CRC-32C of the body — for an empty store, a one-row store and a
+// multi-shard store, and round-trips each through decodeSnapshot.
+func TestSnapshotBytesMatchTwoBufferLayout(t *testing.T) {
+	reference := func(txs []transactions.Itemset, ops uint64) []byte {
+		body := binary.AppendUvarint(nil, ops)
+		body, err := transactions.AppendStable(body, txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := append([]byte(nil), snapMagic...)
+		buf = binary.AppendUvarint(buf, uint64(len(body)))
+		buf = append(buf, body...)
+		return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+	}
+	store := transactions.NewShardedDB(64)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 300; i++ {
+		items := make([]int, 1+rng.Intn(6))
+		for j := range items {
+			items[j] = rng.Intn(5000)
+		}
+		if err := store.Append(items...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tid := range []int{0, 0, 150, 296} {
+		if _, err := store.DeleteAt(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if store.NumShards() < 4 {
+		t.Fatalf("fixture has %d shards, want several", store.NumShards())
+	}
+	cases := []struct {
+		name string
+		txs  []transactions.Itemset
+		ops  uint64
+	}{
+		{"empty", nil, 0},
+		{"one row", []transactions.Itemset{{3, 17, 29}}, 1},
+		{"multi-shard", store.Snapshot().Transactions, 1 << 40},
+	}
+	for _, c := range cases {
+		got, err := encodeSnapshot(c.txs, c.ops)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := reference(c.txs, c.ops); !bytes.Equal(got, want) {
+			t.Fatalf("%s: encodeSnapshot wrote %d bytes that differ from the %d-byte reference layout", c.name, len(got), len(want))
+		}
+		txs, ops, err := decodeSnapshot(got)
+		if err != nil || ops != c.ops || len(txs) != len(c.txs) {
+			t.Fatalf("%s: decoded %d rows at op %d (err %v), want %d at %d", c.name, len(txs), ops, err, len(c.txs), c.ops)
+		}
+		for i := range txs {
+			if !txs[i].Equal(c.txs[i]) {
+				t.Fatalf("%s: row %d decodes to %v, want %v", c.name, i, txs[i], c.txs[i])
+			}
+		}
 	}
 }
 

@@ -135,8 +135,7 @@ func (d *DB) NumItems() int {
 
 // Rows returns the database's transactions as one row of sorted,
 // deduplicated item ids per transaction, in live order. The rows alias
-// the store — treat them as read-only. Serving tiers use this to
-// snapshot a Session's store for durable persistence.
+// the store — treat them as read-only.
 //
 //lint:ignore invcheck/ctxdiscipline Rows is an O(n) header-copying accessor, not a counting hot loop; there is no scan to cancel and snapshotting must not fail mid-copy
 func (d *DB) Rows() [][]int {

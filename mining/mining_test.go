@@ -284,6 +284,52 @@ func TestSessionMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// TestSessionAll: All yields the rows Snapshot holds, in order, and an
+// iteration mutating the session from its loop body still yields the
+// store as it was when All was called.
+func TestSessionAll(t *testing.T) {
+	db, _ := testData(t, 300, 3)
+	s, err := NewSession(db, ShardCap(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tid := range []int{0, 70, 297} {
+		if _, err := s.DeleteAt(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := s.Snapshot().Rows()
+	var got [][]int
+	for row := range s.All() {
+		got = append(got, row)
+		// Per row yielded, three appends and a delete from the front, the
+		// middle and the back of the store.
+		for k := range 3 {
+			if err := s.Append(row...); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.DeleteAt(k * (s.Len() - 1) / 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("All yielded %d rows, Snapshot holds %d", len(got), len(want))
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("row %d: All yielded %v, Snapshot holds %v", i, got[i], want[i])
+		}
+	}
+	for range s.All() {
+		break // an early break must not hold the session
+	}
+	if err := s.Append(1, 2); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSessionWithDistributedBase pins the Transport composition: a
 // session whose full runs go through the distributed engine produces
 // byte-identical results and still maintains incrementally.

@@ -2,6 +2,7 @@ package mining
 
 import (
 	"context"
+	"iter"
 	"slices"
 	"sync"
 
@@ -164,13 +165,33 @@ func (s *Session) Maintain(ctx context.Context) (*Result, MaintainStats, error) 
 }
 
 // Snapshot returns the store's current live transactions as an immutable
-// DB (the itemsets are shared with the store, not copied — treat the
-// snapshot as read-only and do not mutate the session while mining it).
-// Useful for verifying a maintained result against a one-shot Mine.
+// DB. It copies the store's row list, and rows are never modified in
+// place, so mutating the session afterwards — even while mining the
+// snapshot — leaves the snapshot as it was. The rows themselves are
+// shared with the store; treat them as read-only. Useful for verifying a
+// maintained result against a one-shot Mine.
 func (s *Session) Snapshot() *DB {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &DB{db: s.store.Snapshot()}
+}
+
+// All returns an iterator over the store's live transactions in id
+// order, one sorted row of item ids each, as the store was when All was
+// called: mutating the session afterwards, even from the loop body, does
+// not change what it yields. Unlike Snapshot it does not copy the row
+// list. The rows are shared with the store; treat them as read-only.
+func (s *Session) All() iter.Seq[[]int] {
+	s.mu.Lock()
+	rows := s.store.All()
+	s.mu.Unlock()
+	return func(yield func([]int) bool) {
+		for row := range rows {
+			if !yield(row) {
+				return
+			}
+		}
+	}
 }
 
 // Result returns the last maintained result (nil before the first
