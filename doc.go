@@ -27,8 +27,8 @@
 // pass-2 triangular pair array, or a hashtree.CountBuffer over the
 // read-only candidate tree), and the private counters are merged after
 // the pass. Merged results are bit-identical to the serial scan, so
-// Apriori and DHP take a Workers option that changes only wall-clock
-// time. Eclat instead mines the vertical layout as
+// every registered engine takes a Workers option that changes only
+// wall-clock time. Eclat instead mines the vertical layout as
 // transactions.Bitset tid-sets (word-wise AND + popcount). FPGrowth is
 // the candidate-free engine: per-shard FP-trees (internal/fptree) are mined
 // together as a forest — the same commutative additions, made inside the

@@ -1,8 +1,7 @@
 // Package assoc is the production core of frequent-itemset mining: the
-// six engines the mining facade reaches and what they share.
+// five engines the mining facade reaches and what they share.
 //
-//   - Apriori (Agrawal & Srikant, VLDB'94) and DHP, direct hashing and
-//     pruning (Park, Chen & Yu, SIGMOD'95): level-wise candidate
+//   - Apriori (Agrawal & Srikant, VLDB'94): level-wise candidate
 //     generation and counting
 //   - Eclat (Zaki et al.): bitset tid-set intersections in the vertical
 //     layout
@@ -14,7 +13,7 @@
 // plus confidence/lift rule generation (the ap-genrules procedure) and
 // FUP-style incremental maintenance (Incremental) over an updatable
 // sharded store. The survey's first-generation miners — AIS, SETM,
-// AprioriTid, AprioriHybrid, Partition and Sampling — live in
+// AprioriTid, AprioriHybrid, DHP, Partition and Sampling — live in
 // internal/assoc/reference, which builds them from this package's exported
 // names and counts with the same kernels.
 //
@@ -30,8 +29,8 @@
 // a four-method seam naming the database scans a mine needs: pass-1 item
 // counts, the triangular pass-2 pair array, the pass-k hash-tree count and
 // the FP-tree build. Pass k >= 3 is one loop (levelsFrom3) over a count
-// function — levelwise's scan source, DHP's local scans, the incremental
-// maintainer's lookup in its totals — so the maintained answer equals
+// function — levelwise's scan source or the incremental maintainer's
+// lookup in its totals — so the maintained answer equals
 // re-evaluation by construction; every hash tree comes from
 // hashtree.Build. Where the scans run is the only thing that differs
 // between engines: Apriori and FPGrowth run them on this process's
@@ -54,7 +53,7 @@
 //
 // Every Miner honours context cancellation: hot loops poll the context
 // every ctxStride transactions, so MineContext returns promptly without
-// goroutine leaks. The six engines Registered lists are Engines: they
+// goroutine leaks. The five engines Registered lists are Engines: they
 // additionally report each completed pass to a hook and take a worker
 // count, which is what the public mining package builds its progress,
 // streaming and Workers features on. This package stays internal;

@@ -34,14 +34,11 @@ var paperExpected = map[string]int{
 	"2,3,5": 2,
 }
 
-// allMiners returns one instance of every local registered engine, DHP
-// in two configurations (the reference engines have the same tables in
-// internal/assoc/reference).
+// allMiners returns one instance of every local registered engine (the
+// reference engines have the same tables in internal/assoc/reference).
 func allMiners() []Miner {
 	return []Miner{
 		&Apriori{},
-		&DHP{},
-		&DHP{NumBuckets: 64},
 		&Eclat{},
 		&FPGrowth{},
 		&Auto{},

@@ -17,7 +17,6 @@ import (
 // internal/assoc/reference):
 //
 //	Workers        0 (and 1) mean serial, identical results at any count
-//	DHP            NumBuckets=1<<16
 //	Distributed    Workers=1 transport, Engine=DistEngineApriori
 //	Incremental    TrackSlack=0.8
 func TestZeroValueOptionDefaults(t *testing.T) {
@@ -33,7 +32,6 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 		closeBoth bool
 	}{
 		{name: "Apriori", zero: &Apriori{}, explicit: &Apriori{Workers: 1}},
-		{name: "DHP", zero: &DHP{}, explicit: &DHP{NumBuckets: 1 << 16, Workers: 1}},
 		{name: "Eclat", zero: &Eclat{}, explicit: &Eclat{Workers: 1}},
 		{name: "FPGrowth", zero: &FPGrowth{}, explicit: &FPGrowth{Workers: 1}},
 		{name: "Auto", zero: &Auto{}, explicit: &Auto{Workers: 1}},

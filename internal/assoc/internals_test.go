@@ -33,28 +33,6 @@ func TestCountPairsTriangular(t *testing.T) {
 	}
 }
 
-func TestDHPBucketFilterKeepsResultExact(t *testing.T) {
-	// A tiny bucket table forces heavy collisions; results must still be
-	// exact because the filter only ever over-approximates.
-	db := paperDB(t)
-	for _, buckets := range []int{1, 2, 7} {
-		res, err := (&DHP{NumBuckets: buckets}).Mine(db, 0.5)
-		if err != nil {
-			t.Fatalf("buckets=%d: %v", buckets, err)
-		}
-		got := resultMap(res)
-		if len(got) != len(paperExpected) {
-			t.Errorf("buckets=%d: %d itemsets, want %d", buckets, len(got), len(paperExpected))
-		}
-	}
-}
-
-func TestDHPPairHashSymmetric(t *testing.T) {
-	if pairHash(3, 7, 97) != pairHash(7, 3, 97) {
-		t.Error("pairHash must be order-independent")
-	}
-}
-
 func TestEclatPassStats(t *testing.T) {
 	db := paperDB(t)
 	res, err := (&Eclat{}).Mine(db, 0.5)

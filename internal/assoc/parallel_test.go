@@ -34,8 +34,6 @@ func randomDB(seed int64) *transactions.DB {
 func parallelVariants(workers int) []Miner {
 	return []Miner{
 		&Apriori{Workers: workers},
-		&DHP{Workers: workers},
-		&DHP{NumBuckets: 64, Workers: workers},
 		&Eclat{Workers: workers},
 		&FPGrowth{Workers: workers},
 	}
@@ -44,10 +42,6 @@ func parallelVariants(workers int) []Miner {
 func serialCounterpart(m Miner) Miner {
 	switch v := m.(type) {
 	case *Apriori:
-		cp := *v
-		cp.Workers = 0
-		return &cp
-	case *DHP:
 		cp := *v
 		cp.Workers = 0
 		return &cp

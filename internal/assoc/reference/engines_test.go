@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,21 @@ func TestAISCountsMoreCandidatesThanApriori(t *testing.T) {
 	}
 	if aisCands <= apCands {
 		t.Errorf("AIS candidates %d <= Apriori candidates %d; expected more", aisCands, apCands)
+	}
+}
+
+func TestDHPBucketFilterKeepsResultExact(t *testing.T) {
+	// A tiny bucket table forces heavy collisions; results must still be
+	// exact because the filter only ever over-approximates.
+	for _, buckets := range []int{1, 2, 7} {
+		got := resultMap(mine(t, &DHP{NumBuckets: buckets}, paperDB(t), 0.5))
+		compareMaps(t, fmt.Sprintf("buckets=%d", buckets), got, paperExpected)
+	}
+}
+
+func TestDHPPairHashSymmetric(t *testing.T) {
+	if pairHash(3, 7, 97) != pairHash(7, 3, 97) {
+		t.Error("pairHash must be order-independent")
 	}
 }
 
@@ -274,7 +290,7 @@ func TestMineContextCancellation(t *testing.T) {
 	db := cancelFixture(t)
 	const minSup = 0.02
 	for _, m := range []assoc.Miner{
-		&AIS{}, &SETM{}, &AprioriTid{}, &AprioriHybrid{}, &Partition{NumPartitions: 3}, &Sampling{Seed: 1},
+		&AIS{}, &SETM{}, &AprioriTid{}, &AprioriHybrid{}, &DHP{}, &Partition{NumPartitions: 3}, &Sampling{Seed: 1},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -306,7 +322,7 @@ func TestScansPollContext(t *testing.T) {
 	l1, l2 := res.Levels[0], res.Levels[1]
 	scans := map[string]func(context.Context) error{
 		"pass 1": func(ctx context.Context) error {
-			_, _, err := startResult(ctx, db, 0.02)
+			_, _, err := startResult(ctx, db, 0.02, nil)
 			return err
 		},
 		"pass 2 triangle": func(ctx context.Context) error {
@@ -333,5 +349,12 @@ func TestScansPollContext(t *testing.T) {
 		if err := scan(newPollCtx(1)); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v after a cancellation at the second poll, want context.Canceled", name, err)
 		}
+	}
+
+	// DHP's pair-bucket scan is the pass-1 loop above with a visitor: a
+	// cancellation at its second poll ends the whole mine there.
+	dhp := newPollCtx(1)
+	if _, err := (&DHP{}).MineContext(dhp, db, 0.02); !errors.Is(err, context.Canceled) || dhp.polls.Load() != 2 {
+		t.Errorf("DHP pass 1: err = %v after %d polls, want context.Canceled after 2", err, dhp.polls.Load())
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/rpc"
 	"slices"
+	"sync"
 )
 
 // workerService is the net/rpc name workers register under; Transport
@@ -167,8 +168,10 @@ func (c *serverCodec) WriteResponse(resp *rpc.Response, body any) error {
 
 // ServeWorker registers w as the "Worker" net/rpc service and serves
 // connections from l (framed wire codec, one goroutine per connection)
-// until the listener closes, whose error it returns. It is the remote
-// side of RPCTransport; a worker process is just
+// until Accept fails, as it does once the listener closes. It then closes
+// every connection still open, waits for their goroutines (and any call
+// in flight) to finish, and returns Accept's error. It is the remote side
+// of RPCTransport; a worker process is just
 //
 //	l, _ := net.Listen("tcp", addr)
 //	dist.ServeWorker(l, dist.NewWorker())
@@ -177,13 +180,33 @@ func ServeWorker(l net.Listener, w *Worker) error {
 	if err := srv.RegisterName(workerService, w); err != nil {
 		return err
 	}
+	var (
+		mu    sync.Mutex
+		conns = make(map[net.Conn]struct{})
+		wg    sync.WaitGroup
+	)
 	for {
 		conn, err := l.Accept()
 		if err != nil {
+			mu.Lock()
+			for c := range conns {
+				c.Close() // unblocks the goroutine's read; ServeCodec closes it again
+			}
+			mu.Unlock()
+			wg.Wait()
 			return err
 		}
-		//lint:ignore invcheck/goroutines per-connection rpc goroutines run until the peer disconnects; their lifetime is bounded by closing the listener, the standard net/rpc serving shape
-		go srv.ServeCodec(&serverCodec{newFrameConn(conn)})
+		mu.Lock()
+		conns[conn] = struct{}{}
+		mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			srv.ServeCodec(&serverCodec{newFrameConn(conn)})
+			mu.Lock()
+			delete(conns, conn)
+			mu.Unlock()
+		}()
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fptree"
 	"repro/internal/transactions"
@@ -670,6 +671,48 @@ func TestRPCSurvivesHostileFrames(t *testing.T) {
 	err = brt.Call(ctx, 0, MethodCountItems, &CountItemsArgs{NumItems: 5}, &reply)
 	if !errors.Is(err, ErrBadFrame) || Retryable(err) {
 		t.Fatalf("undecodable reply: err = %v, want non-retryable ErrBadFrame", err)
+	}
+}
+
+// TestServeWorkerJoinsConnections: closing the listener ends ServeWorker
+// only after it has closed every connection it accepted and joined their
+// goroutines, so a client still connected reads EOF instead of waiting on
+// a connection nothing serves.
+func TestServeWorkerJoinsConnections(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- ServeWorker(l, NewWorker()) }()
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// One answered call: the worker has accepted the connection.
+	countItems, err := appendMessage(nil, &CountItemsArgs{NumItems: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(finished(t, appendFrameHead(nil, 1, workerService+"."+MethodCountItems, ""), countItems)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readFrame(conn, nil); err != nil {
+		t.Fatalf("reply: %v", err)
+	}
+
+	l.Close()
+	select {
+	case <-served:
+	case <-time.After(time.Second):
+		t.Fatal("ServeWorker still running a second after its listener closed")
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("client read after ServeWorker returned: err = %v, want io.EOF", err)
 	}
 }
 

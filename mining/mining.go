@@ -1,11 +1,10 @@
 // Package mining is the public, versioned frequent-itemset mining API of
-// this module — the single way in to the six engines internal/assoc
-// registers (level-wise Apriori and DHP, vertical Eclat, pattern-growth
-// FPGrowth, Auto — which picks a family after pass 2 — and the
-// coordinator/worker Distributed backend). The survey's first-generation
-// miners (AIS, SETM, AprioriTid, AprioriHybrid, Partition, Sampling) are
-// reference engines for the paper tables, in internal/assoc/reference, and
-// are not selectable here.
+// this module — the single way in to the five engines internal/assoc
+// registers (level-wise Apriori, vertical Eclat, pattern-growth FPGrowth,
+// Auto — which picks a family after pass 2 — and the coordinator/worker
+// Distributed backend). The survey's first-generation miners (AIS, SETM,
+// AprioriTid, AprioriHybrid, DHP, Partition, Sampling) are reference
+// engines, in internal/assoc/reference, and are not selectable here.
 //
 // # One-shot mining
 //

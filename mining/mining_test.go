@@ -67,19 +67,18 @@ func internalMine(name string, db *transactions.DB, minSup float64, workers int)
 }
 
 // TestAlgorithmsAreTheSixRegisteredEngines pins the boundary of the public
-// Algorithm option: exactly the six registered engines, and each reference
-// engine of paper tables A1 to A6 — runnable only from
-// internal/assoc/reference — is
+// Algorithm option: exactly the five registered engines, and each
+// reference engine — runnable only from internal/assoc/reference — is
 // rejected by Mine, MineStream and NewSession with ErrUnknownAlgorithm
-// naming the six, before anything is scanned (no Progress event fires).
+// naming the five, before anything is scanned (no Progress event fires).
 func TestAlgorithmsAreTheSixRegisteredEngines(t *testing.T) {
-	want := []string{"Apriori", "DHP", "Eclat", "FPGrowth", "Auto", "Distributed"}
+	want := []string{"Apriori", "Eclat", "FPGrowth", "Auto", "Distributed"}
 	if got := Algorithms(); !slices.Equal(got, want) {
 		t.Fatalf("Algorithms() = %v, want %v", got, want)
 	}
 	db, _ := testData(t, 50, 1)
 	ctx := context.Background()
-	for _, name := range []string{"AIS", "SETM", "AprioriTid", "AprioriHybrid", "Partition(4)", "Sampling"} {
+	for _, name := range []string{"AIS", "SETM", "AprioriTid", "AprioriHybrid", "DHP", "Partition(4)", "Sampling"} {
 		opts := []Option{Algorithm(name), Progress(func(PassStat) {
 			t.Errorf("%s: a pass ran before the name was rejected", name)
 		})}
@@ -132,7 +131,7 @@ func TestMineWithTransportMatchesLocal(t *testing.T) {
 func TestMineStreamMatchesMine(t *testing.T) {
 	db, _ := testData(t, 500, 3)
 	const minSup = 0.01
-	for _, algo := range []string{"Apriori", "FPGrowth", "Eclat", "DHP"} {
+	for _, algo := range []string{"Apriori", "FPGrowth", "Eclat"} {
 		want, err := Mine(context.Background(), db, Algorithm(algo), MinSupport(minSup))
 		if err != nil {
 			t.Fatal(err)

@@ -10,9 +10,9 @@ import (
 // sight. The rule is lexical: a go statement must share its top-level
 // function with a WaitGroup or channel join — a .Wait() call, a channel
 // receive, or a wg.Done() inside the launched body (the WaitGroup being
-// the join token even when Wait lives in Close). Intentionally detached
-// goroutines (per-connection rpc servers, server loops joined by Close)
-// carry a reasoned suppression instead.
+// the join token even when Wait lives in Close). Goroutines joined
+// outside their top-level function (a server loop joined by Close) carry a
+// reasoned suppression instead.
 var analyzerGoroutines = &Analyzer{
 	Name: "goroutines",
 	Doc:  "every go statement is lexically paired with a WaitGroup or channel join",
