@@ -72,7 +72,7 @@ func levelwise(ctx context.Context, src scanSource, minCount int, res *Result, e
 // countFunc counts the k-itemsets cands over the database, supports indexed
 // like cands: a scan source's countCandidates, or the incremental
 // maintainer's lookup in its totals.
-type countFunc func(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error)
+type countFunc func(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error)
 
 // countL2 is the paper's pass-2 special case: C2 is the full join of L1
 // (in item order, as thresholdItems emits it from a numItems-long pass-1
@@ -131,11 +131,11 @@ func levelsFrom3(ctx context.Context, level []ItemsetCount, cands []transactions
 
 // frequentOf keeps the candidates whose count reaches minCount, in
 // lexicographic order.
-func frequentOf(cands []transactions.Itemset, counts []int, minCount int) []ItemsetCount {
+func frequentOf(cands []transactions.Itemset, counts []int32, minCount int) []ItemsetCount {
 	var level []ItemsetCount
 	for i, cand := range cands {
-		if counts[i] >= minCount {
-			level = append(level, ItemsetCount{Items: cand, Count: counts[i]})
+		if c := int(counts[i]); c >= minCount {
+			level = append(level, ItemsetCount{Items: cand, Count: c})
 		}
 	}
 	sortLevel(level)
@@ -143,11 +143,11 @@ func frequentOf(cands []transactions.Itemset, counts []int, minCount int) []Item
 }
 
 // thresholdItems filters a pass-1 count array to L1, in item order.
-func thresholdItems(counts []int, minCount int) []ItemsetCount {
+func thresholdItems(counts []int32, minCount int) []ItemsetCount {
 	var out []ItemsetCount
 	for item, c := range counts {
-		if c >= minCount {
-			out = append(out, ItemsetCount{Items: transactions.Itemset{item}, Count: c})
+		if int(c) >= minCount {
+			out = append(out, ItemsetCount{Items: transactions.Itemset{item}, Count: int(c)})
 		}
 	}
 	return out
@@ -175,7 +175,7 @@ func l1Ranks(l1 []ItemsetCount, numItems int) []int {
 // contiguous run of counters per rank, skipping the rows and columns of
 // ranks whose item is not in l1, so the pairs come out in lexicographic
 // order. They share one backing array.
-func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int, minCount int) []ItemsetCount {
+func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int32, minCount int) []ItemsetCount {
 	item := make([]int, n) // rank -> item of l1, -1 when the rank's item is not in l1
 	for r := range item {
 		item[r] = -1
@@ -192,7 +192,7 @@ func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int, minCo
 			continue
 		}
 		for j, c := range cells {
-			if c >= minCount && item[r+1+j] >= 0 {
+			if int(c) >= minCount && item[r+1+j] >= 0 {
 				hits = append(hits, [2]int32{int32(r), int32(r + 1 + j)})
 			}
 		}
@@ -206,7 +206,7 @@ func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int, minCo
 		r, s := int(h[0]), int(h[1])
 		pair := flat[2*i : 2*i+2 : 2*i+2]
 		pair[0], pair[1] = item[r], item[s]
-		out[i] = ItemsetCount{Items: pair, Count: counts[transactions.TriIndex(n, r, s)]}
+		out[i] = ItemsetCount{Items: pair, Count: int(counts[transactions.TriIndex(n, r, s)])}
 	}
 	return out
 }

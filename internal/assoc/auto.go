@@ -63,8 +63,8 @@ const AutoMinDenseItems = 8
 const autoMaxC3 = 1536
 
 // autoMaxPairs bounds the pass-2 triangle, in counters per worker, that
-// Auto counts before deciding (32 MiB of int): a frequent universe larger
-// than that goes to pattern growth without a pass 2.
+// Auto counts before deciding (16 MiB of int32): a frequent universe
+// larger than that goes to pattern growth without a pass 2.
 const autoMaxPairs = 1 << 22
 
 // Name implements Miner.
@@ -143,7 +143,7 @@ func adaptive(ctx context.Context, src scanSource, numTx, minCount, workers int,
 		}
 		// An item in no frequent pair extends no frequent itemset, so the
 		// FP-trees leave it out; its singleton is already in L1.
-		grown = make([]int, len(counts))
+		grown = make([]int32, len(counts))
 		for _, ic := range l2 {
 			for _, item := range ic.Items {
 				grown[item] = counts[item]

@@ -109,17 +109,17 @@ type countingScans struct {
 	items, pairs, cands, trees int
 }
 
-func (c *countingScans) countItems(ctx context.Context) ([]int, error) {
+func (c *countingScans) countItems(ctx context.Context) ([]int32, error) {
 	c.items++
 	return c.scanSource.countItems(ctx)
 }
 
-func (c *countingScans) countPairs(ctx context.Context, rank []int, n int) ([]int, error) {
+func (c *countingScans) countPairs(ctx context.Context, rank []int, n int) ([]int32, error) {
 	c.pairs++
 	return c.scanSource.countPairs(ctx, rank, n)
 }
 
-func (c *countingScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
+func (c *countingScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error) {
 	c.cands++
 	return c.scanSource.countCandidates(ctx, k, cands)
 }

@@ -239,7 +239,7 @@ func (r *remoteScans) degrade(err error) bool {
 	return true
 }
 
-func (r *remoteScans) countItems(ctx context.Context) ([]int, error) {
+func (r *remoteScans) countItems(ctx context.Context) ([]int32, error) {
 	if r.local == nil {
 		counts, err := r.d.coord.CountItems(ctx, r.numItems)
 		if !r.degrade(err) {
@@ -249,7 +249,7 @@ func (r *remoteScans) countItems(ctx context.Context) ([]int, error) {
 	return r.local.countItems(ctx)
 }
 
-func (r *remoteScans) countPairs(ctx context.Context, rank []int, n int) ([]int, error) {
+func (r *remoteScans) countPairs(ctx context.Context, rank []int, n int) ([]int32, error) {
 	if r.local == nil {
 		counts, err := r.d.coord.CountPairs(ctx, rank, n)
 		if !r.degrade(err) {
@@ -259,7 +259,7 @@ func (r *remoteScans) countPairs(ctx context.Context, rank []int, n int) ([]int,
 	return r.local.countPairs(ctx, rank, n)
 }
 
-func (r *remoteScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
+func (r *remoteScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error) {
 	if r.local == nil {
 		counts, err := r.d.coord.CountCandidates(ctx, k, cands)
 		if !r.degrade(err) {

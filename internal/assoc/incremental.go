@@ -65,7 +65,7 @@ type MaintainStats struct {
 type trackedLevel struct {
 	sets   []transactions.Itemset
 	tree   *hashtree.Tree
-	totals []int
+	totals []int32
 }
 
 // borderCrossed is threshold's one error: a candidate the new frequent set
@@ -109,8 +109,8 @@ type Incremental struct {
 	rank       []int          // item id -> L1 rank at rebuild, -1 if not frequent then
 	l1Items    []int          // rank -> item id
 	levels     []trackedLevel // tracked k-itemsets at index k-3
-	itemTotals []int
-	triTotals  []int
+	itemTotals []int32
+	triTotals  []int32
 
 	// The delta the totals do not cover yet: drained from the store's
 	// journal, and kept across a cancelled Maintain for the next one.
@@ -261,7 +261,7 @@ func (inc *Incremental) settle() {
 // splice, which is serial and never polls ctx. On cancellation it returns
 // ctx.Err() with every total untouched.
 func (inc *Incremental) count(ctx context.Context, added, deleted []transactions.Itemset) error {
-	delta := make([][2][]int, len(inc.levels)) // level -> added, deleted counts by entry id
+	delta := make([][2][]int32, len(inc.levels)) // level -> added, deleted counts by entry id
 	for side, txs := range [2][]transactions.Itemset{added, deleted} {
 		if len(txs) == 0 {
 			continue
@@ -297,8 +297,8 @@ func (inc *Incremental) count(ctx context.Context, added, deleted []transactions
 // spliceFlat adds sign per occurrence of txs' items and ranked pairs into
 // the pass-1 and triangular totals. It stays apart from
 // transactions.CountItems/CountPairs because those only count up.
-func (inc *Incremental) spliceFlat(txs []transactions.Itemset, sign int) {
-	n := len(inc.l1Items)
+func (inc *Incremental) spliceFlat(txs []transactions.Itemset, sign int32) {
+	base := transactions.TriBases(len(inc.l1Items))
 	ranks := make([]int, 0, 64)
 	for _, tx := range txs {
 		ranks = ranks[:0]
@@ -308,9 +308,10 @@ func (inc *Incremental) spliceFlat(txs []transactions.Itemset, sign int) {
 				ranks = append(ranks, inc.rank[item])
 			}
 		}
-		for a := 0; a < len(ranks); a++ {
-			for b := a + 1; b < len(ranks); b++ {
-				inc.triTotals[transactions.TriIndex(n, ranks[a], ranks[b])] += sign
+		for a, i := range ranks {
+			row := base[i]
+			for _, j := range ranks[a+1:] {
+				inc.triTotals[row+j] += sign
 			}
 		}
 	}
@@ -362,12 +363,12 @@ func (inc *Incremental) threshold() (*Result, error) {
 // tracked level they are merge-joined against, read off the maintained
 // totals. A candidate outside the tracked set has an unknown count — the
 // border was crossed — and fails the lookup with a borderCrossed.
-func (inc *Incremental) lookup(_ context.Context, k int, cands []transactions.Itemset) ([]int, error) {
+func (inc *Incremental) lookup(_ context.Context, k int, cands []transactions.Itemset) ([]int32, error) {
 	if k-3 >= len(inc.levels) {
 		return nil, borderCrossed(fmt.Sprintf("no tracked candidates of length %d", k))
 	}
 	lv := inc.levels[k-3]
-	counts := make([]int, len(cands))
+	counts := make([]int32, len(cands))
 	j := 0
 	for i, cand := range cands {
 		c := -1
@@ -456,17 +457,17 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 // (aprioriGen's output, already sorted) with their counts.
 type keepScans struct {
 	scanSource
-	items, pairs []int
+	items, pairs []int32
 	levels       []trackedLevel
 }
 
-func (k *keepScans) countItems(ctx context.Context) ([]int, error) {
+func (k *keepScans) countItems(ctx context.Context) ([]int32, error) {
 	counts, err := k.scanSource.countItems(ctx)
 	k.items = counts
 	return counts, err
 }
 
-func (k *keepScans) countPairs(ctx context.Context, rank []int, n int) ([]int, error) {
+func (k *keepScans) countPairs(ctx context.Context, rank []int, n int) ([]int32, error) {
 	counts, err := k.scanSource.countPairs(ctx, rank, n)
 	k.pairs = counts
 	return counts, err
@@ -476,7 +477,7 @@ func (k *keepScans) countPairs(ctx context.Context, rank []int, n int) ([]int, e
 // keeps to count deltas with. (A local scan builds its own for the full
 // run; the second build is well under 1 % of a full run: 0.3-0.6 ms of
 // 340 ms on an 80k-row T10.I4 store at 0.2 % support, two cores.)
-func (k *keepScans) countCandidates(ctx context.Context, size int, cands []transactions.Itemset) ([]int, error) {
+func (k *keepScans) countCandidates(ctx context.Context, size int, cands []transactions.Itemset) ([]int32, error) {
 	counts, err := k.scanSource.countCandidates(ctx, size, cands)
 	if err != nil {
 		return nil, err

@@ -304,10 +304,10 @@ func requireBruteForceTracked(t *testing.T, name string, inc *Incremental, db *t
 		}
 		return n
 	}
-	items := make([]int, numItems)
+	items := make([]int32, numItems)
 	var l1 []int
 	for item := range items {
-		if items[item] = support(transactions.Itemset{item}); items[item] >= minCount {
+		if items[item] = int32(support(transactions.Itemset{item})); int(items[item]) >= minCount {
 			l1 = append(l1, item)
 		}
 	}
@@ -318,12 +318,12 @@ func requireBruteForceTracked(t *testing.T, name string, inc *Incremental, db *t
 		t.Fatalf("%s: L1 ranks %v, want %v", name, inc.l1Items, l1)
 	}
 	n := len(l1)
-	tri := make([]int, n*(n-1)/2)
+	tri := make([]int32, n*(n-1)/2)
 	var prev []transactions.Itemset // L_{k-1}, lexicographic
 	for a := 0; a < n; a++ {
 		for b := a + 1; b < n; b++ {
 			pair := transactions.Itemset{l1[a], l1[b]}
-			if tri[transactions.TriIndex(n, a, b)] = support(pair); tri[transactions.TriIndex(n, a, b)] >= minCount {
+			if tri[transactions.TriIndex(n, a, b)] = int32(support(pair)); int(tri[transactions.TriIndex(n, a, b)]) >= minCount {
 				prev = append(prev, pair)
 			}
 		}
@@ -346,10 +346,10 @@ func requireBruteForceTracked(t *testing.T, name string, inc *Incremental, db *t
 		}
 		prev = prev[:0:0]
 		for i, cand := range cands {
-			if got, want := lv.totals[i], support(cand); got != want {
+			if got, want := int(lv.totals[i]), support(cand); got != want {
 				t.Fatalf("%s: level %d total of %v = %d, want %d", name, k, cand, got, want)
 			}
-			if lv.totals[i] >= minCount {
+			if int(lv.totals[i]) >= minCount {
 				prev = append(prev, cand)
 			}
 		}

@@ -62,9 +62,9 @@ func TestThresholdTriangleMatchesBruteForce(t *testing.T) {
 		minCount := 2 + int(seed)%5
 		ranked := thresholdItems(countItems(before, items), minCount-1-int(seed)%2)
 		rank := l1Ranks(ranked, items)
-		pairs := make([]int, len(ranked)*(len(ranked)-1)/2)
+		pairs := make([]int32, len(ranked)*(len(ranked)-1)/2)
 		for _, tx := range after.Transactions {
-			transactions.CountPairs(tx, rank, len(ranked), pairs, nil)
+			transactions.CountPairs(tx, rank, transactions.TriBases(len(ranked)), pairs, nil)
 		}
 		l1 := thresholdItems(countItems(after, items), minCount)
 		var stillFrequent, subset []ItemsetCount
@@ -82,16 +82,16 @@ func TestThresholdTriangleMatchesBruteForce(t *testing.T) {
 
 		// countL2's shape: rank exactly the current L1.
 		l1Rank := l1Ranks(l1, items)
-		l1Pairs := make([]int, len(l1)*(len(l1)-1)/2)
+		l1Pairs := make([]int32, len(l1)*(len(l1)-1)/2)
 		for _, tx := range after.Transactions {
-			transactions.CountPairs(tx, l1Rank, len(l1), l1Pairs, nil)
+			transactions.CountPairs(tx, l1Rank, transactions.TriBases(len(l1)), l1Pairs, nil)
 		}
 		shapes := []struct {
 			name   string
 			l1     []ItemsetCount
 			rank   []int
 			n      int
-			counts []int
+			counts []int32
 		}{
 			{"countL2", l1, l1Rank, len(l1), l1Pairs},
 			{"maintainer", stillFrequent, rank, len(ranked), pairs},
@@ -108,8 +108,8 @@ func TestThresholdTriangleMatchesBruteForce(t *testing.T) {
 }
 
 // countItems is a pass-1 count over a universe of the given size.
-func countItems(db *transactions.DB, items int) []int {
-	counts := make([]int, items)
+func countItems(db *transactions.DB, items int) []int32 {
+	counts := make([]int32, items)
 	for _, tx := range db.Transactions {
 		transactions.CountItems(tx, counts)
 	}
@@ -223,10 +223,11 @@ func BenchmarkThresholdTriangle(b *testing.B) {
 	counts := countItems(db, db.NumItems())
 	ranked := thresholdItems(counts, db.AbsoluteSupport(0.0016))
 	rank := l1Ranks(ranked, db.NumItems())
-	pairs := make([]int, len(ranked)*(len(ranked)-1)/2)
+	pairs := make([]int32, len(ranked)*(len(ranked)-1)/2)
+	base := transactions.TriBases(len(ranked))
 	var scratch []int
 	for _, tx := range db.Transactions {
-		scratch = transactions.CountPairs(tx, rank, len(ranked), pairs, scratch)
+		scratch = transactions.CountPairs(tx, rank, base, pairs, scratch)
 	}
 	l1 := thresholdItems(counts, minCount)
 	b.ReportAllocs()

@@ -64,14 +64,14 @@ func forEachShard(ctx context.Context, db *transactions.DB, workers int, fn func
 	return ctx.Err()
 }
 
-// countShardedInts is the common case: scan fills a private []int counter
-// of length n from one shard, and the per-shard counters are folded by
-// addition. The scan callback is responsible for polling ctx (use
+// countSharded is the common case: scan fills a private int32 counter
+// array of length n from one shard, and the per-shard counters are folded
+// by addition. The scan callback is responsible for polling ctx (use
 // ctxStride).
-func countShardedInts(ctx context.Context, db *transactions.DB, workers, n int, scan func(sh transactions.Shard, counts []int)) ([]int, error) {
-	parts := make([][]int, max(workers, 1))
+func countSharded(ctx context.Context, db *transactions.DB, workers, n int, scan func(sh transactions.Shard, counts []int32)) ([]int32, error) {
+	parts := make([][]int32, max(workers, 1))
 	if err := forEachShard(ctx, db, workers, func(shard int, sh transactions.Shard) {
-		parts[shard] = make([]int, n)
+		parts[shard] = make([]int32, n)
 		scan(sh, parts[shard])
 	}); err != nil {
 		return nil, err
@@ -79,11 +79,14 @@ func countShardedInts(ctx context.Context, db *transactions.DB, workers, n int, 
 	return foldCounts(parts), nil
 }
 
-// foldCounts sums per-shard count arrays into the first and returns it.
-// Callers size parts to the worker cap; a database with fewer transactions
-// yields fewer shards, and the nil tails are skipped. Shard 0 always
-// exists: every engine rejects an empty database before its first scan.
-func foldCounts(parts [][]int) []int {
+// foldCounts sums per-shard count arrays into the first and returns it, so
+// a scan allocates one array per shard and no merged one. Callers size
+// parts to the worker cap; a database with fewer transactions yields fewer
+// shards, and the nil tails are skipped. Shard 0 always exists: every
+// engine rejects an empty database before its first scan. A sum cannot
+// wrap: the shards tile a store of at most math.MaxInt32 transactions
+// (transactions.ErrTooManyTransactions).
+func foldCounts(parts [][]int32) []int32 {
 	out := parts[0]
 	for _, p := range parts[1:] {
 		for i, c := range p {
@@ -99,18 +102,19 @@ func foldCounts(parts [][]int) []int {
 // written once against it; localScans runs the scans on this process's
 // goroutines, remoteScans (distributed.go) on a dist.Coordinator's workers.
 // Every method returns exact whole-database totals or an error, never a
-// partial merge.
+// partial merge. Counts are int32, the one counter width of local scans,
+// dist workers and the maintainer's totals.
 type scanSource interface {
 	// countItems is the pass-1 scan: per-item occurrence counts, one
 	// counter per item of the universe.
-	countItems(ctx context.Context) ([]int, error)
+	countItems(ctx context.Context) ([]int32, error)
 	// countPairs is the triangular pass-2 scan: rank maps item id to L1
 	// rank (-1 for infrequent items) and the result is the n*(n-1)/2
 	// pair array over ranks (transactions.TriIndex).
-	countPairs(ctx context.Context, rank []int, n int) ([]int, error)
+	countPairs(ctx context.Context, rank []int, n int) ([]int32, error)
 	// countCandidates is the pass-k (k >= 3) hash-tree scan; the counts
 	// are indexed like cands.
-	countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error)
+	countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error)
 	// buildTree is pattern growth's second scan: the FP-trees of the
 	// database's parts under the shared rank table, as one forest.
 	buildTree(ctx context.Context, ranks *fptree.Ranks) (fptree.Forest, error)
@@ -132,8 +136,8 @@ func scanLocal(db *transactions.DB, workers int) localScans {
 	return localScans{db: db, numItems: db.NumItems(), workers: workers}
 }
 
-func (s localScans) countItems(ctx context.Context) ([]int, error) {
-	return countShardedInts(ctx, s.db, s.workers, s.numItems, func(sh transactions.Shard, counts []int) {
+func (s localScans) countItems(ctx context.Context) ([]int32, error) {
+	return countSharded(ctx, s.db, s.workers, s.numItems, func(sh transactions.Shard, counts []int32) {
 		for off, tx := range sh.Transactions {
 			if off%ctxStride == 0 && ctx.Err() != nil {
 				return
@@ -143,21 +147,22 @@ func (s localScans) countItems(ctx context.Context) ([]int, error) {
 	})
 }
 
-func (s localScans) countPairs(ctx context.Context, rank []int, n int) ([]int, error) {
-	return countShardedInts(ctx, s.db, s.workers, n*(n-1)/2, func(sh transactions.Shard, counts []int) {
+func (s localScans) countPairs(ctx context.Context, rank []int, n int) ([]int32, error) {
+	base := transactions.TriBases(n)
+	return countSharded(ctx, s.db, s.workers, n*(n-1)/2, func(sh transactions.Shard, counts []int32) {
 		ranks := make([]int, 0, 64)
 		for off, tx := range sh.Transactions {
 			if off%ctxStride == 0 && ctx.Err() != nil {
 				return
 			}
-			ranks = transactions.CountPairs(tx, rank, n, counts, ranks)
+			ranks = transactions.CountPairs(tx, rank, base, counts, ranks)
 		}
 	})
 }
 
 // countCandidates builds the candidate hash tree (hashtree.Build: entry
 // ids equal candidate indices) and counts the database into it.
-func (s localScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
+func (s localScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error) {
 	tree, err := hashtree.Build(k, cands)
 	if err != nil {
 		return nil, err
@@ -171,8 +176,8 @@ func (s localScans) countCandidates(ctx context.Context, k int, cands []transact
 // counts by entry id — the tree itself is only read. On cancellation
 // nothing is merged, so a caller that (wrongly) ignored the error could
 // never observe partial counts.
-func (s localScans) countTree(ctx context.Context, tree *hashtree.Tree) ([]int, error) {
-	parts := make([][]int, max(s.workers, 1))
+func (s localScans) countTree(ctx context.Context, tree *hashtree.Tree) ([]int32, error) {
+	parts := make([][]int32, max(s.workers, 1))
 	if err := forEachShard(ctx, s.db, s.workers, func(shard int, sh transactions.Shard) {
 		buf := tree.NewCountBuffer()
 		for off := 0; off < len(sh.Transactions); off += ctxStride {

@@ -45,7 +45,7 @@ func (a *AprioriTid) MineContext(ctx context.Context, db *transactions.DB, minSu
 		if len(cands) == 0 {
 			break
 		}
-		counts := make([]int, len(cands))
+		counts := make([]int32, len(cands))
 		if bar, err = advanceBar(ctx, bar, generatorIndices(cands, prev), counts); err != nil {
 			return nil, err
 		}
@@ -116,7 +116,7 @@ func generatorIndices(cands, prev []transactions.Itemset) [][2]int {
 // than a scan of Ck per transaction. The entry loop polls ctx every
 // ctxStride entries; on cancellation the partially advanced bar is
 // discarded by the caller.
-func advanceBar(ctx context.Context, bar []tidEntry, gens [][2]int, counts []int) ([]tidEntry, error) {
+func advanceBar(ctx context.Context, bar []tidEntry, gens [][2]int, counts []int32) ([]tidEntry, error) {
 	// byFirst[g1] lists (candidate id, g2) pairs.
 	type cg struct{ ci, g2 int }
 	byFirst := make(map[int][]cg)
@@ -154,14 +154,14 @@ func advanceBar(ctx context.Context, bar []tidEntry, gens [][2]int, counts []int
 // candidates whose count reaches minCount, in candidate order, and bar
 // renumbered from candidate ids to ids into that level (a nil bar stays
 // nil).
-func thresholdBar(cands []transactions.Itemset, counts []int, minCount int, bar []tidEntry) ([]assoc.ItemsetCount, []tidEntry) {
+func thresholdBar(cands []transactions.Itemset, counts []int32, minCount int, bar []tidEntry) ([]assoc.ItemsetCount, []tidEntry) {
 	var level []assoc.ItemsetCount
 	keep := make([]int, len(cands)) // candidate id -> level id, or -1
 	for ci, c := range counts {
 		keep[ci] = -1
-		if c >= minCount {
+		if int(c) >= minCount {
 			keep[ci] = len(level)
-			level = append(level, assoc.ItemsetCount{Items: cands[ci], Count: c})
+			level = append(level, assoc.ItemsetCount{Items: cands[ci], Count: int(c)})
 		}
 	}
 	return level, filterBar(bar, keep)
@@ -238,15 +238,15 @@ func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, mi
 		if len(cands) == 0 {
 			break
 		}
-		var counts []int
+		var counts []int32
 		if switched {
-			counts = make([]int, len(cands))
+			counts = make([]int32, len(cands))
 			bar, err = advanceBar(ctx, bar, generatorIndices(cands, prev), counts)
 		} else {
 			counts, err = countCandidates(ctx, db, k, cands)
 			est = db.Len()
 			for _, c := range counts {
-				est += c
+				est += int(c)
 			}
 		}
 		if err != nil {
@@ -272,7 +272,8 @@ func countPairs(ctx context.Context, db *transactions.DB, l1 []assoc.ItemsetCoun
 	for r, ic := range l1 {
 		rank[ic.Items[0]] = r
 	}
-	tri := make([]int, n*(n-1)/2)
+	tri := make([]int32, n*(n-1)/2)
+	base := transactions.TriBases(n)
 	var ranks []int
 	for tid, tx := range db.Transactions {
 		if tid%ctxStride == 0 {
@@ -280,15 +281,16 @@ func countPairs(ctx context.Context, db *transactions.DB, l1 []assoc.ItemsetCoun
 				return nil, 0, err
 			}
 		}
-		ranks = transactions.CountPairs(tx, rank, n, tri, ranks)
+		ranks = transactions.CountPairs(tx, rank, base, tri, ranks)
 	}
 	est := db.Len()
 	var l2 []assoc.ItemsetCount
 	for r, i := 0, 0; r < n; r++ {
 		for s := r + 1; s < n; s, i = s+1, i+1 {
-			est += tri[i]
-			if tri[i] >= minCount {
-				l2 = append(l2, assoc.ItemsetCount{Items: transactions.Itemset{l1[r].Items[0], l1[s].Items[0]}, Count: tri[i]})
+			c := int(tri[i])
+			est += c
+			if c >= minCount {
+				l2 = append(l2, assoc.ItemsetCount{Items: transactions.Itemset{l1[r].Items[0], l1[s].Items[0]}, Count: c})
 			}
 		}
 	}

@@ -110,7 +110,7 @@ func TestAdvanceBarCounts(t *testing.T) {
 		{tid: 2, cands: []int{2}},       // supports neither
 	}
 	gens := [][2]int{{0, 1}, {1, 2}}
-	counts := make([]int, 2)
+	counts := make([]int32, 2)
 	out, err := advanceBar(context.Background(), bar, gens, counts)
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func startResult(ctx context.Context, db *transactions.DB, minSupport float64, v
 	if err != nil {
 		return &assoc.Result{}, nil, err
 	}
-	counts := make([]int, db.NumItems())
+	counts := make([]int32, db.NumItems())
 	for tid, tx := range db.Transactions {
 		if tid%ctxStride == 0 {
 			if err := ctx.Err(); err != nil {
@@ -76,8 +76,8 @@ func startResult(ctx context.Context, db *transactions.DB, minSupport float64, v
 	}
 	var l1 []assoc.ItemsetCount
 	for item, c := range counts {
-		if c >= minCount {
-			l1 = append(l1, assoc.ItemsetCount{Items: transactions.Itemset{item}, Count: c})
+		if int(c) >= minCount {
+			l1 = append(l1, assoc.ItemsetCount{Items: transactions.Itemset{item}, Count: int(c)})
 		}
 	}
 	res := &assoc.Result{MinCount: minCount, NumTx: db.Len()}
@@ -89,7 +89,7 @@ func startResult(ctx context.Context, db *transactions.DB, minSupport float64, v
 // (distinct, each sorted) in a hash tree, the database counted into it by
 // the trimmed scan one stride at a time. The supports are indexed like
 // cands.
-func countCandidates(ctx context.Context, db *transactions.DB, k int, cands []transactions.Itemset) ([]int, error) {
+func countCandidates(ctx context.Context, db *transactions.DB, k int, cands []transactions.Itemset) ([]int32, error) {
 	tree, err := hashtree.Build(k, cands)
 	if err != nil {
 		return nil, err
@@ -128,11 +128,11 @@ func countLevels(ctx context.Context, db *transactions.DB, byLen [][]transaction
 
 // frequentOf keeps the candidates whose count reaches minCount, in
 // lexicographic order.
-func frequentOf(cands []transactions.Itemset, counts []int, minCount int) []assoc.ItemsetCount {
+func frequentOf(cands []transactions.Itemset, counts []int32, minCount int) []assoc.ItemsetCount {
 	var level []assoc.ItemsetCount
 	for i, c := range cands {
-		if counts[i] >= minCount {
-			level = append(level, assoc.ItemsetCount{Items: c, Count: counts[i]})
+		if n := int(counts[i]); n >= minCount {
+			level = append(level, assoc.ItemsetCount{Items: c, Count: n})
 		}
 	}
 	sortLevel(level)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -397,20 +398,26 @@ func (c *Coordinator) scatter(ctx context.Context, method string, argsFor func(i
 }
 
 // countMerged runs a counting scan through scatter and folds the flat
-// reply buffers by elementwise addition into an array of length n.
-func (c *Coordinator) countMerged(ctx context.Context, n int, method string, argsFor func(ids []int) any) ([]int, error) {
-	out := make([]int, n)
+// reply buffers by elementwise addition into an int32 array of length n.
+// Replies are wire data: one of the wrong length, or one whose counter
+// would carry a sum past math.MaxInt32 (no store of at most math.MaxInt32
+// transactions counts that high), fails the scan with an error naming the
+// worker instead of wrapping.
+func (c *Coordinator) countMerged(ctx context.Context, n int, method string, argsFor func(ids []int) any) ([]int32, error) {
+	out := make([]int32, n)
 	err := c.scatter(ctx, method, argsFor,
 		func() any { return new(CountsReply) },
 		func(w int, reply any) error {
 			counts := reply.(*CountsReply).Counts
-			// Reply buffers are wire data; a version-skewed worker must
-			// not crash the merge.
 			if len(counts) != n {
 				return fmt.Errorf("dist: worker %d: %s reply has %d counters, want %d",
 					w, method, len(counts), n)
 			}
 			for i, v := range counts {
+				if v < 0 || v > math.MaxInt32-out[i] {
+					return fmt.Errorf("dist: worker %d: %s counter %d: %d added to %d leaves [0, math.MaxInt32]",
+						w, method, i, v, out[i])
+				}
 				out[i] += v
 			}
 			return nil
@@ -422,7 +429,7 @@ func (c *Coordinator) countMerged(ctx context.Context, n int, method string, arg
 }
 
 // CountItems runs the distributed pass-1 scan over the synced shards.
-func (c *Coordinator) CountItems(ctx context.Context, numItems int) ([]int, error) {
+func (c *Coordinator) CountItems(ctx context.Context, numItems int) ([]int32, error) {
 	return c.countMerged(ctx, numItems, MethodCountItems, func(ids []int) any {
 		return &CountItemsArgs{ShardIDs: ids, NumItems: numItems}
 	})
@@ -430,7 +437,7 @@ func (c *Coordinator) CountItems(ctx context.Context, numItems int) ([]int, erro
 
 // CountPairs runs the distributed triangular pass-2 scan; rank maps item
 // id to L1 rank (-1 for infrequent items) and n is the rank count.
-func (c *Coordinator) CountPairs(ctx context.Context, rank []int, n int) ([]int, error) {
+func (c *Coordinator) CountPairs(ctx context.Context, rank []int, n int) ([]int32, error) {
 	return c.countMerged(ctx, n*(n-1)/2, MethodCountPairs, func(ids []int) any {
 		return &CountPairsArgs{ShardIDs: ids, Rank: rank, N: n}
 	})
@@ -439,7 +446,7 @@ func (c *Coordinator) CountPairs(ctx context.Context, rank []int, n int) ([]int,
 // CountCandidates runs a distributed pass-k (k >= 3) scan; the returned
 // counts are indexed like cands because every worker builds its hash tree
 // with hashtree.Build, whose entry ids are candidate indices.
-func (c *Coordinator) CountCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int, error) {
+func (c *Coordinator) CountCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error) {
 	return c.countMerged(ctx, len(cands), MethodCountCandidates, func(ids []int) any {
 		return &CountCandidatesArgs{ShardIDs: ids, K: k, Candidates: cands}
 	})

@@ -133,9 +133,11 @@ type CountItemsArgs struct {
 }
 
 // CountsReply carries one worker's merged flat count buffer; the
-// coordinator folds replies together by elementwise addition.
+// coordinator folds replies together by elementwise addition. Counters are
+// int32, the scans' own width; on the wire they are uvarints bounded to
+// math.MaxInt32.
 type CountsReply struct {
-	Counts []int
+	Counts []int32
 }
 
 // CountPairsArgs requests the pass-2 scan: the triangular pair array over

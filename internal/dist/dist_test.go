@@ -3,7 +3,9 @@ package dist
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
+	"strings"
 	"testing"
 
 	"repro/internal/fptree"
@@ -44,8 +46,8 @@ func testDB(t *testing.T) *transactions.DB {
 }
 
 // localCounts computes the oracle pass-1 counts.
-func localCounts(db *transactions.DB) []int {
-	counts := make([]int, db.NumItems())
+func localCounts(db *transactions.DB) []int32 {
+	counts := make([]int32, db.NumItems())
 	for _, tx := range db.Transactions {
 		for _, item := range tx {
 			counts[item]++
@@ -104,7 +106,7 @@ func TestCountPairsMatchesBruteForce(t *testing.T) {
 		rank[i] = i
 	}
 	tri := func(i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
-	want := make([]int, n*(n-1)/2)
+	want := make([]int32, n*(n-1)/2)
 	for _, tx := range db.Transactions {
 		for a := 0; a < len(tx); a++ {
 			for b := a + 1; b < len(tx); b++ {
@@ -147,7 +149,7 @@ func TestCountCandidatesMatchesSupport(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, cand := range cands {
-			if want := db.Support(cand); got[i] != want {
+			if want := db.Support(cand); int(got[i]) != want {
 				t.Errorf("support(%v) = %d, want %d", cand, got[i], want)
 			}
 		}
@@ -321,12 +323,14 @@ func TestCoordinatorNoWorkers(t *testing.T) {
 	}
 }
 
-// stubTransport lets tests inject malformed replies.
+// stubTransport lets tests inject malformed replies: every one of its
+// workers (one if workers is 0) answers a count scan with counts.
 type stubTransport struct {
-	counts []int
+	workers int
+	counts  []int32
 }
 
-func (s *stubTransport) NumWorkers() int { return 1 }
+func (s *stubTransport) NumWorkers() int { return max(s.workers, 1) }
 func (s *stubTransport) Call(_ context.Context, w int, method string, args, reply any) error {
 	if r, ok := reply.(*CountsReply); ok {
 		r.Counts = s.counts
@@ -336,12 +340,31 @@ func (s *stubTransport) Call(_ context.Context, w int, method string, args, repl
 func (s *stubTransport) Close() error { return nil }
 
 func TestCountMergedRejectsWrongLengthReply(t *testing.T) {
-	c := NewCoordinator(&stubTransport{counts: make([]int, 9)})
+	c := NewCoordinator(&stubTransport{counts: make([]int32, 9)})
 	if err := c.Sync(ctx, []ShardPayload{{ID: 0, Version: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CountItems(ctx, 4); err == nil {
 		t.Fatal("oversized reply buffer accepted")
+	}
+}
+
+// TestCountMergedRejectsOverflow: two workers each replying
+// math.MaxInt32 for one counter would wrap the int32 sum; the merge fails
+// and names the worker whose reply did not fit.
+func TestCountMergedRejectsOverflow(t *testing.T) {
+	c := NewCoordinator(&stubTransport{workers: 2, counts: []int32{1, math.MaxInt32}})
+	if err := c.Sync(ctx, []ShardPayload{{ID: 0, Version: 1}, {ID: 1, Version: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.CountItems(ctx, 2)
+	if err == nil {
+		t.Fatalf("overflowing sum accepted: %v", got)
+	}
+	// Replies fold in worker order, so worker 1's is the one that does
+	// not fit.
+	if !strings.Contains(err.Error(), "worker 1") {
+		t.Fatalf("err = %v, want it to name worker 1", err)
 	}
 }
 

@@ -32,9 +32,10 @@ import (
 //	CountCandidatesArgs  int block shard ids, int K, stable candidates
 //	BuildTreeArgs        int block shard ids, then the rank table as int
 //	                     blocks: item->rank+1, rank->item, rank->count
-//	CountsReply          int block counts
+//	CountsReply          int block counts, each at most math.MaxInt32
 //	TreeReply            int node count, then per node: int rank,
-//	                     int parent, int count
+//	                     int parent, int count; all three at most
+//	                     math.MaxInt32
 //
 // LocalTransport's encode mode and RPCTransport both move exactly these
 // bytes; the rpc framing around them is in rpc.go. Decoders bound every
@@ -44,7 +45,8 @@ import (
 // ErrBadFrame reports wire bytes that are not a well-formed message or rpc
 // frame — truncated, oversized, non-canonical, or followed by trailing
 // bytes — and, on the encode side, a value the format cannot carry (a
-// negative id or count). It is deterministic, so Retryable reports false.
+// negative id or count, or a node count past math.MaxInt32). It is
+// deterministic, so Retryable reports false.
 var ErrBadFrame = errors.New("dist: malformed wire message")
 
 // wireWriter appends fields to b; the first value without a wire form
@@ -324,7 +326,7 @@ func appendCountsReply(dst []byte, a *CountsReply) ([]byte, error) {
 
 func decodeCountsReply(b []byte, a *CountsReply) error {
 	r := wireReader{b: b}
-	a.Counts = readInts[int](&r, 0, math.MaxInt)
+	a.Counts = readInts[int32](&r, 0, math.MaxInt32)
 	return r.done()
 }
 
@@ -335,6 +337,9 @@ func appendTreeReply(dst []byte, a *TreeReply) ([]byte, error) {
 	for _, n := range a.Nodes {
 		w.int(int(n.Rank))
 		w.int(int(n.Parent))
+		if n.Count > math.MaxInt32 {
+			w.fail("node count %d above %d", n.Count, math.MaxInt32)
+		}
 		w.int(n.Count)
 	}
 	return w.b, w.err
@@ -347,7 +352,7 @@ func decodeTreeReply(b []byte, a *TreeReply) error {
 		a.Nodes[i] = fptree.EncodedNode{
 			Rank:   int32(r.uvarint(math.MaxInt32)),
 			Parent: int32(r.uvarint(math.MaxInt32)),
-			Count:  r.int(),
+			Count:  int(r.uvarint(math.MaxInt32)),
 		}
 	}
 	return r.done()

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -104,6 +105,10 @@ func randomMessages(rng *rand.Rand) []any {
 	for i := rng.Intn(12); i > 0; i-- {
 		tree.Nodes = append(tree.Nodes, fptree.EncodedNode{Rank: int32(rng.Intn(9)), Parent: int32(rng.Intn(12)), Count: rng.Intn(500)})
 	}
+	counts := make([]int32, rng.Intn(200))
+	for i := range counts {
+		counts[i] = rng.Int31n(1<<20 + 1)
+	}
 	k := 3 + rng.Intn(3)
 	cands := make([]transactions.Itemset, rng.Intn(10))
 	for i := range cands {
@@ -116,14 +121,15 @@ func randomMessages(rng *rand.Rand) []any {
 		&CountPairsArgs{ShardIDs: randomInts(rng, rng.Intn(5), 0, 40), N: rng.Intn(300), Rank: randomInts(rng, rng.Intn(40), -1, 299)},
 		&CountCandidatesArgs{ShardIDs: randomInts(rng, rng.Intn(5), 0, 40), K: k, Candidates: cands},
 		&BuildTreeArgs{ShardIDs: randomInts(rng, rng.Intn(5), 0, 40), Ranks: ranks},
-		&CountsReply{Counts: randomInts(rng, rng.Intn(200), 0, 1<<20)},
+		&CountsReply{Counts: counts},
 		tree,
 	}
 }
 
 // edgeMessages are the corner cases of the round-trip property: empty
 // shards, empty transactions, an empty candidate list, and values at the
-// int32 and int edges of every field that can hold them.
+// int32 and int edges of every field that can hold them (counters, which
+// the wire bounds to math.MaxInt32, at the int32 edge).
 func edgeMessages() []any {
 	const top = math.MaxInt
 	return []any{
@@ -138,9 +144,9 @@ func edgeMessages() []any {
 		&BuildTreeArgs{Ranks: &fptree.Ranks{}},
 		&BuildTreeArgs{ShardIDs: []int{top}, Ranks: &fptree.Ranks{OfItem: []int32{-1, math.MaxInt32}, Items: []int32{math.MaxInt32, 0}, Counts: []int{top, 0}}},
 		&CountsReply{},
-		&CountsReply{Counts: []int{0, top, 1}},
+		&CountsReply{Counts: []int32{0, math.MaxInt32, 1}},
 		&TreeReply{},
-		&TreeReply{Nodes: []fptree.EncodedNode{{Rank: math.MaxInt32, Parent: math.MaxInt32, Count: top}, {}}},
+		&TreeReply{Nodes: []fptree.EncodedNode{{Rank: math.MaxInt32, Parent: math.MaxInt32, Count: math.MaxInt32}, {}}},
 	}
 }
 
@@ -212,7 +218,29 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if err := decodeMessage(nil, new(int)); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("unknown message type: err = %v", err)
 	}
+	// Counters are bounded to the int32 counts they land in: a count reply
+	// or a tree node one past math.MaxInt32 does not decode.
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		msg  any
+	}{
+		{"counter", countsReplyPastInt32, new(CountsReply)},
+		{"node count", treeReplyPastInt32, new(TreeReply)},
+	} {
+		if err := decodeMessage(tc.b, tc.msg); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s past math.MaxInt32: err = %v, want ErrBadFrame", tc.name, err)
+		}
+	}
 }
+
+// countsReplyPastInt32 and treeReplyPastInt32 are a CountsReply and a
+// TreeReply whose one counter is math.MaxInt32+1: well-formed uvarints that
+// no int32 count can hold.
+var (
+	countsReplyPastInt32 = binary.AppendUvarint([]byte{0x01}, math.MaxInt32+1)
+	treeReplyPastInt32   = binary.AppendUvarint([]byte{0x01, 0x00, 0x00}, math.MaxInt32+1)
+)
 
 // TestWireEncodeRangeChecks: values the format cannot carry fail the
 // encode with ErrBadFrame instead of travelling as something else.
@@ -228,8 +256,9 @@ func TestWireEncodeRangeChecks(t *testing.T) {
 		"duplicate candidate item": &CountCandidatesArgs{Candidates: []transactions.Itemset{{4, 4, 5}}},
 		"no rank table":            &BuildTreeArgs{},
 		"negative rank item":       &BuildTreeArgs{Ranks: &fptree.Ranks{Items: []int32{-1}}},
-		"negative count":           &CountsReply{Counts: []int{1, -1}},
+		"negative count":           &CountsReply{Counts: []int32{1, -1}},
 		"negative node count":      &TreeReply{Nodes: []fptree.EncodedNode{{Count: -1}}},
+		"node count past int32":    &TreeReply{Nodes: []fptree.EncodedNode{{Count: math.MaxInt32 + 1}}},
 		"not a message":            new(int),
 	} {
 		if _, err := appendMessage(nil, m); !errors.Is(err, ErrBadFrame) {
@@ -345,6 +374,8 @@ func FuzzDecodeWire(f *testing.F) {
 	f.Add(byte(6), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}) // counter-count bomb
 	f.Add(byte(7), []byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x01})             // node-count bomb
 	f.Add(byte(3), []byte{0x00, 0x80, 0x00, 0x00})                         // non-minimal N
+	f.Add(byte(6), countsReplyPastInt32)                                   // counter past math.MaxInt32
+	f.Add(byte(7), treeReplyPastInt32)                                     // node count past math.MaxInt32
 	f.Fuzz(func(t *testing.T, kind byte, data []byte) {
 		m := wireKinds[int(kind)%len(wireKinds)]()
 		if err := decodeMessage(data, m); err != nil {

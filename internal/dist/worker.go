@@ -75,7 +75,7 @@ func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
 	if err != nil {
 		return err
 	}
-	counts := make([]int, args.NumItems)
+	counts := make([]int32, args.NumItems)
 	for _, sh := range shards {
 		for _, tx := range sh.Txs {
 			for _, item := range tx {
@@ -119,11 +119,12 @@ func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 	if err != nil {
 		return err
 	}
-	counts := make([]int, args.N*(args.N-1)/2)
+	counts := make([]int32, args.N*(args.N-1)/2)
+	base := transactions.TriBases(args.N)
 	ranks := make([]int, 0, 64)
 	for _, sh := range shards {
 		for _, tx := range sh.Txs {
-			ranks = transactions.CountPairs(tx, args.Rank, args.N, counts, ranks)
+			ranks = transactions.CountPairs(tx, args.Rank, base, counts, ranks)
 		}
 	}
 	reply.Counts = counts

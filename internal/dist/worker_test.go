@@ -115,7 +115,7 @@ func TestWorkerValidatesWireInput(t *testing.T) {
 // encode mode.
 func TestBuildTreeValidatesRanks(t *testing.T) {
 	db, shards := minedShards(t)
-	counts := make([]int, db.NumItems())
+	counts := make([]int32, db.NumItems())
 	for _, tx := range db.Transactions {
 		transactions.CountItems(tx, counts)
 	}

@@ -13,10 +13,10 @@
 //     lexicographically, and the common-prefix length of each path against
 //     its predecessor gives the exact node count — so the arena is
 //     allocated once and nodes are laid down in depth-first order with no
-//     child lookup (nodes live in one pooled slice, links are int32
-//     indices — no per-node allocations, and a node's ancestors sit just
-//     before it in memory). A prefix tree is canonical: the tree holds the
-//     same nodes and counts whatever order the transactions arrive in.
+//     child lookup (nodes live in pooled slices, links are int32 indices —
+//     no per-node allocations, and a node's ancestors sit just before it
+//     in memory). A prefix tree is canonical: the tree holds the same
+//     nodes and counts whatever order the transactions arrive in.
 //   - Project over a Forest: the shard trees are never merged. They form a
 //     Forest under one shared *Ranks; a rank's support is the sum of its
 //     totals over the forest, and projecting a rank walks its header chain
@@ -29,6 +29,17 @@
 //     whole database, regardless of shard count or shard order.
 //     Projection never rescans the database; every conditional count is
 //     an exact support.
+//
+// A node is stored in two parallel arrays, split by how the hot loops
+// read it. The upward walk of projection — most of a pattern-growth mine —
+// reads only a node's parent and rank, one dependent load per step, so
+// those two int32s live alone in an 8-byte hot entry (up): eight ancestors
+// per cache line instead of two. The child, sibling and header-chain
+// links and the int32 count form the 16-byte cold node, which insertion
+// and the per-chain-node count read. Counts are int32 because a store
+// holds at most math.MaxInt32 transactions
+// (transactions.ErrTooManyTransactions), and a node counts a subset of
+// them.
 //
 // Merge (serial path-wise addition of one tree into another) is the
 // reference the tests hold the forest to — "forest ≡ merged" — and is not
@@ -62,15 +73,16 @@ type Ranks struct {
 }
 
 // NewRanks builds the rank table from per-item support counts (indexed by
-// item id, as produced by a pass-1 scan) and the absolute support floor.
-func NewRanks(counts []int, minCount int) *Ranks {
+// item id, as produced by a pass-1 scan, at either counter width) and the
+// absolute support floor.
+func NewRanks[C int | int32](counts []C, minCount int) *Ranks {
 	r := &Ranks{OfItem: make([]int32, len(counts))}
 	for i := range r.OfItem {
 		r.OfItem[i] = -1
 	}
 	order := make([]int32, 0, len(counts))
 	for item, c := range counts {
-		if c >= minCount {
+		if int(c) >= minCount {
 			order = append(order, int32(item))
 		}
 	}
@@ -84,7 +96,7 @@ func NewRanks(counts []int, minCount int) *Ranks {
 	r.Counts = make([]int, len(order))
 	for rk, item := range order {
 		r.OfItem[item] = int32(rk)
-		r.Counts[rk] = counts[item]
+		r.Counts[rk] = int(counts[item])
 	}
 	return r
 }
@@ -92,26 +104,33 @@ func NewRanks(counts []int, minCount int) *Ranks {
 // Len returns the number of ranked (frequent) items.
 func (r *Ranks) Len() int { return len(r.Items) }
 
-// node is one FP-tree node. Links are indices into the owning tree's node
-// pool; 0 is the null link (node 0 is the root, which is never a child,
-// sibling or header-chain member).
+// upLink is the hot half of an FP-tree node: the two fields the upward walk
+// of projection reads, packed into 8 bytes (see the package doc).
+type upLink struct {
+	parent int32 // parent node, 0 for depth-1 nodes
+	rank   int32 // item rank; unused on the root
+}
+
+// node is the cold half of an FP-tree node, 16 bytes. Links are indices
+// into the owning tree's node pool; 0 is the null link (node 0 is the
+// root, which is never a child, sibling or header-chain member).
 type node struct {
-	rank    int32 // item rank; unused on the root
-	parent  int32 // parent node, 0 for depth-1 nodes
 	child   int32 // first child, 0 if leaf
 	sibling int32 // next sibling in the parent's child list
 	next    int32 // next node of the same rank (header chain)
-	count   int   // transactions whose rank path runs through this node
+	count   int32 // transactions whose rank path runs through this node
 }
 
-// Tree is a pooled-node FP-tree: nodes live in one slice, the header table
-// chains all nodes of a rank, and totals accumulates each rank's support
-// within the tree. All trees over the same database share one *Ranks.
+// Tree is a pooled-node FP-tree: node i is up[i] and nodes[i], the header
+// table chains all nodes of a rank, and totals accumulates each rank's
+// support within the tree. All trees over the same database share one
+// *Ranks.
 type Tree struct {
 	ranks  *Ranks
-	nodes  []node  // nodes[0] is the root
-	heads  []int32 // rank -> first node of the header chain, 0 if absent
-	totals []int   // rank -> summed node counts (the rank's support here)
+	up     []upLink // hot half of each node; up[0] is the root's
+	nodes  []node   // cold half of each node; nodes[0] is the root
+	heads  []int32  // rank -> first node of the header chain, 0 if absent
+	totals []int    // rank -> summed node counts (the rank's support here)
 	// present lists the ranks with nonzero totals (first-touch order until
 	// Present sorts it), so mining a conditional tree iterates only the few
 	// ranks of its pattern base instead of the whole rank universe.
@@ -131,6 +150,7 @@ func New(r *Ranks) *Tree { return newTree(r, 64) }
 func newTree(r *Ranks, nodeCap int) *Tree {
 	return &Tree{
 		ranks:   r,
+		up:      make([]upLink, 1, nodeCap),
 		nodes:   make([]node, 1, nodeCap),
 		heads:   make([]int32, r.Len()),
 		totals:  make([]int, r.Len()),
@@ -161,8 +181,9 @@ type pathRef struct {
 // down depth-first. The number of allocations is a constant, independent
 // of the transaction count.
 //
-// Node links are int32, so a run with more than math.MaxInt32 item
-// occurrences cannot be indexed; Build panics on one rather than wrap.
+// Node links and counts are int32, so a run with more than math.MaxInt32
+// item occurrences cannot be indexed; Build panics on one rather than
+// wrap.
 //
 //invcheck:hotpath
 func Build(txs []transactions.Itemset, r *Ranks) *Tree {
@@ -216,21 +237,22 @@ func Build(txs []transactions.Itemset, r *Ranks) *Tree {
 	// Scan 3: lay the nodes down. open[d] is the node at depth d of the
 	// previous path, so the shared prefix is read off the arena itself.
 	t := newTree(r, numNodes+1)
-	t.nodes = t.nodes[:numNodes+1]
-	nodes := t.nodes
+	t.up, t.nodes = t.up[:numNodes+1], t.nodes[:numNodes+1]
+	up, nodes := t.up, t.nodes
 	open := make([]int32, maxLen)
 	depth, next := 0, int32(1)
 	for _, p := range paths {
 		path := flat[p.lo:p.hi]
 		d, parent := 0, int32(0)
-		for d < depth && d < len(path) && nodes[open[d]].rank == path[d] {
+		for d < depth && d < len(path) && up[open[d]].rank == path[d] {
 			parent = open[d]
 			nodes[parent].count++
 			d++
 		}
 		for ; d < len(path); d++ {
 			rk := path[d]
-			nodes[next] = node{rank: rk, parent: parent, sibling: nodes[parent].child, next: t.heads[rk], count: 1}
+			up[next] = upLink{parent: parent, rank: rk}
+			nodes[next] = node{sibling: nodes[parent].child, next: t.heads[rk], count: 1}
 			nodes[parent].child = next
 			t.heads[rk] = next
 			open[d] = next
@@ -243,7 +265,7 @@ func Build(txs []transactions.Itemset, r *Ranks) *Tree {
 		}
 	}
 	for c := nodes[0].child; c != 0; c = nodes[c].sibling {
-		t.rootIdx[nodes[c].rank] = c
+		t.rootIdx[up[c].rank] = c
 	}
 	present := make([]int32, 0, r.Len())
 	for rk, total := range t.totals {
@@ -334,16 +356,15 @@ func (t *Tree) step(cur, rk int32, count int) int32 {
 		child = t.rootIdx[rk]
 	} else {
 		child = t.nodes[cur].child
-		for child != 0 && t.nodes[child].rank != rk {
+		for child != 0 && t.up[child].rank != rk {
 			child = t.nodes[child].sibling
 		}
 	}
 	if child == 0 {
 		child = int32(len(t.nodes))
-		//lint:ignore invcheck/allocbound node-arena growth: a node is created once per distinct path prefix and the backing array doubles amortized, far below one alloc per transaction
-		t.nodes = append(t.nodes, node{
-			rank:    rk,
-			parent:  cur,
+		// Both halves of the node grow together, at this one site.
+		//lint:ignore invcheck/allocbound node-arena growth: a node is created once per distinct path prefix and the backing arrays double amortized, far below one alloc per transaction
+		t.up, t.nodes = append(t.up, upLink{parent: cur, rank: rk}), append(t.nodes, node{
 			sibling: t.nodes[cur].child,
 			next:    t.heads[rk],
 		})
@@ -353,7 +374,7 @@ func (t *Tree) step(cur, rk int32, count int) int32 {
 			t.rootIdx[rk] = child
 		}
 	}
-	t.nodes[child].count += count
+	t.nodes[child].count += int32(count)
 	return child
 }
 
@@ -374,8 +395,8 @@ func (t *Tree) Merge(o *Tree) {
 // mergeChildren mirrors o's subtree under src onto t's subtree under dst.
 func (t *Tree) mergeChildren(dst, src int32, o *Tree) {
 	for c := o.nodes[src].child; c != 0; c = o.nodes[c].sibling {
-		rk := o.nodes[c].rank
-		cnt := o.nodes[c].count
+		rk := o.up[c].rank
+		cnt := int(o.nodes[c].count)
 		if t.totals[rk] == 0 {
 			t.present = append(t.present, rk)
 		}
@@ -389,7 +410,8 @@ func (t *Tree) mergeChildren(dst, src int32, o *Tree) {
 // backend (internal/dist): the node's item rank, the pool index of its
 // parent, and its transaction count. Child, sibling and header-chain links
 // are structural and are rebuilt by Import, so a serialized tree is just
-// the flat node pool.
+// the flat node pool. Count is an int on the wire side; Import bounds it
+// to the tree's int32 node counts.
 type EncodedNode struct {
 	Rank   int32
 	Parent int32
@@ -402,8 +424,9 @@ type EncodedNode struct {
 // links in one forward pass.
 func (t *Tree) Export() []EncodedNode {
 	out := make([]EncodedNode, 0, len(t.nodes)-1)
-	for _, n := range t.nodes[1:] {
-		out = append(out, EncodedNode{Rank: n.rank, Parent: n.parent, Count: n.count})
+	for i, n := range t.nodes[1:] {
+		u := t.up[i+1]
+		out = append(out, EncodedNode{Rank: u.rank, Parent: u.parent, Count: int(n.count)})
 	}
 	return out
 }
@@ -414,14 +437,9 @@ func (t *Tree) Export() []EncodedNode {
 // mining never observes — pattern counts are sums over whole chains and
 // merges are commutative. Malformed wire data (out-of-range rank or a
 // parent that does not precede its child) returns an error instead of
-// corrupting the pool.
+// corrupting the pool, and so does a count beyond the int32 node counts.
 func Import(r *Ranks, nodes []EncodedNode) (*Tree, error) {
-	t := New(r)
-	if cap(t.nodes) < len(nodes)+1 {
-		grown := make([]node, 1, len(nodes)+1)
-		grown[0] = t.nodes[0]
-		t.nodes = grown
-	}
+	t := newTree(r, len(nodes)+1)
 	for i, en := range nodes {
 		idx := int32(len(t.nodes))
 		if en.Rank < 0 || int(en.Rank) >= r.Len() {
@@ -433,15 +451,14 @@ func Import(r *Ranks, nodes []EncodedNode) (*Tree, error) {
 		// Every exported node carries at least one transaction; zero or
 		// negative wire counts would corrupt the first-touch present set
 		// and the totals.
-		if en.Count <= 0 {
-			return nil, fmt.Errorf("fptree: import node %d: non-positive count %d", i, en.Count)
+		if en.Count <= 0 || en.Count > math.MaxInt32 {
+			return nil, fmt.Errorf("fptree: import node %d: count %d outside [1, %d]", i, en.Count, math.MaxInt32)
 		}
+		t.up = append(t.up, upLink{parent: en.Parent, rank: en.Rank})
 		t.nodes = append(t.nodes, node{
-			rank:    en.Rank,
-			parent:  en.Parent,
 			sibling: t.nodes[en.Parent].child,
 			next:    t.heads[en.Rank],
-			count:   en.Count,
+			count:   int32(en.Count),
 		})
 		t.nodes[en.Parent].child = idx
 		t.heads[en.Rank] = idx
@@ -505,8 +522,8 @@ func (s *Scratch) getTree(r *Ranks) *Tree {
 // reset clears the tree for reuse under the given rank table.
 func (t *Tree) reset(r *Ranks) {
 	t.ranks = r
-	t.nodes = t.nodes[:1]
-	t.nodes[0] = node{}
+	t.up, t.nodes = t.up[:1], t.nodes[:1]
+	t.up[0], t.nodes[0] = upLink{}, node{}
 	t.present = t.present[:0]
 	if len(t.heads) != r.Len() {
 		t.heads = make([]int32, r.Len())
@@ -581,24 +598,25 @@ func (f Forest) Project(rank int32, minCount int, s *Scratch) *Tree {
 }
 
 // project is the projection kernel. It chases each chain node's parent
-// links once: the upward walk both sums the conditional counts and records
-// the prefix path in the scratch's pattern-base buffers, and the
-// conditional tree is then built from those buffers alone.
+// links once, reading only the hot up array: the upward walk both sums the
+// conditional counts and records the prefix path in the scratch's
+// pattern-base buffers, and the conditional tree is then built from those
+// buffers alone.
 //
 //invcheck:hotpath
 func project(r *Ranks, trees []*Tree, rank int32, minCount int, s *Scratch) *Tree {
 	ranks, ends, counts := s.pathRanks, s.pathEnds, s.pathCounts
 	nRanks, nPaths, nTouched := 0, 0, 0
 	for _, t := range trees {
-		nodes := t.nodes
+		up, nodes := t.up, t.nodes
 		for n := t.heads[rank]; n != 0; n = nodes[n].next {
-			p := nodes[n].parent
+			p := up[n].parent
 			if p == 0 {
 				continue
 			}
-			cnt := nodes[n].count
-			for ; p != 0; p = nodes[p].parent {
-				rk := nodes[p].rank
+			cnt := int(nodes[n].count)
+			for ; p != 0; p = up[p].parent {
+				rk := up[p].rank
 				if s.counts[rk] == 0 {
 					s.touched[nTouched] = rk
 					nTouched++
@@ -661,8 +679,8 @@ func (t *Tree) SinglePath(s *Scratch) ([]int32, []int, bool) {
 		if t.nodes[n].sibling != 0 {
 			return nil, nil, false
 		}
-		s.spRanks = append(s.spRanks, t.nodes[n].rank)
-		s.spCounts = append(s.spCounts, t.nodes[n].count)
+		s.spRanks = append(s.spRanks, t.up[n].rank)
+		s.spCounts = append(s.spCounts, int(t.nodes[n].count))
 	}
 	return s.spRanks, s.spCounts, true
 }

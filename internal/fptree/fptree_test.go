@@ -2,6 +2,7 @@ package fptree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -377,7 +378,8 @@ func TestBuildMatchesInsertReference(t *testing.T) {
 
 // FuzzBuild drives the same comparison from fuzzed bytes: each byte is an
 // item (the high bit ends the transaction), so the fuzzer controls path
-// lengths, duplicates and sharing.
+// lengths, duplicates and sharing. It also holds Import(Export(t)) to the
+// built trie: the same node pool, and the same totals and projections.
 func FuzzBuild(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0x80, 1, 2, 0x80, 1, 2, 3, 0x80, 7}, uint8(1))
 	f.Add([]byte{0x80, 0x80, 5, 5, 5}, uint8(2))
@@ -396,7 +398,17 @@ func FuzzBuild(f *testing.F) {
 		}
 		minCount := 1 + int(minRaw%4)
 		r := NewRanks(countItems(txs, 32), minCount)
-		requireSameTrie(t, Build(txs, r), insertReference(txs, r), minCount)
+		built := Build(txs, r)
+		requireSameTrie(t, built, insertReference(txs, r), minCount)
+		// The wire round trip rebuilds both halves of every node.
+		imported, err := Import(r, built.Export())
+		if err != nil {
+			t.Fatalf("Import(Export(t)): %v", err)
+		}
+		if !reflect.DeepEqual(imported.Export(), built.Export()) {
+			t.Fatalf("Import(Export(t)) exports %v, want %v", imported.Export(), built.Export())
+		}
+		requireSameTrie(t, imported, built, minCount)
 	})
 }
 
@@ -453,7 +465,7 @@ func TestForestProjectsLikeMergedTree(t *testing.T) {
 		}
 	}
 	// The empty forest is the empty database, with or without ranks.
-	for _, r := range []*Ranks{NewRanks(nil, 1), NewRanks([]int{4, 4}, 2)} {
+	for _, r := range []*Ranks{NewRanks([]int(nil), 1), NewRanks([]int{4, 4}, 2)} {
 		empty := NewForest(r, nil, nil)
 		if len(empty.Trees()) != 0 {
 			t.Fatalf("nil trees kept: %v", empty.Trees())
@@ -556,6 +568,12 @@ func TestImportRejectsMalformedNodes(t *testing.T) {
 	}
 	if _, err := Import(r, []EncodedNode{{Rank: 0, Parent: 0, Count: -3}}); err == nil {
 		t.Error("negative count accepted")
+	}
+	if _, err := Import(r, []EncodedNode{{Rank: 0, Parent: 0, Count: math.MaxInt32 + 1}}); err == nil {
+		t.Error("count beyond the int32 node counts accepted")
+	}
+	if _, err := Import(r, []EncodedNode{{Rank: 0, Parent: 0, Count: math.MaxInt32}}); err != nil {
+		t.Errorf("count math.MaxInt32 refused: %v", err)
 	}
 }
 

@@ -200,9 +200,9 @@ func (t *Tree) CountTransaction(tx transactions.Itemset, tid int) {
 }
 
 // Counts returns the supports CountTransaction has counted, by entry id.
-func (t *Tree) Counts() []int {
+func (t *Tree) Counts() []int32 {
 	if n := t.size - len(t.own.Counts); n > 0 {
-		t.own.Counts = append(t.own.Counts, make([]int, n)...)
+		t.own.Counts = append(t.own.Counts, make([]int32, n)...)
 		t.own.seen = append(t.own.seen, make([]int, n)...)
 	}
 	return t.own.Counts
@@ -214,9 +214,10 @@ func (t *Tree) Counts() []int {
 // own buffer, so any number of them may count disjoint transaction shards
 // concurrently; the buffers are merged serially after the scan
 // (count-distribution). All candidate insertions must happen before the
-// first concurrent count — Build makes sure of it.
+// first concurrent count — Build makes sure of it. Counts are int32, the
+// width of every support counter (see transactions.CountItems).
 type CountBuffer struct {
-	Counts []int
+	Counts []int32
 	seen   []int // tid+1 of the last transaction counted per entry; 0 = none
 
 	row transactions.Itemset // CountAllInto's scratch: the current transaction, trimmed
@@ -224,7 +225,7 @@ type CountBuffer struct {
 
 // NewCountBuffer returns a zeroed buffer sized for the tree's entries.
 func (t *Tree) NewCountBuffer() *CountBuffer {
-	return &CountBuffer{Counts: make([]int, t.size), seen: make([]int, t.size)}
+	return &CountBuffer{Counts: make([]int32, t.size), seen: make([]int, t.size)}
 }
 
 // countInto is the paper's recursive traversal: at an interior node of

@@ -16,7 +16,7 @@ import (
 func (e *Entry) ID() int { return e.id }
 
 // count returns e's support as CountTransaction has counted it.
-func (t *Tree) count(e *Entry) int { return t.Counts()[e.id] }
+func (t *Tree) count(e *Entry) int { return int(t.Counts()[e.id]) }
 
 // Entries appends all stored entries to dst in tree order and returns it.
 func (t *Tree) Entries(dst []*Entry) []*Entry { return collect(t.root, dst) }
@@ -429,7 +429,7 @@ func TestConcurrentCountMatchesSerial(t *testing.T) {
 		}
 		wg.Wait()
 		// The trees are built alike, so entry ids match across them.
-		got := make([]int, parallel.Len())
+		got := make([]int32, parallel.Len())
 		for _, buf := range bufs {
 			if buf != nil {
 				for id, c := range buf.Counts {
@@ -450,7 +450,7 @@ func TestConcurrentCountMatchesSerial(t *testing.T) {
 
 // scanBoth counts txs against cands twice — the untrimmed per-transaction
 // loop and the trimmed scan — in one tree, and returns both count arrays.
-func scanBoth(t *testing.T, k, fanout, maxLeaf int, cands, txs []transactions.Itemset) (untrimmed, trimmed []int) {
+func scanBoth(t *testing.T, k, fanout, maxLeaf int, cands, txs []transactions.Itemset) (untrimmed, trimmed []int32) {
 	t.Helper()
 	tree, err := newWithParams(k, fanout, maxLeaf)
 	if err != nil {

@@ -6,12 +6,18 @@ package transactions
 // items or pairs — the local goroutine-sharded scans, the dist worker's
 // replica scans — calls these, so the arithmetic behind byte-identical
 // counts has one definition; the incremental maintainer, which also counts
-// deleted transactions back out, shares TriIndex and keeps its own signed
+// deleted transactions back out, shares TriBases and keeps its own signed
 // loop.
+//
+// Counters are int32, the natural width of a support: a store holds at most
+// math.MaxInt32 rows (ErrTooManyTransactions), so no count of it can pass
+// math.MaxInt32. Half-width counters halve the pass-2 triangle, which at
+// low support is the largest array a mine allocates, and the cache lines
+// its scan touches per pair.
 
 // CountItems adds tx's items into the flat pass-1 array counts, which must
 // cover the item universe (every item < len(counts)).
-func CountItems(tx Itemset, counts []int) {
+func CountItems(tx Itemset, counts []int32) {
 	for _, item := range tx {
 		counts[item]++
 	}
@@ -22,22 +28,35 @@ func CountItems(tx Itemset, counts []int) {
 // into.
 func TriIndex(n, i, j int) int { return i*(2*n-i-1)/2 + (j - i - 1) }
 
+// TriBases returns the row-base table of the n-rank triangle: base[i] is
+// TriIndex(n, i, 0), so the pair i < j sits at base[i]+j and a scan adds
+// where TriIndex multiplies. Build it once per pass.
+func TriBases(n int) []int {
+	base := make([]int, n)
+	for i := range base {
+		base[i] = TriIndex(n, i, 0)
+	}
+	return base
+}
+
 // CountPairs adds every pair of tx's ranked items into the triangular
-// array counts (see TriIndex). rank maps item id to a rank below n; a
-// negative rank, or an item beyond len(rank), is unranked and skipped.
-// Ranks must ascend with item id, as L1 ranks in item order do, so that a
-// sorted transaction yields i < j. ranks is scratch: pass the previous
-// call's return value so one scan allocates it once.
-func CountPairs(tx Itemset, rank []int, n int, counts, ranks []int) []int {
+// array counts, whose row bases are base (TriBases of the rank count).
+// rank maps item id to a rank below len(base); a negative rank, or an item
+// beyond len(rank), is unranked and skipped. Ranks must ascend with item
+// id, as L1 ranks in item order do, so that a sorted transaction yields
+// i < j. ranks is scratch: pass the previous call's return value so one
+// scan allocates it once.
+func CountPairs(tx Itemset, rank, base []int, counts []int32, ranks []int) []int {
 	ranks = ranks[:0]
 	for _, item := range tx {
 		if item < len(rank) && rank[item] >= 0 {
 			ranks = append(ranks, rank[item])
 		}
 	}
-	for a := 0; a < len(ranks); a++ {
-		for b := a + 1; b < len(ranks); b++ {
-			counts[TriIndex(n, ranks[a], ranks[b])]++
+	for a, i := range ranks {
+		row := base[i]
+		for _, j := range ranks[a+1:] {
+			counts[row+j]++
 		}
 	}
 	return ranks

@@ -118,8 +118,12 @@ func (s *ShardedDB) AbsoluteSupport(rel float64) int {
 
 // Append adds one transaction, normalising it to a sorted set, into the
 // last shard (opening a new shard when the last one is full). Only that
-// shard's version changes.
+// shard's version changes. A store of math.MaxInt32 live transactions
+// refuses it with ErrTooManyTransactions.
 func (s *ShardedDB) Append(items ...int) error {
+	if err := checkRoom(s.total); err != nil {
+		return err
+	}
 	for _, it := range items {
 		if it < 0 {
 			return fmt.Errorf("%w: %d", ErrNegativeItem, it)

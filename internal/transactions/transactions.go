@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -176,7 +177,21 @@ func (s Itemset) Clone() Itemset {
 var (
 	ErrNegativeItem = errors.New("transactions: negative item id")
 	ErrEmptyDB      = errors.New("transactions: empty database")
+	// ErrTooManyTransactions reports an append to a store that already
+	// holds math.MaxInt32 transactions. The bound keeps every support
+	// count in the int32 counters the scans count into.
+	ErrTooManyTransactions = errors.New("transactions: store holds math.MaxInt32 transactions")
 )
+
+// checkRoom returns ErrTooManyTransactions when a store of rows
+// transactions has no room for one more: the one comparison behind the
+// append guard of DB.Add and ShardedDB.Append.
+func checkRoom(rows int) error {
+	if rows >= math.MaxInt32 {
+		return fmt.Errorf("%w: %d rows", ErrTooManyTransactions, rows)
+	}
+	return nil
+}
 
 // DB is a horizontal transaction database: one itemset per transaction.
 type DB struct {
@@ -187,8 +202,12 @@ type DB struct {
 // NewDB returns an empty database.
 func NewDB() *DB { return &DB{} }
 
-// Add appends a transaction, normalising it to a sorted set.
+// Add appends a transaction, normalising it to a sorted set. A database
+// of math.MaxInt32 transactions refuses it with ErrTooManyTransactions.
 func (db *DB) Add(items ...int) error {
+	if err := checkRoom(len(db.Transactions)); err != nil {
+		return err
+	}
 	for _, it := range items {
 		if it < 0 {
 			return fmt.Errorf("%w: %d", ErrNegativeItem, it)

@@ -2,6 +2,8 @@ package transactions
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -350,19 +352,25 @@ func TestVerticalSupportProperty(t *testing.T) {
 }
 
 // TestCountKernels pins the pass-1 and pass-2 kernels against Support:
-// TriIndex tiles the triangle exactly once, and CountPairs counts every
-// pair of ranked items while skipping unranked ones and items beyond the
-// rank table (a replica can hold items the table was never sized for).
+// TriIndex tiles the triangle exactly once, TriBases lays the same
+// triangle out by row bases, and CountPairs counts every pair of ranked
+// items while skipping unranked ones and items beyond the rank table (a
+// replica can hold items the table was never sized for).
 func TestCountKernels(t *testing.T) {
-	const n = 5
-	seen := make([]bool, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			idx := TriIndex(n, i, j)
-			if seen[idx] {
-				t.Fatalf("TriIndex(%d, %d, %d) = %d collides", n, i, j, idx)
+	for n := 0; n <= 64; n++ {
+		seen := make([]bool, n*(n-1)/2)
+		base := TriBases(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				idx := TriIndex(n, i, j)
+				if seen[idx] {
+					t.Fatalf("TriIndex(%d, %d, %d) = %d collides", n, i, j, idx)
+				}
+				seen[idx] = true
+				if got := base[i] + j; got != idx {
+					t.Fatalf("n=%d: base[%d]+%d = %d, want TriIndex %d", n, i, j, got, idx)
+				}
 			}
-			seen[idx] = true
 		}
 	}
 
@@ -372,26 +380,85 @@ func TestCountKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	items := make([]int, db.NumItems())
-	rank := []int{0, 1, 2, -1, -1, -1, -1, 3} // items 8 and 9 lie beyond the table
-	ranked := []int{0, 1, 2, 7}
-	pairs := make([]int, len(ranked)*(len(ranked)-1)/2)
+	checkCountKernels(t, db, []int{0, 1, 2, -1, -1, -1, -1, 3}) // items 8 and 9 lie beyond the table
+
+	// Random runs: a third of the table's items unranked, and a universe
+	// twice the table's length.
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		db := NewDB()
+		for i := 0; i < 200; i++ {
+			tx := make([]int, rng.Intn(12))
+			for k := range tx {
+				tx[k] = rng.Intn(60)
+			}
+			if err := db.Add(tx...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rank := make([]int, 30)
+		r := 0
+		for item := range rank {
+			rank[item] = -1
+			if rng.Intn(3) > 0 {
+				rank[item] = r
+				r++
+			}
+		}
+		checkCountKernels(t, db, rank)
+	}
+}
+
+// checkCountKernels counts db with CountItems and CountPairs under rank
+// and compares every counter with Support.
+func checkCountKernels(t *testing.T, db *DB, rank []int) {
+	t.Helper()
+	var ranked []int // rank -> item
+	for item, r := range rank {
+		if r >= 0 {
+			ranked = append(ranked, item)
+		}
+	}
+	n := len(ranked)
+	items := make([]int32, db.NumItems())
+	pairs := make([]int32, n*(n-1)/2)
+	base := TriBases(n)
 	var scratch []int
 	for _, tx := range db.Transactions {
 		CountItems(tx, items)
-		scratch = CountPairs(tx, rank, len(ranked), pairs, scratch)
+		scratch = CountPairs(tx, rank, base, pairs, scratch)
 	}
 	for item, got := range items {
-		if want := db.Support(NewItemset(item)); got != want {
+		if want := db.Support(NewItemset(item)); int(got) != want {
 			t.Errorf("CountItems: item %d = %d, want %d", item, got, want)
 		}
 	}
 	for i, a := range ranked {
-		for j := i + 1; j < len(ranked); j++ {
-			got, want := pairs[TriIndex(len(ranked), i, j)], db.Support(NewItemset(a, ranked[j]))
-			if got != want {
+		for j := i + 1; j < n; j++ {
+			got, want := pairs[TriIndex(n, i, j)], db.Support(NewItemset(a, ranked[j]))
+			if int(got) != want {
 				t.Errorf("CountPairs: {%d,%d} = %d, want %d", a, ranked[j], got, want)
 			}
+		}
+	}
+}
+
+// TestCheckRoom pins the store-size guard at its edge: a store of
+// math.MaxInt32-1 rows takes one more, and one of math.MaxInt32 rows or
+// more refuses with ErrTooManyTransactions.
+func TestCheckRoom(t *testing.T) {
+	for _, tc := range []struct {
+		rows int
+		full bool
+	}{
+		{0, false},
+		{math.MaxInt32 - 1, false},
+		{math.MaxInt32, true},
+		{math.MaxInt32 + 1, true},
+	} {
+		err := checkRoom(tc.rows)
+		if got := errors.Is(err, ErrTooManyTransactions); got != tc.full {
+			t.Errorf("checkRoom(%d) = %v, want full=%v", tc.rows, err, tc.full)
 		}
 	}
 }

@@ -66,12 +66,12 @@ func internalMine(name string, db *transactions.DB, minSup float64, workers int)
 	return nil, errors.New("no such miner: " + name)
 }
 
-// TestAlgorithmsAreTheSixRegisteredEngines pins the boundary of the public
+// TestAlgorithmsAreTheRegisteredEngines pins the boundary of the public
 // Algorithm option: exactly the five registered engines, and each
 // reference engine — runnable only from internal/assoc/reference — is
 // rejected by Mine, MineStream and NewSession with ErrUnknownAlgorithm
 // naming the five, before anything is scanned (no Progress event fires).
-func TestAlgorithmsAreTheSixRegisteredEngines(t *testing.T) {
+func TestAlgorithmsAreTheRegisteredEngines(t *testing.T) {
 	want := []string{"Apriori", "Eclat", "FPGrowth", "Auto", "Distributed"}
 	if got := Algorithms(); !slices.Equal(got, want) {
 		t.Fatalf("Algorithms() = %v, want %v", got, want)

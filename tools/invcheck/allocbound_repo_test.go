@@ -8,7 +8,9 @@ import (
 // TestAllocBoundReportsFPTreeSuppressedSites pins the analyzer against the
 // real repository, not a fixture: internal/fptree/fptree.go carries the
 // tree's only allocbound suppressions — the present-rank append in Insert
-// and the node-arena append in step, both bounded growth on a hot path.
+// and the node-arena append in step, which grows both halves of a node
+// (the hot up array and the cold nodes array) in one statement under one
+// directive; all bounded growth on a hot path.
 // This test bypasses the suppression layer and asserts the raw analyzer
 // still proves each of those sites, so the suppressions stay honest: if a
 // refactor removes an allocation the stale directive shows up here, and
@@ -35,10 +37,11 @@ func TestAllocBoundReportsFPTreeSuppressedSites(t *testing.T) {
 		}
 	}
 
-	// The known sites, in source order.
+	// The known sites, in source order (step's two appends share a line).
 	wants := []string{
 		"Insert appends to t.present",
 		"step appends to t.nodes",
+		"step appends to t.up",
 	}
 	if len(raw) != len(wants) {
 		t.Fatalf("raw fptree findings = %d, want %d:\n%s", len(raw), len(wants), joinFindings(raw))
