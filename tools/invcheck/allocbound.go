@@ -27,7 +27,6 @@ import (
 // allocation is acceptable.
 var analyzerAllocBound = &Analyzer{
 	Name: "allocbound",
-	Doc:  "//invcheck:hotpath functions are free of provable allocation sites",
 	Run:  runAllocBound,
 }
 

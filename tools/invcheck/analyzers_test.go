@@ -6,13 +6,18 @@ import (
 	"testing"
 )
 
-// runOn runs exactly one analyzer (plus the suppression layer) over a
-// fixture tree and returns the findings.
+// runOn runs exactly one registered analyzer (plus the suppression
+// layer) over a fixture tree and returns the findings.
 func runOn(t *testing.T, analyzer, root string) []Finding {
 	t.Helper()
-	selected, err := selectAnalyzers(analyzer)
-	if err != nil {
-		t.Fatal(err)
+	var selected []*Analyzer
+	for _, a := range registry {
+		if a.Name == analyzer {
+			selected = append(selected, a)
+		}
+	}
+	if len(selected) != 1 {
+		t.Fatalf("analyzer %q is not registered", analyzer)
 	}
 	findings, err := checkTree(root, selected)
 	if err != nil {
@@ -114,6 +119,17 @@ func TestAnalyzerFixtures(t *testing.T) {
 				"bad.go:48: [walfailstop] error from Sync assigned to err but never read",
 				"error from Write not checked before subsequent rename",
 				"error from deferred Sync discarded",
+			},
+		},
+		{
+			analyzer: "doccomment",
+			wants: []string{
+				"bad.go:1: [doccomment] package in",
+				"exported const Bare has no doc comment",
+				"exported type Widget has no doc comment",
+				"exported method Widget.Spin has no doc comment",
+				"exported function Exported has no doc comment",
+				"exported method Pair.Key has no doc comment",
 			},
 		},
 	}

@@ -23,7 +23,6 @@ import (
 // declared in the same file as the store.
 var analyzerAtomicPublish = &Analyzer{
 	Name:     "atomicpublish",
-	Doc:      "atomic.Pointer stores in internal/serve happen only inside publish helpers",
 	Packages: []string{"serve"},
 	Run:      runAtomicPublish,
 }

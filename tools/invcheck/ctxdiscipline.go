@@ -20,7 +20,6 @@ import (
 // selector-text match.
 var analyzerCtxDiscipline = &Analyzer{
 	Name:     "ctxdiscipline",
-	Doc:      "shard/transaction loops in exported engine functions take ctx first; no ctx struct fields",
 	Packages: []string{"assoc", "dist", "serve", "mining"},
 	Run:      runCtxDiscipline,
 }

@@ -23,7 +23,6 @@ import (
 // included, which the syntactic pass could not see.
 var analyzerDeterminism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no wall-clock, unseeded rand, or unsorted map-range output in byte-identity packages",
 	Packages: []string{
 		"assoc", "reference", "fptree", "hashtree", "transactions", "dist", "wal", "serve", "seqmine",
 	},

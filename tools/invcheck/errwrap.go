@@ -21,7 +21,6 @@ import (
 // non-error identifiers that merely looked the part.
 var analyzerErrWrap = &Analyzer{
 	Name: "errwrap",
-	Doc:  "error-typed sentinel objects are matched with errors.Is and wrapped with %w",
 	Run:  runErrWrap,
 }
 

@@ -18,10 +18,10 @@ import (
 
 // Finding is one invariant violation at a source position.
 type Finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	File     string
+	Line     int
+	Analyzer string
+	Message  string
 }
 
 // String renders the finding in the file:line: [analyzer] message form
@@ -37,7 +37,6 @@ func (f Finding) String() string {
 // that chase helpers across the files of a package.
 type Analyzer struct {
 	Name     string
-	Doc      string
 	Packages []string
 	Run      func(f *SrcFile) []Finding
 	RunPkg   func(u *Unit) []Finding
@@ -160,8 +159,8 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	return obj != nil && obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
-// registry lists every analyzer in the order their findings group in
-// the README; selectAnalyzers resolves -only against it.
+// registry lists every analyzer in the order the README's table lists
+// them; a run applies all of them.
 var registry = []*Analyzer{
 	analyzerDeterminism,
 	analyzerCtxDiscipline,
@@ -171,6 +170,7 @@ var registry = []*Analyzer{
 	analyzerAllocBound,
 	analyzerMergePure,
 	analyzerWALFailStop,
+	analyzerDocComment,
 }
 
 // frameworkError is a parse or type-check failure: the tree cannot be
@@ -352,13 +352,11 @@ func (ld *loader) importerFor(dir string) *moduleImporter {
 	return im
 }
 
-// loadUnits parses and type-checks every package under root: one Unit
-// per (directory, package clause) pair. Parse and type errors abort
-// with a frameworkError — a file that fails to parse or type-check is
-// never silently skipped.
-func (ld *loader) loadUnits(root string) ([]*Unit, error) {
-	ld.mu.Lock()
-	defer ld.mu.Unlock()
+// walkDirs lists root and every directory below it that the gate
+// covers: testdata, vendor and dot-directories are exempt, but only
+// below root, so a root of "." is itself walked. Directory symlinks are
+// not followed.
+func walkDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -368,12 +366,23 @@ func (ld *loader) loadUnits(root string) ([]*Unit, error) {
 			return nil
 		}
 		name := d.Name()
-		if p != root && (name == "testdata" || name == "vendor" || name == "examples" || strings.HasPrefix(name, ".")) {
+		if p != root && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".")) {
 			return filepath.SkipDir
 		}
 		dirs = append(dirs, p)
 		return nil
 	})
+	return dirs, err
+}
+
+// loadUnits parses and type-checks every package under root: one Unit
+// per (directory, package clause) pair. Parse and type errors abort
+// with a frameworkError — a file that fails to parse or type-check is
+// never silently skipped.
+func (ld *loader) loadUnits(root string) ([]*Unit, error) {
+	ld.mu.Lock()
+	defer ld.mu.Unlock()
+	dirs, err := walkDirs(root)
 	if err != nil {
 		return nil, err
 	}
@@ -482,9 +491,9 @@ func frameworkDiag(err error) string {
 	return fmt.Sprintf("[framework] %s", err.Error())
 }
 
-// checkTree type-checks every package under root and runs the selected
-// analyzers over it, honoring the testdata/vendor/examples exemptions
-// and the inline suppression directives.
+// checkTree type-checks every package under root and runs the given
+// analyzers over it, honoring the walk's exemptions and the inline
+// suppression directives.
 func checkTree(root string, analyzers []*Analyzer) ([]Finding, error) {
 	units, err := sharedLoader.loadUnits(root)
 	if err != nil {
@@ -497,9 +506,8 @@ func checkTree(root string, analyzers []*Analyzer) ([]Finding, error) {
 	return findings, nil
 }
 
-// checkUnit runs the selected analyzers over one package unit and
-// applies each file's suppression directives to the findings that
-// landed in it.
+// checkUnit runs the given analyzers over one package unit and applies
+// each file's suppression directives to the findings that landed in it.
 func checkUnit(u *Unit, analyzers []*Analyzer) []Finding {
 	var raw []Finding
 	for _, a := range analyzers {
@@ -522,20 +530,6 @@ func checkUnit(u *Unit, analyzers []*Analyzer) []Finding {
 	var out []Finding
 	for _, f := range u.Files {
 		out = append(out, applySuppressions(f, byFile[f.Path])...)
-	}
-	// Findings in files the unit does not own (none today, but a RunPkg
-	// analyzer could theoretically report on an import) pass through.
-	for path, fds := range byFile {
-		owned := false
-		for _, f := range u.Files {
-			if f.Path == path {
-				owned = true
-				break
-			}
-		}
-		if !owned {
-			out = append(out, fds...)
-		}
 	}
 	return out
 }
@@ -615,37 +609,31 @@ func applySuppressions(f *SrcFile, raw []Finding) []Finding {
 	return out
 }
 
-// collectSuppressions parses (without type-checking) every analyzable
-// file under root and returns its suppression directives — the
-// -suppressions audit walks this so the directive inventory stays
-// reviewable even while the tree is mid-refactor.
+// collectSuppressions parses (without type-checking) every file the
+// gate would load under root — the same directories and the same
+// build-constrained file lists — and returns its suppression
+// directives, so the directive inventory stays reviewable even while
+// the tree is mid-refactor.
 func collectSuppressions(root string) ([]suppression, error) {
-	var out []suppression
-	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if p != root && (name == "testdata" || name == "vendor" || name == "examples" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		fset := token.NewFileSet()
-		file, err := parser.ParseFile(fset, p, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return &frameworkError{diags: []string{frameworkDiag(err)}}
-		}
-		src := &SrcFile{Fset: fset, File: file, Path: p, Pkg: file.Name.Name}
-		out = append(out, parseSuppressions(src)...)
-		return nil
-	})
+	dirs, err := walkDirs(root)
 	if err != nil {
 		return nil, err
+	}
+	fset := token.NewFileSet()
+	var out []suppression
+	for _, dir := range dirs {
+		names, err := listGoFiles(dir)
+		if err != nil {
+			return nil, err
+		}
+		for _, name := range names {
+			path := filepath.Join(dir, name)
+			file, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return nil, &frameworkError{diags: []string{frameworkDiag(err)}}
+			}
+			out = append(out, parseSuppressions(&SrcFile{Fset: fset, File: file, Path: path})...)
+		}
 	}
 	return out, nil
 }

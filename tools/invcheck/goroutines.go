@@ -15,7 +15,6 @@ import (
 // reasoned suppression instead.
 var analyzerGoroutines = &Analyzer{
 	Name: "goroutines",
-	Doc:  "every go statement is lexically paired with a WaitGroup or channel join",
 	Run:  runGoroutines,
 }
 

@@ -1,13 +1,13 @@
-// Command invcheck is the CI invariant gate: a multi-analyzer static
-// checker that mechanically enforces the repo's determinism, context,
+// Command invcheck is the CI lint gate: a multi-analyzer static checker
+// that mechanically enforces the repo's determinism, context,
 // error-discipline, goroutine-join, snapshot-publish, hot-path
-// allocation, merge-purity, and WAL fail-stop contracts — the
-// invariants that keep results byte-identical across workers,
+// allocation, merge-purity, WAL fail-stop and documentation contracts —
+// the invariants that keep results byte-identical across workers,
 // shardings, transports, and WAL replays, and that property tests can
 // only catch probabilistically.
 //
-// Since v2 the checker is type-aware: every package is type-checked
-// once (go/types with the stdlib source importer; module-local imports
+// The checker is type-aware: every package is type-checked once
+// (go/types with the stdlib source importer; module-local imports
 // resolve from the module root) and analyzers match real objects and
 // types — error-typed sentinel objects rather than Err[A-Z]* name
 // patterns, sync/atomic.Pointer[T] by type identity, context.Context
@@ -15,30 +15,29 @@
 //
 // Usage:
 //
-//	go run ./tools/invcheck [-only=name,...] [-format=text|json|github] [-suppressions] [dir ...]
+//	go run ./tools/invcheck [-format=text|github] [-suppressions] [dir ...]
 //
 // Each dir is walked recursively (a trailing /... is accepted and
-// equivalent); without arguments the current directory is walked.
-// Files under testdata, vendor, examples, and dot-directories are
-// exempt, as are _test.go files and files excluded by their build
-// constraints. Exit status 1 reports violations; exit status 2 reports
-// a usage error, or a file that fails to parse or type-check (printed
-// to stderr as [framework] diagnostics — an unanalyzable file is never
-// silently skipped).
+// equivalent); without arguments the current directory is walked, the
+// root itself included. Directories named testdata or vendor and
+// dot-directories below a root are exempt, as are _test.go files and
+// files excluded by their build constraints. Exit status 1 reports
+// violations; exit status 2 reports a usage error, or a file that fails
+// to parse or type-check (printed to stderr as [framework] diagnostics
+// — an unanalyzable file is never silently skipped).
 //
 // Output formats (-format):
 //
 //	text    file:line: [analyzer] message, sorted (default)
-//	json    a JSON array of {file, line, analyzer, message} objects
 //	github  GitHub Actions ::error annotations for inline CI review
 //
-// Analyzers (run all by default; -only selects a subset):
+// Every run applies all nine analyzers:
 //
 //	determinism   — no wall-clock reads or unseeded math/rand in the
-//	                byte-identity engine packages (assoc, fptree,
-//	                hashtree, transactions, dist, wal, serve, seqmine),
-//	                and no range over a map-typed expression that
-//	                appends to a slice or writes output without an
+//	                byte-identity engine packages (assoc, reference,
+//	                fptree, hashtree, transactions, dist, wal, serve,
+//	                seqmine), and no range over a map-typed expression
+//	                that appends to a slice or writes output without an
 //	                intervening sort.
 //	ctxdiscipline — exported functions in engine/dist/serve packages
 //	                that loop over shards or transactions take
@@ -64,6 +63,10 @@
 //	                write/sync-shaped calls are checked on every path
 //	                before any further persist/apply/ack step and are
 //	                never swallowed.
+//	doccomment    — every package has a package doc comment, and every
+//	                exported type, function, method on an exported
+//	                type, const and var has a doc comment (a block
+//	                comment covers its block).
 //
 // A finding can be suppressed with a reasoned inline directive on the
 // same line or the line above:
@@ -72,13 +75,12 @@
 //
 // A suppression without a reason, or naming an unknown analyzer, is
 // itself a violation ([suppress]). The -suppressions flag audits the
-// inventory instead of checking: it lists every directive under the
-// roots as file:line: invcheck/<analyzer>: reason and exits 0, so CI
-// can budget the count and review the reasons.
+// inventory instead of checking: it lists every directive in the files
+// the gate would load as file:line: invcheck/<analyzer>: reason and
+// exits 0, so CI can budget the count and review the reasons.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -91,46 +93,31 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run is the testable entry point: it parses argv, runs the selected
-// analyzers over every root, prints findings to stdout, and returns the
-// process exit code (0 clean, 1 violations, 2 usage/parse/type error).
+// run is the testable entry point: it parses argv, runs every analyzer
+// over every root, prints findings to stdout, and returns the process
+// exit code (0 clean, 1 violations, 2 usage/parse/type error).
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("invcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := fs.Bool("list", false, "print the registered analyzers and exit")
-	format := fs.String("format", "text", "output format: text, json, or github")
+	format := fs.String("format", "text", "output format: text or github")
 	audit := fs.Bool("suppressions", false, "list every //lint:ignore invcheck/* directive instead of checking")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-	switch *format {
-	case "text", "json", "github":
-	default:
-		fmt.Fprintf(stderr, "invcheck: unknown -format %q (have text, json, github)\n", *format)
+	if *format != "text" && *format != "github" {
+		fmt.Fprintf(stderr, "invcheck: unknown -format %q (have text, github)\n", *format)
 		return 2
-	}
-	analyzers, err := selectAnalyzers(*only)
-	if err != nil {
-		fmt.Fprintln(stderr, "invcheck:", err)
-		return 2
-	}
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%-14s %s\n", a.Name, a.Doc)
-		}
-		return 0
 	}
 	roots := fs.Args()
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
 	if *audit {
-		return runSuppressionAudit(roots, *format, stdout, stderr)
+		return runSuppressionAudit(roots, stdout, stderr)
 	}
 	var findings []Finding
 	for _, root := range roots {
-		v, err := checkTree(normalizeRoot(root), analyzers)
+		v, err := checkTree(normalizeRoot(root), registry)
 		if err != nil {
 			if fe, ok := err.(*frameworkError); ok {
 				for _, d := range fe.diags {
@@ -145,41 +132,19 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		findings = append(findings, v...)
 	}
 	sortFindings(findings)
-	if err := emitFindings(findings, *format, stdout); err != nil {
-		fmt.Fprintln(stderr, "invcheck:", err)
-		return 2
+	for _, f := range findings {
+		if *format == "github" {
+			fmt.Fprintf(stdout, "::error file=%s,line=%d::%s\n",
+				f.File, f.Line, githubEscape(fmt.Sprintf("[%s] %s", f.Analyzer, f.Message)))
+		} else {
+			fmt.Fprintln(stdout, f)
+		}
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "invcheck: %d invariant violations\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// emitFindings renders findings in the selected format. The json form
-// always emits an array (possibly empty) so consumers can parse
-// unconditionally; github emits workflow ::error annotations that
-// surface inline on the PR diff.
-func emitFindings(findings []Finding, format string, stdout io.Writer) error {
-	switch format {
-	case "json":
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []Finding{}
-		}
-		return enc.Encode(findings)
-	case "github":
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "::error file=%s,line=%d::%s\n",
-				f.File, f.Line, githubEscape(fmt.Sprintf("[%s] %s", f.Analyzer, f.Message)))
-		}
-	default:
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
-	}
-	return nil
 }
 
 // githubEscape encodes the characters the workflow-command parser
@@ -194,18 +159,12 @@ func githubEscape(s string) string {
 // runSuppressionAudit lists every invcheck suppression directive under
 // the roots. Exit 0 with the inventory on stdout (and a count on
 // stderr); exit 2 when a root cannot be parsed.
-func runSuppressionAudit(roots []string, format string, stdout, stderr io.Writer) int {
+func runSuppressionAudit(roots []string, stdout, stderr io.Writer) int {
 	var sups []suppression
 	for _, root := range roots {
 		s, err := collectSuppressions(normalizeRoot(root))
 		if err != nil {
-			if fe, ok := err.(*frameworkError); ok {
-				for _, d := range fe.diags {
-					fmt.Fprintln(stderr, d)
-				}
-			} else {
-				fmt.Fprintln(stderr, "invcheck:", err)
-			}
+			fmt.Fprintln(stderr, "invcheck:", err)
 			return 2
 		}
 		sups = append(sups, s...)
@@ -216,27 +175,8 @@ func runSuppressionAudit(roots []string, format string, stdout, stderr io.Writer
 		}
 		return sups[i].line < sups[j].line
 	})
-	if format == "json" {
-		type auditEntry struct {
-			File     string `json:"file"`
-			Line     int    `json:"line"`
-			Analyzer string `json:"analyzer"`
-			Reason   string `json:"reason"`
-		}
-		entries := make([]auditEntry, 0, len(sups))
-		for _, s := range sups {
-			entries = append(entries, auditEntry{File: s.file, Line: s.line, Analyzer: s.analyzer, Reason: s.reason})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(entries); err != nil {
-			fmt.Fprintln(stderr, "invcheck:", err)
-			return 2
-		}
-	} else {
-		for _, s := range sups {
-			fmt.Fprintf(stdout, "%s:%d: invcheck/%s: %s\n", s.file, s.line, s.analyzer, s.reason)
-		}
+	for _, s := range sups {
+		fmt.Fprintf(stdout, "%s:%d: invcheck/%s: %s\n", s.file, s.line, s.analyzer, s.reason)
 	}
 	fmt.Fprintf(stderr, "invcheck: %d suppressions\n", len(sups))
 	return 0
@@ -252,39 +192,6 @@ func normalizeRoot(root string) string {
 		root = "."
 	}
 	return root
-}
-
-// selectAnalyzers resolves -only against the registry: an empty spec
-// selects every registered analyzer, and an unknown name is a usage
-// error so CI misconfigurations fail loudly rather than gate nothing.
-func selectAnalyzers(only string) ([]*Analyzer, error) {
-	if only == "" {
-		return registry, nil
-	}
-	byName := make(map[string]*Analyzer, len(registry))
-	for _, a := range registry {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	seen := make(map[string]bool)
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", name, registryNames())
-		}
-		if !seen[name] {
-			out = append(out, a)
-			seen[name] = true
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-only selected no analyzers (have %s)", registryNames())
-	}
-	return out, nil
 }
 
 // registryNames returns the registered analyzer names, comma-joined,

@@ -21,8 +21,8 @@ func writeFixtureFile(t *testing.T, name, src string) string {
 }
 
 // TestRunExitCodes pins the process contract CI depends on: 0 on a
-// clean tree, 1 on violations, 2 on usage errors (bad flag, unknown
-// analyzer, missing root) — the same ladder as tools/doccheck.
+// clean tree, 1 on violations, 2 on usage errors (bad flag, missing
+// root).
 func TestRunExitCodes(t *testing.T) {
 	cases := []struct {
 		name string
@@ -32,10 +32,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"clean tree", []string{filepath.Join("testdata", "errwrap", "good")}, 0},
 		{"violations", []string{filepath.Join("testdata", "errwrap", "bad")}, 1},
 		{"unknown flag", []string{"-nope"}, 2},
-		{"unknown analyzer", []string{"-only=nosuchcheck", "."}, 2},
-		{"empty only selection", []string{"-only=,", "."}, 2},
 		{"missing root", []string{filepath.Join("testdata", "does-not-exist")}, 2},
-		{"list", []string{"-list"}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,47 +45,24 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
-// TestRunOnlySelectsExactly: -only=determinism,errwrap runs exactly
-// those analyzers — errwrap findings surface from its bad tree while
-// the goroutines bad tree stays silent, and the determinism bad tree
-// still fires.
-func TestRunOnlySelectsExactly(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{
-		"-only=determinism,errwrap",
-		filepath.Join("testdata", "determinism", "bad"),
-		filepath.Join("testdata", "errwrap", "bad"),
-		filepath.Join("testdata", "goroutines", "bad"),
-	}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("run = %d, want 1\nstderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	if !strings.Contains(out, "[determinism]") || !strings.Contains(out, "[errwrap]") {
-		t.Errorf("selected analyzers missing from output:\n%s", out)
-	}
-	if strings.Contains(out, "[goroutines]") {
-		t.Errorf("-only leaked an unselected analyzer:\n%s", out)
-	}
-}
+// TestRunGatesTheRootItself: a root of "." or "./..." is walked like
+// any other directory — the dot-directory exemption applies only below
+// a root, so the working directory's own package is gated.
+func TestRunGatesTheRootItself(t *testing.T) {
+	dir := writeFixtureFile(t, "lib.go", `// Package lib holds one undocumented exported function.
+package lib
 
-// TestSelectAnalyzers covers the resolver directly: default is the full
-// registry in order, duplicates collapse, whitespace is tolerated, and
-// unknown names error.
-func TestSelectAnalyzers(t *testing.T) {
-	all, err := selectAnalyzers("")
-	if err != nil || len(all) != len(registry) {
-		t.Fatalf("selectAnalyzers(\"\") = %d analyzers, err %v; want the full registry", len(all), err)
-	}
-	two, err := selectAnalyzers(" errwrap , goroutines , errwrap ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(two) != 2 || two[0].Name != "errwrap" || two[1].Name != "goroutines" {
-		t.Fatalf("selection = %v, want [errwrap goroutines]", two)
-	}
-	if _, err := selectAnalyzers("errwrap,nope"); err == nil {
-		t.Fatal("unknown analyzer did not error")
+func Undocumented() {}
+`)
+	t.Chdir(dir)
+	for _, root := range []string{".", "./..."} {
+		var stdout, stderr bytes.Buffer
+		if got := run([]string{root}, &stdout, &stderr); got != 1 {
+			t.Fatalf("run(%q) = %d, want 1\nstdout:\n%s\nstderr:\n%s", root, got, stdout.String(), stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "exported function Undocumented has no doc comment") {
+			t.Errorf("run(%q) missed the undocumented function:\n%s", root, stdout.String())
+		}
 	}
 }
 
@@ -147,12 +121,12 @@ func TestFindingsSorted(t *testing.T) {
 	}
 }
 
-// TestWalkerExemptions: testdata, examples, vendor, and dot-dirs are
-// skipped, as are _test.go files, so fixtures and example code never
-// gate the build.
+// TestWalkerExemptions: testdata, vendor, and dot-dirs are skipped, as
+// are _test.go files, so fixtures never gate the build — while
+// examples/ is gated like any other package.
 func TestWalkerExemptions(t *testing.T) {
 	dir := t.TempDir()
-	bad := `// Package worker holds a violation the walker must skip.
+	bad := `// Package worker holds a goroutine with no join.
 package worker
 
 func detach(work func()) {
@@ -175,7 +149,8 @@ func detach(work func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(findings) != 0 {
-		t.Fatalf("exempt trees reported %d findings:\n%s", len(findings), joinFindings(findings))
+	want := filepath.Join(dir, "examples", "bad.go")
+	if len(findings) != 1 || findings[0].File != want || findings[0].Analyzer != "goroutines" {
+		t.Fatalf("want one goroutines finding in %s, got %d:\n%s", want, len(findings), joinFindings(findings))
 	}
 }

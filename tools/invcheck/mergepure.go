@@ -25,7 +25,6 @@ import (
 //     allowlist of vetted cross-package pure functions.
 var analyzerMergePure = &Analyzer{
 	Name:     "mergepure",
-	Doc:      "Merge/*Into accumulators are pure: destination-only stores, no global state, vetted callees",
 	Packages: []string{"assoc", "hashtree", "fptree", "dist"},
 	RunPkg:   runMergePure,
 }

@@ -1,5 +1,5 @@
 // Package good is a fully documented fixture: every exported identifier
-// carries a doc comment, so doccheck must report nothing.
+// carries a doc comment, so the doccomment analyzer must report nothing.
 package good
 
 // Answer is a documented exported const.
@@ -10,6 +10,18 @@ const (
 	One = 1
 	Two = 2
 )
+
+// Grouped types share the block comment too.
+type (
+	T1 struct{}
+	T2 struct{}
+)
+
+// List is a documented generic type.
+type List[T any] struct{ items []T }
+
+// Push is a documented method on a generic receiver.
+func (l *List[T]) Push(v T) { l.items = append(l.items, v) }
 
 // Name is a documented exported var.
 var Name = "good"

@@ -33,7 +33,6 @@ import (
 // response path itself.
 var analyzerWALFailStop = &Analyzer{
 	Name:     "walfailstop",
-	Doc:      "wal/serve persist errors are captured, read, and checked before state advances",
 	Packages: []string{"wal", "serve"},
 	Run:      runWALFailStop,
 }
