@@ -272,7 +272,6 @@ func TestEntriesReturnsAll(t *testing.T) {
 // Property: hash-tree counting agrees with brute-force subset counting for
 // random candidate sets and transactions, across parameter settings.
 func TestCountMatchesBruteForceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	f := func(seed int64, fanoutRaw, leafRaw uint8) bool {
 		fanout := int(fanoutRaw%7) + 1
 		maxLeaf := int(leafRaw%5) + 1
@@ -326,7 +325,6 @@ func TestCountMatchesBruteForceProperty(t *testing.T) {
 		}
 		return true
 	}
-	_ = rng
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}

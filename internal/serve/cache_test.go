@@ -49,7 +49,7 @@ func TestCacheNeverServesStaleVersion(t *testing.T) {
 	ctx := context.Background()
 	q := RulesQuery{K: 8, By: BySupport}
 
-	stale, v1, err := srv.TopRules(q)
+	_, v1, err := srv.TopRules(q)
 	if err != nil {
 		t.Fatalf("TopRules: %v", err)
 	}
@@ -59,13 +59,10 @@ func TestCacheNeverServesStaleVersion(t *testing.T) {
 
 	// Shift the distribution hard: a burst of one correlated pair changes
 	// supports (and the top-by-support ranking).
-	model := opModel{rows: append([][]int(nil), rows...)}
 	for i := 0; i < 60; i++ {
-		op := Op{Kind: OpAppend, Items: []int{7, 8, 9}}
-		if err := srv.Enqueue(ctx, op); err != nil {
+		if err := srv.Enqueue(ctx, Op{Kind: OpAppend, Items: []int{7, 8, 9}}); err != nil {
 			t.Fatalf("Enqueue: %v", err)
 		}
-		model.apply(op)
 	}
 	view, err := srv.Flush(ctx)
 	if err != nil {
@@ -88,14 +85,10 @@ func TestCacheNeverServesStaleVersion(t *testing.T) {
 		t.Fatalf("stale-version lookup was a hit (hits %d→%d, misses %d→%d)",
 			hitsBefore, hits, missesBefore, misses)
 	}
-	// The recomputed answer must match the new view's from-scratch state.
-	_, wantRules := mineFromScratch(t, model.snapshotRows(), testMinSup, testFloor)
-	want := newView(0, 0, mining.MaintainStats{}, nil, wantRules, nil).topRules(RulesQuery{K: 8, By: BySupport, MinConfidence: 0})
-	if !reflect.DeepEqual(fresh, want) {
-		t.Fatal("post-publish query does not match the new version's from-scratch rules")
-	}
-	if reflect.DeepEqual(fresh, stale) {
-		t.Log("warning: distribution shift did not change the top rules; stale detection relies on counters only")
+	// The recomputed answer is the new view's own; TestOracle checks that
+	// against the reference.
+	if want := view.topRules(q); !reflect.DeepEqual(fresh, want) {
+		t.Fatal("post-publish query does not match the new view's answer")
 	}
 }
 

@@ -55,9 +55,9 @@ func TestCanonicalEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	wantCanon, _ := mineFromScratch(t, rows, testMinSup, testFloor)
+	wantCanon := refMine(rows, testMinSup, testFloor).canon
 	if !bytes.Equal(body, wantCanon) {
-		t.Fatalf("canonical endpoint served %d bytes, want %d matching a from-scratch mine",
+		t.Fatalf("canonical endpoint served %d bytes, want the reference's %d",
 			len(body), len(wantCanon))
 	}
 	if got := resp.Header.Get("X-Serve-Version"); got != "1" {

@@ -16,26 +16,19 @@ import (
 	"repro/mining"
 )
 
-// scanTopRules, rankRules and scanRecommend are the query implementations
-// the index replaced, moved here unchanged: a filter over every published
-// rule and a stable sort of the survivors. They are the reference the
-// differential tests compare the index walks against.
-func scanTopRules(v *View, q RulesQuery) []mining.Rule {
-	matched := make([]mining.Rule, 0, q.K)
-	for _, r := range v.rules {
-		if r.Confidence < q.MinConfidence {
-			continue
+// scanTopRules, rankRules and scanRecommend are the query reference: a
+// filter over a rule list and a stable sort of the survivors, with the
+// reference's own subset test, so they share no code with production. The
+// index walks and TestOracle's queries are checked against them.
+func scanTopRules(rules []mining.Rule, q RulesQuery) []mining.Rule {
+	var matched []mining.Rule
+	for _, r := range rules {
+		if r.Confidence >= q.MinConfidence && refSubset(q.Antecedent, r.Antecedent) {
+			matched = append(matched, r)
 		}
-		if len(q.Antecedent) > 0 && !containsAll(r.Antecedent, q.Antecedent) {
-			continue
-		}
-		matched = append(matched, r)
 	}
 	rankRules(matched, q.By)
-	if len(matched) > q.K {
-		matched = matched[:q.K]
-	}
-	return matched
+	return matched[:min(q.K, len(matched))]
 }
 
 // rankRules stably sorts rules by the chosen metric descending; the
@@ -52,16 +45,12 @@ func rankRules(rules []mining.Rule, by RankBy) {
 }
 
 // scanRecommend is the reference recommendation scan.
-func scanRecommend(v *View, basket []int, k int) []mining.Rule {
+func scanRecommend(rules []mining.Rule, basket []int, k int) []mining.Rule {
 	var matched []mining.Rule
-	for _, r := range v.rules {
-		if !containsAll(basket, r.Antecedent) {
-			continue
+	for _, r := range rules {
+		if refSubset(r.Antecedent, basket) && !refSubset(r.Consequent, basket) {
+			matched = append(matched, r)
 		}
-		if containsAll(basket, r.Consequent) {
-			continue // nothing new to recommend
-		}
-		matched = append(matched, r)
 	}
 	sort.SliceStable(matched, func(i, j int) bool {
 		if matched[i].Confidence != matched[j].Confidence {
@@ -69,10 +58,7 @@ func scanRecommend(v *View, basket []int, k int) []mining.Rule {
 		}
 		return matched[i].Lift > matched[j].Lift
 	})
-	if len(matched) > k {
-		matched = matched[:k]
-	}
-	return matched
+	return matched[:min(k, len(matched))]
 }
 
 // viewOf mines rows from scratch and wraps the floor rule set in a view,
@@ -140,13 +126,13 @@ func sameRules(a, b []mining.Rule) bool {
 // normalized rule query and recommendation.
 func checkAgainstScan(t *testing.T, v *View, q RulesQuery, basket []int, k int) {
 	t.Helper()
-	if got, want := v.topRules(q), scanTopRules(v, q); !sameRules(got, want) {
+	if got, want := v.topRules(q), scanTopRules(v.rules, q); !sameRules(got, want) {
 		t.Fatalf("topRules(%+v) over %d rules:\n got %v\nwant %v", q, len(v.rules), got, want)
 	}
 	if len(basket) == 0 {
 		return
 	}
-	if got, want := v.recommend(basket, k), scanRecommend(v, basket, k); !sameRules(got, want) {
+	if got, want := v.recommend(basket, k), scanRecommend(v.rules, basket, k); !sameRules(got, want) {
 		t.Fatalf("recommend(%v, %d) over %d rules:\n got %v\nwant %v", basket, k, len(v.rules), got, want)
 	}
 }
@@ -400,14 +386,14 @@ func TestRecommendOnOneSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recommendOn: %v", err)
 	}
-	if want := scanRecommend(old, []int{2}, 5); !sameRules(got, want) {
+	if want := scanRecommend(old.rules, []int{2}, 5); !sameRules(got, want) {
 		t.Fatalf("recommendOn(old view) answered from another view:\n got %v\nwant %v", got, want)
 	}
 	top, err := srv.topRulesOn(old, RulesQuery{K: 4, By: BySupport})
 	if err != nil {
 		t.Fatalf("topRulesOn: %v", err)
 	}
-	if want := scanTopRules(old, RulesQuery{K: 4, By: BySupport}); !sameRules(top, want) {
+	if want := scanTopRules(old.rules, RulesQuery{K: 4, By: BySupport}); !sameRules(top, want) {
 		t.Fatalf("topRulesOn(old view) answered from another view:\n got %v\nwant %v", top, want)
 	}
 }

@@ -20,7 +20,7 @@
 // before it returns. The result's canonical bytes are not encoded at
 // publish: the first reader that asks for them encodes them once under a
 // sync.Once, so a write path with no /v1/canonical reader never pays for
-// them. The contract, pinned by the concurrency property tests:
+// them. The contract, checked by the whole-stack oracle (TestOracle):
 //
 //   - every published View is internally consistent: its Result and rules
 //     are byte-identical to a from-scratch mine over the store's contents
@@ -53,8 +53,9 @@
 //
 // Results are also kept in a small LRU keyed on (view version, normalized
 // query), so a version bump can never serve a stale entry: the new
-// version misses by construction. With the index a miss costs about
-// three hits, so the cache no longer decides read latency.
+// version misses by construction. With the index a miss costs 1.01 µs
+// against a hit's 0.44 µs (bench serve_read, 2-core host), so the cache
+// no longer decides read latency.
 //
 // # Durability
 //

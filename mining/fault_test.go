@@ -108,12 +108,11 @@ func TestRetryAndFaultsRequireTransport(t *testing.T) {
 	}
 }
 
-// TestSessionUnderFaults pins the stateful path: a session over a faulty
-// transport attaches, absorbs the injected errors across maintains, and
-// every maintained result matches a from-scratch mine of the snapshot.
-// It also re-pins the Close-idempotence satellite on the session that
-// owns a fault-wrapped transport.
-func TestSessionUnderFaults(t *testing.T) {
+// TestSessionUnderFaultsClosesWithoutLeaks: a session over a faulty
+// transport attaches, absorbs the injected errors across maintains, closes
+// idempotently, fails further use with ErrClosed and leaks no goroutine.
+// internal/serve's TestOracle checks the maintained results.
+func TestSessionUnderFaultsClosesWithoutLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	db, _ := testData(t, 400, 37)
 	s, err := NewSession(db, MinSupport(0.01), ShardCap(128),
@@ -130,16 +129,8 @@ func TestSessionUnderFaults(t *testing.T) {
 		if err := s.Append(1, 2, 3+i%2); err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := s.Maintain(context.Background())
-		if err != nil {
+		if _, _, err := s.Maintain(context.Background()); err != nil {
 			t.Fatal(err)
-		}
-		want, err := Mine(context.Background(), s.Snapshot(), Algorithm("Apriori"), MinSupport(0.01))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(res.Canonical()) != string(want.Canonical()) {
-			t.Fatalf("maintain %d under faults differs from from-scratch mine", i)
 		}
 	}
 	if err := s.Close(); err != nil {
@@ -158,7 +149,7 @@ func TestSessionUnderFaults(t *testing.T) {
 // and a border-crossing full run report their counting passes, a maintain
 // that stays incremental reports none, and under a transport partitioned
 // before the first full run every event of both full runs carries
-// Degraded. Every result still matches a from-scratch mine.
+// Degraded. TestOracle in internal/serve checks the results themselves.
 func TestSessionProgress(t *testing.T) {
 	db, tdb := testData(t, 300, 41)
 	for _, partitioned := range []bool{false, true} {
@@ -176,7 +167,7 @@ func TestSessionProgress(t *testing.T) {
 			t.Helper()
 			label = fmt.Sprintf("partitioned=%v, %s", partitioned, label)
 			events = nil
-			res, stats, err := s.Maintain(context.Background())
+			_, stats, err := s.Maintain(context.Background())
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -193,13 +184,6 @@ func TestSessionProgress(t *testing.T) {
 				if p.Degraded != partitioned {
 					t.Errorf("%s: pass %+v, want Degraded %v", label, p, partitioned)
 				}
-			}
-			want, err := Mine(context.Background(), s.Snapshot(), Algorithm("Apriori"), MinSupport(0.02))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(res.Canonical()) != string(want.Canonical()) {
-				t.Fatalf("%s: maintained result differs from a from-scratch mine", label)
 			}
 		}
 		step("attach", true)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestMineStreamMatchesMine(t *testing.T) {
 			for _, ic := range level.Itemsets {
 				got = append(got, transactions.NewItemset(ic.Items...).Key()...)
 				got = append(got, ':')
-				got = append(got, []byte(itoa(ic.Count))...)
+				got = strconv.AppendInt(got, int64(ic.Count), 10)
 				got = append(got, '\n')
 			}
 		}
@@ -157,20 +158,6 @@ func TestMineStreamMatchesMine(t *testing.T) {
 			t.Errorf("%s: streamed levels differ from Mine result", algo)
 		}
 	}
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // TestMineStreamEarlyBreak pins that abandoning the stream cancels the
@@ -189,79 +176,34 @@ func TestMineStreamEarlyBreak(t *testing.T) {
 	waitForGoroutines(t, before)
 }
 
-// TestSessionMatchesFromScratch drives a session through appends,
-// deletes and maintains, checking every maintained result is
-// byte-identical to a one-shot Mine over the store's current contents.
-func TestSessionMatchesFromScratch(t *testing.T) {
-	db, tdb := testData(t, 300, 9)
-	const minSup = 0.02
-	s, err := NewSession(db, MinSupport(minSup), ShardCap(64), Workers(2))
+// TestSessionCloseDetachesAndFailsFurtherUse drives a session through
+// appends, deletes and a maintain that must report its work, then pins
+// Close: later calls fail with ErrClosed and the store stops journalling.
+// internal/serve's TestOracle checks the maintained results.
+func TestSessionCloseDetachesAndFailsFurtherUse(t *testing.T) {
+	db, _ := testData(t, 300, 9)
+	s, err := NewSession(db, MinSupport(0.02), ShardCap(64), Workers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	// Mirror of the store's live contents (as multisets; delete removes
-	// the transaction DeleteAt reports, so order differences don't matter).
-	mirror := make([][]int, 0, tdb.Len())
-	for _, tx := range tdb.Transactions {
-		mirror = append(mirror, tx)
-	}
-	check := func(step string) {
-		t.Helper()
-		res, err := s.Mine(context.Background())
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-		snap, err := NewDB(mirror)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Mine(context.Background(), snap, Algorithm("Apriori"), MinSupport(minSup))
-		if err != nil {
-			t.Fatalf("%s: %v", step, err)
-		}
-		if string(res.Canonical()) != string(want.Canonical()) {
-			t.Fatalf("%s: maintained result differs from a from-scratch run", step)
-		}
-	}
-
-	check("attach")
 	for i := 0; i < 30; i++ {
 		if err := s.Append(i%7, i%11, 40+i%3); err != nil {
 			t.Fatal(err)
 		}
-		mirror = append(mirror, []int{i % 7, i % 11, 40 + i%3})
 	}
-	check("after appends")
 	for i := 0; i < 20; i++ {
-		tx, err := s.DeleteAt(i * 3 % s.Len())
-		if err != nil {
+		if _, err := s.DeleteAt(i * 3 % s.Len()); err != nil {
 			t.Fatal(err)
 		}
-		for j, row := range mirror {
-			if transactions.NewItemset(row...).Equal(transactions.NewItemset(tx...)) {
-				mirror = append(mirror[:j], mirror[j+1:]...)
-				break
-			}
-		}
 	}
-	check("after deletes")
-
-	// Maintain surfaces the dirty-shard stats.
-	if err := s.Append(1, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	mirror = append(mirror, []int{1, 2, 3})
 	_, stats, err := s.Maintain(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !stats.FullRun && stats.DirtyShards == 0 {
-		t.Errorf("stats = %+v, want dirty shards or a full run after an append", stats)
+		t.Errorf("stats = %+v, want dirty shards or a full run after an update", stats)
 	}
-	check("after maintain")
-
 	if _, err := s.Rules(0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -330,26 +272,18 @@ func TestSessionAll(t *testing.T) {
 }
 
 // TestSessionWithDistributedBase pins the Transport composition: a
-// session whose full runs go through the distributed engine produces
-// byte-identical results and still maintains incrementally.
+// session whose full runs go through the distributed engine attaches and
+// still maintains. internal/serve's TestOracle checks such sessions'
+// results against its reference.
 func TestSessionWithDistributedBase(t *testing.T) {
 	db, _ := testData(t, 200, 13)
-	const minSup = 0.02
-	s, err := NewSession(db, MinSupport(minSup), ShardCap(64), Transport(LocalTransport(2)))
+	s, err := NewSession(db, MinSupport(0.02), ShardCap(64), Transport(LocalTransport(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	res, err := s.Mine(context.Background())
-	if err != nil {
+	if _, err := s.Mine(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	want, err := Mine(context.Background(), db, Algorithm("Apriori"), MinSupport(minSup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(res.Canonical()) != string(want.Canonical()) {
-		t.Fatal("distributed-base session differs from local mine")
 	}
 	if err := s.Append(1, 2); err != nil {
 		t.Fatal(err)
