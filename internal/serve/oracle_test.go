@@ -22,7 +22,7 @@ import (
 // oracleOps is the op vocabulary, each op listed as often as it is drawn.
 var oracleOps = strings.Fields(`append append append append append append append append append append
 	append-negative delete delete delete delete delete delete-out-of-range post post post-bad-line
-	flush flush flush flush flush-cancelled query query query drain restart crash fsync-fault`)
+	flush flush flush flush flush-cancelled query query query drain restart crash disk-fault compaction-fault`)
 
 // oracleScript is one seeded script: its sync policy, whether sessions count
 // on two in-process workers under worker faults, and whether Mine is checked.
@@ -145,13 +145,11 @@ func (r *oracleRun) step(name string) {
 		r.acked = len(r.sent) // a clean Close syncs every op it applied
 		r.open(nil, r.mem)
 	case "crash":
-		crashed, sent := r.mem.Crash(r.rng), len(r.sent)
-		r.retire()
-		if r.mem = crashed; r.open(nil, crashed) && len(r.sent) < sent {
-			r.cov["lossy crash"]++
-		}
-	case "fsync-fault":
-		r.fsyncFault()
+		r.crash("lossy crash", nil)
+	case "disk-fault":
+		r.diskFault()
+	case "compaction-fault":
+		r.compactionFault()
 	}
 }
 
@@ -304,14 +302,36 @@ func (r *oracleRun) retire() {
 	r.srv = nil
 }
 
-// fsyncFault restarts over a disk failing fsyncs at random, sends appends
-// and Flushes until the log fail-stops (then Enqueue must fail with
-// wal.ErrWALFailed while reads serve), and restarts over the plain disk.
-func (r *oracleRun) fsyncFault() {
+// crash cuts the power under the running server and reopens over what
+// survived, through wrap when it is set; a crash that loses sent ops
+// counts as event.
+func (r *oracleRun) crash(event string, wrap func(wal.FS) wal.FS) {
+	crashed, sent := r.mem.Crash(r.rng), len(r.sent)
+	if r.srv != nil {
+		r.retire()
+	}
+	var fs wal.FS = crashed
+	if wrap != nil {
+		fs = wrap(crashed)
+	}
+	if r.mem = crashed; r.open(nil, fs) && len(r.sent) < sent {
+		r.cov[event]++
+	}
+}
+
+// diskFault restarts over a disk whose writes, torn writes or fsyncs (one
+// wal.FaultPlan kind per op) fail at random, sends appends and Flushes
+// until the log fail-stops (then Enqueue must fail with wal.ErrWALFailed
+// while reads serve), and cuts the power: the failed bytes stay volatile.
+func (r *oracleRun) diskFault() {
 	r.retire()
 	r.acked = len(r.sent)
+	plan, kind := wal.FaultPlan{Seed: r.rng.Int63()}, r.rng.Intn(3)
+	*[]*float64{&plan.SyncErr, &plan.WriteErr, &plan.ShortWrite}[kind] = 0.2
+	r.cov[[]string{"SyncErr plan", "WriteErr plan", "ShortWrite plan"}[kind]]++
+	r.note("plan %+v", plan)
 	var failure error
-	faulty := r.open(nil, wal.NewFaultFS(r.mem, wal.FaultPlan{Seed: r.rng.Int63(), SyncErr: 0.2}))
+	faulty := r.open(nil, wal.NewFaultFS(r.mem, plan))
 	for i := 1; faulty && i <= 16 && failure == nil; i++ {
 		op := Op{Kind: OpAppend, Items: r.basket()}
 		r.note("enqueue %+v", op)
@@ -329,15 +349,75 @@ func (r *oracleRun) fsyncFault() {
 		}
 		if _, _, rerr := r.srv.TopRules(RulesQuery{K: 5}); !errors.Is(failure, wal.ErrWALFailed) ||
 			!errors.Is(err, wal.ErrWALFailed) || rerr != nil || r.srv.Stats().WALErrors == 0 {
-			r.fatalf("after an fsync fault (%v): Enqueue %v, reads %v, %d WAL errors", failure, err, rerr, r.srv.Stats().WALErrors)
+			r.fatalf("after a disk fault (%v): Enqueue %v, reads %v, %d WAL errors", failure, err, rerr, r.srv.Stats().WALErrors)
 		}
 	}
-	if faulty {
-		if r.retire(); failure == nil {
-			r.acked = len(r.sent)
-		}
+	r.crash("lossy crash after fault", nil)
+}
+
+// compactionFault cuts the power and reopens over a disk failing every
+// snapshot, so New's compaction of the replayed tail fails at its
+// segment's start and a periodic one fails every second op. It acks more
+// ops and cuts the power again: every op acked after a failed compaction
+// must be recovered.
+func (r *oracleRun) compactionFault() {
+	faulty := &snapFailFS{sync: r.rng.Intn(2) == 0}
+	every := r.cfg.SnapshotEvery
+	r.cfg.SnapshotEvery = 2
+	r.crash("lossy crash", func(fs wal.FS) wal.FS { faulty.FS = fs; return faulty })
+	r.cfg.SnapshotEvery = every
+	startup := faulty.fails.Load() // New compacts before it returns
+	for n := 2 + r.rng.Intn(6); n > 0; n-- {
+		r.enqueue(Op{Kind: OpAppend, Items: r.basket()})
 	}
-	r.open(nil, r.mem)
+	if _, err := r.flush(context.Background()); err != nil {
+		r.fatalf("Flush: %v", err)
+	}
+	if startup > 0 {
+		r.cov["failed startup compaction"]++
+	}
+	if faulty.fails.Load() > startup {
+		r.cov["failed periodic compaction"]++
+	}
+	r.enqueue(Op{Kind: OpAppend, Items: r.basket()})
+	r.crash("lossy crash", nil)
+}
+
+// snapFailFS fails the write (or, with sync set, the fsync) of every
+// snapshot the log stages and leaves its segments clean.
+type snapFailFS struct {
+	wal.FS
+	sync  bool
+	fails atomic.Int64
+}
+
+func (f *snapFailFS) Create(name string) (wal.File, error) {
+	file, err := f.FS.Create(name)
+	if err != nil || !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".tmp") {
+		return file, err
+	}
+	f.fails.Add(1)
+	return snapFailFile{file, f.sync}, nil
+}
+
+// snapFailFile is one snapshot staged on a snapFailFS.
+type snapFailFile struct {
+	wal.File
+	sync bool
+}
+
+func (f snapFailFile) Write(p []byte) (int, error) {
+	if f.sync {
+		return f.File.Write(p)
+	}
+	return 0, wal.ErrInjectedFault
+}
+
+func (f snapFailFile) Sync() error {
+	if f.sync {
+		return wal.ErrInjectedFault
+	}
+	return f.File.Sync()
 }
 
 // mineAll checks each engine's one-shot Mine, workers 1 and 4, after every op sent.
@@ -372,8 +452,10 @@ func TestOracle(t *testing.T) {
 			}
 		})
 	}
-	for _, want := range append(slices.Compact(slices.Clone(oracleOps)),
-		"lossy crash", "fail-stop", "incremental view", "full-run view", "degraded pass") {
+	for _, want := range append(slices.Compact(slices.Clone(oracleOps)), "lossy crash", "lossy crash after fault",
+		"fail-stop", "SyncErr plan", "WriteErr plan", "ShortWrite plan",
+		"failed startup compaction", "failed periodic compaction",
+		"incremental view", "full-run view", "degraded pass") {
 		if total[want] == 0 {
 			t.Errorf("no script saw a %s", want)
 		}

@@ -482,7 +482,8 @@ func New(db *mining.DB, cfg Config) (*Server, error) {
 			}
 		case rec.Truncated || rec.Ops > rec.SnapshotOps:
 			// Compact the replayed tail so the next recovery starts from
-			// here; failure just means a longer replay.
+			// here. A failed snapshot leaves the log appending to the
+			// segment recovery reads, so failure costs a longer replay.
 			s.compact()
 		}
 	}
@@ -836,9 +837,12 @@ func (s *Server) maybeSnapshot() {
 // after a replayed startup, on shutdown, and every SnapshotEvery ops. None
 // of them is what makes an op durable — an acked op is already synced in
 // the log — so a failed compaction must not stop ingestion the way a
-// failed append does.
+// failed append does. That holds because wal.Log.Snapshot removes the
+// segment it created before its commit point (or fail-stops the log), so
+// the ops acked after a failed compaction land where recovery reads them;
+// the oracle's compaction-fault op checks it across a power cut.
 func (s *Server) compact() {
-	//lint:ignore invcheck/walfailstop compaction is best-effort at every call site — acked ops are already synced in the log, writeSnapshot counts its failures in walErrors, and the previous snapshot plus the un-compacted tail stay authoritative for recovery
+	//lint:ignore invcheck/walfailstop compaction is best-effort at every call site — writeSnapshot counts its failures in walErrors, and a failed wal Snapshot removes its new segment or fail-stops the log, so the previous snapshot plus the tail, later acked ops included, stay authoritative for recovery
 	s.writeSnapshot()
 }
 

@@ -27,8 +27,9 @@ type FaultPlan struct {
 
 // FaultFS wraps an FS and injects the plan's faults into file writes and
 // syncs. Directory operations are passed through: the interesting
-// crash-safety surface is the data path, and the log's fail-stop
-// contract means one injected error poisons everything after it anyway.
+// crash-safety surface is the data path. An injected error need not end
+// a run: one in a segment fail-stops the log, but a failed snapshot
+// leaves it appending, so later faults meet a live log.
 type FaultFS struct {
 	inner FS
 	plan  FaultPlan

@@ -17,8 +17,10 @@
 //
 // # Fail-stop
 //
-// The log is fail-stop: the first write or sync error permanently
-// poisons it, and every later Append/Sync returns ErrWALFailed. Retrying
+// The log is fail-stop: the first write or sync error on its segments
+// permanently poisons it, and every later Append/Sync returns
+// ErrWALFailed. A failed snapshot does not: it removes what it created
+// and the log goes on appending where recovery reads. Retrying
 // a failed fsync silently drops data on most kernels (the dirty pages
 // were already discarded), so the only honest continuation is to stop
 // acknowledging and let the operator restart from the log.
@@ -118,30 +120,29 @@ func Open(fsys FS, opts Options) (*Log, *Recovery, error) {
 		return nil, nil, err
 	}
 	l := &Log{fs: fsys, policy: opts.Policy, seq: rec.Ops, segStart: rec.Ops, snapOps: rec.SnapshotOps}
-	if err := l.openSegment(); err != nil {
+	if l.f, err = l.createSegment(l.segStart); err != nil {
 		return nil, nil, err
 	}
 	return l, rec, nil
 }
 
-// openSegment creates the appending segment for ops l.segStart+1... and
-// makes its header durable.
-func (l *Log) openSegment() error {
-	f, err := l.fs.Create(segName(l.segStart))
+// createSegment creates the segment for ops start+1... and makes its
+// header durable.
+func (l *Log) createSegment(start uint64) (File, error) {
+	f, err := l.fs.Create(segName(start))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	hdr := appendSegmentHeader(nil, l.segStart)
+	hdr := appendSegmentHeader(nil, start)
 	if _, err := f.Write(hdr); err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return nil, err
 	}
-	l.f = f
-	return nil
+	return f, nil
 }
 
 // Seq returns the sequence number of the last appended op.
@@ -191,12 +192,17 @@ func (l *Log) Sync() error {
 
 // Snapshot persists txs as the fold of the first ops ops (which must be
 // the log's current position), rotates to a fresh segment, and garbage-
-// collects older segments and snapshots. The snapshot commit point is
-// the rename: a crash anywhere before it leaves the previous snapshot
-// authoritative, and the rotation order (new segment first, rename
-// second) keeps every op covered by snapshot+segments at all times.
-// A snapshot failure leaves the log usable — the caller keeps the longer
-// replay tail — except when the log itself is already fail-stop.
+// collects older segments and snapshots. The commit point is the rename:
+// a crash anywhere before it leaves the previous snapshot authoritative.
+// The fresh segment is created before the rename and removed again if the
+// snapshot fails first: left behind, it would make recovery cut every op
+// later appended to the current segment as an abandoned suffix. A
+// snapshot at the current segment's own start (right after Open) has
+// nothing to rotate. So a failed snapshot leaves the log appending where
+// recovery reads, and the caller keeps the longer replay tail. The log
+// fail-stops instead when the fresh segment cannot be removed or the
+// rename fails (its outcome is then unknown); a snapshot on a fail-stop
+// log returns its error.
 func (l *Log) Snapshot(txs []transactions.Itemset, ops uint64) error {
 	if l.failed != nil {
 		return l.failed
@@ -209,28 +215,49 @@ func (l *Log) Snapshot(txs []transactions.Itemset, ops uint64) error {
 	if err := l.Sync(); err != nil {
 		return err
 	}
-	next, err := l.fs.Create(segName(ops))
-	if err != nil {
+	next := l.f
+	if ops != l.segStart {
+		var err error
+		if next, err = l.createSegment(ops); err != nil {
+			return l.dropSegment(ops, err)
+		}
+	}
+	if err := l.writeSnapshot(txs, ops); err != nil {
+		if next != l.f {
+			next.Close()
+			return l.dropSegment(ops, err)
+		}
 		return err
 	}
-	hdr := appendSegmentHeader(nil, ops)
-	if _, err := next.Write(hdr); err != nil {
-		next.Close()
-		return err
+	if err := l.fs.Rename(snapName(ops)+".tmp", snapName(ops)); err != nil {
+		if next != l.f {
+			next.Close()
+		}
+		return l.fail(err)
 	}
-	if err := next.Sync(); err != nil {
-		next.Close()
-		return err
+	// Committed: swap the appending segment and drop what the snapshot
+	// superseded. GC errors are ignored — recovery skips stale files.
+	if next != l.f && l.f != nil {
+		l.f.Close()
 	}
+	l.f = next
+	l.segStart = ops
+	l.snapOps = ops
+	l.dirty = false
+	l.gc(ops)
+	return nil
+}
+
+// writeSnapshot writes and syncs the snapshot blob to its temp file,
+// removing the temp file on failure.
+func (l *Log) writeSnapshot(txs []transactions.Itemset, ops uint64) error {
 	blob, err := encodeSnapshot(txs, ops)
 	if err != nil {
-		next.Close()
 		return err
 	}
 	tmp := snapName(ops) + ".tmp"
 	sf, err := l.fs.Create(tmp)
 	if err != nil {
-		next.Close()
 		return err
 	}
 	_, werr := sf.Write(blob)
@@ -241,26 +268,19 @@ func (l *Log) Snapshot(txs []transactions.Itemset, ops uint64) error {
 		werr = cerr
 	}
 	if werr != nil {
-		next.Close()
 		l.fs.Remove(tmp)
-		return werr
 	}
-	if err := l.fs.Rename(tmp, snapName(ops)); err != nil {
-		next.Close()
-		l.fs.Remove(tmp)
-		return err
+	return werr
+}
+
+// dropSegment removes the segment a failed Snapshot created for the ops
+// after ops and returns err. If the segment stays, recovery would cut
+// every op later appended to the current segment, so the log fail-stops.
+func (l *Log) dropSegment(ops uint64, err error) error {
+	if rerr := l.fs.Remove(segName(ops)); rerr != nil {
+		return l.fail(errors.Join(err, rerr))
 	}
-	// Committed: swap the appending segment and drop what the snapshot
-	// superseded. GC errors are ignored — recovery skips stale files.
-	if l.f != nil {
-		l.f.Close()
-	}
-	l.f = next
-	l.segStart = ops
-	l.snapOps = ops
-	l.dirty = false
-	l.gc(ops)
-	return nil
+	return err
 }
 
 // gc removes segments and snapshots fully covered by the snapshot at

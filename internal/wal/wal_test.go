@@ -420,7 +420,7 @@ func TestFailStop(t *testing.T) {
 	// Sync poisons the log, everything after returns ErrWALFailed.
 	ffs := NewFaultFS(mem, FaultPlan{Seed: 1, SyncErr: 1})
 	l := &Log{fs: ffs, policy: SyncAlways}
-	// Build the segment by hand: openSegment would already fail its sync.
+	// Build the segment by hand: Open would already fail its sync.
 	f, err := mem.Create(segName(0))
 	if err != nil {
 		t.Fatal(err)
@@ -515,11 +515,28 @@ func appendRecordRaw(payload []byte) []byte {
 }
 
 // snapFaultFS fails writes or syncs only on .tmp files (the snapshot
-// staging path), letting the log's own segments run clean.
+// staging path), letting the log's own segments run clean, and with
+// failRemove or failRename fails segment removals or renames.
 type snapFaultFS struct {
 	FS
-	failWrite bool
-	failSync  bool
+	failWrite  bool
+	failSync   bool
+	failRemove bool
+	failRename bool
+}
+
+func (s *snapFaultFS) Remove(name string) error {
+	if s.failRemove && strings.HasPrefix(name, "wal-") {
+		return errors.New("injected: segment remove failed")
+	}
+	return s.FS.Remove(name)
+}
+
+func (s *snapFaultFS) Rename(oldname, newname string) error {
+	if s.failRename {
+		return errors.New("injected: rename failed")
+	}
+	return s.FS.Rename(oldname, newname)
 }
 
 func (s *snapFaultFS) Create(name string) (File, error) {
@@ -552,20 +569,31 @@ func (f *snapFaultFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestSnapshotWriteFailureNotSwallowed is the regression test for a
-// shadowed-err bug in Snapshot: the error from writing or fsyncing the
-// snapshot blob was assigned to an if-scoped variable and checked on
-// the outer one, so a torn snapshot was renamed into place and gc then
-// deleted the segments it supposedly superseded. A failed blob write or
-// sync must fail the call and leave the previous snapshot authoritative.
+// TestSnapshotWriteFailureNotSwallowed is the regression test for two
+// Snapshot bugs. A shadowed err once let a torn snapshot be renamed into
+// place, and gc then deleted the segments it supposedly superseded. And
+// a failed Snapshot once left its new segment on disk (recovery then cut
+// every later op from the old one as an abandoned suffix) or, at the
+// segment's own start, left the log appending to a file it had just
+// replaced. A failed blob write or sync must fail the call, leave the
+// previous snapshot authoritative, and leave the log appending where
+// recovery reads: op 4, synced after the failure, must survive a crash.
+// If the new segment cannot be removed, or the rename fails and leaves
+// the commit unknown, the log must fail-stop instead.
 func TestSnapshotWriteFailureNotSwallowed(t *testing.T) {
 	modes := []struct {
-		name      string
-		failWrite bool
-		failSync  bool
+		name                                        string
+		failWrite, failSync, failRemove, failRename bool
+		// reopen snapshots at the segment's own start, as serve.New
+		// compacts a replayed tail.
+		reopen bool
 	}{
-		{"write", true, false},
-		{"sync", false, true},
+		{name: "write", failWrite: true},
+		{name: "sync", failSync: true},
+		{name: "write at segment start", failWrite: true, reopen: true},
+		{name: "sync at segment start", failSync: true, reopen: true},
+		{name: "sync, new segment not removable", failSync: true, failRemove: true},
+		{name: "rename", failRename: true},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -586,22 +614,41 @@ func TestSnapshotWriteFailureNotSwallowed(t *testing.T) {
 			if _, err := l.Append(opFixture(3)); err != nil {
 				t.Fatal(err)
 			}
-			sfs.failWrite, sfs.failSync = mode.failWrite, mode.failSync
+			if mode.reopen {
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if l, _, err = Open(sfs, Options{Policy: SyncAlways}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sfs.failWrite, sfs.failSync, sfs.failRemove, sfs.failRename = mode.failWrite, mode.failSync, mode.failRemove, mode.failRename
 			if err := l.Snapshot(rowsAt(3), 3); err == nil {
-				t.Fatal("Snapshot with a failed blob write/sync returned nil")
+				t.Fatal("Snapshot with a failed blob write/sync or rename returned nil")
 			}
 			if _, err := mem.ReadFile(snapName(3)); err == nil {
 				t.Fatal("torn snapshot was renamed into place")
 			}
-			_, rec, err := Open(mem, Options{Policy: SyncAlways})
+			want := uint64(4)
+			if _, err := l.Append(opFixture(4)); mode.failRemove || mode.failRename {
+				if !errors.Is(err, ErrWALFailed) {
+					t.Fatalf("Append after an unremoved segment or a failed rename: %v, want ErrWALFailed", err)
+				}
+				want = 3
+			} else if err != nil {
+				t.Fatal(err)
+			} else if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			_, rec, err := Open(mem.Crash(rand.New(rand.NewSource(1))), Options{Policy: SyncAlways})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rec.SnapshotOps != 2 {
 				t.Fatalf("recovered snapshot covers %d ops, want the previous snapshot's 2", rec.SnapshotOps)
 			}
-			if rec.Ops != 3 {
-				t.Fatalf("recovered %d ops, want 3", rec.Ops)
+			if rec.Ops != want {
+				t.Fatalf("recovered %d ops, want %d: op 4 was synced unless the log fail-stopped", rec.Ops, want)
 			}
 		})
 	}

@@ -101,16 +101,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 			},
 		},
 		{
-			analyzer: "mergepure",
-			wants: []string{
-				"Merge stores to parameter src",
-				"StampInto touches package-level mutable state mergeEpoch",
-				"currentEpoch touches package-level mutable state mergeEpoch",
-				"TraceInto calls fmt.Println, which is not on the pure-helper allowlist",
-				"HookInto calls through a function value (hook)",
-			},
-		},
-		{
 			analyzer: "walfailstop",
 			wants: []string{
 				"error from Sync discarded",

@@ -33,8 +33,8 @@ func (f Finding) String() string {
 // Analyzer is one registered invariant check. Exactly one of Run and
 // RunPkg is set: Run is invoked once per type-checked non-test file
 // whose package name matches Packages (nil means every package), RunPkg
-// once per type-checked package unit — for checks like merge purity
-// that chase helpers across the files of a package.
+// once per type-checked package unit — for checks like doc coverage
+// that look across the files of a package.
 type Analyzer struct {
 	Name     string
 	Packages []string
@@ -65,7 +65,6 @@ type Unit struct {
 	Pkg   string // package clause name (analyzer scoping key)
 	Files []*SrcFile
 	Info  *types.Info
-	Types *types.Package
 }
 
 // SrcFile is one parsed, type-checked source file handed to analyzers.
@@ -168,7 +167,6 @@ var registry = []*Analyzer{
 	analyzerGoroutines,
 	analyzerAtomicPublish,
 	analyzerAllocBound,
-	analyzerMergePure,
 	analyzerWALFailStop,
 	analyzerDocComment,
 }
@@ -437,12 +435,9 @@ func (ld *loader) loadDir(dir string) ([]*Unit, error) {
 			asts[i] = f.File
 		}
 		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-			Scopes:     make(map[ast.Node]*types.Scope),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
 		}
 		var terrs []error
 		conf := types.Config{
@@ -450,14 +445,14 @@ func (ld *loader) loadDir(dir string) ([]*Unit, error) {
 			FakeImportC: true,
 			Error:       func(err error) { terrs = append(terrs, err) },
 		}
-		tpkg, _ := conf.Check(unitImportPath(im.ref, dir, pkg), ld.fset, asts, info)
+		conf.Check(unitImportPath(im.ref, dir, pkg), ld.fset, asts, info) // errors arrive through conf.Error
 		if len(terrs) > 0 {
 			for _, te := range terrs {
 				ferr.diags = append(ferr.diags, frameworkDiag(te))
 			}
 			return nil, &ferr
 		}
-		unit := &Unit{Dir: dir, Pkg: pkg, Files: files, Info: info, Types: tpkg}
+		unit := &Unit{Dir: dir, Pkg: pkg, Files: files, Info: info}
 		for _, f := range files {
 			f.Unit = unit
 		}

@@ -1,10 +1,10 @@
 // Command invcheck is the CI lint gate: a multi-analyzer static checker
 // that mechanically enforces the repo's determinism, context,
 // error-discipline, goroutine-join, snapshot-publish, hot-path
-// allocation, merge-purity, WAL fail-stop and documentation contracts —
-// the invariants that keep results byte-identical across workers,
-// shardings, transports, and WAL replays, and that property tests can
-// only catch probabilistically.
+// allocation, WAL fail-stop and documentation contracts — the
+// invariants that keep results byte-identical across workers, shardings,
+// transports, and WAL replays, and that property tests can only catch
+// probabilistically.
 //
 // The checker is type-aware: every package is type-checked once
 // (go/types with the stdlib source importer; module-local imports
@@ -31,7 +31,7 @@
 //	text    file:line: [analyzer] message, sorted (default)
 //	github  GitHub Actions ::error annotations for inline CI review
 //
-// Every run applies all nine analyzers:
+// Every run applies all eight analyzers:
 //
 //	determinism   — no wall-clock reads or unseeded math/rand in the
 //	                byte-identity engine packages (assoc, reference,
@@ -55,10 +55,6 @@
 //	                provable allocation sites: composite literals,
 //	                growing appends, string concatenation, interface
 //	                boxing at call sites, capturing closures.
-//	mergepure     — Merge/*Into methods on count-buffer types perform
-//	                only commutative accumulation: no package-level
-//	                mutable state, no calls outside the purity
-//	                allowlist, no stores to non-destination parameters.
 //	walfailstop   — in internal/wal and internal/serve, errors from
 //	                write/sync-shaped calls are checked on every path
 //	                before any further persist/apply/ack step and are
