@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/mining"
+	"repro/internal/oracle"
 )
 
 // buildDmserve compiles the real binary into a temp dir; crash testing a
@@ -66,8 +65,8 @@ func startProcess(t *testing.T, bin string, args []string) (string, *exec.Cmd) {
 // with -data and -fsync=always, ingest acknowledged ops one at a time,
 // SIGKILL the process mid-stream with no shutdown, restart it over the
 // same directory, and require (a) every acknowledged op survived and
-// (b) the served canonical rule bytes equal a from-scratch mine over the
-// recovered op prefix.
+// (b) the served canonical bytes equal the oracle's (internal/oracle)
+// over the recovered op prefix.
 func TestCrashRecoveryKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a real binary")
@@ -131,16 +130,8 @@ func TestCrashRecoveryKill9(t *testing.T) {
 	}
 
 	rows := append(db.Rows(), appended[:stats.RecoveredOps]...)
-	oracle, err := mining.NewDB(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := mining.Mine(context.Background(), oracle, mining.MinSupport(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fetchCanonical(t, base); !bytes.Equal(got, res.Canonical()) {
-		t.Fatalf("post-crash canonical bytes diverge from a from-scratch mine over %d recovered ops",
+	if got := fetchCanonical(t, base); !bytes.Equal(got, oracle.Canonical(oracle.Frequent(rows, 0.05))) {
+		t.Fatalf("post-crash canonical bytes diverge from the oracle over %d recovered ops",
 			stats.RecoveredOps)
 	}
 

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/synth"
 	"repro/internal/transactions"
 )
@@ -292,18 +293,10 @@ func TestAttachTracksTheCandidateSets(t *testing.T) {
 }
 
 // requireBruteForceTracked recounts the level-wise candidate sets of db at
-// minCount by containment checks and fails unless inc tracks exactly them.
+// minCount with the oracle and fails unless inc tracks exactly them.
 func requireBruteForceTracked(t *testing.T, name string, inc *Incremental, db *transactions.DB, numItems, minCount int) {
 	t.Helper()
-	support := func(s transactions.Itemset) int {
-		n := 0
-		for _, tx := range db.Transactions {
-			if tx.ContainsAll(s) {
-				n++
-			}
-		}
-		return n
-	}
+	support := func(s transactions.Itemset) int { return oracle.Support(db.Transactions, s) }
 	items := make([]int32, numItems)
 	var l1 []int
 	for item := range items {

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/synth"
 	"repro/internal/transactions"
 )
@@ -32,24 +33,8 @@ func kernelDB(seed int64, items int) *transactions.DB {
 	return db
 }
 
-// pairsByBruteForce is thresholdTriangle's reference: every pair of l1's
-// items, in lexicographic order, whose support counted straight off the
-// database reaches minCount.
-func pairsByBruteForce(db *transactions.DB, l1 []ItemsetCount, minCount int) []ItemsetCount {
-	var out []ItemsetCount
-	for a := range l1 {
-		for b := a + 1; b < len(l1); b++ {
-			pair := transactions.Itemset{l1[a].Items[0], l1[b].Items[0]}
-			if c := db.Support(pair); c >= minCount {
-				out = append(out, ItemsetCount{Items: pair, Count: c})
-			}
-		}
-	}
-	return out
-}
-
 // TestThresholdTriangleMatchesBruteForce checks the row-wise triangle
-// scan against brute-force pair counting in both of its callers' shapes:
+// scan against the oracle's frequent pairs in both of its callers' shapes:
 // countL2's, where the ranked items are exactly L1, and the maintainer's,
 // where the ranks were frozen at a lower support before the database
 // changed, so ranked items ⊇ L1 and some ranked items are no longer
@@ -67,6 +52,9 @@ func TestThresholdTriangleMatchesBruteForce(t *testing.T) {
 			transactions.CountPairs(tx, rank, transactions.TriBases(len(ranked)), pairs, nil)
 		}
 		l1 := thresholdItems(countItems(after, items), minCount)
+		// minCount/n·n is within an ulp of minCount, so the oracle's
+		// rounding gives minCount back.
+		freq := oracle.Frequent(after.Transactions, float64(minCount)/float64(len(after.Transactions)))
 		var stillFrequent, subset []ItemsetCount
 		for _, ic := range l1 {
 			if rank[ic.Items[0]] >= 0 {
@@ -98,8 +86,13 @@ func TestThresholdTriangleMatchesBruteForce(t *testing.T) {
 			{"subset", subset, rank, len(ranked), pairs},
 		}
 		for _, sh := range shapes {
-			got := thresholdTriangle(sh.l1, sh.rank, sh.n, sh.counts, minCount)
-			if want := pairsByBruteForce(after, sh.l1, minCount); !reflect.DeepEqual(got, want) {
+			var want []ItemsetCount
+			for _, s := range freq.Sets {
+				if len(s.Items) == 2 && inL1(sh.l1, s.Items[0]) && inL1(sh.l1, s.Items[1]) {
+					want = append(want, ItemsetCount{Items: s.Items, Count: s.Count})
+				}
+			}
+			if got := thresholdTriangle(sh.l1, sh.rank, sh.n, sh.counts, minCount); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d, %s shape (%d of %d ranks live, minCount %d):\n got %v\nwant %v",
 					seed, sh.name, len(sh.l1), sh.n, minCount, got, want)
 			}
@@ -116,66 +109,15 @@ func countItems(db *transactions.DB, items int) []int32 {
 	return counts
 }
 
-// rulesByEnumeration is GenerateRules' reference: every split of every
-// frequent itemset of two or more items into a non-empty antecedent and
-// consequent, measured with the same float expressions, kept at or above
-// minConf and sorted by the published order. Supports come from a map
-// over res, not from Result.Support.
-func rulesByEnumeration(res *Result, minConf float64) []Rule {
-	sup := map[string]int{}
-	for _, ic := range res.All() {
-		sup[ic.Items.Key()] = ic.Count
-	}
-	var rules []Rule
-	for _, ic := range res.All() {
-		n := len(ic.Items)
-		if n < 2 {
-			continue
-		}
-		for mask := 1; mask < 1<<n-1; mask++ {
-			var ante, cons transactions.Itemset
-			for b, item := range ic.Items {
-				if mask&(1<<b) != 0 {
-					cons = append(cons, item)
-				} else {
-					ante = append(ante, item)
-				}
-			}
-			anteSup := sup[ante.Key()]
-			if anteSup == 0 {
-				continue
-			}
-			conf := float64(ic.Count) / float64(anteSup)
-			if conf < minConf {
-				continue
-			}
-			lift := 0.0
-			if consSup := sup[cons.Key()]; consSup > 0 {
-				lift = conf / (float64(consSup) / float64(res.NumTx))
-			}
-			rules = append(rules, Rule{Antecedent: ante, Consequent: cons, Support: ic.Count, Confidence: conf, Lift: lift})
-		}
-	}
-	sort.Slice(rules, func(i, j int) bool {
-		a, b := rules[i], rules[j]
-		if a.Confidence != b.Confidence {
-			return a.Confidence > b.Confidence
-		}
-		if a.Support != b.Support {
-			return a.Support > b.Support
-		}
-		if c := a.Antecedent.Compare(b.Antecedent); c != 0 {
-			return c < 0
-		}
-		return a.Consequent.Compare(b.Consequent) < 0
-	})
-	return rules
+// inL1 reports whether item is one of l1's 1-itemsets.
+func inL1(l1 []ItemsetCount, item int) bool {
+	return slices.ContainsFunc(l1, func(ic ItemsetCount) bool { return ic.Items[0] == item })
 }
 
 // TestGenerateRulesMatchesEnumeration checks GenerateRules against the
-// enumeration of every antecedent/consequent split on random databases:
-// the same rules, bit-identical measures, the same String() and the same
-// order.
+// oracle's enumeration of every antecedent/consequent split on random
+// databases: the same rules, bit-identical measures, the same String() and
+// the same order.
 func TestGenerateRulesMatchesEnumeration(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		db := kernelDB(seed, 8+int(seed)%12)
@@ -184,12 +126,13 @@ func TestGenerateRulesMatchesEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			freq := oracle.Frequent(db.Transactions, minSup)
 			for _, minConf := range []float64{0.1, 0.5, 0.9, 1} {
 				got, err := GenerateRules(res, minConf)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := rulesByEnumeration(res, minConf)
+				want := oracleRules(freq, minConf)
 				label := fmt.Sprintf("seed %d, minsup %v, minconf %v", seed, minSup, minConf)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d rules, enumeration finds %d", label, len(got), len(want))

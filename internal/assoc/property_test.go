@@ -1,72 +1,53 @@
 package assoc
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/oracle"
 	"repro/internal/transactions"
 )
 
-// bruteForceFrequent enumerates every itemset over a small universe and
-// counts supports directly — the oracle for the miners.
-func bruteForceFrequent(db *transactions.DB, minCount, universe int) map[string]int {
-	out := make(map[string]int)
-	var rec func(start int, current transactions.Itemset)
-	rec = func(start int, current transactions.Itemset) {
-		for item := start; item < universe; item++ {
-			next := append(current, item)
-			sup := db.Support(next)
-			if sup >= minCount {
-				out[next.Key()] = sup
-				rec(item+1, next)
-			}
-			// Anti-monotonicity: no superset of an infrequent set can be
-			// frequent, so not recursing is exact, not a heuristic.
-		}
+// oracleRules is the oracle's rule list in this package's Rule type.
+func oracleRules(res oracle.Result, minConf float64) []Rule {
+	var rules []Rule
+	for _, r := range oracle.Rules(res, minConf) {
+		rules = append(rules, Rule{Antecedent: r.Antecedent, Consequent: r.Consequent,
+			Support: r.Support, Confidence: r.Confidence, Lift: r.Lift})
 	}
-	rec(0, nil)
-	return out
+	return rules
 }
 
 // TestMinersMatchBruteForceProperty drives every miner against the oracle
-// on random small databases.
+// on random small databases whose rows run to 10 of 12 items, so that
+// kernels see rows longer than any fixed prefix.
 func TestMinersMatchBruteForceProperty(t *testing.T) {
-	const universe = 8
 	f := func(seed int64, minRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		db := transactions.NewDB()
-		nTx := 4 + rng.Intn(20)
-		for i := 0; i < nTx; i++ {
-			n := 1 + rng.Intn(5)
-			items := make([]int, n)
+		for i, nTx := 0, 4+rng.Intn(20); i < nTx; i++ {
+			items := make([]int, 1+rng.Intn(10))
 			for j := range items {
-				items[j] = rng.Intn(universe)
+				items[j] = rng.Intn(12)
 			}
 			if err := db.Add(items...); err != nil {
 				return false
 			}
 		}
 		minSup := 0.1 + float64(minRaw%60)/100.0 // 10%..69%
-		minCount := db.AbsoluteSupport(minSup)
-		want := bruteForceFrequent(db, minCount, universe)
+		want := oracle.Frequent(db.Transactions, minSup)
 		for _, m := range allMiners() {
 			res, err := m.Mine(db, minSup)
 			if err != nil {
 				t.Logf("%s: %v", m.Name(), err)
 				return false
 			}
-			got := resultMap(res)
-			if len(got) != len(want) {
-				t.Logf("%s: %d itemsets, oracle %d (seed %d minSup %v)",
-					m.Name(), len(got), len(want), seed, minSup)
+			if !bytes.Equal(res.Canonical(), oracle.Canonical(want)) {
+				t.Logf("%s: %d itemsets, oracle %d (seed %d minSup %v)", m.Name(), res.NumFrequent(), len(want.Sets), seed, minSup)
 				return false
-			}
-			for k, v := range want {
-				if got[k] != v {
-					t.Logf("%s: support(%s)=%d, oracle %d", m.Name(), k, got[k], v)
-					return false
-				}
 			}
 		}
 		return true
@@ -76,15 +57,14 @@ func TestMinersMatchBruteForceProperty(t *testing.T) {
 	}
 }
 
-// TestRuleCompletenessProperty checks ap-genrules against brute-force rule
-// enumeration on random databases.
+// TestRuleCompletenessProperty checks ap-genrules against the oracle's
+// rules on random databases: the same rules, measures and order.
 func TestRuleCompletenessProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		db := transactions.NewDB()
 		for i := 0; i < 12; i++ {
-			n := 1 + rng.Intn(4)
-			items := make([]int, n)
+			items := make([]int, 1+rng.Intn(4))
 			for j := range items {
 				items[j] = rng.Intn(6)
 			}
@@ -96,46 +76,12 @@ func TestRuleCompletenessProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		const minConf = 0.6
-		rules, err := GenerateRules(res, minConf)
-		if err != nil {
+		rules, err := GenerateRules(res, 0.6)
+		if want := oracleRules(oracle.Frequent(db.Transactions, 0.25), 0.6); err != nil || !reflect.DeepEqual(rules, want) {
+			t.Logf("seed %d: %d rules (err %v), oracle %d", seed, len(rules), err, len(want))
 			return false
 		}
-		got := make(map[string]bool, len(rules))
-		for _, r := range rules {
-			got[r.Antecedent.Key()+">"+r.Consequent.Key()] = true
-		}
-		// Oracle: every split of every frequent itemset.
-		count := 0
-		for _, ic := range res.All() {
-			n := len(ic.Items)
-			if n < 2 {
-				continue
-			}
-			for mask := 1; mask < (1<<n)-1; mask++ {
-				var ante, cons transactions.Itemset
-				for b := 0; b < n; b++ {
-					if mask&(1<<b) != 0 {
-						ante = append(ante, ic.Items[b])
-					} else {
-						cons = append(cons, ic.Items[b])
-					}
-				}
-				conf := float64(ic.Count) / float64(db.Support(ante))
-				key := ante.Key() + ">" + cons.Key()
-				if conf >= minConf {
-					count++
-					if !got[key] {
-						t.Logf("missing rule %s (seed %d)", key, seed)
-						return false
-					}
-				} else if got[key] {
-					t.Logf("spurious rule %s (seed %d)", key, seed)
-					return false
-				}
-			}
-		}
-		return len(rules) == count
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/synth"
 	"repro/internal/transactions"
 )
@@ -91,7 +92,7 @@ func TestGenerateRulesSortedByConfidence(t *testing.T) {
 
 func TestGenerateRulesConfidenceCorrect(t *testing.T) {
 	// Every emitted rule's confidence must equal sup(union)/sup(antecedent)
-	// computed from scratch.
+	// counted from scratch by the oracle.
 	db, err := synth.Baskets(synth.TxI(6, 2, 200, 61))
 	if err != nil {
 		t.Fatal(err)
@@ -106,11 +107,11 @@ func TestGenerateRulesConfidenceCorrect(t *testing.T) {
 	}
 	for _, r := range rules {
 		union := r.Antecedent.Union(r.Consequent)
-		wantSup := db.Support(union)
+		wantSup := oracle.Support(db.Transactions, union)
 		if r.Support != wantSup {
 			t.Errorf("rule %s support = %d, want %d", r, r.Support, wantSup)
 		}
-		anteSup := db.Support(r.Antecedent)
+		anteSup := oracle.Support(db.Transactions, r.Antecedent)
 		wantConf := float64(wantSup) / float64(anteSup)
 		if math.Abs(r.Confidence-wantConf) > 1e-12 {
 			t.Errorf("rule %s confidence = %v, want %v", r, r.Confidence, wantConf)
@@ -121,51 +122,16 @@ func TestGenerateRulesConfidenceCorrect(t *testing.T) {
 	}
 }
 
+// TestGenerateRulesComplete cross-checks the paper example's rules at
+// confidence 0.5 against the oracle's enumeration of every split of
+// every frequent itemset.
 func TestGenerateRulesComplete(t *testing.T) {
-	// Cross-check against brute-force enumeration of all antecedent
-	// partitions of every frequent itemset.
-	res := minedPaper(t)
-	rules, err := GenerateRules(res, 0.5)
+	rules, err := GenerateRules(minedPaper(t), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[string]bool)
-	for _, r := range rules {
-		got[r.Antecedent.Key()+"=>"+r.Consequent.Key()] = true
-	}
-	count := 0
-	for _, ic := range res.All() {
-		if len(ic.Items) < 2 {
-			continue
-		}
-		n := len(ic.Items)
-		for mask := 1; mask < (1<<n)-1; mask++ {
-			var ante, cons transactions.Itemset
-			for b := 0; b < n; b++ {
-				if mask&(1<<b) != 0 {
-					ante = append(ante, ic.Items[b])
-				} else {
-					cons = append(cons, ic.Items[b])
-				}
-			}
-			anteSup, ok := res.Support(ante)
-			if !ok {
-				t.Fatalf("antecedent %v not frequent", ante)
-			}
-			conf := float64(ic.Count) / float64(anteSup)
-			key := ante.Key() + "=>" + cons.Key()
-			if conf >= 0.5 {
-				count++
-				if !got[key] {
-					t.Errorf("missing rule %v => %v (conf %v)", ante, cons, conf)
-				}
-			} else if got[key] {
-				t.Errorf("rule %v => %v should not pass (conf %v)", ante, cons, conf)
-			}
-		}
-	}
-	if len(rules) != count {
-		t.Errorf("rule count = %d, brute force = %d", len(rules), count)
+	if want := oracleRules(oracle.Frequent(paperDB(t).Transactions, 0.5), 0.5); !reflect.DeepEqual(rules, want) {
+		t.Errorf("rules:\n got %v\nwant %v", rules, want)
 	}
 }
 

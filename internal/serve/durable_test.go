@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/wal"
 )
 
@@ -61,8 +62,8 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	if !found || recOps != uint64(len(sent)) {
 		t.Fatalf("recovered %d ops (found=%v), want %d", recOps, found, len(sent))
 	}
-	want := refMine(refFold(rows, sent), testMinSup, testFloor)
-	if got := restarted.View().Canonical(); !bytes.Equal(got, want.canon) {
+	want := oracle.Canonical(oracle.Frequent(refFold(rows, sent), testMinSup))
+	if got := restarted.View().Canonical(); !bytes.Equal(got, want) {
 		t.Fatalf("recovered canonical bytes diverge from the reference")
 	}
 	if restarted.View().Ops() != uint64(len(sent)) {
@@ -198,8 +199,8 @@ func TestDurableFailStop(t *testing.T) {
 	}
 	// Sync-only faults leave every write in the file, so recovery may
 	// include unacked ops; check against the count actually recovered.
-	want := refMine(refFold(rows, sent[:recOps]), testMinSup, testFloor)
-	if got := restarted.View().Canonical(); !bytes.Equal(got, want.canon) {
+	want := oracle.Canonical(oracle.Frequent(refFold(rows, sent[:recOps]), testMinSup))
+	if got := restarted.View().Canonical(); !bytes.Equal(got, want) {
 		t.Fatalf("recovered canonical bytes diverge")
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/oracle"
 )
 
 func TestReadyzAndHealthz(t *testing.T) {
@@ -55,7 +57,7 @@ func TestCanonicalEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	wantCanon := refMine(rows, testMinSup, testFloor).canon
+	wantCanon := oracle.Canonical(oracle.Frequent(rows, testMinSup))
 	if !bytes.Equal(body, wantCanon) {
 		t.Fatalf("canonical endpoint served %d bytes, want the reference's %d",
 			len(body), len(wantCanon))

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/oracle"
 	"repro/internal/wal"
 	"repro/mining"
 )
@@ -42,20 +43,20 @@ type oracleRun struct {
 	srv        *Server
 	stopReader func() []*View
 	initial    [][]int
-	sent       []Op                 // every op the server may have sequenced, in order
-	acked      int                  // the prefix of sent known durable
-	lastFlush  uint64               // version of the last view Flush returned
-	memo       map[uint64]refAnswer // the reference by op count, cleared at each open
+	sent       []Op               // every op the server may have sequenced, in order
+	acked      int                // the prefix of sent known durable
+	lastFlush  uint64             // version of the last view Flush returned
+	memo       map[uint64]refView // the reference by op count, cleared at each open
 	trail      []string
 	cov        map[string]int
-	degraded   atomic.Bool
+	degraded   atomic.Bool // a pass of the open session ran on local scans
 }
 
 // runOracle runs one script against a real Server on a MemFS and checks
 // every view Flush returns or a concurrent reader sees.
 func runOracle(t *testing.T, sc oracleScript) map[string]int {
 	r := &oracleRun{t: t, sc: sc, rng: rand.New(rand.NewSource(sc.seed)), mem: wal.NewMemFS(),
-		memo: map[uint64]refAnswer{}, cov: map[string]int{}}
+		memo: map[uint64]refView{}, cov: map[string]int{}}
 	for n := (70 + r.rng.Intn(70)) * min(1, r.rng.Intn(4)); n > 0; n-- { // a quarter of the scripts start empty
 		r.initial = append(r.initial, r.basket())
 	}
@@ -207,20 +208,32 @@ func (r *oracleRun) flush(ctx context.Context) (*View, error) {
 	return v, nil
 }
 
+// refView is the oracle's answer at one op count: the frequent itemsets
+// and their rules at the serving floor.
+type refView struct {
+	oracle.Result
+	rules []mining.Rule
+}
+
 // ref is the reference's answer after the first ops sent ops.
-func (r *oracleRun) ref(ops uint64) refAnswer {
+func (r *oracleRun) ref(ops uint64) refView {
 	if ops > uint64(len(r.sent)) {
 		r.fatalf("a view at op %d, past the %d ops sent", ops, len(r.sent))
 	}
 	if _, ok := r.memo[ops]; !ok {
-		r.memo[ops] = refMine(refFold(r.initial, r.sent[:ops]), testMinSup, testFloor)
+		ref := refView{Result: oracle.Frequent(refFold(r.initial, r.sent[:ops]), testMinSup)}
+		for _, rule := range oracle.Rules(ref.Result, testFloor) {
+			ref.rules = append(ref.rules, mining.Rule{Antecedent: rule.Antecedent, Consequent: rule.Consequent,
+				Support: rule.Support, Confidence: rule.Confidence, Lift: rule.Lift})
+		}
+		r.memo[ops] = ref
 	}
 	return r.memo[ops]
 }
 
 // check compares v with the reference after ops sent ops; it counts v's maintain.
 func (r *oracleRun) check(v *View, ops uint64, where string) {
-	if want := r.ref(ops); !bytes.Equal(v.Canonical(), want.canon) || !sameRules(v.Rules(), want.rules) || v.NumTx() != want.numTx {
+	if want := r.ref(ops); !bytes.Equal(v.Canonical(), oracle.Canonical(want.Result)) || !sameRules(v.Rules(), want.rules) || v.NumTx() != want.NumTx {
 		r.fatalf("%s: view %d (op %d, %d tx) is not the reference at op %d", where, v.Version(), v.Ops(), v.NumTx(), ops)
 	}
 	if st := v.MaintainStats(); st.FullRun {
@@ -240,10 +253,10 @@ func (r *oracleRun) query() {
 	gotTop, topV, err1 := r.srv.TopRules(RulesQuery{K: k, Antecedent: items})
 	gotRec, recV, err2 := r.srv.Recommend(items, k)
 	sup, err3 := r.srv.ItemsetSupport(items...)
-	count, frequent := want.freq[refSet(items)]
+	count, frequent := oracle.Count(want.Result, slices.Compact(slices.Sorted(slices.Values(items))))
 	if err := errors.Join(err1, err2, err3); err != nil || topV != v.Version() || recV != v.Version() ||
 		sup.Version != v.Version() || !sameRules(gotTop, top) || !sameRules(gotRec, rec) ||
-		sup.Count != count || sup.Frequent != frequent || sup.NumTx != want.numTx {
+		sup.Count != count || sup.Frequent != frequent || sup.NumTx != want.NumTx {
 		r.fatalf("view %d, items %v, k %d: TopRules %v, Recommend %v, ItemsetSupport %+v (err %v); the reference says %v, %v, count %d",
 			v.Version(), items, k, gotTop, gotRec, sup, err, top, rec, count)
 	}
@@ -253,6 +266,9 @@ func (r *oracleRun) query() {
 // acked ≤ recovered ≤ sent and its view, and starts a reader goroutine.
 // It reports false when New failed on an injected fault.
 func (r *oracleRun) open(db *mining.DB, fs wal.FS) bool {
+	if r.degraded.Swap(false) {
+		r.cov["degraded pass"]++
+	}
 	cfg := r.cfg
 	cfg.FS = fs
 	srv, err := New(db, cfg)
@@ -307,6 +323,9 @@ func (r *oracleRun) retire() {
 // counts as event.
 func (r *oracleRun) crash(event string, wrap func(wal.FS) wal.FS) {
 	crashed, sent := r.mem.Crash(r.rng), len(r.sent)
+	if r.degraded.Load() {
+		r.cov["crash after degraded pass"]++
+	}
 	if r.srv != nil {
 		r.retire()
 	}
@@ -430,7 +449,7 @@ func (r *oracleRun) mineAll() {
 	for _, name := range mining.Algorithms() {
 		for _, workers := range []int{1, 4} {
 			res, err := mining.Mine(context.Background(), db, mining.Algorithm(name), mining.MinSupport(testMinSup), mining.Workers(workers))
-			if err != nil || !bytes.Equal(res.Canonical(), want.canon) {
+			if err != nil || !bytes.Equal(res.Canonical(), oracle.Canonical(want.Result)) {
 				r.fatalf("Mine(%s, workers %d) over %d rows is not the reference (err %v)", name, workers, len(rows), err)
 			}
 		}
@@ -455,7 +474,7 @@ func TestOracle(t *testing.T) {
 	for _, want := range append(slices.Compact(slices.Clone(oracleOps)), "lossy crash", "lossy crash after fault",
 		"fail-stop", "SyncErr plan", "WriteErr plan", "ShortWrite plan",
 		"failed startup compaction", "failed periodic compaction",
-		"incremental view", "full-run view", "degraded pass") {
+		"incremental view", "full-run view", "degraded pass", "crash after degraded pass") {
 		if total[want] == 0 {
 			t.Errorf("no script saw a %s", want)
 		}

@@ -1,25 +1,22 @@
 package serve
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"maps"
-	"math/bits"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/oracle"
 	"repro/internal/synth"
 	"repro/mining"
 )
@@ -86,8 +83,8 @@ func newTestServer(t *testing.T, rows [][]int, cfg Config) *Server {
 	return srv
 }
 
-// refFold and refMine, the reference serve tests check views against,
-// share no code with production. refFold replays ops: a negative-item
+// refFold replays ops for the oracle (internal/oracle) serve tests check
+// views against; neither shares code with production. A negative-item
 // append or an out-of-range delete changes nothing but keeps its place.
 func refFold(rows [][]int, ops []Op) [][]int {
 	out := slices.Clone(rows)
@@ -101,68 +98,7 @@ func refFold(rows [][]int, ops []Op) [][]int {
 	return out
 }
 
-// refAnswer holds the frequent itemsets (item bitmasks) with their counts,
-// their canonical bytes and the rules at the confidence floor.
-type refAnswer struct {
-	numTx int
-	freq  map[uint64]int
-	canon []byte
-	rules []mining.Rule
-}
-
-// refMine counts every nonempty subset of every row, keeps those in at
-// least max(1, int(minSup·n + 0.999999999)) rows, encodes them items:count
-// by length and item order, and tries every proper nonempty consequent.
-func refMine(rows [][]int, minSup, floor float64) refAnswer {
-	n, counts := len(rows), map[uint64]int{}
-	ans := refAnswer{numTx: n, freq: map[uint64]int{}, rules: []mining.Rule{}}
-	for _, row := range rows {
-		set := refSet(row)
-		for sub := set; sub != 0; sub = (sub - 1) & set {
-			counts[sub]++
-		}
-	}
-	for set, c := range counts {
-		if c >= max(1, int(minSup*float64(n)+0.999999999)) {
-			ans.freq[set] = c
-		}
-	}
-	sets := slices.SortedFunc(maps.Keys(ans.freq), func(a, b uint64) int {
-		return cmp.Or(bits.OnesCount64(a)-bits.OnesCount64(b), slices.Compare(refItems(a), refItems(b)))
-	})
-	for _, set := range sets {
-		items := fmt.Sprint(refItems(set))
-		ans.canon = fmt.Appendf(ans.canon, "%s:%d\n", strings.ReplaceAll(items[1:len(items)-1], " ", ","), ans.freq[set])
-		for cons := (set - 1) & set; cons != 0; cons = (cons - 1) & set {
-			if conf := float64(ans.freq[set]) / float64(ans.freq[set&^cons]); conf >= floor {
-				ans.rules = append(ans.rules, mining.Rule{Antecedent: refItems(set &^ cons), Consequent: refItems(cons),
-					Support: ans.freq[set], Confidence: conf, Lift: conf / (float64(ans.freq[cons]) / float64(n))})
-			}
-		}
-	}
-	slices.SortFunc(ans.rules, func(a, b mining.Rule) int {
-		return cmp.Or(cmp.Compare(b.Confidence, a.Confidence), b.Support-a.Support,
-			slices.Compare(a.Antecedent, b.Antecedent), slices.Compare(a.Consequent, b.Consequent))
-	})
-	return ans
-}
-
-// refSet is the bitmask of items, which must lie in [0, 64); refItems
-// lists a bitmask's items ascending; refSubset reports small ⊆ big.
-func refSet(items []int) (set uint64) {
-	for _, it := range items {
-		set |= 1 << it
-	}
-	return set
-}
-
-func refItems(set uint64) (items []int) {
-	for ; set != 0; set &= set - 1 {
-		items = append(items, bits.TrailingZeros64(set))
-	}
-	return items
-}
-
+// refSubset reports small ⊆ big.
 func refSubset(small, big []int) bool {
 	return !slices.ContainsFunc(small, func(it int) bool { return !slices.Contains(big, it) })
 }
@@ -541,7 +477,7 @@ func TestConcurrentSupportReaders(t *testing.T) {
 	if n := len(srv.View().Rules()); n != 0 {
 		t.Fatalf("singleton store published %d rules", n)
 	}
-	wantCanon := refMine(rows, testMinSup, testFloor).canon
+	wantCanon := oracle.Canonical(oracle.Frequent(rows, testMinSup))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -14,8 +14,9 @@ import (
 // packages whose outputs are compared byte-for-byte. The serving tier,
 // the sequence miners and the reference engines are in scope too:
 // serve's views replay against from-scratch mines, seqmine is next onto
-// the substrate, and the reference engines' results and pass tables are
-// pinned byte for byte to Apriori's.
+// the substrate, the reference engines' results and pass tables are
+// pinned byte for byte to Apriori's, and the oracle's answers must replay
+// as exactly as the packages they check.
 //
 // The typed pass resolves callees through go/types (renamed imports and
 // wrapper aliases cannot hide a wall-clock read) and recognizes ranges
@@ -24,7 +25,7 @@ import (
 var analyzerDeterminism = &Analyzer{
 	Name: "determinism",
 	Packages: []string{
-		"assoc", "reference", "fptree", "hashtree", "transactions", "dist", "wal", "serve", "seqmine",
+		"assoc", "reference", "fptree", "hashtree", "transactions", "dist", "wal", "serve", "seqmine", "oracle",
 	},
 	Run: runDeterminism,
 }
