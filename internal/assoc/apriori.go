@@ -66,13 +66,8 @@ func levelwise(ctx context.Context, src scanSource, minCount int, res *Result, e
 	if err != nil {
 		return err
 	}
-	return levelsFrom2(ctx, l1, l2, aprioriGen(itemsetsOf(l2)), minCount, res, emit, src.countCandidates)
+	return levelsFrom2(ctx, l1, l2, aprioriGen(itemsetsOf(l2)), minCount, res, emit, src)
 }
-
-// countFunc counts the k-itemsets cands over the database, supports indexed
-// like cands: a scan source's countCandidates, or the incremental
-// maintainer's lookup in its totals.
-type countFunc func(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error)
 
 // countL2 is the paper's pass-2 special case: C2 is the full join of L1
 // (in item order, as thresholdItems emits it from a numItems-long pass-1
@@ -96,20 +91,20 @@ func countL2(ctx context.Context, src scanSource, l1 []ItemsetCount, numItems, m
 // counted: it records L1, emits pass 2 (n(n-1)/2 candidates over n
 // frequent items) with L2, and runs levelsFrom3 from L2 and its candidates
 // c3.
-func levelsFrom2(ctx context.Context, l1, l2 []ItemsetCount, c3 []transactions.Itemset, minCount int, res *Result, emit PassHook, count countFunc) error {
+func levelsFrom2(ctx context.Context, l1, l2 []ItemsetCount, c3 []transactions.Itemset, minCount int, res *Result, emit PassHook, src scanSource) error {
 	res.Levels = append(res.Levels, l1)
 	n := len(l1)
 	emit(PassStat{K: 2, Candidates: n * (n - 1) / 2, Frequent: len(l2)}, l2)
-	return levelsFrom3(ctx, l2, c3, minCount, res, emit, count)
+	return levelsFrom3(ctx, l2, c3, minCount, res, emit, src)
 }
 
 // levelsFrom3 is pass k >= 3 of every level-wise engine, written once:
 // from L2 and its candidates C3 = aprioriGen(L2) on, it appends each
-// non-empty level to res, counts the level's candidates with count,
-// thresholds, sorts, emits and generates the next candidates, until a
-// level or its candidate set comes out empty. A count error ends the loop
-// and is returned as is.
-func levelsFrom3(ctx context.Context, level []ItemsetCount, cands []transactions.Itemset, minCount int, res *Result, emit PassHook, count countFunc) error {
+// non-empty level to res, counts the level's candidates with src's
+// hash-tree scan, thresholds, sorts, emits and generates the next
+// candidates, until a level or its candidate set comes out empty. A count
+// error ends the loop and is returned as is.
+func levelsFrom3(ctx context.Context, level []ItemsetCount, cands []transactions.Itemset, minCount int, res *Result, emit PassHook, src scanSource) error {
 	for k := 3; len(level) > 0; k++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -118,7 +113,7 @@ func levelsFrom3(ctx context.Context, level []ItemsetCount, cands []transactions
 		if len(cands) == 0 {
 			break
 		}
-		counts, err := count(ctx, k, cands)
+		counts, err := src.countCandidates(ctx, k, cands)
 		if err != nil {
 			return err
 		}

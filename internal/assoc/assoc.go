@@ -28,11 +28,10 @@
 // once (levelwise in apriori.go, growth in fpgrowth.go) against scanSource,
 // a four-method seam naming the database scans a mine needs: pass-1 item
 // counts, the triangular pass-2 pair array, the pass-k hash-tree count and
-// the FP-tree build. Pass k >= 3 is one loop (levelsFrom3) over a count
-// function — levelwise's scan source or the incremental maintainer's
-// lookup in its totals — so the maintained answer equals
-// re-evaluation by construction; every hash tree comes from
-// hashtree.Build. Where the scans run is the only thing that differs
+// the FP-tree build. Pass k >= 3 is one loop (levelsFrom3) over the scan
+// source, and every hash tree comes from hashtree.Build; the incremental
+// maintainer's full runs are this same loop, whose pass counts become its
+// tracked totals. Where the scans run is the only thing that differs
 // between engines: Apriori and FPGrowth run them on this process's
 // goroutines (localScans, parallel.go), Distributed sends them to a
 // dist.Coordinator (remoteScans, distributed.go), and a distributed mine

@@ -139,7 +139,7 @@ func adaptive(ctx context.Context, src scanSource, numTx, minCount, workers int,
 			return "", err
 		}
 		if c3, ok := aprioriGenUpTo(itemsetsOf(l2), autoMaxC3); ok {
-			return "Apriori", levelsFrom2(ctx, l1, l2, c3, minCount, res, emit, src.countCandidates)
+			return "Apriori", levelsFrom2(ctx, l1, l2, c3, minCount, res, emit, src)
 		}
 		// An item in no frequent pair extends no frequent itemset, so the
 		// FP-trees leave it out; its singleton is already in L1.

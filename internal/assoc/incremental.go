@@ -11,23 +11,36 @@ package assoc
 // near-threshold itemsets are already covered. From then on it keeps one
 // exact running total per tracked count: the flat pass-1 item array, the
 // triangular pass-2 pair array over the full run's L1 ranks, and one totals
-// array per hash tree of tracked k-itemsets, k >= 3. The store
-// (transactions.ShardedDB) journals every mutation once the maintainer has
-// attached, and after an update the maintainer:
+// array per level of tracked k-itemsets, k >= 3, in lexicographic order.
+// It also records, as bitsets, which tracked pairs and itemsets were
+// frequent at the tracking support: the seeds, the L_k that full run
+// generated each C_{k+1} from. The store (transactions.ShardedDB) journals
+// every mutation once the maintainer has attached, and after an update the
+// maintainer:
 //
 //  1. drains the journal and counts only those transactions against the
-//     tracked structures — an appended transaction adds to the totals, a
-//     deleted one subtracts — so the work follows the size of the update,
-//     not the size of the store or of its shards; the hash trees count
-//     with the local scans' own pass-k scan;
+//     tracked sets — an appended transaction adds to the totals, a deleted
+//     one subtracts — so the work follows the size of the update, not the
+//     size of the store or of its shards. Items and pairs splice straight
+//     into their flat arrays; the tracked k-itemsets are counted
+//     vertically and serially, each block of at most deltaBlock rows laid
+//     out once as tid-bitsets of the ranked items (transactions.FillTids:
+//     every item of a tracked k-itemset has an L1 rank), a tracked
+//     itemset's delta being the popcount of its items' ANDed words
+//     (transactions.CountTids);
 //  2. re-thresholds the totals level by level: passes 1 and 2 off the flat
-//     arrays, and from pass 3 on the level-wise miners' own loop
-//     (levelsFrom3), whose count step is a merge-join of each sorted
-//     candidate set against the sorted tracked itemsets;
+//     arrays, and from pass 3 on by filtering each tracked level. While the
+//     border holds, aprioriGen(L_{k-1}) lies inside the tracked C_k, so L_k
+//     is the tracked k-itemsets whose totals reach the support, and the
+//     pass's candidate count is the tracked k-itemsets whose (k-1)-subsets
+//     are all in L_{k-1} — the same pass statistics a scratch run reports;
 //  3. falls back to a full re-mine when the border is crossed (some
 //     candidate the new frequent set needs was never tracked, so its count
 //     is unknown), when the store's mutation counter says the journal
-//     missed a mutation, or when the delta has outgrown the live store.
+//     missed a mutation, or when the delta has outgrown the live store. An
+//     untracked candidate must contain a member of L_{k-1} that was no
+//     seed — were all its subsets seeds, the full run generated it — so
+//     the check looks only at those members' one-item supersets.
 //
 // A full run is one level-wise mine of the store at the tracking support,
 // over local scans or, with Remote, the cluster's: the driver's own pass
@@ -41,8 +54,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
-	"repro/internal/hashtree"
 	"repro/internal/transactions"
 )
 
@@ -58,14 +71,23 @@ type MaintainStats struct {
 	Reason      string // why the full run happened; "" when incremental
 }
 
+// deltaBlock is the most journalled rows one vertical layout of the delta
+// holds: 64 words per ranked item, so a block's tid-bitsets span at most
+// 512 bytes per item of the last rebuild's L1, however long the delta is.
+const deltaBlock = 4096
+
 // trackedLevel is the tracked k-itemsets of one length k >= 3 (the full
 // run's C_k: frequent at the tracking support, plus the border) in
-// lexicographic order, the hash tree that counts them and their exact
-// supports. Tree entry ids and totals are both indexed by position in sets.
+// lexicographic order, their exact supports, the seeds among them (the
+// ones frequent at the tracking support at the last rebuild), and where
+// each one's (k-1)-subsets sit in the tracked set, k slots per itemset:
+// triangle slots for k = 3, positions in level k-1 beyond. totals and
+// seeds are indexed by position in sets.
 type trackedLevel struct {
 	sets   []transactions.Itemset
-	tree   *hashtree.Tree
 	totals []int32
+	seeds  *transactions.Bitset
+	subs   []int32
 }
 
 // borderCrossed is threshold's one error: a candidate the new frequent set
@@ -87,9 +109,9 @@ type Incremental struct {
 	// only dirty ones re-ship, and a lost cluster degrades to local scans.
 	// nil scans locally with Workers.
 	Remote *Distributed
-	// Workers bounds how many goroutines share the counting of one delta
-	// (or of the whole store on a local full run); <= 1 counts serially.
-	// Results are identical either way.
+	// Workers bounds how many goroutines share the scans of a local full
+	// run; <= 1 scans serially. A delta is always counted serially, on the
+	// calling goroutine. Results are identical either way.
 	Workers int
 	// TrackSlack lowers the support at which the tracked candidate set is
 	// frozen: full runs count at minSupport*TrackSlack, so itemsets near the
@@ -108,9 +130,16 @@ type Incremental struct {
 	// totals the deltas are spliced into.
 	rank       []int          // item id -> L1 rank at rebuild, -1 if not frequent then
 	l1Items    []int          // rank -> item id
+	triBase    []int          // transactions.TriBases of the L1 ranks
 	levels     []trackedLevel // tracked k-itemsets at index k-3
 	itemTotals []int32
 	triTotals  []int32
+	pairSeeds  *transactions.Bitset // triangle slots frequent at the tracking support at rebuild
+
+	// Scratch reused by every delta count: the block's tid-bitsets and the
+	// tracked itemsets' signed deltas, flat across levels.
+	tids  []uint64
+	delta []int32
 
 	// The delta the totals do not cover yet: drained from the store's
 	// journal, and kept across a cancelled Maintain for the next one.
@@ -254,36 +283,49 @@ func (inc *Incremental) settle() {
 }
 
 // count is the delta's counting routine. It counts added and deleted into
-// every tracked hash tree with the local scans' pass-k scan (countTree) and
-// then — only once ctx is known not to be cancelled — splices totals +=
-// added − deleted. The item and pair
-// totals need no buffers: they take the signed adds directly during the
-// splice, which is serial and never polls ctx. On cancellation it returns
-// ctx.Err() with every total untouched.
+// every tracked level vertically — per side, one block of at most
+// deltaBlock rows at a time, laid out once as tid-bitsets and read by
+// every level — into the delta scratch, and then, only once ctx is known
+// not to be cancelled, splices totals += added − deleted. ctx is polled
+// once per side, block and level, and once more before the splice. The
+// item and pair totals need no buffers: they take the signed adds directly
+// during the splice, which is serial and never polls ctx. On cancellation
+// it returns ctx.Err() with every total untouched.
 func (inc *Incremental) count(ctx context.Context, added, deleted []transactions.Itemset) error {
-	delta := make([][2][]int32, len(inc.levels)) // level -> added, deleted counts by entry id
+	n := 0
+	for _, lv := range inc.levels {
+		n += len(lv.sets)
+	}
+	inc.delta = slices.Grow(inc.delta[:0], n)[:n]
+	clear(inc.delta)
 	for side, txs := range [2][]transactions.Itemset{added, deleted} {
-		if len(txs) == 0 {
-			continue
-		}
-		scans := localScans{db: &transactions.DB{Transactions: txs}, workers: inc.Workers}
-		for i, lv := range inc.levels {
-			var err error
-			if delta[i][side], err = scans.countTree(ctx, lv.tree); err != nil {
-				return err
+		sign := int32(1 - 2*side)
+		for lo := 0; lo < len(txs); lo += deltaBlock {
+			block := txs[lo:min(lo+deltaBlock, len(txs))]
+			words := (len(block) + 63) / 64
+			size := len(inc.l1Items) * words
+			inc.tids = slices.Grow(inc.tids[:0], size)[:size]
+			clear(inc.tids)
+			transactions.FillTids(block, inc.rank, words, inc.tids)
+			off := 0
+			for _, lv := range inc.levels {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				transactions.CountTids(lv.sets, inc.rank, words, inc.tids, sign, inc.delta[off:off+len(lv.sets)])
+				off += len(lv.sets)
 			}
 		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for i, lv := range inc.levels {
-		for id, c := range delta[i][0] {
+	off := 0
+	for _, lv := range inc.levels {
+		for id, c := range inc.delta[off : off+len(lv.sets)] {
 			lv.totals[id] += c
 		}
-		for id, c := range delta[i][1] {
-			lv.totals[id] -= c
-		}
+		off += len(lv.sets)
 	}
 	// NumItems is monotone, so existing slots keep their counts.
 	for len(inc.itemTotals) < inc.store.NumItems() {
@@ -298,7 +340,6 @@ func (inc *Incremental) count(ctx context.Context, added, deleted []transactions
 // the pass-1 and triangular totals. It stays apart from
 // transactions.CountItems/CountPairs because those only count up.
 func (inc *Incremental) spliceFlat(txs []transactions.Itemset, sign int32) {
-	base := transactions.TriBases(len(inc.l1Items))
 	ranks := make([]int, 0, 64)
 	for _, tx := range txs {
 		ranks = ranks[:0]
@@ -309,7 +350,7 @@ func (inc *Incremental) spliceFlat(txs []transactions.Itemset, sign int32) {
 			}
 		}
 		for a, i := range ranks {
-			row := base[i]
+			row := inc.triBase[i]
 			for _, j := range ranks[a+1:] {
 				inc.triTotals[row+j] += sign
 			}
@@ -346,43 +387,164 @@ func (inc *Incremental) threshold() (*Result, error) {
 			return nil, borderCrossed(fmt.Sprintf("item %d newly frequent: its pairs were never counted", item))
 		}
 	}
-	l2 := thresholdTriangle(l1, inc.rank, len(inc.l1Items), inc.triTotals, minCount)
-	emit(PassStat{K: 2, Candidates: len(l1) * (len(l1) - 1) / 2, Frequent: len(l2)}, l2)
+	level := thresholdTriangle(l1, inc.rank, len(inc.l1Items), inc.triTotals, minCount)
+	emit(PassStat{K: 2, Candidates: len(l1) * (len(l1) - 1) / 2, Frequent: len(level)}, level)
+	var risen []transactions.Itemset // the level's members that were no seed
+	for _, ic := range level {
+		if at, _ := inc.pair(ic.Items[0], ic.Items[1]); !inc.pairSeeds.Has(at) {
+			risen = append(risen, ic.Items)
+		}
+	}
 
-	// Levels 3+: the miners' own loop, counting by lookup in the tracked
-	// totals. It runs under a context nothing can cancel, because the
-	// totals it reads are already spliced: giving up here would throw away
-	// an update the maintainer has already absorbed.
-	if err := levelsFrom3(context.Background(), l2, aprioriGen(itemsetsOf(l2)), minCount, res, emit, inc.lookup); err != nil {
-		return nil, err
+	// Levels 3+: with the border checked, L_k is the tracked C_k filtered
+	// at minCount, in the tracked sets' lexicographic order.
+	for k := 3; len(level) > 0; k++ {
+		res.Levels = append(res.Levels, level)
+		if err := inc.crossed(k, risen, l1, minCount); err != nil {
+			return nil, err
+		}
+		if k-3 >= len(inc.levels) {
+			break // nothing tracked, and crossed found no candidate
+		}
+		cands := inc.candidates(k, minCount)
+		if cands == 0 {
+			break
+		}
+		lv := inc.levels[k-3]
+		level, risen = nil, risen[:0]
+		for id, set := range lv.sets {
+			if c := int(lv.totals[id]); c >= minCount {
+				level = append(level, ItemsetCount{Items: set, Count: c})
+				if !lv.seeds.Has(id) {
+					risen = append(risen, set)
+				}
+			}
+		}
+		emit(PassStat{K: k, Candidates: cands, Frequent: len(level)}, level)
 	}
 	return res, nil
 }
 
-// lookup is threshold's countFunc: the supports of cands, sorted like the
-// tracked level they are merge-joined against, read off the maintained
-// totals. A candidate outside the tracked set has an unknown count — the
-// border was crossed — and fails the lookup with a borderCrossed.
-func (inc *Incremental) lookup(_ context.Context, k int, cands []transactions.Itemset) ([]int32, error) {
-	if k-3 >= len(inc.levels) {
-		return nil, borderCrossed(fmt.Sprintf("no tracked candidates of length %d", k))
-	}
-	lv := inc.levels[k-3]
-	counts := make([]int32, len(cands))
-	j := 0
-	for i, cand := range cands {
-		c := -1
-		for ; j < len(lv.sets); j++ {
-			if c = lv.sets[j].Compare(cand); c >= 0 {
-				break
+// crossed reports whether the border is crossed at level k: whether
+// aprioriGen(L_{k-1}) holds a candidate the tracked set lacks. The last
+// rebuild tracked exactly the k-itemsets whose (k-1)-subsets were all
+// seeds, so the untracked candidates are exactly those with a subset in
+// risen, the members of L_{k-1} that were no seed: the supersets Y ∪ {i}
+// of a risen Y, i an item of l1, whose (k-1)-subsets all reach minCount.
+// The error names the smallest, the one a merge-join of aprioriGen's
+// sorted output against the tracked level would stop at.
+func (inc *Incremental) crossed(k int, risen []transactions.Itemset, l1 []ItemsetCount, minCount int) error {
+	var missing transactions.Itemset
+	cand := make(transactions.Itemset, k)
+	sub := make(transactions.Itemset, k-1)
+	for _, y := range risen {
+		for _, ic := range l1 {
+			i := ic.Items[0]
+			pos, found := slices.BinarySearch(y, i)
+			if found {
+				continue
+			}
+			copy(cand, y[:pos])
+			cand[pos] = i
+			copy(cand[pos+1:], y[pos:])
+			if inc.subsetsFrequent(cand, sub, minCount) && (missing == nil || cand.Compare(missing) < 0) {
+				missing = slices.Clone(cand)
 			}
 		}
-		if c != 0 {
-			return nil, borderCrossed(fmt.Sprintf("candidate %v of length %d was never counted", cand, k))
-		}
-		counts[i] = lv.totals[j]
 	}
-	return counts, nil
+	switch {
+	case missing == nil:
+		return nil
+	case k-3 >= len(inc.levels):
+		return borderCrossed(fmt.Sprintf("no tracked candidates of length %d", k))
+	default:
+		return borderCrossed(fmt.Sprintf("candidate %v of length %d was never counted", missing, k))
+	}
+}
+
+// candidates returns |aprioriGen(L_{k-1})| given that the border holds at
+// level k: the number of tracked k-itemsets whose (k-1)-subsets, read at
+// the slots the last rebuild recorded, all reach minCount.
+func (inc *Incremental) candidates(k, minCount int) int {
+	lv, prev := inc.levels[k-3], inc.levelTotals(k-1)
+	n := 0
+next:
+	for id := range lv.sets {
+		for _, at := range lv.subs[id*k : (id+1)*k] {
+			if int(prev[at]) < minCount {
+				continue next
+			}
+		}
+		n++
+	}
+	return n
+}
+
+// subsetsFrequent reports whether every (k-1)-subset of the k-itemset set
+// is tracked with a total of at least minCount; sub is scratch of length
+// k-1.
+func (inc *Incremental) subsetsFrequent(set, sub transactions.Itemset, minCount int) bool {
+	totals := inc.levelTotals(len(sub))
+	for drop := range set {
+		copy(sub, set[:drop])
+		copy(sub[drop:], set[drop+1:])
+		if at, ok := inc.slot(sub); !ok || int(totals[at]) < minCount {
+			return false
+		}
+	}
+	return true
+}
+
+// levelTotals returns the running totals of the tracked itemsets of length
+// k >= 2, indexed by slot: the triangle for pairs, the level's beyond.
+func (inc *Incremental) levelTotals(k int) []int32 {
+	if k == 2 {
+		return inc.triTotals
+	}
+	return inc.levels[k-3].totals
+}
+
+// slot returns where the itemset s (two or more items) sits in the tracked
+// set — its triangle slot for a pair, its position in its level beyond,
+// found by binary search — with ok false when s was never tracked.
+func (inc *Incremental) slot(s transactions.Itemset) (int, bool) {
+	if len(s) == 2 {
+		return inc.pair(s[0], s[1])
+	}
+	if len(s)-3 >= len(inc.levels) {
+		return 0, false
+	}
+	return slices.BinarySearchFunc(inc.levels[len(s)-3].sets, s, transactions.Itemset.Compare)
+}
+
+// subsetSlots returns the slots of the (k-1)-subsets of each of the
+// tracked k-itemsets sets, k per set in order of the dropped item: the
+// table candidates reads. Every such subset is tracked, being a seed.
+func (inc *Incremental) subsetSlots(sets []transactions.Itemset) []int32 {
+	if len(sets) == 0 {
+		return nil
+	}
+	k := len(sets[0])
+	slots := make([]int32, 0, len(sets)*k)
+	sub := make(transactions.Itemset, k-1)
+	for _, set := range sets {
+		for drop := range set {
+			copy(sub, set[:drop])
+			copy(sub[drop:], set[drop+1:])
+			at, _ := inc.slot(sub)
+			slots = append(slots, int32(at))
+		}
+	}
+	return slots
+}
+
+// pair returns the triangle slot of the items a < b, with ok false when
+// either has no L1 rank (the pair was never tracked).
+func (inc *Incremental) pair(a, b int) (at int, ok bool) {
+	if a >= len(inc.rank) || b >= len(inc.rank) || inc.rank[a] < 0 || inc.rank[b] < 0 {
+		return 0, false
+	}
+	return inc.triBase[inc.rank[a]] + inc.rank[b], true
 }
 
 // rebuild is the full run: one level-wise mine of a snapshot at the
@@ -424,7 +586,8 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 
 	// Freeze the tracked set: L1 ranks for the triangular pass-2 totals
 	// (countPairs ran only with two or more frequent items; otherwise the
-	// triangle is empty), and the counted C_k of every later pass.
+	// triangle is empty), the counted C_k of every later pass, and the
+	// seeds of each, those frequent at the tracking support.
 	var l1 []ItemsetCount
 	if len(full.Levels) > 0 {
 		l1 = full.Levels[0]
@@ -434,7 +597,13 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	for _, ic := range l1 {
 		inc.l1Items = append(inc.l1Items, ic.Items[0])
 	}
+	inc.triBase = transactions.TriBases(len(inc.l1Items))
 	inc.itemTotals, inc.triTotals, inc.levels = keep.items, keep.pairs, keep.levels
+	inc.pairSeeds = seedsOf(inc.triTotals, minCount)
+	for i := range inc.levels {
+		inc.levels[i].seeds = seedsOf(inc.levels[i].totals, minCount)
+		inc.levels[i].subs = inc.subsetSlots(inc.levels[i].sets)
+	}
 	inc.settle()
 	stats.DirtyShards = stats.NumShards
 	stats.RecountedTx = len(snap.Transactions)
@@ -448,6 +617,17 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	}
 	inc.prev = res
 	return res, *stats, nil
+}
+
+// seedsOf marks the totals that reach minCount.
+func seedsOf(totals []int32, minCount int) *transactions.Bitset {
+	seeds := transactions.NewBitset(len(totals))
+	for i, c := range totals {
+		if int(c) >= minCount {
+			seeds.Set(i)
+		}
+	}
+	return seeds
 }
 
 // keepScans is the full run's scanSource: it forwards every scan to the
@@ -473,19 +653,13 @@ func (k *keepScans) countPairs(ctx context.Context, rank []int, n int) ([]int32,
 	return counts, err
 }
 
-// countCandidates also builds the level's hash tree, which the maintainer
-// keeps to count deltas with. (A local scan builds its own for the full
-// run; the second build is well under 1 % of a full run: 0.3-0.6 ms of
-// 340 ms on an 80k-row T10.I4 store at 0.2 % support, two cores.)
+// countCandidates keeps the counted C_k, with its counts as the totals, as
+// the next tracked level; its seeds and subset slots come at the freeze.
 func (k *keepScans) countCandidates(ctx context.Context, size int, cands []transactions.Itemset) ([]int32, error) {
 	counts, err := k.scanSource.countCandidates(ctx, size, cands)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := hashtree.Build(size, cands)
-	if err != nil {
-		return nil, err
-	}
-	k.levels = append(k.levels, trackedLevel{sets: cands, tree: tree, totals: counts})
+	k.levels = append(k.levels, trackedLevel{sets: cands, totals: counts})
 	return counts, nil
 }

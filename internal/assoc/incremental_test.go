@@ -244,6 +244,171 @@ func TestIncrementalThresholdFallbacks(t *testing.T) {
 	}
 }
 
+// TestIncrementalBorderRisesWithoutCrossing is the other side of
+// TestIncrementalThresholdFallbacks: a tracked border itemset — a pair, or
+// a 3-itemset — that was below the tracking support at the rebuild rises
+// above the real one, but none of its one-item supersets is an apriori-gen
+// candidate. No untracked count is needed, so the maintain must stay
+// incremental and still equal a scratch mine, passes included.
+func TestIncrementalBorderRisesWithoutCrossing(t *testing.T) {
+	repeat := func(n int, items ...int) [][]int {
+		out := make([][]int, n)
+		for i := range out {
+			out[i] = items
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		initial [][][]int
+		flood   [][]int
+		border  transactions.Itemset
+	}{
+		{
+			// Items 0-3 are all ranked and {1,2} is tracked at 20, below
+			// the tracking count of 48. The flood lifts it to 80 against a
+			// minimum count of 72, but {0,2}, {1,3} and {2,3} stay at 0, so
+			// aprioriGen(L2) is empty.
+			name:    "pair",
+			initial: [][][]int{repeat(100, 0, 1), repeat(100, 2), repeat(20, 1, 2), repeat(80, 3)},
+			flood:   repeat(60, 1, 2),
+			border:  transactions.Itemset{1, 2},
+		},
+		{
+			// Every pair of {0,1,3} is a seed, so {0,1,3} is tracked at 20,
+			// below the tracking count of 64. The flood lifts it to 100
+			// against a minimum count of 96, next to the seed {0,1,2}; their
+			// join {0,1,2,3} is pruned, as {2,3} never occurs.
+			name:    "3-itemset",
+			initial: [][][]int{repeat(100, 0, 1, 2), repeat(70, 0, 3), repeat(70, 1, 3), repeat(20, 0, 1, 3), repeat(140, 4)},
+			flood:   repeat(80, 0, 1, 3),
+			border:  transactions.Itemset{0, 1, 3},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const minSup = 0.2
+			store := transactions.NewShardedDB(64)
+			for _, part := range tc.initial {
+				for _, tx := range part {
+					if err := store.Append(tx...); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			inc := &Incremental{}
+			if _, _, err := inc.Attach(store, minSup); err != nil {
+				t.Fatal(err)
+			}
+			seeds := inc.pairSeeds
+			if len(tc.border) > 2 {
+				seeds = inc.levels[len(tc.border)-3].seeds
+			}
+			if at, ok := inc.slot(tc.border); !ok || seeds.Has(at) {
+				t.Fatalf("%v: tracked %v, seed %v; want a tracked itemset that was no seed", tc.border, ok, seeds.Has(at))
+			}
+			for _, tx := range tc.flood {
+				if err := store.Append(tx...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, stats := mustMaintain(t, inc)
+			if stats.FullRun {
+				t.Fatalf("stats = %+v, want the rise absorbed incrementally", stats)
+			}
+			if _, ok := res.Support(tc.border); !ok {
+				t.Fatalf("%v should be frequent after the flood", tc.border)
+			}
+			requireScratchEqual(t, store, minSup, res, tc.name)
+		})
+	}
+}
+
+// TestIncrementalDeltaTotalsExact drives deltas across the vertical
+// count's boundaries — 64-row bitset words and deltaBlock-row blocks — as
+// appends, deletes and both, and after each Maintain checks every tracked
+// total (items, pairs and every level) against the oracle's count over the
+// live rows.
+func TestIncrementalDeltaTotalsExact(t *testing.T) {
+	const base = 8400
+	// A word and a row, and a row short of one word; then a block and a
+	// row, appended, deleted and both.
+	steps := []struct{ appends, deletes int }{
+		{65, 63}, {deltaBlock + 1, 0}, {0, deltaBlock + 1}, {deltaBlock + 1, deltaBlock + 1},
+	}
+	total := base
+	for _, st := range steps {
+		total += st.appends
+	}
+	cfg := synth.TxI(5, 3, total, 7)
+	cfg.NumItems, cfg.NumPatterns = 30, 15
+	db, err := synth.Baskets(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := transactions.NewShardedDB(256)
+	for _, tx := range db.Transactions[:base] {
+		if err := store.Append(tx...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const minSup = 0.1
+	inc := &Incremental{TrackSlack: 0.5}
+	if _, _, err := inc.Attach(store, minSup); err != nil {
+		t.Fatal(err)
+	}
+	if len(inc.levels) < 2 {
+		t.Fatalf("%d tracked levels of length 3 or more, want at least two to count vertically", len(inc.levels))
+	}
+	rng := rand.New(rand.NewSource(5))
+	next := base
+	for i, st := range steps {
+		for range st.appends {
+			if err := store.Append(db.Transactions[next]...); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		for range st.deletes {
+			if _, err := store.DeleteAt(rng.Intn(store.Len())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, stats := mustMaintain(t, inc)
+		name := fmt.Sprintf("step %d (+%d -%d)", i, st.appends, st.deletes)
+		if stats.FullRun || stats.RecountedTx != st.appends+st.deletes {
+			t.Fatalf("%s: stats = %+v, want the delta counted incrementally", name, stats)
+		}
+		requireTotalsExact(t, name, inc, store.Snapshot().Transactions)
+		requireScratchEqual(t, store, minSup, res, name)
+	}
+}
+
+// requireTotalsExact fails unless every tracked total of inc equals the
+// oracle's support over rows.
+func requireTotalsExact(t *testing.T, name string, inc *Incremental, rows []transactions.Itemset) {
+	t.Helper()
+	check := func(set transactions.Itemset, got int32) {
+		t.Helper()
+		if want := oracle.Support(rows, set); int(got) != want {
+			t.Fatalf("%s: total of %v = %d, oracle counts %d", name, set, got, want)
+		}
+	}
+	for item, c := range inc.itemTotals {
+		check(transactions.Itemset{item}, c)
+	}
+	n := len(inc.l1Items)
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			check(transactions.Itemset{inc.l1Items[a], inc.l1Items[b]}, inc.triTotals[transactions.TriIndex(n, a, b)])
+		}
+	}
+	for _, lv := range inc.levels {
+		for id, set := range lv.sets {
+			check(set, lv.totals[id])
+		}
+	}
+}
+
 // TestAttachTracksTheCandidateSets pins what a full run leaves tracked: on
 // random stores, at workers 1 and 4, over local scans and over a Remote
 // cluster, the item totals, the pair triangle over the L1 ranks and every
@@ -424,7 +589,8 @@ func TestIncrementalRulesMatchScratch(t *testing.T) {
 }
 
 // requireScratchEqual fails unless res is byte-identical to a from-scratch
-// Apriori run over the store's current contents.
+// Apriori run over the store's current contents and reports the same
+// passes: per level, |aprioriGen(L_{k-1})| candidates and |L_k| frequent.
 func requireScratchEqual(t *testing.T, store *transactions.ShardedDB, minSup float64, res *Result, step string) {
 	t.Helper()
 	want, err := (&Apriori{}).Mine(store.Snapshot(), minSup)
@@ -436,6 +602,9 @@ func requireScratchEqual(t *testing.T, store *transactions.ShardedDB, minSup flo
 	}
 	if res.MinCount != want.MinCount || res.NumTx != want.NumTx {
 		t.Fatalf("%s: MinCount/NumTx %d/%d, want %d/%d", step, res.MinCount, res.NumTx, want.MinCount, want.NumTx)
+	}
+	if !slices.Equal(res.Passes, want.Passes) {
+		t.Fatalf("%s: passes %+v, want %+v", step, res.Passes, want.Passes)
 	}
 }
 
@@ -648,8 +817,9 @@ func TestIncrementalCancelledCountKeepsDelta(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			// Every attempt appends five more transactions, and the count
-			// polls once per tracked level, side and shard, so the pool
-			// must outlast some fifty cancelled attempts at four workers.
+			// polls once per tracked level, side and block of the delta,
+			// and once before the splice, so the pool must outlast that
+			// many cancelled attempts; the workers do not count deltas.
 			pool := incrementalFixture(t, 800)
 			store := transactions.NewShardedDB(64)
 			for _, tx := range pool[:400] {

@@ -198,3 +198,47 @@ func BenchmarkGenerateRules(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMaintain times one sliding-window Maintain over a 20k-row Quest
+// T10.I4 store at 0.2 % support: 128 fresh rows from the same generator
+// appended and the 128 oldest deleted, the delta a serving tier's flush
+// hands the maintainer. The mutations are not timed. As the window slides
+// the border is crossed now and then, and those maintains are full runs,
+// reported per op.
+func BenchmarkMaintain(b *testing.B) {
+	const rows = 20000
+	db, err := synth.Baskets(synth.T10I4(rows+8192, 1996))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := db.Transactions[rows:]
+	store := transactions.NewShardedDBFrom(&transactions.DB{Transactions: db.Transactions[:rows]}, 1024)
+	inc := &Incremental{Workers: 2}
+	if _, _, err := inc.Attach(store, 0.002); err != nil {
+		b.Fatal(err)
+	}
+	next, fullRuns := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for range 128 {
+			if err := store.Append(fresh[next%len(fresh)]...); err != nil {
+				b.Fatal(err)
+			}
+			next++
+			if _, err := store.DeleteAt(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		_, stats, err := inc.Maintain()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.FullRun {
+			fullRuns++
+		}
+	}
+	b.ReportMetric(float64(fullRuns)/float64(b.N), "fullruns/op")
+}

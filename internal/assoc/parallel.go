@@ -161,22 +161,17 @@ func (s localScans) countPairs(ctx context.Context, rank []int, n int) ([]int32,
 }
 
 // countCandidates builds the candidate hash tree (hashtree.Build: entry
-// ids equal candidate indices) and counts the database into it.
+// ids equal candidate indices) and counts every shard into a private
+// hashtree.CountBuffer with the tree's trimmed scan (CountAllInto, the
+// loop the dist worker runs too), one ctxStride of transactions per call,
+// and returns the folded counts by entry id — the tree itself is only
+// read. On cancellation nothing is merged, so a caller that (wrongly)
+// ignored the error could never observe partial counts.
 func (s localScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error) {
 	tree, err := hashtree.Build(k, cands)
 	if err != nil {
 		return nil, err
 	}
-	return s.countTree(ctx, tree)
-}
-
-// countTree counts every shard into a private hashtree.CountBuffer with
-// the tree's trimmed scan (CountAllInto, the loop the dist worker runs
-// too), one ctxStride of transactions per call, and returns the folded
-// counts by entry id — the tree itself is only read. On cancellation
-// nothing is merged, so a caller that (wrongly) ignored the error could
-// never observe partial counts.
-func (s localScans) countTree(ctx context.Context, tree *hashtree.Tree) ([]int32, error) {
 	parts := make([][]int32, max(s.workers, 1))
 	if err := forEachShard(ctx, s.db, s.workers, func(shard int, sh transactions.Shard) {
 		buf := tree.NewCountBuffer()

@@ -13,8 +13,8 @@
 // over |D| transactions near-linear instead of |D|·|C_k|.
 //
 // Build is the one constructor of a counting pass — it owns the tree's
-// shape and numbers entries in candidate order — and the local scans, the
-// dist worker and the incremental maintainer all build through it. After
+// shape and numbers entries in candidate order — and the local scans and
+// the dist worker (and so every full run) all build through it. After
 // Build the tree is read-only: each worker counts its transactions into a
 // private CountBuffer indexed by entry id with the trimmed scan
 // (CountAllInto), and the buffers fold back with plain integer adds —
@@ -258,7 +258,7 @@ func (t *Tree) countInto(n *node, tx transactions.Itemset, start, depth, tid int
 
 // CountAllInto is the pass-k scan: it counts every transaction of txs into
 // buf, with tid0+i as the i-th transaction's dedup tid, and is the one
-// loop the local scans, the dist worker and the incremental maintainer
+// loop the local scans and the dist worker (and so every full run)
 // run. Each transaction is first trimmed to the items that occur in some
 // candidate (the transaction trimming of Park, Chen & Yu's DHP; the tree
 // marks them as candidates are inserted), and rows left with fewer than k

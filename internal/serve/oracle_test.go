@@ -22,7 +22,7 @@ import (
 
 // oracleOps is the op vocabulary, each op listed as often as it is drawn.
 var oracleOps = strings.Fields(`append append append append append append append append append append
-	append-negative delete delete delete delete delete delete-out-of-range post post post-bad-line
+	append-long append-long append-negative delete delete delete delete delete delete-out-of-range post post post-bad-line
 	flush flush flush flush flush-cancelled query query query drain restart crash disk-fault compaction-fault`)
 
 // oracleScript is one seeded script: its sync policy, whether sessions count
@@ -101,6 +101,14 @@ func (r *oracleRun) step(name string) {
 			items[r.rng.Intn(len(items))] = -1 - r.rng.Intn(3)
 		}
 		r.enqueue(Op{Kind: OpAppend, Items: items})
+	case "append-long":
+		// Every subset of a row is frequent in a store of a few rows, so
+		// rows past six items join stores of 60 or more (a min count of 3).
+		n := 6
+		if live >= 60 {
+			n += r.rng.Intn(7)
+		}
+		r.enqueue(Op{Kind: OpAppend, Items: r.rng.Perm(16)[:n]})
 	case "delete", "delete-out-of-range":
 		tid := r.rng.Intn(max(1, live))
 		if name == "delete-out-of-range" {
@@ -135,8 +143,8 @@ func (r *oracleRun) step(name string) {
 	case "query":
 		r.query()
 	case "drain":
-		for ; live > 0; live-- {
-			r.enqueue(Op{Kind: OpDelete, TID: 0})
+		for ; live > 0; live-- { // newest first, so no long row outlives the store's size
+			r.enqueue(Op{Kind: OpDelete, TID: live - 1})
 		}
 		if v, err := r.flush(ctx); err != nil || !v.Empty() {
 			r.fatalf("Flush after a drain did not publish an empty view (err %v)", err)
@@ -457,7 +465,7 @@ func (r *oracleRun) mineAll() {
 }
 
 // oracleSeeds is TestOracle's seed list; a failing script's seed joins it.
-var oracleSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+var oracleSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 
 // TestOracle is the whole-stack oracle. A seed picks the sync policy (seed
 // mod 3) and remote sessions (even seeds); the list must cover all events.

@@ -31,6 +31,11 @@ func (b *Bitset) Set(i int) {
 	b.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
+// Has reports whether bit i is set; out-of-range ids are never set.
+func (b *Bitset) Has(i int) bool {
+	return i >= 0 && i < b.n && b.words[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
 // OnesCount returns the number of set bits — the support when bits are
 // transaction ids.
 func (b *Bitset) OnesCount() int {

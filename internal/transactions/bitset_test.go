@@ -57,6 +57,9 @@ func TestBitsetRoundTrip(t *testing.T) {
 			if got := AndCount(b, one) == 1; got != want[i] {
 				t.Fatalf("bit %d set = %v after Set, want %v", i, got, want[i])
 			}
+			if b.Has(i) != want[i] {
+				t.Fatalf("Has(%d) = %v, want %v", i, b.Has(i), want[i])
+			}
 		}
 	}
 }
@@ -99,6 +102,9 @@ func TestBitsetBounds(t *testing.T) {
 	b.Set(10)
 	if b.OnesCount() != 0 {
 		t.Fatalf("out-of-range Set changed the bitset")
+	}
+	if b.Has(-1) || b.Has(10) {
+		t.Fatalf("out-of-range Has reported a set bit")
 	}
 	empty := NewBitset(0)
 	if empty.OnesCount() != 0 || empty.Len() != 0 {

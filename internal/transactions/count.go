@@ -7,13 +7,16 @@ package transactions
 // replica scans — calls these, so the arithmetic behind byte-identical
 // counts has one definition; the incremental maintainer, which also counts
 // deleted transactions back out, shares TriBases and keeps its own signed
-// loop.
+// loop. The maintainer counts its tracked k-itemsets over a journalled
+// delta with the vertical pair below, FillTids and CountTids.
 //
 // Counters are int32, the natural width of a support: a store holds at most
 // math.MaxInt32 rows (ErrTooManyTransactions), so no count of it can pass
 // math.MaxInt32. Half-width counters halve the pass-2 triangle, which at
 // low support is the largest array a mine allocates, and the cache lines
 // its scan touches per pair.
+
+import "math/bits"
 
 // CountItems adds tx's items into the flat pass-1 array counts, which must
 // cover the item universe (every item < len(counts)).
@@ -60,4 +63,44 @@ func CountPairs(tx Itemset, rank, base []int, counts []int32, ranks []int) []int
 		}
 	}
 	return ranks
+}
+
+// FillTids lays rows out vertically in tids, the flat tid-bitset block that
+// CountTids reads: rank maps item id to a row of words words, so the
+// bitset of an item of rank r is tids[r*words : (r+1)*words], and its bit
+// i is set when rows[i] holds the item. A negative rank, or an item beyond
+// len(rank), is unranked and skipped, as in CountPairs. rows must number
+// at most 64*words, and tids must be zero on entry and cover every rank.
+//
+//invcheck:hotpath
+func FillTids(rows []Itemset, rank []int, words int, tids []uint64) {
+	for i, row := range rows {
+		w, bit := i>>6, uint64(1)<<(uint(i)&63)
+		for _, item := range row {
+			if item < len(rank) && rank[item] >= 0 {
+				tids[rank[item]*words+w] |= bit
+			}
+		}
+	}
+}
+
+// CountTids adds sign times the support of each of sets over the block
+// FillTids laid out in tids under the same rank into the matching counts
+// slot: the popcount of the AND of the set's items' bitsets, so a set
+// costs len(set)*words word operations however many rows hold it. Every
+// set must be non-empty and every item of it ranked.
+//
+//invcheck:hotpath
+func CountTids(sets []Itemset, rank []int, words int, tids []uint64, sign int32, counts []int32) {
+	for i, set := range sets {
+		at := rank[set[0]] * words
+		n := 0
+		for w, acc := range tids[at : at+words] {
+			for _, item := range set[1:] {
+				acc &= tids[rank[item]*words+w]
+			}
+			n += bits.OnesCount64(acc)
+		}
+		counts[i] += sign * int32(n)
+	}
 }
