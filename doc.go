@@ -19,14 +19,14 @@
 //
 // The level-wise loop and the pattern-growth sequence are each written
 // once (internal/assoc) against a four-method scan source — pass-1 item
-// counts, the pass-2 pair triangle, the pass-k hash-tree count, the
+// counts, the pass-2 pair triangle, the pass-k candidate count, the
 // FP-tree build — and the engines differ only in where those scans run.
 // The local source is count distribution: the transaction database is
 // split into contiguous zero-copy shards (transactions.DB.Shards), each
 // worker scans its shard into private counters (flat item counts, the
-// pass-2 triangular pair array, or a hashtree.CountBuffer over the
-// read-only candidate tree), and the private counters are merged after
-// the pass. Merged results are bit-identical to the serial scan, so
+// pass-2 triangular pair array, or one counter per candidate, counted in
+// tid-bitset blocks by transactions.CountTids), and the private counters
+// are merged after the pass. Merged results are bit-identical to the serial scan, so
 // every registered engine takes a Workers option that changes only
 // wall-clock time. Eclat instead mines the vertical layout as
 // transactions.Bitset tid-sets (word-wise AND + popcount). FPGrowth is

@@ -101,7 +101,7 @@ func levelsFrom2(ctx context.Context, l1, l2 []ItemsetCount, c3 []transactions.I
 // levelsFrom3 is pass k >= 3 of every level-wise engine, written once:
 // from L2 and its candidates C3 = aprioriGen(L2) on, it appends each
 // non-empty level to res, counts the level's candidates with src's
-// hash-tree scan, thresholds, sorts, emits and generates the next
+// pass-k scan, thresholds, sorts, emits and generates the next
 // candidates, until a level or its candidate set comes out empty. A count
 // error ends the loop and is returned as is.
 func levelsFrom3(ctx context.Context, level []ItemsetCount, cands []transactions.Itemset, minCount int, res *Result, emit PassHook, src scanSource) error {
@@ -137,12 +137,26 @@ func frequentOf(cands []transactions.Itemset, counts []int32, minCount int) []It
 	return level
 }
 
-// thresholdItems filters a pass-1 count array to L1, in item order.
+// thresholdItems filters a pass-1 count array to L1, in item order. The
+// singletons share one backing array, each clamped to its own slot, as
+// thresholdTriangle's pairs do.
 func thresholdItems(counts []int32, minCount int) []ItemsetCount {
-	var out []ItemsetCount
+	n := 0
+	for _, c := range counts {
+		if int(c) >= minCount {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]ItemsetCount, 0, n)
+	flat := make(transactions.Itemset, n)
 	for item, c := range counts {
 		if int(c) >= minCount {
-			out = append(out, ItemsetCount{Items: transactions.Itemset{item}, Count: int(c)})
+			i := len(out)
+			flat[i] = item
+			out = append(out, ItemsetCount{Items: flat[i : i+1 : i+1], Count: int(c)})
 		}
 	}
 	return out

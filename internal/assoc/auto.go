@@ -55,12 +55,22 @@ const AutoMinDenseItems = 8
 // autoMaxC3 is the largest C3 Auto still mines level-wise. Past pass 2
 // both families cost in proportion to the database's frequent-item
 // occurrences — growth builds and projects the FP-tree over them, each
-// pass k >= 3 scans them against the candidates — so the crossover is a
-// candidate count rather than a share of |D|. Measured on Quest T5.I2,
-// T10.I4 and T20.I6 data of 20k–80k transactions and a dense 120-item
-// universe, level-wise wins up to about 1.2k–1.4k candidates and loses
-// from about 1.9k.
-const autoMaxC3 = 1536
+// pass k >= 3 lays them out as tid-bitsets and ANDs them per candidate —
+// so the crossover is a candidate count rather than a share of |D|.
+// Measured at 2 workers, Apriori's time over FPGrowth's at the last C3
+// level-wise won and the first it lost:
+//
+//	shape                    won at C3       lost at C3
+//	T5.I2, 80k rows          22,279 (0.94)   57,836 (1.87)
+//	T10.I4, 20k rows         16,154 (0.92)   41,006 (1.50)
+//	T10.I4, 80k rows         41,907 (0.88)   68,621 (1.26)
+//	T20.I6, 40k rows         77,233 (0.81)   250,313 (1.86)
+//	120-item dense universe  37,730 (0.70)   49,589 (1.42)
+//
+// Near the crossover one run differs from the next by about 0.1: T5.I2 at
+// 22,279 also read 1.01. Level-wise won every measured C3 up to 16k on
+// every shape, so the bound sits there, below the earliest loss.
+const autoMaxC3 = 1 << 14
 
 // autoMaxPairs bounds the pass-2 triangle, in counters per worker, that
 // Auto counts before deciding (16 MiB of int32): a frequent universe

@@ -129,21 +129,20 @@ func (c *countingScans) buildTree(ctx context.Context, ranks *fptree.Ranks) (fpt
 	return c.scanSource.buildTree(ctx, ranks)
 }
 
-// sparseDB is 40 transactions of 8 items spread over a 4000-item universe,
-// then 10 singletons of items of their own: at one occurrence every item
-// and pair is frequent, every 8-item transaction brings 56 triples of its
-// own, so C3 is far past autoMaxC3, and the singletons' items are frequent
-// but in no frequent pair.
+// sparseDB holds every pair of 100 items once, spread over a 4000-item
+// universe, then 10 singletons of items of their own. At sparseSup every
+// item and pair occurs often enough but no triple does, so C3 =
+// C(100, 3) = 161,700 is far past autoMaxC3 while the frequent set stays
+// at the singletons and pairs, and the singletons' items are frequent but
+// in no frequent pair.
 func sparseDB(t *testing.T) *transactions.DB {
 	t.Helper()
 	db := transactions.NewDB()
-	for i := 0; i < 40; i++ {
-		tx := make([]int, 0, 8)
-		for j := 0; j < 8; j++ {
-			tx = append(tx, (i*977+j*5003)%4000)
-		}
-		if err := db.Add(tx...); err != nil {
-			t.Fatal(err)
+	for a := 0; a < 100; a++ {
+		for b := a + 1; b < 100; b++ {
+			if err := db.Add(a*40, b*40); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for i := 0; i < 10; i++ {
@@ -153,6 +152,9 @@ func sparseDB(t *testing.T) *transactions.DB {
 	}
 	return db
 }
+
+// sparseSup is one occurrence in sparseDB's 4,960 transactions.
+const sparseSup = 1.0 / 5000
 
 // TestAutoScansOnce drives adaptive over a counting scan source: pass 1 is
 // scanned once, pass 2 at most once, and the mine then becomes exactly one
@@ -180,7 +182,7 @@ func TestAutoScansOnce(t *testing.T) {
 		wantPairs int
 	}{
 		{"few triples", quest, 0.02, "Apriori", 1},
-		{"many triples", sparseDB(t), 0.01, "FPGrowth", 1},
+		{"many triples", sparseDB(t), sparseSup, "FPGrowth", 1},
 		{"wide triangle", wide, 1.0 / 3000, "FPGrowth", 0},
 		{"no frequent item", wide, 0.5, "Apriori", 0},
 	}

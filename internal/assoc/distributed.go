@@ -14,7 +14,7 @@ import (
 const (
 	// DistEngineApriori runs the levelwise driver with every counting scan
 	// fanned out over the workers (pass-1 arrays, triangular pass 2,
-	// hash-tree buffers for k >= 3); generation and thresholding are the
+	// one counter per candidate for k >= 3); generation and thresholding are the
 	// same code Apriori runs.
 	DistEngineApriori = "Apriori"
 	// DistEngineFPGrowth runs the growth driver with the two database

@@ -67,7 +67,7 @@ func TestDistributedByteIdenticalProperty(t *testing.T) {
 }
 
 // deepFixture is a Quest-generator workload deep enough for multi-level
-// passes and real hash-tree counting at minimum support 0.02.
+// passes and real pass-k candidate counting at minimum support 0.02.
 func deepFixture(t *testing.T) *transactions.DB {
 	t.Helper()
 	db, err := synth.Baskets(synth.BasketConfig{
@@ -83,7 +83,7 @@ func deepFixture(t *testing.T) *transactions.DB {
 
 // TestDistributedSyntheticWorkload runs the equivalence once on a
 // Quest-generator workload deep enough for multi-level passes and real
-// hash-tree counting, at workers 4.
+// pass-k candidate counting, at workers 4.
 func TestDistributedSyntheticWorkload(t *testing.T) {
 	db := deepFixture(t)
 	for _, engine := range []string{DistEngineApriori, DistEngineFPGrowth} {

@@ -153,7 +153,7 @@ func TestAutoDispatch(t *testing.T) {
 	}
 
 	// Sparse, with far more triples than autoMaxC3 → FPGrowth.
-	if _, err := a.Mine(sparseDB(t), 0.01); err != nil {
+	if _, err := a.Mine(sparseDB(t), sparseSup); err != nil {
 		t.Fatal(err)
 	}
 	if a.Selected() != "FPGrowth" {

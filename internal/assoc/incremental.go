@@ -22,12 +22,11 @@ package assoc
 //     tracked sets — an appended transaction adds to the totals, a deleted
 //     one subtracts — so the work follows the size of the update, not the
 //     size of the store or of its shards. Items and pairs splice straight
-//     into their flat arrays; the tracked k-itemsets are counted
-//     vertically and serially, each block of at most deltaBlock rows laid
-//     out once as tid-bitsets of the ranked items (transactions.FillTids:
-//     every item of a tracked k-itemset has an L1 rank), a tracked
-//     itemset's delta being the popcount of its items' ANDed words
-//     (transactions.CountTids);
+//     into their flat arrays; the tracked k-itemsets of every level are
+//     counted serially, as one candidate list, by the pass-k kernel of the
+//     full runs (transactions.CountTids): each block of at most 4096 rows
+//     is laid out once as tid-bitsets of the tracked items, and a tracked
+//     itemset's delta is the popcount of its items' ANDed words;
 //  2. re-thresholds the totals level by level: passes 1 and 2 off the flat
 //     arrays, and from pass 3 on by filtering each tracked level. While the
 //     border holds, aprioriGen(L_{k-1}) lies inside the tracked C_k, so L_k
@@ -70,11 +69,6 @@ type MaintainStats struct {
 	FullRun     bool   // true when the update fell back to a full re-mine
 	Reason      string // why the full run happened; "" when incremental
 }
-
-// deltaBlock is the most journalled rows one vertical layout of the delta
-// holds: 64 words per ranked item, so a block's tid-bitsets span at most
-// 512 bytes per item of the last rebuild's L1, however long the delta is.
-const deltaBlock = 4096
 
 // trackedLevel is the tracked k-itemsets of one length k >= 3 (the full
 // run's C_k: frequent at the tracking support, plus the border) in
@@ -134,11 +128,11 @@ type Incremental struct {
 	levels     []trackedLevel // tracked k-itemsets at index k-3
 	itemTotals []int32
 	triTotals  []int32
-	pairSeeds  *transactions.Bitset // triangle slots frequent at the tracking support at rebuild
+	pairSeeds  *transactions.Bitset     // triangle slots frequent at the tracking support at rebuild
+	tracked    *transactions.Candidates // every level's sets, level after level, ranked for the delta count
 
-	// Scratch reused by every delta count: the block's tid-bitsets and the
-	// tracked itemsets' signed deltas, flat across levels.
-	tids  []uint64
+	// Scratch reused by every delta count: the tracked itemsets' counts
+	// over the added rows, flat across levels, then over the deleted ones.
 	delta []int32
 
 	// The delta the totals do not cover yet: drained from the store's
@@ -283,38 +277,21 @@ func (inc *Incremental) settle() {
 }
 
 // count is the delta's counting routine. It counts added and deleted into
-// every tracked level vertically — per side, one block of at most
-// deltaBlock rows at a time, laid out once as tid-bitsets and read by
-// every level — into the delta scratch, and then, only once ctx is known
-// not to be cancelled, splices totals += added − deleted. ctx is polled
-// once per side, block and level, and once more before the splice. The
-// item and pair totals need no buffers: they take the signed adds directly
-// during the splice, which is serial and never polls ctx. On cancellation
-// it returns ctx.Err() with every total untouched.
+// the tracked sets of every level with the pass-k kernel of the full runs
+// (transactions.CountTids: one side's rows in tid-bitset blocks of at most
+// 4096, against the frozen inc.tracked) into the delta scratch, and then,
+// only once ctx is known not to be cancelled, splices totals += added −
+// deleted. ctx is polled before every block, and once more before the
+// splice. The item and pair totals need no buffers: they take the signed
+// adds directly during the splice, which is serial and never polls ctx. On
+// cancellation it returns ctx.Err() with every total untouched.
 func (inc *Incremental) count(ctx context.Context, added, deleted []transactions.Itemset) error {
-	n := 0
-	for _, lv := range inc.levels {
-		n += len(lv.sets)
-	}
-	inc.delta = slices.Grow(inc.delta[:0], n)[:n]
+	n := inc.tracked.Len()
+	inc.delta = slices.Grow(inc.delta[:0], 2*n)[:2*n]
 	clear(inc.delta)
 	for side, txs := range [2][]transactions.Itemset{added, deleted} {
-		sign := int32(1 - 2*side)
-		for lo := 0; lo < len(txs); lo += deltaBlock {
-			block := txs[lo:min(lo+deltaBlock, len(txs))]
-			words := (len(block) + 63) / 64
-			size := len(inc.l1Items) * words
-			inc.tids = slices.Grow(inc.tids[:0], size)[:size]
-			clear(inc.tids)
-			transactions.FillTids(block, inc.rank, words, inc.tids)
-			off := 0
-			for _, lv := range inc.levels {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				transactions.CountTids(lv.sets, inc.rank, words, inc.tids, sign, inc.delta[off:off+len(lv.sets)])
-				off += len(lv.sets)
-			}
+		if err := transactions.CountTids(ctx, inc.tracked, txs, inc.delta[side*n:(side+1)*n]); err != nil {
+			return err
 		}
 	}
 	if err := ctx.Err(); err != nil {
@@ -323,7 +300,7 @@ func (inc *Incremental) count(ctx context.Context, added, deleted []transactions
 	off := 0
 	for _, lv := range inc.levels {
 		for id, c := range inc.delta[off : off+len(lv.sets)] {
-			lv.totals[id] += c
+			lv.totals[id] += c - inc.delta[n+off+id]
 		}
 		off += len(lv.sets)
 	}
@@ -600,9 +577,16 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	inc.triBase = transactions.TriBases(len(inc.l1Items))
 	inc.itemTotals, inc.triTotals, inc.levels = keep.items, keep.pairs, keep.levels
 	inc.pairSeeds = seedsOf(inc.triTotals, minCount)
+	var all []transactions.Itemset
 	for i := range inc.levels {
-		inc.levels[i].seeds = seedsOf(inc.levels[i].totals, minCount)
-		inc.levels[i].subs = inc.subsetSlots(inc.levels[i].sets)
+		lv := &inc.levels[i]
+		lv.seeds = seedsOf(lv.totals, minCount)
+		lv.subs = inc.subsetSlots(lv.sets)
+		all = append(all, lv.sets...)
+	}
+	var err error
+	if inc.tracked, err = transactions.NewCandidates(all, numItems); err != nil {
+		return nil, *stats, err
 	}
 	inc.settle()
 	stats.DirtyShards = stats.NumShards

@@ -324,7 +324,7 @@ func TestIncrementalBorderRisesWithoutCrossing(t *testing.T) {
 }
 
 // TestIncrementalDeltaTotalsExact drives deltas across the vertical
-// count's boundaries — 64-row bitset words and deltaBlock-row blocks — as
+// count's boundaries — 64-row bitset words and 4096-row blocks — as
 // appends, deletes and both, and after each Maintain checks every tracked
 // total (items, pairs and every level) against the oracle's count over the
 // live rows.
@@ -332,8 +332,13 @@ func TestIncrementalDeltaTotalsExact(t *testing.T) {
 	const base = 8400
 	// A word and a row, and a row short of one word; then a block and a
 	// row, appended, deleted and both.
+	// transactions.CountTids' longest block. Blocks hold that many rows
+	// only while the ranked items and the longest candidate stay under
+	// tidBudget/64 (2,048); this fixture's 30-item universe keeps them far
+	// below it, so these steps do land on block boundaries.
+	const block = 4096
 	steps := []struct{ appends, deletes int }{
-		{65, 63}, {deltaBlock + 1, 0}, {0, deltaBlock + 1}, {deltaBlock + 1, deltaBlock + 1},
+		{65, 63}, {block + 1, 0}, {0, block + 1}, {block + 1, block + 1},
 	}
 	total := base
 	for _, st := range steps {
@@ -817,9 +822,11 @@ func TestIncrementalCancelledCountKeepsDelta(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			// Every attempt appends five more transactions, and the count
-			// polls once per tracked level, side and block of the delta,
-			// and once before the splice, so the pool must outlast that
-			// many cancelled attempts; the workers do not count deltas.
+			// (transactions.CountTids, all tracked levels as one list) polls
+			// before every block of each side and every 4096 candidates
+			// within one, and once before the splice, so the pool must
+			// outlast that many cancelled attempts; the workers do not count
+			// deltas.
 			pool := incrementalFixture(t, 800)
 			store := transactions.NewShardedDB(64)
 			for _, tx := range pool[:400] {

@@ -11,19 +11,20 @@ package assoc
 // addition is commutative and the shards tile the database exactly.
 //
 // localScans holds the per-structure instantiations of that scheme — flat
-// item counters (pass 1), the triangular pair array (pass 2), the
-// candidate hash tree (pass 3+) and the per-shard FP-tree forest — behind
+// item counters (pass 1), the triangular pair array (pass 2), one counter
+// per candidate (pass 3+) and the per-shard FP-tree forest — behind
 // scanSource, the seam the two mining drivers are written against. The
 // arithmetic is not here: it is transactions.CountItems/CountPairs, the
-// hash tree's trimmed scan (hashtree.CountAllInto) and fptree.Build per
+// tid-bitset block kernel transactions.CountTids and fptree.Build per
 // shard (the shard trees are handed on unmerged, as a forest), the same
 // kernels the dist workers run. workers <= 1 runs the identical scan
 // inline with no goroutines.
 //
 // Every scan takes a context and honours cancellation: scan loops poll
-// ctx every ctxStride transactions and bail out early, workers drain
-// through the same poll (no goroutine outlives its scan), and the scan
-// returns ctx.Err() instead of partial counts. Under
+// ctx every ctxStride transactions (CountTids once per block of at most
+// 4096 rows and every 4096 candidates within one) and bail out early,
+// workers drain through the same poll (no goroutine outlives its scan),
+// and the scan returns ctx.Err() instead of partial counts. Under
 // context.Background() the poll is a nil check per stride — free.
 
 import (
@@ -31,7 +32,6 @@ import (
 	"sync"
 
 	"repro/internal/fptree"
-	"repro/internal/hashtree"
 	"repro/internal/transactions"
 )
 
@@ -112,8 +112,8 @@ type scanSource interface {
 	// rank (-1 for infrequent items) and the result is the n*(n-1)/2
 	// pair array over ranks (transactions.TriIndex).
 	countPairs(ctx context.Context, rank []int, n int) ([]int32, error)
-	// countCandidates is the pass-k (k >= 3) hash-tree scan; the counts
-	// are indexed like cands.
+	// countCandidates is the pass-k (k >= 3) scan; the counts are indexed
+	// like cands.
 	countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error)
 	// buildTree is pattern growth's second scan: the FP-trees of the
 	// database's parts under the shared rank table, as one forest.
@@ -160,29 +160,23 @@ func (s localScans) countPairs(ctx context.Context, rank []int, n int) ([]int32,
 	})
 }
 
-// countCandidates builds the candidate hash tree (hashtree.Build: entry
-// ids equal candidate indices) and counts every shard into a private
-// hashtree.CountBuffer with the tree's trimmed scan (CountAllInto, the
-// loop the dist worker runs too), one ctxStride of transactions per call,
-// and returns the folded counts by entry id — the tree itself is only
-// read. On cancellation nothing is merged, so a caller that (wrongly)
+// countCandidates is the pass-k (k >= 3) scan: cands, ranked once
+// (transactions.NewCandidates), are counted over every shard into private
+// counters by the tid-bitset block kernel (transactions.CountTids, the
+// loop the dist worker and the maintainer run too), and the counters are
+// folded. On cancellation nothing is merged, so a caller that (wrongly)
 // ignored the error could never observe partial counts.
-func (s localScans) countCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error) {
-	tree, err := hashtree.Build(k, cands)
+func (s localScans) countCandidates(ctx context.Context, _ int, cands []transactions.Itemset) ([]int32, error) {
+	c, err := transactions.NewCandidates(cands, s.numItems)
 	if err != nil {
 		return nil, err
 	}
 	parts := make([][]int32, max(s.workers, 1))
 	if err := forEachShard(ctx, s.db, s.workers, func(shard int, sh transactions.Shard) {
-		buf := tree.NewCountBuffer()
-		for off := 0; off < len(sh.Transactions); off += ctxStride {
-			if ctx.Err() != nil {
-				return
-			}
-			end := min(off+ctxStride, len(sh.Transactions))
-			tree.CountAllInto(sh.Transactions[off:end], sh.Base+off, buf)
+		counts := make([]int32, len(cands))
+		if transactions.CountTids(ctx, c, sh.Transactions, counts) == nil {
+			parts[shard] = counts
 		}
-		parts[shard] = buf.Counts
 	}); err != nil {
 		return nil, err
 	}

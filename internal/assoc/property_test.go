@@ -22,13 +22,22 @@ func oracleRules(res oracle.Result, minConf float64) []Rule {
 }
 
 // TestMinersMatchBruteForceProperty drives every miner against the oracle
-// on random small databases whose rows run to 10 of 12 items, so that
-// kernels see rows longer than any fixed prefix.
+// on random databases whose rows run to 10 of 12 items, so that kernels
+// see rows longer than any fixed prefix. Most are small; one in four holds
+// over 8,000 rows, so that the pass-k count's tid-bitset blocks (at most
+// 4,096 rows each) split it, and is mined at 1–5 % support, where most
+// itemsets are frequent and a row miscounted anywhere shows in the result.
 func TestMinersMatchBruteForceProperty(t *testing.T) {
 	f := func(seed int64, minRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		db := transactions.NewDB()
-		for i, nTx := 0, 4+rng.Intn(20); i < nTx; i++ {
+		nTx := 4 + rng.Intn(20)
+		minSup := 0.1 + float64(minRaw%60)/100.0 // 10%..69%
+		if rng.Intn(4) == 0 {
+			nTx += 8000 + rng.Intn(200)
+			minSup = 0.01 + float64(minRaw%5)/100.0 // 1%..5%
+		}
+		for i := 0; i < nTx; i++ {
 			items := make([]int, 1+rng.Intn(10))
 			for j := range items {
 				items[j] = rng.Intn(12)
@@ -37,7 +46,6 @@ func TestMinersMatchBruteForceProperty(t *testing.T) {
 				return false
 			}
 		}
-		minSup := 0.1 + float64(minRaw%60)/100.0 // 10%..69%
 		want := oracle.Frequent(db.Transactions, minSup)
 		for _, m := range allMiners() {
 			res, err := m.Mine(db, minSup)

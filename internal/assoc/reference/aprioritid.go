@@ -243,7 +243,7 @@ func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, mi
 			counts = make([]int32, len(cands))
 			bar, err = advanceBar(ctx, bar, generatorIndices(cands, prev), counts)
 		} else {
-			counts, err = countCandidates(ctx, db, k, cands)
+			counts, err = countCandidates(ctx, db, cands)
 			est = db.Len()
 			for _, c := range counts {
 				est += int(c)

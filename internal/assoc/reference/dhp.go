@@ -15,8 +15,9 @@ import (
 // pairs share a bucket), so the result stays exact. From pass 3 on DHP is
 // Apriori: assoc.AprioriGen, countCandidates, threshold.
 //
-// The paper's transaction trimming is the trimmed scan every
-// countCandidates pass shares (hashtree.CountAllInto), not DHP's own.
+// The paper's transaction trimming is what every countCandidates pass
+// does (transactions.CountTids lays out only rows and items some candidate
+// can use), not DHP's own.
 type DHP struct {
 	// NumBuckets sizes the pass-1 hash table; zero means 1<<16.
 	NumBuckets int
@@ -59,7 +60,7 @@ func (d *DHP) MineContext(ctx context.Context, db *transactions.DB, minSupport f
 	}
 	for k := 2; len(level) > 0 && len(cands) > 0; k++ {
 		res.Levels = append(res.Levels, level)
-		counts, err := countCandidates(ctx, db, k, cands)
+		counts, err := countCandidates(ctx, db, cands)
 		if err != nil {
 			return nil, err
 		}

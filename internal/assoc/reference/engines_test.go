@@ -18,7 +18,7 @@ func TestAISCountsMoreCandidatesThanApriori(t *testing.T) {
 	// never would (extensions by infrequent items). At moderate supports,
 	// where Apriori's C2 = C(|L1|, 2) stays small, this shows directly in
 	// the candidate counts. (At very low supports Apriori's C2 dominates
-	// by count but is counted cheaply in one hash-tree scan; the paper's
+	// by count but is counted cheaply in one candidate scan; the paper's
 	// comparison is execution time, reproduced in EXP-A1.)
 	db, err := synth.Baskets(synth.TxI(8, 3, 300, 41))
 	if err != nil {
@@ -271,11 +271,12 @@ func (c *pollCtx) Err() error {
 	return nil
 }
 
-// cancelFixture spans several context strides, so every full scan polls
-// more than once.
+// cancelFixture spans several context strides and more than one of the
+// candidate count's 4096-row blocks (transactions.CountTids polls once per
+// block), so every full scan polls more than once.
 func cancelFixture(t *testing.T) *transactions.DB {
 	t.Helper()
-	cfg := synth.TxI(8, 3, 3*ctxStride+100, 61)
+	cfg := synth.TxI(8, 3, 5*ctxStride+100, 61)
 	cfg.NumItems = 100
 	cfg.NumPatterns = 50
 	db, err := synth.Baskets(cfg)
@@ -341,7 +342,7 @@ func TestScansPollContext(t *testing.T) {
 			return err
 		},
 		"candidate count": func(ctx context.Context) error {
-			_, err := countCandidates(ctx, db, 2, itemsetsOf(l2))
+			_, err := countCandidates(ctx, db, itemsetsOf(l2))
 			return err
 		},
 	}

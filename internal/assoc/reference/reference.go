@@ -20,9 +20,10 @@
 // the same scan), AprioriHybrid's pass 2 is the triangle of
 // transactions.CountPairs, and every candidate set — the global scans of
 // Partition and Sampling and the Apriori passes of AprioriHybrid and DHP —
-// is counted by countCandidates, a hashtree.Build tree scanned with
-// CountAllInto. Partition mines its partitions with assoc.Eclat.
-// Every scan polls its context every ctxStride transactions, the
+// is counted by countCandidates in tid-bitset blocks
+// (transactions.CountTids), not by the VLDB'94 hash tree. Partition mines
+// its partitions with assoc.Eclat. Every scan polls its context every
+// ctxStride transactions (CountTids every block of at most 4096), the
 // assoc.Miner contract.
 package reference
 
@@ -32,7 +33,6 @@ import (
 	"slices"
 
 	"repro/internal/assoc"
-	"repro/internal/hashtree"
 	"repro/internal/transactions"
 )
 
@@ -85,23 +85,20 @@ func startResult(ctx context.Context, db *transactions.DB, minSupport float64, v
 	return res, l1, nil
 }
 
-// countCandidates is the one candidate counter: the k-itemsets cands
-// (distinct, each sorted) in a hash tree, the database counted into it by
-// the trimmed scan one stride at a time. The supports are indexed like
-// cands.
-func countCandidates(ctx context.Context, db *transactions.DB, k int, cands []transactions.Itemset) ([]int32, error) {
-	tree, err := hashtree.Build(k, cands)
+// countCandidates is the one candidate counter: the itemsets cands
+// (distinct, each sorted) counted over the database by the production
+// pass-k kernel, transactions.CountTids, which polls ctx once per block.
+// The supports are indexed like cands.
+func countCandidates(ctx context.Context, db *transactions.DB, cands []transactions.Itemset) ([]int32, error) {
+	c, err := transactions.NewCandidates(cands, db.NumItems())
 	if err != nil {
 		return nil, err
 	}
-	buf := tree.NewCountBuffer()
-	for off := 0; off < db.Len(); off += ctxStride {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		tree.CountAllInto(db.Transactions[off:min(off+ctxStride, db.Len())], off, buf)
+	counts := make([]int32, len(cands))
+	if err := transactions.CountTids(ctx, c, db.Transactions, counts); err != nil {
+		return nil, err
 	}
-	return buf.Counts, nil
+	return counts, nil
 }
 
 // countLevels counts candidates grouped by length — byLen[l-1] holds the
@@ -116,7 +113,7 @@ func countLevels(ctx context.Context, db *transactions.DB, byLen [][]transaction
 		if len(cands) == 0 {
 			continue
 		}
-		counts, err := countCandidates(ctx, db, l+1, cands)
+		counts, err := countCandidates(ctx, db, cands)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -444,8 +444,8 @@ func (c *Coordinator) CountPairs(ctx context.Context, rank []int, n int) ([]int3
 }
 
 // CountCandidates runs a distributed pass-k (k >= 3) scan; the returned
-// counts are indexed like cands because every worker builds its hash tree
-// with hashtree.Build, whose entry ids are candidate indices.
+// counts are indexed like cands, as every worker's reply is
+// (transactions.CountTids counts candidate i into slot i).
 func (c *Coordinator) CountCandidates(ctx context.Context, k int, cands []transactions.Itemset) ([]int32, error) {
 	return c.countMerged(ctx, len(cands), MethodCountCandidates, func(ids []int) any {
 		return &CountCandidatesArgs{ShardIDs: ids, K: k, Candidates: cands}

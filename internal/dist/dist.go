@@ -4,7 +4,7 @@
 // Transport and exposes exactly those scans (CountItems, CountPairs,
 // CountCandidates, BuildTree); workers answer them by running the same
 // per-transaction kernels the local scans run (transactions.CountItems
-// and CountPairs, hash-tree count buffers for candidate lengths >= 3,
+// and CountPairs, transactions.CountTids for candidate lengths >= 3,
 // FP-tree builds) over their replicas and return serialized mergeable
 // buffers; and the coordinator folds the buffers together with the same
 // commutative integer adds the parallel and incremental engines use
@@ -149,13 +149,11 @@ type CountPairsArgs struct {
 	N        int
 }
 
-// CountCandidatesArgs requests a pass-k (k >= 3) scan: the worker builds
-// the candidate hash tree with hashtree.Build, which sizes the tree from
-// the candidates alone and numbers the entries in candidate order, and
-// counts the listed shards into one buffer — so the reply is indexed like
-// Candidates and no request can choose the tree's shape. Dedup tids are
-// request-local scan offsets — distinct per transaction, which is all the
-// hash tree's double-count guard needs.
+// CountCandidatesArgs requests a pass-k (k >= 3) scan: the worker counts
+// the listed shards into one counter per candidate with the tid-bitset
+// block kernel (transactions.CountTids), so the reply is indexed like
+// Candidates. The kernel's scratch is sized from the candidates and the
+// worker's replicas, never from a field of the request.
 type CountCandidatesArgs struct {
 	ShardIDs   []int
 	K          int

@@ -1,18 +1,19 @@
 package dist
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/fptree"
-	"repro/internal/hashtree"
 	"repro/internal/transactions"
 )
 
 // Worker is the counting side of the backend: it keeps version-stamped
 // shard replicas and answers count requests by scanning them with the
-// same per-transaction kernels the local scans call (transactions.CountItems
-// and CountPairs, the hash tree's trimmed pass-k scan, fptree.Build),
+// same kernels the local scans call (transactions.CountItems, CountPairs
+// and the pass-k tid-bitset count CountTids, fptree.Build),
 // returning mergeable buffers. The method signatures follow net/rpc
 // conventions so one implementation serves both transports.
 //
@@ -131,28 +132,59 @@ func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 	return nil
 }
 
-// CountCandidates builds the request's candidate hash tree with
-// hashtree.Build — the constructor the local scans use, whose entry ids
-// are candidate indices and whose shape no request chooses — and counts
-// the replicas into one private buffer with the shared trimmed scan
-// (hashtree.CountAllInto). Scan offsets serve as dedup tids; they only
-// need to be distinct within this one scan.
+// Errors of a pass-k request whose candidates are not one pass's C_k.
+var (
+	errCandidateK      = errors.New("dist: candidate length K must be positive")
+	errCandidateLength = errors.New("dist: candidate length does not match K")
+)
+
+// CountCandidates counts the request's candidates over the requested
+// replicas with the pass-k kernel the local scans use
+// (transactions.CountTids), so the reply is indexed like Candidates. K and
+// the candidates are wire input: K below 1, or a candidate of another
+// length, is an error. The item universe is the replicas' own, one past
+// their largest item, so a candidate naming an item beyond it counts 0.
+// The replicas are wire input too, and the kernel's rank table runs to the
+// largest candidate item inside that universe, so a replica item at or
+// past maxFrame — a universe CountItems refuses as well — is an error
+// before any table exists.
 func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) error {
+	if args.K < 1 {
+		return errCandidateK
+	}
+	for _, c := range args.Candidates {
+		if len(c) != args.K {
+			return fmt.Errorf("%w: %d items, K = %d", errCandidateLength, len(c), args.K)
+		}
+	}
 	shards, err := w.replicas(args.ShardIDs)
 	if err != nil {
 		return err
 	}
-	tree, err := hashtree.Build(args.K, args.Candidates)
+	numItems := 0
+	for _, sh := range shards {
+		for _, tx := range sh.Txs {
+			if len(tx) == 0 {
+				continue
+			}
+			last := tx[len(tx)-1]
+			if last >= maxFrame {
+				return fmt.Errorf("dist: shard %d: item %d outside the %d-item universe a worker counts", sh.ID, last, maxFrame)
+			}
+			numItems = max(numItems, last+1)
+		}
+	}
+	c, err := transactions.NewCandidates(args.Candidates, numItems)
 	if err != nil {
 		return err
 	}
-	buf := tree.NewCountBuffer()
-	tid := 0
+	counts := make([]int32, c.Len())
 	for _, sh := range shards {
-		tree.CountAllInto(sh.Txs, tid, buf)
-		tid += len(sh.Txs)
+		if err := transactions.CountTids(context.Background(), c, sh.Txs, counts); err != nil {
+			return err
+		}
 	}
-	reply.Counts = buf.Counts
+	reply.Counts = counts
 	return nil
 }
 

@@ -3,10 +3,11 @@ package dist
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/fptree"
-	"repro/internal/hashtree"
+	"repro/internal/oracle"
 	"repro/internal/transactions"
 )
 
@@ -79,9 +80,9 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 }
 
 // TestWorkerValidatesWireInput is the regression table for the pass-k
-// request and for the reply sizes: a candidate length the hash tree cannot
-// be built for, and a reply no frame could carry, are errors before any
-// tree or counter array exists.
+// request and for the reply sizes: a K below 1 or a candidate of another
+// length, and a reply no frame could carry, are errors before any counter
+// array exists.
 func TestWorkerValidatesWireInput(t *testing.T) {
 	w := replicaWorker(t)
 	ascending := make([]int, 46342) // the least N whose triangle exceeds maxFrame
@@ -93,9 +94,9 @@ func TestWorkerValidatesWireInput(t *testing.T) {
 		args   any
 		want   error
 	}{
-		"k = 0":               {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 0}, hashtree.ErrBadParams},
-		"k past the itemsets": {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 1 << 40, Candidates: []transactions.Itemset{{1, 2, 3}}}, hashtree.ErrWrongLength},
-		"mixed lengths":       {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}, {1, 2}}}, hashtree.ErrWrongLength},
+		"k = 0":               {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 0}, errCandidateK},
+		"k past the itemsets": {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 1 << 40, Candidates: []transactions.Itemset{{1, 2, 3}}}, errCandidateLength},
+		"mixed lengths":       {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}, {1, 2}}}, errCandidateLength},
 		"universe past frame": {MethodCountItems, &CountItemsArgs{ShardIDs: []int{0}, NumItems: maxFrame + 1}, nil},
 		"universe of 1<<50":   {MethodCountItems, &CountItemsArgs{ShardIDs: []int{0}, NumItems: 1 << 50}, nil},
 		"universe of MaxInt":  {MethodCountItems, &CountItemsArgs{ShardIDs: []int{0}, NumItems: math.MaxInt}, nil},
@@ -106,6 +107,64 @@ func TestWorkerValidatesWireInput(t *testing.T) {
 		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
 			t.Errorf("%s: err = %v, want an error (%v)", name, err, tc.want)
 		}
+	}
+}
+
+// TestWorkerCountsByItsOwnData: the pass-k scan's item universe is the
+// replicas' own, so a candidate naming an item far past all of them (1<<40)
+// counts 0 beside exact counts for the rest, and the scan allocates by the
+// replicas and the candidates, not by that item id.
+func TestWorkerCountsByItsOwnData(t *testing.T) {
+	db, _ := minedShards(t)
+	w := replicaWorker(t)
+	cands := []transactions.Itemset{{1, 2, 3}, {1, 2, 1 << 40}, {2, 3, 5}, {2, 5, 1 << 40}, {3, 4, 5}}
+	var reply CountsReply
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := w.CountCandidates(CountCandidatesArgs{ShardIDs: []int{0, 1}, K: 3, Candidates: cands}, &reply)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cands {
+		if want := oracle.Support(db.Transactions, c); len(reply.Counts) != len(cands) || int(reply.Counts[i]) != want {
+			t.Fatalf("%v: counts %v, want %d in slot %d", c, reply.Counts, want, i)
+		}
+	}
+	// The kernel's pooled scratch is at most a few KiB here; a table sized
+	// by the item id would be terabytes.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("counting %d candidates over %d rows allocated %d bytes", len(cands), db.Len(), grew)
+	}
+}
+
+// TestWorkerRefusesHugeReplicaItem: replica rows are wire input too, and
+// a shipped row naming item 1<<40 would make the pass-k rank table that
+// item's size once a candidate names it. The count is an error before any
+// table exists, whether or not a candidate names the item, and the worker
+// serves the next request exactly.
+func TestWorkerRefusesHugeReplicaItem(t *testing.T) {
+	w := replicaWorker(t)
+	huge := ShardPayload{ID: 2, Txs: []transactions.Itemset{{1, 2, 3}, {1, 2, 1 << 40}}}
+	if err := w.Ship(ShipArgs{Shards: []ShardPayload{huge}}, &ShipReply{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, cands := range [][]transactions.Itemset{{{1, 2, 3}}, {{1, 2, 3}, {1, 2, 1 << 40}}} {
+		var reply CountsReply
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := w.CountCandidates(CountCandidatesArgs{ShardIDs: []int{0, 1, 2}, K: 3, Candidates: cands}, &reply)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("candidates %v over a replica naming 1<<40: counts %v, want an error", cands, reply.Counts)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("refusing candidates %v allocated %d bytes", cands, grew)
+		}
+	}
+	var reply CountsReply
+	if err := w.CountCandidates(CountCandidatesArgs{ShardIDs: []int{0, 1}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}}}, &reply); err != nil || len(reply.Counts) != 1 || reply.Counts[0] != 1 {
+		t.Fatalf("worker after the refused count: err %v, counts %v", err, reply.Counts)
 	}
 }
 

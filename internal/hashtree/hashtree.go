@@ -12,13 +12,12 @@
 // matching candidates are never entered — the structure that keeps a pass
 // over |D| transactions near-linear instead of |D|·|C_k|.
 //
-// Build is the one constructor of a counting pass — it owns the tree's
-// shape and numbers entries in candidate order — and the local scans and
-// the dist worker (and so every full run) all build through it. After
-// Build the tree is read-only: each worker counts its transactions into a
-// private CountBuffer indexed by entry id with the trimmed scan
-// (CountAllInto), and the buffers fold back with plain integer adds —
-// bit-identical to a serial scan in any merge order.
+// No mining path counts with it: every pass k >= 3 — the local
+// scans, the dist workers, the reference engines and the incremental
+// maintainer — counts in tid-bitset blocks (transactions.CountTids). The
+// tree stays for the benchmark's hashtree layer probe, which inserts one
+// candidate at a time (New, Insert) and counts one transaction at a time
+// (CountTransaction).
 package hashtree
 
 import (
@@ -41,31 +40,19 @@ type Tree struct {
 	root    *node
 	size    int
 
-	// live[item] = 1 if some candidate names item, maintained by Insert
-	// for the trimmed scan (CountAllInto). It reaches only as far as the
-	// largest such item below maxLive.
-	live []uint8
-
 	// own is CountTransaction's buffer, grown to the entries by Counts.
-	own CountBuffer
+	own countBuffer
 }
-
-// maxLive bounds the live table, so a candidate naming an enormous item
-// (they arrive off the wire) costs no memory: items from maxLive up are
-// never trimmed.
-const maxLive = 1 << 20
 
 type node struct {
 	children []*node  // non-nil for interior nodes
 	entries  []*Entry // leaf payload
 }
 
-// Defaults match the spirit of the paper's implementation. Build's fanout
-// ranges from DefaultFanout to maxFanout.
+// Defaults match the spirit of the paper's implementation.
 const (
 	DefaultFanout  = 16
 	DefaultMaxLeaf = 32
-	maxFanout      = 4096
 )
 
 // Errors returned by the tree.
@@ -73,47 +60,6 @@ var (
 	ErrWrongLength = errors.New("hashtree: itemset length does not match tree")
 	ErrBadParams   = errors.New("hashtree: candidate length, fanout and leaf capacity must be positive")
 )
-
-// Build returns the hash tree of one counting pass over cands, distinct
-// sorted itemsets of length k, inserted in order so that entry id i is
-// cands[i]. The shape is the tree's own — a fanout from the candidate
-// count (adaptiveFanout) and DefaultMaxLeaf — so no caller, the dist
-// worker's wire input included, can make it allocate more than the
-// candidates. k < 1 is ErrBadParams, a candidate of another length
-// ErrWrongLength.
-func Build(k int, cands []transactions.Itemset) (*Tree, error) {
-	t, err := newWithParams(k, adaptiveFanout(len(cands), k, DefaultMaxLeaf), DefaultMaxLeaf)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range cands {
-		if _, err := t.Insert(c); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
-// adaptiveFanout returns the smallest power of two f with f^k ≥
-// nCands/maxLeaf, clamped to [DefaultFanout, maxFanout]: leaves at depth k
-// cannot split further, so a fixed small fanout would degenerate into long
-// leaf scans for large candidate sets.
-func adaptiveFanout(nCands, k, maxLeaf int) int {
-	cells := nCands/maxLeaf + 1
-	f := DefaultFanout
-	for f < maxFanout {
-		// f^k >= cells?
-		prod := 1
-		for i := 0; i < k && prod < cells; i++ {
-			prod *= f
-		}
-		if prod >= cells {
-			break
-		}
-		f *= 2
-	}
-	return f
-}
 
 // New returns an empty hash tree for candidates of length k with the
 // default shape, for callers that insert one candidate at a time.
@@ -144,15 +90,6 @@ func (t *Tree) Insert(items transactions.Itemset) (*Entry, error) {
 		return nil, ErrWrongLength
 	}
 	e := &Entry{Items: items, id: t.size}
-	for _, item := range items {
-		if item >= maxLive {
-			break
-		}
-		if item >= len(t.live) {
-			t.live = append(t.live, make([]uint8, item+1-len(t.live))...)
-		}
-		t.live[item] = 1
-	}
 	t.insert(t.root, e, 0)
 	t.size++
 	return e, nil
@@ -188,7 +125,7 @@ func (t *Tree) insert(n *node, e *Entry, depth int) {
 }
 
 // CountTransaction adds tx to the tree's own counts (Counts): one
-// transaction, untrimmed, through the same traversal as the buffered scan.
+// transaction through the paper's traversal.
 // tid must be distinct per transaction (and non-negative); it guards
 // against double counting when a leaf is reachable along several hash
 // paths.
@@ -208,36 +145,23 @@ func (t *Tree) Counts() []int32 {
 	return t.own.Counts
 }
 
-// CountBuffer holds one worker's private support counters for the
-// concurrent counting mode: counts and duplicate-visit guards indexed by
-// entry id. Workers traverse the tree read-only and write only into their
-// own buffer, so any number of them may count disjoint transaction shards
-// concurrently; the buffers are merged serially after the scan
-// (count-distribution). All candidate insertions must happen before the
-// first concurrent count — Build makes sure of it. Counts are int32, the
-// width of every support counter (see transactions.CountItems).
-type CountBuffer struct {
+// countBuffer holds the tree's support counters and duplicate-visit
+// guards, indexed by entry id. Counts are int32, the width of every
+// support counter (see transactions.CountItems).
+type countBuffer struct {
 	Counts []int32
 	seen   []int // tid+1 of the last transaction counted per entry; 0 = none
-
-	row transactions.Itemset // CountAllInto's scratch: the current transaction, trimmed
-}
-
-// NewCountBuffer returns a zeroed buffer sized for the tree's entries.
-func (t *Tree) NewCountBuffer() *CountBuffer {
-	return &CountBuffer{Counts: make([]int32, t.size), seen: make([]int, t.size)}
 }
 
 // countInto is the paper's recursive traversal: at an interior node of
 // depth d, hash each remaining transaction item and descend; at a leaf,
 // verify containment per candidate. Items before start are already
-// consumed by the path, and counts and duplicate guards go into buf, so
-// the tree is only read and concurrent calls with distinct buffers are
-// race-free. It must stay allocation-free — it runs once per transaction
-// per pass — and allocbound holds it to zero provable allocation sites.
+// consumed by the path, and counts and duplicate guards go into buf. It
+// must stay allocation-free — it runs once per transaction — and
+// allocbound holds it to zero provable allocation sites.
 //
 //invcheck:hotpath
-func (t *Tree) countInto(n *node, tx transactions.Itemset, start, depth, tid int, buf *CountBuffer) {
+func (t *Tree) countInto(n *node, tx transactions.Itemset, start, depth, tid int, buf *countBuffer) {
 	if n.children == nil {
 		for _, e := range n.entries {
 			if buf.seen[e.id] != tid+1 && tx.ContainsAll(e.Items) {
@@ -252,47 +176,6 @@ func (t *Tree) countInto(n *node, tx transactions.Itemset, start, depth, tid int
 		child := n.children[tx[i]%t.fanout]
 		if child != nil {
 			t.countInto(child, tx, i+1, depth+1, tid, buf)
-		}
-	}
-}
-
-// CountAllInto is the pass-k scan: it counts every transaction of txs into
-// buf, with tid0+i as the i-th transaction's dedup tid, and is the one
-// loop the local scans and the dist worker (and so every full run)
-// run. Each transaction is first trimmed to the items that occur in some
-// candidate (the transaction trimming of Park, Chen & Yu's DHP; the tree
-// marks them as candidates are inserted), and rows left with fewer than k
-// items never reach the tree. Counts equal those of CountTransaction on
-// every transaction, because a candidate is a subset of tx exactly when it
-// is a subset of tx's live items; what changes is that the traversal
-// hashes and compares only items a candidate could match. Transactions
-// must be sorted ascending, as everywhere in this package. A scan that
-// must stay cancellable calls it once per stride of transactions; the
-// scratch row lives in buf, so later calls allocate nothing.
-//
-//invcheck:hotpath
-func (t *Tree) CountAllInto(txs []transactions.Itemset, tid0 int, buf *CountBuffer) {
-	// Size the scratch row before the counting loop, not in it.
-	longest := 0
-	for _, tx := range txs {
-		longest = max(longest, len(tx))
-	}
-	if cap(buf.row) < longest {
-		buf.row = make(transactions.Itemset, longest)
-	}
-	row, live := buf.row[:longest], t.live
-	for off, tx := range txs {
-		n := 0
-		for _, item := range tx {
-			row[n] = item
-			if uint(item) < uint(len(live)) {
-				n += int(live[item])
-			} else if item >= maxLive {
-				n++
-			}
-		}
-		if n >= t.k {
-			t.countInto(t.root, row[:n], 0, 0, tid0+off, buf)
 		}
 	}
 }
