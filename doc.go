@@ -59,16 +59,15 @@
 // The distributed backend (internal/dist + assoc.Distributed) is the
 // remote scan source under the same two drivers: a coordinator ships
 // version-stamped shard snapshots to workers over a pluggable transport
-// (in-process channels for single-binary use, net/rpc carrying the same
-// varint wire codec in length-prefixed frames for real deployment),
-// workers scan their replicas with the same per-transaction
-// kernels — including serialized FP-tree builds — and the coordinator
-// merges the returned buffers with the same commutative adds, so
-// distributed results are byte-identical to local runs, and a mine that
-// loses its whole cluster finishes on the local source (the bench metrics
-// dist.overhead_x and dist.gob_share — the codec's share, under the name
-// of the codec it replaced — track the shipping and serialization
-// overhead). The maintainer's full runs (assoc.Incremental.Remote) sync a
+// (in-process worker goroutines fed by channels, every message encoded
+// and decoded by the varint wire codec on the way), workers scan their
+// replicas with the same per-transaction kernels — including serialized
+// FP-tree builds — and the coordinator merges the returned buffers with
+// the same commutative adds, so distributed results are byte-identical to
+// local runs, and a mine that loses its whole cluster finishes on the
+// local source (the bench metrics dist.overhead_x and dist.gob_share —
+// the codec's share, under the name of the codec it replaced — track the
+// shipping and serialization overhead). The maintainer's full runs (assoc.Incremental.Remote) sync a
 // ShardedDB's version-stamped shards, so only dirty ones re-ship after
 // updates.
 //

@@ -107,7 +107,7 @@ func (d *Distributed) Coordinator() *dist.Coordinator {
 	return d.coord
 }
 
-// Close releases the transport (in-process workers or RPC connections).
+// Close releases the transport and its workers.
 // The engine is not usable afterwards. Consumers that obtain the engine
 // generically (Registered) can reach this through io.Closer; without a
 // Close the lazily built default transport's worker goroutines live until

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"testing"
 	"testing/quick"
 	"time"
@@ -326,40 +325,17 @@ func TestDistributedDegenerateInputs(t *testing.T) {
 	}
 }
 
-// loopbackRPC serves n workers on loopback TCP and dials them; the
-// listeners close with the test, the connections with the transport.
-func loopbackRPC(t *testing.T, n int) dist.Transport {
-	t.Helper()
-	var addrs []string
-	for i := 0; i < n; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Skipf("loopback listen unavailable: %v", err)
-		}
-		t.Cleanup(func() { l.Close() })
-		addrs = append(addrs, l.Addr().String())
-		go dist.ServeWorker(l, dist.NewWorker())
-	}
-	tr, err := dist.DialRPC(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
-}
-
-// TestDistributedSameBytesOverEveryTransport: one codec, three ways to
-// carry it. A mine returns the same Canonical bytes and the same pass
-// stats whether messages pass by reference, through the in-process
-// encode/decode round trip, or in frames over loopback TCP — for both
-// engines, on a healthy cluster and under seeded retry/failover schedules
-// (where passes may be stamped Degraded but count the same).
+// TestDistributedSameBytesOverEveryTransport: a mine returns the same
+// Canonical bytes and the same pass stats whether messages pass by
+// reference or through the encode/decode round trip — for both engines,
+// on a healthy cluster and under seeded retry/failover schedules (where
+// passes may be stamped Degraded but count the same).
 func TestDistributedSameBytesOverEveryTransport(t *testing.T) {
 	db := deepFixture(t)
 	const minSup, workers = 0.02, 2
 	transports := map[string]func() dist.Transport{
 		"local":        func() dist.Transport { return dist.NewLocalTransport(workers, false) },
 		"local-encode": func() dist.Transport { return dist.NewLocalTransport(workers, true) },
-		"rpc":          func() dist.Transport { return loopbackRPC(t, workers) },
 	}
 	plans := map[string]dist.FaultPlan{
 		"healthy": {},

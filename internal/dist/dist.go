@@ -25,16 +25,16 @@
 //     shards whose version changed — the dirty-shard maintenance protocol
 //     of the incremental engine, carried across the network boundary.
 //
-// Two transports are provided: LocalTransport runs workers as in-process
-// goroutines fed by channels (tests and single-binary use; optionally
-// encoding and decoding every message so serialization cost is real), and
-// RPCTransport carries the same bytes in length-prefixed frames to remote
-// worker processes (ServeWorker is the listening side). The byte format
-// (wire.go) is one codec for both: varint integer blocks and the
-// transactions package's stable encoding for shard rows and candidates.
-// internal/assoc's Distributed miner is the engine built on top of this
-// package: it syncs the shards and hands the coordinator to the level-wise
-// or pattern-growth driver.
+// Workers are reached through the Transport interface. The one transport
+// provided, LocalTransport, runs them as in-process goroutines fed by
+// channels; in its encode mode, the one every program uses, each message
+// is encoded with the wire codec (wire.go: varint integer blocks and the
+// transactions package's stable encoding for shard rows and candidates)
+// and decoded into fresh values, so no memory crosses the boundary and the
+// serialization cost is real. FaultTransport wraps any Transport to inject
+// faults. internal/assoc's Distributed miner is the engine built on top of
+// this package: it syncs the shards and hands the coordinator to the
+// level-wise or pattern-growth driver.
 //
 // # Fault model
 //
@@ -98,8 +98,8 @@ var (
 	ErrNoHealthyWorkers = errors.New("dist: no healthy workers")
 )
 
-// Transport method names, the vocabulary every Transport must route. They
-// double as the net/rpc method names under the "Worker" service.
+// Transport method names, the vocabulary every Transport must route to
+// the Worker method of the same name.
 const (
 	MethodShip            = "Ship"
 	MethodCountItems      = "CountItems"
@@ -174,11 +174,11 @@ type TreeReply struct {
 }
 
 // Transport carries coordinator requests to workers. Call invokes a
-// Method* on worker w (args and reply follow net/rpc conventions: args may
-// be a value or pointer, reply must be a pointer) and blocks until the
-// reply is filled or ctx is done, whichever comes first — an abandoned
-// in-flight request is discarded when its reply eventually arrives, so
-// cancellation never corrupts a later call's reply. Calls to distinct
+// Method* on worker w (args is a pointer to the method's args type, reply
+// a pointer to its reply type) and blocks until the reply is filled or ctx
+// is done, whichever comes first — an abandoned in-flight request is
+// discarded when its reply eventually arrives, so cancellation never
+// corrupts a later call's reply. Calls to distinct
 // workers may run concurrently; the coordinator never issues concurrent
 // calls to one worker.
 type Transport interface {
@@ -190,9 +190,7 @@ type Transport interface {
 	Close() error
 }
 
-// dispatch routes one decoded call to the worker's typed methods. It is
-// shared by LocalTransport (directly) and ServeWorker (net/rpc routes by
-// method name instead, but the names match by construction).
+// dispatch routes one decoded call to the worker's typed methods.
 func dispatch(w *Worker, method string, args, reply any) error {
 	switch method {
 	case MethodShip:

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"net"
 	"strings"
 	"testing"
 
@@ -266,58 +265,8 @@ func TestBadMethod(t *testing.T) {
 	}
 }
 
-// TestRPCTransport runs a real net/rpc worker over loopback TCP and checks
-// the counts match the local scan — the deployment transport end to end.
-func TestRPCTransport(t *testing.T) {
-	db := testDB(t)
-	var listeners []net.Listener
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Skipf("loopback listen unavailable: %v", err)
-		}
-		defer l.Close()
-		listeners = append(listeners, l)
-		addrs = append(addrs, l.Addr().String())
-		go ServeWorker(l, NewWorker())
-	}
-	tr, err := DialRPC(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if tr.NumWorkers() != 2 {
-		t.Fatalf("workers = %d", tr.NumWorkers())
-	}
-	c := NewCoordinator(tr)
-	if err := c.Sync(ctx, testShards(db, 3, 1)); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.CountItems(ctx, db.NumItems())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := localCounts(db)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("count[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// FP-tree build over RPC: the rank table round-trips through the wire.
-	ranks := fptree.NewRanks(want, 2)
-	forest, err := c.BuildTree(ctx, ranks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local := fptree.Build(db.Transactions, ranks)
-	if n := mergedNodes(ranks, forest); n != local.NumNodes() {
-		t.Errorf("rpc tree nodes = %d, want %d", n, local.NumNodes())
-	}
-}
-
 func TestCoordinatorNoWorkers(t *testing.T) {
-	c := NewCoordinator(&RPCTransport{})
+	c := NewCoordinator(&LocalTransport{})
 	if err := c.Sync(ctx, nil); !errors.Is(err, ErrNoWorkers) {
 		t.Fatalf("err = %v, want ErrNoWorkers", err)
 	}
@@ -365,15 +314,5 @@ func TestCountMergedRejectsOverflow(t *testing.T) {
 	// not fit.
 	if !strings.Contains(err.Error(), "worker 1") {
 		t.Fatalf("err = %v, want it to name worker 1", err)
-	}
-}
-
-func TestRPCTransportClosedCall(t *testing.T) {
-	tr := &RPCTransport{}
-	if err := tr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Call(ctx, 0, MethodShip, &ShipArgs{}, &ShipReply{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -308,51 +307,6 @@ func TestFaultTransportPartition(t *testing.T) {
 	}
 }
 
-// TestDialRPCMidListFailure is the satellite regression test: when the
-// second address refuses the dial, the first (already-open) connection
-// is closed — observed as EOF on the server side — and the returned
-// error wraps ErrWorkerUnavailable around the dial cause.
-func TestDialRPCMidListFailure(t *testing.T) {
-	good, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	defer good.Close()
-	serverSawEOF := make(chan error, 1)
-	go func() {
-		conn, err := good.Accept()
-		if err != nil {
-			serverSawEOF <- err
-			return
-		}
-		_, err = conn.Read(make([]byte, 1))
-		serverSawEOF <- err
-	}()
-	bad, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	badAddr := bad.Addr().String()
-	bad.Close() // now refuses connections
-
-	tr, err := DialRPC([]string{good.Addr().String(), badAddr})
-	if err == nil {
-		tr.Close()
-		t.Fatal("DialRPC succeeded against a closed listener")
-	}
-	if !errors.Is(err, ErrWorkerUnavailable) {
-		t.Fatalf("err = %v, want ErrWorkerUnavailable in the chain", err)
-	}
-	select {
-	case rerr := <-serverSawEOF:
-		if rerr == nil {
-			t.Fatal("server read succeeded; expected EOF from the closed dial")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("first connection was never closed: mid-list dial failure leaked it")
-	}
-}
-
 // TestLocalTransportAbandonedCallsLeakNothing is the satellite audit
 // test: hammering one worker with calls abandoned at random points (some
 // before the send, some mid-dispatch) leaves no goroutine behind once
@@ -390,20 +344,9 @@ func TestLocalTransportAbandonedCallsLeakNothing(t *testing.T) {
 }
 
 // TestTransportCloseSemantics is the satellite contract test: Close is
-// idempotent on both transports and on the fault wrapper, and post-Close
-// calls fail with ErrClosed.
+// idempotent on the fault wrapper and on the local transport beneath it,
+// and post-Close calls fail with ErrClosed.
 func TestTransportCloseSemantics(t *testing.T) {
-	// RPCTransport: double Close, then call.
-	rt := &RPCTransport{}
-	if err := rt.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Close(); err != nil {
-		t.Fatalf("second RPC close: %v", err)
-	}
-	if err := rt.Call(ctx, 0, MethodShip, &ShipArgs{}, &ShipReply{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("rpc post-close err = %v, want ErrClosed", err)
-	}
 	// FaultTransport wraps the local one; Close must pass through and
 	// stay idempotent.
 	ft := NewFaultTransport(NewLocalTransport(1, false), FaultPlan{})

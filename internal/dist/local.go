@@ -15,12 +15,12 @@ type localCall struct {
 }
 
 // LocalTransport runs workers as in-process goroutines, one per worker,
-// each serving calls from its own channel — the tests/single-binary
-// transport. With Encode set every argument and reply is encoded with the
-// wire.go codec and decoded into fresh message values, so the bytes moved
-// (and the serialization cost bench reports as dist.gob_share, a name it
-// keeps from the codec this one replaced) are exactly what RPCTransport
-// would move; without it, payloads pass by reference with zero copies.
+// each serving calls from its own channel. With Encode set every argument
+// and reply is encoded with the wire.go codec and decoded into fresh
+// message values, so each message crosses as its wire bytes (whose
+// serialization cost bench reports as dist.gob_share, a name it keeps
+// from the codec this one replaced); without it, payloads pass by
+// reference with zero copies.
 type LocalTransport struct {
 	// Encode turns on the encode/decode round trip per call.
 	Encode bool
@@ -136,8 +136,7 @@ func (t *LocalTransport) Close() error {
 }
 
 // wireRoundTrip encodes src and decodes the bytes into dst — the
-// serialization leg of the local transport's encode mode, through the
-// same two functions RPCTransport's codecs call.
+// serialization leg of the encode mode.
 func wireRoundTrip(src, dst any) error {
 	b, err := appendMessage(nil, src)
 	if err != nil {

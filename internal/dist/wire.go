@@ -37,14 +37,12 @@ import (
 //	                     int parent, int count; all three at most
 //	                     math.MaxInt32
 //
-// LocalTransport's encode mode and RPCTransport both move exactly these
-// bytes; the rpc framing around them is in rpc.go. Decoders bound every
-// declared length by the bytes that remain before allocating, reject
+// LocalTransport's encode mode moves exactly these bytes. Decoders bound
+// every declared length by the bytes that remain before allocating, reject
 // trailing bytes, and report every failure as ErrBadFrame.
 
-// ErrBadFrame reports wire bytes that are not a well-formed message or rpc
-// frame — truncated, oversized, non-canonical, or followed by trailing
-// bytes — and, on the encode side, a value the format cannot carry (a
+// ErrBadFrame reports wire bytes that are not a well-formed message —
+// truncated, oversized, non-canonical, or followed by trailing bytes — and, on the encode side, a value the format cannot carry (a
 // negative id or count, or a node count past math.MaxInt32). It is
 // deterministic, so Retryable reports false.
 var ErrBadFrame = errors.New("dist: malformed wire message")
@@ -359,7 +357,7 @@ func decodeTreeReply(b []byte, a *TreeReply) error {
 }
 
 // appendMessage appends the wire form of msg, a pointer to any of the
-// eight message types — the one encode entry point both transports call.
+// eight message types — the one encode entry point.
 func appendMessage(dst []byte, msg any) ([]byte, error) {
 	switch m := msg.(type) {
 	case *ShipArgs:

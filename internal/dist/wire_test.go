@@ -5,16 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
-	"net"
 	"reflect"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/fptree"
 	"repro/internal/transactions"
@@ -451,89 +448,12 @@ func TestMinedMessagesCoverEveryKind(t *testing.T) {
 	}
 }
 
-// TestFrameRoundTrip writes frames and reads them back through one reused
-// buffer, including a frame larger than a growth chunk.
-func TestFrameRoundTrip(t *testing.T) {
-	var stream bytes.Buffer
-	messages := [][]byte{nil, []byte("x"), bytes.Repeat([]byte{0xab}, 3*frameChunk+17), []byte("tail")}
-	for i, m := range messages {
-		b := append(appendFrameHead(nil, uint64(i)+1, "Worker.Ship", "boom"), m...)
-		if err := finishFrame(b, 0); err != nil {
-			t.Fatal(err)
-		}
-		stream.Write(b)
-	}
-	var buf []byte
-	for i, want := range messages {
-		var err error
-		if buf, err = readFrame(&stream, buf); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		seq, method, errText, message, err := splitFrame(buf)
-		if err != nil || seq != uint64(i)+1 || method != "Worker.Ship" || errText != "boom" || !bytes.Equal(message, want) {
-			t.Fatalf("frame %d: seq %d method %q error %q, %d message bytes, err %v", i, seq, method, errText, len(message), err)
-		}
-	}
-	if _, err := readFrame(&stream, buf); err != io.EOF {
-		t.Fatalf("end of stream: err = %v, want io.EOF", err)
-	}
-}
-
-// TestFrameReaderBounds: a declared length over the cap is ErrBadFrame
-// before anything is read, a length the peer does not back with bytes
-// allocates in proportion to what arrived, and a garbled header is
-// ErrBadFrame.
-func TestFrameReaderBounds(t *testing.T) {
-	over := []byte{0x01, 0x00, 0x00, 0x40} // maxFrame + 1
-	if _, err := readFrame(bytes.NewReader(over), nil); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("oversized frame: err = %v, want ErrBadFrame", err)
-	}
-	lying := append([]byte{0x00, 0x00, 0x00, 0x40}, make([]byte, 1000)...) // declares maxFrame, sends 1000 bytes
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := readFrame(bytes.NewReader(lying), nil)
-	runtime.ReadMemStats(&after)
-	if err != io.ErrUnexpectedEOF {
-		t.Fatalf("short frame: err = %v, want io.ErrUnexpectedEOF", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*frameChunk {
-		t.Fatalf("a frame declaring %d bytes and sending 1000 allocated %d", maxFrame, grew)
-	}
-	// The encode side of the cap: the error a request too large to frame
-	// gets from the client codec must not read as a dead worker, or the
-	// coordinator would fail a healthy one over with a larger request still.
-	err = wrapRPCError(0, finishFrame(appendFrameHead(nil, 1, "Worker.Ship", ""), maxFrame))
-	if !errors.Is(err, ErrBadFrame) || Retryable(err) {
-		t.Fatalf("frame over the cap on encode: err = %v, want non-retryable ErrBadFrame", err)
-	}
-	for name, body := range map[string][]byte{
-		"empty body":            {},
-		"method past the frame": {0x01, 0x7f, 'a'},
-		"non-minimal seq":       {0x81, 0x00, 0x00, 0x00},
-	} {
-		if _, _, _, _, err := splitFrame(body); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
-		}
-	}
-}
-
-// TestWorkerIndexOutOfRange: both transports report a worker they do not
-// reach with the same sentinel, not a panic, and it is not retried.
+// TestWorkerIndexOutOfRange: the transport in both modes reports a worker
+// it does not reach with a sentinel, not a panic, and it is not retried.
 func TestWorkerIndexOutOfRange(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	defer l.Close()
-	go ServeWorker(l, NewWorker())
-	rt, err := DialRPC([]string{l.Addr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, tr := range map[string]Transport{
 		"local":        NewLocalTransport(2, false),
 		"local-encode": NewLocalTransport(2, true),
-		"rpc":          rt,
 	} {
 		for _, w := range []int{-1, tr.NumWorkers(), 99} {
 			err := tr.Call(ctx, w, MethodShip, &ShipArgs{}, &ShipReply{})
@@ -554,7 +474,7 @@ func TestWorkerIndexOutOfRange(t *testing.T) {
 // TestCountPairsValidatesWireInput is the regression table for the pass-2
 // request: a malformed N or rank table is an error before any allocation
 // or indexing, on the worker directly and — as a non-retryable error —
-// through both transports.
+// through the coordinator over LocalTransport's encode mode.
 func TestCountPairsValidatesWireInput(t *testing.T) {
 	txs := []transactions.Itemset{transactions.NewItemset(0, 1, 2, 3)}
 	cases := []struct {
@@ -589,170 +509,26 @@ func TestCountPairsValidatesWireInput(t *testing.T) {
 		}
 	}
 
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	defer l.Close()
-	go ServeWorker(l, NewWorker())
-	rt, err := DialRPC([]string{l.Addr().String()})
-	if err != nil {
+	tr := NewLocalTransport(1, true)
+	defer tr.Close()
+	c := NewCoordinator(tr)
+	if err := c.Sync(ctx, []ShardPayload{{ID: 0, Version: 1, Txs: txs}}); err != nil {
 		t.Fatal(err)
 	}
-	for name, tr := range map[string]Transport{"local-encode": NewLocalTransport(1, true), "rpc": rt} {
-		c := NewCoordinator(tr)
-		if err := c.Sync(ctx, []ShardPayload{{ID: 0, Version: 1, Txs: txs}}); err != nil {
-			t.Fatal(err)
+	for _, tc := range cases {
+		// The retrying call the coordinator's scans go through; its own
+		// CountPairs sizes the merge array from N, so a request this
+		// malformed can only come from a peer that is not one.
+		tc.args.ShardIDs = []int{0}
+		err := c.call(ctx, 0, MethodCountPairs, &tc.args, new(CountsReply))
+		if (err == nil) != tc.ok {
+			t.Errorf("coordinator: %s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
-		for _, tc := range cases {
-			// The retrying call the coordinator's scans go through; its
-			// own CountPairs sizes the merge array from N, so a request
-			// this malformed can only come from a peer that is not one.
-			tc.args.ShardIDs = []int{0}
-			err := c.call(ctx, 0, MethodCountPairs, &tc.args, new(CountsReply))
-			if (err == nil) != tc.ok {
-				t.Errorf("%s: %s: err = %v, want ok=%v", name, tc.name, err, tc.ok)
-			}
-			if err != nil && Retryable(err) {
-				t.Errorf("%s: %s: a validation error is retryable: %v", name, tc.name, err)
-			}
+		if err != nil && Retryable(err) {
+			t.Errorf("coordinator: %s: a validation error is retryable: %v", tc.name, err)
 		}
-		if st := c.Stats(); st.Retries != 0 || st.Failovers != 0 {
-			t.Errorf("%s: validation errors cost %d retries and %d failovers", name, st.Retries, st.Failovers)
-		}
-		tr.Close()
 	}
-}
-
-// TestRPCSurvivesHostileFrames: garbage on one connection costs that
-// connection, not the worker process — a well-behaved client on another
-// connection is still served — and a reply that does not decode reaches
-// the caller as ErrBadFrame, not as a retryable connection failure.
-func TestRPCSurvivesHostileFrames(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
+	if st := c.Stats(); st.Retries != 0 || st.Failovers != 0 {
+		t.Errorf("validation errors cost %d retries and %d failovers", st.Retries, st.Failovers)
 	}
-	defer l.Close()
-	go ServeWorker(l, NewWorker())
-	countItems, err := appendMessage(nil, &CountItemsArgs{NumItems: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, raw := range map[string][]byte{
-		"oversized length":   {0xff, 0xff, 0xff, 0xff},
-		"garbled header":     {0x03, 0x00, 0x00, 0x00, 0x81, 0x00, 0x00},
-		"truncated frame":    {0x10, 0x00, 0x00, 0x00, 0x01},
-		"body of wrong type": append(finished(t, appendFrameHead(nil, 1, "Worker.Ship", ""), countItems), 0xff, 0xff, 0xff, 0xff),
-		"unknown method":     finished(t, appendFrameHead(nil, 1, "Worker.Nope", ""), countItems),
-	} {
-		conn, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := conn.Write(raw); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		conn.Close()
-	}
-	rt, err := DialRPC([]string{l.Addr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	var reply CountsReply
-	if err := rt.Call(ctx, 0, MethodCountItems, &CountItemsArgs{NumItems: 3}, &reply); err != nil || len(reply.Counts) != 3 {
-		t.Fatalf("worker after hostile connections: err %v, reply %+v", err, reply)
-	}
-	// Args that decode as the wrong message come back as the worker's own
-	// error: deterministic, so not retried.
-	err = rt.Call(ctx, 0, MethodShip, &CountItemsArgs{NumItems: 3}, &ShipReply{})
-	if err == nil || Retryable(err) {
-		t.Fatalf("mismatched args: err = %v, want a non-retryable error", err)
-	}
-
-	// A "worker" that answers every request with a CountsReply cut short.
-	bad, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bad.Close()
-	go func() {
-		conn, err := bad.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		body, err := readFrame(conn, nil)
-		if err != nil {
-			return
-		}
-		seq, method, _, _, _ := splitFrame(body)
-		out := append(appendFrameHead(nil, seq, method, ""), 0x05, 0x01) // five counters declared, one sent
-		if finishFrame(out, 0) == nil {
-			conn.Write(out)
-		}
-		io.Copy(io.Discard, conn)
-	}()
-	brt, err := DialRPC([]string{bad.Addr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer brt.Close()
-	err = brt.Call(ctx, 0, MethodCountItems, &CountItemsArgs{NumItems: 5}, &reply)
-	if !errors.Is(err, ErrBadFrame) || Retryable(err) {
-		t.Fatalf("undecodable reply: err = %v, want non-retryable ErrBadFrame", err)
-	}
-}
-
-// TestServeWorkerJoinsConnections: closing the listener ends ServeWorker
-// only after it has closed every connection it accepted and joined their
-// goroutines, so a client still connected reads EOF instead of waiting on
-// a connection nothing serves.
-func TestServeWorkerJoinsConnections(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Skipf("loopback listen unavailable: %v", err)
-	}
-	served := make(chan error, 1)
-	go func() { served <- ServeWorker(l, NewWorker()) }()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// One answered call: the worker has accepted the connection.
-	countItems, err := appendMessage(nil, &CountItemsArgs{NumItems: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(finished(t, appendFrameHead(nil, 1, workerService+"."+MethodCountItems, ""), countItems)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readFrame(conn, nil); err != nil {
-		t.Fatalf("reply: %v", err)
-	}
-
-	l.Close()
-	select {
-	case <-served:
-	case <-time.After(time.Second):
-		t.Fatal("ServeWorker still running a second after its listener closed")
-	}
-	if err := conn.SetReadDeadline(time.Now().Add(time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
-		t.Fatalf("client read after ServeWorker returned: err = %v, want io.EOF", err)
-	}
-}
-
-// finished completes a frame whose head is b with message m.
-func finished(t *testing.T, b, m []byte) []byte {
-	t.Helper()
-	b = append(b, m...)
-	if err := finishFrame(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

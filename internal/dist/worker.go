@@ -14,20 +14,18 @@ import (
 // shard replicas and answers count requests by scanning them with the
 // same kernels the local scans call (transactions.CountItems, CountPairs
 // and the pass-k tid-bitset count CountTids, fptree.Build),
-// returning mergeable buffers. The method signatures follow net/rpc
-// conventions so one implementation serves both transports.
+// returning mergeable buffers. Transports reach the methods through
+// dispatch, by the Method* names.
 //
-// A worker is safe for concurrent calls (net/rpc may interleave them), but
-// the coordinator's protocol never counts a shard while re-shipping it, so
-// the lock only guards the replica map, not the scans.
+// A worker is safe for concurrent calls, but the coordinator's protocol
+// never counts a shard while re-shipping it, so the lock only guards the
+// replica map, not the scans.
 type Worker struct {
 	mu     sync.Mutex
 	shards map[int]ShardPayload
 }
 
-// NewWorker returns a worker with no replicas. Every exported method is
-// net/rpc-shaped; adding a non-RPC exported method would make rpc.Register
-// log a complaint on every worker startup.
+// NewWorker returns a worker with no replicas.
 func NewWorker() *Worker {
 	return &Worker{shards: make(map[int]ShardPayload)}
 }
@@ -58,18 +56,25 @@ func (w *Worker) replicas(ids []int) ([]ShardPayload, error) {
 	return out, nil
 }
 
-// errReplySize refuses a count reply of n counters that no frame could
-// carry (each counter takes at least one byte), before it is allocated.
+// maxCounters caps what a count request may make a worker allocate: the
+// counters of one reply (a pass-1 universe, a pass-2 triangle), and so
+// also the replica item ids a pass-k count accepts, since its rank table
+// runs to the largest of them. Requests and replicas are wire input, so
+// without the cap one message could ask for any amount of memory.
+const maxCounters = 1 << 30
+
+// errReplySize refuses a count reply of n counters past maxCounters,
+// before it is allocated.
 func errReplySize(n int) error {
-	return fmt.Errorf("dist: a reply of %d counters exceeds the %d-byte frame cap", n, maxFrame)
+	return fmt.Errorf("dist: a reply of %d counters exceeds the %d-counter cap", n, maxCounters)
 }
 
 // CountItems runs the pass-1 scan over the requested replicas. The
-// universe size and the replicas are wire input, so the reply must fit a
-// frame and every item is checked against the universe before the kernel
-// indexes with it.
+// universe size and the replicas are wire input, so the reply must fit
+// maxCounters and every item is checked against the universe before the
+// kernel indexes with it.
 func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
-	if args.NumItems > maxFrame {
+	if args.NumItems > maxCounters {
 		return errReplySize(args.NumItems)
 	}
 	shards, err := w.replicas(args.ShardIDs)
@@ -101,7 +106,7 @@ func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 	if args.N < 0 || args.N > len(args.Rank) {
 		return fmt.Errorf("dist: pair scan over %d ranks with a rank table of %d items", args.N, len(args.Rank))
 	}
-	if n := args.N * (args.N - 1) / 2; n > maxFrame {
+	if n := args.N * (args.N - 1) / 2; n > maxCounters {
 		return errReplySize(n)
 	}
 	prev := -1
@@ -146,7 +151,7 @@ var (
 // their largest item, so a candidate naming an item beyond it counts 0.
 // The replicas are wire input too, and the kernel's rank table runs to the
 // largest candidate item inside that universe, so a replica item at or
-// past maxFrame — a universe CountItems refuses as well — is an error
+// past maxCounters — a universe CountItems refuses as well — is an error
 // before any table exists.
 func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) error {
 	if args.K < 1 {
@@ -168,8 +173,8 @@ func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) e
 				continue
 			}
 			last := tx[len(tx)-1]
-			if last >= maxFrame {
-				return fmt.Errorf("dist: shard %d: item %d outside the %d-item universe a worker counts", sh.ID, last, maxFrame)
+			if last >= maxCounters {
+				return fmt.Errorf("dist: shard %d: item %d outside the %d-item universe a worker counts", sh.ID, last, maxCounters)
 			}
 			numItems = max(numItems, last+1)
 		}

@@ -81,11 +81,11 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 
 // TestWorkerValidatesWireInput is the regression table for the pass-k
 // request and for the reply sizes: a K below 1 or a candidate of another
-// length, and a reply no frame could carry, are errors before any counter
-// array exists.
+// length, and a reply of more than maxCounters counters, are errors before
+// any counter array exists.
 func TestWorkerValidatesWireInput(t *testing.T) {
 	w := replicaWorker(t)
-	ascending := make([]int, 46342) // the least N whose triangle exceeds maxFrame
+	ascending := make([]int, 46342) // the least N whose triangle exceeds maxCounters
 	for i := range ascending {
 		ascending[i] = i
 	}
@@ -94,13 +94,13 @@ func TestWorkerValidatesWireInput(t *testing.T) {
 		args   any
 		want   error
 	}{
-		"k = 0":               {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 0}, errCandidateK},
-		"k past the itemsets": {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 1 << 40, Candidates: []transactions.Itemset{{1, 2, 3}}}, errCandidateLength},
-		"mixed lengths":       {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}, {1, 2}}}, errCandidateLength},
-		"universe past frame": {MethodCountItems, &CountItemsArgs{ShardIDs: []int{0}, NumItems: maxFrame + 1}, nil},
-		"universe of 1<<50":   {MethodCountItems, &CountItemsArgs{ShardIDs: []int{0}, NumItems: 1 << 50}, nil},
-		"universe of MaxInt":  {MethodCountItems, &CountItemsArgs{ShardIDs: []int{0}, NumItems: math.MaxInt}, nil},
-		"triangle past frame": {MethodCountPairs, &CountPairsArgs{ShardIDs: []int{0}, Rank: ascending, N: len(ascending)}, nil},
+		"k = 0":                 {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 0}, errCandidateK},
+		"k past the itemsets":   {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 1 << 40, Candidates: []transactions.Itemset{{1, 2, 3}}}, errCandidateLength},
+		"mixed lengths":         {MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}, {1, 2}}}, errCandidateLength},
+		"universe past the cap": {MethodCountItems, &CountItemsArgs{ShardIDs: []int{0}, NumItems: maxCounters + 1}, nil},
+		"universe of 1<<50":     {MethodCountItems, &CountItemsArgs{ShardIDs: []int{0}, NumItems: 1 << 50}, nil},
+		"universe of MaxInt":    {MethodCountItems, &CountItemsArgs{ShardIDs: []int{0}, NumItems: math.MaxInt}, nil},
+		"triangle past the cap": {MethodCountPairs, &CountPairsArgs{ShardIDs: []int{0}, Rank: ascending, N: len(ascending)}, nil},
 	} {
 		_, reply, _ := message(tc.method)
 		err := dispatch(w, tc.method, tc.args, reply)
@@ -257,8 +257,8 @@ func replyCounters(args any) int {
 // panic, and a reply is what a transport could carry back — it encodes,
 // and a count reply has exactly the counters its request asked for. A
 // request is as expensive as the reply it honestly asks for, so ones
-// asking for more than maxFuzzCounters counters that would still fit a
-// frame are left out; past the frame cap the worker must refuse them.
+// asking for more than maxFuzzCounters counters but at most maxCounters
+// are left out; past maxCounters the worker must refuse them.
 func FuzzWorkerRequest(f *testing.F) {
 	method := make(map[string]byte, len(workerMethods))
 	byKind := make(map[byte]byte, len(workerMethods)) // wireKinds index -> method byte
@@ -284,7 +284,7 @@ func FuzzWorkerRequest(f *testing.F) {
 			return
 		}
 		want := replyCounters(args)
-		if want > maxFuzzCounters && want <= maxFrame {
+		if want > maxFuzzCounters && want <= maxCounters {
 			return
 		}
 		if err := dispatch(replicaWorker(t), name, args, reply); err != nil {

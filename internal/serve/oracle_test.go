@@ -71,8 +71,14 @@ func runOracle(t *testing.T, sc oracleScript) map[string]int {
 			mining.Progress(func(p mining.PassStat) { r.degraded.CompareAndSwap(false, p.Degraded) })) // latches true
 	}
 	t.Cleanup(func() {
-		if r.srv != nil {
+		// open sets stopReader only after its checks pass, so a failed
+		// check leaves a server with no reader of its own: stopReader is
+		// nil, or the retired server's (a sync.OnceValue, safe to call
+		// again).
+		if r.stopReader != nil {
 			r.stopReader()
+		}
+		if r.srv != nil {
 			r.srv.Close()
 		}
 	})

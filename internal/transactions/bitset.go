@@ -66,40 +66,6 @@ func AndBitset(a, b *Bitset) *Bitset {
 	return out
 }
 
-// ConcatBitsets concatenates parts into one bitset whose bit space is the
-// concatenation of the parts' bit spaces, in order. When every part except
-// the last addresses a multiple of 64 bits — which ShardedDB guarantees for
-// full shards by rounding the shard capacity to a word multiple — the
-// concatenation is pure word copying; otherwise the tail parts are shifted
-// bit by bit. This is the bridge from per-shard vertical bitset views to a
-// database-wide one.
-func ConcatBitsets(parts ...*Bitset) *Bitset {
-	n := 0
-	for _, p := range parts {
-		n += p.n
-	}
-	out := NewBitset(n)
-	base := 0
-	for _, p := range parts {
-		if base&63 == 0 {
-			copy(out.words[base>>6:], p.words)
-		} else {
-			for wi, w := range p.words {
-				for ; w != 0; w &= w - 1 {
-					out.Set(base + (wi << 6) + bits.TrailingZeros64(w))
-				}
-			}
-		}
-		base += p.n
-	}
-	// Clear any bits the word copies wrote past the final length (a part's
-	// last word may address more bits than the part's length).
-	if top := n & 63; top != 0 && len(out.words) > 0 {
-		out.words[len(out.words)-1] &= (1 << uint(top)) - 1
-	}
-	return out
-}
-
 // VerticalBits is the bitset form of the vertical layout: one bitset of
 // length NumTx per item.
 type VerticalBits struct {

@@ -166,25 +166,3 @@ func DecodeStable(r io.Reader) ([]Itemset, error) {
 	txs, _, err := DecodeStableBytes(b)
 	return txs, err
 }
-
-// EncodeStable writes the database in the stable binary snapshot format.
-func (db *DB) EncodeStable(w io.Writer) error {
-	return EncodeStable(w, db.Transactions)
-}
-
-// DecodeStableDB reads one stable-encoded database, rebuilding the
-// item-universe bookkeeping that Add normally maintains.
-func DecodeStableDB(r io.Reader) (*DB, error) {
-	txs, err := DecodeStable(r)
-	if err != nil {
-		return nil, err
-	}
-	db := NewDB()
-	for _, tx := range txs {
-		if len(tx) > 0 && tx[len(tx)-1]+1 > db.numItems {
-			db.numItems = tx[len(tx)-1] + 1
-		}
-		db.Transactions = append(db.Transactions, tx)
-	}
-	return db, nil
-}

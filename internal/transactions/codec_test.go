@@ -24,21 +24,20 @@ func TestStableCodecRoundTrip(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := db.EncodeStable(&buf); err != nil {
+		if err := EncodeStable(&buf, db.Transactions); err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeStableDB(bytes.NewReader(buf.Bytes()))
+		got, err := DecodeStable(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != db.Len() || got.NumItems() != db.NumItems() {
-			t.Fatalf("trial %d: got %d tx / %d items, want %d / %d",
-				trial, got.Len(), got.NumItems(), db.Len(), db.NumItems())
+		if len(got) != db.Len() {
+			t.Fatalf("trial %d: got %d tx, want %d", trial, len(got), db.Len())
 		}
 		for i := range db.Transactions {
-			if !got.Transactions[i].Equal(db.Transactions[i]) {
+			if !got[i].Equal(db.Transactions[i]) {
 				t.Fatalf("trial %d: transaction %d mismatch: %v vs %v",
-					trial, i, got.Transactions[i], db.Transactions[i])
+					trial, i, got[i], db.Transactions[i])
 			}
 		}
 	}
@@ -54,19 +53,19 @@ func TestStableCodecGolden(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := db.EncodeStable(&buf); err != nil {
+	if err := EncodeStable(&buf, db.Transactions); err != nil {
 		t.Fatal(err)
 	}
 	const want = "0104030101010001070300047c"
 	if got := hex.EncodeToString(buf.Bytes()); got != want {
 		t.Fatalf("stable encoding changed:\n got %s\nwant %s", got, want)
 	}
-	dec, err := DecodeStableDB(bytes.NewReader(buf.Bytes()))
+	dec, err := DecodeStable(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.Len() != 4 || dec.NumItems() != 129 {
-		t.Fatalf("golden decode: %d tx, %d items", dec.Len(), dec.NumItems())
+	if len(dec) != 4 || !dec[3].Equal(NewItemset(0, 4, 128)) {
+		t.Fatalf("golden decode: %v", dec)
 	}
 }
 
@@ -76,7 +75,7 @@ func TestStableCodecErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := db.EncodeStable(&buf); err != nil {
+	if err := EncodeStable(&buf, db.Transactions); err != nil {
 		t.Fatal(err)
 	}
 	valid := buf.Bytes()

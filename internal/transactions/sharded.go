@@ -13,8 +13,7 @@ var (
 )
 
 // DefaultShardCap is the default per-shard transaction capacity of a
-// ShardedDB. It is a multiple of 64 so that per-shard bitset views stay
-// word-aligned (see ShardedDB).
+// ShardedDB, a multiple of 64 like every capacity (see NewShardedDB).
 const DefaultShardCap = 1024
 
 // versionedShard is one fixed-capacity run of transactions with a version
@@ -47,10 +46,9 @@ type versionedShard struct {
 // maintainer tells a complete journal from one that began late or that
 // someone else drained. An untracked store journals nothing.
 //
-// The shard capacity is always rounded up to a multiple of 64 so that a
-// per-shard bitset over shard-local transaction ids occupies whole 64-bit
-// words; concatenating per-shard bitsets into a database-wide vertical view
-// is then pure word copying (see ConcatBitsets) with no bit shifting.
+// The shard capacity is always rounded up to a multiple of 64, so a full
+// shard fills whole 64-bit words of a tid bitset; the rounding is part of
+// the documented capacity contract (mining.ShardCap, dmine -shardcap).
 //
 // A transaction's global id is its position in the concatenation of the
 // live shards, so deletes shift the ids of later transactions. Support
@@ -239,50 +237,6 @@ func (s *ShardedDB) ShardView(i int) (Shard, uint64) {
 
 // Version returns shard i's version counter.
 func (s *ShardedDB) Version(i int) uint64 { return s.shards[i].version }
-
-// ToVerticalBitset builds the database-wide vertical bitset layout by
-// constructing one bitset per item per shard and concatenating them with
-// ConcatBitsets — whole-word copies for every full shard, since shard
-// capacities are multiples of 64. This is the word-aligned bridge for
-// vertical-layout (Eclat-style) backends over the updatable store; the
-// result is identical to Snapshot().ToVerticalBitset().
-func (s *ShardedDB) ToVerticalBitset() *VerticalBits {
-	parts := make(map[int][]*Bitset)
-	for si, sh := range s.shards {
-		shardBits := make(map[int]*Bitset)
-		for off, tx := range sh.txs {
-			for _, item := range tx {
-				b := shardBits[item]
-				if b == nil {
-					b = NewBitset(len(sh.txs))
-					shardBits[item] = b
-				}
-				b.Set(off)
-			}
-		}
-		// Every item's part list must stay aligned with the shard
-		// sequence, so items absent from this shard get an empty part and
-		// items first seen now get empty parts for the shards passed.
-		for item := range parts {
-			if shardBits[item] == nil {
-				shardBits[item] = NewBitset(len(sh.txs))
-			}
-		}
-		for item, b := range shardBits {
-			if parts[item] == nil {
-				for j := 0; j < si; j++ {
-					parts[item] = append(parts[item], NewBitset(len(s.shards[j].txs)))
-				}
-			}
-			parts[item] = append(parts[item], b)
-		}
-	}
-	v := &VerticalBits{Bits: make(map[int]*Bitset, len(parts)), NumTx: s.total}
-	for item, ps := range parts {
-		v.Bits[item] = ConcatBitsets(ps...)
-	}
-	return v
-}
 
 // All returns an iterator over the live transactions in global-id order,
 // as the store is now: it captures each shard's slice, so later mutations

@@ -130,171 +130,6 @@ func TestShardedDBAbsoluteSupportMatchesDB(t *testing.T) {
 	}
 }
 
-func TestConcatBitsetsAligned(t *testing.T) {
-	a := NewBitset(128)
-	b := NewBitset(64)
-	c := NewBitset(30)
-	for _, i := range []int{0, 63, 64, 127} {
-		a.Set(i)
-	}
-	b.Set(5)
-	c.Set(29)
-	out := ConcatBitsets(a, b, c)
-	if out.Len() != 222 {
-		t.Fatalf("len=%d, want 222", out.Len())
-	}
-	want := NewBitset(222)
-	for _, i := range []int{0, 63, 64, 127, 128 + 5, 192 + 29} {
-		want.Set(i)
-	}
-	if !sameBits(out, want) {
-		t.Fatalf("concat sets %d bits, want %d at the shifted offsets", out.OnesCount(), want.OnesCount())
-	}
-}
-
-func TestConcatBitsetsUnaligned(t *testing.T) {
-	// First part ends mid-word: the tail must be shifted, not word-copied.
-	a := NewBitset(10)
-	b := NewBitset(100)
-	a.Set(9)
-	b.Set(0)
-	b.Set(99)
-	out := ConcatBitsets(a, b)
-	if out.Len() != 110 {
-		t.Fatalf("len=%d, want 110", out.Len())
-	}
-	want := NewBitset(110)
-	for _, i := range []int{9, 10, 109} {
-		want.Set(i)
-	}
-	if !sameBits(out, want) {
-		t.Fatalf("concat sets %d bits, want bits 9, 10 and 109", out.OnesCount())
-	}
-}
-
-func TestConcatBitsetsEmptyParts(t *testing.T) {
-	// Empty shard views happen in practice: deletes can empty a shard, and
-	// ShardedDB.ToVerticalBitset pads items with zero-length parts. Empty
-	// parts must contribute nothing and shift nothing.
-	empty := NewBitset(0)
-	if out := ConcatBitsets(); out.Len() != 0 || out.OnesCount() != 0 {
-		t.Fatalf("concat of nothing: len=%d popcount=%d", out.Len(), out.OnesCount())
-	}
-	if out := ConcatBitsets(empty, empty); out.Len() != 0 || out.OnesCount() != 0 {
-		t.Fatalf("concat of empties: len=%d popcount=%d", out.Len(), out.OnesCount())
-	}
-	a := NewBitset(70)
-	a.Set(0)
-	a.Set(69)
-	for _, parts := range [][]*Bitset{
-		{empty, a},
-		{a, empty},
-		{empty, a, empty},
-	} {
-		out := ConcatBitsets(parts...)
-		if !sameBits(out, a) {
-			t.Fatalf("concat with empty parts: len=%d popcount=%d", out.Len(), out.OnesCount())
-		}
-	}
-}
-
-func TestConcatBitsetsSingleShard(t *testing.T) {
-	// One part: the concat must be a faithful copy, not an alias.
-	a := NewBitset(130)
-	for _, i := range []int{0, 64, 129} {
-		a.Set(i)
-	}
-	out := ConcatBitsets(a)
-	if out.Len() != a.Len() || out.OnesCount() != a.OnesCount() {
-		t.Fatalf("single-part concat: len=%d popcount=%d", out.Len(), out.OnesCount())
-	}
-	out.Set(1)
-	if a.OnesCount() != 3 {
-		t.Fatal("single-part concat aliases its input")
-	}
-}
-
-func TestConcatBitsetsWordBoundaryCaps(t *testing.T) {
-	// Non-power-of-two shard caps that are still multiples of 64 (the
-	// ShardedDB invariant — e.g. shardCap 192) must take the word-copy path and
-	// agree bit-for-bit with a brute-force rebuild, including bits at the
-	// first/last slot of every word boundary.
-	for _, shardCap := range []int{64, 192, 320} {
-		nParts := 3
-		parts := make([]*Bitset, nParts)
-		var wantBits []int
-		for p := 0; p < nParts; p++ {
-			b := NewBitset(shardCap)
-			for _, off := range []int{0, 1, 63, 64, shardCap - 65, shardCap - 64, shardCap - 1} {
-				if off >= 0 && off < shardCap {
-					b.Set(off)
-					wantBits = append(wantBits, p*shardCap+off)
-				}
-			}
-			parts[p] = b
-		}
-		out := ConcatBitsets(parts...)
-		if out.Len() != nParts*shardCap {
-			t.Fatalf("shardCap %d: len=%d, want %d", shardCap, out.Len(), nParts*shardCap)
-		}
-		want := NewBitset(nParts * shardCap)
-		for _, i := range wantBits {
-			want.Set(i)
-		}
-		if !sameBits(out, want) {
-			t.Fatalf("shardCap %d: popcount=%d, want %d at the same bits", shardCap, out.OnesCount(), want.OnesCount())
-		}
-	}
-	// A word-multiple part followed by a short tail (the live last shard):
-	// only the tail may sit past a word boundary.
-	a := NewBitset(192)
-	a.Set(191)
-	tail := NewBitset(17)
-	tail.Set(16)
-	out := ConcatBitsets(a, tail)
-	want := NewBitset(209)
-	want.Set(191)
-	want.Set(192 + 16)
-	if !sameBits(out, want) {
-		t.Fatalf("word-multiple + tail: len=%d popcount=%d", out.Len(), out.OnesCount())
-	}
-}
-
-func TestShardedDBToVerticalBitset(t *testing.T) {
-	// The word-aligned per-shard concatenation must reproduce the plain
-	// whole-database vertical bitset view — including items that first
-	// appear mid-stream (earlier shards need empty padding), items absent
-	// from later shards, and shards left unaligned by deletes.
-	s := NewShardedDB(64)
-	for i := 0; i < 150; i++ {
-		_ = s.Append(i%5, (i*3)%5)
-	}
-	for i := 0; i < 20; i++ {
-		_ = s.Append(7) // item 7 first appears in the last shard
-	}
-	if _, err := s.DeleteAt(30); err != nil { // shard 0 now unaligned
-		t.Fatal(err)
-	}
-	got := s.ToVerticalBitset()
-	want := s.Snapshot().ToVerticalBitset()
-	if got.NumTx != want.NumTx {
-		t.Fatalf("NumTx = %d, want %d", got.NumTx, want.NumTx)
-	}
-	if len(got.Bits) != len(want.Bits) {
-		t.Fatalf("items = %d, want %d", len(got.Bits), len(want.Bits))
-	}
-	for item, wantBits := range want.Bits {
-		gotBits := got.Bits[item]
-		if gotBits == nil {
-			t.Fatalf("item %d missing", item)
-		}
-		if !sameBits(gotBits, wantBits) {
-			t.Fatalf("item %d: len/popcount %d/%d != %d/%d",
-				item, gotBits.Len(), gotBits.OnesCount(), wantBits.Len(), wantBits.OnesCount())
-		}
-	}
-}
-
 // TestShardedDBRandomizedDeleteToEmpty is the DeleteAt compaction audit:
 // randomized interleavings of appends and deletes — biased towards
 // deleting tail elements and draining shards to empty — are verified
@@ -409,42 +244,6 @@ func TestShardedDBRandomizedDeleteToEmpty(t *testing.T) {
 		checkState("refill")
 		if _, err := s.DeleteAt(s.Len()); err == nil {
 			t.Fatalf("trial %d: out-of-range delete accepted", trial)
-		}
-	}
-}
-
-// TestShardedDBVerticalBitsetWithEmptyShards pins ToVerticalBitset after
-// shards drain to empty: the word-aligned concat must keep matching the
-// snapshot's vertical layout even when interior shards hold no
-// transactions.
-func TestShardedDBVerticalBitsetWithEmptyShards(t *testing.T) {
-	s := NewShardedDB(64)
-	for i := 0; i < 200; i++ {
-		if err := s.Append(i%5, 5+i%3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Drain the middle shard (global ids 64..127) completely.
-	for i := 0; i < 64; i++ {
-		if _, err := s.DeleteAt(64); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.ToVerticalBitset()
-	want := s.Snapshot().ToVerticalBitset()
-	if got.NumTx != want.NumTx {
-		t.Fatalf("NumTx = %d, want %d", got.NumTx, want.NumTx)
-	}
-	if len(got.Bits) != len(want.Bits) {
-		t.Fatalf("items = %d, want %d", len(got.Bits), len(want.Bits))
-	}
-	for item, wb := range want.Bits {
-		gb, ok := got.Bits[item]
-		if !ok {
-			t.Fatalf("item %d missing", item)
-		}
-		if !sameBits(gb, wb) {
-			t.Fatalf("item %d: count %d, want %d at the same tids", item, gb.OnesCount(), wb.OnesCount())
 		}
 	}
 }

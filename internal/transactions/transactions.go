@@ -10,13 +10,11 @@
 // DB is the flat horizontal database (one itemset per transaction) whose
 // Shards method hands out the zero-copy contiguous views the
 // count-distribution engine scans in parallel; VerticalBits is the bitset
-// vertical layout Eclat intersects; ShardedDB is
-// the updatable store of the incremental backend — fixed-capacity,
+// vertical layout Eclat intersects, built from a DB; ShardedDB is the
+// updatable store of the incremental backend — fixed-capacity,
 // version-stamped shards where appends fill the tail, deletes stay within
-// their shard, and a mutation dirties exactly one shard and, once a maintainer
-// tracks the store, is journalled for it to count. Shard capacities are
-// multiples of 64 so per-shard bitsets concatenate word-aligned
-// (ConcatBitsets).
+// their shard, and a mutation dirties exactly one shard and, once a
+// maintainer tracks the store, is journalled for it to count.
 package transactions
 
 import (
@@ -125,17 +123,6 @@ func (s Itemset) Union(o Itemset) Itemset {
 	}
 	out = append(out, s[i:]...)
 	out = append(out, o[j:]...)
-	return out
-}
-
-// Without returns a copy of s with item removed (no-op if absent).
-func (s Itemset) Without(item int) Itemset {
-	out := make(Itemset, 0, len(s))
-	for _, v := range s {
-		if v != item {
-			out = append(out, v)
-		}
-	}
 	return out
 }
 

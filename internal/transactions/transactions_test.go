@@ -72,17 +72,11 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestUnionWithout(t *testing.T) {
+func TestUnion(t *testing.T) {
 	a := NewItemset(1, 3, 5)
 	b := NewItemset(2, 3, 6)
 	if got := a.Union(b); !got.Equal(NewItemset(1, 2, 3, 5, 6)) {
 		t.Errorf("Union = %v", got)
-	}
-	if got := a.Without(3); !got.Equal(NewItemset(1, 5)) {
-		t.Errorf("Without = %v", got)
-	}
-	if got := a.Without(99); !got.Equal(a) {
-		t.Errorf("Without absent = %v", got)
 	}
 }
 

@@ -135,11 +135,9 @@ func Progress(fn func(PassStat)) Option {
 }
 
 // TransportSpec describes how the distributed backend reaches its
-// workers. Build one with LocalTransport or RPCTransport and apply it
-// with Transport.
+// workers. Build one with LocalTransport and apply it with Transport.
 type TransportSpec struct {
 	workers int
-	addrs   []string
 }
 
 // LocalTransport runs n in-process workers fed by channels, with every
@@ -150,13 +148,6 @@ func LocalTransport(n int) TransportSpec {
 		n = 1
 	}
 	return TransportSpec{workers: n}
-}
-
-// RPCTransport reaches one worker process per "host:port" address over
-// net/rpc, in length-prefixed frames of the same wire codec. Dialing happens when mining starts (or when the
-// session is created); a dial failure surfaces from that call.
-func RPCTransport(addrs ...string) TransportSpec {
-	return TransportSpec{addrs: append([]string(nil), addrs...)}
 }
 
 // Transport routes mining through the distributed coordinator/worker
@@ -281,8 +272,8 @@ func ShardCap(n int) Option {
 
 // buildMiner constructs a fresh engine for one Mine/MineStream call. The
 // returned closer (possibly nil) releases resources the engine owns — the
-// distributed transport's worker goroutines or rpc connections — and must
-// be closed when the engine is done.
+// distributed transport's worker goroutines — and must be closed when the
+// engine is done.
 func (c *config) buildMiner() (assoc.Engine, io.Closer, error) {
 	if c.transport != nil {
 		d, err := c.distributed()
@@ -320,10 +311,7 @@ func (c *config) distributed() (*assoc.Distributed, error) {
 		return nil, fmt.Errorf("%w: Transport supports Algorithm %q or %q, not %q",
 			ErrBadOption, assoc.DistEngineApriori, assoc.DistEngineFPGrowth, c.algorithm)
 	}
-	t, err := c.transport.open()
-	if err != nil {
-		return nil, err
-	}
+	var t dist.Transport = dist.NewLocalTransport(c.transport.workers, true)
 	if c.faults != nil {
 		t = dist.NewFaultTransport(t, dist.FaultPlan{
 			Seed:           c.faults.Seed,
@@ -354,14 +342,6 @@ func (c *config) distributed() (*assoc.Distributed, error) {
 		}
 	}
 	return d, nil
-}
-
-// open dials or starts the transport.
-func (t *TransportSpec) open() (dist.Transport, error) {
-	if len(t.addrs) > 0 {
-		return dist.DialRPC(t.addrs)
-	}
-	return dist.NewLocalTransport(t.workers, true), nil
 }
 
 // passHook adapts the Progress callback to the engines' hook signature.

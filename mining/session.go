@@ -46,8 +46,7 @@ type MaintainStats struct {
 // once; the Algorithm option is validated but does not change it. With
 // Transport its scans run on the distributed workers, which keep the
 // store's shards between full runs and receive only dirty ones. Close
-// releases whatever the transport owns (in-process workers, rpc
-// connections).
+// releases the transport's worker goroutines.
 //
 // A Session serialises its own methods with a mutex, so it is safe for
 // concurrent use; mutations simply block while a Maintain is running.
@@ -221,7 +220,7 @@ func (s *Session) Rules(minConfidence float64) ([]Rule, error) {
 
 // Close detaches the maintainer (the store stops journalling mutations)
 // and releases the transport's resources (the distributed worker
-// goroutines or rpc connections). The session is unusable afterwards;
+// goroutines). The session is unusable afterwards;
 // Close is idempotent.
 func (s *Session) Close() error {
 	s.mu.Lock()

@@ -35,7 +35,7 @@ var ctxFieldAllowlist = map[string]bool{}
 func runCtxDiscipline(f *SrcFile) []Finding {
 	var out []Finding
 	funcBodies(f, func(fd *ast.FuncDecl) {
-		if !fd.Name.IsExported() || isRPCShape(fd) {
+		if !fd.Name.IsExported() || isRequestReplyShape(fd) {
 			return
 		}
 		loop := shardLoopPos(fd)
@@ -72,11 +72,13 @@ func runCtxDiscipline(f *SrcFile) []Finding {
 	return out
 }
 
-// isRPCShape reports whether fd has the net/rpc service-method
-// signature — method, two parameters of which the second (the reply)
-// is a pointer, single error result — which structurally cannot take a
-// context and is exempt.
-func isRPCShape(fd *ast.FuncDecl) bool {
+// isRequestReplyShape reports whether fd has the request/reply method
+// signature — method, two parameters of which the second (the reply) is a
+// pointer, single error result — which is exempt. It is the shape of
+// dist.Worker's methods: each answers one request that the transport
+// hands it through dispatch, and the transport's Call, not the method,
+// honours the caller's ctx.
+func isRequestReplyShape(fd *ast.FuncDecl) bool {
 	if fd.Recv == nil || fd.Type.Params == nil || fd.Type.Results == nil {
 		return false
 	}
