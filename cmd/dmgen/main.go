@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"repro/internal/synth"
 )
@@ -39,9 +40,15 @@ func main() {
 	}
 }
 
-func run(w io.Writer, kind string, n int, t, i float64, fn int, noise float64, k, dims int, seed int64) error {
+func run(w io.Writer, kind string, n int, t, i float64, fn int, noise float64, k, dims int, seed int64) (err error) {
 	out := bufio.NewWriter(w)
-	defer out.Flush()
+	// bufio.Writer keeps its first write error, and Flush returns it, so
+	// a failed write of any kind (a full disk) is reported here.
+	defer func() {
+		if ferr := out.Flush(); err == nil {
+			err = ferr
+		}
+	}()
 	switch kind {
 	case "baskets":
 		db, err := synth.Baskets(synth.TxI(t, i, n, seed))
@@ -58,16 +65,16 @@ func run(w io.Writer, kind string, n int, t, i float64, fn int, noise float64, k
 		for _, s := range seqs {
 			for ti, tx := range s {
 				if ti > 0 {
-					fmt.Fprint(out, " ; ")
+					out.WriteString(" ; ")
 				}
 				for ii, item := range tx {
 					if ii > 0 {
-						fmt.Fprint(out, " ")
+						out.WriteByte(' ')
 					}
-					fmt.Fprint(out, item)
+					out.Write(strconv.AppendInt(out.AvailableBuffer(), int64(item), 10))
 				}
 			}
-			fmt.Fprintln(out)
+			out.WriteByte('\n')
 		}
 		return nil
 	case "classify":

@@ -41,8 +41,8 @@
 // first-generation miners (AIS, SETM, AprioriTid/AprioriHybrid, Partition,
 // Sampling) are internal/assoc/reference: serial engines for the paper
 // tables, pinned byte-identical to Apriori, that count with the same
-// kernels (the hash tree, the pass-1/pass-2 kernels, Eclat as Partition's
-// local phase).
+// kernels (the pass-1/pass-2 kernels, transactions.CountTids for every
+// later pass, Eclat as Partition's local phase).
 //
 // The incremental backend (assoc.Incremental over transactions.ShardedDB)
 // exploits the same seams under updates: the store journals every append

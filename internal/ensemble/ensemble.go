@@ -180,9 +180,10 @@ func (a *AdaBoost) Train(t *dataset.Table) (*BoostedModel, error) {
 }
 
 func weightedBootstrap(rng *rand.Rand, w []float64) []int {
+	choose := stats.NewWeighted(w)
 	idx := make([]int, len(w))
 	for i := range idx {
-		pick := stats.WeightedChoice(rng, w)
+		pick := choose.Choice(rng)
 		if pick < 0 {
 			pick = rng.Intn(len(w))
 		}

@@ -26,11 +26,12 @@ var oracleOps = strings.Fields(`append append append append append append append
 	flush flush flush flush flush-cancelled query query query drain restart crash disk-fault compaction-fault`)
 
 // oracleScript is one seeded script: its sync policy, whether sessions count
-// on two in-process workers under worker faults, and whether Mine is checked.
+// on two in-process workers under worker faults, whether Mine is checked,
+// and whether a script under the manual trigger runs one append-bulk.
 type oracleScript struct {
-	seed          int64
-	policy        wal.SyncPolicy
-	remote, mines bool
+	seed                int64
+	policy              wal.SyncPolicy
+	remote, mines, bulk bool
 }
 
 // oracleRun is one script in flight; cov counts its ops and events.
@@ -82,8 +83,18 @@ func runOracle(t *testing.T, sc oracleScript) map[string]int {
 			r.srv.Close()
 		}
 	})
+	// One append-bulk at a random step, under the manual trigger only: with
+	// MaintainAfter 3 or 8 its rows would publish over 500 views, each one
+	// checked against the oracle.
+	bulkAt := -1
+	if sc.bulk && r.cfg.MaintainAfter == manualTrigger {
+		bulkAt = r.rng.Intn(40)
+	}
 	r.open(mustDB(t, r.initial), r.mem)
-	for range 40 {
+	for i := range 40 {
+		if i == bulkAt {
+			r.step("append-bulk")
+		}
 		r.step(oracleOps[r.rng.Intn(len(oracleOps))])
 	}
 	if r.step("flush"); sc.mines {
@@ -137,6 +148,23 @@ func (r *oracleRun) step(name string) {
 			r.fatalf("POST /v1/append answered %d, want %d: %s", rec.Code, want, rec.Body)
 		}
 		r.record(ops...)
+	case "append-bulk":
+		// More rows than one transactions.CountTids block holds (4,096),
+		// each naming three of five items, so the Flush's delta Maintain
+		// (or its full run, if the border is crossed) and every later full
+		// run and workers-1 Mine count across a block boundary.
+		n := 4100 + r.rng.Intn(201)
+		r.note("append %d rows of three items from 0..4", n)
+		for range n {
+			op := Op{Kind: OpAppend, Items: r.rng.Perm(5)[:3]}
+			if err := r.srv.Enqueue(ctx, op); err != nil {
+				r.fatalf("Enqueue %+v: %v", op, err)
+			}
+			r.record(op)
+		}
+		if _, err := r.flush(ctx); err != nil {
+			r.fatalf("Flush: %v", err)
+		}
 	case "flush", "flush-cancelled":
 		if name == "flush-cancelled" {
 			var cancel context.CancelFunc
@@ -478,14 +506,14 @@ var oracleSeeds = []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 func TestOracle(t *testing.T) {
 	total := map[string]int{}
 	for _, seed := range oracleSeeds {
-		sc := oracleScript{seed: seed, policy: wal.SyncPolicy(seed % 3), remote: seed%2 == 0, mines: true}
+		sc := oracleScript{seed: seed, policy: wal.SyncPolicy(seed % 3), remote: seed%2 == 0, mines: true, bulk: true}
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for event, n := range runOracle(t, sc) {
 				total[event] += n
 			}
 		})
 	}
-	for _, want := range append(slices.Compact(slices.Clone(oracleOps)), "lossy crash", "lossy crash after fault",
+	for _, want := range append(slices.Compact(slices.Clone(oracleOps)), "append-bulk", "lossy crash", "lossy crash after fault",
 		"fail-stop", "SyncErr plan", "WriteErr plan", "ShortWrite plan",
 		"failed startup compaction", "failed periodic compaction",
 		"incremental view", "full-run view", "degraded pass", "crash after degraded pass") {

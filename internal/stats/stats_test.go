@@ -293,13 +293,14 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
-func TestWeightedChoiceDistribution(t *testing.T) {
+func TestWeightedDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	weights := []float64{1, 3, 0, 6}
+	s := NewWeighted(weights)
 	counts := make([]int, len(weights))
 	n := 50000
 	for i := 0; i < n; i++ {
-		idx := WeightedChoice(rng, weights)
+		idx := s.Choice(rng)
 		if idx < 0 || idx >= len(weights) {
 			t.Fatalf("index out of range: %d", idx)
 		}
@@ -314,13 +315,17 @@ func TestWeightedChoiceDistribution(t *testing.T) {
 	}
 }
 
-func TestWeightedChoiceDegenerate(t *testing.T) {
+func TestWeightedDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	if got := WeightedChoice(rng, nil); got != -1 {
+	if got := NewWeighted(nil).Choice(rng); got != -1 {
 		t.Errorf("empty weights = %d, want -1", got)
 	}
-	if got := WeightedChoice(rng, []float64{0, -1}); got != -1 {
+	if got := NewWeighted([]float64{0, -1}).Choice(rng); got != -1 {
 		t.Errorf("non-positive weights = %d, want -1", got)
+	}
+	// A -1 draw consumes nothing, so the stream continues where it was.
+	if got, want := rng.Int63(), rand.New(rand.NewSource(4)).Int63(); got != want {
+		t.Errorf("a -1 draw consumed the rng: next Int63 = %d, want %d", got, want)
 	}
 }
 

@@ -13,6 +13,10 @@
 // The original IBM Quest generator binary is proprietary and long
 // unavailable; this package follows the published descriptions, which fully
 // specify the distributions. All generators are deterministic given a seed.
+// The basket and sequence generators draw each pattern from its weighted
+// pool with stats.Weighted: O(log |L|) per draw, and the same pattern, draw
+// for draw, as a linear scan of the |L| weights (TestBasketsGolden and
+// TestSequencesGolden pin the rows).
 package synth
 
 import (
@@ -155,18 +159,23 @@ func Baskets(c BasketConfig) (*transactions.DB, error) {
 	for i, p := range pats {
 		weights[i] = p.weight
 	}
+	choose := stats.NewWeighted(weights)
 	db := transactions.NewDB()
+	// row holds the transaction's distinct items in the order they were
+	// admitted, inRow marks them; both are reset per row, and db.Add sorts.
+	inRow := make([]bool, c.NumItems)
+	var row, kept []int
 	for i := 0; i < c.NumTransactions; i++ {
 		target := stats.Poisson(rng, c.AvgTxSize-1) + 1
-		got := make(map[int]struct{}, target)
+		row = row[:0]
 		// Bound the fill loop: badly corrupted draws may add nothing.
-		for attempts := 0; len(got) < target && attempts < 8*target+16; attempts++ {
-			pi := stats.WeightedChoice(rng, weights)
+		for attempts := 0; len(row) < target && attempts < 8*target+16; attempts++ {
+			pi := choose.Choice(rng)
 			if pi < 0 {
 				break
 			}
 			p := pats[pi]
-			kept := make([]int, 0, len(p.items))
+			kept = kept[:0]
 			for _, item := range p.items {
 				if rng.Float64() >= p.corruption {
 					kept = append(kept, item)
@@ -175,24 +184,26 @@ func Baskets(c BasketConfig) (*transactions.DB, error) {
 			if len(kept) == 0 {
 				continue
 			}
-			if len(got)+len(kept) > target {
+			if len(row)+len(kept) > target {
 				// Paper: admit oversize pattern in half the cases.
 				if rng.Intn(2) == 0 {
 					continue
 				}
 			}
 			for _, item := range kept {
-				got[item] = struct{}{}
+				if !inRow[item] {
+					inRow[item] = true
+					row = append(row, item)
+				}
 			}
 		}
-		if len(got) == 0 {
-			got[rng.Intn(c.NumItems)] = struct{}{}
+		for _, item := range row {
+			inRow[item] = false
 		}
-		flat := make([]int, 0, len(got))
-		for item := range got {
-			flat = append(flat, item)
+		if len(row) == 0 {
+			row = append(row, rng.Intn(c.NumItems))
 		}
-		if err := db.Add(flat...); err != nil {
+		if err := db.Add(row...); err != nil {
 			return nil, err
 		}
 	}

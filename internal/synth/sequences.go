@@ -103,6 +103,7 @@ func Sequences(c SequenceConfig) ([]Sequence, error) {
 	for i, p := range elemPool {
 		elemWeights[i] = p.weight
 	}
+	chooseElem := stats.NewWeighted(elemWeights)
 
 	// Pool of potentially large sequences.
 	pats := make([]seqPattern, c.NumSeqPatterns)
@@ -111,7 +112,7 @@ func Sequences(c SequenceConfig) ([]Sequence, error) {
 		n := stats.Poisson(rng, c.AvgSeqPatLen-1) + 1
 		elems := make([]transactions.Itemset, n)
 		for i := range elems {
-			elems[i] = elemPool[stats.WeightedChoice(rng, elemWeights)].items
+			elems[i] = elemPool[chooseElem.Choice(rng)].items
 		}
 		w := rng.ExpFloat64()
 		corr := rng.NormFloat64()*c.CorruptionSD + c.CorruptionMean
@@ -129,6 +130,7 @@ func Sequences(c SequenceConfig) ([]Sequence, error) {
 		pats[i].weight /= totalW
 		weights[i] = pats[i].weight
 	}
+	choose := stats.NewWeighted(weights)
 
 	out := make([]Sequence, 0, c.NumCustomers)
 	for cust := 0; cust < c.NumCustomers; cust++ {
@@ -142,7 +144,7 @@ func Sequences(c SequenceConfig) ([]Sequence, error) {
 		// skipping elements according to corruption.
 		fills := 0
 		for attempts := 0; fills < nTx && attempts < 4*nTx+8; attempts++ {
-			sp := pats[stats.WeightedChoice(rng, weights)]
+			sp := pats[choose.Choice(rng)]
 			pos := 0
 			if nTx > len(sp.elements) {
 				pos = rng.Intn(nTx - len(sp.elements) + 1)
