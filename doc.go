@@ -23,12 +23,14 @@
 // FP-tree build — and the engines differ only in where those scans run.
 // The local source is count distribution: the transaction database is
 // split into contiguous zero-copy shards (transactions.DB.Shards), each
-// worker scans its shard into private counters (flat item counts, the
-// pass-2 triangular pair array, or one counter per candidate, counted in
-// tid-bitset blocks by transactions.CountTids), and the private counters
-// are merged after the pass. Merged results are bit-identical to the serial scan, so
-// every registered engine takes a Workers option that changes only
-// wall-clock time. Eclat instead mines the vertical layout as
+// worker scans its shard into private counters (flat item counts, or one
+// counter per candidate, counted in tid-bitset blocks from the shard's
+// rows as transactions.Layout laid them out once per mine), and the
+// private counters are merged after the pass. Pass 2 shares one
+// triangular pair array instead: each worker reads every row and counts
+// the pairs of its own band of triangle rows. Merged results are
+// bit-identical to the serial scan, so every registered engine takes a
+// Workers option that changes only wall-clock time. Eclat instead mines the vertical layout as
 // transactions.Bitset tid-sets (word-wise AND + popcount). FPGrowth is
 // the candidate-free engine: per-shard FP-trees (internal/fptree) are mined
 // together as a forest — the same commutative additions, made inside the

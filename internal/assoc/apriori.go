@@ -40,7 +40,7 @@ func (a *Apriori) MineContext(ctx context.Context, db *transactions.DB, minSuppo
 	}
 	res := &Result{MinCount: minCount, NumTx: db.Len()}
 	emit := func(stat PassStat, level []ItemsetCount) { res.addPass(a.hook, stat, level) }
-	if err := levelwise(ctx, scanLocal(db, a.Workers), minCount, res, emit); err != nil {
+	if err := levelwise(ctx, scanLocal(db, db.NumItems(), a.Workers), minCount, res, emit); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -19,21 +19,25 @@
 //
 // All engines produce identical frequent-itemset results on the same
 // input — a property the test suite checks — and differ only in how much
-// work they do. The level-wise miners cost O(passes × |D|/64 × |C_k|)
-// words: each pass lays its rows out as tid-bitsets, a block of 4096 at a
-// time, and ANDs them per candidate, where the VLDB'94 papers walk a
-// candidate hash tree per transaction; Eclat replaces rescans with bitset
-// tid-set intersections over the whole database, O(|D|/64) words per
-// candidate.
+// work they do. The level-wise miners walk the rows once per pass up to
+// pass 2 and once more at C3, where each shard's rows are laid out as
+// per-item lists of row offsets in blocks of 4096 (transactions.Layout);
+// from then on a pass costs O(its items' occurrences) to set their
+// tid-bitsets from those lists plus O(|D|/64 × |C_k|) words to AND them
+// per candidate, where the VLDB'94 papers walk a candidate hash tree per
+// transaction and pass. Eclat replaces rescans with bitset tid-set
+// intersections over the whole database, O(|D|/64) words per candidate.
 //
 // The level-wise loop and the pattern-growth sequence are each written
 // once (levelwise in apriori.go, growth in fpgrowth.go) against scanSource,
 // a four-method seam naming the database scans a mine needs: pass-1 item
 // counts, the triangular pass-2 pair array, the pass-k candidate count and
 // the FP-tree build. Pass k >= 3 is one loop (levelsFrom3) over the scan
-// source, and every candidate count is transactions.CountTids; the
-// incremental maintainer's full runs are this same loop, whose pass counts
-// become its tracked totals, and its delta counts with the same kernel.
+// source, and every candidate count runs the one tid-bitset block kernel
+// (transactions.Layout over a local mine's shards, CountTids for a list
+// counted once); the incremental maintainer's full runs are this same
+// loop, whose pass counts become its tracked totals, and its delta counts
+// with the same kernel.
 // Where the scans run is the only thing that differs between engines:
 // Apriori and FPGrowth run them on this process's goroutines (localScans,
 // parallel.go), Distributed sends them to a dist.Coordinator (remoteScans,
@@ -42,9 +46,10 @@
 // Below the seam every scan follows the shard/count/merge contract: the
 // database splits into contiguous shards, each shard fills a private
 // counting structure through kernels that have one definition for every
-// caller (transactions.CountItems, CountPairs and CountTids,
+// caller (transactions.CountItems, CountPairs, Layout and CountTids,
 // fptree.Build), and merging is commutative integer addition — for the
-// count arrays a fold after the scan, for the FP-trees the sums
+// count arrays a fold after the scan (the local pass-2 triangle is shared
+// instead, each worker counting a band of its rows), for the FP-trees the sums
 // fptree.Forest takes over its trees' header chains while projecting — so
 // distributed, parallel, degraded and incremental counts are all
 // bit-identical to a serial scan. The incremental maintainer adds one more

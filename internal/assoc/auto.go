@@ -17,8 +17,9 @@ import (
 //     AutoMinDenseItems of them) go to Eclat: word-wise AND + popcount
 //     intersections win on dense data.
 //   - Otherwise pass 2 runs as Apriori's triangular scan, provided the
-//     triangle fits autoMaxPairs counters per worker, and C3 =
-//     apriori-gen(L2) is generated, which needs no scan. With at most
+//     triangle fits autoMaxPairs counters (one triangle per mine, whatever
+//     the worker count), and C3 = apriori-gen(L2) is generated, which
+//     needs no scan. With at most
 //     autoMaxC3 candidates the mine goes on level-wise from C3 and is
 //     Apriori's from there on.
 //   - A larger C3, or a triangle past the bound, hands the pass-1 counts to
@@ -55,10 +56,12 @@ const AutoMinDenseItems = 8
 // autoMaxC3 is the largest C3 Auto still mines level-wise. Past pass 2
 // both families cost in proportion to the database's frequent-item
 // occurrences — growth builds and projects the FP-tree over them, each
-// pass k >= 3 lays them out as tid-bitsets and ANDs them per candidate —
-// so the crossover is a candidate count rather than a share of |D|.
-// Measured at 2 workers, Apriori's time over FPGrowth's at the last C3
-// level-wise won and the first it lost:
+// pass k >= 3 sets them as tid-bitsets (from the rows laid out once at C3)
+// and ANDs them per candidate — so the crossover is a candidate count
+// rather than a share of |D|. Measured at 2 workers, before the layout
+// made each pass k >= 3 cheaper (which can only move the crossover up),
+// Apriori's time over FPGrowth's at the last C3 level-wise won and the
+// first it lost:
 //
 //	shape                    won at C3       lost at C3
 //	T5.I2, 80k rows          22,279 (0.94)   57,836 (1.87)
@@ -72,9 +75,11 @@ const AutoMinDenseItems = 8
 // every shape, so the bound sits there, below the earliest loss.
 const autoMaxC3 = 1 << 14
 
-// autoMaxPairs bounds the pass-2 triangle, in counters per worker, that
-// Auto counts before deciding (16 MiB of int32): a frequent universe
-// larger than that goes to pattern growth without a pass 2.
+// autoMaxPairs bounds the pass-2 triangle, in counters, that Auto counts
+// before deciding (16 MiB of int32): a frequent universe larger than that
+// goes to pattern growth without a pass 2. The workers share one
+// triangle, so the bound is per mine; when each worker had a private one
+// it was per worker, and the value was kept.
 const autoMaxPairs = 1 << 22
 
 // Name implements Miner.
@@ -110,7 +115,7 @@ func (a *Auto) MineContext(ctx context.Context, db *transactions.DB, minSupport 
 	}
 	res := &Result{MinCount: minCount, NumTx: db.Len()}
 	emit := func(stat PassStat, level []ItemsetCount) { res.addPass(a.hook, stat, level) }
-	engine, err := adaptive(ctx, scanLocal(db, a.Workers), db.Len(), minCount, a.Workers, res, emit)
+	engine, err := adaptive(ctx, scanLocal(db, db.NumItems(), a.Workers), db.Len(), minCount, a.Workers, res, emit)
 	if engine != "" {
 		a.selected.Store(engine)
 	}

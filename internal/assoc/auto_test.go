@@ -189,7 +189,7 @@ func TestAutoScansOnce(t *testing.T) {
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2} {
 			minCount := tc.db.AbsoluteSupport(tc.minSup)
-			src := &countingScans{scanSource: scanLocal(tc.db, workers)}
+			src := &countingScans{scanSource: scanLocal(tc.db, tc.db.NumItems(), workers)}
 			res := &Result{MinCount: minCount, NumTx: tc.db.Len()}
 			emit := func(stat PassStat, level []ItemsetCount) { res.addPass(nil, stat, level) }
 			engine, err := adaptive(context.Background(), src, tc.db.Len(), minCount, workers, res, emit)

@@ -234,7 +234,7 @@ func (r *remoteScans) degrade(err error) bool {
 	if r.d.NoLocalFallback || !errors.Is(err, dist.ErrNoHealthyWorkers) {
 		return false
 	}
-	r.local = &localScans{db: r.db, numItems: r.numItems, workers: r.d.Workers}
+	r.local = scanLocal(r.db, r.numItems, r.d.Workers)
 	r.d.degraded = true
 	return true
 }

@@ -61,7 +61,7 @@ func (f *FPGrowth) MineContext(ctx context.Context, db *transactions.DB, minSupp
 	}
 	res := &Result{MinCount: minCount, NumTx: db.Len()}
 	emit := func(stat PassStat, level []ItemsetCount) { res.addPass(f.hook, stat, level) }
-	if err := growth(ctx, scanLocal(db, f.Workers), minCount, f.Workers, res, emit); err != nil {
+	if err := growth(ctx, scanLocal(db, db.NumItems(), f.Workers), minCount, f.Workers, res, emit); err != nil {
 		return nil, err
 	}
 	return res, nil

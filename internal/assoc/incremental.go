@@ -23,7 +23,7 @@ package assoc
 //     one subtracts — so the work follows the size of the update, not the
 //     size of the store or of its shards. Items and pairs splice straight
 //     into their flat arrays; the tracked k-itemsets of every level are
-//     counted serially, as one candidate list, by the pass-k kernel of the
+//     counted serially, as one candidate list, by the block kernel of the
 //     full runs (transactions.CountTids): each block of at most 4096 rows
 //     is laid out once as tid-bitsets of the tracked items, and a tracked
 //     itemset's delta is the popcount of its items' ANDed words;
@@ -277,12 +277,12 @@ func (inc *Incremental) settle() {
 }
 
 // count is the delta's counting routine. It counts added and deleted into
-// the tracked sets of every level with the pass-k kernel of the full runs
-// (transactions.CountTids: one side's rows in tid-bitset blocks of at most
-// 4096, against the frozen inc.tracked) into the delta scratch, and then,
-// only once ctx is known not to be cancelled, splices totals += added −
-// deleted. ctx is polled before every block, and once more before the
-// splice. The item and pair totals need no buffers: they take the signed
+// the tracked sets of every level with the block kernel of the full runs
+// (transactions.CountTids: one side's rows laid out and counted a block of
+// at most 4096 at a time, against the frozen inc.tracked) into the delta
+// scratch, and then, only once ctx is known not to be cancelled, splices
+// totals += added − deleted. ctx is polled before every block, and once
+// more before the splice. The item and pair totals need no buffers: they take the signed
 // adds directly during the splice, which is serial and never polls ctx. On
 // cancellation it returns ctx.Err() with every total untouched.
 func (inc *Incremental) count(ctx context.Context, added, deleted []transactions.Itemset) error {
@@ -542,7 +542,7 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	inc.added, inc.deleted = nil, nil
 	snap := inc.store.Snapshot()
 	numItems := inc.store.NumItems()
-	var src scanSource = localScans{db: snap, numItems: numItems, workers: inc.Workers}
+	var src scanSource = scanLocal(snap, numItems, inc.Workers)
 	if inc.Remote != nil {
 		remote, err := inc.Remote.storeScans(ctx, inc.store, snap)
 		if err != nil {

@@ -8,7 +8,7 @@ import (
 func TestCountPairsTriangular(t *testing.T) {
 	db := paperDB(t)
 	ctx := context.Background()
-	src := scanLocal(db, 1)
+	src := scanLocal(db, db.NumItems(), 1)
 	counts, err := src.countItems(ctx)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ func TestThresholdTriangleMatchesBruteForce(t *testing.T) {
 		rank := l1Ranks(ranked, items)
 		pairs := make([]int32, len(ranked)*(len(ranked)-1)/2)
 		for _, tx := range after.Transactions {
-			transactions.CountPairs(tx, rank, transactions.TriBases(len(ranked)), pairs, nil)
+			transactions.CountPairs(tx, rank, transactions.TriBases(len(ranked)), 0, len(ranked), pairs, nil)
 		}
 		l1 := thresholdItems(countItems(after, items), minCount)
 		// minCount/n·n is within an ulp of minCount, so the oracle's
@@ -72,7 +72,7 @@ func TestThresholdTriangleMatchesBruteForce(t *testing.T) {
 		l1Rank := l1Ranks(l1, items)
 		l1Pairs := make([]int32, len(l1)*(len(l1)-1)/2)
 		for _, tx := range after.Transactions {
-			transactions.CountPairs(tx, l1Rank, transactions.TriBases(len(l1)), l1Pairs, nil)
+			transactions.CountPairs(tx, l1Rank, transactions.TriBases(len(l1)), 0, len(l1), l1Pairs, nil)
 		}
 		shapes := []struct {
 			name   string
@@ -170,7 +170,7 @@ func BenchmarkThresholdTriangle(b *testing.B) {
 	base := transactions.TriBases(len(ranked))
 	var scratch []int
 	for _, tx := range db.Transactions {
-		scratch = transactions.CountPairs(tx, rank, base, pairs, scratch)
+		scratch = transactions.CountPairs(tx, rank, base, 0, len(ranked), pairs, scratch)
 	}
 	l1 := thresholdItems(counts, minCount)
 	b.ReportAllocs()

@@ -281,7 +281,7 @@ func countPairs(ctx context.Context, db *transactions.DB, l1 []assoc.ItemsetCoun
 				return nil, 0, err
 			}
 		}
-		ranks = transactions.CountPairs(tx, rank, base, tri, ranks)
+		ranks = transactions.CountPairs(tx, rank, base, 0, n, tri, ranks)
 	}
 	est := db.Len()
 	var l2 []assoc.ItemsetCount

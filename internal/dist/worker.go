@@ -130,7 +130,7 @@ func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 	ranks := make([]int, 0, 64)
 	for _, sh := range shards {
 		for _, tx := range sh.Txs {
-			ranks = transactions.CountPairs(tx, args.Rank, base, counts, ranks)
+			ranks = transactions.CountPairs(tx, args.Rank, base, 0, args.N, counts, ranks)
 		}
 	}
 	reply.Counts = counts

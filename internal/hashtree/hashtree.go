@@ -14,10 +14,10 @@
 //
 // No mining path counts with it: every pass k >= 3 — the local
 // scans, the dist workers, the reference engines and the incremental
-// maintainer — counts in tid-bitset blocks (transactions.CountTids). The
-// tree stays for the benchmark's hashtree layer probe, which inserts one
-// candidate at a time (New, Insert) and counts one transaction at a time
-// (CountTransaction).
+// maintainer — counts in tid-bitset blocks (transactions.Layout and
+// CountTids). The tree stays for the benchmark's hashtree layer probe,
+// which inserts one candidate at a time (New, Insert) and counts one
+// transaction at a time (CountTransaction).
 package hashtree
 
 import (

@@ -22,10 +22,11 @@ func (a *AprioriAll) Mine(data []Sequence, minSupport float64) (*Result, error) 
 	res := &Result{MinCount: minCount, NumCustomers: len(data)}
 
 	// Phase 1 — litemsets: itemsets frequent when counted once per
-	// customer (contained in any of the customer's transactions).
-	litemsets, litemsetSupport := frequentLitemsets(data, minCount)
+	// customer (contained in any of the customer's transactions). Pass 1's
+	// candidates are every itemset this phase counted.
+	litemsets, litemsetSupport, counted := frequentLitemsets(data, minCount)
 	if len(litemsets) == 0 {
-		res.Passes = append(res.Passes, PassStat{K: 1, Candidates: 0, Frequent: 0})
+		res.Passes = append(res.Passes, PassStat{K: 1, Candidates: counted, Frequent: 0})
 		return res, nil
 	}
 
@@ -39,7 +40,7 @@ func (a *AprioriAll) Mine(data []Sequence, minSupport float64) (*Result, error) 
 	for i := range litemsets {
 		level[i] = idSeqCount{seq: []int{i}, count: litemsetSupport[i]}
 	}
-	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: len(litemsets), Frequent: len(level)})
+	res.Passes = append(res.Passes, PassStat{K: 1, Candidates: counted, Frequent: len(level)})
 	res.Levels = append(res.Levels, toSeqCounts(level, litemsets))
 
 	for k := 2; len(level) > 0; k++ {
@@ -78,8 +79,9 @@ type idSeqCount struct {
 // frequentLitemsets runs a per-customer Apriori over itemsets: support of
 // an itemset is the number of customers with at least one transaction
 // containing it. Returns the litemsets in deterministic (lexicographic)
-// order alongside their supports.
-func frequentLitemsets(data []Sequence, minCount int) ([]transactions.Itemset, []int) {
+// order alongside their supports, and how many itemsets it counted: every
+// item seen, then every candidate of each later pass.
+func frequentLitemsets(data []Sequence, minCount int) ([]transactions.Itemset, []int, int) {
 	// L1: count items once per customer.
 	itemCount := make(map[int]int)
 	for _, cust := range data {
@@ -102,6 +104,7 @@ func frequentLitemsets(data []Sequence, minCount int) ([]transactions.Itemset, [
 		}
 	}
 	sort.Ints(items)
+	counted := len(itemCount)
 	for _, item := range items {
 		level = append(level, transactions.Itemset{item})
 		supports = append(supports, itemCount[item])
@@ -116,6 +119,7 @@ func frequentLitemsets(data []Sequence, minCount int) ([]transactions.Itemset, [
 		if len(cands) == 0 {
 			break
 		}
+		counted += len(cands)
 		counts := make([]int, len(cands))
 		for _, cust := range data {
 			for ci, c := range cands {
@@ -136,7 +140,7 @@ func frequentLitemsets(data []Sequence, minCount int) ([]transactions.Itemset, [
 			}
 		}
 	}
-	return all, allSupports
+	return all, allSupports, counted
 }
 
 // transform maps each customer to the per-transaction sets of litemset ids,

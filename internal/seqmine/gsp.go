@@ -7,10 +7,11 @@ import (
 )
 
 // GSP is the generalized sequential-pattern miner of EDBT'96. It mines
-// item-level sequences directly (no litemset/transformation phases) and
-// its join produces dramatically fewer candidates than AprioriAll: two
-// frequent (k-1)-sequences join when dropping the first item of one yields
-// the same sequence as dropping the last item of the other.
+// item-level sequences directly (no litemset/transformation phases), and
+// its join produces fewer candidates than AprioriAll counts in its two
+// phases together (6–20 % fewer on the quick S1 table): two frequent
+// (k-1)-sequences join when dropping the first item of one yields the same
+// sequence as dropping the last item of the other.
 //
 // The paper's gap generalizations are supported: MaxGap/MinGap constrain
 // the distance (in transaction positions) between consecutive matched

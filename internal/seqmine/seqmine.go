@@ -6,7 +6,9 @@
 //     sequences of frequent-itemset ids, and a level-wise sequence phase;
 //   - GSP (Srikant & Agrawal, EDBT'96 "Mining Sequential Patterns:
 //     Generalizations and Performance Improvements"), which mines item-level
-//     sequences directly and generates far fewer candidates.
+//     sequences directly and generates fewer candidates (6–20 % fewer than
+//     AprioriAll's litemset and sequence phases together, on the quick S1
+//     table).
 //
 // Both are level-wise: O(passes) scans over the customer sequences with
 // candidate-containment tests per sequence, so candidate-set size is the

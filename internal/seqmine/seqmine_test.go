@@ -370,3 +370,22 @@ func TestIdSeqKeyAndAppendInt(t *testing.T) {
 		t.Errorf("appendInt = %q", got)
 	}
 }
+
+// TestAprioriAllCountsItsLitemsetPhase pins AprioriAll's pass 1 on the
+// ICDE'95 example at 2 customers: its candidates are every itemset the
+// litemset phase counted — the 8 items seen, then the 6 pairs of the 4
+// frequent items ({30}, {40}, {70}, {90}) — and its frequent count is the
+// 5 litemsets, those 4 and {40, 70}. A pass that recorded only the
+// litemsets would read 5 candidates.
+func TestAprioriAllCountsItsLitemsetPhase(t *testing.T) {
+	res, err := (&AprioriAll{}).Mine(paperData(), 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MinCount != 2 {
+		t.Fatalf("MinCount = %d, want 2", res.MinCount)
+	}
+	if got, want := res.Passes[0], (PassStat{K: 1, Candidates: 14, Frequent: 5}); got != want {
+		t.Errorf("pass 1 = %+v, want %+v", got, want)
+	}
+}

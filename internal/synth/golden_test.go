@@ -78,3 +78,13 @@ func writeSequences(w io.Writer, seqs []Sequence) {
 		fmt.Fprintln(w)
 	}
 }
+
+// BenchmarkSequences generates TestSequencesGolden's shape.
+func BenchmarkSequences(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Sequences(C10T2S4I1(20000, 1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

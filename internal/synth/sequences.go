@@ -1,8 +1,10 @@
 package synth
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/stats"
 	"repro/internal/transactions"
@@ -133,15 +135,13 @@ func Sequences(c SequenceConfig) ([]Sequence, error) {
 	choose := stats.NewWeighted(weights)
 
 	out := make([]Sequence, 0, c.NumCustomers)
+	var placed []placement // one customer's admitted items, reused
 	for cust := 0; cust < c.NumCustomers; cust++ {
 		nTx := stats.Poisson(rng, c.AvgTxPerCust-1) + 1
-		seq := make(Sequence, nTx)
-		for i := range seq {
-			seq[i] = transactions.Itemset{}
-		}
 		// Fill the customer's history from weighted sequence patterns:
 		// each chosen pattern is laid across the history preserving order,
 		// skipping elements according to corruption.
+		placed = placed[:0]
 		fills := 0
 		for attempts := 0; fills < nTx && attempts < 4*nTx+8; attempts++ {
 			sp := pats[choose.Choice(rng)]
@@ -156,18 +156,50 @@ func Sequences(c SequenceConfig) ([]Sequence, error) {
 				if rng.Float64() < sp.corruption {
 					continue
 				}
-				seq[pos] = seq[pos].Union(elem)
+				for _, item := range elem {
+					placed = append(placed, placement{pos, item})
+				}
 				pos++
 				fills++
 			}
 		}
-		// Ensure no transaction is empty: pad with a random item.
-		for i := range seq {
-			if len(seq[i]) == 0 {
-				seq[i] = transactions.NewItemset(rng.Intn(c.NumItems))
-			}
-		}
-		out = append(out, seq)
+		out = append(out, layOut(placed, nTx, rng, c.NumItems))
 	}
 	return out, nil
+}
+
+// placement is one item an element put at a position of a customer's
+// history.
+type placement struct{ pos, item int }
+
+// layOut turns one customer's placements into its nTx transactions: each
+// position's items, sorted and without repeats (the union of the elements
+// laid there), and a position no element reached padded with one random
+// item, drawn in position order. Every transaction is cut from one array
+// for the whole history.
+func layOut(placed []placement, nTx int, rng *rand.Rand, numItems int) Sequence {
+	slices.SortFunc(placed, func(a, b placement) int {
+		if a.pos != b.pos {
+			return cmp.Compare(a.pos, b.pos)
+		}
+		return cmp.Compare(a.item, b.item)
+	})
+	seq := make(Sequence, nTx)
+	flat := make(transactions.Itemset, 0, len(placed)+nTx)
+	for i := 0; i < len(placed); {
+		pos, from := placed[i].pos, len(flat)
+		for ; i < len(placed) && placed[i].pos == pos; i++ {
+			if len(flat) == from || flat[len(flat)-1] != placed[i].item {
+				flat = append(flat, placed[i].item)
+			}
+		}
+		seq[pos] = flat[from:len(flat):len(flat)]
+	}
+	for pos := range seq {
+		if len(seq[pos]) == 0 {
+			flat = append(flat, rng.Intn(numItems))
+			seq[pos] = flat[len(flat)-1 : len(flat) : len(flat)]
+		}
+	}
+	return seq
 }

@@ -1,14 +1,24 @@
 package transactions
 
 // The per-transaction count kernels of the level-wise passes: items, pairs,
-// and the candidate k-itemsets of every later pass (CountTids). Every scan
-// that counts them — the local goroutine-sharded scans, the dist worker's
-// replica scans, the reference engines and the incremental maintainer's
-// delta — calls these, so the arithmetic behind byte-identical counts has
-// one definition; the FP-tree, pattern growth's counting structure, lives
-// in internal/fptree. The maintainer, which also counts deleted
-// transactions back out, shares TriBases and keeps its own signed loop for
-// items and pairs.
+// and the candidate k-itemsets of every later pass. Every scan that counts
+// them — the local goroutine-sharded scans, the dist worker's replica
+// scans, the reference engines and the incremental maintainer's delta —
+// calls these, so the arithmetic behind byte-identical counts has one
+// definition; the FP-tree, pattern growth's counting structure, lives in
+// internal/fptree. The maintainer, which also counts deleted transactions
+// back out, shares TriBases and keeps its own signed loop for items and
+// pairs.
+//
+// Pass k >= 3 counts candidates a block of at most 4096 rows at a time:
+// the block's rows are laid out by item as lists of in-block row offsets
+// (layBlock, one walk and a counting sort), each candidate item's list sets
+// the bits of a tid-bitset, and a candidate's support is the popcount of
+// its items' ANDed bitsets (countBlock). A Layout keeps the lists of every
+// block, so the local scans walk a shard's rows once per mine, at C3, and
+// every later pass only sets bits from the lists; CountTids lays out and
+// counts one block after another for a list counted once (a dist worker's
+// call, the maintainer's delta, a reference engine's pass).
 //
 // Counters are int32, the natural width of a support: a store holds at most
 // math.MaxInt32 rows (ErrTooManyTransactions), so no count of it can pass
@@ -20,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -47,21 +58,35 @@ func TriBases(n int) []int {
 	return base
 }
 
-// CountPairs adds every pair of tx's ranked items into the triangular
-// array counts, whose row bases are base (TriBases of the rank count).
-// rank maps item id to a rank below len(base); a negative rank, or an item
-// beyond len(rank), is unranked and skipped. Ranks must ascend with item
-// id, as L1 ranks in item order do, so that a sorted transaction yields
-// i < j. ranks is scratch: pass the previous call's return value so one
-// scan allocates it once.
-func CountPairs(tx Itemset, rank, base []int, counts []int32, ranks []int) []int {
-	ranks = ranks[:0]
-	for _, item := range tx {
-		if item < len(rank) && rank[item] >= 0 {
-			ranks = append(ranks, rank[item])
-		}
+// CountPairs adds into the triangular array counts, whose row bases are
+// base (TriBases of the rank count n), every pair i < j of tx's ranked
+// items whose lower rank i lies in the band [lo, hi) of triangle rows;
+// [0, n) counts every pair. Workers that share one triangle each count
+// their own band of rows, so none writes another's counters. rank maps
+// item id to a rank below len(base); a negative rank, or an item beyond
+// len(rank), is unranked and skipped. Ranks must ascend with item id, as
+// L1 ranks in item order do, so that a sorted transaction yields i < j.
+// ranks is scratch: pass the previous call's return value so one scan
+// allocates it once.
+func CountPairs(tx Itemset, rank, base []int, lo, hi int, counts []int32, ranks []int) []int {
+	if cap(ranks) < len(tx) {
+		ranks = make([]int, len(tx), 2*len(tx))
 	}
+	ranks = ranks[:len(tx)]
+	n := 0
+	for _, item := range tx {
+		if item >= len(rank) {
+			continue
+		}
+		r := rank[item]
+		ranks[n] = r
+		n += int(uint(lo-r-1) >> 63) // r >= lo, without a branch to mispredict
+	}
+	ranks = ranks[:n]
 	for a, i := range ranks {
+		if i >= hi {
+			break
+		}
 		row := base[i]
 		for _, j := range ranks[a+1:] {
 			counts[row+j]++
@@ -74,13 +99,13 @@ func CountPairs(tx Itemset, rank, base []int, counts []int32, ranks []int) []int
 // candidate.
 var ErrEmptyCandidate = errors.New("transactions: empty candidate itemset")
 
-// Candidates is a list of candidate itemsets made ready for CountTids: one
-// counting pass's C_k, or every level the incremental maintainer tracks.
-// Only the items some candidate names are ranked, in item order, so a
-// block lays out a bitset for those alone (the transaction trimming of
-// Park, Chen & Yu's DHP, column-wise), and each candidate is kept as its
-// items' ranks. It is read-only once built: concurrent CountTids calls
-// over disjoint rows may share it.
+// Candidates is a list of candidate itemsets made ready for counting
+// (CountTids, NewLayout and Layout.Count): one counting pass's C_k, or
+// every level the incremental maintainer tracks. Only the items some
+// candidate names are ranked, in item order, so a block lays out those
+// alone (the transaction trimming of Park, Chen & Yu's DHP, column-wise),
+// and each candidate is kept as its items' ranks. It is read-only once
+// built: concurrent counts over disjoint rows may share it.
 type Candidates struct {
 	rank     []int32 // item id -> rank, -1 for an item no candidate names; ends after the largest ranked item
 	ranks    []int32 // every candidate's item ranks, back to back; a leading -1 marks one naming an item outside the universe
@@ -95,7 +120,7 @@ type Candidates struct {
 // candidate that names an item outside that universe counts 0. The rank
 // table runs to the largest item some candidate names inside the
 // universe, so it is sized by the candidates, never by an item id beyond
-// them or beyond the universe. CountTids reuses the AND of a
+// them or beyond the universe. A count reuses the AND of a
 // candidate's leading items across the consecutive candidates that share
 // them, so sets in lexicographic order (apriori-gen's) count fastest; any
 // order counts exactly.
@@ -152,61 +177,101 @@ func NewCandidates(sets []Itemset, numItems int) (*Candidates, error) {
 // Len returns the number of candidates.
 func (c *Candidates) Len() int { return len(c.start) - 1 }
 
-// maxBlockWords is the most words a block's tid-bitset runs to: 4096 rows.
+// maxBlockWords is the most words a block's tid-bitset runs to: 4096 rows,
+// so an in-block row offset fits a uint16.
 const maxBlockWords = 64
 
-// tidBudget bounds, in words (1 MiB), the bitsets one CountTids call lays
-// out per block and the prefix ANDs it keeps beside them. A pass naming
-// more items than tidBudget/maxBlockWords counts in shorter blocks.
+// tidBudget bounds, in words (1 MiB), the bitsets one count lays out per
+// block and the prefix ANDs it keeps beside them. A list naming more items
+// than tidBudget/maxBlockWords counts in shorter blocks.
 const tidBudget = 1 << 17
 
 // ctxCandidates is how many candidates a block counts between context
 // polls.
 const ctxCandidates = 4096
 
-// tidScratch is one CountTids call's scratch, pooled so the scans of a
-// mine reuse it pass after pass.
+// blockWords is the words per ranked item of the blocks c lays out over n
+// rows: a block of 4096 rows, or fewer when there are fewer rows or so
+// many ranked items that 4096 would overrun tidBudget.
+func (c *Candidates) blockWords(n int) int {
+	return min(maxBlockWords, (n+63)/64, max(1, tidBudget/(c.live+c.longest)))
+}
+
+// block is one block of rows laid out by item: held rows, and for each
+// ranked item r the in-block offsets of the rows holding it,
+// offs[start[r]:start[r+1]], ascending.
+type block struct {
+	held  int
+	start []int32
+	offs  []uint16
+}
+
+// tidScratch is one count's scratch, pooled so the scans of a mine reuse
+// it pass after pass: the bitsets and sums of the count, and the block
+// being laid out (its rows' ranks back to back, row h's ending at
+// ends[h], and the counting sort's cursors).
 type tidScratch struct {
-	tids []uint64 // the block: the bitset of rank r at [r*stride, r*stride+words); all zero between blocks
+	tids []uint64 // the block's bitsets: rank r at [r*stride, r*stride+words); all zero between blocks
 	pre  []uint64 // the current prefix's ANDs, one row of words per prefix of 2 or more items
 	sums []int32  // the supports so far
+
+	ranks []int32
+	ends  []int32
+	next  []int32
+	b     block
 }
 
 var tidScratchPool = sync.Pool{New: func() any { return new(tidScratch) }}
 
-// CountTids adds to counts[i] the support over rows of c's candidate i,
-// counted a block of at most 4096 rows at a time. A block holds only rows
-// with at least as many ranked items as the shortest candidate (no other
-// row can contain a candidate), laid out as one tid-bitset per ranked
-// item; within it, a candidate's support is the popcount of its items'
-// ANDed bitsets, and the AND of all but its last item is taken once per
-// run of candidates sharing them. Blocks are shorter when many items are
-// ranked, so the bitsets stay within tidBudget, and after each one only
-// the words its layout spans are cleared. ctx is polled before every
-// block and every ctxCandidates candidates within one; on cancellation
-// CountTids returns ctx.Err() and leaves counts as they were. counts must
-// have c.Len() slots.
-func CountTids(ctx context.Context, c *Candidates, rows []Itemset, counts []int32) error {
-	n := c.Len()
-	if n == 0 || len(rows) == 0 {
-		return ctx.Err()
-	}
-	stride := min(maxBlockWords, (len(rows)+63)/64, max(1, tidBudget/(c.live+c.longest)))
+// getScratch returns pooled scratch sized for counting c in blocks of
+// stride words, with sums cleared.
+func getScratch(c *Candidates, stride int) *tidScratch {
 	s := tidScratchPool.Get().(*tidScratch)
-	defer tidScratchPool.Put(s)
 	s.tids = grown(s.tids, c.live*stride)
 	s.pre = grown(s.pre, max(c.longest-2, 0)*stride)
-	s.sums = grown(s.sums, n)
+	s.sums = grown(s.sums, c.Len())
 	clear(s.sums)
+	return s
+}
+
+// grown returns buf resized to n, reallocated only when it is too short.
+func grown[T uint64 | int32 | uint16](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// kept returns buf with room for n elements, its content kept: at least
+// doubled when it grows.
+func kept(buf []int32, n int) []int32 {
+	if n <= len(buf) {
+		return buf
+	}
+	out := make([]int32, max(n, 2*len(buf)))
+	copy(out, buf)
+	return out
+}
+
+// CountTids adds to counts[i] the support over rows of c's candidate i. It
+// is Layout's count for a list that is counted once: each block of rows
+// is laid out by the same routine and counted at once. ctx is polled
+// before every block and every ctxCandidates candidates within one; on
+// cancellation CountTids returns ctx.Err() and leaves counts as they were.
+// counts must have c.Len() slots.
+func CountTids(ctx context.Context, c *Candidates, rows []Itemset, counts []int32) error {
+	if c.Len() == 0 || len(rows) == 0 {
+		return ctx.Err()
+	}
+	stride := c.blockWords(len(rows))
+	s := getScratch(c, stride)
+	defer tidScratchPool.Put(s)
 	for next := 0; next < len(rows); {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var held int
-		held, next = c.fill(rows, next, stride, s.tids)
-		err := c.countBlock(ctx, stride, (held+63)/64, s.tids, s.pre, s.sums)
-		clear(s.tids)
-		if err != nil {
+		next = c.layBlock(rows, next, 64*stride, s)
+		if err := c.countLaid(ctx, &s.b, nil, stride, s); err != nil {
 			return err
 		}
 	}
@@ -216,42 +281,186 @@ func CountTids(ctx context.Context, c *Candidates, rows []Itemset, counts []int3
 	return nil
 }
 
-// grown returns buf resized to n, reallocated only when it is too short.
-func grown[T uint64 | int32](buf []T, n int) []T {
-	if cap(buf) < n {
-		return make([]T, n)
-	}
-	return buf[:n]
+// Layout is a set of rows laid out once for every count that follows: the
+// level-wise passes k >= 3 of one shard, laid out at C3. It holds the rows
+// in blocks of at most 4096, keeping only those with at least as many of
+// the laid-out items as the list it was built for has in its shortest
+// candidate (no other row can contain a candidate of it or of any later
+// pass), and one list of in-block row offsets per laid-out item. A count
+// sets its own items' tid-bitsets from those lists and ANDs them as
+// CountTids does, so the rows are walked once per mine, not once per
+// pass; the offsets take 2 bytes per kept occurrence, where bitsets of
+// every laid-out item would take a bit per kept row per item. It is
+// read-only once built.
+type Layout struct {
+	rank   []int32   // item id -> the item's list in a block, -1 for an item not laid out
+	minLen int       // the row filter: a kept row holds at least this many laid-out items
+	rows   []Itemset // what a list the layout does not cover is counted over
+	stride int       // words per item of a block's bitsets
+	blocks []block
 }
 
-// fill lays out one block in tids, stride words per ranked item: the rows
-// from next on that hold at least c.shortest ranked items, up to
-// 64*stride of them, the b-th setting bit b of its ranked items' bitsets.
-// It returns how many rows the block holds and the index of the first row
-// it did not look at.
-//
-//invcheck:hotpath
-func (c *Candidates) fill(rows []Itemset, next, stride int, tids []uint64) (int, int) {
-	held := 0
-	for ; next < len(rows) && held < 64*stride; next++ {
-		live := 0
-		for _, item := range rows[next] {
-			if uint(item) < uint(len(c.rank)) && c.rank[item] >= 0 {
-				live++
-			}
+// NewLayout lays rows out for c's items, in one walk over the rows that
+// counting-sorts each block's occurrences by item into offset lists sized
+// exactly. ctx is polled before every block; on cancellation NewLayout
+// returns ctx.Err() and no layout.
+func NewLayout(ctx context.Context, c *Candidates, rows []Itemset) (*Layout, error) {
+	l := &Layout{rank: c.rank, minLen: c.shortest, rows: rows}
+	if c.live == 0 {
+		return l, ctx.Err()
+	}
+	l.stride = c.blockWords(len(rows))
+	s := tidScratchPool.Get().(*tidScratch)
+	defer tidScratchPool.Put(s)
+	for next := 0; next < len(rows); {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if live < c.shortest {
+		next = c.layBlock(rows, next, 64*l.stride, s)
+		if s.b.held > 0 {
+			l.blocks = append(l.blocks, block{held: s.b.held, start: slices.Clone(s.b.start), offs: slices.Clone(s.b.offs)})
+		}
+	}
+	return l, nil
+}
+
+// Count adds to counts[i] the support over the layout's rows of c's
+// candidate i, and polls ctx as CountTids does, leaving counts as they
+// were on cancellation. counts must have c.Len() slots. A list the layout
+// does not cover — one naming an item inside the universe that was not
+// laid out, or one with a candidate shorter than the row filter — is
+// counted over the rows by CountTids, so every list counts exactly.
+func (l *Layout) Count(ctx context.Context, c *Candidates, counts []int32) error {
+	lists, ok := l.lists(c)
+	if !ok {
+		return CountTids(ctx, c, l.rows, counts)
+	}
+	if c.Len() == 0 || len(l.blocks) == 0 {
+		return ctx.Err()
+	}
+	s := getScratch(c, l.stride)
+	defer tidScratchPool.Put(s)
+	for i := range l.blocks {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := c.countLaid(ctx, &l.blocks[i], lists, l.stride, s); err != nil {
+			return err
+		}
+	}
+	for i, n := range s.sums {
+		counts[i] += n
+	}
+	return nil
+}
+
+// countLaid adds c's supports over the laid-out block b into s.sums: it
+// sets the bitsets of c's items in s.tids from b's lists (lists as
+// setBits takes them), counts, and clears the bitsets again.
+func (c *Candidates) countLaid(ctx context.Context, b *block, lists []int32, stride int, s *tidScratch) error {
+	b.setBits(lists, stride, s.tids)
+	err := c.countBlock(ctx, stride, (b.held+63)/64, s.tids, s.pre, s.sums)
+	clear(s.tids)
+	return err
+}
+
+// lists maps each item c ranks to the layout's list of it, and reports
+// whether the layout covers c.
+func (l *Layout) lists(c *Candidates) ([]int32, bool) {
+	if c.Len() > 0 && c.shortest < l.minLen {
+		return nil, false
+	}
+	lists := make([]int32, c.live)
+	for item, r := range c.rank {
+		if r < 0 {
 			continue
 		}
-		w, bit := held>>6, uint64(1)<<(uint(held)&63)
-		for _, item := range rows[next] {
-			if uint(item) < uint(len(c.rank)) && c.rank[item] >= 0 {
-				tids[int(c.rank[item])*stride+w] |= bit
-			}
+		if item >= len(l.rank) || l.rank[item] < 0 {
+			return nil, false
 		}
+		lists[r] = l.rank[item]
+	}
+	return lists, true
+}
+
+// layBlock lays out into s.b the next block: the rows from next on that
+// hold at least c.shortest ranked items, up to maxRows of them. One walk
+// collects each kept row's ranks, and a counting sort by rank turns them
+// into the per-item offset lists. It returns the index of the first row it
+// did not look at.
+//
+//invcheck:hotpath
+func (c *Candidates) layBlock(rows []Itemset, next, maxRows int, s *tidScratch) int {
+	rank, shortest := c.rank, c.shortest
+	ranks := s.ranks
+	ends := grown(s.ends, maxRows)
+	at, held := 0, 0
+	for ; next < len(rows) && held < maxRows; next++ {
+		row := rows[next]
+		if len(row) < shortest {
+			continue
+		}
+		ranks = kept(ranks, at+len(row))
+		from := at
+		for _, item := range row {
+			if uint(item) >= uint(len(rank)) {
+				continue
+			}
+			r := rank[item]
+			ranks[at] = r
+			at += int(uint32(^r) >> 31) // r >= 0, without a branch to mispredict
+		}
+		if at-from < shortest {
+			at = from
+			continue
+		}
+		ends[held] = int32(at)
 		held++
 	}
-	return held, next
+	start := grown(s.b.start, c.live+1)
+	clear(start)
+	for _, r := range ranks[:at] {
+		start[r+1]++
+	}
+	for r := range c.live {
+		start[r+1] += start[r]
+	}
+	cur := grown(s.next, c.live)
+	copy(cur, start)
+	offs := grown(s.b.offs, at)
+	from := int32(0)
+	for h, end := range ends[:held] {
+		for _, r := range ranks[from:end] {
+			offs[cur[r]] = uint16(h)
+			cur[r]++
+		}
+		from = end
+	}
+	s.ranks, s.ends, s.next = ranks, ends, cur
+	s.b = block{held: held, start: start, offs: offs}
+	return next
+}
+
+// setBits sets, in tids laid out stride words per rank, the bit of every
+// row of b that holds each ranked item: rank r reads b's list lists[r], or
+// list r when lists is nil.
+//
+//invcheck:hotpath
+func (b *block) setBits(lists []int32, stride int, tids []uint64) {
+	n := len(b.start) - 1
+	if lists != nil {
+		n = len(lists)
+	}
+	for r := range n {
+		lr := int32(r)
+		if lists != nil {
+			lr = lists[r]
+		}
+		set := tids[r*stride : (r+1)*stride]
+		for _, o := range b.offs[b.start[lr]:b.start[lr+1]] {
+			set[o>>6] |= 1 << (o & 63)
+		}
+	}
 }
 
 // countBlock adds every candidate's support over one block laid out in

@@ -259,7 +259,268 @@ func BenchmarkCountPairs(b *testing.B) {
 		pairs := make([]int32, n*(n-1)/2)
 		var scratch []int
 		for _, tx := range db.Transactions {
-			scratch = transactions.CountPairs(tx, rank, base, pairs, scratch)
+			scratch = transactions.CountPairs(tx, rank, base, 0, n, pairs, scratch)
 		}
 	}
+}
+
+// layoutRows returns n random rows of 1 to 15 items over [0, numItems).
+func layoutRows(rng *rand.Rand, n, numItems int) []transactions.Itemset {
+	rows := make([]transactions.Itemset, n)
+	for i := range rows {
+		items := make([]int, 1+rng.Intn(15))
+		for j := range items {
+			items[j] = rng.Intn(numItems)
+		}
+		rows[i] = transactions.NewItemset(items...)
+	}
+	return rows
+}
+
+// TestLayoutMatchesCountTids lays random rows out at a list of 3-itemsets
+// over part of the universe, in 1 to 3 shards of more than 4,096 rows
+// each, and counts through the layouts: the list itself; 4- and
+// 5-itemsets over its items, which the layout covers; and three lists it
+// does not cover, which must count exactly all the same — one naming an
+// item that was not laid out, one holding a pair (shorter than the row
+// filter) and one of singletons. Lists also name items outside the
+// universe, which count 0. Every support, summed over the shards, must
+// equal CountTids over all rows and the oracle. The "wide" case lays out
+// so many items that a block holds fewer than 4096 rows.
+func TestLayoutMatchesCountTids(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		rows, numItems int
+		laid           int // items the 3-itemsets draw from
+	}{
+		{"narrow", 13000, 60, 30},
+		{"wide", 9000, 6000, 6000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(len(tc.name))))
+			rows := layoutRows(rng, tc.rows, tc.numItems)
+			c3 := candidateList(rng, 3, tc.laid)
+			if tc.name == "wide" {
+				c3 = append(c3, spanning(3, tc.laid)...)
+			}
+			laidOut := map[int]bool{}
+			for _, set := range c3 {
+				for _, item := range set {
+					laidOut[item] = true
+				}
+			}
+			var over []int // the laid-out items inside the universe
+			for item := range tc.laid {
+				if laidOut[item] {
+					over = append(over, item)
+				}
+			}
+			within := func(k int) []transactions.Itemset {
+				var sets []transactions.Itemset
+				for range 60 {
+					rng.Shuffle(len(over), func(i, j int) { over[i], over[j] = over[j], over[i] })
+					sets = append(sets, transactions.NewItemset(over[:k]...))
+				}
+				return append(sets, transactions.NewItemset(append(over[:k-1:k-1], tc.numItems+3)...))
+			}
+			outside := append(within(3), transactions.Itemset{over[0], over[1], tc.laid + 1})
+			if laidOut[tc.laid+1] {
+				t.Fatal("the item outside the layout was laid out")
+			}
+			lists := map[string][]transactions.Itemset{
+				"C3": c3, "k4": within(4), "k5": within(5),
+				"item outside the layout": outside,
+				"pairs":                   append(within(3), within(2)...),
+				"singletons":              within(1),
+			}
+			want := map[string][]int32{}
+			for name, sets := range lists {
+				c, err := transactions.NewCandidates(sets, tc.numItems)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[name] = make([]int32, len(sets))
+				if err := transactions.CountTids(context.Background(), c, rows, want[name]); err != nil {
+					t.Fatal(err)
+				}
+				for i, set := range sets {
+					if int(want[name][i]) != oracle.Support(rows, set) {
+						t.Fatalf("%s: %v counted %d by CountTids, oracle %d", name, set, want[name][i], oracle.Support(rows, set))
+					}
+				}
+			}
+			for workers := 1; workers <= 3; workers++ {
+				c, err := transactions.NewCandidates(c3, tc.numItems)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var layouts []*transactions.Layout
+				for _, shard := range (&transactions.DB{Transactions: rows}).Shards(workers) {
+					l, err := transactions.NewLayout(context.Background(), c, shard.Transactions)
+					if err != nil {
+						t.Fatal(err)
+					}
+					layouts = append(layouts, l)
+				}
+				for name, sets := range lists {
+					c, err := transactions.NewCandidates(sets, tc.numItems)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := make([]int32, len(sets))
+					for _, l := range layouts {
+						if err := l.Count(context.Background(), c, got); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i, set := range sets {
+						if got[i] != want[name][i] {
+							t.Fatalf("workers %d, %s: %v counted %d through the layouts, want %d", workers, name, set, got[i], want[name][i])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLayoutCancelled cancels a layout's build at each of its polls (one
+// per block) and then a count through a finished layout at each of its
+// polls: every cancelled call returns ctx.Err(), a cancelled build returns
+// no layout, and a cancelled count leaves counts untouched. The counts
+// after all of them are exact.
+func TestLayoutCancelled(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	rows := make([]transactions.Itemset, 9000)
+	for i := range rows {
+		rows[i] = transactions.NewItemset(rng.Perm(100)[:8]...)
+	}
+	var sets []transactions.Itemset
+	for a := 0; a < 100; a++ {
+		for b := a + 1; b < 100; b++ {
+			sets = append(sets, transactions.Itemset{a, b})
+		}
+	}
+	c, err := transactions.NewCandidates(sets, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var l *transactions.Layout
+	for polls := 1; l == nil; polls++ {
+		l, err = transactions.NewLayout(&cancelAfter{Context: context.Background(), polls: polls}, c, rows)
+		if err == nil {
+			if polls < 4 { // one poll before each of 3 blocks
+				t.Fatalf("a build cancelled at poll %d finished", polls)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) || l != nil {
+			t.Fatalf("build cancelled at poll %d: layout %v, err %v; want none and context.Canceled", polls, l, err)
+		}
+	}
+	counts := make([]int32, len(sets))
+	for polls := 1; ; polls++ {
+		for i := range counts {
+			counts[i] = -7
+		}
+		err := l.Count(&cancelAfter{Context: context.Background(), polls: polls}, c, counts)
+		if err == nil {
+			if polls < 7 { // 3 block polls and one within each block
+				t.Fatalf("a count cancelled at poll %d finished", polls)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("poll %d: err = %v, want context.Canceled", polls, err)
+		}
+		for i, n := range counts {
+			if n != -7 {
+				t.Fatalf("poll %d: the cancelled count wrote %d into slot %d", polls, n, i)
+			}
+		}
+	}
+	for i, set := range sets {
+		if want := oracle.Support(rows, set) - 7; int(counts[i]) != want {
+			t.Fatalf("%v after cancelled counts: %d, oracle %d - 7", set, counts[i], want)
+		}
+	}
+}
+
+// FuzzCountLayout builds rows and two candidate lists from the input — one
+// to lay the rows out at, one to count — and requires the count through
+// the layout to equal CountTids over the same rows, whether or not the
+// layout covers the second list.
+func FuzzCountLayout(f *testing.F) {
+	f.Add([]byte{3, 1, 2, 3, 0, 1, 2, 3, 4, 0, 2, 3, 4, 0, 0, 3, 1, 2, 3, 0, 2, 3, 4}, uint8(3))
+	f.Add([]byte{2, 5, 6, 0, 5, 6, 7, 0, 0, 1, 5, 0}, uint8(2))
+	f.Add([]byte("0"), uint8(2)) // one row, and no list to lay it out at
+	f.Fuzz(func(t *testing.T, data []byte, reps uint8) {
+		const numItems = 24
+		// Sections separated by a 0 byte: rows until an empty section,
+		// then the layout's list, then an empty section, then the
+		// counted list. A list's sets are its sections; items are bytes
+		// mod 32, so some lie outside the universe.
+		var sections [][]int
+		cur := []int{}
+		for _, b := range data {
+			if b == 0 {
+				sections = append(sections, cur)
+				cur = []int{}
+				continue
+			}
+			cur = append(cur, int(b)%32)
+		}
+		sections = append(sections, cur)
+		var rows []transactions.Itemset
+		i := 0
+		for ; i < len(sections) && len(sections[i]) > 0; i++ {
+			row := transactions.NewItemset(sections[i]...)
+			for len(row) > 0 && row[len(row)-1] >= numItems {
+				row = row[:len(row)-1]
+			}
+			rows = append(rows, row)
+		}
+		// Repeat the rows, up to about 10,000, so that they span blocks.
+		all := rows
+		for range min(int(reps%8)*700, 10000/max(len(rows), 1)) {
+			all = append(all, rows...)
+		}
+		lists := [2][]transactions.Itemset{}
+		for l := range lists {
+			seen := map[string]bool{}
+			for i++; i < len(sections) && len(sections[i]) > 0; i++ {
+				set := transactions.NewItemset(sections[i]...)
+				if !seen[set.Key()] {
+					seen[set.Key()] = true
+					lists[l] = append(lists[l], set)
+				}
+			}
+		}
+		laid, err := transactions.NewCandidates(lists[0], numItems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		layout, err := transactions.NewLayout(context.Background(), laid, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sets := range lists {
+			c, err := transactions.NewCandidates(sets, numItems)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := make([]int32, len(sets)), make([]int32, len(sets))
+			if err := layout.Count(context.Background(), c, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := transactions.CountTids(context.Background(), c, all, want); err != nil {
+				t.Fatal(err)
+			}
+			for i := range sets {
+				if got[i] != want[i] {
+					t.Fatalf("%v over %d rows: %d through the layout for %v, %d by CountTids", sets[i], len(all), got[i], lists[0], want[i])
+				}
+			}
+		}
+	})
 }

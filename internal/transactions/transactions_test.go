@@ -420,7 +420,7 @@ func checkCountKernels(t *testing.T, db *DB, rank []int) {
 	var scratch []int
 	for _, tx := range db.Transactions {
 		CountItems(tx, items)
-		scratch = CountPairs(tx, rank, base, pairs, scratch)
+		scratch = CountPairs(tx, rank, base, 0, len(base), pairs, scratch)
 	}
 	for item, got := range items {
 		if want := db.Support(NewItemset(item)); int(got) != want {
