@@ -203,7 +203,8 @@ func (c *Coordinator) shipOutstanding(ctx context.Context) error {
 		c.statsMu.Unlock()
 		workers := sortedKeys(need)
 		errs := c.runPerWorker(workers, func(_, w int) error {
-			return c.call(ctx, w, MethodShip, &ShipArgs{Shards: need[w]}, &ShipReply{})
+			_, err := c.call(ctx, w, MethodShip, &ShipArgs{Shards: need[w]}, func() any { return new(ShipReply) })
+			return err
 		})
 		for i, w := range workers {
 			if errs[i] != nil {
@@ -279,18 +280,25 @@ func (c *Coordinator) failover(w int, cause error) error {
 // under the policy's per-attempt deadline, with capped-exponential
 // deterministically-jittered backoff between them. Only transport-level
 // failures (wrapping ErrWorkerUnavailable or ErrCallTimeout) are retried.
-func (c *Coordinator) call(ctx context.Context, w int, method string, args, reply any) error {
+// Each attempt fills a fresh reply from newReply, since a failed attempt's
+// reply may still be written by its abandoned request; call returns the
+// successful attempt's reply.
+func (c *Coordinator) call(ctx context.Context, w int, method string, args any, newReply func() any) (any, error) {
 	p := c.policy.normalized()
 	for attempt := 1; ; attempt++ {
+		reply := newReply()
 		err := c.callOnce(ctx, w, method, args, reply, p.CallTimeout)
-		if err == nil || !Retryable(err) || attempt >= p.MaxAttempts {
-			return err
+		if err == nil {
+			return reply, nil
+		}
+		if !Retryable(err) || attempt >= p.MaxAttempts {
+			return nil, err
 		}
 		c.statsMu.Lock()
 		c.stats.Retries++
 		c.statsMu.Unlock()
 		if serr := sleepContext(ctx, p.Backoff(w, attempt)); serr != nil {
-			return serr
+			return nil, serr
 		}
 	}
 }
@@ -372,11 +380,8 @@ func (c *Coordinator) scatter(ctx context.Context, method string, argsFor func(i
 		c.statsMu.Unlock()
 		replies := make([]any, len(workers))
 		errs := c.runPerWorker(workers, func(i, w int) error {
-			reply := newReply()
-			err := c.call(ctx, w, method, argsFor(groups[w]), reply)
-			if err == nil {
-				replies[i] = reply
-			}
+			var err error
+			replies[i], err = c.call(ctx, w, method, argsFor(groups[w]), newReply)
 			return err
 		})
 		for i, w := range workers {

@@ -36,6 +36,16 @@
 // this package: it syncs the shards and hands the coordinator to the
 // level-wise or pattern-growth driver.
 //
+// Every call carries the caller's ctx to the worker, and the worker polls
+// it: CountItems and CountPairs every ctxStride rows, CountCandidates
+// every ctxStride rows while it sizes the item universe and then before
+// every CountTids block and every 4096 candidates within one, and
+// BuildTree before each replica (fptree.Build itself does not poll). A
+// call the coordinator abandons — the caller cancelled, or the attempt
+// ran past RetryPolicy.CallTimeout — therefore stops counting promptly,
+// and the worker, which serves its calls one at a time, is free for the
+// retry instead of finishing the abandoned scan first.
+//
 // # Fault model
 //
 // Workers are fail-stop with omission faults: a call may be slow, may
@@ -66,7 +76,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 
 	"repro/internal/fptree"
 	"repro/internal/transactions"
@@ -176,11 +185,14 @@ type TreeReply struct {
 // Transport carries coordinator requests to workers. Call invokes a
 // Method* on worker w (args is a pointer to the method's args type, reply
 // a pointer to its reply type) and blocks until the reply is filled or ctx
-// is done, whichever comes first — an abandoned in-flight request is
-// discarded when its reply eventually arrives, so cancellation never
-// corrupts a later call's reply. Calls to distinct
-// workers may run concurrently; the coordinator never issues concurrent
-// calls to one worker.
+// is done, whichever comes first. ctx travels with the request, and the
+// worker's scans poll it, so an abandoned call stops counting within one
+// poll and the worker's next call does not queue behind it. A reply
+// passed to a failed Call may still be written by the abandoned request:
+// callers never read or reuse it, and every attempt gets a fresh reply
+// (Coordinator.call makes one per attempt). Calls to distinct workers may
+// run concurrently; the coordinator never issues concurrent calls to one
+// worker.
 type Transport interface {
 	// NumWorkers returns how many workers the transport reaches.
 	NumWorkers() int
@@ -190,37 +202,23 @@ type Transport interface {
 	Close() error
 }
 
-// dispatch routes one decoded call to the worker's typed methods.
-func dispatch(w *Worker, method string, args, reply any) error {
+// dispatch routes one decoded call to the worker's typed methods, under
+// the caller's ctx.
+func dispatch(ctx context.Context, w *Worker, method string, args, reply any) error {
 	switch method {
 	case MethodShip:
-		return w.Ship(*args.(*ShipArgs), reply.(*ShipReply))
+		return w.Ship(ctx, *args.(*ShipArgs), reply.(*ShipReply))
 	case MethodCountItems:
-		return w.CountItems(*args.(*CountItemsArgs), reply.(*CountsReply))
+		return w.CountItems(ctx, *args.(*CountItemsArgs), reply.(*CountsReply))
 	case MethodCountPairs:
-		return w.CountPairs(*args.(*CountPairsArgs), reply.(*CountsReply))
+		return w.CountPairs(ctx, *args.(*CountPairsArgs), reply.(*CountsReply))
 	case MethodCountCandidates:
-		return w.CountCandidates(*args.(*CountCandidatesArgs), reply.(*CountsReply))
+		return w.CountCandidates(ctx, *args.(*CountCandidatesArgs), reply.(*CountsReply))
 	case MethodBuildTree:
-		return w.BuildTree(*args.(*BuildTreeArgs), reply.(*TreeReply))
+		return w.BuildTree(ctx, *args.(*BuildTreeArgs), reply.(*TreeReply))
 	default:
 		return fmt.Errorf("%w: %q", ErrBadMethod, method)
 	}
-}
-
-// freshReplyLike returns a new zero value of reply's pointed-to type. The
-// transports fill a fresh reply per request and copy it to the caller's
-// only on success, so a request abandoned on cancellation or timeout can
-// complete late without scribbling over a reply object the caller has
-// already moved on from (e.g. the retry loop's next attempt).
-func freshReplyLike(reply any) any {
-	return reflect.New(reflect.TypeOf(reply).Elem()).Interface()
-}
-
-// copyReply shallow-copies *src into *dst (both pointers to the same
-// struct type) — the success leg of the fresh-reply protocol.
-func copyReply(dst, src any) {
-	reflect.ValueOf(dst).Elem().Set(reflect.ValueOf(src).Elem())
 }
 
 // message returns fresh zero-valued args and reply instances for a method,

@@ -232,7 +232,7 @@ func TestSyncReshipsOnlyDirtyShards(t *testing.T) {
 func TestWorkerMissingShard(t *testing.T) {
 	w := NewWorker()
 	var reply CountsReply
-	err := w.CountItems(CountItemsArgs{ShardIDs: []int{3}, NumItems: 4}, &reply)
+	err := w.CountItems(ctx, CountItemsArgs{ShardIDs: []int{3}, NumItems: 4}, &reply)
 	if !errors.Is(err, ErrNoShard) {
 		t.Fatalf("err = %v, want ErrNoShard", err)
 	}

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/transactions"
 )
 
 // waitForGoroutines polls until the goroutine count is back to at most
@@ -341,6 +345,60 @@ func TestLocalTransportAbandonedCallsLeakNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitForGoroutines(t, before)
+}
+
+// TestAbandonedCallFreesItsWorker reruns the probe that found workers
+// counting on after their caller gave up: one worker holds 200,000 rows
+// of 12 items out of 60 and is asked for all 34,220 3-candidates, a count
+// of about 200 ms, under a 5 ms deadline. The next call to that worker
+// must start within 25 ms of the abandoned one returning, in both modes;
+// a worker that does not see ctx keeps it queued for the rest of the
+// count.
+func TestAbandonedCallFreesItsWorker(t *testing.T) {
+	const items, width = 60, 12
+	rng := rand.New(rand.NewSource(43))
+	perm := make([]int, items)
+	for i := range perm {
+		perm[i] = i
+	}
+	rows := make([]transactions.Itemset, 200_000)
+	for i := range rows {
+		for j := 0; j < width; j++ {
+			k := j + rng.Intn(items-j)
+			perm[j], perm[k] = perm[k], perm[j]
+		}
+		rows[i] = slices.Sorted(slices.Values(perm[:width]))
+	}
+	var cands []transactions.Itemset
+	for a := 0; a < items; a++ {
+		for b := a + 1; b < items; b++ {
+			for c := b + 1; c < items; c++ {
+				cands = append(cands, transactions.Itemset{a, b, c})
+			}
+		}
+	}
+	for _, encode := range []bool{false, true} {
+		tr := NewLocalTransport(1, encode)
+		if err := tr.Call(ctx, 0, MethodShip, &ShipArgs{Shards: []ShardPayload{{ID: 0, Version: 1, Txs: rows}}}, new(ShipReply)); err != nil {
+			t.Fatal(err)
+		}
+		abandoned, cancel := context.WithTimeout(ctx, 5*time.Millisecond)
+		err := tr.Call(abandoned, 0, MethodCountCandidates, &CountCandidatesArgs{ShardIDs: []int{0}, K: 3, Candidates: cands}, new(CountsReply))
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("encode=%v: counting %d candidates under a 5 ms deadline: err = %v", encode, len(cands), err)
+		}
+		// A pass-1 call over no shards costs nothing once it starts, so
+		// its latency is the time it queued behind the abandoned count.
+		start := time.Now()
+		if err := tr.Call(ctx, 0, MethodCountItems, &CountItemsArgs{NumItems: items}, new(CountsReply)); err != nil {
+			t.Fatal(err)
+		}
+		if wait := time.Since(start); wait > 25*time.Millisecond {
+			t.Errorf("encode=%v: the next call waited %v behind an abandoned count, want at most 25ms", encode, wait)
+		}
+		tr.Close()
+	}
 }
 
 // TestTransportCloseSemantics is the satellite contract test: Close is

@@ -6,27 +6,19 @@ import (
 	"sync"
 )
 
-// localCall is one request on a worker's channel.
-type localCall struct {
-	method string
-	args   any
-	reply  any
-	done   chan error
-}
-
 // LocalTransport runs workers as in-process goroutines, one per worker,
-// each serving calls from its own channel. With Encode set every argument
-// and reply is encoded with the wire.go codec and decoded into fresh
-// message values, so each message crosses as its wire bytes (whose
-// serialization cost bench reports as dist.gob_share, a name it keeps
-// from the codec this one replaced); without it, payloads pass by
-// reference with zero copies.
+// each serving calls from its own channel, one at a time. In encode mode
+// (NewLocalTransport's encode parameter, fixed for the transport's life)
+// every argument and reply is encoded with the wire.go codec and decoded
+// into fresh message values, so each message crosses as its wire bytes
+// (whose serialization cost bench reports as dist.gob_share, a name it
+// keeps from the codec this one replaced); otherwise payloads pass by
+// reference with zero copies and the worker fills the caller's reply
+// directly. Either way the request carries the caller's ctx to the
+// worker, whose scans stop when it is done.
 type LocalTransport struct {
-	// Encode turns on the encode/decode round trip per call.
-	Encode bool
-
-	workers []*Worker
-	calls   []chan localCall
+	encode bool
+	calls  []chan func(*Worker)
 
 	mu     sync.RWMutex
 	closed bool
@@ -39,17 +31,16 @@ func NewLocalTransport(n int, encode bool) *LocalTransport {
 	if n < 1 {
 		n = 1
 	}
-	t := &LocalTransport{Encode: encode}
+	t := &LocalTransport{encode: encode}
 	for i := 0; i < n; i++ {
 		w := NewWorker()
-		ch := make(chan localCall)
-		t.workers = append(t.workers, w)
+		ch := make(chan func(*Worker))
 		t.calls = append(t.calls, ch)
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			for c := range ch {
-				c.done <- dispatch(w, c.method, c.args, c.reply)
+			for serve := range ch {
+				serve(w)
 			}
 		}()
 	}
@@ -57,33 +48,33 @@ func NewLocalTransport(n int, encode bool) *LocalTransport {
 }
 
 // NumWorkers implements Transport.
-func (t *LocalTransport) NumWorkers() int { return len(t.workers) }
+func (t *LocalTransport) NumWorkers() int { return len(t.calls) }
 
 // Call implements Transport. In encode mode the args are wire-encoded and
 // decoded into a fresh message before the worker sees them, and the reply
 // makes the reverse trip, so no memory is shared across the "wire". A
 // closed transport returns ErrClosed, a worker index out of range
-// ErrNoSuchWorker. A cancelled ctx abandons the request: if the worker
-// already took it, the buffered done channel absorbs its eventual reply,
-// so neither side blocks or leaks. The worker always fills a fresh reply
-// value that is copied into the caller's only on success, so an abandoned
-// request that completes late never scribbles over a reply object the
-// caller has handed to a retry.
+// ErrNoSuchWorker. A cancelled ctx abandons the request: the worker sees
+// the same ctx and stops at its next poll, and the buffered done channel
+// absorbs its reply, so neither side blocks or leaks. In zero-copy mode
+// that late reply may still write to the caller's reply, which the
+// Transport contract lets a failed call do.
 func (t *LocalTransport) Call(ctx context.Context, w int, method string, args, reply any) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c := localCall{method: method, args: args, reply: freshReplyLike(reply), done: make(chan error, 1)}
-	if t.Encode {
-		wireArgs, wireReply, err := message(method)
-		if err != nil {
+	workerArgs, workerReply := args, reply
+	if t.encode {
+		var err error
+		if workerArgs, workerReply, err = message(method); err != nil {
 			return err
 		}
-		if err := wireRoundTrip(args, wireArgs); err != nil {
+		if err := wireRoundTrip(args, workerArgs); err != nil {
 			return err
 		}
-		c.args, c.reply = wireArgs, wireReply
 	}
+	done := make(chan error, 1)
+	serve := func(wk *Worker) { done <- dispatch(ctx, wk, method, workerArgs, workerReply) }
 	// The read lock held across the send keeps Close from closing the
 	// channel mid-send while still letting fan-out calls to distinct
 	// workers proceed concurrently.
@@ -97,24 +88,23 @@ func (t *LocalTransport) Call(ctx context.Context, w int, method string, args, r
 		return fmt.Errorf("%w: %d of %d", ErrNoSuchWorker, w, len(t.calls))
 	}
 	select {
-	case t.calls[w] <- c:
+	case t.calls[w] <- serve:
 	case <-ctx.Done():
 		t.mu.RUnlock()
 		return ctx.Err()
 	}
 	t.mu.RUnlock()
 	select {
-	case err := <-c.done:
+	case err := <-done:
 		if err != nil {
 			return err
 		}
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	if t.Encode {
-		return wireRoundTrip(c.reply, reply)
+	if t.encode {
+		return wireRoundTrip(workerReply, reply)
 	}
-	copyReply(reply, c.reply)
 	return nil
 }
 

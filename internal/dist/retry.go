@@ -17,7 +17,10 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// CallTimeout is the per-attempt deadline; 0 disables it and attempts
 	// run until the parent context is done. An attempt that exceeds it
-	// fails with an error wrapping ErrCallTimeout (retryable).
+	// fails with an error wrapping ErrCallTimeout (retryable). The
+	// deadline travels with the request, so the worker stops the
+	// abandoned scan at its next poll and the retry, which fills a fresh
+	// reply, does not queue behind it.
 	CallTimeout time.Duration
 	// BaseBackoff is the backoff step before the second attempt; it
 	// doubles per retry up to MaxBackoff. Values <= 0 mean 5ms.

@@ -165,7 +165,7 @@ func TestWireRoundTrip(t *testing.T) {
 			t.Fatalf("message %d (%T): encode clobbered dst's prefix", i, m)
 		}
 		b = b[len("head"):]
-		got := freshReplyLike(m)
+		got := zeroLike(m)
 		if err := decodeMessage(b, got); err != nil {
 			t.Fatalf("message %d (%T): decode: %v", i, m, err)
 		}
@@ -190,11 +190,11 @@ func TestWireRejectsMalformed(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := 0; n < len(b); n++ {
-			if err := decodeMessage(b[:n], freshReplyLike(m)); !errors.Is(err, ErrBadFrame) {
+			if err := decodeMessage(b[:n], zeroLike(m)); !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("%T: prefix %d of %d: err = %v, want ErrBadFrame", m, n, len(b), err)
 			}
 		}
-		err = decodeMessage(append(b, 0x00), freshReplyLike(m))
+		err = decodeMessage(append(b, 0x00), zeroLike(m))
 		if !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("%T: trailing byte: err = %v, want ErrBadFrame", m, err)
 		}
@@ -293,6 +293,9 @@ func kindOf(m any) byte {
 	}
 	panic("not a wire message")
 }
+
+// zeroLike returns a new zero message of m's type, a decode target.
+func zeroLike(m any) any { return wireKinds[kindOf(m)]() }
 
 // minedShards returns the two shards minedMessages mines.
 func minedShards(t testing.TB) (*transactions.DB, []ShardPayload) {
@@ -494,13 +497,13 @@ func TestCountPairsValidatesWireInput(t *testing.T) {
 		{"repeated rank", CountPairsArgs{Rank: []int{0, 0, 1}, N: 3}, false},
 	}
 	w := NewWorker()
-	if err := w.Ship(ShipArgs{Shards: []ShardPayload{{ID: 0, Version: 1, Txs: txs}}}, &ShipReply{}); err != nil {
+	if err := w.Ship(ctx, ShipArgs{Shards: []ShardPayload{{ID: 0, Version: 1, Txs: txs}}}, &ShipReply{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range cases {
 		tc.args.ShardIDs = []int{0}
 		var reply CountsReply
-		err := w.CountPairs(tc.args, &reply)
+		err := w.CountPairs(ctx, tc.args, &reply)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
@@ -520,7 +523,7 @@ func TestCountPairsValidatesWireInput(t *testing.T) {
 		// CountPairs sizes the merge array from N, so a request this
 		// malformed can only come from a peer that is not one.
 		tc.args.ShardIDs = []int{0}
-		err := c.call(ctx, 0, MethodCountPairs, &tc.args, new(CountsReply))
+		_, err := c.call(ctx, 0, MethodCountPairs, &tc.args, func() any { return new(CountsReply) })
 		if (err == nil) != tc.ok {
 			t.Errorf("coordinator: %s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}

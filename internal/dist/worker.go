@@ -15,7 +15,9 @@ import (
 // same kernels the local scans call (transactions.CountItems, CountPairs
 // and the pass-k tid-bitset count CountTids, fptree.Build),
 // returning mergeable buffers. Transports reach the methods through
-// dispatch, by the Method* names.
+// dispatch, by the Method* names, passing the caller's ctx: every method
+// returns ctx.Err() with the reply unset once it sees ctx done, and the
+// scans poll it as they go (see the package doc for the cadence).
 //
 // A worker is safe for concurrent calls, but the coordinator's protocol
 // never counts a shard while re-shipping it, so the lock only guards the
@@ -30,8 +32,15 @@ func NewWorker() *Worker {
 	return &Worker{shards: make(map[int]ShardPayload)}
 }
 
+// ctxStride is how many rows the pass-1 and pass-2 scans count between
+// context polls, the stride of the local scans.
+const ctxStride = 1024
+
 // Ship installs (or replaces) shard replicas.
-func (w *Worker) Ship(args ShipArgs, reply *ShipReply) error {
+func (w *Worker) Ship(ctx context.Context, args ShipArgs, reply *ShipReply) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, sh := range args.Shards {
@@ -73,7 +82,7 @@ func errReplySize(n int) error {
 // universe size and the replicas are wire input, so the reply must fit
 // maxCounters and every item is checked against the universe before the
 // kernel indexes with it.
-func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
+func (w *Worker) CountItems(ctx context.Context, args CountItemsArgs, reply *CountsReply) error {
 	if args.NumItems > maxCounters {
 		return errReplySize(args.NumItems)
 	}
@@ -83,7 +92,10 @@ func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
 	}
 	counts := make([]int32, args.NumItems)
 	for _, sh := range shards {
-		for _, tx := range sh.Txs {
+		for off, tx := range sh.Txs {
+			if off%ctxStride == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
 			for _, item := range tx {
 				if item < 0 || item >= args.NumItems {
 					return fmt.Errorf("dist: shard %d: item %d outside universe %d", sh.ID, item, args.NumItems)
@@ -102,7 +114,7 @@ func (w *Worker) CountItems(args CountItemsArgs, reply *CountsReply) error {
 // N entries), the triangle must fit a reply, and the ranks must lie in
 // [-1, N) and ascend with item id, which is what lets
 // transactions.CountPairs index the triangle unchecked.
-func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
+func (w *Worker) CountPairs(ctx context.Context, args CountPairsArgs, reply *CountsReply) error {
 	if args.N < 0 || args.N > len(args.Rank) {
 		return fmt.Errorf("dist: pair scan over %d ranks with a rank table of %d items", args.N, len(args.Rank))
 	}
@@ -129,7 +141,10 @@ func (w *Worker) CountPairs(args CountPairsArgs, reply *CountsReply) error {
 	base := transactions.TriBases(args.N)
 	ranks := make([]int, 0, 64)
 	for _, sh := range shards {
-		for _, tx := range sh.Txs {
+		for off, tx := range sh.Txs {
+			if off%ctxStride == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
 			ranks = transactions.CountPairs(tx, args.Rank, base, 0, args.N, counts, ranks)
 		}
 	}
@@ -153,7 +168,7 @@ var (
 // largest candidate item inside that universe, so a replica item at or
 // past maxCounters — a universe CountItems refuses as well — is an error
 // before any table exists.
-func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) error {
+func (w *Worker) CountCandidates(ctx context.Context, args CountCandidatesArgs, reply *CountsReply) error {
 	if args.K < 1 {
 		return errCandidateK
 	}
@@ -168,7 +183,10 @@ func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) e
 	}
 	numItems := 0
 	for _, sh := range shards {
-		for _, tx := range sh.Txs {
+		for off, tx := range sh.Txs {
+			if off%ctxStride == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
 			if len(tx) == 0 {
 				continue
 			}
@@ -185,7 +203,7 @@ func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) e
 	}
 	counts := make([]int32, c.Len())
 	for _, sh := range shards {
-		if err := transactions.CountTids(context.Background(), c, sh.Txs, counts); err != nil {
+		if err := transactions.CountTids(ctx, c, sh.Txs, counts); err != nil {
 			return err
 		}
 	}
@@ -197,8 +215,9 @@ func (w *Worker) CountCandidates(args CountCandidatesArgs, reply *CountsReply) e
 // shared rank table and returns its exported node pool. Building all
 // shards into one tree equals building per shard and merging — the
 // package's commutative-add contract. The rank table is wire input and is
-// checked (checkRanks) before fptree.Build indexes with it.
-func (w *Worker) BuildTree(args BuildTreeArgs, reply *TreeReply) error {
+// checked (checkRanks) before fptree.Build indexes with it. ctx is polled
+// before each replica joins the run; the build itself does not poll.
+func (w *Worker) BuildTree(ctx context.Context, args BuildTreeArgs, reply *TreeReply) error {
 	if err := checkRanks(args.Ranks); err != nil {
 		return err
 	}
@@ -209,10 +228,13 @@ func (w *Worker) BuildTree(args BuildTreeArgs, reply *TreeReply) error {
 	// fptree.Build takes one run; several replicas are joined by their
 	// itemset headers (the items themselves are not copied).
 	var txs []transactions.Itemset
-	if len(shards) == 1 {
-		txs = shards[0].Txs
-	} else {
-		for _, sh := range shards {
+	for _, sh := range shards {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if len(shards) == 1 {
+			txs = sh.Txs
+		} else {
 			txs = append(txs, sh.Txs...)
 		}
 	}

@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -25,7 +27,7 @@ func serveRequest(w *Worker, method string, data []byte) (any, error) {
 	if err := decodeMessage(data, args); err != nil {
 		return nil, err
 	}
-	return reply, dispatch(w, method, args, reply)
+	return reply, dispatch(ctx, w, method, args, reply)
 }
 
 // replicaWorker returns a worker holding minedMessages' two shards, so
@@ -33,7 +35,7 @@ func serveRequest(w *Worker, method string, data []byte) (any, error) {
 func replicaWorker(t testing.TB) *Worker {
 	_, shards := minedShards(t)
 	w := NewWorker()
-	if err := w.Ship(ShipArgs{Shards: shards}, &ShipReply{}); err != nil {
+	if err := w.Ship(ctx, ShipArgs{Shards: shards}, &ShipReply{}); err != nil {
 		t.Fatal(err)
 	}
 	return w
@@ -74,7 +76,7 @@ func TestWorkerRejectsHostileRequests(t *testing.T) {
 		t.Errorf("pass-k request carrying a tree shape: err = %v, want ErrBadFrame", err)
 	}
 	var reply CountsReply
-	if err := w.CountCandidates(CountCandidatesArgs{ShardIDs: []int{0, 1}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}}}, &reply); err != nil || len(reply.Counts) != 1 || reply.Counts[0] != 1 {
+	if err := w.CountCandidates(ctx, CountCandidatesArgs{ShardIDs: []int{0, 1}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}}}, &reply); err != nil || len(reply.Counts) != 1 || reply.Counts[0] != 1 {
 		t.Fatalf("worker after hostile requests: err %v, counts %v", err, reply.Counts)
 	}
 }
@@ -103,9 +105,57 @@ func TestWorkerValidatesWireInput(t *testing.T) {
 		"triangle past the cap": {MethodCountPairs, &CountPairsArgs{ShardIDs: []int{0}, Rank: ascending, N: len(ascending)}, nil},
 	} {
 		_, reply, _ := message(tc.method)
-		err := dispatch(w, tc.method, tc.args, reply)
+		err := dispatch(ctx, w, tc.method, tc.args, reply)
 		if err == nil || (tc.want != nil && !errors.Is(err, tc.want)) {
 			t.Errorf("%s: err = %v, want an error (%v)", name, err, tc.want)
+		}
+	}
+}
+
+// TestWorkerStopsOnCancelledCtx: each of the five methods, dispatched
+// under an already-cancelled ctx, returns context.Canceled and leaves its
+// reply unset, and a cancelled Ship installs nothing. The same requests
+// under a live ctx succeed and fill their replies, so none of this holds
+// vacuously.
+func TestWorkerStopsOnCancelledCtx(t *testing.T) {
+	db, _ := minedShards(t)
+	counts := make([]int32, db.NumItems())
+	rank := make([]int, db.NumItems())
+	for item := range rank {
+		rank[item] = item
+	}
+	for _, tx := range db.Transactions {
+		transactions.CountItems(tx, counts)
+	}
+	requests := map[string]any{
+		MethodShip:            &ShipArgs{Shards: []ShardPayload{{ID: 7, Version: 1, Txs: db.Transactions}}},
+		MethodCountItems:      &CountItemsArgs{ShardIDs: []int{0, 1}, NumItems: db.NumItems()},
+		MethodCountPairs:      &CountPairsArgs{ShardIDs: []int{0, 1}, Rank: rank, N: len(rank)},
+		MethodCountCandidates: &CountCandidatesArgs{ShardIDs: []int{0, 1}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}, {2, 3, 5}}},
+		MethodBuildTree:       &BuildTreeArgs{ShardIDs: []int{0, 1}, Ranks: fptree.NewRanks(counts, 1)},
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, method := range workerMethods {
+		w := replicaWorker(t)
+		_, reply, _ := message(method)
+		if err := dispatch(cancelled, w, method, requests[method], reply); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled ctx: err = %v, want context.Canceled", method, err)
+		}
+		if !reflect.ValueOf(reply).Elem().IsZero() {
+			t.Errorf("%s under a cancelled ctx filled its reply: %+v", method, reply)
+		}
+		if method == MethodShip {
+			if err := w.CountItems(ctx, CountItemsArgs{ShardIDs: []int{7}, NumItems: db.NumItems()}, new(CountsReply)); !errors.Is(err, ErrNoShard) {
+				t.Errorf("a cancelled Ship installed its shard: count err = %v, want ErrNoShard", err)
+			}
+		}
+		_, live, _ := message(method)
+		if err := dispatch(ctx, w, method, requests[method], live); err != nil {
+			t.Fatalf("%s under a live ctx: %v", method, err)
+		}
+		if method != MethodShip && reflect.ValueOf(live).Elem().IsZero() {
+			t.Errorf("%s under a live ctx left its reply unset", method)
 		}
 	}
 }
@@ -121,7 +171,7 @@ func TestWorkerCountsByItsOwnData(t *testing.T) {
 	var reply CountsReply
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	err := w.CountCandidates(CountCandidatesArgs{ShardIDs: []int{0, 1}, K: 3, Candidates: cands}, &reply)
+	err := w.CountCandidates(ctx, CountCandidatesArgs{ShardIDs: []int{0, 1}, K: 3, Candidates: cands}, &reply)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -146,14 +196,14 @@ func TestWorkerCountsByItsOwnData(t *testing.T) {
 func TestWorkerRefusesHugeReplicaItem(t *testing.T) {
 	w := replicaWorker(t)
 	huge := ShardPayload{ID: 2, Txs: []transactions.Itemset{{1, 2, 3}, {1, 2, 1 << 40}}}
-	if err := w.Ship(ShipArgs{Shards: []ShardPayload{huge}}, &ShipReply{}); err != nil {
+	if err := w.Ship(ctx, ShipArgs{Shards: []ShardPayload{huge}}, &ShipReply{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, cands := range [][]transactions.Itemset{{{1, 2, 3}}, {{1, 2, 3}, {1, 2, 1 << 40}}} {
 		var reply CountsReply
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := w.CountCandidates(CountCandidatesArgs{ShardIDs: []int{0, 1, 2}, K: 3, Candidates: cands}, &reply)
+		err := w.CountCandidates(ctx, CountCandidatesArgs{ShardIDs: []int{0, 1, 2}, K: 3, Candidates: cands}, &reply)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Errorf("candidates %v over a replica naming 1<<40: counts %v, want an error", cands, reply.Counts)
@@ -163,7 +213,7 @@ func TestWorkerRefusesHugeReplicaItem(t *testing.T) {
 		}
 	}
 	var reply CountsReply
-	if err := w.CountCandidates(CountCandidatesArgs{ShardIDs: []int{0, 1}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}}}, &reply); err != nil || len(reply.Counts) != 1 || reply.Counts[0] != 1 {
+	if err := w.CountCandidates(ctx, CountCandidatesArgs{ShardIDs: []int{0, 1}, K: 3, Candidates: []transactions.Itemset{{1, 2, 3}}}, &reply); err != nil || len(reply.Counts) != 1 || reply.Counts[0] != 1 {
 		t.Fatalf("worker after the refused count: err %v, counts %v", err, reply.Counts)
 	}
 }
@@ -198,7 +248,7 @@ func TestBuildTreeValidatesRanks(t *testing.T) {
 	w := replicaWorker(t)
 	for _, tc := range cases {
 		var reply TreeReply
-		err := w.BuildTree(BuildTreeArgs{ShardIDs: []int{0, 1}, Ranks: tc.ranks}, &reply)
+		err := w.BuildTree(ctx, BuildTreeArgs{ShardIDs: []int{0, 1}, Ranks: tc.ranks}, &reply)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
@@ -208,7 +258,7 @@ func TestBuildTreeValidatesRanks(t *testing.T) {
 			}
 		}
 	}
-	if err := w.BuildTree(BuildTreeArgs{ShardIDs: []int{0}}, new(TreeReply)); err == nil {
+	if err := w.BuildTree(ctx, BuildTreeArgs{ShardIDs: []int{0}}, new(TreeReply)); err == nil {
 		t.Error("nil rank table: built")
 	}
 
@@ -219,7 +269,7 @@ func TestBuildTreeValidatesRanks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range cases {
-		err := c.call(ctx, 0, MethodBuildTree, &BuildTreeArgs{ShardIDs: []int{0, 1}, Ranks: tc.ranks}, new(TreeReply))
+		_, err := c.call(ctx, 0, MethodBuildTree, &BuildTreeArgs{ShardIDs: []int{0, 1}, Ranks: tc.ranks}, func() any { return new(TreeReply) })
 		if (err == nil) != tc.ok {
 			t.Errorf("local-encode: %s: err = %v, want ok=%v", tc.name, err, tc.ok)
 		}
@@ -287,7 +337,7 @@ func FuzzWorkerRequest(f *testing.F) {
 		if want > maxFuzzCounters && want <= maxCounters {
 			return
 		}
-		if err := dispatch(replicaWorker(t), name, args, reply); err != nil {
+		if err := dispatch(ctx, replicaWorker(t), name, args, reply); err != nil {
 			return
 		}
 		if _, err := appendMessage(nil, reply); err != nil {

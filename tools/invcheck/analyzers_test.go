@@ -60,6 +60,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 			wants: []string{
 				"exported CountAll loops over shards/transactions",
 				"exported ScanTransactions loops over shards/transactions",
+				"exported CountShards loops over shards/transactions",
 				"struct pinnedScanner stores a context.Context",
 			},
 		},

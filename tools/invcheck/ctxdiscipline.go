@@ -35,7 +35,7 @@ var ctxFieldAllowlist = map[string]bool{}
 func runCtxDiscipline(f *SrcFile) []Finding {
 	var out []Finding
 	funcBodies(f, func(fd *ast.FuncDecl) {
-		if !fd.Name.IsExported() || isRequestReplyShape(fd) {
+		if !fd.Name.IsExported() {
 			return
 		}
 		loop := shardLoopPos(fd)
@@ -70,40 +70,6 @@ func runCtxDiscipline(f *SrcFile) []Finding {
 		}
 	}
 	return out
-}
-
-// isRequestReplyShape reports whether fd has the request/reply method
-// signature — method, two parameters of which the second (the reply) is a
-// pointer, single error result — which is exempt. It is the shape of
-// dist.Worker's methods: each answers one request that the transport
-// hands it through dispatch, and the transport's Call, not the method,
-// honours the caller's ctx.
-func isRequestReplyShape(fd *ast.FuncDecl) bool {
-	if fd.Recv == nil || fd.Type.Params == nil || fd.Type.Results == nil {
-		return false
-	}
-	var types []ast.Expr
-	for _, p := range fd.Type.Params.List {
-		c := len(p.Names)
-		if c == 0 {
-			c = 1
-		}
-		for i := 0; i < c; i++ {
-			types = append(types, p.Type)
-		}
-	}
-	if len(types) != 2 {
-		return false
-	}
-	if _, ok := types[1].(*ast.StarExpr); !ok {
-		return false
-	}
-	res := fd.Type.Results.List
-	if len(res) != 1 {
-		return false
-	}
-	id, ok := res[0].Type.(*ast.Ident)
-	return ok && id.Name == "error"
 }
 
 // shardLoopPos returns the first loop in fd whose header ranges over or

@@ -1,6 +1,5 @@
 // Package serve is a ctxdiscipline good fixture: ctx-first shard
-// loops, rpc-shaped service methods, unexported helpers, and loops
-// over non-shard data.
+// loops, unexported helpers, and loops over non-shard data.
 package serve
 
 import "context"
@@ -25,24 +24,6 @@ func countLocal(shards []int) int {
 		n++
 	}
 	return n
-}
-
-// Worker is an rpc service carrier for the shape exemption below.
-type Worker struct{}
-
-// CountArgs is the rpc request type.
-type CountArgs struct{ Shards []int }
-
-// CountReply is the rpc reply type.
-type CountReply struct{ Total int }
-
-// CountShards is net/rpc-shaped (value args, pointer reply, error
-// result) and structurally cannot take a context: exempt.
-func (w *Worker) CountShards(args CountArgs, reply *CountReply) error {
-	for _, sh := range args.Shards {
-		reply.Total += sh
-	}
-	return nil
 }
 
 // TopRules loops, but not over shards or transactions: not gated.
