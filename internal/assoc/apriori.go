@@ -2,6 +2,7 @@ package assoc
 
 import (
 	"context"
+	"math/bits"
 
 	"repro/internal/transactions"
 )
@@ -84,7 +85,7 @@ func countL2(ctx context.Context, src scanSource, l1 []ItemsetCount, numItems, m
 	if err != nil {
 		return nil, err
 	}
-	return thresholdTriangle(l1, rank, n, pairs, minCount), nil
+	return thresholdTriangle(l1, rank, n, pairs, minCount, nil), nil
 }
 
 // levelsFrom2 continues a level-wise mine whose first two passes are
@@ -180,11 +181,15 @@ func l1Ranks(l1 []ItemsetCount, numItems int) []int {
 // the frequent pairs of l1's items, which rank maps into it (every item of
 // l1 must have a rank). Ranks ascend with item id: countL2 ranks exactly
 // l1, the maintainer the L1 of its last rebuild, which may hold items
-// that have since left l1. The scan walks the triangle row by row, one
-// contiguous run of counters per rank, skipping the rows and columns of
-// ranks whose item is not in l1, so the pairs come out in lexicographic
-// order. They share one backing array.
-func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int32, minCount int) []ItemsetCount {
+// that have since left l1. Slots run row by row, one contiguous run of
+// counters per rank, so the pairs come out in lexicographic order; they
+// share one backing array. marked nil reads every slot, skipping the rows
+// of ranks whose item is not in l1. Otherwise marked is a bitset over the
+// slots that holds every slot whose count reaches minCount (the
+// maintainer's passing slots), and only its set bits are read. Either way
+// a slot is a hit when its count reaches minCount and both its ranks'
+// items are in l1.
+func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int32, minCount int, marked []uint64) []ItemsetCount {
 	item := make([]int, n) // rank -> item of l1, -1 when the rank's item is not in l1
 	for r := range item {
 		item[r] = -1
@@ -192,17 +197,40 @@ func thresholdTriangle(l1 []ItemsetCount, rank []int, n int, counts []int32, min
 	for _, ic := range l1 {
 		item[rank[ic.Items[0]]] = ic.Items[0]
 	}
-	var hits [][2]int32 // the rank pairs that pass, in scan order
-	row := counts
-	for r := range item {
-		cells := row[:n-r-1] // the pairs (r, r+1) .. (r, n-1)
-		row = row[n-r-1:]
-		if item[r] < 0 {
-			continue
+	var hits [][2]int32 // the rank pairs that pass, in slot order
+	// hit takes a slot of ranks r < s whose count reaches minCount and
+	// whose row r's item is in l1.
+	hit := func(r, s int) {
+		if item[s] >= 0 {
+			hits = append(hits, [2]int32{int32(r), int32(s)})
 		}
-		for j, c := range cells {
-			if int(c) >= minCount && item[r+1+j] >= 0 {
-				hits = append(hits, [2]int32{int32(r), int32(r + 1 + j)})
+	}
+	if marked == nil {
+		row := counts
+		for r := range item {
+			cells := row[:n-r-1] // the pairs (r, r+1) .. (r, n-1)
+			row = row[n-r-1:]
+			if item[r] < 0 {
+				continue
+			}
+			for j, c := range cells {
+				if int(c) >= minCount {
+					hit(r, r+1+j)
+				}
+			}
+		}
+	} else {
+		r, start := 0, 0 // the row of the slot at hand, and the row's first slot
+		for w, word := range marked {
+			for ; word != 0; word &= word - 1 {
+				at := w<<6 | bits.TrailingZeros64(word)
+				for at >= start+n-r-1 {
+					start += n - r - 1
+					r++
+				}
+				if int(counts[at]) >= minCount && item[r] >= 0 {
+					hit(r, r+1+at-start)
+				}
 			}
 		}
 	}

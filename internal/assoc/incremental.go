@@ -28,7 +28,15 @@ package assoc
 //     is laid out once as tid-bitsets of the tracked items, and a tracked
 //     itemset's delta is the popcount of its items' ANDed words;
 //  2. re-thresholds the totals level by level: passes 1 and 2 off the flat
-//     arrays, and from pass 3 on by filtering each tracked level. While the
+//     arrays, and from pass 3 on by filtering each tracked level. Pass 2
+//     reads only the triangle slots that can pass: a bitset marks the
+//     slots whose total reaches a floor, the last rebuild's tracking-
+//     support count (so a window whose minCount flips by one as it slides
+//     never rescans), the splice keeps each changed slot's bit exact, and
+//     the threshold walks the set bits in slot order, which is
+//     lexicographic order, re-checking each against minCount and L1. Only
+//     when minCount drops below the floor, the store having shrunk past
+//     the slack, is the bitset re-marked at minCount in one scan. While the
 //     border holds, aprioriGen(L_{k-1}) lies inside the tracked C_k, so L_k
 //     is the tracked k-itemsets whose totals reach the support, and the
 //     pass's candidate count is the tracked k-itemsets whose (k-1)-subsets
@@ -93,8 +101,9 @@ type borderCrossed string
 func (b borderCrossed) Error() string { return string(b) }
 
 // Incremental maintains the frequent itemsets of a ShardedDB across
-// appends and deletes by counting only the journalled delta (see the
-// package comment above). Attach runs the initial full mine, which counts
+// appends and deletes by counting only the journalled delta and
+// thresholding only the pair slots that can pass (see the package comment
+// above). Attach runs the initial full mine, which counts
 // the tracked set; Maintain brings the result up to date after mutations.
 type Incremental struct {
 	// Remote, when set, runs the full runs' scans (Attach and
@@ -130,6 +139,13 @@ type Incremental struct {
 	triTotals  []int32
 	pairSeeds  *transactions.Bitset     // triangle slots frequent at the tracking support at rebuild
 	tracked    *transactions.Candidates // every level's sets, level after level, ranked for the delta count
+
+	// passing marks, one bit per triangle slot, the slots whose total
+	// reaches floor: the only pairs threshold reads. A rebuild marks it at
+	// its tracking-support count and spliceFlat keeps it exact; floor
+	// drops only when minCount falls below it, which re-marks the bitset.
+	passing []uint64
+	floor   int
 
 	// Scratch reused by every delta count: the tracked itemsets' counts
 	// over the added rows, flat across levels, then over the deleted ones.
@@ -314,9 +330,17 @@ func (inc *Incremental) count(ctx context.Context, added, deleted []transactions
 }
 
 // spliceFlat adds sign per occurrence of txs' items and ranked pairs into
-// the pass-1 and triangular totals. It stays apart from
+// the pass-1 and triangular totals, and keeps the passing bit of each pair
+// slot it changes exact. It stays apart from
 // transactions.CountItems/CountPairs because those only count up.
 func (inc *Incremental) spliceFlat(txs []transactions.Itemset, sign int32) {
+	// A total moves by one per occurrence, so its passing bit flips only
+	// when the total steps onto the floor (sign +1) or just below it
+	// (sign -1).
+	edge := inc.floor
+	if sign < 0 {
+		edge--
+	}
 	ranks := make([]int, 0, 64)
 	for _, tx := range txs {
 		ranks = ranks[:0]
@@ -329,8 +353,26 @@ func (inc *Incremental) spliceFlat(txs []transactions.Itemset, sign int32) {
 		for a, i := range ranks {
 			row := inc.triBase[i]
 			for _, j := range ranks[a+1:] {
-				inc.triTotals[row+j] += sign
+				at := row + j
+				inc.triTotals[at] += sign
+				if int(inc.triTotals[at]) == edge {
+					inc.passing[at>>6] ^= 1 << (at & 63)
+				}
 			}
+		}
+	}
+}
+
+// markPassing marks the passing slots at floor in one scan of the whole
+// triangle.
+func (inc *Incremental) markPassing(floor int) {
+	words := (len(inc.triTotals) + 63) / 64
+	inc.floor = floor
+	inc.passing = slices.Grow(inc.passing[:0], words)[:words]
+	clear(inc.passing)
+	for at, c := range inc.triTotals {
+		if int(c) >= floor {
+			inc.passing[at>>6] |= 1 << (at & 63)
 		}
 	}
 }
@@ -364,7 +406,12 @@ func (inc *Incremental) threshold() (*Result, error) {
 			return nil, borderCrossed(fmt.Sprintf("item %d newly frequent: its pairs were never counted", item))
 		}
 	}
-	level := thresholdTriangle(l1, inc.rank, len(inc.l1Items), inc.triTotals, minCount)
+	if minCount < inc.floor {
+		// The store shrank past the tracking slack: slots below the floor
+		// can pass now.
+		inc.markPassing(minCount)
+	}
+	level := thresholdTriangle(l1, inc.rank, len(inc.l1Items), inc.triTotals, minCount, inc.passing)
 	emit(PassStat{K: 2, Candidates: len(l1) * (len(l1) - 1) / 2, Frequent: len(level)}, level)
 	var risen []transactions.Itemset // the level's members that were no seed
 	for _, ic := range level {
@@ -577,6 +624,7 @@ func (inc *Incremental) rebuild(ctx context.Context, stats *MaintainStats, reaso
 	inc.triBase = transactions.TriBases(len(inc.l1Items))
 	inc.itemTotals, inc.triTotals, inc.levels = keep.items, keep.pairs, keep.levels
 	inc.pairSeeds = seedsOf(inc.triTotals, minCount)
+	inc.markPassing(minCount)
 	var all []transactions.Itemset
 	for i := range inc.levels {
 		lv := &inc.levels[i]

@@ -930,3 +930,120 @@ func TestIncrementalDetachEndsJournalling(t *testing.T) {
 		t.Fatalf("Maintain after Detach: err = %v, want ErrNotAttached", err)
 	}
 }
+
+// TestPassingSlotsProperty drives seeded append/delete scripts over 8,200
+// rows and checks the maintainer's passing-slot bitset after every
+// Maintain. Each script slides the window by 16 rows back and forth, so
+// minCount flips between two values; slides it by 4,097 rows in one
+// batch, so each side of the delta spans more than one 4,096-row block of
+// the delta count; and then deletes down past the tracking slack, so
+// minCount drops below the floor the last rebuild marked at and the
+// bitset must be re-marked. After every step the result must equal the
+// oracle, the walk over the passing slots must equal the full-scan
+// threshold of the same totals, and every slot's bit must say whether its
+// total reaches the floor.
+func TestPassingSlotsProperty(t *testing.T) {
+	const base, minSup = 8200, 0.05
+	pool := incrementalFixture(t, base+6000)
+	for _, seed := range []int64{1, 2} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			store := transactions.NewShardedDB(1024)
+			for _, tx := range pool[:base] {
+				if err := store.Append(tx...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inc := &Incremental{}
+			if _, _, err := inc.Attach(store, minSup); err != nil {
+				t.Fatal(err)
+			}
+			next := base
+			appendRows := func(n int) {
+				for range n {
+					if err := store.Append(pool[next%len(pool)]...); err != nil {
+						t.Fatal(err)
+					}
+					next++
+				}
+			}
+			deleteRows := func(n int) {
+				for range n {
+					if _, err := store.DeleteAt(rng.Intn(store.Len())); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			minCounts := map[int]bool{}
+			remarks, incremental, step := 0, 0, 0
+			check := func(what string) {
+				t.Helper()
+				step++
+				floor := inc.floor
+				res, stats := mustMaintain(t, inc)
+				name := fmt.Sprintf("step %d (%s, stats %+v)", step, what, stats)
+				if !stats.FullRun {
+					incremental++
+					minCounts[res.MinCount] = true
+					if inc.floor < floor {
+						remarks++
+					}
+				}
+				requirePassingSlots(t, name, inc, res.MinCount)
+				rows := slices.Collect(store.All())
+				if want := oracle.Canonical(oracle.Frequent(rows, minSup)); !bytes.Equal(res.Canonical(), want) {
+					t.Fatalf("%s: maintained result differs from the oracle", name)
+				}
+			}
+			for range 2 {
+				appendRows(16)
+				check("slide out")
+				deleteRows(16)
+				check("slide back")
+			}
+			appendRows(4097)
+			deleteRows(4097)
+			check("slide past a block")
+			for store.Len() > base*7/10 {
+				deleteRows(600)
+				check("shrink")
+			}
+			if len(minCounts) < 2 || remarks == 0 {
+				t.Fatalf("%d incremental maintains saw minCounts %v and %d re-marks; want a flip and a re-mark", incremental, minCounts, remarks)
+			}
+		})
+	}
+}
+
+// requirePassingSlots checks the passing-slot bitset against the totals it
+// summarises: its floor is at most minCount, each slot's bit is set
+// exactly when the slot's total reaches the floor, and walking the set
+// bits thresholds the triangle exactly as the full scan does.
+func requirePassingSlots(t *testing.T, name string, inc *Incremental, minCount int) {
+	t.Helper()
+	if inc.floor > minCount {
+		t.Fatalf("%s: floor %d above minCount %d", name, inc.floor, minCount)
+	}
+	if want := (len(inc.triTotals) + 63) / 64; len(inc.passing) != want {
+		t.Fatalf("%s: %d bitset words for %d slots", name, len(inc.passing), len(inc.triTotals))
+	}
+	for at, c := range inc.triTotals {
+		if set := inc.passing[at>>6]&(1<<(at&63)) != 0; set != (int(c) >= inc.floor) {
+			t.Fatalf("%s: slot %d with total %d has bit %v at floor %d", name, at, c, set, inc.floor)
+		}
+	}
+	l1 := thresholdItems(inc.itemTotals, minCount)
+	for _, ic := range l1 {
+		if item := ic.Items[0]; item >= len(inc.rank) || inc.rank[item] < 0 {
+			return // a newly frequent item: threshold fell back before the triangle
+		}
+	}
+	n := len(inc.l1Items)
+	walked := thresholdTriangle(l1, inc.rank, n, inc.triTotals, minCount, inc.passing)
+	if full := thresholdTriangle(l1, inc.rank, n, inc.triTotals, minCount, nil); !slices.EqualFunc(walked, full, func(a, b ItemsetCount) bool {
+		return a.Count == b.Count && a.Items.Equal(b.Items)
+	}) {
+		t.Fatalf("%s: walk found %d pairs, the full scan %d", name, len(walked), len(full))
+	}
+}

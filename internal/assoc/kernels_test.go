@@ -92,9 +92,16 @@ func TestThresholdTriangleMatchesBruteForce(t *testing.T) {
 					want = append(want, ItemsetCount{Items: s.Items, Count: s.Count})
 				}
 			}
-			if got := thresholdTriangle(sh.l1, sh.rank, sh.n, sh.counts, minCount); !reflect.DeepEqual(got, want) {
+			if got := thresholdTriangle(sh.l1, sh.rank, sh.n, sh.counts, minCount, nil); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d, %s shape (%d of %d ranks live, minCount %d):\n got %v\nwant %v",
 					seed, sh.name, len(sh.l1), sh.n, minCount, got, want)
+			}
+			// The maintainer's walk: only the slots marked at a floor at or
+			// below minCount are read, and the pairs must come out the same.
+			marked := &Incremental{triTotals: sh.counts}
+			marked.markPassing(minCount - rng.Intn(minCount))
+			if got := thresholdTriangle(sh.l1, sh.rank, sh.n, sh.counts, minCount, marked.passing); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d, %s shape, slots marked at %d: walk\n got %v\nwant %v", seed, sh.name, marked.floor, got, want)
 			}
 		}
 	}
@@ -160,7 +167,9 @@ func benchKernels(b testing.TB) (*transactions.DB, int) {
 }
 
 // BenchmarkThresholdTriangle times the maintainer's pass-2 threshold: a
-// triangle ranked at the tracking support (0.8x) filtered at the real one.
+// triangle ranked at the tracking support (0.8x) filtered at the real one,
+// reading only the slots marked as passing at the tracking support, as the
+// maintainer does.
 func BenchmarkThresholdTriangle(b *testing.B) {
 	db, minCount := benchKernels(b)
 	counts := countItems(db, db.NumItems())
@@ -173,10 +182,12 @@ func BenchmarkThresholdTriangle(b *testing.B) {
 		scratch = transactions.CountPairs(tx, rank, base, 0, len(ranked), pairs, scratch)
 	}
 	l1 := thresholdItems(counts, minCount)
+	marked := &Incremental{triTotals: pairs}
+	marked.markPassing(db.AbsoluteSupport(0.0016))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if l2 := thresholdTriangle(l1, rank, len(ranked), pairs, minCount); len(l2) == 0 {
+		if l2 := thresholdTriangle(l1, rank, len(ranked), pairs, minCount, marked.passing); len(l2) == 0 {
 			b.Fatal("no frequent pairs")
 		}
 	}
@@ -241,4 +252,43 @@ func BenchmarkMaintain(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(fullRuns)/float64(b.N), "fullruns/op")
+}
+
+// BenchmarkShardedAppendStable times the snapshot encoding of an 80k-row
+// Quest T10.I4 store at shard cap 1024: between calls the window slides
+// by 2,048 rows, 2,048 fresh rows appended and the 2,048 oldest deleted
+// (a serving tier's snapshot cadence), so a call re-encodes the few shards
+// that changed and copies the rest. The mutations are not timed.
+func BenchmarkShardedAppendStable(b *testing.B) {
+	const rows, slide = 80000, 2048
+	db, err := synth.Baskets(synth.T10I4(rows+8*slide, 1996))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fresh := db.Transactions[rows:]
+	store := transactions.NewShardedDBFrom(&transactions.DB{Transactions: db.Transactions[:rows]}, 1024)
+	buf, err := store.AppendStable(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for range slide {
+			if err := store.Append(fresh[next%len(fresh)]...); err != nil {
+				b.Fatal(err)
+			}
+			next++
+			if _, err := store.DeleteAt(0); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if buf, err = store.AppendStable(buf[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(buf)), "bytes")
 }

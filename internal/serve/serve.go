@@ -84,7 +84,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/transactions"
 	"repro/internal/wal"
 	"repro/mining"
 )
@@ -837,12 +836,12 @@ func (s *Server) maybeSnapshot() {
 // after a replayed startup, on shutdown, and every SnapshotEvery ops. None
 // of them is what makes an op durable — an acked op is already synced in
 // the log — so a failed compaction must not stop ingestion the way a
-// failed append does. That holds because wal.Log.Snapshot removes the
+// failed append does. That holds because wal.Log.SnapshotFunc removes the
 // segment it created before its commit point (or fail-stops the log), so
 // the ops acked after a failed compaction land where recovery reads them;
 // the oracle's compaction-fault op checks it across a power cut.
 func (s *Server) compact() {
-	//lint:ignore invcheck/walfailstop compaction is best-effort at every call site — writeSnapshot counts its failures in walErrors, and a failed wal Snapshot removes its new segment or fail-stops the log, so the previous snapshot plus the tail, later acked ops included, stay authoritative for recovery
+	//lint:ignore invcheck/walfailstop compaction is best-effort at every call site — writeSnapshot counts its failures in walErrors, and a failed wal SnapshotFunc removes its new segment or fail-stops the log, so the previous snapshot plus the tail, later acked ops included, stay authoritative for recovery
 	s.writeSnapshot()
 }
 
@@ -850,12 +849,8 @@ func (s *Server) compact() {
 // consumed op prefix, truncating the log. Errors are counted and leave
 // the previous snapshot authoritative.
 func (s *Server) writeSnapshot() error {
-	txs := make([]transactions.Itemset, 0, s.session.Len())
-	for row := range s.session.All() {
-		txs = append(txs, row)
-	}
 	ops := s.consumed.Load()
-	if err := s.log.Snapshot(txs, ops); err != nil {
+	if err := s.log.SnapshotFunc(ops, s.session.AppendStable); err != nil {
 		s.walErrors.Add(1)
 		return err
 	}

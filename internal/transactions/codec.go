@@ -37,7 +37,8 @@ const maxStableItems = 1 << 24
 // format (EncodeStable, the WAL snapshot, the dist wire) calls. On an
 // itemset that is not sorted ascending, duplicate-free and non-negative it
 // returns ErrBadEncoding and dst's contents past its original length are
-// unspecified.
+// unspecified. ShardedDB.AppendStable writes the same bytes from its
+// shards' cached row encodings.
 func AppendStable(dst []byte, txs []Itemset) ([]byte, error) {
 	items := 0
 	for _, tx := range txs {
@@ -46,8 +47,19 @@ func AppendStable(dst []byte, txs []Itemset) ([]byte, error) {
 	// Most deltas fit one byte; two per item plus the per-row counts
 	// saves nearly every regrowth without a second pass over the items.
 	dst = slices.Grow(dst, 1+binary.MaxVarintLen64+len(txs)+2*items)
-	dst = append(dst, stableFormatV1)
-	dst = binary.AppendUvarint(dst, uint64(len(txs)))
+	return appendStableRows(appendStableHeader(dst, len(txs)), txs)
+}
+
+// appendStableHeader appends the header of a stable block of n rows: the
+// format version and the row count.
+func appendStableHeader(dst []byte, n int) []byte {
+	return binary.AppendUvarint(append(dst, stableFormatV1), uint64(n))
+}
+
+// appendStableRows appends the row encodings of txs, the part of a stable
+// block after its header; it fails on a non-normalized itemset as
+// AppendStable does.
+func appendStableRows(dst []byte, txs []Itemset) ([]byte, error) {
 	for _, tx := range txs {
 		dst = binary.AppendUvarint(dst, uint64(len(tx)))
 		prev := 0

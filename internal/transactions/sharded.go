@@ -1,9 +1,11 @@
 package transactions
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 )
 
 // Errors returned by ShardedDB.
@@ -19,9 +21,15 @@ const DefaultShardCap = 1024
 // versionedShard is one fixed-capacity run of transactions with a version
 // counter that is bumped on every mutation, so replicas keyed by (shard,
 // version) can tell clean shards from dirty ones without diffing contents.
+// enc caches the stable row encoding of txs as of version encVersion, for
+// ShardedDB.AppendStable; it is exactly sized, and nil once the shard is
+// empty.
 type versionedShard struct {
 	txs     []Itemset
 	version uint64
+
+	enc        []byte
+	encVersion uint64
 }
 
 // ShardedDB is the updatable counterpart of DB: transactions are stored in
@@ -46,6 +54,10 @@ type versionedShard struct {
 // maintainer tells a complete journal from one that began late or that
 // someone else drained. An untracked store journals nothing.
 //
+// AppendStable encodes the store for a snapshot from per-shard row
+// encodings cached under the shard versions, so it re-encodes only the
+// shards mutated since its last call.
+//
 // The shard capacity is always rounded up to a multiple of 64, so a full
 // shard fills whole 64-bit words of a tid bitset; the rounding is part of
 // the documented capacity contract (mining.ShardCap, dmine -shardcap).
@@ -55,8 +67,9 @@ type versionedShard struct {
 // counts do not depend on ids, only on the multiset of transactions, which
 // is why shard-local deletes preserve mining results exactly.
 //
-// ShardedDB is not safe for concurrent mutation; the incremental miner
-// reads shards concurrently only between mutations.
+// ShardedDB is not safe for concurrent mutation, and AppendStable counts
+// as one (it refreshes the cached encodings); the incremental miner reads
+// shards concurrently only between mutations.
 type ShardedDB struct {
 	shardCap int
 	shards   []*versionedShard
@@ -158,10 +171,10 @@ func (s *ShardedDB) appendSet(tx Itemset) {
 // A delete of a shard's first or last row costs nothing: the first
 // reslices past it, the last trims the length and the capacity, so a
 // later append reallocates rather than overwrite a viewed slot. Removing
-// a shard's last live row drops its array. Only a middle delete copies,
-// into a fresh array. A front reslice leaves the deleted rows in the
-// array's dead prefix, reachable until the array is dropped or
-// reallocated: at most one shard's worth of itemsets per shard.
+// a shard's last live row drops its array and its cached encoding. Only a
+// middle delete copies, into a fresh array. A front reslice leaves the
+// deleted rows in the array's dead prefix, reachable until the array is
+// dropped or reallocated: at most one shard's worth of itemsets per shard.
 func (s *ShardedDB) DeleteAt(tid int) (Itemset, error) {
 	if tid < 0 || tid >= s.total {
 		return nil, fmt.Errorf("%w: %d (len %d)", ErrTIDRange, tid, s.total)
@@ -174,7 +187,7 @@ func (s *ShardedDB) DeleteAt(tid int) (Itemset, error) {
 		tx := sh.txs[tid]
 		switch {
 		case len(sh.txs) == 1:
-			sh.txs = nil
+			sh.txs, sh.enc = nil, nil
 		case tid == 0:
 			sh.txs = sh.txs[1:]
 		default:
@@ -256,6 +269,38 @@ func (s *ShardedDB) All() iter.Seq[Itemset] {
 			}
 		}
 	}
+}
+
+// AppendStable appends the live transactions in global-id order to dst in
+// the stable binary snapshot format and returns the extended slice: the
+// same bytes as the package's AppendStable over the rows of All. Each
+// shard's rows are encoded once per version and the exactly sized
+// encoding is kept, so a call re-encodes only the shards mutated since the
+// previous one and otherwise copies bytes; dst grows once. On a
+// non-normalized row it returns ErrBadEncoding, and dst's contents past
+// its original length are unspecified.
+func (s *ShardedDB) AppendStable(dst []byte) ([]byte, error) {
+	size := 0
+	var scratch []byte
+	for _, sh := range s.shards {
+		if len(sh.txs) == 0 {
+			continue // an emptied shard holds no encoding (see DeleteAt)
+		}
+		if sh.encVersion != sh.version {
+			var err error
+			if scratch, err = appendStableRows(scratch[:0], sh.txs); err != nil {
+				return dst, err
+			}
+			sh.enc = append(make([]byte, 0, len(scratch)), scratch...)
+			sh.encVersion = sh.version
+		}
+		size += len(sh.enc)
+	}
+	dst = appendStableHeader(slices.Grow(dst, 1+binary.MaxVarintLen64+size), s.total)
+	for _, sh := range s.shards {
+		dst = append(dst, sh.enc...)
+	}
+	return dst, nil
 }
 
 // Snapshot materialises the live transactions as a plain DB, recomputing

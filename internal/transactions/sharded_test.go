@@ -1,8 +1,10 @@
 package transactions
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -430,4 +432,143 @@ func TestShardedDBFrontDeleteAllocs(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("DeleteAt(0) allocates %.1f times per call, want 0", allocs)
 	}
+}
+
+// requireShardedStable checks s.AppendStable against the package's
+// AppendStable over the rows of All, after a prefix already in dst, and
+// checks the encoding cache it leaves: an emptied shard holds no
+// encoding, and every other shard's is exactly sized and stamped with the
+// shard's current version.
+func requireShardedStable(t *testing.T, step string, s *ShardedDB) {
+	t.Helper()
+	want, err := AppendStable([]byte("prefix"), slices.Collect(s.All()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.AppendStable([]byte("prefix"))
+	if err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: ShardedDB.AppendStable wrote %d bytes that differ from AppendStable's %d", step, len(got), len(want))
+	}
+	for i, sh := range s.shards {
+		switch {
+		case len(sh.txs) == 0 && sh.enc != nil:
+			t.Fatalf("%s: emptied shard %d holds a %d-byte encoding", step, i, len(sh.enc))
+		case len(sh.txs) > 0 && (len(sh.enc) != cap(sh.enc) || sh.encVersion != sh.version):
+			t.Fatalf("%s: shard %d's encoding has len %d, cap %d, version %d (shard at %d)", step, i, len(sh.enc), cap(sh.enc), sh.encVersion, sh.version)
+		}
+	}
+}
+
+// TestShardedAppendStable runs a seeded script of appends that open new
+// shards, first, last and middle deletes, and a shard emptied and then
+// refilled, and checks the snapshot bytes and the encoding cache after
+// every step.
+func TestShardedAppendStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	s := NewShardedDB(64)
+	requireShardedStable(t, "empty store", s)
+	add := func(n int) {
+		for range n {
+			items := make([]int, 1+rng.Intn(8))
+			for j := range items {
+				items[j] = rng.Intn(300)
+			}
+			if err := s.Append(items...); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	del := func(tid int) {
+		if _, err := s.DeleteAt(tid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(150) // three shards, the last one partly full
+	requireShardedStable(t, "bulk append", s)
+	add(1) // into the encoded last shard
+	requireShardedStable(t, "append to a cached shard", s)
+	add(60) // fills the last shard and opens a fourth
+	requireShardedStable(t, "append opening a shard", s)
+	for step := range 30 {
+		switch step % 3 {
+		case 0:
+			del(0)
+		case 1:
+			del(s.Len() - 1)
+		default:
+			del(1 + rng.Intn(s.Len()-2))
+		}
+		requireShardedStable(t, fmt.Sprintf("delete %d", step), s)
+		if step%5 == 4 {
+			add(1 + rng.Intn(3))
+			requireShardedStable(t, fmt.Sprintf("append %d", step), s)
+		}
+	}
+	// Empty the second shard from its front, then the last shard from its
+	// end, and refill the last one.
+	first, _ := s.ShardView(1)
+	for range len(first.Transactions) {
+		del(first.Base)
+	}
+	requireShardedStable(t, "second shard emptied", s)
+	last := s.NumShards() - 1
+	for len(s.shards[last].txs) > 0 {
+		del(s.Len() - 1)
+	}
+	requireShardedStable(t, "last shard emptied", s)
+	add(5)
+	if s.NumShards() != last+1 || len(s.shards[last].txs) != 5 {
+		t.Fatalf("refill opened a shard: %d shards, last holds %d rows", s.NumShards(), len(s.shards[last].txs))
+	}
+	requireShardedStable(t, "last shard refilled", s)
+	for s.Len() > 0 {
+		del(rng.Intn(s.Len()))
+	}
+	requireShardedStable(t, "store emptied", s)
+}
+
+// FuzzShardedAppendStable checks ShardedDB.AppendStable against the
+// package's AppendStable over an op script read from the fuzz bytes, one
+// op a byte b: b%4 == 0 appends a row of the next (b>>2)%8 bytes' items,
+// 1 appends b>>2 generated rows (opening shards fast), 2 deletes at the
+// position b>>2 scales to (0 the first row, 63 the last), and 3 checks.
+func FuzzShardedAppendStable(f *testing.F) {
+	f.Add([]byte{253, 3, 2, 3, 254, 3, 0x0c, 1, 2, 3, 3})
+	f.Add([]byte{253, 253, 3, 2, 2, 2, 2, 3, 66, 130, 3, 1, 3})
+	f.Add([]byte{41, 3, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 5, 3})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		s := NewShardedDB(64)
+		for i := 0; i < len(script); i++ {
+			b := script[i]
+			switch b % 4 {
+			case 0:
+				var items []int
+				for n := int(b>>2) % 8; n > 0 && i+1 < len(script); n-- {
+					i++
+					items = append(items, int(script[i]))
+				}
+				if err := s.Append(items...); err != nil {
+					t.Fatal(err)
+				}
+			case 1:
+				for j := range int(b >> 2) {
+					if err := s.Append(j%13, 13+(i+j)%29, 50+j%7); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 2:
+				if s.Len() > 0 {
+					if _, err := s.DeleteAt(int(b>>2) * (s.Len() - 1) / 63); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				requireShardedStable(t, fmt.Sprintf("op %d", i), s)
+			}
+		}
+		requireShardedStable(t, "end", s)
+	})
 }

@@ -14,7 +14,10 @@
 // updatable store of the incremental backend — fixed-capacity,
 // version-stamped shards where appends fill the tail, deletes stay within
 // their shard, and a mutation dirties exactly one shard and, once a
-// maintainer tracks the store, is journalled for it to count.
+// maintainer tracks the store, is journalled for it to count. Each shard
+// also keeps the stable encoding of its rows under its version, so a WAL
+// snapshot of a ShardedDB re-encodes only the shards mutated since the
+// last one.
 package transactions
 
 import (

@@ -182,14 +182,14 @@ func decodeSegmentHeader(data []byte) (uint64, int, error) {
 	return start, len(segMagic) + n + 4, nil
 }
 
-// encodeSnapshot encodes the transaction rows as a snapshot covering the
-// first ops log operations. The body is encoded once, behind room for the
-// longest magic-and-length prefix, and the prefix is then written right in
-// front of it, so the body is never copied.
-func encodeSnapshot(txs []transactions.Itemset, ops uint64) ([]byte, error) {
+// frameSnapshot encodes a snapshot covering the first ops log
+// operations whose rows appendRows appends in the stable encoding. The
+// body is appended once, behind room for the longest magic-and-length
+// prefix, and the prefix is then written right in front of it, so the
+// body is never copied.
+func frameSnapshot(ops uint64, appendRows func(dst []byte) ([]byte, error)) ([]byte, error) {
 	const room = len(snapMagic) + binary.MaxVarintLen64
-	buf := binary.AppendUvarint(make([]byte, room), ops)
-	buf, err := transactions.AppendStable(buf, txs)
+	buf, err := appendRows(binary.AppendUvarint(make([]byte, room), ops))
 	if err != nil {
 		return nil, err
 	}

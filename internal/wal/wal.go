@@ -33,6 +33,16 @@
 // synced, then renamed, so a crash mid-snapshot leaves the previous one
 // intact. Snapshot success rotates to a fresh segment and garbage-
 // collects everything older.
+//
+// # Snapshot bodies
+//
+// Log.SnapshotFunc takes the body as a function that appends the rows'
+// stable encoding (internal/transactions) to the buffer it is handed:
+// the log frames and checksums the bytes where they landed, so the body
+// is neither materialised as a row list nor copied. The serving tier
+// appends a ShardedDB's cached per-shard encodings, so a snapshot
+// re-encodes only the shards mutated since the last one. Log.Snapshot is
+// the same entry over a row list.
 package wal
 
 import (
@@ -190,25 +200,40 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Snapshot persists txs as the fold of the first ops ops (which must be
-// the log's current position), rotates to a fresh segment, and garbage-
-// collects older segments and snapshots. The commit point is the rename:
-// a crash anywhere before it leaves the previous snapshot authoritative.
-// The fresh segment is created before the rename and removed again if the
-// snapshot fails first: left behind, it would make recovery cut every op
-// later appended to the current segment as an abandoned suffix. A
-// snapshot at the current segment's own start (right after Open) has
-// nothing to rotate. So a failed snapshot leaves the log appending where
-// recovery reads, and the caller keeps the longer replay tail. The log
-// fail-stops instead when the fresh segment cannot be removed or the
-// rename fails (its outcome is then unknown); a snapshot on a fail-stop
-// log returns its error.
+// Snapshot persists txs as the fold of the first ops ops; it is
+// SnapshotFunc with the rows' stable encoding as the body.
 func (l *Log) Snapshot(txs []transactions.Itemset, ops uint64) error {
+	return l.SnapshotFunc(ops, func(dst []byte) ([]byte, error) { return transactions.AppendStable(dst, txs) })
+}
+
+// SnapshotFunc persists, as the fold of the first ops ops (which must be
+// the log's current position), the rows that appendRows appends in the
+// stable encoding of internal/transactions to the buffer it is handed. The
+// log frames and checksums those bytes where they were appended, so the
+// body is never copied. It then rotates to a fresh segment and
+// garbage-collects older segments and snapshots. The commit point is the
+// rename: a crash anywhere before it leaves the previous snapshot
+// authoritative. The body is appended before any file is created, so an
+// appendRows error leaves the directory as it was. The fresh segment is
+// created before the rename and removed again if the snapshot fails
+// first: left behind, it would make recovery cut every op later appended
+// to the current segment as an abandoned suffix. A snapshot at the
+// current segment's own start (right after Open) has nothing to rotate.
+// So a failed snapshot leaves the log appending where recovery reads, and
+// the caller keeps the longer replay tail. The log fail-stops instead
+// when the fresh segment cannot be removed or the rename fails (its
+// outcome is then unknown); a snapshot on a fail-stop log returns its
+// error.
+func (l *Log) SnapshotFunc(ops uint64, appendRows func(dst []byte) ([]byte, error)) error {
 	if l.failed != nil {
 		return l.failed
 	}
 	if ops != l.seq {
 		return fmt.Errorf("wal: snapshot at op %d, log is at %d", ops, l.seq)
+	}
+	blob, err := frameSnapshot(ops, appendRows)
+	if err != nil {
+		return err
 	}
 	// Make the outgoing segment's records durable before the snapshot
 	// claims to cover them.
@@ -217,12 +242,11 @@ func (l *Log) Snapshot(txs []transactions.Itemset, ops uint64) error {
 	}
 	next := l.f
 	if ops != l.segStart {
-		var err error
 		if next, err = l.createSegment(ops); err != nil {
 			return l.dropSegment(ops, err)
 		}
 	}
-	if err := l.writeSnapshot(txs, ops); err != nil {
+	if err := l.writeSnapshot(blob, ops); err != nil {
 		if next != l.f {
 			next.Close()
 			return l.dropSegment(ops, err)
@@ -248,13 +272,9 @@ func (l *Log) Snapshot(txs []transactions.Itemset, ops uint64) error {
 	return nil
 }
 
-// writeSnapshot writes and syncs the snapshot blob to its temp file,
-// removing the temp file on failure.
-func (l *Log) writeSnapshot(txs []transactions.Itemset, ops uint64) error {
-	blob, err := encodeSnapshot(txs, ops)
-	if err != nil {
-		return err
-	}
+// writeSnapshot writes and syncs the encoded snapshot blob to its temp
+// file, removing the temp file on failure.
+func (l *Log) writeSnapshot(blob []byte, ops uint64) error {
 	tmp := snapName(ops) + ".tmp"
 	sf, err := l.fs.Create(tmp)
 	if err != nil {

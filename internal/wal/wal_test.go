@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,22 +140,24 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesMatchTwoBufferLayout pins encodeSnapshot's bytes to
-// the layout written out here the plain way — magic, uvarint body length,
-// body, CRC-32C of the body — for an empty store, a one-row store and a
-// multi-shard store, and round-trips each through decodeSnapshot.
-func TestSnapshotBytesMatchTwoBufferLayout(t *testing.T) {
-	reference := func(txs []transactions.Itemset, ops uint64) []byte {
-		body := binary.AppendUvarint(nil, ops)
-		body, err := transactions.AppendStable(body, txs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := append([]byte(nil), snapMagic...)
-		buf = binary.AppendUvarint(buf, uint64(len(body)))
-		buf = append(buf, body...)
-		return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
-	}
+// encodeSnapshot is the snapshot file Log.Snapshot writes for txs at ops.
+func encodeSnapshot(txs []transactions.Itemset, ops uint64) ([]byte, error) {
+	return frameSnapshot(ops, func(dst []byte) ([]byte, error) { return transactions.AppendStable(dst, txs) })
+}
+
+// snapshotCase is one store the snapshot tests write: its rows as a list
+// and as the sharded store that holds them, and the op offset.
+type snapshotCase struct {
+	name  string
+	txs   []transactions.Itemset
+	store *transactions.ShardedDB
+	ops   uint64
+}
+
+// snapshotCases returns an empty store, a one-row store and a multi-shard
+// store with deletes at its front, middle and end.
+func snapshotCases(t *testing.T) []snapshotCase {
+	t.Helper()
 	store := transactions.NewShardedDB(64)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 300; i++ {
@@ -174,16 +177,34 @@ func TestSnapshotBytesMatchTwoBufferLayout(t *testing.T) {
 	if store.NumShards() < 4 {
 		t.Fatalf("fixture has %d shards, want several", store.NumShards())
 	}
-	cases := []struct {
-		name string
-		txs  []transactions.Itemset
-		ops  uint64
-	}{
-		{"empty", nil, 0},
-		{"one row", []transactions.Itemset{{3, 17, 29}}, 1},
-		{"multi-shard", store.Snapshot().Transactions, 1 << 40},
+	one := transactions.NewShardedDB(64)
+	if err := one.Append(3, 17, 29); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
+	return []snapshotCase{
+		{"empty", nil, transactions.NewShardedDB(64), 0},
+		{"one row", []transactions.Itemset{{3, 17, 29}}, one, 1},
+		{"multi-shard", store.Snapshot().Transactions, store, 1 << 40},
+	}
+}
+
+// TestSnapshotBytesMatchTwoBufferLayout pins encodeSnapshot's bytes to
+// the layout written out here the plain way — magic, uvarint body length,
+// body, CRC-32C of the body — for an empty store, a one-row store and a
+// multi-shard store, and round-trips each through decodeSnapshot.
+func TestSnapshotBytesMatchTwoBufferLayout(t *testing.T) {
+	reference := func(txs []transactions.Itemset, ops uint64) []byte {
+		body := binary.AppendUvarint(nil, ops)
+		body, err := transactions.AppendStable(body, txs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := append([]byte(nil), snapMagic...)
+		buf = binary.AppendUvarint(buf, uint64(len(body)))
+		buf = append(buf, body...)
+		return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
+	}
+	for _, c := range snapshotCases(t) {
 		got, err := encodeSnapshot(c.txs, c.ops)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -200,6 +221,92 @@ func TestSnapshotBytesMatchTwoBufferLayout(t *testing.T) {
 				t.Fatalf("%s: row %d decodes to %v, want %v", c.name, i, txs[i], c.txs[i])
 			}
 		}
+	}
+}
+
+// TestSnapshotFuncWritesSnapshotBytes writes each snapshot case twice, on
+// two logs at the same op: once through Snapshot from the row list, once
+// through SnapshotFunc from the sharded store's cached encodings. The two
+// snapshot files must be byte-identical, and equal to encodeSnapshot's.
+func TestSnapshotFuncWritesSnapshotBytes(t *testing.T) {
+	for _, c := range snapshotCases(t) {
+		ops := min(c.ops, 5)
+		write := func(snapshot func(*Log) error) []byte {
+			t.Helper()
+			fs := NewMemFS()
+			l, _, err := Open(fs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			for i := 1; i <= int(ops); i++ {
+				if _, err := l.Append(opFixture(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := snapshot(l); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			data, err := fs.ReadFile(snapName(ops))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return data
+		}
+		fromRows := write(func(l *Log) error { return l.Snapshot(c.txs, ops) })
+		fromStore := write(func(l *Log) error { return l.SnapshotFunc(ops, c.store.AppendStable) })
+		if !bytes.Equal(fromRows, fromStore) {
+			t.Fatalf("%s: SnapshotFunc wrote %d bytes that differ from Snapshot's %d", c.name, len(fromStore), len(fromRows))
+		}
+		if want, err := encodeSnapshot(c.txs, ops); err != nil || !bytes.Equal(fromRows, want) {
+			t.Fatalf("%s: Snapshot's file differs from encodeSnapshot (err %v)", c.name, err)
+		}
+	}
+}
+
+// TestSnapshotFuncBodyErrorLeavesLogIntact fails a snapshot's body append
+// on a non-normalized row, on a log past its segment's start, where a
+// snapshot would rotate. The error must come back as is, the directory
+// must hold exactly what it held before (no .tmp file, no fresh segment,
+// no snapshot), and the log must keep appending where recovery reads.
+func TestSnapshotFuncBodyErrorLeavesLogIntact(t *testing.T) {
+	mem := NewMemFS()
+	l, _, err := Open(mem, Options{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, err := l.Append(opFixture(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := mem.ReadDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []transactions.Itemset{{1, 2}, {5, 4}}
+	err = l.SnapshotFunc(3, func(dst []byte) ([]byte, error) { return transactions.AppendStable(dst, bad) })
+	if !errors.Is(err, transactions.ErrBadEncoding) {
+		t.Fatalf("SnapshotFunc over a non-normalized row: %v, want ErrBadEncoding", err)
+	}
+	if err := l.Snapshot(bad, 3); !errors.Is(err, transactions.ErrBadEncoding) {
+		t.Fatalf("Snapshot over a non-normalized row: %v, want ErrBadEncoding", err)
+	}
+	if after, err := mem.ReadDir(); err != nil || !slices.Equal(after, before) {
+		t.Fatalf("directory after the failed snapshots: %v (err %v), want %v", after, err, before)
+	}
+	if _, err := l.Append(opFixture(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec, err := Open(mem.Crash(rand.New(rand.NewSource(1))), Options{Policy: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Ops != 4 || rec.Snapshot != nil || rec.Truncated {
+		t.Fatalf("recovered %d ops (snapshot %v, truncated %v), want all 4 from the log", rec.Ops, rec.Snapshot != nil, rec.Truncated)
 	}
 }
 

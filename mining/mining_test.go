@@ -271,6 +271,58 @@ func TestSessionAll(t *testing.T) {
 	}
 }
 
+// TestSessionAppendStable: AppendStable may run while another goroutine
+// mutates the session (the session lock orders them, and the store's
+// encoding cache with them). Every call must return a stable block that
+// decodes, and once the mutations stop the bytes must equal the stable
+// encoding of the session's rows.
+func TestSessionAppendStable(t *testing.T) {
+	db, _ := testData(t, 300, 3)
+	s, err := NewSession(db, ShardCap(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	done := make(chan error)
+	go func() {
+		for i := range 200 {
+			if err := s.Append(i%17, 20+i%5); err != nil {
+				done <- err
+				return
+			}
+			if _, err := s.DeleteAt(i * 7 % s.Len()); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var buf []byte
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		if buf, err = s.AppendStable(buf[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := transactions.DecodeStableBytes(buf); err != nil {
+			t.Fatalf("AppendStable under concurrent mutation: %v", err)
+		}
+	}
+	want, err := transactions.AppendStable(nil, s.store.Snapshot().Transactions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(buf, want) {
+		t.Fatalf("AppendStable wrote %d bytes that differ from the %d-byte encoding of the rows", len(buf), len(want))
+	}
+}
+
 // TestSessionWithDistributedBase pins the Transport composition: a
 // session whose full runs go through the distributed engine attaches and
 // still maintains. internal/serve's TestOracle checks such sessions'

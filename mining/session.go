@@ -193,6 +193,18 @@ func (s *Session) All() iter.Seq[[]int] {
 	}
 }
 
+// AppendStable appends the store's live transactions, in id order, to dst
+// in the stable binary snapshot format of the durability layer
+// (internal/wal) and returns the extended slice. The store keeps each
+// shard's encoding between calls and re-encodes only the shards mutated
+// since, so a call costs the shards that changed plus one copy of the
+// bytes.
+func (s *Session) AppendStable(dst []byte) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.store.AppendStable(dst)
+}
+
 // Result returns the last maintained result (nil before the first
 // successful Mine). It may be stale with respect to later mutations.
 func (s *Session) Result() *Result {
