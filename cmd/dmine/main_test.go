@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ func TestReadSequences(t *testing.T) {
 	if len(data[0]) != 2 || len(data[1]) != 3 {
 		t.Errorf("transaction counts = %d, %d", len(data[0]), len(data[1]))
 	}
-	if !data[0][0].Contains(1) || !data[0][0].Contains(2) {
+	if !slices.Contains(data[0][0], 1) || !slices.Contains(data[0][0], 2) {
 		t.Errorf("first transaction = %v", data[0][0])
 	}
 }

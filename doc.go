@@ -1,6 +1,6 @@
 // Package repro is a from-scratch Go reproduction of the techniques
 // surveyed by "Data Mining Techniques" (SIGMOD 1996): association-rule
-// mining (AIS, SETM, Apriori family, Partition, DHP), sequential patterns
+// mining (AIS, SETM, Apriori family, Partition), sequential patterns
 // (AprioriAll, GSP), clustering (k-means, PAM/CLARA/CLARANS, hierarchical,
 // DBSCAN, BIRCH), classification (decision trees, naive Bayes, kNN, 1R,
 // neural networks), the synthetic workload generators their canonical

@@ -2,10 +2,10 @@
 // driven through the public mining API. A synthetic store's transaction
 // log is mined with every registered engine (verifying they agree
 // byte-for-byte), then the analysis itself uses the default "Auto"
-// dispatch — the probe that picks the expected-fastest engine (Apriori,
-// bitset Eclat or FPGrowth) per workload — with the streamed variant
-// emitting levels as they finish, before extracting high-lift cross-sell
-// rules, the workflow of Agrawal & Srikant's evaluation.
+// dispatch — which becomes Apriori, bitset Eclat or FPGrowth from what its
+// own first passes measured, with no probe of its own — with the streamed
+// variant emitting levels as they finish, before extracting high-lift
+// cross-sell rules, the workflow of Agrawal & Srikant's evaluation.
 package main
 
 import (

@@ -13,7 +13,7 @@
 // plus confidence/lift rule generation (the ap-genrules procedure) and
 // FUP-style incremental maintenance (Incremental) over an updatable
 // sharded store. The survey's first-generation miners — AIS, SETM,
-// AprioriTid, AprioriHybrid, DHP, Partition and Sampling — live in
+// AprioriTid, AprioriHybrid, Partition and Sampling — live in
 // internal/assoc/reference, which builds them from this package's exported
 // names and counts with the same kernels.
 //
@@ -155,15 +155,6 @@ func (r *Result) addPass(hook PassHook, stat PassStat, level []ItemsetCount) {
 	if hook != nil {
 		hook(stat, level)
 	}
-}
-
-// All returns every frequent itemset across levels, in level order.
-func (r *Result) All() []ItemsetCount {
-	var out []ItemsetCount
-	for _, level := range r.Levels {
-		out = append(out, level...)
-	}
-	return out
 }
 
 // NumFrequent returns the total number of frequent itemsets.

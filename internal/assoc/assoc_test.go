@@ -115,7 +115,7 @@ func TestSupportMonotonicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ic := range res.All() {
+	for _, ic := range slices.Concat(res.Levels...) {
 		if len(ic.Items) < 2 {
 			continue
 		}

@@ -104,7 +104,7 @@ func TestIncrementalTrackSlackDefault(t *testing.T) {
 		{-1, 0.08},  // out of range: default
 	} {
 		inc := &Incremental{TrackSlack: tc.slack}
-		if _, _, err := inc.Attach(store, 0.1); err != nil {
+		if _, _, err := inc.AttachContext(context.Background(), store, 0.1); err != nil {
 			t.Fatal(err)
 		}
 		if got := inc.trackSupport(); !floatEq(got, tc.want) {
@@ -135,7 +135,7 @@ func TestCancelledRebuildDropsStaleResult(t *testing.T) {
 			}
 		}
 		inc := &Incremental{}
-		if _, _, err := inc.Attach(store, 0.1); err != nil {
+		if _, _, err := inc.AttachContext(context.Background(), store, 0.1); err != nil {
 			t.Fatal(err)
 		}
 		// Same length, new frequent item 9: the tracked set cannot cover it,
@@ -155,10 +155,10 @@ func TestCancelledRebuildDropsStaleResult(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled rebuild: err = %v, want context.Canceled", err)
 		}
-		if inc.Result() != nil {
+		if inc.prev != nil {
 			continue // cancelled in the delta count, before the full run
 		}
-		res, _, err := inc.Maintain()
+		res, _, err := inc.MaintainContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -164,10 +164,10 @@ func TestDistributedStoreReshipsOnlyDirtyShards(t *testing.T) {
 		var stats MaintainStats
 		var err error
 		if fresh {
-			res, stats, err = inc.Attach(store, 0.05)
+			res, stats, err = inc.AttachContext(context.Background(), store, 0.05)
 		} else {
 			store.Drain()
-			res, stats, err = inc.Maintain()
+			res, stats, err = inc.MaintainContext(context.Background())
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -242,7 +242,7 @@ func TestIncrementalWithDistributedBase(t *testing.T) {
 	d := newDistributed(DistEngineApriori, 2)
 	defer d.Close()
 	inc := &Incremental{Remote: d}
-	res, _, err := inc.Attach(store, 0.1)
+	res, _, err := inc.AttachContext(context.Background(), store, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestIncrementalWithDistributedBase(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, stats, err := inc.Maintain()
+	res, stats, err := inc.MaintainContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestIncrementalWithDistributedBase(t *testing.T) {
 	if _, err := store.DeleteAt(1); err != nil {
 		t.Fatal(err)
 	}
-	res, _, err = inc.Maintain()
+	res, _, err = inc.MaintainContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package assoc_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/assoc"
@@ -20,8 +21,10 @@ func ExampleApriori() {
 	if err != nil {
 		panic(err)
 	}
-	for _, ic := range res.All() {
-		fmt.Println(ic.Items, ic.Count)
+	for _, level := range res.Levels {
+		for _, ic := range level {
+			fmt.Println(ic.Items, ic.Count)
+		}
 	}
 	// Output:
 	// {1} 3
@@ -45,18 +48,19 @@ func ExampleIncremental() {
 		}
 	}
 	inc := &assoc.Incremental{}
-	res, _, err := inc.Attach(store, 0.5)
+	res, _, err := inc.AttachContext(context.Background(), store, 0.5)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("mined:", res.NumFrequent(), "frequent itemsets")
 
-	// The store takes appends and deletes; Maintain brings the result up
-	// to date, counting only the transactions the update journalled.
+	// The store takes appends and deletes; MaintainContext brings the
+	// result up to date, counting only the transactions the update
+	// journalled.
 	if err := store.Append(1, 2); err != nil {
 		panic(err)
 	}
-	res, stats, err := inc.Maintain()
+	res, stats, err := inc.MaintainContext(context.Background())
 	if err != nil {
 		panic(err)
 	}

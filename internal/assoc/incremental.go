@@ -66,10 +66,10 @@ import (
 	"repro/internal/transactions"
 )
 
-// ErrNotAttached reports Maintain before Attach.
+// ErrNotAttached reports MaintainContext before AttachContext.
 var ErrNotAttached = errors.New("assoc: incremental miner not attached to a store")
 
-// MaintainStats describes the work one Maintain call did.
+// MaintainStats describes the work one MaintainContext call did.
 type MaintainStats struct {
 	NumShards   int    // shards in the store
 	DirtyShards int    // shards the update touched (version changed or new); all of them on a full run
@@ -103,10 +103,11 @@ func (b borderCrossed) Error() string { return string(b) }
 // Incremental maintains the frequent itemsets of a ShardedDB across
 // appends and deletes by counting only the journalled delta and
 // thresholding only the pair slots that can pass (see the package comment
-// above). Attach runs the initial full mine, which counts
-// the tracked set; Maintain brings the result up to date after mutations.
+// above). AttachContext runs the initial full mine, which counts the
+// tracked set; MaintainContext brings the result up to date after
+// mutations.
 type Incremental struct {
-	// Remote, when set, runs the full runs' scans (Attach and
+	// Remote, when set, runs the full runs' scans (AttachContext and
 	// border-crossing fallbacks) on its cluster, level-wise whatever its
 	// Engine: the store's shards are synced under their version stamps, so
 	// only dirty ones re-ship, and a lost cluster degrades to local scans.
@@ -179,15 +180,11 @@ func (inc *Incremental) trackSupport() float64 {
 	return inc.minSupport * slack
 }
 
-// Attach binds the maintainer to a store, runs the initial full mine at
-// minSupport and counts the tracked set. It returns the initial result;
-// the stats report a full run over every shard. The store journals its
-// mutations from here on, until Detach or the next Attach.
-func (inc *Incremental) Attach(store *transactions.ShardedDB, minSupport float64) (*Result, MaintainStats, error) {
-	return inc.AttachContext(context.Background(), store, minSupport)
-}
-
-// AttachContext is Attach with the initial full mine under ctx.
+// AttachContext binds the maintainer to a store, runs the initial full
+// mine at minSupport under ctx and counts the tracked set. It returns the
+// initial result; the stats report a full run over every shard. The store
+// journals its mutations from here on, until Detach or the next
+// AttachContext.
 func (inc *Incremental) AttachContext(ctx context.Context, store *transactions.ShardedDB, minSupport float64) (*Result, MaintainStats, error) {
 	if minSupport <= 0 || minSupport > 1 {
 		return nil, MaintainStats{}, fmt.Errorf("%w: %v", ErrBadSupport, minSupport)
@@ -200,8 +197,8 @@ func (inc *Incremental) AttachContext(ctx context.Context, store *transactions.S
 }
 
 // Detach ends the maintainer's tracking: the store stops journalling and
-// Maintain reports ErrNotAttached until the next Attach. A maintainer that
-// was never attached detaches to no effect.
+// MaintainContext reports ErrNotAttached until the next AttachContext. A
+// maintainer that was never attached detaches to no effect.
 func (inc *Incremental) Detach() {
 	if inc.store != nil {
 		inc.store.Untrack()
@@ -209,18 +206,11 @@ func (inc *Incremental) Detach() {
 	inc.store, inc.prev = nil, nil
 }
 
-// Result returns the currently maintained frequent set (nil before Attach).
-func (inc *Incremental) Result() *Result { return inc.prev }
-
-// Maintain brings the frequent set up to date with the store: the
-// journalled delta is counted into the totals, the totals are
+// MaintainContext brings the frequent set up to date with the store under
+// ctx: the journalled delta is counted into the totals, the totals are
 // re-thresholded, and a full re-mine runs only when the tracked border no
 // longer covers the answer or the journal cannot account for the store.
-func (inc *Incremental) Maintain() (*Result, MaintainStats, error) {
-	return inc.MaintainContext(context.Background())
-}
-
-// MaintainContext is Maintain under ctx. A cancelled maintain returns
+// A cancelled maintain returns
 // ctx.Err() before anything is spliced into the totals and keeps the
 // drained delta pending, so the maintainer's state stays exactly what it
 // was and the next call counts that delta (plus whatever arrived since)

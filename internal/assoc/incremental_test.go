@@ -33,7 +33,7 @@ func incrementalFixture(t *testing.T, total int) []transactions.Itemset {
 // mustMaintain runs Maintain and fails the test on error.
 func mustMaintain(t *testing.T, inc *Incremental) (*Result, MaintainStats) {
 	t.Helper()
-	res, stats, err := inc.Maintain()
+	res, stats, err := inc.MaintainContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestIncrementalEquivalenceProperty(t *testing.T) {
 			}
 			const minSup = 0.03
 			inc := &Incremental{Workers: workers}
-			if _, stats, err := inc.Attach(store, minSup); err != nil {
+			if _, stats, err := inc.AttachContext(context.Background(), store, minSup); err != nil {
 				t.Fatal(err)
 			} else if !stats.FullRun || stats.DirtyShards != store.NumShards() {
 				t.Fatalf("attach stats = %+v, want full run over all shards", stats)
@@ -124,7 +124,7 @@ func TestIncrementalBorderCrossingFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := &Incremental{}
-	if _, _, err := inc.Attach(store, 0.1); err != nil {
+	if _, _, err := inc.AttachContext(context.Background(), store, 0.1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -227,7 +227,7 @@ func TestIncrementalThresholdFallbacks(t *testing.T) {
 				}
 			}
 			inc := &Incremental{}
-			if _, _, err := inc.Attach(store, tc.minSup); err != nil {
+			if _, _, err := inc.AttachContext(context.Background(), store, tc.minSup); err != nil {
 				t.Fatal(err)
 			}
 			for _, tx := range tc.flood {
@@ -296,7 +296,7 @@ func TestIncrementalBorderRisesWithoutCrossing(t *testing.T) {
 				}
 			}
 			inc := &Incremental{}
-			if _, _, err := inc.Attach(store, minSup); err != nil {
+			if _, _, err := inc.AttachContext(context.Background(), store, minSup); err != nil {
 				t.Fatal(err)
 			}
 			seeds := inc.pairSeeds
@@ -358,7 +358,7 @@ func TestIncrementalDeltaTotalsExact(t *testing.T) {
 	}
 	const minSup = 0.1
 	inc := &Incremental{TrackSlack: 0.5}
-	if _, _, err := inc.Attach(store, minSup); err != nil {
+	if _, _, err := inc.AttachContext(context.Background(), store, minSup); err != nil {
 		t.Fatal(err)
 	}
 	if len(inc.levels) < 2 {
@@ -445,7 +445,7 @@ func TestAttachTracksTheCandidateSets(t *testing.T) {
 						scans++
 					}
 				})
-				if _, _, err := inc.Attach(store, minSup); err != nil {
+				if _, _, err := inc.AttachContext(context.Background(), store, minSup); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				requireBruteForceTracked(t, name, inc, store.Snapshot(), store.NumItems(), store.AbsoluteSupport(inc.trackSupport()))
@@ -525,20 +525,20 @@ func requireBruteForceTracked(t *testing.T, name string, inc *Incremental, db *t
 // TestIncrementalErrors covers the precondition paths.
 func TestIncrementalErrors(t *testing.T) {
 	inc := &Incremental{}
-	if _, _, err := inc.Maintain(); err != ErrNotAttached {
+	if _, _, err := inc.MaintainContext(context.Background()); err != ErrNotAttached {
 		t.Fatalf("Maintain before Attach: err=%v, want ErrNotAttached", err)
 	}
 	store := transactions.NewShardedDB(64)
-	if _, _, err := inc.Attach(store, 0); err == nil {
+	if _, _, err := inc.AttachContext(context.Background(), store, 0); err == nil {
 		t.Fatal("Attach with bad support should fail")
 	}
-	if _, _, err := inc.Attach(store, 0.1); err == nil {
+	if _, _, err := inc.AttachContext(context.Background(), store, 0.1); err == nil {
 		t.Fatal("Attach to an empty store should fail")
 	}
 	if err := store.Append(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := inc.Attach(store, 0.1); err != nil {
+	if _, _, err := inc.AttachContext(context.Background(), store, 0.1); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
 	for store.Len() > 0 {
@@ -546,7 +546,7 @@ func TestIncrementalErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := inc.Maintain(); err == nil {
+	if _, _, err := inc.MaintainContext(context.Background()); err == nil {
 		t.Fatal("Maintain on emptied store should fail")
 	}
 }
@@ -562,7 +562,7 @@ func TestIncrementalRulesMatchScratch(t *testing.T) {
 		}
 	}
 	inc := &Incremental{}
-	if _, _, err := inc.Attach(store, 0.05); err != nil {
+	if _, _, err := inc.AttachContext(context.Background(), store, 0.05); err != nil {
 		t.Fatal(err)
 	}
 	for _, tx := range pool[200:] {
@@ -571,7 +571,7 @@ func TestIncrementalRulesMatchScratch(t *testing.T) {
 		}
 	}
 	mustMaintain(t, inc)
-	got, err := GenerateRules(inc.Result(), 0.6)
+	got, err := GenerateRules(inc.prev, 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +632,7 @@ func TestIncrementalCountsTheDelta(t *testing.T) {
 				}
 				const minSup = 0.03
 				inc := &Incremental{Workers: workers}
-				if _, stats, err := inc.Attach(store, minSup); err != nil {
+				if _, stats, err := inc.AttachContext(context.Background(), store, minSup); err != nil {
 					t.Fatal(err)
 				} else if !stats.FullRun || stats.RecountedTx != store.Len() {
 					t.Fatalf("attach stats = %+v, want a full run counting all %d transactions", stats, store.Len())
@@ -698,7 +698,7 @@ func TestIncrementalDeleteToEmptyAndRefill(t *testing.T) {
 	}
 	const minSup = 0.05
 	inc := &Incremental{}
-	if _, _, err := inc.Attach(store, minSup); err != nil {
+	if _, _, err := inc.AttachContext(context.Background(), store, minSup); err != nil {
 		t.Fatal(err)
 	}
 	for store.Len() > 0 {
@@ -706,7 +706,7 @@ func TestIncrementalDeleteToEmptyAndRefill(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := inc.Maintain(); !errors.Is(err, ErrEmptyDB) {
+	if _, _, err := inc.MaintainContext(context.Background()); !errors.Is(err, ErrEmptyDB) {
 		t.Fatalf("Maintain on the emptied store: err = %v, want ErrEmptyDB", err)
 	}
 	for _, tx := range pool[200:260] {
@@ -753,7 +753,7 @@ func TestIncrementalIncompleteJournalFallsBack(t *testing.T) {
 	}
 	const minSup = 0.05
 	inc := &Incremental{}
-	res, stats, err := inc.Attach(store, minSup)
+	res, stats, err := inc.AttachContext(context.Background(), store, minSup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -838,7 +838,7 @@ func TestIncrementalCancelledCountKeepsDelta(t *testing.T) {
 			// Generous slack keeps the border out of reach, so every call
 			// here stays on the counting path the test is about.
 			inc := &Incremental{Workers: workers, TrackSlack: 0.5}
-			attached, _, err := inc.Attach(store, minSup)
+			attached, _, err := inc.AttachContext(context.Background(), store, minSup)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -859,7 +859,7 @@ func TestIncrementalCancelledCountKeepsDelta(t *testing.T) {
 				res, stats, err := inc.MaintainContext(ctx)
 				if errors.Is(err, context.Canceled) {
 					cancelled++
-					if inc.Result() != attached {
+					if inc.prev != attached {
 						t.Fatalf("cancelled after %d polls: the maintained result moved", polls)
 					}
 					continue
@@ -910,13 +910,13 @@ func TestIncrementalDetachEndsJournalling(t *testing.T) {
 	if journals(first) {
 		t.Fatal("a store no maintainer attached to is journalling")
 	}
-	if _, _, err := inc.Attach(first, 0.2); err != nil {
+	if _, _, err := inc.AttachContext(context.Background(), first, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	if !journals(first) {
 		t.Fatal("Attach did not start the journal")
 	}
-	if _, _, err := inc.Attach(second, 0.2); err != nil {
+	if _, _, err := inc.AttachContext(context.Background(), second, 0.2); err != nil {
 		t.Fatal(err)
 	}
 	if journals(first) || !journals(second) {
@@ -926,7 +926,7 @@ func TestIncrementalDetachEndsJournalling(t *testing.T) {
 	if journals(second) {
 		t.Fatal("Detach left the store journalling")
 	}
-	if _, _, err := inc.Maintain(); !errors.Is(err, ErrNotAttached) {
+	if _, _, err := inc.MaintainContext(context.Background()); !errors.Is(err, ErrNotAttached) {
 		t.Fatalf("Maintain after Detach: err = %v, want ErrNotAttached", err)
 	}
 }
@@ -956,7 +956,7 @@ func TestPassingSlotsProperty(t *testing.T) {
 				}
 			}
 			inc := &Incremental{}
-			if _, _, err := inc.Attach(store, minSup); err != nil {
+			if _, _, err := inc.AttachContext(context.Background(), store, minSup); err != nil {
 				t.Fatal(err)
 			}
 			next := base
@@ -991,7 +991,7 @@ func TestPassingSlotsProperty(t *testing.T) {
 					}
 				}
 				requirePassingSlots(t, name, inc, res.MinCount)
-				rows := slices.Collect(store.All())
+				rows := store.Snapshot().Transactions
 				if want := oracle.Canonical(oracle.Frequent(rows, minSup)); !bytes.Equal(res.Canonical(), want) {
 					t.Fatalf("%s: maintained result differs from the oracle", name)
 				}

@@ -1,6 +1,7 @@
 package assoc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -225,7 +226,7 @@ func BenchmarkMaintain(b *testing.B) {
 	fresh := db.Transactions[rows:]
 	store := transactions.NewShardedDBFrom(&transactions.DB{Transactions: db.Transactions[:rows]}, 1024)
 	inc := &Incremental{Workers: 2}
-	if _, _, err := inc.Attach(store, 0.002); err != nil {
+	if _, _, err := inc.AttachContext(context.Background(), store, 0.002); err != nil {
 		b.Fatal(err)
 	}
 	next, fullRuns := 0, 0
@@ -243,7 +244,7 @@ func BenchmarkMaintain(b *testing.B) {
 			}
 		}
 		b.StartTimer()
-		_, stats, err := inc.Maintain()
+		_, stats, err := inc.MaintainContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

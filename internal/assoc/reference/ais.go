@@ -31,7 +31,7 @@ func (a *AIS) Mine(db *transactions.DB, minSupport float64) (*assoc.Result, erro
 
 // MineContext implements assoc.Miner.
 func (a *AIS) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*assoc.Result, error) {
-	res, level, err := startResult(ctx, db, minSupport, nil)
+	res, level, err := startResult(ctx, db, minSupport)
 	if err != nil {
 		return res, err
 	}

@@ -30,7 +30,7 @@ func (a *AprioriTid) Mine(db *transactions.DB, minSupport float64) (*assoc.Resul
 
 // MineContext implements assoc.Miner.
 func (a *AprioriTid) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*assoc.Result, error) {
-	res, level, err := startResult(ctx, db, minSupport, nil)
+	res, level, err := startResult(ctx, db, minSupport)
 	if err != nil || len(level) == 0 {
 		return res, err
 	}
@@ -206,7 +206,7 @@ func (a *AprioriHybrid) Mine(db *transactions.DB, minSupport float64) (*assoc.Re
 
 // MineContext implements assoc.Miner.
 func (a *AprioriHybrid) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*assoc.Result, error) {
-	res, level, err := startResult(ctx, db, minSupport, nil)
+	res, level, err := startResult(ctx, db, minSupport)
 	if err != nil || len(level) == 0 {
 		return res, err
 	}

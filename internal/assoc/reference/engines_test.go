@@ -36,22 +36,6 @@ func TestAISCountsMoreCandidatesThanApriori(t *testing.T) {
 	}
 }
 
-func TestDHPBucketFilterKeepsResultExact(t *testing.T) {
-	// A tiny bucket table forces heavy collisions; results must still be
-	// exact because the filter only ever over-approximates.
-	for _, buckets := range []int{1, 2, 7} {
-		if got := mine(t, &DHP{NumBuckets: buckets}, paperDB(t), 0.5).Canonical(); !bytes.Equal(got, paperCanonical(t)) {
-			t.Errorf("buckets=%d: Canonical = %q, oracle %q", buckets, got, paperCanonical(t))
-		}
-	}
-}
-
-func TestDHPPairHashSymmetric(t *testing.T) {
-	if pairHash(3, 7, 97) != pairHash(7, 3, 97) {
-		t.Error("pairHash must be order-independent")
-	}
-}
-
 func TestHybridSwitches(t *testing.T) {
 	// With a huge budget the hybrid switches right after pass 2; with
 	// budget 1 it never switches (pure Apriori path). Either way the
@@ -294,7 +278,7 @@ func TestMineContextCancellation(t *testing.T) {
 	db := cancelFixture(t)
 	const minSup = 0.02
 	for _, m := range []assoc.Miner{
-		&AIS{}, &SETM{}, &AprioriTid{}, &AprioriHybrid{}, &DHP{}, &Partition{NumPartitions: 3}, &Sampling{Seed: 1},
+		&AIS{}, &SETM{}, &AprioriTid{}, &AprioriHybrid{}, &Partition{NumPartitions: 3}, &Sampling{Seed: 1},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
@@ -326,7 +310,7 @@ func TestScansPollContext(t *testing.T) {
 	l1, l2 := res.Levels[0], res.Levels[1]
 	scans := map[string]func(context.Context) error{
 		"pass 1": func(ctx context.Context) error {
-			_, _, err := startResult(ctx, db, 0.02, nil)
+			_, _, err := startResult(ctx, db, 0.02)
 			return err
 		},
 		"pass 2 triangle": func(ctx context.Context) error {
@@ -353,12 +337,5 @@ func TestScansPollContext(t *testing.T) {
 		if err := scan(newPollCtx(1)); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v after a cancellation at the second poll, want context.Canceled", name, err)
 		}
-	}
-
-	// DHP's pair-bucket scan is the pass-1 loop above with a visitor: a
-	// cancellation at its second poll ends the whole mine there.
-	dhp := newPollCtx(1)
-	if _, err := (&DHP{}).MineContext(dhp, db, 0.02); !errors.Is(err, context.Canceled) || dhp.polls.Load() != 2 {
-		t.Errorf("DHP pass 1: err = %v after %d polls, want context.Canceled after 2", err, dhp.polls.Load())
 	}
 }

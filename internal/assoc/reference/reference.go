@@ -4,23 +4,20 @@
 //   - AIS (Agrawal, Imielinski & Swami, SIGMOD'93)
 //   - SETM (Houtsma & Swami, 1995)
 //   - AprioriTid and AprioriHybrid (Agrawal & Srikant, VLDB'94)
-//   - DHP, direct hashing and pruning (Park, Chen & Yu, SIGMOD'95)
 //   - Partition (Savasere, Omiecinski & Navathe, VLDB'95)
 //   - Sampling (Toivonen, VLDB'96)
 //
-// All but DHP reproduce paper tables A1 to A6 (internal/experiments
-// constructs them directly); DHP runs in no table. Every one is pinned
-// byte-identical to assoc.Apriori, and its pass table pinned, by this
-// package's tests. Each is a serial assoc.Miner; none is registered with
-// the mining facade.
+// They reproduce paper tables A1 to A6 (internal/experiments constructs
+// them directly). Every one is pinned byte-identical to assoc.Apriori, and
+// its pass table pinned, by this package's tests. Each is a serial
+// assoc.Miner; none is registered with the mining facade.
 //
 // The engines keep their papers' algorithms but count with the kernels
 // the production scans use, so nothing here is a counting structure of its
-// own: pass 1 is transactions.CountItems (DHP hashes its pair buckets in
-// the same scan), AprioriHybrid's pass 2 is the triangle of
-// transactions.CountPairs, and every candidate set — the global scans of
-// Partition and Sampling and the Apriori passes of AprioriHybrid and DHP —
-// is counted by countCandidates in tid-bitset blocks
+// own: pass 1 is transactions.CountItems, AprioriHybrid's pass 2 is the
+// triangle of transactions.CountPairs, and every candidate set — the
+// global scans of Partition and Sampling and the Apriori passes of
+// AprioriHybrid — is counted by countCandidates in tid-bitset blocks
 // (transactions.CountTids), not by the VLDB'94 hash tree. Partition mines
 // its partitions with assoc.Eclat. Every scan polls its context every
 // ctxStride transactions (CountTids every block of at most 4096), the
@@ -55,9 +52,8 @@ func checkInput(db *transactions.DB, minSupport float64) (int, error) {
 
 // startResult validates the input, counts pass 1 and returns the Result
 // with that pass recorded (its candidates are the item universe) and L1,
-// in item order. L1 is not yet appended to the levels. A non-nil visit
-// sees every transaction of the pass-1 scan, after its items are counted.
-func startResult(ctx context.Context, db *transactions.DB, minSupport float64, visit func(transactions.Itemset)) (*assoc.Result, []assoc.ItemsetCount, error) {
+// in item order. L1 is not yet appended to the levels.
+func startResult(ctx context.Context, db *transactions.DB, minSupport float64) (*assoc.Result, []assoc.ItemsetCount, error) {
 	minCount, err := checkInput(db, minSupport)
 	if err != nil {
 		return &assoc.Result{}, nil, err
@@ -70,9 +66,6 @@ func startResult(ctx context.Context, db *transactions.DB, minSupport float64, v
 			}
 		}
 		transactions.CountItems(tx, counts)
-		if visit != nil {
-			visit(tx)
-		}
 	}
 	var l1 []assoc.ItemsetCount
 	for item, c := range counts {

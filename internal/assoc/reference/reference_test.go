@@ -33,15 +33,13 @@ func dbOf(t *testing.T, rows ...[]int) *transactions.DB {
 }
 
 // referenceMiners returns one instance of every reference engine, with
-// DHP, Partition and Sampling in two configurations each.
+// Partition and Sampling in two configurations each.
 func referenceMiners() []assoc.Miner {
 	return []assoc.Miner{
 		&AprioriTid{},
 		&AprioriHybrid{},
 		&AIS{},
 		&SETM{},
-		&DHP{},
-		&DHP{NumBuckets: 64},
 		&Partition{NumPartitions: 1},
 		&Partition{NumPartitions: 3},
 		&Sampling{Seed: 7},
@@ -130,17 +128,6 @@ var pinnedPasses = []struct {
 		0.02: {{1, 60, 41}, {2, 820, 461}, {3, 3167, 1424}, {4, 2921, 1612}, {5, 1258, 883}, {6, 308, 236}, {7, 36, 32}, {8, 2, 2}},
 	}},
 	{&AprioriHybrid{}, map[float64][][3]int{
-		0.1:  {{1, 60, 27}, {2, 351, 95}, {3, 218, 60}, {4, 26, 6}},
-		0.05: {{1, 60, 35}, {2, 595, 223}, {3, 927, 311}, {4, 360, 152}, {5, 35, 13}},
-		0.02: {{1, 60, 41}, {2, 820, 461}, {3, 3167, 1424}, {4, 2921, 1612}, {5, 1258, 883}, {6, 308, 236}, {7, 36, 32}, {8, 2, 2}},
-	}},
-	{&DHP{}, map[float64][][3]int{
-		0.1:  {{1, 60, 27}, {2, 95, 95}, {3, 218, 60}, {4, 26, 6}},
-		0.05: {{1, 60, 35}, {2, 223, 223}, {3, 927, 311}, {4, 360, 152}, {5, 35, 13}},
-		0.02: {{1, 60, 41}, {2, 461, 461}, {3, 3167, 1424}, {4, 2921, 1612}, {5, 1258, 883}, {6, 308, 236}, {7, 36, 32}, {8, 2, 2}},
-	}},
-	// 64 buckets all reach minCount: the filter admits Apriori's full C2.
-	{&DHP{NumBuckets: 64}, map[float64][][3]int{
 		0.1:  {{1, 60, 27}, {2, 351, 95}, {3, 218, 60}, {4, 26, 6}},
 		0.05: {{1, 60, 35}, {2, 595, 223}, {3, 927, 311}, {4, 360, 152}, {5, 35, 13}},
 		0.02: {{1, 60, 41}, {2, 820, 461}, {3, 3167, 1424}, {4, 2921, 1612}, {5, 1258, 883}, {6, 308, 236}, {7, 36, 32}, {8, 2, 2}},
@@ -314,7 +301,6 @@ func TestMinersMatchBruteForceProperty(t *testing.T) {
 //	Partition      NumPartitions<=1 degenerates to one partition
 //	Sampling       SampleFraction=0.2, LowerFactor=0.8
 //	AprioriHybrid  BudgetEntries=8*|D|
-//	DHP            NumBuckets=1<<16
 func TestZeroValueOptionDefaults(t *testing.T) {
 	db, err := synth.Baskets(synth.TxI(8, 3, 400, 31))
 	if err != nil {
@@ -328,7 +314,6 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 		{"Partition", &Partition{}, &Partition{NumPartitions: 1}},
 		{"Sampling", &Sampling{}, &Sampling{SampleFraction: 0.2, LowerFactor: 0.8}},
 		{"AprioriHybrid", &AprioriHybrid{}, &AprioriHybrid{BudgetEntries: 8 * 400}},
-		{"DHP", &DHP{}, &DHP{NumBuckets: 1 << 16}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if !bytes.Equal(mine(t, tc.zero, db, minSup).Canonical(), mine(t, tc.explicit, db, minSup).Canonical()) {

@@ -34,7 +34,7 @@ func (s *SETM) Mine(db *transactions.DB, minSupport float64) (*assoc.Result, err
 // MineContext implements assoc.Miner.
 func (s *SETM) MineContext(ctx context.Context, db *transactions.DB, minSupport float64) (*assoc.Result, error) {
 	// Pass 1: occurrence tuples for frequent single items.
-	res, level, err := startResult(ctx, db, minSupport, nil)
+	res, level, err := startResult(ctx, db, minSupport)
 	if err != nil || len(level) == 0 {
 		return res, err
 	}

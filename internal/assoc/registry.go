@@ -4,7 +4,7 @@ package assoc
 // names the public Algorithm option accepts, in the order
 // mining.Algorithms lists them. The slice literal is the compile-time
 // check that each one is an Engine. The reference engines (AIS, SETM,
-// AprioriTid, AprioriHybrid, DHP, Partition, Sampling) are not here: they
+// AprioriTid, AprioriHybrid, Partition, Sampling) are not here: they
 // live in internal/assoc/reference, and internal/experiments and that
 // package's tests construct them directly.
 func Registered() []Engine {

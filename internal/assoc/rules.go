@@ -22,12 +22,6 @@ type Rule struct {
 	Lift       float64
 }
 
-// String renders the rule as "{a} => {b} (sup=…, conf=…, lift=…)".
-func (r Rule) String() string {
-	return fmt.Sprintf("%v => %v (sup=%d, conf=%.3f, lift=%.3f)",
-		r.Antecedent, r.Consequent, r.Support, r.Confidence, r.Lift)
-}
-
 // ErrBadConfidence reports an out-of-range minimum confidence.
 var ErrBadConfidence = errors.New("assoc: minimum confidence must be in (0, 1]")
 

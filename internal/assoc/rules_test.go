@@ -2,6 +2,7 @@ package assoc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,6 +14,13 @@ import (
 	"repro/internal/synth"
 	"repro/internal/transactions"
 )
+
+// String renders the rule as "{a} => {b} (sup=…, conf=…, lift=…)": the
+// form the tests pin rule lists in and print them with.
+func (r Rule) String() string {
+	return fmt.Sprintf("%v => %v (sup=%d, conf=%.3f, lift=%.3f)",
+		r.Antecedent, r.Consequent, r.Support, r.Confidence, r.Lift)
+}
 
 func minedPaper(t *testing.T) *Result {
 	t.Helper()

@@ -159,26 +159,6 @@ func (c *Classifier) LogPosterior(row []float64) []float64 {
 	return scores
 }
 
-// Proba returns normalised class probabilities for the row.
-func (c *Classifier) Proba(row []float64) []float64 {
-	scores := c.LogPosterior(row)
-	max := scores[0]
-	for _, s := range scores[1:] {
-		if s > max {
-			max = s
-		}
-	}
-	total := 0.0
-	for i, s := range scores {
-		scores[i] = math.Exp(s - max)
-		total += scores[i]
-	}
-	for i := range scores {
-		scores[i] /= total
-	}
-	return scores
-}
-
 // Predict returns the most probable class for the row.
 func (c *Classifier) Predict(row []float64) int {
 	scores := c.LogPosterior(row)

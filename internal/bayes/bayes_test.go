@@ -66,28 +66,6 @@ func TestPredictSeparable(t *testing.T) {
 	}
 }
 
-func TestProbaSumsToOne(t *testing.T) {
-	tbl := smallTable(t)
-	c, err := Train(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := c.Proba([]float64{0, 1.0, 0})
-	sum := 0.0
-	for _, v := range p {
-		if v < 0 || v > 1 {
-			t.Errorf("probability out of range: %v", p)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("probabilities sum to %v", sum)
-	}
-	if p[0] <= p[1] {
-		t.Errorf("class a should dominate: %v", p)
-	}
-}
-
 func TestMissingValuesSkipped(t *testing.T) {
 	tbl := smallTable(t)
 	c, err := Train(tbl)
@@ -95,7 +73,7 @@ func TestMissingValuesSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	allMissing := []float64{dataset.Missing, dataset.Missing, 0}
-	p := c.Proba(allMissing)
+	p := c.LogPosterior(allMissing)
 	// With everything missing, posterior equals the prior: equal here.
 	if math.Abs(p[0]-p[1]) > 1e-9 {
 		t.Errorf("all-missing posterior = %v, want prior", p)

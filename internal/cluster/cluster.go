@@ -75,15 +75,6 @@ func Euclidean(a, b []float64) float64 {
 	return math.Sqrt(SquaredEuclidean(a, b))
 }
 
-// Manhattan returns the L1 distance.
-func Manhattan(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += math.Abs(a[i] - b[i])
-	}
-	return s
-}
-
 // validate checks the shared preconditions and returns (n, dims).
 func validate(points [][]float64) (int, int, error) {
 	if len(points) == 0 {
@@ -110,20 +101,6 @@ func validateK(points [][]float64, k int) (int, int, error) {
 		return 0, 0, fmt.Errorf("%w: k=%d, n=%d", ErrBadK, k, n)
 	}
 	return n, dims, nil
-}
-
-// SSE computes the sum of squared distances of each point to its assigned
-// center, skipping noise points.
-func SSE(points [][]float64, assignments []int, centers [][]float64) float64 {
-	total := 0.0
-	for i, p := range points {
-		a := assignments[i]
-		if a == Noise || a >= len(centers) {
-			continue
-		}
-		total += SquaredEuclidean(p, centers[a])
-	}
-	return total
 }
 
 // MedoidCost computes the sum of Euclidean distances of each point to its

@@ -96,36 +96,3 @@ func Silhouette(points [][]float64, labels []int) (float64, error) {
 	}
 	return total / float64(counted), nil
 }
-
-// Purity computes the weighted average, over found clusters, of the
-// fraction of each cluster taken by its dominant ground-truth class.
-// Noise points in found count against purity (they form no cluster).
-func Purity(found, truth []int) (float64, error) {
-	if len(found) != len(truth) {
-		return 0, ErrLabelLength
-	}
-	if len(found) == 0 {
-		return 1, nil
-	}
-	perCluster := make(map[int]map[int]int)
-	for i, c := range found {
-		if c == Noise {
-			continue
-		}
-		if perCluster[c] == nil {
-			perCluster[c] = make(map[int]int)
-		}
-		perCluster[c][truth[i]]++
-	}
-	correct := 0
-	for _, dist := range perCluster {
-		best := 0
-		for _, cnt := range dist {
-			if cnt > best {
-				best = cnt
-			}
-		}
-		correct += best
-	}
-	return float64(correct) / float64(len(found)), nil
-}

@@ -1,8 +1,8 @@
 // Package core is the internal registry facade of the library — the "data
-// mining techniques" toolbox the tutorial surveys, behind three small
-// interfaces: classifier trainers, clusterers, and pattern miners. The
-// experiment harness uses its registries to sweep every algorithm
-// uniformly, and the classifier/clusterer CLIs program against it. For
+// mining techniques" toolbox the tutorial surveys, behind two small
+// interfaces: classifier trainers and clusterers. The classification
+// experiments sweep its classifier registry, and the classifier/clusterer
+// CLIs program against it. For
 // frequent-itemset mining the public, versioned entry point is the
 // module-root mining package (context-aware Mine/MineStream and the
 // stateful mining.Session, which finally absorbs the incremental
@@ -22,7 +22,6 @@ import (
 	"repro/internal/knn"
 	"repro/internal/neural"
 	"repro/internal/rules"
-	"repro/internal/seqmine"
 	"repro/internal/tree"
 )
 
@@ -292,20 +291,4 @@ func (c *BIRCHClusterer) Name() string { return "birch" }
 // Cluster implements Clusterer.
 func (c *BIRCHClusterer) Cluster(points [][]float64) (*cluster.Result, error) {
 	return c.Run(points)
-}
-
-// PartitionClusterers returns the k-partitioning suite at a given k, the
-// EXP-C1 lineup.
-func PartitionClusterers(k int, seed int64) []Clusterer {
-	return []Clusterer{
-		&KMeansClusterer{cluster.KMeans{K: k, Seed: seed}},
-		&PAMClusterer{cluster.PAM{K: k}},
-		&CLARAClusterer{cluster.CLARA{K: k, Seed: seed}},
-		&CLARANSClusterer{cluster.CLARANS{K: k, Seed: seed}},
-	}
-}
-
-// SequenceMiners returns the sequential-pattern lineup of EXP-S1.
-func SequenceMiners() []seqmine.Miner {
-	return []seqmine.Miner{&seqmine.AprioriAll{}, &seqmine.GSP{}}
 }

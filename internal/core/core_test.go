@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/synth"
 )
 
@@ -115,7 +116,12 @@ func TestPartitionClusterers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range PartitionClusterers(3, 7) {
+	for _, c := range []Clusterer{
+		&KMeansClusterer{cluster.KMeans{K: 3, Seed: 7}},
+		&PAMClusterer{cluster.PAM{K: 3}},
+		&CLARAClusterer{cluster.CLARA{K: 3, Seed: 7}},
+		&CLARANSClusterer{cluster.CLARANS{K: 3, Seed: 7}},
+	} {
 		res, err := c.Cluster(p.X)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name(), err)
@@ -149,15 +155,5 @@ func TestDensityAndBirchAdapters(t *testing.T) {
 	}
 	if dbs.Name() != "dbscan" || birch.Name() != "birch" {
 		t.Error("adapter names wrong")
-	}
-}
-
-func TestSequenceMinersRegistry(t *testing.T) {
-	ms := SequenceMiners()
-	if len(ms) != 2 {
-		t.Fatalf("sequence miners = %d", len(ms))
-	}
-	if ms[0].Name() != "AprioriAll" || ms[1].Name() != "GSP" {
-		t.Errorf("names = %s, %s", ms[0].Name(), ms[1].Name())
 	}
 }

@@ -1,8 +1,7 @@
 // Package dataset provides the tabular data substrate shared by the
 // classification and clustering packages: typed attributes (numeric and
 // categorical), instances, an in-memory Table, CSV I/O with schema
-// inference, train/test splitting, and equal-width/equal-frequency
-// discretization.
+// inference, train/test splitting, and equal-frequency discretization.
 //
 // A Table stores every cell as a float64. Numeric attributes store the value
 // directly; categorical attributes store the index into the attribute's
@@ -14,10 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
-
-	"repro/internal/stats"
 )
 
 // AttributeKind distinguishes numeric from categorical attributes.
@@ -175,45 +170,6 @@ func (t *Table) AppendRow(row []float64) error {
 	return nil
 }
 
-// AppendLabeled adds a row given as string labels, converting each cell
-// according to the schema. Numeric cells must parse as floats; categorical
-// labels must already be in the attribute's value set. Empty strings and
-// "?" become missing values.
-func (t *Table) AppendLabeled(cells []string) error {
-	if len(cells) != len(t.Attributes) {
-		return fmt.Errorf("%w: got %d cells, want %d", ErrRowWidth, len(cells), len(t.Attributes))
-	}
-	row := make([]float64, len(cells))
-	for j, s := range cells {
-		v, err := t.parseCell(j, s)
-		if err != nil {
-			return err
-		}
-		row[j] = v
-	}
-	t.Rows = append(t.Rows, row)
-	return nil
-}
-
-func (t *Table) parseCell(j int, s string) (float64, error) {
-	if s == "" || s == "?" {
-		return Missing, nil
-	}
-	a := &t.Attributes[j]
-	if a.Kind == Numeric {
-		var v float64
-		if _, err := fmt.Sscanf(s, "%g", &v); err != nil {
-			return 0, fmt.Errorf("dataset: column %q: parsing %q: %w", a.Name, s, err)
-		}
-		return v, nil
-	}
-	idx := a.ValueIndex(s)
-	if idx < 0 {
-		return 0, fmt.Errorf("%w: column %q value %q", ErrUnknownLabel, a.Name, s)
-	}
-	return float64(idx), nil
-}
-
 // Column returns a copy of column j's cells.
 func (t *Table) Column(j int) ([]float64, error) {
 	if j < 0 || j >= len(t.Attributes) {
@@ -244,19 +200,6 @@ func (t *Table) CellLabel(i, j int) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// Clone returns a deep copy of the table.
-func (t *Table) Clone() *Table {
-	attrs := make([]Attribute, len(t.Attributes))
-	for i, a := range t.Attributes {
-		attrs[i] = Attribute{Name: a.Name, Kind: a.Kind, Values: append([]string(nil), a.Values...)}
-	}
-	rows := make([][]float64, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = append([]float64(nil), r...)
-	}
-	return &Table{Attributes: attrs, Rows: rows, ClassIndex: t.ClassIndex}
-}
-
 // Subset returns a table sharing this table's schema and containing copies
 // of the selected row indices.
 func (t *Table) Subset(rowIdx []int) *Table {
@@ -266,13 +209,6 @@ func (t *Table) Subset(rowIdx []int) *Table {
 		out.Rows = append(out.Rows, t.Rows[i])
 	}
 	return out
-}
-
-// Shuffle permutes the rows in place using rng.
-func (t *Table) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(t.Rows), func(i, j int) {
-		t.Rows[i], t.Rows[j] = t.Rows[j], t.Rows[i]
-	})
 }
 
 // Split partitions the table into two tables where the first receives
@@ -335,38 +271,4 @@ func (t *Table) MajorityClass() (int, error) {
 		}
 	}
 	return best, nil
-}
-
-// SummarizeColumn returns descriptive statistics for a numeric column,
-// skipping missing cells.
-func (t *Table) SummarizeColumn(j int) (stats.Summary, error) {
-	col, err := t.Column(j)
-	if err != nil {
-		return stats.Summary{}, err
-	}
-	vals := col[:0]
-	for _, v := range col {
-		if !IsMissing(v) {
-			vals = append(vals, v)
-		}
-	}
-	return stats.Summarize(vals)
-}
-
-// sortedUnique returns the sorted distinct non-missing values of xs.
-func sortedUnique(xs []float64) []float64 {
-	cp := make([]float64, 0, len(xs))
-	for _, v := range xs {
-		if !IsMissing(v) {
-			cp = append(cp, v)
-		}
-	}
-	sort.Float64s(cp)
-	out := cp[:0]
-	for i, v := range cp {
-		if i == 0 || v != cp[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
 }

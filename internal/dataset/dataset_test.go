@@ -84,34 +84,6 @@ func TestAppendRowValidation(t *testing.T) {
 	}
 }
 
-func TestAppendLabeled(t *testing.T) {
-	tbl := New(
-		NewNumericAttribute("x"),
-		NewCategoricalAttribute("c", "a", "b"),
-	)
-	if err := tbl.AppendLabeled([]string{"3.5", "b"}); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Rows[0][0] != 3.5 || tbl.Rows[0][1] != 1 {
-		t.Errorf("row = %v", tbl.Rows[0])
-	}
-	if err := tbl.AppendLabeled([]string{"?", ""}); err != nil {
-		t.Fatal(err)
-	}
-	if !IsMissing(tbl.Rows[1][0]) || !IsMissing(tbl.Rows[1][1]) {
-		t.Errorf("missing row = %v", tbl.Rows[1])
-	}
-	if err := tbl.AppendLabeled([]string{"1.0", "zzz"}); !errors.Is(err, ErrUnknownLabel) {
-		t.Errorf("unknown label error = %v", err)
-	}
-	if err := tbl.AppendLabeled([]string{"notanumber", "a"}); err == nil {
-		t.Error("bad numeric should error")
-	}
-	if err := tbl.AppendLabeled([]string{"1"}); !errors.Is(err, ErrRowWidth) {
-		t.Errorf("short labeled row error = %v", err)
-	}
-}
-
 func TestColumnAndCellLabel(t *testing.T) {
 	tbl := twoClassTable(t)
 	col, err := tbl.Column(0)
@@ -160,19 +132,6 @@ func TestClassHelpers(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	tbl := twoClassTable(t)
-	cp := tbl.Clone()
-	cp.Rows[0][0] = 99
-	cp.Attributes[1].Values[0] = "mutated"
-	if tbl.Rows[0][0] == 99 {
-		t.Error("Clone shares row storage")
-	}
-	if tbl.Attributes[1].Values[0] == "mutated" {
-		t.Error("Clone shares attribute values")
-	}
-}
-
 func TestSubset(t *testing.T) {
 	tbl := twoClassTable(t)
 	sub := tbl.Subset([]int{4, 0})
@@ -218,29 +177,6 @@ func TestSplitAlwaysNonEmpty(t *testing.T) {
 		if a.NumRows()+b.NumRows() != tbl.NumRows() {
 			t.Errorf("p=%v lost rows", p)
 		}
-	}
-}
-
-func TestShuffleDeterministic(t *testing.T) {
-	t1 := twoClassTable(t)
-	t2 := twoClassTable(t)
-	t1.Shuffle(rand.New(rand.NewSource(42)))
-	t2.Shuffle(rand.New(rand.NewSource(42)))
-	for i := range t1.Rows {
-		if t1.Rows[i][0] != t2.Rows[i][0] {
-			t.Fatal("same seed produced different shuffles")
-		}
-	}
-}
-
-func TestSummarizeColumn(t *testing.T) {
-	tbl := twoClassTable(t)
-	s, err := tbl.SummarizeColumn(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("summary = %+v", s)
 	}
 }
 
@@ -326,34 +262,6 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFitEqualWidth(t *testing.T) {
-	tbl := New(NewNumericAttribute("x"))
-	for _, v := range []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 10} {
-		if err := tbl.AppendRow([]float64{v}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d, err := FitEqualWidth(tbl, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumBins() != 5 {
-		t.Errorf("bins = %d", d.NumBins())
-	}
-	if got := d.Bin(0); got != 0 {
-		t.Errorf("Bin(0) = %d", got)
-	}
-	if got := d.Bin(10); got != 4 {
-		t.Errorf("Bin(10) = %d", got)
-	}
-	if got := d.Bin(2); got != 1 {
-		t.Errorf("Bin(2) = %d, want 1 (boundary goes up)", got)
-	}
-	if got := d.Bin(Missing); got != -1 {
-		t.Errorf("Bin(missing) = %d", got)
-	}
-}
-
 func TestFitEqualFrequency(t *testing.T) {
 	tbl := New(NewNumericAttribute("x"))
 	for i := 0; i < 100; i++ {
@@ -373,6 +281,12 @@ func TestFitEqualFrequency(t *testing.T) {
 		if n < 20 || n > 30 {
 			t.Errorf("bin %d count = %d, want ~25", b, n)
 		}
+	}
+	if got := d.Bin(d.Cuts[0]); got != 1 {
+		t.Errorf("Bin(%v) = %d, want 1 (boundary goes up)", d.Cuts[0], got)
+	}
+	if got := d.Bin(Missing); got != -1 {
+		t.Errorf("Bin(missing) = %d", got)
 	}
 }
 
@@ -394,51 +308,15 @@ func TestFitEqualFrequencyRepeatedValues(t *testing.T) {
 
 func TestDiscretizerErrors(t *testing.T) {
 	tbl := twoClassTable(t)
-	if _, err := FitEqualWidth(tbl, 0, 1); !errors.Is(err, ErrBadBins) {
+	if _, err := FitEqualFrequency(tbl, 0, 1); !errors.Is(err, ErrBadBins) {
 		t.Errorf("1 bin error = %v", err)
-	}
-	if _, err := FitEqualWidth(tbl, 1, 3); err == nil {
-		t.Error("categorical column should error")
 	}
 	if _, err := FitEqualFrequency(tbl, 1, 3); err == nil {
 		t.Error("categorical column should error")
 	}
 	empty := New(NewNumericAttribute("x"))
-	if _, err := FitEqualWidth(empty, 0, 3); !errors.Is(err, ErrEmptyTable) {
+	if _, err := FitEqualFrequency(empty, 0, 3); !errors.Is(err, ErrEmptyTable) {
 		t.Errorf("empty error = %v", err)
-	}
-}
-
-func TestDiscretizerApply(t *testing.T) {
-	tbl := New(NewNumericAttribute("x"), NewCategoricalAttribute("class", "a", "b"))
-	tbl.ClassIndex = 1
-	vals := []float64{0, 2, 4, 6, 8}
-	for i, v := range vals {
-		if err := tbl.AppendRow([]float64{v, float64(i % 2)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tbl.Rows[2][0] = Missing
-	d, err := FitEqualWidth(tbl, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := d.Apply(tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Attributes[0].Kind != Categorical {
-		t.Error("applied column should be categorical")
-	}
-	if !IsMissing(out.Rows[2][0]) {
-		t.Error("missing should stay missing")
-	}
-	if out.Rows[0][0] != 0 || out.Rows[4][0] != 1 {
-		t.Errorf("binned = %v, %v", out.Rows[0][0], out.Rows[4][0])
-	}
-	// Original untouched.
-	if tbl.Attributes[0].Kind != Numeric {
-		t.Error("Apply mutated source table")
 	}
 }
 
@@ -452,7 +330,7 @@ func TestDiscretizerProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := FitEqualWidth(tbl, 0, 7)
+	d, err := FitEqualFrequency(tbl, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,18 +349,5 @@ func TestDiscretizerProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSortedUnique(t *testing.T) {
-	got := sortedUnique([]float64{3, 1, 3, 2, Missing, 1})
-	want := []float64{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sortedUnique = %v", got)
-		}
 	}
 }

@@ -3,7 +3,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -20,42 +19,6 @@ type Discretizer struct {
 // ErrBadBins is returned when a discretizer is requested with fewer than
 // two bins.
 var ErrBadBins = errors.New("dataset: need at least two bins")
-
-// FitEqualWidth fits an equal-width discretizer with the given number of
-// bins on column j of t, ignoring missing values.
-func FitEqualWidth(t *Table, j, bins int) (*Discretizer, error) {
-	if bins < 2 {
-		return nil, ErrBadBins
-	}
-	col, err := t.Column(j)
-	if err != nil {
-		return nil, err
-	}
-	if t.Attributes[j].Kind != Numeric {
-		return nil, fmt.Errorf("dataset: column %q is not numeric", t.Attributes[j].Name)
-	}
-	min, max := math.Inf(1), math.Inf(-1)
-	for _, v := range col {
-		if IsMissing(v) {
-			continue
-		}
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	if min > max {
-		return nil, ErrEmptyTable
-	}
-	cuts := make([]float64, 0, bins-1)
-	width := (max - min) / float64(bins)
-	for i := 1; i < bins; i++ {
-		cuts = append(cuts, min+width*float64(i))
-	}
-	return &Discretizer{Column: j, Cuts: cuts}, nil
-}
 
 // FitEqualFrequency fits an equal-frequency discretizer on column j of t.
 // Duplicate cut points are collapsed, so fewer than bins bins may result on
@@ -110,32 +73,3 @@ const tinyEps = 1e-12
 
 // NumBins returns the number of bins the discretizer produces.
 func (d *Discretizer) NumBins() int { return len(d.Cuts) + 1 }
-
-// Apply replaces column d.Column of t with binned categorical values,
-// returning a new table. Missing values stay missing.
-func (d *Discretizer) Apply(t *Table) (*Table, error) {
-	if d.Column < 0 || d.Column >= len(t.Attributes) {
-		return nil, ErrColumnBounds
-	}
-	out := t.Clone()
-	labels := make([]string, d.NumBins())
-	for i := range labels {
-		lo, hi := "-inf", "+inf"
-		if i > 0 {
-			lo = fmt.Sprintf("%g", d.Cuts[i-1])
-		}
-		if i < len(d.Cuts) {
-			hi = fmt.Sprintf("%g", d.Cuts[i])
-		}
-		labels[i] = fmt.Sprintf("[%s,%s)", lo, hi)
-	}
-	out.Attributes[d.Column] = NewCategoricalAttribute(t.Attributes[d.Column].Name, labels...)
-	for i := range out.Rows {
-		v := out.Rows[i][d.Column]
-		if IsMissing(v) {
-			continue
-		}
-		out.Rows[i][d.Column] = float64(d.Bin(v))
-	}
-	return out, nil
-}

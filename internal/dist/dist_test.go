@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/fptree"
+	"repro/internal/oracle"
 	"repro/internal/transactions"
 )
 
@@ -148,7 +149,7 @@ func TestCountCandidatesMatchesSupport(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, cand := range cands {
-			if want := db.Support(cand); int(got[i]) != want {
+			if want := oracle.Support(db.Transactions, cand); int(got[i]) != want {
 				t.Errorf("support(%v) = %d, want %d", cand, got[i], want)
 			}
 		}

@@ -86,9 +86,6 @@ func (m *BaggedModel) Predict(row []float64) int {
 	return best
 }
 
-// Size returns the number of committee members.
-func (m *BaggedModel) Size() int { return len(m.trees) }
-
 // AdaBoost is AdaBoost.M1 over depth-limited trees.
 type AdaBoost struct {
 	Rounds int // zero means 20
@@ -209,6 +206,3 @@ func (m *BoostedModel) Predict(row []float64) int {
 	}
 	return best
 }
-
-// Size returns the number of committee members.
-func (m *BoostedModel) Size() int { return len(m.trees) }

@@ -43,8 +43,8 @@ func TestBaggingBeatsSingleTreeOnNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bag.Size() != 15 {
-		t.Errorf("committee size = %d", bag.Size())
+	if len(bag.trees) != 15 {
+		t.Errorf("committee size = %d", len(bag.trees))
 	}
 	singleAcc, bagAcc := accuracyOf(single, test), accuracyOf(bag, test)
 	if bagAcc < singleAcc-0.01 {
@@ -75,8 +75,8 @@ func TestAdaBoostBeatsStump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if boost.Size() < 2 {
-		t.Fatalf("committee size = %d", boost.Size())
+	if len(boost.trees) < 2 {
+		t.Fatalf("committee size = %d", len(boost.trees))
 	}
 	stumpAcc, boostAcc := accuracyOf(stump, test), accuracyOf(boost, test)
 	if boostAcc <= stumpAcc+0.03 {
@@ -144,8 +144,8 @@ func TestAdaBoostPerfectLearnerStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if boost.Size() > 5 {
-		t.Errorf("perfect learner should stop boosting early; size = %d", boost.Size())
+	if len(boost.trees) > 5 {
+		t.Errorf("perfect learner should stop boosting early; size = %d", len(boost.trees))
 	}
 	if acc := accuracyOf(boost, train); acc < 0.99 {
 		t.Errorf("training accuracy = %v", acc)

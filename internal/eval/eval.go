@@ -1,8 +1,7 @@
 // Package eval provides the model-evaluation harness used by the
 // classifier experiments: stratified k-fold cross-validation, confusion
 // matrices with the standard derived measures (accuracy, precision,
-// recall, F1), one-vs-rest AUC, and paired significance testing via
-// internal/stats. Cross-validation costs folds × one training plus one
+// recall, F1). Cross-validation costs folds × one training plus one
 // O(rows) scoring pass; everything is deterministic given the fold seed.
 package eval
 
@@ -28,7 +27,6 @@ var (
 	ErrBadFolds = errors.New("eval: folds must be in [2, n]")
 	ErrNoClass  = errors.New("eval: table has no categorical class attribute")
 	ErrNoRows   = errors.New("eval: empty table")
-	ErrShape    = errors.New("eval: mismatched slice lengths")
 )
 
 // ConfusionMatrix accumulates actual-vs-predicted counts.
@@ -228,88 +226,4 @@ func StratifiedFolds(t *dataset.Table, folds int, seed int64) ([]int, error) {
 		}
 	}
 	return foldOf, nil
-}
-
-// AUCBinary computes the area under the ROC curve given positive-class
-// scores and boolean labels, by the rank statistic (ties get half credit).
-func AUCBinary(scores []float64, positive []bool) (float64, error) {
-	if len(scores) != len(positive) {
-		return 0, ErrShape
-	}
-	nPos, nNeg := 0, 0
-	for _, p := range positive {
-		if p {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return 0, errors.New("eval: AUC needs both classes present")
-	}
-	type sc struct {
-		s   float64
-		pos bool
-	}
-	items := make([]sc, len(scores))
-	for i := range scores {
-		items[i] = sc{s: scores[i], pos: positive[i]}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i].s < items[j].s })
-	// Sum ranks of positives with average ranks for ties.
-	rankSum := 0.0
-	i := 0
-	for i < len(items) {
-		j := i
-		for j < len(items) && items[j].s == items[i].s {
-			j++
-		}
-		avgRank := float64(i+j+1) / 2 // ranks are 1-based: (i+1 + j) / 2
-		for k := i; k < j; k++ {
-			if items[k].pos {
-				rankSum += avgRank
-			}
-		}
-		i = j
-	}
-	auc := (rankSum - float64(nPos)*float64(nPos+1)/2) / (float64(nPos) * float64(nNeg))
-	return auc, nil
-}
-
-// ProbaClassifier is a classifier that also yields class probabilities,
-// enabling AUC computation.
-type ProbaClassifier interface {
-	Classifier
-	Proba(row []float64) []float64
-}
-
-// AUCOneVsRest computes the macro-averaged one-vs-rest AUC of a
-// probabilistic classifier on a table.
-func AUCOneVsRest(clf ProbaClassifier, t *dataset.Table) (float64, error) {
-	nClasses := t.NumClasses()
-	if nClasses < 2 {
-		return 0, ErrNoClass
-	}
-	scores := make([][]float64, nClasses)
-	labels := make([][]bool, nClasses)
-	for i, row := range t.Rows {
-		p := clf.Proba(row)
-		for c := 0; c < nClasses; c++ {
-			scores[c] = append(scores[c], p[c])
-			labels[c] = append(labels[c], t.Class(i) == c)
-		}
-	}
-	total, counted := 0.0, 0
-	for c := 0; c < nClasses; c++ {
-		auc, err := AUCBinary(scores[c], labels[c])
-		if err != nil {
-			continue // class absent in the evaluation set
-		}
-		total += auc
-		counted++
-	}
-	if counted == 0 {
-		return 0, errors.New("eval: no class had both positives and negatives")
-	}
-	return total / float64(counted), nil
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bayes"
 	"repro/internal/dataset"
 	"repro/internal/synth"
 	"repro/internal/tree"
@@ -150,65 +149,6 @@ func TestCrossValidateTrainerError(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Errorf("error = %v, want wrapped boom", err)
-	}
-}
-
-func TestAUCBinary(t *testing.T) {
-	// Perfect separation.
-	auc, err := AUCBinary([]float64{0.1, 0.2, 0.8, 0.9}, []bool{false, false, true, true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc != 1 {
-		t.Errorf("perfect AUC = %v", auc)
-	}
-	// Inverted.
-	auc, _ = AUCBinary([]float64{0.9, 0.8, 0.2, 0.1}, []bool{false, false, true, true})
-	if auc != 0 {
-		t.Errorf("inverted AUC = %v", auc)
-	}
-	// All ties: 0.5.
-	auc, _ = AUCBinary([]float64{0.5, 0.5, 0.5, 0.5}, []bool{false, false, true, true})
-	if auc != 0.5 {
-		t.Errorf("tied AUC = %v", auc)
-	}
-	// Known mixed case: scores 0.1(neg) 0.4(pos) 0.35(neg) 0.8(pos):
-	// pairs: (0.4>0.1)+(0.4>0.35)+(0.8>0.1)+(0.8>0.35) = 4/4 = 1.
-	auc, _ = AUCBinary([]float64{0.1, 0.4, 0.35, 0.8}, []bool{false, true, false, true})
-	if auc != 1 {
-		t.Errorf("mixed AUC = %v", auc)
-	}
-	if _, err := AUCBinary([]float64{1}, []bool{true, false}); !errors.Is(err, ErrShape) {
-		t.Errorf("shape error = %v", err)
-	}
-	if _, err := AUCBinary([]float64{1, 2}, []bool{true, true}); err == nil {
-		t.Error("single-class AUC should error")
-	}
-}
-
-func TestAUCOneVsRest(t *testing.T) {
-	train, err := synth.Classify(synth.ClassifyConfig{NumRows: 800, Function: 7, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	test, err := synth.Classify(synth.ClassifyConfig{NumRows: 400, Function: 7, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nb, err := bayes.Train(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	auc, err := AUCOneVsRest(nb, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if auc < 0.7 {
-		t.Errorf("AUC = %v, want informative classifier", auc)
-	}
-	noClass := dataset.New(dataset.NewNumericAttribute("x"))
-	if _, err := AUCOneVsRest(nb, noClass); err == nil {
-		t.Error("no-class AUC should error")
 	}
 }
 

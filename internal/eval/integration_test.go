@@ -7,14 +7,15 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/knn"
 	"repro/internal/rules"
-	"repro/internal/stats"
 	"repro/internal/synth"
 	"repro/internal/tree"
 )
 
 // TestSignificanceTreeVs1ROnComplexFunction ties the evaluation harness to
-// the significance machinery: on F3 (age × education interaction) the tree
-// must beat 1R with a significant paired t-test over fold accuracies.
+// a claim over paired folds: on F3 (age × education interaction) the tree
+// must beat 1R on every one of the 10 folds (a sign test puts that at
+// p = 2/1024 two-sided) and by at least 20 points of mean fold accuracy
+// (the gap reads about 28).
 func TestSignificanceTreeVs1ROnComplexFunction(t *testing.T) {
 	tbl, err := synth.Classify(synth.ClassifyConfig{NumRows: 1000, Function: 3, Seed: 9})
 	if err != nil {
@@ -32,18 +33,18 @@ func TestSignificanceTreeVs1ROnComplexFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tStat, df, p, err := stats.PairedTTest(treeRes.FoldAccuracy, oneRRes.FoldAccuracy)
-	if err != nil {
-		t.Fatal(err)
+	if len(treeRes.FoldAccuracy) != 10 || len(oneRRes.FoldAccuracy) != 10 {
+		t.Fatalf("fold accuracies: %d and %d, want 10 each", len(treeRes.FoldAccuracy), len(oneRRes.FoldAccuracy))
 	}
-	if df != 9 {
-		t.Errorf("df = %d", df)
+	var gap float64
+	for i, acc := range treeRes.FoldAccuracy {
+		if acc <= oneRRes.FoldAccuracy[i] {
+			t.Errorf("fold %d: tree %.3f <= 1R %.3f, tree should dominate", i, acc, oneRRes.FoldAccuracy[i])
+		}
+		gap += acc - oneRRes.FoldAccuracy[i]
 	}
-	if tStat <= 0 {
-		t.Errorf("t = %v, tree should dominate", tStat)
-	}
-	if p >= 0.01 {
-		t.Errorf("p = %v, want < 0.01 for a ~30-point accuracy gap", p)
+	if gap /= 10; gap < 0.2 {
+		t.Errorf("mean fold accuracy gap = %.3f, want >= 0.2", gap)
 	}
 }
 
@@ -77,46 +78,5 @@ func TestHarnessWorksWithEveryClassifierKind(t *testing.T) {
 		if res.Accuracy() <= 0.5 {
 			t.Errorf("%s: accuracy = %v", name, res.Accuracy())
 		}
-	}
-}
-
-// TestAUCAgreesWithAccuracyOrdering sanity-checks the AUC harness: a
-// classifier with clearly higher accuracy on F1 also has higher
-// one-vs-rest AUC than a near-random scorer.
-func TestAUCAgreesWithAccuracyOrdering(t *testing.T) {
-	train, err := synth.Classify(synth.ClassifyConfig{NumRows: 800, Function: 1, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	test, err := synth.Classify(synth.ClassifyConfig{NumRows: 400, Function: 1, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := bayes.Train(train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A "bad" model: naive Bayes trained on labels shuffled by row order
-	// (classes swapped for half the data).
-	spoiled := train.Clone()
-	for i := range spoiled.Rows {
-		if i%2 == 0 {
-			spoiled.Rows[i][spoiled.ClassIndex] = float64(1 - spoiled.Class(i))
-		}
-	}
-	bad, err := bayes.Train(spoiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	goodAUC, err := AUCOneVsRest(good, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	badAUC, err := AUCOneVsRest(bad, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if goodAUC <= badAUC {
-		t.Errorf("good AUC %v <= spoiled AUC %v", goodAUC, badAUC)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -72,16 +71,6 @@ func ByID(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("%w: %q", ErrUnknown, id)
-}
-
-// IDs returns all experiment ids sorted.
-func IDs() []string {
-	var out []string
-	for _, e := range All() {
-		out = append(out, e.ID)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // timeIt measures fn's wall-clock duration.

@@ -3,12 +3,17 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestRegistryComplete(t *testing.T) {
-	ids := IDs()
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
+	slices.Sort(ids)
 	want := []string{"A1", "A2", "A3", "A4", "A5", "A6", "C1", "C2", "C3", "C4", "E1", "F1", "K1", "P3", "Q1", "R1", "S1", "T1", "T2", "T3"}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v", ids)

@@ -77,12 +77,6 @@ func newWithParams(k, fanout, maxLeaf int) (*Tree, error) {
 	return &Tree{k: k, fanout: fanout, maxLeaf: maxLeaf, root: &node{}}, nil
 }
 
-// Len returns the number of candidates stored.
-func (t *Tree) Len() int { return t.size }
-
-// K returns the candidate length the tree was built for.
-func (t *Tree) K() int { return t.k }
-
 // Insert adds a candidate itemset with a zero count. The caller must not
 // insert duplicates; Apriori's candidate generation never produces them.
 func (t *Tree) Insert(items transactions.Itemset) (*Entry, error) {

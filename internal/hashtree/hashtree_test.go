@@ -34,7 +34,7 @@ func collect(n *node, dst []*Entry) []*Entry {
 
 // EntriesByID returns the stored entries in insertion order.
 func (t *Tree) EntriesByID() []*Entry {
-	out := make([]*Entry, t.Len())
+	out := make([]*Entry, t.size)
 	for _, e := range t.Entries(nil) {
 		out[e.id] = e
 	}
@@ -49,11 +49,11 @@ func TestInsertAndLen(t *testing.T) {
 	if _, err := tr.Insert(transactions.NewItemset(1, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 2 {
-		t.Errorf("Len = %d", tr.Len())
+	if tr.size != 2 {
+		t.Errorf("size = %d", tr.size)
 	}
-	if tr.K() != 2 {
-		t.Errorf("K = %d", tr.K())
+	if tr.k != 2 {
+		t.Errorf("k = %d", tr.k)
 	}
 	if _, err := tr.Insert(transactions.NewItemset(1, 2, 3)); !errors.Is(err, ErrWrongLength) {
 		t.Errorf("wrong-length error = %v", err)

@@ -241,26 +241,6 @@ func (n *Network) forward(input []float64, acts [][]float64) {
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
-// Proba returns the (normalised) output activations for the row.
-func (n *Network) Proba(row []float64) []float64 {
-	acts := make([][]float64, len(n.sizes))
-	n.forward(n.vectorize(row), acts)
-	out := acts[len(acts)-1]
-	total := 0.0
-	for _, v := range out {
-		total += v
-	}
-	probs := make([]float64, len(out))
-	for i, v := range out {
-		if total > 0 {
-			probs[i] = v / total
-		} else {
-			probs[i] = 1 / float64(len(out))
-		}
-	}
-	return probs
-}
-
 // Predict returns the class with the highest output activation.
 func (n *Network) Predict(row []float64) int {
 	acts := make([][]float64, len(n.sizes))

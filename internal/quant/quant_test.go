@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/oracle"
 	"repro/internal/synth"
 )
 
@@ -208,13 +209,7 @@ func TestIntervalSupportMatchesRows(t *testing.T) {
 				want++
 			}
 		}
-		got := 0
-		for _, tx := range db.Transactions {
-			if tx.Contains(id) {
-				got++
-			}
-		}
-		if got != want {
+		if got := oracle.Support(db.Transactions, []int{id}); got != want {
 			t.Errorf("item %d [%g,%g]: encoded %d, direct %d", id, it.Lo, it.Hi, got, want)
 		}
 	}

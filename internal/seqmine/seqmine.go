@@ -42,16 +42,6 @@ func FromSynth(raw []synth.Sequence) []Sequence {
 // Sequence is an ordered list of itemsets.
 type Sequence []transactions.Itemset
 
-// NumItems returns the total number of items across elements (the GSP
-// notion of sequence length).
-func (s Sequence) NumItems() int {
-	n := 0
-	for _, e := range s {
-		n += len(e)
-	}
-	return n
-}
-
 // Contains reports whether sub is a subsequence of s: each element of sub
 // is a subset of a distinct element of s, preserving order. The greedy
 // left-to-right match is correct because elements are matched independently.

@@ -2,6 +2,7 @@ package seqmine
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/synth"
@@ -68,9 +69,6 @@ func TestSequenceKeyStringEqual(t *testing.T) {
 	}
 	if s.Equal(Sequence{is(1, 2)}) {
 		t.Error("Equal true for different lengths")
-	}
-	if s.NumItems() != 3 {
-		t.Errorf("NumItems = %d", s.NumItems())
 	}
 }
 
@@ -341,7 +339,7 @@ func TestAnteMonotoneSupportsOnSynthetic(t *testing.T) {
 	// Dropping any item from a frequent sequence yields a frequent
 	// sequence with at least the same support.
 	for _, sc := range res.All() {
-		if sc.Seq.NumItems() < 2 {
+		if len(slices.Concat(sc.Seq...)) < 2 {
 			continue
 		}
 		for ei, elem := range sc.Seq {

@@ -16,7 +16,7 @@ func TestDurableRestartRoundTrip(t *testing.T) {
 	fs := wal.NewMemFS()
 	rows := fixtureRows(60, 16, 3)
 	srv := newTestServer(t, rows, Config{FS: fs, SnapshotEvery: 7})
-	if !srv.Durable() {
+	if srv.log == nil {
 		t.Fatal("server with FS not durable")
 	}
 	ctx := context.Background()

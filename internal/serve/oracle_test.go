@@ -180,7 +180,7 @@ func (r *oracleRun) step(name string) {
 		for ; live > 0; live-- { // newest first, so no long row outlives the store's size
 			r.enqueue(Op{Kind: OpDelete, TID: live - 1})
 		}
-		if v, err := r.flush(ctx); err != nil || !v.Empty() {
+		if v, err := r.flush(ctx); err != nil || v.res != nil {
 			r.fatalf("Flush after a drain did not publish an empty view (err %v)", err)
 		}
 	case "restart":
@@ -278,7 +278,7 @@ func (r *oracleRun) check(v *View, ops uint64, where string) {
 	if want := r.ref(ops); !bytes.Equal(v.Canonical(), oracle.Canonical(want.Result)) || !sameRules(v.Rules(), want.rules) || v.NumTx() != want.NumTx {
 		r.fatalf("%s: view %d (op %d, %d tx) is not the reference at op %d", where, v.Version(), v.Ops(), v.NumTx(), ops)
 	}
-	if st := v.MaintainStats(); st.FullRun {
+	if st := v.stats; st.FullRun {
 		r.cov["full-run view"]++
 	} else if st.DirtyShards > 0 && st.DirtyShards < st.NumShards {
 		r.cov["incremental view"]++

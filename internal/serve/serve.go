@@ -276,12 +276,6 @@ func (v *View) Ops() uint64 { return v.ops }
 // NumTx is the number of live transactions mined into this view.
 func (v *View) NumTx() int { return v.numTx }
 
-// MaintainStats reports the work of the Maintain that produced this view.
-func (v *View) MaintainStats() mining.MaintainStats { return v.stats }
-
-// Empty reports whether the view holds no mined result (empty store).
-func (v *View) Empty() bool { return v.res == nil }
-
 // Rules returns the published rule set at the server's confidence floor,
 // in assoc.GenerateRules order (confidence desc, support desc, then
 // antecedent and consequent order). The query index counts on the
@@ -515,9 +509,6 @@ func (s *Server) publish(v *View) { s.view.Store(v) }
 // first publish — has completed. The HTTP readiness endpoint serves 503
 // until it returns true.
 func (s *Server) Ready() bool { return s.ready.Load() }
-
-// Durable reports whether a write-ahead log is attached.
-func (s *Server) Durable() bool { return s.log != nil }
 
 // Recovered reports the op count reconstructed from the WAL at startup
 // and whether the data directory held any prior state (in which case the

@@ -121,8 +121,8 @@ func TestInitialPublish(t *testing.T) {
 func TestEmptyStartAndIngest(t *testing.T) {
 	srv := newTestServer(t, nil, Config{})
 	v := srv.View()
-	if v.Version() != 0 || !v.Empty() {
-		t.Fatalf("empty server start: version %d empty %v, want 0/true", v.Version(), v.Empty())
+	if v.Version() != 0 || v.res != nil {
+		t.Fatalf("empty server start: version %d empty %v, want 0/true", v.Version(), v.res == nil)
 	}
 	if _, ok := v.Support(1); ok {
 		t.Fatal("empty view reported a frequent itemset")
@@ -138,8 +138,8 @@ func TestEmptyStartAndIngest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if v2.Version() == 0 || v2.Empty() {
-		t.Fatalf("post-ingest view version %d empty %v", v2.Version(), v2.Empty())
+	if v2.Version() == 0 || v2.res == nil {
+		t.Fatalf("post-ingest view version %d empty %v", v2.Version(), v2.res == nil)
 	}
 	if v2.Ops() != uint64(len(rows)) {
 		t.Fatalf("view ops = %d, want %d", v2.Ops(), len(rows))
@@ -159,8 +159,8 @@ func TestDeleteToEmptyPublishesEmptyView(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if !v.Empty() || v.NumTx() != 0 {
-		t.Fatalf("drained store: view empty=%v numTx=%d, want empty", v.Empty(), v.NumTx())
+	if v.res != nil || v.NumTx() != 0 {
+		t.Fatalf("drained store: view empty=%v numTx=%d, want empty", v.res == nil, v.NumTx())
 	}
 	if len(v.Rules()) != 0 || v.Canonical() != nil {
 		t.Fatal("drained store still serves rules")

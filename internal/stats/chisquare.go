@@ -141,112 +141,3 @@ func gammaContinuedFraction(a, x float64) float64 {
 	}
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
-
-// PairedTTest performs a two-sided paired t-test on equal-length samples a
-// and b and returns the t statistic, degrees of freedom, and p-value. It is
-// used to compare per-fold cross-validation scores of two classifiers.
-func PairedTTest(a, b []float64) (t float64, df int, p float64, err error) {
-	if len(a) != len(b) {
-		return 0, 0, 0, errors.New("stats: paired samples differ in length")
-	}
-	if len(a) < 2 {
-		return 0, 0, 0, ErrEmpty
-	}
-	diffs := make([]float64, len(a))
-	for i := range a {
-		diffs[i] = a[i] - b[i]
-	}
-	m, _ := Mean(diffs)
-	v, _ := Variance(diffs)
-	n := float64(len(diffs))
-	if v == 0 {
-		if m == 0 {
-			return 0, len(diffs) - 1, 1, nil
-		}
-		return math.Inf(sign(m)), len(diffs) - 1, 0, nil
-	}
-	t = m / math.Sqrt(v/n)
-	df = len(diffs) - 1
-	return t, df, studentTSurvival2(math.Abs(t), float64(df)), nil
-}
-
-func sign(x float64) int {
-	if x < 0 {
-		return -1
-	}
-	return 1
-}
-
-// studentTSurvival2 returns the two-sided p-value P(|T| >= t) for Student's
-// t distribution with df degrees of freedom, via the regularized incomplete
-// beta function identity.
-func studentTSurvival2(t, df float64) float64 {
-	x := df / (df + t*t)
-	return regularizedIncompleteBeta(df/2, 0.5, x)
-}
-
-// regularizedIncompleteBeta computes I_x(a, b) using the continued-fraction
-// expansion (Numerical Recipes §6.4).
-func regularizedIncompleteBeta(a, b, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x >= 1 {
-		return 1
-	}
-	lgA, _ := math.Lgamma(a)
-	lgB, _ := math.Lgamma(b)
-	lgAB, _ := math.Lgamma(a + b)
-	front := math.Exp(lgAB - lgA - lgB + a*math.Log(x) + b*math.Log(1-x))
-	if x < (a+1)/(a+b+2) {
-		return front * betaCF(a, b, x) / a
-	}
-	return 1 - front*betaCF(b, a, 1-x)/b
-}
-
-func betaCF(a, b, x float64) float64 {
-	const maxIter = 500
-	const eps = 1e-14
-	const tiny = 1e-300
-	qab := a + b
-	qap := a + 1
-	qam := a - 1
-	c := 1.0
-	d := 1 - qab*x/qap
-	if math.Abs(d) < tiny {
-		d = tiny
-	}
-	d = 1 / d
-	h := d
-	for m := 1; m <= maxIter; m++ {
-		fm := float64(m)
-		m2 := 2 * fm
-		aa := fm * (b - fm) * x / ((qam + m2) * (a + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		h *= d * c
-		aa = -(a + fm) * (qab + fm) * x / ((a + m2) * (qap + m2))
-		d = 1 + aa*d
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = 1 + aa/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < eps {
-			break
-		}
-	}
-	return h
-}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,134 +9,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
-}
-
-func TestMean(t *testing.T) {
-	tests := []struct {
-		name string
-		in   []float64
-		want float64
-	}{
-		{"single", []float64{4}, 4},
-		{"pair", []float64{2, 4}, 3},
-		{"negatives", []float64{-1, 1, -3, 3}, 0},
-		{"fractional", []float64{1.5, 2.5, 3.5}, 2.5},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, err := Mean(tt.in)
-			if err != nil {
-				t.Fatalf("Mean(%v) error: %v", tt.in, err)
-			}
-			if !almostEqual(got, tt.want, 1e-12) {
-				t.Errorf("Mean(%v) = %v, want %v", tt.in, got, tt.want)
-			}
-		})
-	}
-}
-
-func TestMeanEmpty(t *testing.T) {
-	if _, err := Mean(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Mean(nil) error = %v, want ErrEmpty", err)
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	v, err := Variance(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sample variance with n-1 denominator: sum sq dev = 32, /7.
-	if want := 32.0 / 7.0; !almostEqual(v, want, 1e-12) {
-		t.Errorf("Variance = %v, want %v", v, want)
-	}
-	sd, err := StdDev(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := math.Sqrt(32.0 / 7.0); !almostEqual(sd, want, 1e-12) {
-		t.Errorf("StdDev = %v, want %v", sd, want)
-	}
-}
-
-func TestVarianceTooFew(t *testing.T) {
-	if _, err := Variance([]float64{1}); !errors.Is(err, ErrEmpty) {
-		t.Errorf("Variance single error = %v, want ErrEmpty", err)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	tests := []struct {
-		name string
-		in   []float64
-		want float64
-	}{
-		{"odd", []float64{3, 1, 2}, 2},
-		{"even", []float64{4, 1, 3, 2}, 2.5},
-		{"single", []float64{7}, 7},
-	}
-	for _, tt := range tests {
-		got, err := Median(tt.in)
-		if err != nil {
-			t.Fatalf("%s: %v", tt.name, err)
-		}
-		if got != tt.want {
-			t.Errorf("%s: Median = %v, want %v", tt.name, got, tt.want)
-		}
-	}
-}
-
-func TestMedianDoesNotMutate(t *testing.T) {
-	in := []float64{3, 1, 2}
-	if _, err := Median(in); err != nil {
-		t.Fatal(err)
-	}
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Errorf("Median mutated its input: %v", in)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.125, 1.5},
-	}
-	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	if _, err := Quantile(xs, 1.5); err == nil {
-		t.Error("Quantile(1.5) should error")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max, err := MinMax([]float64{3, -2, 8, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min != -2 || max != 8 {
-		t.Errorf("MinMax = (%v, %v), want (-2, 8)", min, max)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Errorf("Summarize = %+v", s)
-	}
 }
 
 func TestChiSquareIndependence(t *testing.T) {
@@ -215,44 +86,6 @@ func TestChiSquareSurvivalReferenceValues(t *testing.T) {
 		if !almostEqual(got, tt.want, 5e-4) {
 			t.Errorf("ChiSquareSurvival(%v, %d) = %v, want ~%v", tt.chi2, tt.df, got, tt.want)
 		}
-	}
-}
-
-func TestPairedTTest(t *testing.T) {
-	a := []float64{0.90, 0.85, 0.88, 0.92, 0.87}
-	b := []float64{0.80, 0.78, 0.81, 0.79, 0.80}
-	tStat, df, p, err := PairedTTest(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tStat <= 0 {
-		t.Errorf("t = %v, want positive (a > b)", tStat)
-	}
-	if df != 4 {
-		t.Errorf("df = %d, want 4", df)
-	}
-	if p >= 0.05 {
-		t.Errorf("p = %v, want < 0.05 for clearly separated samples", p)
-	}
-}
-
-func TestPairedTTestIdentical(t *testing.T) {
-	a := []float64{1, 2, 3}
-	_, _, p, err := PairedTTest(a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p != 1 {
-		t.Errorf("identical samples p = %v, want 1", p)
-	}
-}
-
-func TestPairedTTestErrors(t *testing.T) {
-	if _, _, _, err := PairedTTest([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, _, _, err := PairedTTest([]float64{1}, []float64{2}); err == nil {
-		t.Error("too-short samples should error")
 	}
 }
 

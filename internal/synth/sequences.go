@@ -14,15 +14,6 @@ import (
 // history, each element one transaction's itemset).
 type Sequence []transactions.Itemset
 
-// Clone returns a deep copy of the sequence.
-func (s Sequence) Clone() Sequence {
-	out := make(Sequence, len(s))
-	for i, e := range s {
-		out[i] = e.Clone()
-	}
-	return out
-}
-
 // SequenceConfig parameterises the customer-sequence generator using the
 // ICDE'95/EDBT'96 notation (the "C·T·S·I" datasets).
 type SequenceConfig struct {

@@ -174,23 +174,6 @@ func TestSequencesValidation(t *testing.T) {
 	}
 }
 
-func TestSequenceClone(t *testing.T) {
-	seqs, err := Sequences(C10T2S4I1(5, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp := seqs[0].Clone()
-	if len(cp) != len(seqs[0]) {
-		t.Fatal("clone length")
-	}
-	if len(cp[0]) > 0 {
-		cp[0][0] = -99
-		if seqs[0][0][0] == -99 {
-			t.Error("Clone shares storage")
-		}
-	}
-}
-
 func TestClassifyShapeAndDeterminism(t *testing.T) {
 	for fn := 1; fn <= NumClassifyFunctions; fn++ {
 		tbl, err := Classify(ClassifyConfig{NumRows: 500, Function: fn, Seed: 42})

@@ -133,7 +133,7 @@ func TestToVerticalBitsetMatchesContains(t *testing.T) {
 		member := make([]bool, db.Len())
 		found := false
 		for tid, tx := range db.Transactions {
-			member[tid] = tx.Contains(item)
+			member[tid] = slices.Contains(tx, item)
 			found = found || member[tid]
 		}
 		bits, ok := vb.Bits[item]

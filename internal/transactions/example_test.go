@@ -7,9 +7,9 @@ import (
 )
 
 // ExampleDB builds a small horizontal database and shows the invariants
-// the miners rely on: transactions normalise to sorted sets, support is a
-// containment count, and Shards hands out contiguous zero-copy views with
-// global tid bases for the count-distribution engine.
+// the miners rely on: transactions normalise to sorted sets, and Shards
+// hands out contiguous zero-copy views with global tid bases for the
+// count-distribution engine.
 func ExampleDB() {
 	db := transactions.NewDB()
 	if err := db.Add(3, 1, 2, 3); err != nil { // duplicates and order normalise away
@@ -20,14 +20,12 @@ func ExampleDB() {
 	}
 	fmt.Println("transactions:", db.Len(), "item universe:", db.NumItems())
 	fmt.Println("first:", db.Transactions[0])
-	fmt.Println("support of {2}:", db.Support(transactions.NewItemset(2)))
 	for _, sh := range db.Shards(2) {
 		fmt.Println("shard base", sh.Base, "size", len(sh.Transactions))
 	}
 	// Output:
 	// transactions: 2 item universe: 5
 	// first: {1, 2, 3}
-	// support of {2}: 2
 	// shard base 0 size 1
 	// shard base 1 size 1
 }
@@ -43,7 +41,7 @@ func ExampleShardedDB() {
 			panic(err)
 		}
 	}
-	fmt.Println("transactions:", store.Len(), "shards:", store.NumShards(), "cap:", store.ShardCap())
+	fmt.Println("transactions:", store.Len(), "shards:", store.NumShards())
 	fmt.Println("versions:", store.Version(0), store.Version(1))
 
 	if _, err := store.DeleteAt(0); err != nil { // dirties only shard 0
@@ -52,7 +50,7 @@ func ExampleShardedDB() {
 	fmt.Println("after delete:", store.Len(), "versions:", store.Version(0), store.Version(1))
 	fmt.Println("snapshot:", store.Snapshot().Len())
 	// Output:
-	// transactions: 70 shards: 2 cap: 64
+	// transactions: 70 shards: 2
 	// versions: 64 6
 	// after delete: 69 versions: 65 6
 	// snapshot: 69

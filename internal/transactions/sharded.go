@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"iter"
 	"slices"
 )
 
@@ -104,9 +103,6 @@ func NewShardedDBFrom(db *DB, shardCap int) *ShardedDB {
 	}
 	return s
 }
-
-// ShardCap returns the (normalised) per-shard transaction capacity.
-func (s *ShardedDB) ShardCap() int { return s.shardCap }
 
 // Len returns the number of live transactions.
 func (s *ShardedDB) Len() int { return s.total }
@@ -251,29 +247,9 @@ func (s *ShardedDB) ShardView(i int) (Shard, uint64) {
 // Version returns shard i's version counter.
 func (s *ShardedDB) Version(i int) uint64 { return s.shards[i].version }
 
-// All returns an iterator over the live transactions in global-id order,
-// as the store is now: it captures each shard's slice, so later mutations
-// do not change what it yields (see ShardedDB). The itemsets are shared
-// with the store; treat them as read-only.
-func (s *ShardedDB) All() iter.Seq[Itemset] {
-	parts := make([][]Itemset, len(s.shards))
-	for i, sh := range s.shards {
-		parts[i] = sh.txs
-	}
-	return func(yield func(Itemset) bool) {
-		for _, part := range parts {
-			for _, tx := range part {
-				if !yield(tx) {
-					return
-				}
-			}
-		}
-	}
-}
-
 // AppendStable appends the live transactions in global-id order to dst in
 // the stable binary snapshot format and returns the extended slice: the
-// same bytes as the package's AppendStable over the rows of All. Each
+// same bytes as the package's AppendStable over the rows of Snapshot. Each
 // shard's rows are encoded once per version and the exactly sized
 // encoding is kept, so a call re-encodes only the shards mutated since the
 // previous one and otherwise copies bytes; dst grows once. On a

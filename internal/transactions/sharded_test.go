@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
 func TestShardedDBCapNormalisation(t *testing.T) {
-	if got := NewShardedDB(0).ShardCap(); got != DefaultShardCap {
+	if got := NewShardedDB(0).shardCap; got != DefaultShardCap {
 		t.Fatalf("default cap = %d, want %d", got, DefaultShardCap)
 	}
-	if got := NewShardedDB(100).ShardCap(); got != 128 {
+	if got := NewShardedDB(100).shardCap; got != 128 {
 		t.Fatalf("cap 100 normalised to %d, want 128", got)
 	}
-	if got := NewShardedDB(64).ShardCap(); got != 64 {
+	if got := NewShardedDB(64).shardCap; got != 64 {
 		t.Fatalf("cap 64 normalised to %d, want 64", got)
 	}
 }
@@ -435,13 +434,13 @@ func TestShardedDBFrontDeleteAllocs(t *testing.T) {
 }
 
 // requireShardedStable checks s.AppendStable against the package's
-// AppendStable over the rows of All, after a prefix already in dst, and
+// AppendStable over the rows of Snapshot, after a prefix already in dst, and
 // checks the encoding cache it leaves: an emptied shard holds no
 // encoding, and every other shard's is exactly sized and stamped with the
 // shard's current version.
 func requireShardedStable(t *testing.T, step string, s *ShardedDB) {
 	t.Helper()
-	want, err := AppendStable([]byte("prefix"), slices.Collect(s.All()))
+	want, err := AppendStable([]byte("prefix"), s.Snapshot().Transactions)
 	if err != nil {
 		t.Fatal(err)
 	}

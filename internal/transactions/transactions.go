@@ -47,12 +47,6 @@ func NewItemset(items ...int) Itemset {
 	return Itemset(out)
 }
 
-// Contains reports whether the itemset contains item.
-func (s Itemset) Contains(item int) bool {
-	i := sort.SearchInts(s, item)
-	return i < len(s) && s[i] == item
-}
-
 // ContainsAll reports whether every item of sub is in s (subset test).
 // Both sets must be sorted, which NewItemset guarantees.
 func (s Itemset) ContainsAll(sub Itemset) bool {
@@ -231,17 +225,6 @@ func absoluteSupport(rel float64, numTx int) int {
 	n := int(rel*float64(numTx) + 0.999999999)
 	if n < 1 {
 		n = 1
-	}
-	return n
-}
-
-// Support counts the transactions containing every item of s.
-func (db *DB) Support(s Itemset) int {
-	n := 0
-	for _, t := range db.Transactions {
-		if t.ContainsAll(s) {
-			n++
-		}
 	}
 	return n
 }

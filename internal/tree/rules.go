@@ -66,32 +66,6 @@ func (tr *Tree) ExtractRules() []Rule {
 	return rules
 }
 
-// Matches reports whether the row satisfies every condition of the rule.
-// Missing values never match a condition.
-func (r Rule) Matches(attrs []dataset.Attribute, row []float64) bool {
-	for _, c := range r.Conditions {
-		v := row[c.Attr]
-		if dataset.IsMissing(v) {
-			return false
-		}
-		switch c.Op {
-		case "=":
-			if v != c.Value {
-				return false
-			}
-		case "<=":
-			if !(v <= c.Value) {
-				return false
-			}
-		case ">":
-			if !(v > c.Value) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Format renders the rule with attribute and class names.
 func (r Rule) Format(attrs []dataset.Attribute, class *dataset.Attribute) string {
 	var sb strings.Builder

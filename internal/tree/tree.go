@@ -409,12 +409,6 @@ func (tr *Tree) Predict(row []float64) int {
 // Size returns the number of nodes.
 func (tr *Tree) Size() int { return countNodes(tr.Root) }
 
-// Leaves returns the number of leaf nodes.
-func (tr *Tree) Leaves() int { return countLeaves(tr.Root) }
-
-// Depth returns the maximum root-to-leaf depth (a lone leaf has depth 1).
-func (tr *Tree) Depth() int { return depthOf(tr.Root) }
-
 func countNodes(n *Node) int {
 	if n == nil {
 		return 0
@@ -424,33 +418,6 @@ func countNodes(n *Node) int {
 		total += countNodes(c)
 	}
 	return total
-}
-
-func countLeaves(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	if n.IsLeaf() {
-		return 1
-	}
-	total := 0
-	for _, c := range n.Children {
-		total += countLeaves(c)
-	}
-	return total
-}
-
-func depthOf(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	best := 0
-	for _, c := range n.Children {
-		if d := depthOf(c); d > best {
-			best = d
-		}
-	}
-	return best + 1
 }
 
 // String renders an indented view of the tree.

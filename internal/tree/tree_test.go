@@ -2,6 +2,7 @@ package tree
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -37,11 +38,83 @@ func weatherTable(t *testing.T) *dataset.Table {
 		"rain,71,91,true,no",
 	}
 	for _, r := range rows {
-		if err := tbl.AppendLabeled(strings.Split(r, ",")); err != nil {
+		row := make([]float64, len(tbl.Attributes))
+		for j, cell := range strings.Split(r, ",") {
+			a := tbl.Attributes[j]
+			if a.Kind == dataset.Categorical {
+				row[j] = float64(a.ValueIndex(cell))
+				continue
+			}
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[j] = v
+		}
+		if err := tbl.AppendRow(row); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return tbl
+}
+
+// Leaves returns the number of leaf nodes.
+func (tr *Tree) Leaves() int { return countLeaves(tr.Root) }
+
+// Depth returns the maximum root-to-leaf depth (a lone leaf has depth 1).
+func (tr *Tree) Depth() int { return depthOf(tr.Root) }
+
+func countLeaves(n *Node) int {
+	if n == nil {
+		return 0
+	}
+	if n.IsLeaf() {
+		return 1
+	}
+	total := 0
+	for _, c := range n.Children {
+		total += countLeaves(c)
+	}
+	return total
+}
+
+func depthOf(n *Node) int {
+	if n == nil {
+		return 0
+	}
+	best := 0
+	for _, c := range n.Children {
+		if d := depthOf(c); d > best {
+			best = d
+		}
+	}
+	return best + 1
+}
+
+// Matches reports whether the row satisfies every condition of the rule.
+// Missing values never match a condition.
+func (r Rule) Matches(attrs []dataset.Attribute, row []float64) bool {
+	for _, c := range r.Conditions {
+		v := row[c.Attr]
+		if dataset.IsMissing(v) {
+			return false
+		}
+		switch c.Op {
+		case "=":
+			if v != c.Value {
+				return false
+			}
+		case "<=":
+			if !(v <= c.Value) {
+				return false
+			}
+		case ">":
+			if !(v > c.Value) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestBuildWeatherPerfectOnTraining(t *testing.T) {

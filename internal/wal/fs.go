@@ -217,16 +217,6 @@ func (m *MemFS) Crash(rng *rand.Rand) *MemFS {
 	return out
 }
 
-// SyncedBytes reports how many bytes of name are durable (test hook).
-func (m *MemFS) SyncedBytes(name string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if f, ok := m.files[name]; ok {
-		return f.synced
-	}
-	return 0
-}
-
 // memHandle is an open handle onto a memFile. It keeps the file pointer
 // (not the name), so a concurrent rename doesn't redirect writes — the
 // same semantics as a Unix file descriptor.

@@ -103,7 +103,6 @@ type Log struct {
 	f        File
 	seq      uint64
 	segStart uint64
-	snapOps  uint64
 	dirty    bool
 	failed   error
 	buf      []byte
@@ -129,7 +128,7 @@ func Open(fsys FS, opts Options) (*Log, *Recovery, error) {
 	if err := rec.repair(fsys); err != nil {
 		return nil, nil, err
 	}
-	l := &Log{fs: fsys, policy: opts.Policy, seq: rec.Ops, segStart: rec.Ops, snapOps: rec.SnapshotOps}
+	l := &Log{fs: fsys, policy: opts.Policy, seq: rec.Ops, segStart: rec.Ops}
 	if l.f, err = l.createSegment(l.segStart); err != nil {
 		return nil, nil, err
 	}
@@ -154,12 +153,6 @@ func (l *Log) createSegment(start uint64) (File, error) {
 	}
 	return f, nil
 }
-
-// Seq returns the sequence number of the last appended op.
-func (l *Log) Seq() uint64 { return l.seq }
-
-// SnapshotOps returns the op offset of the newest snapshot.
-func (l *Log) SnapshotOps() uint64 { return l.snapOps }
 
 // fail makes the log fail-stop on err and returns the wrapped error.
 func (l *Log) fail(err error) error {
@@ -266,7 +259,6 @@ func (l *Log) SnapshotFunc(ops uint64, appendRows func(dst []byte) ([]byte, erro
 	}
 	l.f = next
 	l.segStart = ops
-	l.snapOps = ops
 	l.dirty = false
 	l.gc(ops)
 	return nil

@@ -3,7 +3,7 @@
 // registers (level-wise Apriori, vertical Eclat, pattern-growth FPGrowth,
 // Auto — which picks a family after pass 2 — and the coordinator/worker
 // Distributed backend). The survey's first-generation miners (AIS, SETM,
-// AprioriTid, AprioriHybrid, DHP, Partition, Sampling) are reference
+// AprioriTid, AprioriHybrid, Partition, Sampling) are reference
 // engines, in internal/assoc/reference, and are not selectable here.
 //
 // # One-shot mining
@@ -63,6 +63,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/assoc"
 	"repro/internal/transactions"
@@ -247,7 +248,7 @@ func (r *Result) Level(k int) []ItemsetCount {
 // Itemsets returns every frequent itemset across levels, in level then
 // lexicographic order.
 func (r *Result) Itemsets() []ItemsetCount {
-	return convertLevel(r.res.All())
+	return convertLevel(slices.Concat(r.res.Levels...))
 }
 
 // Support returns the absolute support of the given itemset if it is

@@ -182,12 +182,18 @@ func (s *Session) Snapshot() *DB {
 // list. The rows are shared with the store; treat them as read-only.
 func (s *Session) All() iter.Seq[[]int] {
 	s.mu.Lock()
-	rows := s.store.All()
+	parts := make([][]transactions.Itemset, s.store.NumShards())
+	for i := range parts {
+		sh, _ := s.store.ShardView(i)
+		parts[i] = sh.Transactions
+	}
 	s.mu.Unlock()
 	return func(yield func([]int) bool) {
-		for row := range rows {
-			if !yield(row) {
-				return
+		for _, part := range parts {
+			for _, row := range part {
+				if !yield(row) {
+					return
+				}
 			}
 		}
 	}
