@@ -127,8 +127,9 @@ func runAssoc(args []string) error {
 	if err != nil {
 		return err
 	}
-	if faults != nil && !dist.Dist {
-		return fmt.Errorf("%w for assoc: -distfaults requires -dist", cliutil.ErrInvalidFlags)
+	distOpts, err := dist.Options(faults)
+	if err != nil {
+		return err
 	}
 	f, err := os.Open(*in)
 	if err != nil {
@@ -139,53 +140,37 @@ func runAssoc(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := []mining.Option{
+	opts := append([]mining.Option{
 		mining.MinSupport(sup.MinSup),
 		mining.Algorithm(*algo),
 		mining.Workers(cliutil.ResolveWorkers(*workers)),
-	}
+	}, distOpts...)
+	// The banner follows the facade's validation of the options, so it
+	// never names a combination mining rejects (-dist with Eclat is
+	// ErrBadOption).
+	announce := func() {}
 	if dist.Dist {
-		// Validate the engine before announcing anything: the banner must
-		// never name a combination mining.Mine is about to reject.
-		switch *algo {
-		case "Apriori", "FPGrowth", "Auto", "Distributed":
-		default:
-			return fmt.Errorf("-dist supports -algo Apriori or FPGrowth, not %q", *algo)
-		}
-		wn := dist.EffectiveWorkers()
-		opts = append(opts, mining.Transport(mining.LocalTransport(wn)))
-		fmt.Printf("distributed: %s engine over %d in-process workers (wire-codec transport)\n", *algo, wn)
-		if faults != nil {
-			opts = append(opts,
-				mining.Retry(mining.RetrySpec{
-					MaxAttempts: faults.Attempts,
-					CallTimeout: faults.Timeout,
-					Backoff:     faults.Backoff,
-					MaxBackoff:  faults.MaxBackoff,
-					Seed:        faults.Seed,
-				}),
-				mining.Faults(mining.FaultSpec{
-					Seed:           faults.Seed,
-					Drop:           faults.Drop,
-					Error:          faults.Err,
-					Kill:           faults.Kill,
-					Delay:          faults.Delay,
-					DelayProb:      faults.DelayProb,
-					PartitionAfter: faults.Partition,
-				}))
-			// Echo the resolved schedule so a run is reproducible from its
-			// own output.
-			fmt.Printf("fault injection: seed=%d drop=%.3g err=%.3g kill=%.3g delay=%s delayprob=%.3g partition=%d timeout=%s attempts=%d backoff=%s\n",
-				faults.Seed, faults.Drop, faults.Err, faults.Kill, faults.Delay,
-				faults.DelayProb, faults.Partition, faults.Timeout, faults.Attempts, faults.Backoff)
+		announce = func() {
+			fmt.Printf("distributed: %s engine over %d in-process workers (wire-codec transport)\n", *algo, dist.EffectiveWorkers())
+			if faults != nil {
+				// Echo the resolved schedule so a run is reproducible from
+				// its own output.
+				plan, retry := faults.Faults, faults.Retry
+				fmt.Printf("fault injection: seed=%d drop=%.3g err=%.3g kill=%.3g delay=%s delayprob=%.3g partition=%d timeout=%s attempts=%d backoff=%s\n",
+					plan.Seed, plan.Drop, plan.Error, plan.Kill, plan.Delay,
+					plan.DelayProb, plan.PartitionAfter, retry.CallTimeout, retry.MaxAttempts, retry.Backoff)
+			}
 		}
 	}
 	ctx := context.Background()
 	var res *mining.Result
 	if inc.Enabled {
-		res, err = runAssocIncremental(ctx, db, opts, inc)
+		res, err = runAssocIncremental(ctx, db, opts, inc, announce)
 	} else {
 		res, err = mining.Mine(ctx, db, opts...)
+		if err == nil {
+			announce()
+		}
 	}
 	if err != nil {
 		return err
@@ -220,13 +205,15 @@ func runAssoc(args []string) error {
 // counting only the transactions each step added or deleted unless the
 // negative border is crossed.
 // With -verify, every maintained result is checked byte-identical to a
-// one-shot Mine over a store snapshot with the same options.
-func runAssocIncremental(ctx context.Context, db *mining.DB, opts []mining.Option, inc *cliutil.IncrementalFlags) (*mining.Result, error) {
+// one-shot Mine over a store snapshot with the same options. announce runs
+// once NewSession has accepted the options, before anything else prints.
+func runAssocIncremental(ctx context.Context, db *mining.DB, opts []mining.Option, inc *cliutil.IncrementalFlags, announce func()) (*mining.Result, error) {
 	s, err := mining.NewSession(db, append(opts, mining.ShardCap(inc.ShardCap))...)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
+	announce()
 	res, stats, err := s.Maintain(ctx)
 	if err != nil {
 		return nil, err

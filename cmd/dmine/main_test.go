@@ -78,13 +78,14 @@ func TestRunAssocEndToEnd(t *testing.T) {
 	if err := runAssoc([]string{"-in", path, "-minsup", "0.3", "-minconf", "0.5"}); err != nil {
 		t.Fatalf("runAssoc: %v", err)
 	}
-	// The reference engines are not selectable: the name is rejected with
-	// the list of engines that are, and main exits 1.
-	for _, name := range []string{"AIS", "DHP"} {
+	// The reference engines are not selectable, nor is "Distributed"
+	// (-dist is its way in): the name is rejected with the list of
+	// engines that are, and main exits 1.
+	for _, name := range []string{"AIS", "DHP", "Distributed"} {
 		err := runAssoc([]string{"-in", path, "-algo", name})
 		if !errors.Is(err, mining.ErrUnknownAlgorithm) || cliutil.ExitCode(err) != 1 ||
-			!strings.Contains(err.Error(), "[Apriori Eclat FPGrowth Auto Distributed]") {
-			t.Errorf("-algo %s: err = %v (exit %d), want ErrUnknownAlgorithm listing the five engines", name, err, cliutil.ExitCode(err))
+			!strings.Contains(err.Error(), "[Apriori Eclat FPGrowth Auto]") {
+			t.Errorf("-algo %s: err = %v (exit %d), want ErrUnknownAlgorithm listing the four engines", name, err, cliutil.ExitCode(err))
 		}
 	}
 }
@@ -219,7 +220,14 @@ func TestRunAssocDistributed(t *testing.T) {
 	if err := runAssoc([]string{"-in", path, "-minsup", "0.3", "-algo", "FPGrowth", "-dist", "-distworkers", "2"}); err != nil {
 		t.Fatalf("distributed fpgrowth: %v", err)
 	}
-	if err := runAssoc([]string{"-in", path, "-minsup", "0.3", "-algo", "Eclat", "-dist"}); err == nil {
-		t.Error("-dist with a non-distributable engine should error")
+	// The facade owns the rule for which engines -dist takes, one-shot
+	// and incremental alike.
+	for _, algo := range []string{"Eclat", "Distributed"} {
+		for _, extra := range [][]string{nil, {"-incremental"}} {
+			args := append([]string{"-in", path, "-minsup", "0.3", "-algo", algo, "-dist"}, extra...)
+			if err := runAssoc(args); !errors.Is(err, mining.ErrBadOption) {
+				t.Errorf("%v: err = %v, want ErrBadOption", args, err)
+			}
+		}
 	}
 }

@@ -100,8 +100,9 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	if err != nil {
 		return err
 	}
-	if faults != nil && !dist.Dist {
-		return fmt.Errorf("%w for dmserve: -distfaults requires -dist", cliutil.ErrInvalidFlags)
+	distOpts, err := dist.Options(faults)
+	if err != nil {
+		return err
 	}
 	fsync, err := cliutil.ParseFsync(sf.Fsync)
 	if err != nil {
@@ -111,34 +112,16 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		return fmt.Errorf("%w for dmserve: -fsync and -snapshotevery require -data", cliutil.ErrInvalidFlags)
 	}
 
-	opts := []mining.Option{
+	opts := append([]mining.Option{
 		mining.Workers(cliutil.ResolveWorkers(*workers)),
 		mining.ShardCap(*shardCap),
-	}
+	}, distOpts...)
 	if dist.Dist {
-		wn := dist.EffectiveWorkers()
-		opts = append(opts, mining.Transport(mining.LocalTransport(wn)))
-		fmt.Fprintf(stdout, "distributed: counting over %d in-process workers (wire-codec transport)\n", wn)
+		fmt.Fprintf(stdout, "distributed: counting over %d in-process workers (wire-codec transport)\n", dist.EffectiveWorkers())
 		if faults != nil {
-			opts = append(opts,
-				mining.Retry(mining.RetrySpec{
-					MaxAttempts: faults.Attempts,
-					CallTimeout: faults.Timeout,
-					Backoff:     faults.Backoff,
-					MaxBackoff:  faults.MaxBackoff,
-					Seed:        faults.Seed,
-				}),
-				mining.Faults(mining.FaultSpec{
-					Seed:           faults.Seed,
-					Drop:           faults.Drop,
-					Error:          faults.Err,
-					Kill:           faults.Kill,
-					Delay:          faults.Delay,
-					DelayProb:      faults.DelayProb,
-					PartitionAfter: faults.Partition,
-				}))
+			plan, retry := faults.Faults, faults.Retry
 			fmt.Fprintf(stdout, "fault injection: seed=%d drop=%.3g err=%.3g kill=%.3g timeout=%s attempts=%d\n",
-				faults.Seed, faults.Drop, faults.Err, faults.Kill, faults.Timeout, faults.Attempts)
+				plan.Seed, plan.Drop, plan.Error, plan.Kill, retry.CallTimeout, retry.MaxAttempts)
 		}
 	}
 
@@ -167,7 +150,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	handler.Store(&starting)
 	httpSrv := serve.NewHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		(*handler.Load()).ServeHTTP(w, r)
-	}), serve.HTTPTimeouts{})
+	}))
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 

@@ -1,5 +1,5 @@
 // Package assoc is the production core of frequent-itemset mining: the
-// five engines the mining facade reaches and what they share.
+// engines the mining facade reaches and what they share.
 //
 //   - Apriori (Agrawal & Srikant, VLDB'94): level-wise candidate
 //     generation and counting
@@ -8,7 +8,8 @@
 //   - FPGrowth: candidate-free pattern growth over internal/fptree
 //   - Auto: shares passes 1 and 2, then finishes level-wise or by pattern
 //     growth as the measured C3 favours
-//   - Distributed: the same drivers over a dist.Coordinator's workers
+//   - Distributed: the same drivers over a dist.Coordinator's workers,
+//     reached only through the facade's Transport option
 //
 // plus confidence/lift rule generation (the ap-genrules procedure) and
 // FUP-style incremental maintenance (Incremental) over an updatable
@@ -59,11 +60,11 @@
 //
 // Every Miner honours context cancellation: hot loops poll the context
 // every ctxStride transactions, so MineContext returns promptly without
-// goroutine leaks. The five engines Registered lists are Engines: they
-// additionally report each completed pass to a hook and take a worker
-// count, which is what the public mining package builds its progress,
-// streaming and Workers features on. This package stays internal;
-// programs use the module-root mining facade.
+// goroutine leaks. The four engines Registered lists and Distributed are
+// Engines: they additionally report each completed pass to a hook and
+// take a worker count, which is what the public mining package builds its
+// progress, streaming and Workers features on. This package stays
+// internal; programs use the module-root mining facade.
 package assoc
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/synth"
 	"repro/internal/transactions"
 )
@@ -17,7 +18,7 @@ import (
 // internal/assoc/reference):
 //
 //	Workers        0 (and 1) mean serial, identical results at any count
-//	Distributed    Workers=1 transport, Engine=DistEngineApriori
+//	Distributed    Workers=1, Engine=DistEngineApriori
 //	Incremental    TrackSlack=0.8
 func TestZeroValueOptionDefaults(t *testing.T) {
 	db, err := synth.Baskets(synth.TxI(8, 3, 400, 31))
@@ -35,7 +36,8 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 		{name: "Eclat", zero: &Eclat{}, explicit: &Eclat{Workers: 1}},
 		{name: "FPGrowth", zero: &FPGrowth{}, explicit: &FPGrowth{Workers: 1}},
 		{name: "Auto", zero: &Auto{}, explicit: &Auto{Workers: 1}},
-		{name: "Distributed", zero: &Distributed{}, explicit: &Distributed{Workers: 1, Engine: DistEngineApriori}, closeBoth: true},
+		{name: "Distributed", zero: &Distributed{Transport: dist.NewLocalTransport(1, true)},
+			explicit: &Distributed{Transport: dist.NewLocalTransport(1, true), Workers: 1, Engine: DistEngineApriori}, closeBoth: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,13 +59,12 @@ func TestZeroValueOptionDefaults(t *testing.T) {
 		})
 	}
 
-	// Workers=0 is serial for every registered engine: byte-identical to
-	// the zero value and to an explicit 4-worker run.
-	for _, m := range Registered() {
+	// Workers=0 is serial for every registered engine and Distributed:
+	// byte-identical to the zero value and to an explicit 4-worker run.
+	d := &Distributed{Transport: dist.NewLocalTransport(1, true)}
+	defer d.Close()
+	for _, m := range append(Registered(), d) {
 		t.Run(m.Name()+"/workers", func(t *testing.T) {
-			if c, ok := m.(interface{ Close() error }); ok {
-				defer c.Close()
-			}
 			base, err := m.Mine(db, minSup)
 			if err != nil {
 				t.Fatal(err)

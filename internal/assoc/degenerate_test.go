@@ -15,7 +15,7 @@ import (
 // contract covers: allMiners plus Distributed, so every registered
 // engine. The cleanup func closes the distributed transport.
 func degenerateEngines() ([]Miner, func()) {
-	d := &Distributed{}
+	d := &Distributed{Transport: dist.NewLocalTransport(1, true)}
 	miners := append(allMiners(), d)
 	return miners, func() { d.Close() }
 }

@@ -41,15 +41,12 @@ const (
 // shards whose version changed since the last sync re-ship — the
 // dirty-shard protocol carried across the transport.
 type Distributed struct {
-	// Transport carries shards and count requests. nil lazily builds an
-	// in-process channel transport with Workers workers in encode mode
-	// (every message through the dist wire codec), so even the single-binary default pays (and measures) real
-	// serialization.
+	// Transport carries shards and count requests. It is required: a nil
+	// Transport is a programming error.
 	Transport dist.Transport
-	// Workers sizes the lazily built default transport and bounds the
-	// goroutines of everything that runs in this process: pattern growth's
-	// projection fan-out and, once degraded, the local scans. <= 1 means
-	// 1. It does not resize a Transport the caller provided.
+	// Workers bounds the goroutines of everything that runs in this
+	// process: pattern growth's projection fan-out and, once degraded, the
+	// local scans. <= 1 means 1. It does not resize the Transport.
 	Workers int
 	// Engine selects the mining strategy: DistEngineApriori (the default
 	// for "") or DistEngineFPGrowth. Both produce identical results.
@@ -79,8 +76,7 @@ type Distributed struct {
 // Name implements Miner.
 func (d *Distributed) Name() string { return "Distributed" }
 
-// SetWorkers implements Engine; it sizes the default transport, so
-// it must be called before the first Mine to take effect.
+// SetWorkers implements Engine.
 func (d *Distributed) SetWorkers(n int) { d.Workers = n }
 
 // SetPassHook implements Engine. The Apriori strategy emits final
@@ -88,36 +84,19 @@ func (d *Distributed) SetWorkers(n int) { d.Workers = n }
 // end, after the imported forest is mined (pass 1 carries a nil level).
 func (d *Distributed) SetPassHook(h PassHook) { d.hook = h }
 
-// Coordinator returns the engine's coordinator, creating the default
-// transport if none was provided — the handle tests and benchmarks use to
-// read traffic stats.
+// Coordinator returns the engine's coordinator over Transport, creating
+// it on first use — the handle tests and benchmarks use to read traffic
+// stats.
 func (d *Distributed) Coordinator() *dist.Coordinator {
 	if d.coord == nil {
-		t := d.Transport
-		if t == nil {
-			n := d.Workers
-			if n < 1 {
-				n = 1
-			}
-			t = dist.NewLocalTransport(n, true)
-			d.Transport = t
-		}
-		d.coord = dist.NewCoordinator(t)
+		d.coord = dist.NewCoordinator(d.Transport)
 	}
 	return d.coord
 }
 
-// Close releases the transport and its workers.
-// The engine is not usable afterwards. Consumers that obtain the engine
-// generically (Registered) can reach this through io.Closer; without a
-// Close the lazily built default transport's worker goroutines live until
-// process exit.
-func (d *Distributed) Close() error {
-	if d.Transport != nil {
-		return d.Transport.Close()
-	}
-	return nil
-}
+// Close releases the transport and its workers. The engine is not usable
+// afterwards.
+func (d *Distributed) Close() error { return d.Transport.Close() }
 
 // sync ships db as one contiguous shard per worker, versioned by a fresh
 // epoch per call because a plain DB carries no version stamps of its own,

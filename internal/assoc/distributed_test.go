@@ -102,22 +102,23 @@ func TestDistributedSyntheticWorkload(t *testing.T) {
 	}
 }
 
-// TestDistributedDefaultTransport checks the zero-value engine builds its
-// own in-process transport and still matches the local reference.
+// TestDistributedDefaultTransport checks an engine with only a Transport
+// set (every other field zero) matches the local reference, and that a
+// plain-DB re-mine re-ships every shard.
 func TestDistributedDefaultTransport(t *testing.T) {
 	db := randomDB(99)
 	want, err := (&Apriori{}).Mine(db, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &Distributed{}
+	d := &Distributed{Transport: dist.NewLocalTransport(1, true)}
 	defer d.Close()
 	got, err := d.Mine(db, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got.Canonical()) != string(want.Canonical()) {
-		t.Error("zero-value Distributed diverges from Apriori")
+		t.Error("Transport-only Distributed diverges from Apriori")
 	}
 	// Re-mining a plain DB opens a new epoch: everything re-ships, stale
 	// replicas can never alias a different database.

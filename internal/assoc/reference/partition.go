@@ -45,9 +45,15 @@ func (p *Partition) MineContext(ctx context.Context, db *transactions.DB, minSup
 	// Phase 1: local frequent itemsets per partition. Eclat's local
 	// minimum support is ceil(rel * partition size), the paper's
 	// guarantee that a globally frequent itemset is locally frequent
-	// somewhere. db.Partition never returns an empty partition.
+	// somewhere. db.Shards never returns an empty shard.
 	var byLen [][]transactions.Itemset
-	for _, part := range db.Partition(p.NumPartitions) {
+	for _, sh := range db.Shards(p.NumPartitions) {
+		part := transactions.NewDB()
+		for _, t := range sh.Transactions {
+			if err := part.Add(t...); err != nil {
+				return &assoc.Result{}, err
+			}
+		}
 		local, err := (&assoc.Eclat{}).MineContext(ctx, part, minSupport)
 		if err != nil {
 			return nil, err

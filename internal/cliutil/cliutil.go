@@ -3,7 +3,9 @@
 // path exit nonzero with consistent error text instead of whatever each
 // FlagSet improvised, and the mining flag groups of cmd/dmine and
 // cmd/dmserve (workers, support, incremental, distributed, fault
-// injection) registered with one help text and one resolution rule.
+// injection) registered with one help text and one resolution rule. The
+// distributed and fault-injection flags become mining options in one
+// place, DistFlags.Options.
 package cliutil
 
 import (
@@ -15,6 +17,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/mining"
 )
 
 // ErrInvalidFlags wraps every flag-parse failure Parse reports; commands
@@ -118,12 +122,14 @@ func AddIncrementalFlags(fs *flag.FlagSet) *IncrementalFlags {
 type DistFlags struct {
 	Dist    bool
 	Workers int
+
+	cmd string // the flag set's name, for error text
 }
 
 // AddDistFlags registers -dist with the given usage and -distworkers, the
 // in-process transport's worker count.
 func AddDistFlags(fs *flag.FlagSet, distUsage string) *DistFlags {
-	d := &DistFlags{}
+	d := &DistFlags{cmd: fs.Name()}
 	fs.BoolVar(&d.Dist, "dist", false, distUsage)
 	fs.IntVar(&d.Workers, "distworkers", 0,
 		"distributed: worker count for the in-process transport; 0 means GOMAXPROCS")
@@ -132,6 +138,25 @@ func AddDistFlags(fs *flag.FlagSet, distUsage string) *DistFlags {
 
 // EffectiveWorkers resolves -distworkers: <= 0 means GOMAXPROCS.
 func (d *DistFlags) EffectiveWorkers() int { return ResolveWorkers(d.Workers) }
+
+// Options maps -dist and a parsed -distfaults onto the mining options
+// that reach the distributed backend: Transport over EffectiveWorkers
+// in-process workers, plus Retry and Faults when faults is non-nil. With
+// -dist off it returns no options, or an error wrapping ErrInvalidFlags
+// when faults is non-nil, since -distfaults requires -dist.
+func (d *DistFlags) Options(faults *FaultSettings) ([]mining.Option, error) {
+	if !d.Dist {
+		if faults != nil {
+			return nil, fmt.Errorf("%w for %s: -distfaults requires -dist", ErrInvalidFlags, d.cmd)
+		}
+		return nil, nil
+	}
+	opts := []mining.Option{mining.Transport(mining.LocalTransport(d.EffectiveWorkers()))}
+	if faults != nil {
+		opts = append(opts, mining.Retry(faults.Retry), mining.Faults(faults.Faults))
+	}
+	return opts, nil
+}
 
 // ServeFlags are cmd/dmserve's serving-tier flags: the listen address,
 // the ingest/maintenance pacing knobs of internal/serve, and the
@@ -218,21 +243,11 @@ func AddFaultsFlag(fs *flag.FlagSet) *string {
 
 // FaultSettings is a parsed -distfaults value: the injection schedule
 // (seed, probabilities, delay, partition) plus the retry policy that
-// makes it survivable (timeout, attempts, backoff). It stays a plain
-// value type so cliutil depends on neither the mining facade nor
-// internal/dist; each command maps it onto its own types.
+// makes it survivable (timeout, attempts, backoff), held as the mining
+// specs DistFlags.Options applies. Both carry the schedule's seed.
 type FaultSettings struct {
-	Seed       int64
-	Drop       float64
-	Err        float64
-	Kill       float64
-	Delay      time.Duration
-	DelayProb  float64
-	Partition  int
-	Timeout    time.Duration
-	Attempts   int
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	Faults mining.FaultSpec
+	Retry  mining.RetrySpec
 }
 
 // ParseFaults parses a -distfaults schedule: comma-separated key=value
@@ -246,7 +261,10 @@ func ParseFaults(spec string) (*FaultSettings, error) {
 	if strings.TrimSpace(spec) == "" {
 		return nil, nil
 	}
-	f := &FaultSettings{Seed: 1, Attempts: 3, Backoff: 2 * time.Millisecond, Timeout: 250 * time.Millisecond}
+	f := &FaultSettings{
+		Faults: mining.FaultSpec{Seed: 1},
+		Retry:  mining.RetrySpec{MaxAttempts: 3, Backoff: 2 * time.Millisecond, CallTimeout: 250 * time.Millisecond},
+	}
 	bad := func(kv string, err error) error {
 		return fmt.Errorf("%w: -distfaults %q: %v", ErrInvalidFlags, kv, err)
 	}
@@ -262,27 +280,27 @@ func ParseFaults(spec string) (*FaultSettings, error) {
 		var err error
 		switch strings.ToLower(strings.TrimSpace(key)) {
 		case "seed":
-			f.Seed, err = strconv.ParseInt(val, 10, 64)
+			f.Faults.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "drop":
-			f.Drop, err = parseProb(val)
+			f.Faults.Drop, err = parseProb(val)
 		case "err", "error":
-			f.Err, err = parseProb(val)
+			f.Faults.Error, err = parseProb(val)
 		case "kill":
-			f.Kill, err = parseProb(val)
+			f.Faults.Kill, err = parseProb(val)
 		case "delayprob":
-			f.DelayProb, err = parseProb(val)
+			f.Faults.DelayProb, err = parseProb(val)
 		case "delay":
-			f.Delay, err = time.ParseDuration(val)
+			f.Faults.Delay, err = time.ParseDuration(val)
 		case "timeout":
-			f.Timeout, err = time.ParseDuration(val)
+			f.Retry.CallTimeout, err = time.ParseDuration(val)
 		case "backoff":
-			f.Backoff, err = time.ParseDuration(val)
+			f.Retry.Backoff, err = time.ParseDuration(val)
 		case "maxbackoff":
-			f.MaxBackoff, err = time.ParseDuration(val)
+			f.Retry.MaxBackoff, err = time.ParseDuration(val)
 		case "partition":
-			f.Partition, err = strconv.Atoi(val)
+			f.Faults.PartitionAfter, err = strconv.Atoi(val)
 		case "attempts":
-			f.Attempts, err = strconv.Atoi(val)
+			f.Retry.MaxAttempts, err = strconv.Atoi(val)
 		default:
 			return nil, bad(kv, errors.New("unknown key"))
 		}
@@ -290,12 +308,14 @@ func ParseFaults(spec string) (*FaultSettings, error) {
 			return nil, bad(kv, err)
 		}
 	}
-	if sum := f.Drop + f.Err + f.Kill; sum > 1 {
+	plan, retry := f.Faults, f.Retry
+	if sum := plan.Drop + plan.Error + plan.Kill; sum > 1 {
 		return nil, fmt.Errorf("%w: -distfaults: drop+err+kill = %v > 1", ErrInvalidFlags, sum)
 	}
-	if f.Attempts < 1 || f.Partition < 0 || f.Timeout < 0 || f.Delay < 0 || f.Backoff < 0 || f.MaxBackoff < 0 {
+	if retry.MaxAttempts < 1 || plan.PartitionAfter < 0 || retry.CallTimeout < 0 || plan.Delay < 0 || retry.Backoff < 0 || retry.MaxBackoff < 0 {
 		return nil, fmt.Errorf("%w: -distfaults: negative or zero values where positive ones are required", ErrInvalidFlags)
 	}
+	f.Retry.Seed = plan.Seed
 	return f, nil
 }
 

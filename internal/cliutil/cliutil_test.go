@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"io"
@@ -8,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/mining"
 )
 
 func TestParseInvalidFlags(t *testing.T) {
@@ -66,6 +69,80 @@ func TestParseValid(t *testing.T) {
 	}
 }
 
+// TestDistFlagsOptions pins the one mapping of -dist / -distfaults onto
+// mining options: nothing without -dist, Transport alone with it, Retry
+// and Faults added by a schedule, and -distfaults without -dist an
+// invalid-flags error. Mines over the returned options are byte-identical
+// to a local mine, and the schedule really reaches the transport: a
+// partition after the first call makes a pass degrade.
+func TestDistFlagsOptions(t *testing.T) {
+	var rows [][]int
+	for i := 0; i < 300; i++ {
+		rows = append(rows, []int{i % 7, 7 + i%5, 12 + i%3})
+	}
+	db, err := mining.NewDB(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	local, err := mining.Mine(ctx, db, mining.MinSupport(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	options := func(args ...string) ([]mining.Option, error) {
+		t.Helper()
+		fs := NewFlagSet("assoc")
+		fs.SetOutput(io.Discard)
+		d := AddDistFlags(fs, "dist usage")
+		spec := AddFaultsFlag(fs)
+		if err := Parse(fs, args); err != nil {
+			t.Fatal(err)
+		}
+		faults, err := ParseFaults(*spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d.Options(faults)
+	}
+
+	if opts, err := options(); opts != nil || err != nil {
+		t.Errorf("no -dist: %d options, %v; want none", len(opts), err)
+	}
+	_, err = options("-distfaults", "seed=3")
+	if !errors.Is(err, ErrInvalidFlags) || err.Error() != "invalid flags for assoc: -distfaults requires -dist" {
+		t.Errorf("-distfaults without -dist: err = %v", err)
+	}
+
+	for _, tc := range []struct {
+		args     []string
+		wantOpts int
+		degrade  bool
+	}{
+		{[]string{"-dist", "-distworkers", "2"}, 1, false},
+		{[]string{"-dist", "-distworkers", "2", "-distfaults", "seed=1,partition=1,attempts=1,timeout=50ms"}, 3, true},
+	} {
+		opts, err := options(tc.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if len(opts) != tc.wantOpts {
+			t.Errorf("%v: %d options, want %d", tc.args, len(opts), tc.wantOpts)
+		}
+		degraded := false
+		got, err := mining.Mine(ctx, db, append(opts, mining.MinSupport(0.05),
+			mining.Progress(func(p mining.PassStat) { degraded = degraded || p.Degraded }))...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if string(got.Canonical()) != string(local.Canonical()) {
+			t.Errorf("%v: mine differs from a local mine", tc.args)
+		}
+		if degraded != tc.degrade {
+			t.Errorf("%v: degraded = %v, want %v", tc.args, degraded, tc.degrade)
+		}
+	}
+}
+
 func TestParseFaultsDefaults(t *testing.T) {
 	for _, empty := range []string{"", "   "} {
 		if f, err := ParseFaults(empty); f != nil || err != nil {
@@ -78,8 +155,10 @@ func TestParseFaultsDefaults(t *testing.T) {
 	}
 	// A schedule with drops would hang by design without a call timeout,
 	// so the defaults must always carry one.
-	want := FaultSettings{Seed: 1, Drop: 0.05, Attempts: 3,
-		Backoff: 2 * time.Millisecond, Timeout: 250 * time.Millisecond}
+	want := FaultSettings{
+		Faults: mining.FaultSpec{Seed: 1, Drop: 0.05},
+		Retry:  mining.RetrySpec{MaxAttempts: 3, Backoff: 2 * time.Millisecond, CallTimeout: 250 * time.Millisecond, Seed: 1},
+	}
 	if *f != want {
 		t.Errorf("ParseFaults defaults = %+v, want %+v", *f, want)
 	}
@@ -91,15 +170,19 @@ func TestParseFaultsFullSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := FaultSettings{
-		Seed: 7, Drop: 0.05, Err: 0.1, Kill: 0.02,
-		Delay: time.Millisecond, DelayProb: 0.1, Partition: 40,
-		Timeout: 50 * time.Millisecond, Attempts: 5,
-		Backoff: 3 * time.Millisecond, MaxBackoff: 20 * time.Millisecond,
+		Faults: mining.FaultSpec{
+			Seed: 7, Drop: 0.05, Error: 0.1, Kill: 0.02,
+			Delay: time.Millisecond, DelayProb: 0.1, PartitionAfter: 40,
+		},
+		Retry: mining.RetrySpec{
+			CallTimeout: 50 * time.Millisecond, MaxAttempts: 5,
+			Backoff: 3 * time.Millisecond, MaxBackoff: 20 * time.Millisecond, Seed: 7,
+		},
 	}
 	if *f != want {
 		t.Errorf("ParseFaults full spec = %+v, want %+v", *f, want)
 	}
-	if g, err := ParseFaults("error=0.2"); err != nil || g.Err != 0.2 {
+	if g, err := ParseFaults("error=0.2"); err != nil || g.Faults.Error != 0.2 {
 		t.Errorf("'error' alias: %+v, %v", g, err)
 	}
 }
@@ -135,7 +218,7 @@ func TestAddFaultsFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Seed != 3 || f.Err != 0.1 {
+	if f.Faults.Seed != 3 || f.Retry.Seed != 3 || f.Faults.Error != 0.1 {
 		t.Errorf("round-trip = %+v", f)
 	}
 }

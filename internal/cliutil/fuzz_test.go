@@ -63,20 +63,21 @@ func FuzzParseFaults(f *testing.F) {
 			t.Fatal("accepted non-blank spec returned nil")
 		}
 		// Documented invariants of an accepted schedule.
+		plan, retry := got.Faults, got.Retry
 		for name, p := range map[string]float64{
-			"drop": got.Drop, "err": got.Err, "kill": got.Kill, "delayprob": got.DelayProb,
+			"drop": plan.Drop, "err": plan.Error, "kill": plan.Kill, "delayprob": plan.DelayProb,
 		} {
 			if !(p >= 0 && p <= 1) {
 				t.Fatalf("accepted %s=%v outside [0, 1]", name, p)
 			}
 		}
-		if sum := got.Drop + got.Err + got.Kill; sum > 1 {
+		if sum := plan.Drop + plan.Error + plan.Kill; sum > 1 {
 			t.Fatalf("accepted drop+err+kill=%v > 1", sum)
 		}
-		if got.Attempts < 1 {
-			t.Fatalf("accepted attempts=%d < 1", got.Attempts)
+		if retry.MaxAttempts < 1 {
+			t.Fatalf("accepted attempts=%d < 1", retry.MaxAttempts)
 		}
-		if got.Partition < 0 || got.Timeout < 0 || got.Delay < 0 || got.Backoff < 0 || got.MaxBackoff < 0 {
+		if plan.PartitionAfter < 0 || retry.CallTimeout < 0 || plan.Delay < 0 || retry.Backoff < 0 || retry.MaxBackoff < 0 {
 			t.Fatalf("accepted negative durations/counts: %+v", got)
 		}
 		// Parsing is deterministic: the same spec parses to the same

@@ -97,7 +97,8 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 // of holding the connection forever.
 func TestSlowlorisHeaderStallRejected(t *testing.T) {
 	srv := newTestServer(t, fixtureRows(40, 12, 6), Config{})
-	httpSrv := NewHTTPServer(srv.Handler(), HTTPTimeouts{ReadHeader: 150 * time.Millisecond})
+	httpSrv := NewHTTPServer(srv.Handler())
+	httpSrv.ReadHeaderTimeout = 150 * time.Millisecond
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +142,7 @@ func TestSlowlorisHeaderStallRejected(t *testing.T) {
 
 // TestNewHTTPServerDefaults pins the default slowloris guards.
 func TestNewHTTPServerDefaults(t *testing.T) {
-	hs := NewHTTPServer(http.NotFoundHandler(), HTTPTimeouts{})
+	hs := NewHTTPServer(http.NotFoundHandler())
 	if hs.ReadHeaderTimeout != 5*time.Second || hs.ReadTimeout != 60*time.Second ||
 		hs.IdleTimeout != 120*time.Second {
 		t.Fatalf("defaults: header %v read %v idle %v",

@@ -146,39 +146,24 @@ func StartingHandler() http.Handler {
 	return mux
 }
 
-// HTTPTimeouts are the slow-client guards of NewHTTPServer. Zero fields
-// take the defaults; production servers should not disable them — a
-// client trickling header bytes forever (slowloris) otherwise pins a
-// connection per drip.
-type HTTPTimeouts struct {
-	// ReadHeader bounds request-header reads (0 = 5s).
-	ReadHeader time.Duration
-	// Read bounds the whole request read, including ingest bodies
-	// (0 = 60s).
-	Read time.Duration
-	// Idle bounds keep-alive idleness between requests (0 = 120s).
-	Idle time.Duration
-}
+// The slow-client guards of NewHTTPServer. Without them a client
+// trickling header bytes forever (slowloris) pins a connection per drip.
+const (
+	readHeaderTimeout = 5 * time.Second   // request-header reads
+	readTimeout       = 60 * time.Second  // the whole request, ingest bodies included
+	idleTimeout       = 120 * time.Second // keep-alive idleness between requests
+)
 
 // NewHTTPServer wraps h in an http.Server with the slowloris guards
 // applied. Write deadlines are left off deliberately: flush and append
 // calls legitimately block on maintenance under load, and the read-side
 // timeouts already bound a malicious peer.
-func NewHTTPServer(h http.Handler, t HTTPTimeouts) *http.Server {
-	if t.ReadHeader == 0 {
-		t.ReadHeader = 5 * time.Second
-	}
-	if t.Read == 0 {
-		t.Read = 60 * time.Second
-	}
-	if t.Idle == 0 {
-		t.Idle = 120 * time.Second
-	}
+func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
-		ReadHeaderTimeout: t.ReadHeader,
-		ReadTimeout:       t.Read,
-		IdleTimeout:       t.Idle,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

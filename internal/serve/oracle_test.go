@@ -481,20 +481,25 @@ func (f snapFailFile) Sync() error {
 	return f.File.Sync()
 }
 
-// mineAll checks each engine's one-shot Mine, workers 1 and 4, after every op sent.
+// mineAll checks each engine's one-shot Mine, and the distributed
+// backend's through Transport, at workers 1 and 4 after every op sent.
 func (r *oracleRun) mineAll() {
 	rows := refFold(r.initial, r.sent)
 	if len(rows) == 0 {
 		return
 	}
 	want, db := r.ref(uint64(len(r.sent))), mustDB(r.t, rows)
-	for _, name := range mining.Algorithms() {
-		for _, workers := range []int{1, 4} {
-			res, err := mining.Mine(context.Background(), db, mining.Algorithm(name), mining.MinSupport(testMinSup), mining.Workers(workers))
-			if err != nil || !bytes.Equal(res.Canonical(), oracle.Canonical(want.Result)) {
-				r.fatalf("Mine(%s, workers %d) over %d rows is not the reference (err %v)", name, workers, len(rows), err)
-			}
+	mine := func(name string, workers int, backend mining.Option) {
+		res, err := mining.Mine(context.Background(), db, backend, mining.MinSupport(testMinSup), mining.Workers(workers))
+		if err != nil || !bytes.Equal(res.Canonical(), oracle.Canonical(want.Result)) {
+			r.fatalf("Mine(%s, workers %d) over %d rows is not the reference (err %v)", name, workers, len(rows), err)
 		}
+	}
+	for _, workers := range []int{1, 4} {
+		for _, name := range mining.Algorithms() {
+			mine(name, workers, mining.Algorithm(name))
+		}
+		mine("Distributed", workers, mining.Transport(mining.LocalTransport(workers)))
 	}
 }
 

@@ -172,6 +172,10 @@ func TestShards(t *testing.T) {
 		if len(shards) != wantShards {
 			t.Fatalf("Shards(%d) returned %d shards, want %d", n, len(shards), wantShards)
 		}
+		// Near-equal sizes, the remainder going to the first shards.
+		if d := len(shards[0].Transactions) - len(shards[len(shards)-1].Transactions); d < 0 || d > 1 {
+			t.Fatalf("Shards(%d): first and last shard sizes differ by %d", n, d)
+		}
 		// Shards must tile the database exactly, in order, with correct bases.
 		next := 0
 		for _, sh := range shards {

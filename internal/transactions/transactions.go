@@ -229,35 +229,6 @@ func absoluteSupport(rel float64, numTx int) int {
 	return n
 }
 
-// Partition splits the database into k contiguous chunks of near-equal
-// size, for the Partition algorithm. Fewer than k chunks are returned when
-// there are fewer than k transactions.
-func (db *DB) Partition(k int) []*DB {
-	if k < 1 {
-		k = 1
-	}
-	if k > len(db.Transactions) {
-		k = len(db.Transactions)
-	}
-	if k == 0 {
-		return nil
-	}
-	out := make([]*DB, 0, k)
-	per := len(db.Transactions) / k
-	rem := len(db.Transactions) % k
-	start := 0
-	for i := 0; i < k; i++ {
-		size := per
-		if i < rem {
-			size++
-		}
-		part := &DB{Transactions: db.Transactions[start : start+size], numItems: db.numItems}
-		out = append(out, part)
-		start += size
-	}
-	return out
-}
-
 // Shard is a zero-copy horizontal view of a contiguous run of the
 // database's transactions, for count-distribution parallelism: each worker
 // scans one shard into private counters which are merged after the pass.

@@ -171,36 +171,6 @@ func TestAbsoluteSupport(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	db := NewDB()
-	for i := 0; i < 10; i++ {
-		mustAdd(t, db, i)
-	}
-	parts := db.Partition(3)
-	if len(parts) != 3 {
-		t.Fatalf("parts = %d", len(parts))
-	}
-	total := 0
-	for _, p := range parts {
-		total += p.Len()
-		if p.NumItems() != db.NumItems() {
-			t.Error("partition lost NumItems")
-		}
-	}
-	if total != 10 {
-		t.Errorf("total = %d", total)
-	}
-	if parts[0].Len()-parts[2].Len() > 1 {
-		t.Errorf("unbalanced: %d vs %d", parts[0].Len(), parts[2].Len())
-	}
-	// More parts than transactions.
-	small := NewDB()
-	mustAdd(t, small, 1)
-	if got := small.Partition(5); len(got) != 1 {
-		t.Errorf("over-partition = %d parts", len(got))
-	}
-}
-
 func TestReadWriteBasket(t *testing.T) {
 	in := "1 2 3\n\n# comment\n2 3\n5\n"
 	db, err := ReadBasket(strings.NewReader(in))

@@ -51,8 +51,6 @@ type Config struct {
 	// MinLeaf is the minimum number of training rows in a leaf; zero
 	// means 1.
 	MinLeaf int
-	// MinGain is the smallest split quality worth splitting on.
-	MinGain float64
 }
 
 // Node is a tree node. Leaves have Attr == -1.
@@ -100,7 +98,7 @@ func Build(t *dataset.Table, cfg Config) (*Tree, error) {
 	if t.NumClasses() < 1 {
 		return nil, ErrNoClass
 	}
-	if cfg.MinLeaf < 0 || cfg.MaxDepth < 0 || cfg.MinGain < 0 {
+	if cfg.MinLeaf < 0 || cfg.MaxDepth < 0 {
 		return nil, ErrBadConfig
 	}
 	if cfg.MinLeaf == 0 {
@@ -166,7 +164,7 @@ func (b *builder) build(rows []int, depth int) *Node {
 		return node
 	}
 	attr, threshold, gain, parts := b.bestSplit(rows, counts)
-	if attr < 0 || gain <= b.cfg.MinGain {
+	if attr < 0 || gain <= 0 {
 		return node
 	}
 	node.Attr = attr

@@ -24,26 +24,26 @@ func waitForGoroutines(t *testing.T, want int) {
 }
 
 // TestCancelMidMine is the cancellation property test of the issue: for
-// every registered engine at workers 1 and 4, cancelling mid-pass (from
-// the first Progress event, so the mine is provably underway) returns
-// context.Canceled promptly and leaks no goroutines.
+// every backend (each registered engine and the distributed one) at
+// workers 1 and 4, cancelling mid-pass (from the first Progress event, so
+// the mine is provably underway) returns context.Canceled promptly and
+// leaks no goroutines.
 func TestCancelMidMine(t *testing.T) {
 	db, _ := testData(t, 2000, 21)
-	for _, name := range Algorithms() {
-		for _, workers := range []int{1, 4} {
+	for _, workers := range []int{1, 4} {
+		for _, b := range backends(workers) {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			start := time.Now()
-			res, err := Mine(ctx, db,
-				Algorithm(name), MinSupport(0.01), Workers(workers),
-				Progress(func(PassStat) { cancel() }))
+			res, err := Mine(ctx, db, append([]Option{MinSupport(0.01),
+				Progress(func(PassStat) { cancel() })}, b.opts...)...)
 			elapsed := time.Since(start)
 			cancel()
 			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s workers=%d: err = %v (res=%v), want context.Canceled", name, workers, err, res)
+				t.Errorf("%s workers=%d: err = %v (res=%v), want context.Canceled", b.name, workers, err, res)
 			}
 			if elapsed > 5*time.Second {
-				t.Errorf("%s workers=%d: cancellation took %v", name, workers, elapsed)
+				t.Errorf("%s workers=%d: cancellation took %v", b.name, workers, elapsed)
 			}
 			waitForGoroutines(t, before)
 		}
@@ -51,14 +51,19 @@ func TestCancelMidMine(t *testing.T) {
 }
 
 // TestCancelBeforeMine pins the fast path: an already-cancelled context
-// returns context.Canceled without scanning anything.
+// returns context.Canceled from every backend without scanning anything,
+// and a distributed mine leaves no transport worker running.
 func TestCancelBeforeMine(t *testing.T) {
 	db, _ := testData(t, 200, 23)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, name := range Algorithms() {
-		if _, err := Mine(ctx, db, Algorithm(name), MinSupport(0.01)); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+	for _, workers := range []int{1, 4} {
+		for _, b := range backends(workers) {
+			before := runtime.NumGoroutine()
+			if _, err := Mine(ctx, db, append([]Option{MinSupport(0.01)}, b.opts...)...); !errors.Is(err, context.Canceled) {
+				t.Errorf("%s workers=%d: err = %v, want context.Canceled", b.name, workers, err)
+			}
+			waitForGoroutines(t, before)
 		}
 	}
 }

@@ -1,10 +1,11 @@
 // Package mining is the public, versioned frequent-itemset mining API of
-// this module — the single way in to the five engines internal/assoc
+// this module — the single way in to the four engines internal/assoc
 // registers (level-wise Apriori, vertical Eclat, pattern-growth FPGrowth,
-// Auto — which picks a family after pass 2 — and the coordinator/worker
-// Distributed backend). The survey's first-generation miners (AIS, SETM,
-// AprioriTid, AprioriHybrid, Partition, Sampling) are reference
-// engines, in internal/assoc/reference, and are not selectable here.
+// and Auto, which picks a family after pass 2) and to the
+// coordinator/worker distributed backend, which the Transport option
+// selects. The survey's first-generation miners (AIS, SETM, AprioriTid,
+// AprioriHybrid, Partition, Sampling) are reference engines, in
+// internal/assoc/reference, and are not selectable here.
 //
 // # One-shot mining
 //

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/assoc"
+	"repro/internal/dist"
 	"repro/internal/synth"
 	"repro/internal/transactions"
 )
@@ -26,60 +27,82 @@ func testData(t *testing.T, numTx int, seed int64) (*DB, *transactions.DB) {
 	return &DB{db: tdb}, tdb
 }
 
+// backend selects one way of mining: a registered engine by name, or the
+// distributed backend, which only the Transport option reaches.
+type backend struct {
+	name string
+	opts []Option
+}
+
+// backends returns every registered engine plus the distributed backend
+// over a workers-wide in-process transport, each at Workers(workers): the
+// set every cross-engine contract of the facade runs over.
+func backends(workers int) []backend {
+	bs := make([]backend, 0, len(Algorithms())+1)
+	for _, name := range Algorithms() {
+		bs = append(bs, backend{name, []Option{Algorithm(name), Workers(workers)}})
+	}
+	return append(bs, backend{"Distributed", []Option{Transport(LocalTransport(workers)), Workers(workers)}})
+}
+
 // TestMineMatchesInternalCallPaths is the facade's byte-identity
-// contract: for every registered engine, mining through the public API
-// produces a Canonical encoding identical to the pre-facade internal call
-// path, at workers 1 and 4.
+// contract: for every backend, mining through the public API produces a
+// Canonical encoding identical to the pre-facade internal call path, at
+// workers 1 and 4.
 func TestMineMatchesInternalCallPaths(t *testing.T) {
 	db, tdb := testData(t, 600, 7)
 	const minSup = 0.01
-	for _, name := range Algorithms() {
-		for _, workers := range []int{1, 4} {
-			old, err := internalMine(name, tdb, minSup, workers)
+	for _, workers := range []int{1, 4} {
+		for _, b := range backends(workers) {
+			old, err := internalMine(b.name, tdb, minSup, workers)
 			if err != nil {
-				t.Fatalf("%s internal: %v", name, err)
+				t.Fatalf("%s internal: %v", b.name, err)
 			}
-			got, err := Mine(context.Background(), db,
-				Algorithm(name), MinSupport(minSup), Workers(workers))
+			got, err := Mine(context.Background(), db, append([]Option{MinSupport(minSup)}, b.opts...)...)
 			if err != nil {
-				t.Fatalf("%s facade: %v", name, err)
+				t.Fatalf("%s facade: %v", b.name, err)
 			}
 			if string(got.Canonical()) != string(old.Canonical()) {
-				t.Errorf("%s workers=%d: facade result differs from internal call path", name, workers)
+				t.Errorf("%s workers=%d: facade result differs from internal call path", b.name, workers)
 			}
 		}
 	}
 }
 
 // internalMine runs the pre-facade call path: a registry engine configured
-// by SetWorkers, closed if it owns resources.
+// by SetWorkers, or for "Distributed" the engine over a workers-wide
+// in-process transport.
 func internalMine(name string, db *transactions.DB, minSup float64, workers int) (*assoc.Result, error) {
+	if name == "Distributed" {
+		d := &assoc.Distributed{Transport: dist.NewLocalTransport(workers, true)}
+		defer d.Close()
+		d.SetWorkers(workers)
+		return d.Mine(db, minSup)
+	}
 	for _, m := range assoc.Registered() {
 		if m.Name() != name {
 			continue
 		}
 		m.SetWorkers(workers)
-		if c, ok := m.(interface{ Close() error }); ok {
-			defer c.Close()
-		}
 		return m.Mine(db, minSup)
 	}
 	return nil, errors.New("no such miner: " + name)
 }
 
 // TestAlgorithmsAreTheRegisteredEngines pins the boundary of the public
-// Algorithm option: exactly the five registered engines, and each
-// reference engine — runnable only from internal/assoc/reference — is
+// Algorithm option: exactly the four registered engines, and each
+// reference engine — runnable only from internal/assoc/reference — as
+// well as "Distributed", whose one way in is the Transport option, is
 // rejected by Mine, MineStream and NewSession with ErrUnknownAlgorithm
-// naming the five, before anything is scanned (no Progress event fires).
+// naming the four, before anything is scanned (no Progress event fires).
 func TestAlgorithmsAreTheRegisteredEngines(t *testing.T) {
-	want := []string{"Apriori", "Eclat", "FPGrowth", "Auto", "Distributed"}
+	want := []string{"Apriori", "Eclat", "FPGrowth", "Auto"}
 	if got := Algorithms(); !slices.Equal(got, want) {
 		t.Fatalf("Algorithms() = %v, want %v", got, want)
 	}
 	db, _ := testData(t, 50, 1)
 	ctx := context.Background()
-	for _, name := range []string{"AIS", "SETM", "AprioriTid", "AprioriHybrid", "DHP", "Partition(4)", "Sampling"} {
+	for _, name := range []string{"AIS", "SETM", "AprioriTid", "AprioriHybrid", "DHP", "Partition(4)", "Sampling", "Distributed"} {
 		opts := []Option{Algorithm(name), Progress(func(PassStat) {
 			t.Errorf("%s: a pass ran before the name was rejected", name)
 		})}
@@ -119,10 +142,13 @@ func TestMineWithTransportMatchesLocal(t *testing.T) {
 			t.Errorf("%s over transport differs from local Apriori", algo)
 		}
 	}
-	// Engines without a distributed form are rejected before any shipping.
-	if _, err := Mine(context.Background(), db,
-		Algorithm("Eclat"), Transport(LocalTransport(2))); !errors.Is(err, ErrBadOption) {
-		t.Errorf("Eclat over transport: err = %v, want ErrBadOption", err)
+	// Engines without a distributed form are rejected before any
+	// shipping, and so is "Distributed", which is no algorithm name.
+	for _, algo := range []string{"Eclat", "Distributed"} {
+		if _, err := Mine(context.Background(), db,
+			Algorithm(algo), Transport(LocalTransport(2))); !errors.Is(err, ErrBadOption) {
+			t.Errorf("%s over transport: err = %v, want ErrBadOption", algo, err)
+		}
 	}
 }
 

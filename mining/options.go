@@ -151,15 +151,15 @@ func LocalTransport(n int) TransportSpec {
 }
 
 // Transport routes mining through the distributed coordinator/worker
-// backend over the given transport. It composes with Algorithm: "Apriori"
-// and "FPGrowth" select the distributed counting strategy of the same
-// name, "Auto", "Distributed" or the default select distributed Apriori,
-// and any other engine is an error (those engines have no distributed
-// form). Coordinator-side fan-outs default to the transport's worker
-// count (override with an explicit Workers). A Session's full runs count
-// level-wise over the transport whatever the Algorithm, syncing the
-// store's shards so only dirty ones re-ship. Distributed results are
-// byte-identical to local ones.
+// backend over the given transport — the one way into that backend. It
+// composes with Algorithm: "Apriori" and "FPGrowth" select the
+// distributed counting strategy of the same name, "Auto" or the default
+// select distributed Apriori, and any other engine is an error (those
+// engines have no distributed form). Coordinator-side fan-outs default
+// to the transport's worker count (override with an explicit Workers). A
+// Session's full runs count level-wise over the transport whatever the
+// Algorithm, syncing the store's shards so only dirty ones re-ship.
+// Distributed results are byte-identical to local ones.
 func Transport(spec TransportSpec) Option {
 	return func(c *config) error {
 		c.transport = &spec
@@ -271,9 +271,9 @@ func ShardCap(n int) Option {
 }
 
 // buildMiner constructs a fresh engine for one Mine/MineStream call. The
-// returned closer (possibly nil) releases resources the engine owns — the
-// distributed transport's worker goroutines — and must be closed when the
-// engine is done.
+// returned closer is non-nil only for the distributed engine, whose
+// transport's worker goroutines it releases; close it when the engine is
+// done.
 func (c *config) buildMiner() (assoc.Engine, io.Closer, error) {
 	if c.transport != nil {
 		d, err := c.distributed()
@@ -287,8 +287,7 @@ func (c *config) buildMiner() (assoc.Engine, io.Closer, error) {
 			continue
 		}
 		m.SetWorkers(c.workers)
-		closer, _ := m.(io.Closer) // the plain Distributed engine owns a lazy transport
-		return m, closer, nil
+		return m, nil, nil
 	}
 	return nil, nil, c.unknownAlgorithm()
 }
@@ -303,7 +302,7 @@ func (c *config) unknownAlgorithm() error {
 func (c *config) distributed() (*assoc.Distributed, error) {
 	engine := ""
 	switch c.algorithm {
-	case "", "Auto", "Distributed", assoc.DistEngineApriori:
+	case "", "Auto", assoc.DistEngineApriori:
 		engine = assoc.DistEngineApriori
 	case assoc.DistEngineFPGrowth:
 		engine = assoc.DistEngineFPGrowth
