@@ -10,7 +10,8 @@
 // The public entry point for frequent-itemset mining is the mining
 // package at the module root: a context-aware Mine with functional
 // options (MinSupport, Workers, Algorithm, Transport, Progress), a
-// MineStream variant yielding per-level results via iter.Seq2, and a
+// MineStream variant yielding per-level results via iter.Seq2 (levels and
+// Progress callbacks run on the caller's goroutine, inside the mine), and a
 // stateful Session that owns an updatable sharded store and keeps its
 // result current under appends and deletes. Everything below this
 // paragraph describes the internal engines that facade drives; their
@@ -32,12 +33,13 @@
 // bit-identical to the serial scan, so every registered engine takes a
 // Workers option that changes only wall-clock time. Eclat instead mines the vertical layout as
 // transactions.Bitset tid-sets (word-wise AND + popcount). FPGrowth is
-// the candidate-free engine: per-shard FP-trees (internal/fptree) are mined
-// together as a forest — the same commutative additions, made inside the
-// projections instead of by a merge into a global tree — and mining
-// fans per-item conditional projections out across workers — the
-// low-support winner (bench metrics assoc.apriori_ms.* vs
-// assoc.fpgrowth_ms.*). assoc.Auto runs passes 1 and 2 once, measures C3
+// the candidate-free engine, the low-support winner (bench metrics
+// assoc.apriori_ms.* vs assoc.fpgrowth_ms.*): per-shard FP-trees
+// (internal/fptree) are mined together as a forest — the same commutative
+// additions, made inside the projections instead of by a merge into a
+// global tree. Its per-item conditional projections and Eclat's tid-set
+// joins are independent work items that the workers pull from one shared
+// cursor. assoc.Auto runs passes 1 and 2 once, measures C3
 // = apriori-gen(L2) without a scan, and goes on level-wise or hands the
 // pass-1 counts to pattern growth — no engine runs twice. The survey's
 // first-generation miners (AIS, SETM, AprioriTid/AprioriHybrid, Partition,

@@ -134,7 +134,9 @@ func MineContext(ctx context.Context, m Miner, db *transactions.DB, minSupport f
 // level when the pass's itemsets are not final at emission time (pattern
 // growth and Eclat assemble levels only at the end) — consumers must treat
 // a nil level as "read it from the final Result". Hooks run on the
-// engine's coordinating goroutine, never concurrently with themselves.
+// goroutine that called MineContext, between scans, while none of the
+// engine's worker goroutines runs: a hook may block, or panic, without
+// stranding one (mining.MineStream yields from inside its hook).
 type PassHook func(stat PassStat, level []ItemsetCount)
 
 // Engine is the contract of the registered engines, the one the public

@@ -2,8 +2,6 @@ package assoc
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/fptree"
 	"repro/internal/transactions"
@@ -22,8 +20,9 @@ import (
 // mined together as a forest — the merge is the integer addition each
 // first-level projection does over every tree's header chain, so the
 // counts are bit-identical to a single-threaded build. Mining fans
-// the per-item conditional projections out across workers (each frequent
-// item's patterns are disjoint from every other's), with a single-path
+// the per-item conditional projections out across workers, which pull
+// ranks from one shared cursor (forEachIndex; each frequent item's
+// patterns are disjoint from every other's), with a single-path
 // shortcut that enumerates subset patterns without further projection and
 // a per-worker fptree.Scratch recycling buffers and conditional trees
 // across the recursion. Results are byte-identical to Apriori's in
@@ -130,61 +129,34 @@ func assembleGrowthLevels(res *Result, emit PassHook, perRank [][]ItemsetCount) 
 }
 
 // minePerRank mines every frequent item's conditional patterns, returning
-// one bucket per rank. With workers > 1 the ranks are pulled by workers
-// from an atomic cursor — each rank's patterns are independent given the
-// read-only forest, so this is the projection analogue of count
-// distribution. Workers poll ctx per rank (and growPatterns polls per
-// projection), so cancellation surfaces within one conditional mine.
+// one bucket per rank. The ranks are pulled from forEachIndex's cursor —
+// each rank's patterns are independent given the read-only forest, so this
+// is the projection analogue of count distribution — and each worker
+// recycles one fptree.Scratch across its ranks. ctx is polled per rank
+// (and growPatterns polls per projection), so cancellation surfaces within
+// one conditional mine.
 func minePerRank(ctx context.Context, forest fptree.Forest, minCount, workers int) ([][]ItemsetCount, error) {
 	ranks := forest.Ranks()
 	n := ranks.Len()
 	perRank := make([][]ItemsetCount, n)
-	mineOne := func(rk int, s *fptree.Scratch) {
-		var out []ItemsetCount
+	scratch := make([]*fptree.Scratch, max(workers, 1))
+	if err := forEachIndex(ctx, n, workers, func(w, rk int) {
+		if scratch[w] == nil {
+			scratch[w] = fptree.NewScratch(ranks)
+		}
+		s := scratch[w]
 		item := int(ranks.Items[rk])
-		out = append(out, ItemsetCount{
+		out := []ItemsetCount{{
 			Items: transactions.Itemset{item},
 			Count: forest.Total(int32(rk)),
-		})
+		}}
 		cond := forest.Project(int32(rk), minCount, s)
 		if !cond.Empty() {
 			out = growPatterns(ctx, cond, minCount, []int{item}, s, out)
 		}
 		s.Release(cond)
 		perRank[rk] = out
-	}
-
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		s := fptree.NewScratch(ranks)
-		for rk := 0; rk < n; rk++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			mineOne(rk, s)
-		}
-		return perRank, ctx.Err()
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := fptree.NewScratch(ranks)
-			for {
-				rk := int(cursor.Add(1)) - 1
-				if rk >= n || ctx.Err() != nil {
-					return
-				}
-				mineOne(rk, s)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	}); err != nil {
 		return nil, err
 	}
 	return perRank, nil

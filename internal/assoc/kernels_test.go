@@ -211,6 +211,38 @@ func BenchmarkGenerateRules(b *testing.B) {
 	}
 }
 
+// BenchmarkEngines times whole Eclat and FPGrowth mines at workers 1 and
+// 2, the engines whose per-index loops (forEachIndex) no bench workload
+// runs on its measured path. Two shapes: sparse Quest T10.I4 at 0.2 %, and
+// a dense one, the same generator over 120 items and 60 patterns, at 1 %.
+func BenchmarkEngines(b *testing.B) {
+	sparse := synth.T10I4(20000, 7)
+	dense := sparse
+	dense.NumItems, dense.NumPatterns = 120, 60
+	for _, shape := range []struct {
+		name   string
+		cfg    synth.BasketConfig
+		minSup float64
+	}{{"sparse", sparse, 0.002}, {"dense", dense, 0.01}} {
+		db, err := synth.Baskets(shape.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			for _, m := range []Miner{&Eclat{Workers: workers}, &FPGrowth{Workers: workers}} {
+				b.Run(fmt.Sprintf("%s/%s/w%d", shape.name, m.Name(), workers), func(b *testing.B) {
+					b.ReportAllocs()
+					for b.Loop() {
+						if _, err := m.Mine(db, shape.minSup); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkMaintain times one sliding-window Maintain over a 20k-row Quest
 // T10.I4 store at 0.2 % support: 128 fresh rows from the same generator
 // appended and the 128 oldest deleted, the delta a serving tier's flush

@@ -45,6 +45,7 @@ package assoc
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/fptree"
 	"repro/internal/transactions"
@@ -75,6 +76,25 @@ func forEachWorker(ctx context.Context, workers int, fn func(w int)) error {
 	}
 	wg.Wait()
 	return ctx.Err()
+}
+
+// forEachIndex runs fn(w, i) once for every i below n. The indices are
+// pulled in order from one shared cursor by min(workers, n) workers over
+// forEachWorker, and w names the worker pulling i, so fn can keep scratch
+// per worker. ctx is polled before every index, so a cancelled loop stops
+// within one fn call per worker and returns ctx.Err(). workers <= 1 runs
+// the loop inline.
+func forEachIndex(ctx context.Context, n, workers int, fn func(w, i int)) error {
+	var cursor atomic.Int64
+	return forEachWorker(ctx, min(workers, n), func(w int) {
+		for {
+			i := int(cursor.Add(1)) - 1
+			if i >= n || ctx.Err() != nil {
+				return
+			}
+			fn(w, i)
+		}
+	})
 }
 
 // forEachShard runs fn once per shard on its own goroutine (at most

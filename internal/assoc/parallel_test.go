@@ -2,8 +2,10 @@ package assoc
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -200,6 +202,53 @@ func TestPairBands(t *testing.T) {
 					t.Fatalf("n %d, workers %d: band %d of %v holds %d of %d counters", n, workers, w, b, area, total)
 				}
 			}
+		}
+	}
+}
+
+// TestForEachIndex pins the shared cursor of the per-index loops: every
+// index runs exactly once at any worker cap, including n = 0 and more
+// workers than indices, w stays below min(workers, n), and a cancel
+// mid-run stops the cursor within one call per worker and surfaces
+// ctx.Err().
+func TestForEachIndex(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		for _, n := range []int{0, 1, 5, 300} {
+			runs := make([]atomic.Int32, n)
+			if err := forEachIndex(context.Background(), n, workers, func(w, i int) {
+				if w >= min(workers, n) {
+					t.Errorf("workers %d, n %d: index %d ran on worker %d", workers, n, i, w)
+				}
+				runs[i].Add(1)
+			}); err != nil {
+				t.Fatalf("workers %d, n %d: %v", workers, n, err)
+			}
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Errorf("workers %d, n %d: index %d ran %d times", workers, n, i, got)
+				}
+			}
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls, late atomic.Int32
+		var cancelled atomic.Bool
+		err := forEachIndex(ctx, 1000, workers, func(_, _ int) {
+			if cancelled.Load() {
+				late.Add(1)
+			}
+			if calls.Add(1) == 10 {
+				cancel()
+				cancelled.Store(true)
+			}
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("workers %d: err = %v, want context.Canceled", workers, err)
+		}
+		// Each other worker may run the one index it pulled before the
+		// cancel; nothing is pulled after it.
+		if got := int(late.Load()); got > workers-1 {
+			t.Errorf("workers %d: %d calls began after the cancel", workers, got)
 		}
 	}
 }

@@ -2,9 +2,8 @@ package assoc
 
 import (
 	"context"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/transactions"
 )
@@ -17,7 +16,8 @@ import (
 // sorted tid-list merging 8-10x on sparse and dense fixtures alike.
 type Eclat struct {
 	// Workers distributes each level's candidate intersections across this
-	// many goroutines; <= 1 runs serially with identical results.
+	// many goroutines, which pull left-join indices from one shared cursor
+	// (forEachIndex); <= 1 runs inline with identical results.
 	Workers int
 
 	hook PassHook
@@ -94,12 +94,18 @@ func (e *Eclat) MineContext(ctx context.Context, db *transactions.DB, minSupport
 
 // joinLevel produces the next level by joining equal-prefix node pairs and
 // intersecting their tid-sets. The work is split by left-join index i
-// (each i's joins are independent given the level snapshot), pulled by
-// workers from an atomic counter and reassembled in i order, so the output
-// is identical to the serial join. Both the serial and the worker loops
-// poll ctx per left index, so cancellation surfaces within one i's joins.
+// (each i's joins are independent given the level snapshot), pulled from
+// forEachIndex's cursor and reassembled in i order, so the output is
+// identical at every worker count; cancellation surfaces within one i's
+// joins.
 func (e *Eclat) joinLevel(ctx context.Context, level []eclatNode, minCount int) ([]eclatNode, int, error) {
-	joinsFor := func(i int, dst []eclatNode) ([]eclatNode, int) {
+	perI := make([][]eclatNode, len(level))
+	candsPerI := make([]int, len(level))
+	if err := forEachIndex(ctx, len(level), e.Workers, func(_, i int) {
+		// The joins and their count stay in locals and are stored once:
+		// neighbouring perI / candsPerI slots share cache lines across
+		// workers, and writing them per join cost ~5 % at 2 workers.
+		var joins []eclatNode
 		candidates := 0
 		a := level[i]
 		for j := i + 1; j < len(level); j++ {
@@ -120,55 +126,15 @@ func (e *Eclat) joinLevel(ctx context.Context, level []eclatNode, minCount int) 
 			cand := make(transactions.Itemset, len(a.items)+1)
 			copy(cand, a.items)
 			cand[len(a.items)] = b.items[len(b.items)-1]
-			dst = append(dst, eclatNode{items: cand, bits: transactions.AndBitset(a.bits, b.bits), sup: sup})
+			joins = append(joins, eclatNode{items: cand, bits: transactions.AndBitset(a.bits, b.bits), sup: sup})
 		}
-		return dst, candidates
-	}
-
-	if e.Workers <= 1 || len(level) < 2 {
-		var next []eclatNode
-		candidates := 0
-		for i := 0; i < len(level); i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, 0, err
-			}
-			var c int
-			next, c = joinsFor(i, next)
-			candidates += c
-		}
-		return next, candidates, nil
-	}
-
-	perI := make([][]eclatNode, len(level))
-	candsPerI := make([]int, len(level))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	workers := e.Workers
-	if workers > len(level) {
-		workers = len(level)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(level) || ctx.Err() != nil {
-					return
-				}
-				perI[i], candsPerI[i] = joinsFor(i, nil)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		perI[i], candsPerI[i] = joins, candidates
+	}); err != nil {
 		return nil, 0, err
 	}
-	var next []eclatNode
 	candidates := 0
-	for i := range perI {
-		next = append(next, perI[i]...)
-		candidates += candsPerI[i]
+	for _, c := range candsPerI {
+		candidates += c
 	}
-	return next, candidates, nil
+	return slices.Concat(perI...), candidates, nil
 }

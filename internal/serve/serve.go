@@ -236,7 +236,7 @@ func (c Config) withDefaults() (Config, error) {
 // View is one immutable published snapshot: a version-stamped frequent
 // set plus its rule set. Readers obtain one with Server.View (or
 // implicitly through the query methods) and may hold it indefinitely —
-// it never changes after publication. A View with Empty() true reports
+// it never changes after publication. A View with NumTx() 0 reports
 // an empty store (version 0 before the first publish, or the store was
 // drained by deletes).
 type View struct {

@@ -133,3 +133,46 @@ func TestCancelMineStream(t *testing.T) {
 	}
 	waitForGoroutines(t, before)
 }
+
+// TestMineStreamPanicLeaksNothing pins that a consumer whose loop body
+// panics leaves no goroutine behind, for every backend at workers 1 and 4.
+// At level 1 the body waits up to 200 ms for pass 2's Progress event and
+// then panics: an engine that went on mining while the consumer held
+// level 1 would report pass 2 and then wait forever to hand over level 2.
+func TestMineStreamPanicLeaksNothing(t *testing.T) {
+	db, _ := testData(t, 500, 5)
+	for _, workers := range []int{1, 4} {
+		for _, b := range backends(workers) {
+			before := runtime.NumGoroutine()
+			pass2 := make(chan struct{}, 1)
+			opts := append([]Option{MinSupport(0.005), Progress(func(s PassStat) {
+				if s.K == 2 {
+					select {
+					case pass2 <- struct{}{}:
+					default:
+					}
+				}
+			})}, b.opts...)
+			func() {
+				defer func() {
+					if r := recover(); r != "consumer gives up" {
+						t.Errorf("%s workers=%d: recovered %v, want the consumer's panic", b.name, workers, r)
+					}
+				}()
+				for level, err := range MineStream(context.Background(), db, opts...) {
+					if err != nil {
+						panic(err)
+					}
+					if level.K == 1 {
+						select {
+						case <-pass2:
+						case <-time.After(200 * time.Millisecond):
+						}
+						panic("consumer gives up")
+					}
+				}
+			}()
+			waitForGoroutines(t, before)
+		}
+	}
+}

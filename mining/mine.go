@@ -3,7 +3,6 @@ package mining
 import (
 	"context"
 	"iter"
-	"sync"
 
 	"repro/internal/assoc"
 )
@@ -41,9 +40,11 @@ type Level struct {
 // MineStream is Mine with incremental delivery: the returned sequence
 // yields each completed level (K = 1, 2, ...) as soon as the engine
 // finalises it, so a consumer can act on short itemsets while longer ones
-// are still being counted. The engine blocks while the consumer holds a
-// level — natural backpressure — and breaking out of the loop cancels the
-// rest of the mine and releases every goroutine.
+// are still to be counted. The mine runs on the caller's goroutine and
+// each level is yielded from inside it, between scans: the engine waits
+// while the consumer holds a level — natural backpressure — and breaking
+// out of the loop cancels the rest of the mine. Nothing is left running
+// when the sequence returns, whether the loop ends, breaks or panics.
 //
 // Streaming granularity is engine-dependent: the level-wise engines yield
 // per completed pass, while engines that assemble levels at the end
@@ -69,63 +70,37 @@ func MineStream(ctx context.Context, db *DB, opts ...Option) iter.Seq2[Level, er
 		ctx, cancel := context.WithCancel(ctx)
 		defer cancel()
 
-		type event struct {
-			k     int
-			level []assoc.ItemsetCount
-		}
-		events := make(chan event)
-		stop := make(chan struct{})
-		var stopOnce sync.Once
+		// Every engine calls its hook on this goroutine while no scan
+		// runs, so the hook may yield. Once the consumer stops, the mine
+		// is cancelled and its ctx.Err() dropped: nothing is yielded again.
+		nextK, stopped := 1, false
 		progress := cfg.passHook()
 		m.SetPassHook(func(stat assoc.PassStat, level []assoc.ItemsetCount) {
 			if progress != nil {
 				progress(stat, level)
 			}
-			if len(level) == 0 {
-				return // not final at this point; the Result has it
+			// Only in-order final levels stream early; the rest are read
+			// from the Result.
+			if stopped || len(level) == 0 || stat.K != nextK {
+				return
 			}
-			select {
-			case events <- event{stat.K, level}:
-			case <-stop:
-			}
-		})
-		type outcome struct {
-			res *assoc.Result
-			err error
-		}
-		done := make(chan outcome, 1)
-		go func() {
-			res, err := m.MineContext(ctx, db.unwrap(), cfg.minSupport)
-			done <- outcome{res, err}
-			close(events)
-		}()
-		// abort unblocks a hook mid-send, cancels the engine, and drains
-		// the event channel until the mining goroutine closes it.
-		abort := func() {
-			stopOnce.Do(func() { close(stop) })
-			cancel()
-			for range events { //nolint:revive // draining until close
-			}
-		}
-
-		nextK := 1
-		for ev := range events {
-			if ev.k != nextK {
-				continue // defensive: only in-order levels stream early
-			}
-			if !yield(Level{K: ev.k, Itemsets: convertLevel(ev.level)}, nil) {
-				abort()
+			if !yield(Level{K: stat.K, Itemsets: convertLevel(level)}, nil) {
+				stopped = true
+				cancel()
 				return
 			}
 			nextK++
-		}
-		out := <-done
-		if out.err != nil {
-			yield(Level{}, out.err)
+		})
+		res, err := m.MineContext(ctx, db.unwrap(), cfg.minSupport)
+		if stopped {
 			return
 		}
-		for k := nextK; k <= len(out.res.Levels); k++ {
-			level := out.res.Levels[k-1]
+		if err != nil {
+			yield(Level{}, err)
+			return
+		}
+		for k := nextK; k <= len(res.Levels); k++ {
+			level := res.Levels[k-1]
 			if len(level) == 0 {
 				continue
 			}

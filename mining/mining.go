@@ -27,6 +27,9 @@
 // MineStream is Mine with per-level delivery via iter.Seq2, so a server
 // can emit short frequent itemsets while long ones are still being
 // counted. The concatenated stream is byte-identical to Mine's levels.
+// Levels and Progress callbacks run on the caller's goroutine, inside the
+// mine, which waits for them; leaving the loop, by break or by panic,
+// leaves nothing running.
 //
 // # Stateful sessions
 //

@@ -121,12 +121,12 @@ func Algorithms() []string {
 }
 
 // Progress registers a callback invoked after each completed counting
-// pass, on the mining goroutine (keep it fast; it runs inside the mining
-// hot path). Sessions report the level-wise counting passes of their full
-// runs — the attach and any border-crossing re-mine, at the session's
-// tracking support — while purely incremental maintains count no pass and
-// report none. Passes a distributed full run served locally after losing
-// its cluster carry Degraded.
+// pass, on the caller's goroutine, inside the mine, between scans (keep it
+// fast: the mine waits for it). Sessions report the level-wise counting
+// passes of their full runs — the attach and any border-crossing re-mine,
+// at the session's tracking support — while purely incremental maintains
+// count no pass and report none. Passes a distributed full run served
+// locally after losing its cluster carry Degraded.
 func Progress(fn func(PassStat)) Option {
 	return func(c *config) error {
 		c.progress = fn
