@@ -74,7 +74,7 @@ func TestDegenerateInputsUniformAcrossEngines(t *testing.T) {
 // TestDegenerateRuleGeneration covers the same contract one layer up: rule
 // generation over the canonical empty Result must error without panicking.
 func TestDegenerateRuleGeneration(t *testing.T) {
-	if _, err := GenerateRules(emptyResult(), 0.5); !errors.Is(err, ErrEmptyDB) {
+	if _, err := GenerateRules(emptyResult(), 0.5, newRule); !errors.Is(err, ErrEmptyDB) {
 		t.Errorf("rules over empty result: err = %v, want ErrEmptyDB", err)
 	}
 }

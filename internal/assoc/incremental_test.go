@@ -571,7 +571,7 @@ func TestIncrementalRulesMatchScratch(t *testing.T) {
 		}
 	}
 	mustMaintain(t, inc)
-	got, err := GenerateRules(inc.prev, 0.6)
+	got, err := GenerateRules(inc.prev, 0.6, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +579,7 @@ func TestIncrementalRulesMatchScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := GenerateRules(scratchRes, 0.6)
+	want, err := GenerateRules(scratchRes, 0.6, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,7 +136,7 @@ func TestGenerateRulesMatchesEnumeration(t *testing.T) {
 			}
 			freq := oracle.Frequent(db.Transactions, minSup)
 			for _, minConf := range []float64{0.1, 0.5, 0.9, 1} {
-				got, err := GenerateRules(res, minConf)
+				got, err := GenerateRules(res, minConf, newRule)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -205,7 +205,7 @@ func BenchmarkGenerateRules(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rules, err := GenerateRules(res, 0.3); err != nil || len(rules) == 0 {
+		if rules, err := GenerateRules(res, 0.3, newRule); err != nil || len(rules) == 0 {
 			b.Fatalf("GenerateRules: %d rules, %v", len(rules), err)
 		}
 	}

@@ -84,7 +84,7 @@ func TestRuleCompletenessProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rules, err := GenerateRules(res, 0.6)
+		rules, err := GenerateRules(res, 0.6, newRule)
 		if want := oracleRules(oracle.Frequent(db.Transactions, 0.25), 0.6); err != nil || !reflect.DeepEqual(rules, want) {
 			t.Logf("seed %d: %d rules (err %v), oracle %d", seed, len(rules), err, len(want))
 			return false

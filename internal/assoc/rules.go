@@ -1,26 +1,14 @@
 package assoc
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/transactions"
 )
-
-// Rule is an association rule Antecedent => Consequent with its quality
-// measures. Support is the absolute support of the union; Confidence is
-// support(union)/support(antecedent); Lift is confidence divided by the
-// consequent's relative support.
-type Rule struct {
-	Antecedent transactions.Itemset
-	Consequent transactions.Itemset
-	Support    int
-	Confidence float64
-	Lift       float64
-}
 
 // ErrBadConfidence reports an out-of-range minimum confidence.
 var ErrBadConfidence = errors.New("assoc: minimum confidence must be in (0, 1]")
@@ -30,23 +18,36 @@ var ErrBadConfidence = errors.New("assoc: minimum confidence must be in (0, 1]")
 // near it — an itemset is frequent only with all 2^k of its subsets.
 const maxRuleItems = 64
 
-// ruleChunk is how many items one allocation of rule itemsets holds.
-const ruleChunk = 4096
-
 // GenerateRules derives all rules meeting minConfidence from the frequent
-// itemsets of res, using the VLDB'94 ap-genrules procedure: for each
-// frequent itemset, 1-item consequents are tested first, and a consequent
-// one item larger is tested only if every consequent it extends by one
-// item passed — moving items from the antecedent to the consequent can
-// only lower confidence. Consequents are bitmasks over the itemset's
-// positions, so growing them needs no candidate generation. Supports are
-// looked up without string keys: a 1-itemset's in an array indexed by
-// item, built from L1 once per call, a longer one's by binary search in
-// its sorted level (Result.Support). An itemset whose antecedent is
-// missing from res or has zero support yields no rule.
-// Rules are returned sorted by descending confidence, then descending
-// support, then antecedent order, for deterministic output.
-func GenerateRules(res *Result, minConfidence float64) ([]Rule, error) {
+// itemsets of res and writes each one, once, through rule: its
+// antecedent and consequent, the absolute support of their union, its
+// confidence support(union)/support(antecedent), and its lift, the
+// confidence divided by the consequent's relative support (0 when the
+// consequent is not in res). The candidates come from the VLDB'94
+// ap-genrules procedure: for each frequent itemset, 1-item consequents are
+// tested first, and a consequent one item larger is tested only if every
+// consequent it extends by one item passed — moving items from the
+// antecedent to the consequent can only lower confidence. Consequents are
+// bitmasks over the itemset's positions, so growing them needs no
+// candidate generation.
+//
+// A rule that passes is kept as a 24-byte record (confidence, support, the
+// itemset's position and the consequent mask), and the records are sorted
+// into the published order: descending confidence, then descending
+// support, then antecedent and consequent order, read from the itemset
+// through the mask. Only then is each rule written, into one []R of
+// exact length whose itemsets are cut from one exactly sized arena (each
+// capped, so an append to one cannot reach its neighbour); a rule with no
+// consequent support gets lift 0.
+//
+// Supports are looked up without string keys: a 1-itemset's in an array
+// indexed by item, built from L1 once per call; a longer one's by binary
+// search among the itemsets of its level that share its first item, found
+// in a first-item offset table built once per call for each level an
+// antecedent or consequent can fall in. An itemset whose antecedent is
+// missing from res or has zero support yields no rule. Levels must be in
+// lexicographic order, as every miner leaves them.
+func GenerateRules[R any](res *Result, minConfidence float64, rule func(ante, cons transactions.Itemset, support int, conf, lift float64) R) ([]R, error) {
 	if minConfidence <= 0 || minConfidence > 1 {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfidence, minConfidence)
 	}
@@ -56,8 +57,76 @@ func GenerateRules(res *Result, minConfidence float64) ([]Rule, error) {
 	if len(res.Levels) < 2 {
 		return nil, nil
 	}
-	g := ruleGen{res: res, minConf: minConfidence}
-	maxItem, hint := -1, 0
+	g, err := newRuleGen(res, minConfidence)
+	if err != nil {
+		return nil, err
+	}
+	g.collect()
+	if len(g.recs) == 0 {
+		return nil, nil
+	}
+	slices.SortFunc(g.recs, g.compare)
+	return writeRules(g, rule), nil
+}
+
+// writeRules writes g's records, in their order, through rule into one
+// []R of exact length, cutting every antecedent and consequent from one
+// exactly sized arena, and computes each rule's lift.
+func writeRules[R any](g *ruleGen, rule func(ante, cons transactions.Itemset, support int, conf, lift float64) R) []R {
+	arena := make([]int, g.items)
+	rules := make([]R, len(g.recs))
+	for i, r := range g.recs {
+		ic := g.at(r.ref)
+		k, nc := len(ic.Items), bits.OnesCount64(r.mask)
+		ante, cons := split(ic.Items, r.mask, arena[:0:k-nc], arena[k-nc:k-nc:k])
+		arena = arena[k:]
+		lift := 0.0
+		if consSup := g.support(cons); consSup > 0 {
+			lift = r.conf / (float64(consSup) / float64(g.res.NumTx))
+		}
+		rules[i] = rule(ante, cons, ic.Count, r.conf, lift)
+	}
+	return rules
+}
+
+// ruleRec is a rule that passed the confidence bar, before it is written:
+// its confidence, its support saturated at MaxInt32, the position of its
+// itemset among res's itemsets of length 2 and up (in level, then
+// lexicographic order) and its consequent as a position mask. A Result
+// past 2^31 itemsets would not fit in memory, so an int32 position
+// suffices.
+type ruleRec struct {
+	conf float64
+	sup  int32
+	ref  int32
+	mask uint64
+}
+
+// ruleGen is one GenerateRules call's state.
+type ruleGen struct {
+	res     *Result
+	minConf float64
+	single  []int // item -> support of the 1-itemset, 0 when it is not in L1
+	// first holds one table of width entries for each itemset length m in
+	// [2, len(Levels)): entry x of length m's table, at (m-2)*width+x, is
+	// the position in Levels[m-1] of the first itemset whose first item is
+	// at least x. Itemsets starting with x lie between entries x and x+1.
+	first []int32
+	width int
+	recs  []ruleRec
+	items int // item count of the kept rules' itemsets: the arena's size
+
+	ante, cons  transactions.Itemset // scratch split of the current itemset
+	level, next []uint64             // passed consequents of one size, ascending; the next size's
+}
+
+// newRuleGen builds the support lookups of res and the call's scratch. It
+// sizes the records at twice res's count of itemsets of length 2 and up,
+// the most rules its pairs can yield; on mined results the longer
+// itemsets' rules rarely outgrow it.
+func newRuleGen(res *Result, minConf float64) (*ruleGen, error) {
+	g := &ruleGen{res: res, minConf: minConf}
+	maxItem, sets := -1, 0
 	for _, ic := range res.Levels[0] {
 		maxItem = max(maxItem, ic.Items[0])
 	}
@@ -66,116 +135,60 @@ func GenerateRules(res *Result, minConfidence float64) ([]Rule, error) {
 		g.single[ic.Items[0]] = ic.Count
 	}
 	for _, level := range res.Levels[1:] {
-		hint += len(level)
-	}
-	g.rules = make([]Rule, 0, hint)
-	for _, level := range res.Levels[1:] {
 		for _, ic := range level {
 			if len(ic.Items) > maxRuleItems {
 				return nil, fmt.Errorf("assoc: rules from a %d-itemset: at most %d items split", len(ic.Items), maxRuleItems)
 			}
-			g.itemset(ic)
+		}
+		sets += len(level)
+	}
+	g.recs = make([]ruleRec, 0, 2*sets)
+	k := len(res.Levels) // the longest itemset's length
+	items, masks := make([]int, 2*k), make([]uint64, 2*k)
+	g.ante, g.cons = items[:0:k], items[k:k:2*k]
+	g.level, g.next = masks[:0:k], masks[k:k:2*k]
+	inner := res.Levels[1 : len(res.Levels)-1] // the lengths a proper subset can have
+	for _, level := range inner {
+		if len(level) > 0 {
+			maxItem = max(maxItem, level[len(level)-1].Items[0])
 		}
 	}
-	if len(g.rules) == 0 {
-		return nil, nil
-	}
-	sortRules(g.rules)
-	return g.rules, nil
-}
-
-// ruleKey is what the rule sort compares first: a rule's confidence and
-// support, which decide almost every comparison without loading the
-// rule, and its index. The support saturates at MaxInt32; a tie on the
-// saturated value falls through to compareRules, which compares the
-// full one, so the order stays exact.
-type ruleKey struct {
-	conf float64
-	sup  int32
-	idx  int32
-}
-
-// sortRules sorts rules into compareRules order. It sorts 16-byte keys
-// instead of the rules, falls back to compareRules only when confidence
-// and support tie, and then moves each rule once, following the sorted
-// permutation's cycles in place. A rule set past 2^31 entries would not
-// fit in memory, so an int32 index suffices.
-func sortRules(rules []Rule) {
-	keys := make([]ruleKey, len(rules))
-	for i := range rules {
-		keys[i] = ruleKey{conf: rules[i].Confidence, sup: int32(min(rules[i].Support, math.MaxInt32)), idx: int32(i)}
-	}
-	slices.SortFunc(keys, func(a, b ruleKey) int {
-		switch {
-		case a.conf != b.conf:
-			return cmp.Compare(b.conf, a.conf)
-		case a.sup != b.sup:
-			return cmp.Compare(b.sup, a.sup)
-		}
-		return compareRules(rules[a.idx], rules[b.idx])
-	})
-	// Position i takes rule keys[i].idx. Walk each cycle from its lowest
-	// position, marking a placed position by pointing its key at itself.
-	for i := range keys {
-		if int(keys[i].idx) == i {
-			continue
-		}
-		first, j := rules[i], i
-		for {
-			k := int(keys[j].idx)
-			keys[j].idx = int32(j)
-			if k == i {
-				rules[j] = first
-				break
+	g.width = maxItem + 2
+	g.first = make([]int32, len(inner)*g.width)
+	for m, level := range inner {
+		table, j := g.first[m*g.width:(m+1)*g.width], 0
+		for x := range table {
+			for j < len(level) && level[j].Items[0] < x {
+				j++
 			}
-			rules[j], j = rules[k], k
+			table[x] = int32(j)
+		}
+	}
+	return g, nil
+}
+
+// collect keeps the record of every rule that passes, itemset by itemset
+// in level then lexicographic order.
+func (g *ruleGen) collect() {
+	ref := int32(0)
+	for _, level := range g.res.Levels[1:] {
+		for _, ic := range level {
+			g.itemset(ref, ic)
+			ref++
 		}
 	}
 }
 
-// compareRules is the published rule order: confidence descending, then
-// support descending, then antecedent and consequent order.
-func compareRules(a, b Rule) int {
-	if a.Confidence != b.Confidence {
-		if a.Confidence > b.Confidence {
-			return -1
-		}
-		return 1
-	}
-	if a.Support != b.Support {
-		if a.Support > b.Support {
-			return -1
-		}
-		return 1
-	}
-	if c := a.Antecedent.Compare(b.Antecedent); c != 0 {
-		return c
-	}
-	return a.Consequent.Compare(b.Consequent)
-}
-
-// ruleGen is one GenerateRules call's state.
-type ruleGen struct {
-	res     *Result
-	minConf float64
-	single  []int // item -> support of the 1-itemset, 0 when it is not in L1
-	rules   []Rule
-	arena   []int // backing store the rules' itemsets are cut from
-
-	ante, cons  transactions.Itemset // scratch split of the current itemset
-	level, next []uint64             // passed consequents of one size, ascending; the next size's
-}
-
-// itemset emits the rules of one frequent itemset, level by level over
+// itemset keeps the rules of one frequent itemset, level by level over
 // consequent size. A consequent c of size m+1 is a | 1<<p for a passed
 // consequent a of size m whose items all sit below position p; it is
 // tested only if every other m-subset of c passed too. Walking p in the
 // outer loop keeps each level ascending for the binary-search lookups.
-func (g *ruleGen) itemset(ic ItemsetCount) {
+func (g *ruleGen) itemset(ref int32, ic ItemsetCount) {
 	k := len(ic.Items)
 	g.level = g.level[:0]
 	for p := 0; p < k; p++ {
-		if g.try(ic, 1<<p) {
+		if g.try(ref, ic, 1<<p) {
 			g.level = append(g.level, 1<<p)
 		}
 	}
@@ -187,7 +200,7 @@ func (g *ruleGen) itemset(ic ItemsetCount) {
 				if a >= bit {
 					break
 				}
-				if c := a | bit; g.subsetsPassed(c, a) && g.try(ic, c) {
+				if c := a | bit; g.subsetsPassed(c, a) && g.try(ref, ic, c) {
 					g.next = append(g.next, c)
 				}
 			}
@@ -207,9 +220,9 @@ func (g *ruleGen) subsetsPassed(c, a uint64) bool {
 	return true
 }
 
-// try builds the rule ic.Items \ cons => cons, cons given as a position
-// mask, and appends it if it meets the confidence bar.
-func (g *ruleGen) try(ic ItemsetCount, cons uint64) bool {
+// try tests the rule ic.Items \ cons => cons, cons given as a position
+// mask, and keeps its record if it meets the confidence bar.
+func (g *ruleGen) try(ref int32, ic ItemsetCount, cons uint64) bool {
 	g.ante, g.cons = split(ic.Items, cons, g.ante[:0], g.cons[:0])
 	anteSup := g.support(g.ante)
 	if anteSup == 0 {
@@ -219,21 +232,86 @@ func (g *ruleGen) try(ic ItemsetCount, cons uint64) bool {
 	if conf < g.minConf {
 		return false
 	}
-	lift := 0.0
-	if consSup := g.support(g.cons); consSup > 0 {
-		lift = conf / (float64(consSup) / float64(g.res.NumTx))
-	}
-	g.rules = append(g.rules, Rule{
-		Antecedent: g.keep(g.ante),
-		Consequent: g.keep(g.cons),
-		Support:    ic.Count,
-		Confidence: conf,
-		Lift:       lift,
-	})
+	g.recs = append(g.recs, ruleRec{conf: conf, sup: int32(min(ic.Count, math.MaxInt32)), ref: ref, mask: cons})
+	g.items += len(ic.Items)
 	return true
 }
 
-// support is the support of s in res, 0 when s is not frequent.
+// at is the itemset a record refers to.
+func (g *ruleGen) at(ref int32) ItemsetCount {
+	i, l := int(ref), 1
+	for i >= len(g.res.Levels[l]) {
+		i -= len(g.res.Levels[l])
+		l++
+	}
+	return g.res.Levels[l][i]
+}
+
+// compare is the published rule order over records: confidence
+// descending, then support descending, then antecedent and consequent
+// order. Confidence and support decide almost every comparison from the
+// record alone; a tie reads both itemsets. The full supports settle a tie
+// on the saturated one. Two records never compare equal, since an itemset
+// and a consequent name one rule.
+func (g *ruleGen) compare(a, b ruleRec) int {
+	if a.conf != b.conf {
+		if a.conf > b.conf {
+			return -1
+		}
+		return 1
+	}
+	if a.sup != b.sup {
+		if a.sup > b.sup {
+			return -1
+		}
+		return 1
+	}
+	x, y := g.at(a.ref), g.at(b.ref)
+	if x.Count != y.Count {
+		if x.Count > y.Count {
+			return -1
+		}
+		return 1
+	}
+	if c := comparePart(x.Items, ^a.mask, y.Items, ^b.mask); c != 0 {
+		return c
+	}
+	return comparePart(x.Items, a.mask, y.Items, b.mask)
+}
+
+// comparePart compares, in Itemset.Compare order, the items of x at the
+// positions set in xm with those of y at the positions set in ym: two
+// rules' antecedents under the complements of their consequent masks,
+// their consequents under the masks themselves.
+func comparePart(x transactions.Itemset, xm uint64, y transactions.Itemset, ym uint64) int {
+	i, j := 0, 0
+	for {
+		for i < len(x) && xm&(1<<i) == 0 {
+			i++
+		}
+		for j < len(y) && ym&(1<<j) == 0 {
+			j++
+		}
+		switch {
+		case i == len(x) && j == len(y):
+			return 0
+		case i == len(x):
+			return -1
+		case j == len(y):
+			return 1
+		case x[i] != y[j]:
+			if x[i] < y[j] {
+				return -1
+			}
+			return 1
+		}
+		i++
+		j++
+	}
+}
+
+// support is the support of s in res, 0 when s is not frequent. s is a
+// proper subset of an itemset of res, so it is shorter than len(Levels).
 func (g *ruleGen) support(s transactions.Itemset) int {
 	if len(s) == 1 {
 		if s[0] < len(g.single) {
@@ -241,19 +319,18 @@ func (g *ruleGen) support(s transactions.Itemset) int {
 		}
 		return 0
 	}
-	c, _ := g.res.Support(s)
-	return c
-}
-
-// keep copies s into the arena and returns the copy, capped so that an
-// append to it cannot reach its neighbour.
-func (g *ruleGen) keep(s transactions.Itemset) transactions.Itemset {
-	if len(g.arena)+len(s) > cap(g.arena) {
-		g.arena = make([]int, 0, max(ruleChunk, len(s)))
+	if s[0] >= g.width-1 {
+		return 0
 	}
-	start := len(g.arena)
-	g.arena = append(g.arena, s...)
-	return g.arena[start:len(g.arena):len(g.arena)]
+	at := (len(s)-2)*g.width + s[0]
+	level := g.res.Levels[len(s)-1][g.first[at]:g.first[at+1]]
+	i, ok := slices.BinarySearchFunc(level, s, func(ic ItemsetCount, s transactions.Itemset) int {
+		return ic.Items.Compare(s)
+	})
+	if !ok {
+		return 0
+	}
+	return level[i].Count
 }
 
 // split appends the items of set outside mask to out and those inside it

@@ -15,6 +15,44 @@ import (
 	"repro/internal/transactions"
 )
 
+// Rule is an association rule Antecedent => Consequent with its quality
+// measures, the form the tests have GenerateRules write and compare with
+// the oracle's enumeration.
+type Rule struct {
+	Antecedent transactions.Itemset
+	Consequent transactions.Itemset
+	Support    int
+	Confidence float64
+	Lift       float64
+}
+
+// newRule is the constructor the tests hand GenerateRules.
+func newRule(ante, cons transactions.Itemset, support int, conf, lift float64) Rule {
+	return Rule{Antecedent: ante, Consequent: cons, Support: support, Confidence: conf, Lift: lift}
+}
+
+// compareRules is the published rule order over written rules, the
+// reference the record sort is checked against: confidence descending,
+// then support descending, then antecedent and consequent order.
+func compareRules(a, b Rule) int {
+	if a.Confidence != b.Confidence {
+		if a.Confidence > b.Confidence {
+			return -1
+		}
+		return 1
+	}
+	if a.Support != b.Support {
+		if a.Support > b.Support {
+			return -1
+		}
+		return 1
+	}
+	if c := a.Antecedent.Compare(b.Antecedent); c != 0 {
+		return c
+	}
+	return a.Consequent.Compare(b.Consequent)
+}
+
 // String renders the rule as "{a} => {b} (sup=…, conf=…, lift=…)": the
 // form the tests pin rule lists in and print them with.
 func (r Rule) String() string {
@@ -33,7 +71,7 @@ func minedPaper(t *testing.T) *Result {
 
 func TestGenerateRulesKnownValues(t *testing.T) {
 	res := minedPaper(t)
-	rules, err := GenerateRules(res, 0.9)
+	rules, err := GenerateRules(res, 0.9, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +107,7 @@ func TestGenerateRulesKnownValues(t *testing.T) {
 
 func TestRuleLift(t *testing.T) {
 	res := minedPaper(t)
-	rules, err := GenerateRules(res, 0.9)
+	rules, err := GenerateRules(res, 0.9, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +125,7 @@ func TestRuleLift(t *testing.T) {
 
 func TestGenerateRulesSortedByConfidence(t *testing.T) {
 	res := minedPaper(t)
-	rules, err := GenerateRules(res, 0.1)
+	rules, err := GenerateRules(res, 0.1, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +147,7 @@ func TestGenerateRulesConfidenceCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules, err := GenerateRules(res, 0.4)
+	rules, err := GenerateRules(res, 0.4, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +172,7 @@ func TestGenerateRulesConfidenceCorrect(t *testing.T) {
 // confidence 0.5 against the oracle's enumeration of every split of
 // every frequent itemset.
 func TestGenerateRulesComplete(t *testing.T) {
-	rules, err := GenerateRules(minedPaper(t), 0.5)
+	rules, err := GenerateRules(minedPaper(t), 0.5, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +183,13 @@ func TestGenerateRulesComplete(t *testing.T) {
 
 func TestGenerateRulesValidation(t *testing.T) {
 	res := minedPaper(t)
-	if _, err := GenerateRules(res, 0); !errors.Is(err, ErrBadConfidence) {
+	if _, err := GenerateRules(res, 0, newRule); !errors.Is(err, ErrBadConfidence) {
 		t.Errorf("conf 0 error = %v", err)
 	}
-	if _, err := GenerateRules(res, 1.1); !errors.Is(err, ErrBadConfidence) {
+	if _, err := GenerateRules(res, 1.1, newRule); !errors.Is(err, ErrBadConfidence) {
 		t.Errorf("conf 1.1 error = %v", err)
 	}
-	if _, err := GenerateRules(nil, 0.5); !errors.Is(err, ErrEmptyDB) {
+	if _, err := GenerateRules(nil, 0.5, newRule); !errors.Is(err, ErrEmptyDB) {
 		t.Errorf("nil result error = %v", err)
 	}
 }
@@ -199,7 +237,7 @@ func TestGenerateRulesZeroSupportAntecedent(t *testing.T) {
 			},
 		},
 	}
-	rules, err := GenerateRules(res, 0.01)
+	rules, err := GenerateRules(res, 0.01, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +258,7 @@ func TestGenerateRulesZeroSupportAntecedent(t *testing.T) {
 			{{Items: transactions.NewItemset(1, 2), Count: 2}},
 		},
 	}
-	rules2, err := GenerateRules(res2, 0.01)
+	rules2, err := GenerateRules(res2, 0.01, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +328,7 @@ func TestRuleOrderStableOnTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := GenerateRules(res, 0.5)
+	first, err := GenerateRules(res, 0.5, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +336,7 @@ func TestRuleOrderStableOnTies(t *testing.T) {
 		t.Fatal("expected tied rules")
 	}
 	for rep := 0; rep < 5; rep++ {
-		again, err := GenerateRules(res, 0.5)
+		again, err := GenerateRules(res, 0.5, newRule)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,18 +356,7 @@ func TestRuleOrderStableOnTies(t *testing.T) {
 // sizes — come out in antecedent, then consequent order, exactly the
 // order compareRules gives.
 func TestRuleSortTieBreak(t *testing.T) {
-	set := func(count int, items ...int) ItemsetCount {
-		return ItemsetCount{Items: transactions.NewItemset(items...), Count: count}
-	}
-	res := &Result{
-		NumTx: 4,
-		Levels: [][]ItemsetCount{
-			{set(2, 1), set(2, 2), set(2, 3), set(4, 4), set(3, 5)},
-			{set(2, 1, 2), set(2, 1, 3), set(2, 1, 4), set(2, 2, 3), set(3, 4, 5)},
-			{set(2, 1, 2, 3)},
-		},
-	}
-	rules, err := GenerateRules(res, 0.5)
+	rules, err := GenerateRules(tieBreakResult(), 0.5, newRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,43 +387,136 @@ func TestRuleSortTieBreak(t *testing.T) {
 	}
 }
 
-// TestSortRulesMatchesCompareRules sorts shuffled copies of the kernel
-// fixture's rule set with sortRules and checks each against a stable
-// comparator sort: the same rules, field for field, in the same order.
-func TestSortRulesMatchesCompareRules(t *testing.T) {
-	res := kernelResult(t)
-	rules, err := GenerateRules(res, 0.3)
-	if err != nil {
-		t.Fatal(err)
+// tieBreakResult is TestRuleSortTieBreak's hand-built frequent set: most
+// of its rules tie on confidence and support.
+func tieBreakResult() *Result {
+	set := func(count int, items ...int) ItemsetCount {
+		return ItemsetCount{Items: transactions.NewItemset(items...), Count: count}
 	}
-	want := slices.Clone(rules)
-	slices.SortStableFunc(want, compareRules)
-	if !reflect.DeepEqual(rules, want) {
-		t.Fatal("GenerateRules output is not in compareRules order")
+	return &Result{
+		NumTx: 4,
+		Levels: [][]ItemsetCount{
+			{set(2, 1), set(2, 2), set(2, 3), set(4, 4), set(3, 5)},
+			{set(2, 1, 2), set(2, 1, 3), set(2, 1, 4), set(2, 2, 3), set(3, 4, 5)},
+			{set(2, 1, 2, 3)},
+		},
 	}
-	rng := rand.New(rand.NewSource(7))
-	for rep := 0; rep < 5; rep++ {
-		got := slices.Clone(rules)
-		rng.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
-		sortRules(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("rep %d: sortRules of a shuffled copy differs from the comparator sort", rep)
+}
+
+// TestSortRecordsMatchesCompareRules sorts shuffled copies of a rule
+// set's records with the record comparator and checks the rules written
+// from them against a stable comparator sort of the same rules written in
+// generation order: the same rules, field for field, in the same order.
+// Both fixtures hold rules that tie on confidence and support and share
+// an antecedent, so the consequent decides their order.
+func TestSortRecordsMatchesCompareRules(t *testing.T) {
+	for name, res := range map[string]*Result{"kernel": kernelResult(t), "tie-break": tieBreakResult()} {
+		g, err := newRuleGen(res, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.collect()
+		want := writeRules(g, newRule)
+		slices.SortStableFunc(want, compareRules)
+		ties := 0
+		for i := 1; i < len(want); i++ {
+			a, b := want[i-1], want[i]
+			if a.Confidence == b.Confidence && a.Support == b.Support && a.Antecedent.Equal(b.Antecedent) {
+				ties++
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("%s: no two rules tie on confidence, support and antecedent", name)
+		}
+		rng := rand.New(rand.NewSource(7))
+		for rep := 0; rep < 5; rep++ {
+			rng.Shuffle(len(g.recs), func(i, j int) { g.recs[i], g.recs[j] = g.recs[j], g.recs[i] })
+			slices.SortFunc(g.recs, g.compare)
+			if got := writeRules(g, newRule); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, rep %d: the record sort of a shuffled copy differs from the comparator sort", name, rep)
+			}
 		}
 	}
 }
 
+// TestRuleSupportByFirstItem checks the first-item lookup against
+// Result.Support for every proper subset of every itemset, and for probes
+// past the tables' last item, on results with the tables' edge cases:
+// itemsets whose first item is past L1's largest item, a level with no
+// itemsets, and the kernel fixture.
+func TestRuleSupportByFirstItem(t *testing.T) {
+	set := func(count int, items ...int) ItemsetCount {
+		return ItemsetCount{Items: transactions.NewItemset(items...), Count: count}
+	}
+	pastL1 := &Result{
+		NumTx: 8,
+		Levels: [][]ItemsetCount{
+			{set(4, 1), set(4, 2)},
+			{set(3, 1, 2), set(2, 7, 8)},
+			{set(2, 7, 8, 9)},
+		},
+	}
+	noPairs := &Result{
+		NumTx:  4,
+		Levels: [][]ItemsetCount{{set(2, 1), set(2, 2), set(2, 3)}, nil, {set(2, 1, 2, 3)}},
+	}
+	for name, res := range map[string]*Result{"past L1": pastL1, "no pairs": noPairs, "kernel": kernelResult(t)} {
+		g, err := newRuleGen(res, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := []transactions.Itemset{{g.width - 1, g.width}, {g.width + 5}, {0, g.width + 5}}
+		for _, level := range res.Levels[1:] {
+			for _, ic := range level {
+				for mask := uint64(1); mask < 1<<len(ic.Items)-1; mask++ {
+					sub, _ := split(ic.Items, mask, nil, nil)
+					probes = append(probes, sub)
+				}
+			}
+		}
+		for _, s := range probes {
+			if len(s) >= len(res.Levels) {
+				continue
+			}
+			if want, _ := res.Support(s); g.support(s) != want {
+				t.Fatalf("%s: support(%v) = %d, Result.Support says %d", name, s, g.support(s), want)
+			}
+		}
+	}
+	rules, err := GenerateRules(pastL1, 0.5, newRule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, len(rules))
+	for i, r := range rules {
+		got[i] = r.String()
+	}
+	if want := []string{
+		"{7, 8} => {9} (sup=2, conf=1.000, lift=0.000)",
+		"{1} => {2} (sup=3, conf=0.750, lift=1.500)",
+		"{2} => {1} (sup=3, conf=0.750, lift=1.500)",
+	}; !slices.Equal(got, want) {
+		t.Errorf("rules past L1:\n got %q\nwant %q", got, want)
+	}
+	if rules, err := GenerateRules(noPairs, 0.1, newRule); err != nil || rules != nil {
+		t.Errorf("rules with no pairs = %v (err %v), want none", rules, err)
+	}
+}
+
 // TestGenerateRulesAllocations pins GenerateRules' allocations on the
-// BenchmarkGenerateRules fixture: 21 before the rule sort took its key
-// buffer, which is the only one it may add.
+// BenchmarkGenerateRules fixture at 10: the call's state, the L1
+// supports, the records, the first-item tables, the split and consequent
+// scratches, the arena and the rules, plus whatever the consequent levels
+// of the fixture's longest itemsets outgrow.
 func TestGenerateRulesAllocations(t *testing.T) {
 	res := kernelResult(t)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := GenerateRules(res, 0.3); err != nil {
+		if _, err := GenerateRules(res, 0.3, newRule); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 21+1 {
-		t.Errorf("GenerateRules: %v allocations per call, want at most 22", allocs)
+	if allocs > 10 {
+		t.Errorf("GenerateRules: %v allocations per call, want at most 10", allocs)
 	}
 }
 

@@ -237,21 +237,19 @@ func Mine(t *dataset.Table, cfg Config, minSupport, minConfidence float64) ([]Ru
 	if err != nil {
 		return nil, nil, err
 	}
-	raw, err := assoc.GenerateRules(res, minConfidence)
+	rules, err := assoc.GenerateRules(res, minConfidence, func(ante, cons transactions.Itemset, support int, conf, lift float64) Rule {
+		return Rule{
+			Antecedent: describeAll(codec, ante),
+			Consequent: describeAll(codec, cons),
+			Support:    support,
+			Confidence: conf,
+			Lift:       lift,
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]Rule, 0, len(raw))
-	for _, r := range raw {
-		out = append(out, Rule{
-			Antecedent: describeAll(codec, r.Antecedent),
-			Consequent: describeAll(codec, r.Consequent),
-			Support:    r.Support,
-			Confidence: r.Confidence,
-			Lift:       r.Lift,
-		})
-	}
-	return out, codec, nil
+	return rules, codec, nil
 }
 
 func describeAll(codec *Codec, items transactions.Itemset) []string {

@@ -249,12 +249,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAppend serves POST /v1/append: the body is basket lines
-// (whitespace-separated item ids, one transaction per line), each
-// enqueued as one OpAppend. The whole body is parsed before anything is
-// enqueued, so a malformed line anywhere answers 400 with no line applied
-// — a client may fix the body and resend it without duplicating a prefix.
-// The enqueue respects the request context, so a client timeout unblocks a
-// full queue's backpressure.
+// (whitespace-separated item ids, one transaction per line), each one
+// OpAppend. The whole body is parsed first and then enqueued as one queue
+// entry, persisted with one sync and acknowledged once, so the request is
+// all or nothing: a malformed line anywhere answers 400, and a log
+// failure, or a context that ends before the entry is queued, answers an
+// error, each with no line applied — a client may resend the body without
+// duplicating a prefix. The enqueue respects the request context, so a
+// client timeout unblocks a full queue's backpressure; one that ends
+// while waiting for the ack leaves the whole body in flight.
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	var ops []Op
 	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
@@ -278,8 +281,8 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: reading body: %v", ErrBadQuery, err))
 		return
 	}
-	for _, op := range ops {
-		if err := s.Enqueue(r.Context(), op); err != nil {
+	if len(ops) > 0 {
+		if err := s.enqueue(r.Context(), ops); err != nil {
 			writeError(w, err)
 			return
 		}

@@ -223,7 +223,8 @@ func TestHTTPAppendLineCap(t *testing.T) {
 // TestHTTPAppendIsAllOrNothing: a body with a malformed line answers 400
 // and applies none of its lines, not the valid prefix. The view's op
 // count, the store and the write-ahead log (read back by a restart) all
-// stay where the last good request left them.
+// stay where the last good request left them. A body whose log write
+// fails partway answers an error and applies none of its lines either.
 func TestHTTPAppendIsAllOrNothing(t *testing.T) {
 	fs := wal.NewMemFS()
 	rows := fixtureRows(100, 12, 24)
@@ -264,6 +265,27 @@ func TestHTTPAppendIsAllOrNothing(t *testing.T) {
 	defer restarted.Close()
 	if ops, found := restarted.Recovered(); !found || ops != before.Ops() {
 		t.Fatalf("WAL holds %d ops (found=%v) after a rejected body, want %d", ops, found, before.Ops())
+	}
+
+	// A log write that fails mid-request: the plan's seed lets the server
+	// start and then fails the write of the body's fifth record. The body
+	// answers an error with none of its lines applied, where a line-by-line
+	// enqueue would have applied and acked the first four.
+	mem := wal.NewMemFS()
+	faulty := newTestServer(t, rows, Config{FS: wal.NewFaultFS(mem, wal.FaultPlan{Seed: 1, WriteErr: 0.1})})
+	ops := faulty.Stats().Ops
+	const lines = 10
+	postStatus(t, startHTTP(t, faulty).URL+"/v1/append", strings.Repeat("7 8 9\n", lines), http.StatusInternalServerError)
+	if got := faulty.session.Len(); got != len(rows) || faulty.Stats().Ops != ops {
+		t.Fatalf("after a log failure mid-body: store %d (want %d), consumed %d (want %d)",
+			got, len(rows), faulty.Stats().Ops, ops)
+	}
+	rec, err := wal.Recover(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written := rec.Ops - ops; written == 0 || written >= lines {
+		t.Fatalf("%d of the body's %d records reached the log before the fault, want a fault mid-body", written, lines)
 	}
 }
 

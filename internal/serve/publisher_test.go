@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/synth"
 	"repro/internal/wal"
+	"repro/mining"
 )
 
 // TestPublisherContract pins the hand-off between the ingest goroutine
@@ -150,5 +152,53 @@ func TestPublisherContract(t *testing.T) {
 	}
 	if got := runtime.NumGoroutine(); got > goroutinesBefore {
 		t.Errorf("goroutine leak: %d before, %d after", goroutinesBefore, got)
+	}
+}
+
+// BenchmarkPublish times what the publisher derives for one view: the
+// rules at the 0.3 floor and the query index over them, from a result
+// maintained after a 128-append + 128-delete slide of a 20k-row Quest
+// T10.I4 store at 0.2 % support.
+func BenchmarkPublish(b *testing.B) {
+	const rows, slide = 20000, 128
+	db, err := synth.Baskets(synth.T10I4(rows+slide, 1996))
+	if err != nil {
+		b.Fatal(err)
+	}
+	txs := make([][]int, len(db.Transactions))
+	for i, tx := range db.Transactions {
+		txs[i] = tx
+	}
+	sess, err := mining.NewSession(mustDB(b, txs[:rows]), mining.MinSupport(0.002), mining.Workers(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	ctx := context.Background()
+	if _, _, err := sess.Maintain(ctx); err != nil {
+		b.Fatal(err)
+	}
+	for _, tx := range txs[rows:] {
+		if err := sess.Append(tx...); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sess.DeleteAt(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	res, _, err := sess.Maintain(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var keys []uint64 // the publisher's scratch, reused across publishes
+	b.ReportAllocs()
+	for b.Loop() {
+		rules, err := res.Rules(0.3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ix := newQueryIndex(rules, &keys); len(ix.bySupport) != len(rules) || len(rules) == 0 {
+			b.Fatalf("%d rules, %d indexed", len(rules), len(ix.bySupport))
+		}
 	}
 }

@@ -154,7 +154,9 @@ type Config struct {
 	// (0, 1] (0 = DefaultRuleFloor). Queries filter at or above it; a
 	// query asking below the floor is answered from the floor set.
 	RuleFloor float64
-	// QueueSize bounds the ingest queue (0 = DefaultQueueSize).
+	// QueueSize bounds the ingest queue's entries: one per Enqueue call
+	// and one per append request, whatever its line count
+	// (0 = DefaultQueueSize).
 	QueueSize int
 	// MaintainAfter triggers a Maintain once that many ops were applied
 	// since the last publish (0 = DefaultMaintainAfter).
@@ -314,7 +316,7 @@ type Stats struct {
 	NumTx int `json:"num_tx"`
 	// Ops is the number of queue operations consumed so far.
 	Ops uint64 `json:"ops"`
-	// QueueLen is the current ingest-queue depth.
+	// QueueLen is the current ingest-queue depth, in entries.
 	QueueLen int `json:"queue_len"`
 	// Maintains counts published views; FullRuns counts the ones whose
 	// Maintain fell back to a full re-mine.
@@ -374,10 +376,12 @@ type Server struct {
 	panics       atomic.Uint64
 }
 
-// queued is one op in flight through the ingest queue, with the ack
-// channel a durable Enqueue blocks on (nil for fire-and-forget).
+// queued is one queue entry in flight through the ingest queue: the ops
+// of one Enqueue call or of one append request, persisted, applied and
+// acknowledged together, with the ack channel a durable caller blocks on
+// (nil for fire-and-forget).
 type queued struct {
-	op  Op
+	ops []Op
 	ack chan error
 }
 
@@ -550,12 +554,22 @@ func (s *Server) Stats() Stats {
 // fail-stops, every call errors). A context cancellation while waiting
 // for the ack leaves the op in flight: it may still be applied.
 func (s *Server) Enqueue(ctx context.Context, op Op) error {
+	return s.enqueue(ctx, []Op{op})
+}
+
+// enqueue is Enqueue for a run of ops that take one queue entry: they are
+// persisted in one append run with one sync, then applied and
+// acknowledged together, or, if persisting fails, none is applied and
+// the one error answers them all. A context that ends before the entry
+// is queued leaves every op unapplied; one that ends while waiting for
+// the ack leaves them all in flight.
+func (s *Server) enqueue(ctx context.Context, ops []Op) error {
 	select {
 	case <-s.quit:
 		return ErrServerClosed
 	default:
 	}
-	q := queued{op: op}
+	q := queued{ops: ops}
 	if s.log != nil {
 		q.ack = make(chan error, 1)
 	}
@@ -754,28 +768,19 @@ func (s *Server) drainQueued() []queued {
 	}
 }
 
-// ingest is the group commit: persist the whole batch to the log, sync
-// once (under wal.SyncAlways), then apply and acknowledge. If any
-// persistence step fails, the entire batch is rejected — nothing is
-// applied, every waiter gets the error — because the log is fail-stop
-// and acknowledging unpersisted ops would break the durability contract.
-// Returns the number of ops that changed the store.
+// ingest is the group commit: persist every op of the batch's entries to
+// the log, sync once (under wal.SyncAlways), then apply and acknowledge
+// each entry. If any persistence step fails, the entire batch is
+// rejected — nothing is applied, every waiter gets the error — because
+// the log is fail-stop and acknowledging unpersisted ops would break the
+// durability contract. Returns the number of ops that changed the store.
 func (s *Server) ingest(batch []queued) int {
 	if len(batch) == 0 {
 		return 0
 	}
 	var perr error
 	if s.log != nil {
-		for _, q := range batch {
-			op := q.op
-			if _, err := s.log.Append(wal.Op{Kind: int(op.Kind), Items: op.Items, TID: op.TID}); err != nil {
-				perr = err
-				break
-			}
-		}
-		if perr == nil && s.cfg.Fsync == wal.SyncAlways {
-			perr = s.log.Sync()
-		}
+		perr = s.persist(batch)
 	}
 	applied := 0
 	for _, q := range batch {
@@ -784,10 +789,28 @@ func (s *Server) ingest(batch []queued) int {
 			q.reply(perr)
 			continue
 		}
-		applied += s.apply(q.op)
+		for _, op := range q.ops {
+			applied += s.apply(op)
+		}
 		q.reply(nil)
 	}
 	return applied
+}
+
+// persist appends every op of batch to the log, in order, and syncs once
+// under wal.SyncAlways. It stops at the first error.
+func (s *Server) persist(batch []queued) error {
+	for _, q := range batch {
+		for _, op := range q.ops {
+			if _, err := s.log.Append(wal.Op{Kind: int(op.Kind), Items: op.Items, TID: op.TID}); err != nil {
+				return err
+			}
+		}
+	}
+	if s.cfg.Fsync == wal.SyncAlways {
+		return s.log.Sync()
+	}
+	return nil
 }
 
 // apply performs one op against the session, returning 1 if the store

@@ -279,21 +279,16 @@ func (r *Result) Canonical() []byte { return r.res.Canonical() }
 
 // Rules derives all association rules meeting minConfidence from the
 // frequent itemsets, sorted by descending confidence, then support, then
-// antecedent order.
+// antecedent and consequent order. It derives each rule once, straight
+// into the returned slice: assoc.GenerateRules sorts compact records of
+// the rules that pass and only then writes them, with their itemsets cut
+// from one exactly sized arena, and looks supports up among the itemsets
+// that share a first item. It returns nil when no rule passes.
 func (r *Result) Rules(minConfidence float64) ([]Rule, error) {
-	rules, err := assoc.GenerateRules(r.res, minConfidence)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Rule, len(rules))
-	for i, rule := range rules {
-		out[i] = Rule{
-			Antecedent: rule.Antecedent,
-			Consequent: rule.Consequent,
-			Support:    rule.Support,
-			Confidence: rule.Confidence,
-			Lift:       rule.Lift,
-		}
-	}
-	return out, nil
+	return assoc.GenerateRules(r.res, minConfidence, newRule)
+}
+
+// newRule is the constructor Rules hands assoc.GenerateRules.
+func newRule(ante, cons transactions.Itemset, support int, conf, lift float64) Rule {
+	return Rule{Antecedent: ante, Consequent: cons, Support: support, Confidence: conf, Lift: lift}
 }

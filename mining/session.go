@@ -219,11 +219,11 @@ func (s *Session) Result() *Result {
 	return s.last
 }
 
-// Rules regenerates the association rules from the last maintained
-// frequent set (Result.Rules of the session's Result) — itemset counts
-// are maintained incrementally and rules are cheap post-processing over
-// them. It returns ErrClosed after Close and assoc's ErrNotAttached error
-// before the first successful Mine.
+// Rules derives the association rules of the last maintained frequent
+// set afresh (Result.Rules of the session's Result): the itemset counts
+// are maintained incrementally, while the rules are one pass over them
+// that writes each rule once. It returns ErrClosed after Close and
+// assoc's ErrNotAttached error before the first successful Mine.
 func (s *Session) Rules(minConfidence float64) ([]Rule, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
