@@ -32,10 +32,13 @@ const maxRuleItems = 64
 // candidate generation.
 //
 // A rule that passes is kept as a 24-byte record (confidence, support, the
-// itemset's position and the consequent mask), and the records are sorted
+// itemset's position and the consequent mask), and the records are put
 // into the published order: descending confidence, then descending
 // support, then antecedent and consequent order, read from the itemset
-// through the mask. Only then is each rule written, into one []R of
+// through the mask. An in-place radix sort on the confidence bits
+// (sortRecs) does most of it; the record comparator orders only the small
+// buckets the radix passes leave and the records of equal confidence.
+// Only then is each rule written, into one []R of
 // exact length whose itemsets are cut from one exactly sized arena (each
 // capped, so an append to one cannot reach its neighbour); a rule with no
 // consequent support gets lift 0.
@@ -65,7 +68,7 @@ func GenerateRules[R any](res *Result, minConfidence float64, rule func(ante, co
 	if len(g.recs) == 0 {
 		return nil, nil
 	}
-	slices.SortFunc(g.recs, g.compare)
+	g.sortRecs(g.recs, 56)
 	return writeRules(g, rule), nil
 }
 
@@ -277,6 +280,77 @@ func (g *ruleGen) compare(a, b ruleRec) int {
 		return c
 	}
 	return comparePart(x.Items, a.mask, y.Items, b.mask)
+}
+
+// recCutoff is the largest bucket sortRecs hands to g.compare instead of
+// splitting it by the next byte: below it, a comparison sort is cheaper
+// than another pass of 256 counters.
+const recCutoff = 32
+
+// sortRecs puts recs into g.compare order by an in-place MSD radix sort
+// (American flag sort) on the complemented confidence bits, so that
+// ascending keys are confidence descending: it splits recs into one bucket
+// per value of the key's byte at shift, skipping a byte on which all of
+// them agree, and sorts each bucket by the next byte down. g.compare
+// decides only a bucket of at most recCutoff records and one whose
+// records share all eight bytes, an equal confidence. A confidence is in
+// (0, 1], so its bits order as the floats do. Shift 56, the top byte,
+// sorts all of recs.
+//
+//invcheck:hotpath
+func (g *ruleGen) sortRecs(recs []ruleRec, shift uint) {
+	var end [256]int32
+	for {
+		if len(recs) <= recCutoff {
+			slices.SortFunc(recs, g.compare)
+			return
+		}
+		end = [256]int32{}
+		for i := range recs {
+			end[recDigit(recs[i], shift)]++
+		}
+		if end[recDigit(recs[0], shift)] != int32(len(recs)) {
+			break
+		}
+		if shift == 0 {
+			slices.SortFunc(recs, g.compare)
+			return
+		}
+		shift -= 8
+	}
+	var next [256]int32
+	at := int32(0)
+	for b, n := range end {
+		next[b] = at
+		at += n
+		end[b] = at
+	}
+	for b := range next {
+		for next[b] < end[b] {
+			r := recs[next[b]]
+			for d := recDigit(r, shift); d != uint8(b); d = recDigit(r, shift) {
+				r, recs[next[d]] = recs[next[d]], r
+				next[d]++
+			}
+			recs[next[b]] = r
+			next[b]++
+		}
+	}
+	lo := int32(0)
+	for _, hi := range end {
+		if bucket := recs[lo:hi]; len(bucket) > recCutoff && shift > 0 {
+			g.sortRecs(bucket, shift-8)
+		} else if len(bucket) > 1 {
+			slices.SortFunc(bucket, g.compare)
+		}
+		lo = hi
+	}
+}
+
+// recDigit is the byte at shift of r's sort key, its complemented
+// confidence bits.
+func recDigit(r ruleRec, shift uint) uint8 {
+	return uint8(^math.Float64bits(r.conf) >> shift)
 }
 
 // comparePart compares, in Itemset.Compare order, the items of x at the

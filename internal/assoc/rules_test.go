@@ -404,13 +404,16 @@ func tieBreakResult() *Result {
 }
 
 // TestSortRecordsMatchesCompareRules sorts shuffled copies of a rule
-// set's records with the record comparator and checks the rules written
-// from them against a stable comparator sort of the same rules written in
+// set's records with sortRecs and checks the rules written from them
+// against a stable comparator sort of the same rules written in
 // generation order: the same rules, field for field, in the same order.
-// Both fixtures hold rules that tie on confidence and support and share
-// an antecedent, so the consequent decides their order.
+// Every fixture holds rules that tie on confidence and support and share
+// an antecedent, so the consequent decides their order; in the blocks
+// fixture over a thousand rules share confidence 1.0, a bucket far past
+// the cut-off that only g.compare can order.
 func TestSortRecordsMatchesCompareRules(t *testing.T) {
-	for name, res := range map[string]*Result{"kernel": kernelResult(t), "tie-break": tieBreakResult()} {
+	longest := 0
+	for name, res := range map[string]*Result{"kernel": kernelResult(t), "tie-break": tieBreakResult(), "blocks": blocksResult(t)} {
 		g, err := newRuleGen(res, 0.3)
 		if err != nil {
 			t.Fatal(err)
@@ -418,12 +421,18 @@ func TestSortRecordsMatchesCompareRules(t *testing.T) {
 		g.collect()
 		want := writeRules(g, newRule)
 		slices.SortStableFunc(want, compareRules)
-		ties := 0
+		ties, run := 0, 1
 		for i := 1; i < len(want); i++ {
 			a, b := want[i-1], want[i]
 			if a.Confidence == b.Confidence && a.Support == b.Support && a.Antecedent.Equal(b.Antecedent) {
 				ties++
 			}
+			if a.Confidence == b.Confidence {
+				run++
+			} else {
+				run = 1
+			}
+			longest = max(longest, run)
 		}
 		if ties == 0 {
 			t.Fatalf("%s: no two rules tie on confidence, support and antecedent", name)
@@ -431,11 +440,139 @@ func TestSortRecordsMatchesCompareRules(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for rep := 0; rep < 5; rep++ {
 			rng.Shuffle(len(g.recs), func(i, j int) { g.recs[i], g.recs[j] = g.recs[j], g.recs[i] })
-			slices.SortFunc(g.recs, g.compare)
+			g.sortRecs(g.recs, 56)
 			if got := writeRules(g, newRule); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s, rep %d: the record sort of a shuffled copy differs from the comparator sort", name, rep)
 			}
 		}
+	}
+	if longest <= recCutoff {
+		t.Fatalf("the longest run of equal confidences is %d rules, want past the cut-off %d", longest, recCutoff)
+	}
+}
+
+// blocksResult mines eight disjoint blocks of five items. The first four
+// blocks always occur whole, ten times each, so each of their 180 rules
+// has confidence 1.0 and support 10; in the other four, each transaction
+// drops one item of its block now and then, which spreads their
+// confidences out.
+func blocksResult(t *testing.T) *Result {
+	t.Helper()
+	db := transactions.NewDB()
+	for tx := 0; tx < 40+4*35; tx++ {
+		block := tx % 8
+		items := []int{5 * block, 5*block + 1, 5*block + 2, 5*block + 3, 5*block + 4}
+		if drop := (tx / 8) % 7; block >= 4 && drop < 5 {
+			items = slices.Delete(items, drop, drop+1)
+		}
+		if tx >= 80 && block < 4 {
+			continue // the whole blocks stop at ten transactions each
+		}
+		if err := db.Add(items...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := (&Apriori{}).Mine(db, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestSortRecsAdversarial checks sortRecs against slices.SortFunc with
+// g.compare on records whose confidences stress each of its paths: all
+// equal (at 1.0), two values, values that differ only in their lowest
+// byte or only in one middle byte, a random mix, and a set below the
+// cut-off.
+func TestSortRecsAdversarial(t *testing.T) {
+	g := pairGen(t)
+	rng := rand.New(rand.NewSource(50))
+	base := math.Float64bits(0.7)
+	for name, conf := range map[string]func() float64{
+		"all 1.0":     func() float64 { return 1 },
+		"two values":  func() float64 { return []float64{0.5, 1}[rng.Intn(2)] },
+		"lowest byte": func() float64 { return math.Float64frombits(base&^0xff | uint64(rng.Intn(4))) },
+		"middle byte": func() float64 { return math.Float64frombits(base&^(0xff<<24) | uint64(rng.Intn(256))<<24) },
+		"mix": func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return 1
+			case 1:
+				return []float64{0.5, 0.75, 2.0 / 3}[rng.Intn(3)]
+			}
+			return 0.3 + 0.7*rng.Float64()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			for _, n := range []int{recCutoff / 2, 3000} {
+				confs := make([]float64, n)
+				for i := range confs {
+					confs[i] = conf()
+				}
+				checkSortRecs(t, g, confs)
+			}
+		})
+	}
+}
+
+// FuzzSortRecs checks sortRecs against slices.SortFunc with g.compare.
+// Four bytes of data make one record: the first picks confidence 1.0 or
+// which byte of the confidence bits the second sets, the third sets the
+// lowest byte; so the records' keys tie, or differ in one or two bytes.
+func FuzzSortRecs(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 9, 9, 9})
+	f.Add(make([]byte, 4*100))
+	g := pairGen(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		confs := make([]float64, min(len(data)/4, 2*len(g.res.Levels[1])))
+		for i := range confs {
+			b := data[4*i : 4*i+4]
+			if b[0]&3 == 0 {
+				confs[i] = 1
+				continue
+			}
+			bits := math.Float64bits(0.5) | uint64(b[1])<<(8*uint(b[0]>>2%6)) | uint64(b[2])
+			confs[i] = math.Float64frombits(bits)
+		}
+		checkSortRecs(t, g, confs)
+	})
+}
+
+// pairGen is a rule generator over every pair of 80 items, their counts
+// drawn from three values so that supports tie often.
+func pairGen(t testing.TB) *ruleGen {
+	t.Helper()
+	res := &Result{NumTx: 10}
+	var singles, pairs []ItemsetCount
+	for a := 0; a < 80; a++ {
+		singles = append(singles, ItemsetCount{Items: transactions.NewItemset(a), Count: 5})
+		for b := a + 1; b < 80; b++ {
+			pairs = append(pairs, ItemsetCount{Items: transactions.NewItemset(a, b), Count: 1 + (a+b)%3})
+		}
+	}
+	res.Levels = [][]ItemsetCount{singles, pairs}
+	g, err := newRuleGen(res, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// checkSortRecs gives record i confidence confs[i], pair i/2 and the
+// consequent at position i%2 of it, so no two records name one rule and
+// g.compare orders them totally, and checks that sortRecs puts them in
+// the order slices.SortFunc with g.compare gives.
+func checkSortRecs(t *testing.T, g *ruleGen, confs []float64) {
+	t.Helper()
+	recs := make([]ruleRec, len(confs))
+	for i, c := range confs {
+		recs[i] = ruleRec{conf: c, sup: int32(g.res.Levels[1][i/2].Count), ref: int32(i / 2), mask: 1 << (i % 2)}
+	}
+	want := slices.Clone(recs)
+	slices.SortFunc(want, g.compare)
+	g.sortRecs(recs, 56)
+	if !slices.Equal(recs, want) {
+		t.Fatalf("%d records: sortRecs order differs from the comparator sort", len(recs))
 	}
 }
 

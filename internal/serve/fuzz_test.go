@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"net/url"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -108,4 +110,79 @@ func FuzzParseItems(f *testing.F) {
 			t.Fatalf("accepted items %v fail normalization: %v", items, err)
 		}
 	})
+}
+
+// FuzzQueryValue checks queryValue, the delete handler's tid reader,
+// against url.ParseQuery(raw).Get("tid") on arbitrary raw queries: ';'
+// segments, bad and good escapes, '+', repeated and empty keys.
+func FuzzQueryValue(f *testing.F) {
+	seeds := []string{
+		"",
+		"tid=5",
+		"tid=5&tid=6",
+		"x=1&tid=7",
+		"tid",
+		"tid=",
+		"=5&tid=3",
+		"&&tid=4&",
+		"tid=1;x=2&tid=3",
+		"a=1;tid=2",
+		"tid=%zz&tid=9",
+		"%zz=1&tid=8",
+		"t%69d=10",
+		"tid=%31%32",
+		"tid=+1",
+		"ti+d=1&tid=2",
+		"tid=1=2",
+		"TID=1&tid=2",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		values, _ := url.ParseQuery(raw) // the handler read r.URL.Query(), which drops the error too
+		if got, want := queryValue(raw, "tid"), values.Get("tid"); got != want {
+			t.Fatalf("queryValue(%q) = %q, url.ParseQuery gives %q", raw, got, want)
+		}
+	})
+}
+
+// FuzzRadixRank checks radixRank against slices.Sort of the same keys
+// packed above their ids. Each key takes four bytes of data and keeps
+// only the bits of mask, so masks with few bits set draw long runs of
+// equal keys and keys that differ in one byte only.
+func FuzzRadixRank(f *testing.F) {
+	f.Add([]byte{}, uint32(0xffffffff))
+	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4, 9, 9, 9, 9}, uint32(0xffffffff))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint32(0xff))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, uint32(0x01000000))
+	f.Fuzz(func(t *testing.T, data []byte, mask uint32) {
+		keys := make([]uint32, len(data)/4)
+		for i := range keys {
+			keys[i] = binary.LittleEndian.Uint32(data[4*i:]) & mask
+		}
+		checkRadixRank(t, keys)
+	})
+}
+
+// checkRadixRank runs radixRank over keys, with a dirty pass buffer, and
+// compares its ids with the low halves of the packed keys key<<32 | id
+// after slices.Sort.
+func checkRadixRank(t *testing.T, keys []uint32) {
+	t.Helper()
+	packed := make([]uint64, len(keys))
+	for i, k := range keys {
+		packed[i] = uint64(k)<<32 | uint64(i)
+	}
+	slices.Sort(packed)
+	ids, tmp := make([]int32, len(keys)), make([]int32, len(keys))
+	for i := range tmp {
+		tmp[i] = -1
+	}
+	radixRank(keys, ids, tmp)
+	for i, p := range packed {
+		if ids[i] != int32(uint32(p)) {
+			t.Fatalf("%d keys: radixRank puts id %d at %d, slices.Sort puts id %d", len(keys), ids[i], i, uint32(p))
+		}
+	}
 }

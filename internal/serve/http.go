@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -287,12 +288,12 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, map[string]int{"enqueued": len(ops)})
+	writeEnqueued(w, len(ops))
 }
 
 // handleDelete serves POST /v1/delete?tid=N.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	raw := r.URL.Query().Get("tid")
+	raw := queryValue(r.URL.RawQuery, "tid")
 	tid, err := strconv.Atoi(raw)
 	if err != nil {
 		writeError(w, fmt.Errorf("%w: tid=%q: %v", ErrBadQuery, raw, err))
@@ -306,7 +307,40 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, map[string]int{"enqueued": 1})
+	writeEnqueued(w, 1)
+}
+
+// queryValue returns url.ParseQuery(raw).Get(key) without building the
+// map: the first value of key among raw's &-separated pairs, skipping, as
+// ParseQuery does, empty pairs, pairs that hold a ';' and pairs whose key
+// or value does not unescape. Only a key or value that needs unescaping
+// allocates.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
+// writeEnqueued writes the write handlers' reply, the bytes writeJSON
+// writes for map[string]int{"enqueued": n}, without the map or an encoder.
+func writeEnqueued(w http.ResponseWriter, n int) {
+	w.Header().Set("Content-Type", "application/json")
+	var buf [32]byte
+	b := append(buf[:0], `{"enqueued":`...)
+	b = strconv.AppendInt(b, int64(n), 10)
+	w.Write(append(b, "}\n"...))
 }
 
 // handleFlush serves POST /v1/flush.

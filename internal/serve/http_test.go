@@ -289,6 +289,25 @@ func TestHTTPAppendIsAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestWriteEnqueuedMatchesJSON pins the write handlers' reply to the
+// header and bytes writeJSON gives the map it replaced, {"enqueued":16}
+// and a newline for a 16-line append.
+func TestWriteEnqueuedMatchesJSON(t *testing.T) {
+	for _, n := range []int{0, 1, 16, 1 << 40, -3} {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeEnqueued(got, n)
+		writeJSON(want, map[string]int{"enqueued": n})
+		if got.Body.String() != want.Body.String() || !reflect.DeepEqual(got.Header(), want.Header()) {
+			t.Errorf("n=%d: reply %q %v, writeJSON gives %q %v", n, got.Body, got.Header(), want.Body, want.Header())
+		}
+	}
+	rec := httptest.NewRecorder()
+	writeEnqueued(rec, 16)
+	if rec.Body.String() != "{\"enqueued\":16}\n" {
+		t.Errorf("reply %q", rec.Body)
+	}
+}
+
 // TestParseRulesQueryTable pins the parser's accept/reject behavior
 // directly (the fuzz targets explore beyond it).
 func TestParseRulesQueryTable(t *testing.T) {

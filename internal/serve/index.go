@@ -83,10 +83,17 @@ func newPostings(rules []mining.Rule, numItems int, keysOf func(antecedent []int
 	return postings{off: off[:numItems+1], ids: ids}
 }
 
-// newQueryIndex indexes rules, which must be in published order. keys
-// is the scratch the rankings are sorted in, grown as needed and kept for
-// the next build (nil: a fresh one).
-func newQueryIndex(rules []mining.Rule, keys *[]uint64) queryIndex {
+// rankScratch is the memory the rankings are sorted in, one key and one
+// pass-buffer slot per rule. The publisher keeps one across builds, so a
+// warm build allocates only the index itself.
+type rankScratch struct {
+	keys []uint32
+	ids  []int32
+}
+
+// newQueryIndex indexes rules, which must be in published order, sorting
+// the rankings in scratch, grown as needed (nil: a fresh one).
+func newQueryIndex(rules []mining.Rule, scratch *rankScratch) queryIndex {
 	if len(rules) == 0 {
 		return queryIndex{}
 	}
@@ -96,58 +103,118 @@ func newQueryIndex(rules []mining.Rule, keys *[]uint64) queryIndex {
 			numItems = max(numItems, ant[len(ant)-1]+1) // antecedents are sorted
 		}
 	}
-	if keys == nil {
-		keys = new([]uint64)
+	if scratch == nil {
+		scratch = new(rankScratch)
 	}
-	*keys = slices.Grow((*keys)[:0], len(rules))[:len(rules)]
+	n := len(rules)
+	scratch.keys = slices.Grow(scratch.keys[:0], n)[:n]
+	scratch.ids = slices.Grow(scratch.ids[:0], n)[:n]
 	return queryIndex{
-		bySupport: rankBySupport(rules, *keys),
-		byLift:    rankByLift(rules, *keys),
+		bySupport: rankBySupport(rules, scratch),
+		byLift:    rankByLift(rules, scratch),
 		contains:  newPostings(rules, numItems, func(ant []int) []int { return ant }),
 		first:     newPostings(rules, numItems, func(ant []int) []int { return ant[:min(1, len(ant))] }),
 	}
 }
 
-// rankBySupport returns the rule ids in rankCmp(rules, BySupport) order,
-// sorting one packed key per rule in keys: the complemented support above
-// the id, so ascending keys are support descending, ties toward the lower
-// id. A support is below 2^32 — the store would otherwise hold more
-// transactions than fit in memory.
-func rankBySupport(rules []mining.Rule, keys []uint64) []int32 {
+// rankBySupport returns the rule ids in rankCmp(rules, BySupport) order:
+// radixRank over the complemented supports, so ascending keys are support
+// descending, ties toward the lower id. A support is below 2^32 — the
+// store would otherwise hold more transactions than fit in memory.
+func rankBySupport(rules []mining.Rule, scratch *rankScratch) []int32 {
 	for i := range rules {
-		keys[i] = uint64(^uint32(rules[i].Support))<<32 | uint64(i)
+		scratch.keys[i] = ^uint32(rules[i].Support)
 	}
-	slices.Sort(keys)
-	return idsOf(keys)
+	ids := make([]int32, len(rules))
+	radixRank(scratch.keys, ids, scratch.ids)
+	return ids
 }
 
-// rankByLift returns the rule ids in rankCmp(rules, ByLift) order. A
-// packed key holds only the top 32 bits of liftKey above the id, so one
-// slices.Sort is exact except within a run of keys that share those bits
-// but not the lift: there, ids stand in for the lost low bits. Such a run
-// (lifts equal to one part in a million) is re-sorted with the full keys.
-func rankByLift(rules []mining.Rule, keys []uint64) []int32 {
+// rankByLift returns the rule ids in rankCmp(rules, ByLift) order. A key
+// holds only the top 32 bits of liftKey, so radixRank is exact except
+// within a run of ids whose keys share those bits but not the lift:
+// there, ids stand in for the lost low bits. Such a run (lifts equal to
+// one part in a million) is re-sorted with the full keys.
+func rankByLift(rules []mining.Rule, scratch *rankScratch) []int32 {
+	keys := scratch.keys
 	for i := range rules {
-		keys[i] = liftKey(rules[i].Lift)&^math.MaxUint32 | uint64(i)
+		keys[i] = uint32(liftKey(rules[i].Lift) >> 32)
 	}
-	slices.Sort(keys)
-	full := func(a, b uint64) int {
-		if c := cmp.Compare(liftKey(rules[uint32(a)].Lift), liftKey(rules[uint32(b)].Lift)); c != 0 {
+	ids := make([]int32, len(rules))
+	radixRank(keys, ids, scratch.ids)
+	full := func(a, b int32) int {
+		if c := cmp.Compare(liftKey(rules[a].Lift), liftKey(rules[b].Lift)); c != 0 {
 			return c
 		}
-		return cmp.Compare(uint32(a), uint32(b))
+		return cmp.Compare(a, b)
 	}
-	for lo := 0; lo < len(keys); {
+	for lo := 0; lo < len(ids); {
 		hi := lo + 1
-		for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
+		for hi < len(ids) && keys[ids[hi]] == keys[ids[lo]] {
 			hi++
 		}
-		if run := keys[lo:hi]; !slices.IsSortedFunc(run, full) {
+		if run := ids[lo:hi]; !slices.IsSortedFunc(run, full) {
 			slices.SortFunc(run, full)
 		}
 		lo = hi
 	}
-	return idsOf(keys)
+	return ids
+}
+
+// radixRank writes into ids the ids 0..len(keys)-1 in ascending order of
+// keys[id], ties toward the lower id: a stable LSD radix sort, one byte
+// of the key per pass from the lowest, that skips each byte on which all
+// keys agree. The passes alternate between tmp and ids, so that the last
+// one lands in ids; the first reads the ids in their initial, ascending
+// order without storing them. ids and tmp are as long as keys.
+//
+//invcheck:hotpath
+func radixRank(keys []uint32, ids, tmp []int32) {
+	var counts [4][256]int32
+	for _, k := range keys {
+		counts[0][uint8(k)]++
+		counts[1][uint8(k>>8)]++
+		counts[2][uint8(k>>16)]++
+		counts[3][uint8(k>>24)]++
+	}
+	var digits [4]int
+	passes := 0
+	for d := range counts {
+		if len(keys) > 0 && counts[d][uint8(keys[0]>>(8*d))] != int32(len(keys)) {
+			digits[passes] = d
+			passes++
+		}
+	}
+	if passes == 0 {
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		return
+	}
+	bufs := [2][]int32{ids, tmp}
+	var src []int32
+	for p, d := range digits[:passes] {
+		dst := bufs[(passes-1-p)%2]
+		at, c := int32(0), &counts[d]
+		for b, m := range c {
+			c[b], at = at, at+m
+		}
+		shift := 8 * d
+		if p == 0 {
+			for i, k := range keys {
+				b := uint8(k >> shift)
+				dst[c[b]] = int32(i)
+				c[b]++
+			}
+		} else {
+			for _, id := range src {
+				b := uint8(keys[id] >> shift)
+				dst[c[b]] = id
+				c[b]++
+			}
+		}
+		src = dst
+	}
 }
 
 // liftKey maps a lift to a key whose ascending order is the lift's
@@ -167,15 +234,6 @@ func liftKey(lift float64) uint64 {
 		return ^(b | 1<<63)
 	}
 	return b
-}
-
-// idsOf cuts the ids out of sorted packed keys.
-func idsOf(keys []uint64) []int32 {
-	ids := make([]int32, len(keys))
-	for i, k := range keys {
-		ids[i] = int32(uint32(k))
-	}
-	return ids
 }
 
 // rankCmp is the total order of rule ids under by: the metric

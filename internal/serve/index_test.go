@@ -223,7 +223,7 @@ func FuzzQueryIndex(f *testing.F) {
 // TestIndexOrderInvariants pins what the index walks lean on: published
 // rules are confidence non-increasing with non-empty antecedents (so an
 // id cutoff is a confidence filter and first-item postings cover every
-// rule), the permutations are the comparators' sorted orders — the packed
+// rule), the permutations are the comparators' sorted orders — the radix
 // key sorts agree with a stable comparator sort even over tied supports,
 // equal, infinite and NaN lifts — and the comparators are total orders.
 func TestIndexOrderInvariants(t *testing.T) {
@@ -285,14 +285,54 @@ func TestIndexOrderInvariants(t *testing.T) {
 	}
 }
 
-// checkRankings checks the packed-key rankings of newQueryIndex against a
+// TestRadixRank runs radixRank on keys that stress its pass skipping:
+// none, one, all equal, two values, keys that differ only in their lowest
+// or only in their highest byte, in two bytes, and uniform random keys.
+func TestRadixRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	draw := func(n int, key func(i int) uint32) []uint32 {
+		keys := make([]uint32, n)
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		return keys
+	}
+	cases := map[string][]uint32{
+		"none":        nil,
+		"one":         {7},
+		"all equal":   draw(1000, func(int) uint32 { return 0xdeadbeef }),
+		"two values":  draw(1000, func(int) uint32 { return 0xfffffffe + uint32(rng.Intn(2)) }),
+		"lowest byte": draw(1000, func(int) uint32 { return 0xabcdef00 | uint32(rng.Intn(256)) }),
+		"top byte":    draw(1000, func(int) uint32 { return uint32(rng.Intn(256))<<24 | 0x123456 }),
+		"two bytes":   draw(1000, func(int) uint32 { return uint32(rng.Intn(4))<<16 | uint32(rng.Intn(3)) }),
+		"random":      draw(3000, func(int) uint32 { return rng.Uint32() }),
+		"descending":  draw(600, func(i int) uint32 { return uint32(600 - i) }),
+	}
+	for name, keys := range cases {
+		t.Run(name, func(t *testing.T) { checkRadixRank(t, keys) })
+	}
+}
+
+// TestIndexBuildAllocations pins newQueryIndex at its four flat
+// allocations, the two rankings and the two posting lists, once the
+// scratch is warm: the radix passes allocate nothing.
+func TestIndexBuildAllocations(t *testing.T) {
+	rules := syntheticRules(2129, 870, 7)
+	var scratch rankScratch
+	newQueryIndex(rules, &scratch)
+	if allocs := testing.AllocsPerRun(20, func() { newQueryIndex(rules, &scratch) }); allocs != 4 {
+		t.Errorf("newQueryIndex: %v allocations per warm build, want 4", allocs)
+	}
+}
+
+// checkRankings checks the radix rankings of newQueryIndex against a
 // stable sort of the ids under rankCmp, building the index twice over one
 // scratch to cover its reuse.
 func checkRankings(t *testing.T, rules []mining.Rule) {
 	t.Helper()
-	keys := []uint64{42} // a dirty scratch from some earlier build
+	scratch := rankScratch{keys: []uint32{42}, ids: []int32{7}} // dirty, from some earlier build
 	for rep := 0; rep < 2; rep++ {
-		ix := newQueryIndex(rules, &keys)
+		ix := newQueryIndex(rules, &scratch)
 		for _, by := range []RankBy{BySupport, ByLift} {
 			want := make([]int32, len(rules))
 			for i := range want {
@@ -400,14 +440,15 @@ func TestRecommendOnOneSnapshot(t *testing.T) {
 
 // BenchmarkIndexBuild is the write-side budget of the index: one build
 // per publish, at the bench fixture's rule count (2,129), must stay under
-// 0.5 ms and 60 KB.
+// 0.3 ms, 60 KB and four allocations (TestIndexBuildAllocations pins
+// those).
 func BenchmarkIndexBuild(b *testing.B) {
 	rules := syntheticRules(2129, 870, 7)
-	var keys []uint64 // the publisher's scratch, reused across builds
+	var scratch rankScratch // the publisher's, reused across builds
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := newQueryIndex(rules, &keys)
+		ix := newQueryIndex(rules, &scratch)
 		if len(ix.bySupport) != len(rules) {
 			b.Fatal("short index")
 		}

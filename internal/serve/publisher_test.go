@@ -190,14 +190,14 @@ func BenchmarkPublish(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var keys []uint64 // the publisher's scratch, reused across publishes
+	var scratch rankScratch // the publisher's, reused across publishes
 	b.ReportAllocs()
 	for b.Loop() {
 		rules, err := res.Rules(0.3)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ix := newQueryIndex(rules, &keys); len(ix.bySupport) != len(rules) || len(rules) == 0 {
+		if ix := newQueryIndex(rules, &scratch); len(ix.bySupport) != len(rules) || len(rules) == 0 {
 			b.Fatalf("%d rules, %d indexed", len(rules), len(ix.bySupport))
 		}
 	}

@@ -37,8 +37,9 @@
 // the version of one view with the size of the next.
 //
 // A view carries a query index, built once when it is published (newView,
-// on the publisher goroutine; four flat allocations, linear in the rule
-// set plus two sorts of packed keys): the rule ids ranked by support and
+// on the publisher goroutine; four flat allocations and time linear in
+// the rule set, each ranking a byte-wise radix sort of one 32-bit key per
+// rule): the rule ids ranked by support and
 // by lift — the published order already is the confidence ranking — and
 // two posting lists keyed by item, the rules whose antecedent contains
 // the item and the rules whose antecedent starts with it. A query then
@@ -255,12 +256,12 @@ type View struct {
 }
 
 // newView is the one constructor of a View: whatever gets published has
-// its query index built here, exactly once, with keys as the ranking
-// scratch (nil: a fresh one). A nil res is an empty store (no result, no
+// its query index built here, exactly once, with scratch as the rankings'
+// working memory (nil: a fresh one). A nil res is an empty store (no result, no
 // canonical bytes); rules must be in GenerateRules order. The canonical
 // bytes are not encoded here but on the first Canonical call.
-func newView(version, ops uint64, stats mining.MaintainStats, res *mining.Result, rules []mining.Rule, keys *[]uint64) *View {
-	v := &View{version: version, ops: ops, stats: stats, res: res, rules: rules, index: newQueryIndex(rules, keys)}
+func newView(version, ops uint64, stats mining.MaintainStats, res *mining.Result, rules []mining.Rule, scratch *rankScratch) *View {
+	v := &View{version: version, ops: ops, stats: stats, res: res, rules: rules, index: newQueryIndex(rules, scratch)}
 	if res != nil {
 		v.numTx = res.NumTx()
 	}
@@ -361,8 +362,8 @@ type Server struct {
 	closed  bool
 
 	log          *wal.Log
-	lastSnapOps  uint64   // ingest-goroutine owned after New
-	rankKeys     []uint64 // newQueryIndex scratch, publisher owned after New
+	lastSnapOps  uint64      // ingest-goroutine owned after New
+	rankScratch  rankScratch // newQueryIndex scratch, publisher owned after New
 	recovered    bool
 	recoveredOps uint64
 	ready        atomic.Bool
@@ -917,7 +918,7 @@ func (s *Server) publishMaintained(w publishWork) error {
 			return err
 		}
 	}
-	s.publish(newView(s.View().version+1, w.ops, w.stats, w.res, rules, &s.rankKeys))
+	s.publish(newView(s.View().version+1, w.ops, w.stats, w.res, rules, &s.rankScratch))
 	s.maintains.Add(1)
 	if w.stats.FullRun {
 		s.fullRuns.Add(1)
