@@ -2,18 +2,26 @@ package serve
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"net/url"
 	"reflect"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/mining"
 )
 
 // FuzzParseRulesQuery drives the HTTP query parser with arbitrary query
-// strings: it must never panic, every accepted query must be a fixpoint
-// of normalize (so cache keys are stable), and every rejection must wrap
-// ErrBadQuery (the 400 class) — never anything the handler would turn
-// into a 500.
+// strings: it must never panic, the handler's one-scan path must give what
+// ParseRulesQuery gives the url.ParseQuery map (the same query, or the same
+// error text), every accepted query must be a fixpoint of normalize (so
+// cache keys are stable), and every rejection must wrap ErrBadQuery (the
+// 400 class) — never anything the handler would turn into a 500.
 func FuzzParseRulesQuery(f *testing.F) {
 	seeds := []string{
 		"",
@@ -34,16 +42,22 @@ func FuzzParseRulesQuery(f *testing.F) {
 		"k=5&k=7",
 		"%zz=bad",
 		"antecedent=%31%2C%32",
+		"k=1;by=lift&by=support",
+		"k=%zz&k=3&minconf=0.5&minconf=x",
+		"antecedent=&antecedent=2,1&by=+Lift+",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		values, err := url.ParseQuery(raw)
-		if err != nil {
-			t.Skip()
-		}
+		values, _ := url.ParseQuery(raw) // the handler read r.URL.Query(), which drops the error too
 		q, err := ParseRulesQuery(values)
+		rq, rerr := parseRawRulesQuery(raw)
+		// A rejected query is compared by its error text alone: it may
+		// hold a NaN, which no DeepEqual matches.
+		if (err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()) || (err == nil && !reflect.DeepEqual(q, rq)) {
+			t.Fatalf("raw query %q parses to %+v, %v; the url.Values path gives %+v, %v", raw, rq, rerr, q, err)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadQuery) {
 				t.Fatalf("rejection %v does not wrap ErrBadQuery", err)
@@ -71,8 +85,32 @@ func FuzzParseRulesQuery(f *testing.F) {
 	})
 }
 
-// FuzzParseItems drives the item-list parser: no panics, rejections wrap
-// ErrBadQuery, accepted lists contain only non-negative ids within the
+// parseItemsFieldsFunc is the strings.FieldsFunc parser ParseItems
+// replaced, kept as FuzzParseItems' reference.
+func parseItemsFieldsFunc(raw string) ([]int, error) {
+	fields := strings.FieldsFunc(raw, func(r rune) bool {
+		return r == ',' || r == ' ' || r == '\t'
+	})
+	if len(fields) > maxQueryItems {
+		return nil, fmt.Errorf("%w: %d items exceeds the %d-item limit", ErrBadQuery, len(fields), maxQueryItems)
+	}
+	items := make([]int, 0, len(fields))
+	for _, f := range fields {
+		id, err := strconv.Atoi(f)
+		if err != nil {
+			return nil, fmt.Errorf("%w: item %q: %v", ErrBadQuery, f, err)
+		}
+		if id < 0 {
+			return nil, fmt.Errorf("%w: negative item id %d", ErrBadQuery, id)
+		}
+		items = append(items, id)
+	}
+	return items, nil
+}
+
+// FuzzParseItems drives the item-list parser: it gives the items and the
+// error text of parseItemsFieldsFunc, never panics, its rejections wrap
+// ErrBadQuery, and accepted lists contain only non-negative ids within the
 // documented bound.
 func FuzzParseItems(f *testing.F) {
 	seeds := []string{
@@ -86,12 +124,19 @@ func FuzzParseItems(f *testing.F) {
 		"1;2",
 		"a b",
 		" 7 ",
+		"\t,1\xff2,,\xe2\x80\x83 3",
+		strings.Repeat("1,", maxQueryItems) + "x",
+		strings.Repeat(" 9", maxQueryItems) + "\t",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
 		items, err := ParseItems(raw)
+		want, werr := parseItemsFieldsFunc(raw)
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) || !reflect.DeepEqual(items, want) {
+			t.Fatalf("ParseItems(%q) = %v, %v; FieldsFunc gives %v, %v", raw, items, err, want, werr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrBadQuery) {
 				t.Fatalf("rejection %v does not wrap ErrBadQuery", err)
@@ -112,9 +157,11 @@ func FuzzParseItems(f *testing.F) {
 	})
 }
 
-// FuzzQueryValue checks queryValue, the delete handler's tid reader,
-// against url.ParseQuery(raw).Get("tid") on arbitrary raw queries: ';'
-// segments, bad and good escapes, '+', repeated and empty keys.
+// FuzzQueryValue checks queryParams, the handlers' one-scan parameter
+// reader, against url.ParseQuery(raw).Get(key) on arbitrary raw queries
+// (';' segments, bad and good escapes, '+', repeated and empty keys), for
+// every key a handler reads: alone, and in the groups the handlers ask
+// for together.
 func FuzzQueryValue(f *testing.F) {
 	seeds := []string{
 		"",
@@ -135,15 +182,74 @@ func FuzzQueryValue(f *testing.F) {
 		"ti+d=1&tid=2",
 		"tid=1=2",
 		"TID=1&tid=2",
+		"k=5&by=lift&minconf=0.5&antecedent=1,2",
+		"antecedent=1&k=2&k=3;x&by=%zz&by=support&minconf=",
+		"items=1%2C2&k=&items=3",
+		"by=a&by=b&k=1&antecedent=%&minconf=+0.5&antecedent=4&items=",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, raw string) {
-		values, _ := url.ParseQuery(raw) // the handler read r.URL.Query(), which drops the error too
-		if got, want := queryValue(raw, "tid"), values.Get("tid"); got != want {
-			t.Fatalf("queryValue(%q) = %q, url.ParseQuery gives %q", raw, got, want)
+		values, _ := url.ParseQuery(raw) // the handlers read r.URL.Query(), which drops the error too
+		for _, keys := range [][]string{rulesParams[:], {"items", "k"}, {"items"}, {"tid"}, {"minconf"}, {"antecedent"}, {"by"}} {
+			got := queryParams(raw, keys...)
+			for i, key := range keys {
+				if want := values.Get(key); got[i] != want {
+					t.Fatalf("queryParams(%q, %q)[%d] = %q, url.ParseQuery gives %q", raw, keys, i, got[i], want)
+				}
+			}
 		}
+	})
+}
+
+// FuzzAppendRule checks the reply appenders against json.Marshal of the
+// encoding/json reference types over arbitrary float64 bits (exponent
+// form, -0, subnormals, integers past 2^53), negative and large ints, and
+// item lists, nil ones included. NaN and ±Inf are skipped: json.Marshal
+// refuses them, and no publish produces one (a rule's confidence and lift
+// divide by supports that are never zero).
+func FuzzAppendRule(f *testing.F) {
+	f.Add(math.Float64bits(0.75), math.Float64bits(1.5), int64(42), uint64(1), int64(100), []byte{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0}, uint8(1), false, true)
+	f.Add(math.Float64bits(1e-7), math.Float64bits(1e21), int64(-1), uint64(math.MaxUint64), int64(math.MinInt64), []byte{}, uint8(0), true, false)
+	f.Add(math.Float64bits(math.Copysign(0, -1)), math.Float64bits(5e-324), int64(math.MaxInt64), uint64(0), int64(0), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(9), false, false)
+	f.Add(math.Float64bits(1<<53+1), math.Float64bits(-123456789e300), int64(1<<53+1), uint64(7), int64(-7), []byte{0, 0, 0, 0, 0, 0, 0, 0x80, 9, 9}, uint8(1), true, true)
+	f.Add(math.Float64bits(9.999999999999999e-7), math.Float64bits(999999999999999999999.0), int64(3), uint64(3), int64(3), []byte{3}, uint8(0), false, true)
+	f.Fuzz(func(t *testing.T, confBits, liftBits uint64, sup int64, version uint64, numTx int64, data []byte, split uint8, nilItems, frequent bool) {
+		conf, lift := math.Float64frombits(confBits), math.Float64frombits(liftBits)
+		if math.IsNaN(conf) || math.IsInf(conf, 0) || math.IsNaN(lift) || math.IsInf(lift, 0) {
+			t.Skip()
+		}
+		var items []int
+		if !nilItems {
+			items = make([]int, 0, len(data)/8)
+		}
+		for i := 0; i+8 <= len(data); i += 8 {
+			items = append(items, int(int64(binary.LittleEndian.Uint64(data[i:]))))
+		}
+		cut := min(int(split), len(items))
+		r := mining.Rule{Antecedent: items[:cut:cut], Consequent: items[cut:], Support: int(sup), Confidence: conf, Lift: lift}
+		if nilItems && cut == 0 {
+			r.Antecedent = nil
+		}
+		check := func(what string, got []byte, v any) {
+			t.Helper()
+			want, err := json.Marshal(v)
+			if err != nil {
+				t.Fatalf("%s: json.Marshal: %v", what, err)
+			}
+			if string(got) != string(want) {
+				t.Fatalf("%s: appended %s, json.Marshal gives %s", what, got, want)
+			}
+		}
+		check("rule", appendRule([]byte{}, &r), toRuleJSON([]mining.Rule{r})[0])
+		for n := 0; n <= 2; n++ {
+			rules := slices.Repeat([]mining.Rule{r}, n)
+			check("rules", appendRules(nil, version, int(numTx), rules),
+				rulesResponse{Version: version, NumTx: int(numTx), Rules: toRuleJSON(rules)})
+		}
+		res := SupportResult{Version: version, Items: r.Antecedent, Count: int(sup), NumTx: int(numTx), Frequent: frequent}
+		check("support", appendSupport(make([]byte, 0, 1), &res), res)
 	})
 }
 

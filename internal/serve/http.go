@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/mining"
@@ -20,37 +21,6 @@ const (
 	maxIngestBody = 16 << 20
 	maxIngestLine = 1 << 20
 )
-
-// ruleJSON is the wire form of one rule.
-type ruleJSON struct {
-	Antecedent []int   `json:"antecedent"`
-	Consequent []int   `json:"consequent"`
-	Support    int     `json:"support"`
-	Confidence float64 `json:"confidence"`
-	Lift       float64 `json:"lift"`
-}
-
-// rulesResponse is the wire form of the rule-query endpoints.
-type rulesResponse struct {
-	Version uint64     `json:"version"`
-	NumTx   int        `json:"num_tx"`
-	Rules   []ruleJSON `json:"rules"`
-}
-
-// toRuleJSON adapts the facade rules to the wire form.
-func toRuleJSON(rules []mining.Rule) []ruleJSON {
-	out := make([]ruleJSON, len(rules))
-	for i, r := range rules {
-		out[i] = ruleJSON{
-			Antecedent: r.Antecedent,
-			Consequent: r.Consequent,
-			Support:    r.Support,
-			Confidence: r.Confidence,
-			Lift:       r.Lift,
-		}
-	}
-	return out
-}
 
 // Handler returns the HTTP/JSON query and ingest surface:
 //
@@ -66,9 +36,12 @@ func toRuleJSON(rules []mining.Rule) []ruleJSON {
 //	POST /v1/flush                               drain queue, maintain, publish
 //
 // Query errors map to 400, everything else to 500; responses are JSON.
-// Every handler runs behind a panic-recovery middleware: a panicking
-// handler produces a 500 and bumps Stats.Panics instead of killing the
-// process.
+// The read endpoints (rules, support, recommend) take their parameters
+// from one scan of the raw query and append their reply, byte for byte
+// what encoding/json would write, into a pooled buffer sent with one
+// Write. Every handler runs behind a panic-recovery middleware: a
+// panicking handler produces a 500 and bumps Stats.Panics instead of
+// killing the process.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/rules", s.handleRules)
@@ -190,7 +163,7 @@ func writeError(w http.ResponseWriter, err error) {
 
 // handleRules serves GET /v1/rules.
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
-	q, err := ParseRulesQuery(r.URL.Query())
+	q, err := parseRawRulesQuery(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -201,12 +174,12 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, rulesResponse{Version: v.version, NumTx: v.numTx, Rules: toRuleJSON(rules)})
+	writeRules(w, v, rules)
 }
 
 // handleSupport serves GET /v1/support.
 func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
-	items, err := ParseItems(r.URL.Query().Get("items"))
+	items, err := ParseItems(queryParams(r.URL.RawQuery, "items")[0])
 	if err != nil {
 		writeError(w, err)
 		return
@@ -216,19 +189,20 @@ func (s *Server) handleSupport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, res)
+	buf := replyBufs.Get().(*[]byte)
+	writeReply(w, buf, appendSupport((*buf)[:0], &res))
 }
 
 // handleRecommend serves GET /v1/recommend.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	values := r.URL.Query()
-	items, err := ParseItems(values.Get("items"))
+	vals := queryParams(r.URL.RawQuery, "items", "k")
+	items, err := ParseItems(vals[0])
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 	k := 0
-	if raw := values.Get("k"); raw != "" {
+	if raw := vals[1]; raw != "" {
 		k, err = strconv.Atoi(raw)
 		if err != nil {
 			writeError(w, fmt.Errorf("%w: k=%q: %v", ErrBadQuery, raw, err))
@@ -241,7 +215,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, rulesResponse{Version: v.version, NumTx: v.numTx, Rules: toRuleJSON(rules)})
+	writeRules(w, v, rules)
 }
 
 // handleStats serves GET /v1/stats.
@@ -293,7 +267,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 
 // handleDelete serves POST /v1/delete?tid=N.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	raw := queryValue(r.URL.RawQuery, "tid")
+	raw := queryParams(r.URL.RawQuery, "tid")[0]
 	tid, err := strconv.Atoi(raw)
 	if err != nil {
 		writeError(w, fmt.Errorf("%w: tid=%q: %v", ErrBadQuery, raw, err))
@@ -310,29 +284,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	writeEnqueued(w, 1)
 }
 
-// queryValue returns url.ParseQuery(raw).Get(key) without building the
-// map: the first value of key among raw's &-separated pairs, skipping, as
-// ParseQuery does, empty pairs, pairs that hold a ';' and pairs whose key
-// or value does not unescape. Only a key or value that needs unescaping
-// allocates.
-func queryValue(raw, key string) string {
-	for raw != "" {
-		var pair string
-		pair, raw, _ = strings.Cut(raw, "&")
-		if pair == "" || strings.Contains(pair, ";") {
-			continue
-		}
-		k, v, _ := strings.Cut(pair, "=")
-		if k, err := url.QueryUnescape(k); err != nil || k != key {
-			continue
-		}
-		if v, err := url.QueryUnescape(v); err == nil {
-			return v
-		}
-	}
-	return ""
-}
-
 // writeEnqueued writes the write handlers' reply, the bytes writeJSON
 // writes for map[string]int{"enqueued": n}, without the map or an encoder.
 func writeEnqueued(w http.ResponseWriter, n int) {
@@ -341,6 +292,164 @@ func writeEnqueued(w http.ResponseWriter, n int) {
 	b := append(buf[:0], `{"enqueued":`...)
 	b = strconv.AppendInt(b, int64(n), 10)
 	w.Write(append(b, "}\n"...))
+}
+
+// replyBufs pools the read handlers' reply buffers. It holds *[]byte, so
+// a Put stores a pointer and allocates nothing. A new buffer starts at
+// 4 KiB, room for a default top-10 answer several times over.
+var replyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
+
+// maxPooledReply is the capacity above which a reply buffer goes back to
+// the garbage collector, not to replyBufs, so one k=10000 answer cannot
+// pin its buffer for every later request.
+const maxPooledReply = 64 << 10
+
+// writeRules writes the rule endpoints' reply, {"version", "num_tx",
+// "rules"} of view v, through writeReply.
+func writeRules(w http.ResponseWriter, v *View, rules []mining.Rule) {
+	buf := replyBufs.Get().(*[]byte)
+	writeReply(w, buf, appendRules((*buf)[:0], v.version, v.numTx, rules))
+}
+
+// writeReply sends b, a JSON value appended into the pooled buffer buf,
+// with writeJSON's header and trailing newline in one Write, and returns
+// the buffer to the pool unless it grew past maxPooledReply.
+func writeReply(w http.ResponseWriter, buf *[]byte, b []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	b = append(b, '\n')
+	w.Write(b)
+	if cap(b) <= maxPooledReply {
+		*buf = b[:0]
+		replyBufs.Put(buf)
+	}
+}
+
+// maxNumLen bounds the bytes of one JSON number the appenders write: an
+// int64 takes at most 20, a float64 at most 25 ("-0.0000012345678901234567").
+// Each appender first makes room for the most it can write, with one
+// explicit make when the buffer is short, so none of its appends grows
+// the buffer again; invcheck's allocbound checks exactly that shape.
+const maxNumLen = 32
+
+// appendRules appends the rule endpoints' reply as encoding/json writes
+// {"version":…,"num_tx":…,"rules":[…]}: the rules in order, "[]" when
+// there are none.
+//
+//invcheck:hotpath
+func appendRules(b []byte, version uint64, numTx int, rules []mining.Rule) []byte {
+	if need := 64 + 2*maxNumLen; cap(b)-len(b) < need {
+		old := b
+		b = make([]byte, len(old), 2*cap(old)+need)
+		copy(b, old)
+	}
+	b = append(b, `{"version":`...)
+	b = strconv.AppendUint(b, version, 10)
+	b = append(b, `,"num_tx":`...)
+	b = strconv.AppendInt(b, int64(numTx), 10)
+	b = append(b, `,"rules":[`...)
+	for i := range rules {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendRule(b, &rules[i])
+	}
+	return append(b, "]}"...)
+}
+
+// appendRule appends one rule as encoding/json writes it in the rule
+// endpoints' reply: {"antecedent","consequent","support","confidence",
+// "lift"}, in that order.
+//
+//invcheck:hotpath
+func appendRule(b []byte, r *mining.Rule) []byte {
+	if need := 96 + 3*maxNumLen; cap(b)-len(b) < need {
+		old := b
+		b = make([]byte, len(old), 2*cap(old)+need)
+		copy(b, old)
+	}
+	b = append(b, `{"antecedent":`...)
+	b = appendJSONInts(b, r.Antecedent)
+	b = append(b, `,"consequent":`...)
+	b = appendJSONInts(b, r.Consequent)
+	b = append(b, `,"support":`...)
+	b = strconv.AppendInt(b, int64(r.Support), 10)
+	b = append(b, `,"confidence":`...)
+	b = appendJSONFloat(b, r.Confidence)
+	b = append(b, `,"lift":`...)
+	b = appendJSONFloat(b, r.Lift)
+	return append(b, '}')
+}
+
+// appendSupport appends res as encoding/json writes a SupportResult.
+//
+//invcheck:hotpath
+func appendSupport(b []byte, res *SupportResult) []byte {
+	if need := 96 + 3*maxNumLen; cap(b)-len(b) < need {
+		old := b
+		b = make([]byte, len(old), 2*cap(old)+need)
+		copy(b, old)
+	}
+	b = append(b, `{"version":`...)
+	b = strconv.AppendUint(b, res.Version, 10)
+	b = append(b, `,"items":`...)
+	b = appendJSONInts(b, res.Items)
+	b = append(b, `,"count":`...)
+	b = strconv.AppendInt(b, int64(res.Count), 10)
+	b = append(b, `,"num_tx":`...)
+	b = strconv.AppendInt(b, int64(res.NumTx), 10)
+	b = append(b, `,"frequent":`...)
+	b = strconv.AppendBool(b, res.Frequent)
+	return append(b, '}')
+}
+
+// appendJSONInts appends items as encoding/json writes an []int: null for
+// a nil slice, else the ids in brackets. It does not share appendItems,
+// which writes cache keys into a small stack buffer that this worst-case
+// reservation would move to the heap.
+//
+//invcheck:hotpath
+func appendJSONInts(b []byte, items []int) []byte {
+	if need := 2 + (maxNumLen+1)*len(items); cap(b)-len(b) < need {
+		old := b
+		b = make([]byte, len(old), 2*cap(old)+need)
+		copy(b, old)
+	}
+	if items == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i, it := range items {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(it), 10)
+	}
+	return append(b, ']')
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest 'f' form, or the 'e' form below 1e-6 and from 1e21 on, with a
+// two-digit negative exponent cut to one digit (e-07 becomes e-7). f must
+// be finite: encoding/json refuses NaN and ±Inf, and no published rule
+// holds one.
+//
+//invcheck:hotpath
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // handleFlush serves POST /v1/flush.

@@ -9,11 +9,46 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/wal"
+	"repro/mining"
 )
+
+// ruleJSON is the encoding/json reference form of one rule in the rule
+// endpoints' reply; the handlers append the same bytes by hand.
+type ruleJSON struct {
+	Antecedent []int   `json:"antecedent"`
+	Consequent []int   `json:"consequent"`
+	Support    int     `json:"support"`
+	Confidence float64 `json:"confidence"`
+	Lift       float64 `json:"lift"`
+}
+
+// rulesResponse is the encoding/json reference form of the rule
+// endpoints' reply.
+type rulesResponse struct {
+	Version uint64     `json:"version"`
+	NumTx   int        `json:"num_tx"`
+	Rules   []ruleJSON `json:"rules"`
+}
+
+// toRuleJSON adapts the facade rules to the reference form.
+func toRuleJSON(rules []mining.Rule) []ruleJSON {
+	out := make([]ruleJSON, len(rules))
+	for i, r := range rules {
+		out[i] = ruleJSON{
+			Antecedent: r.Antecedent,
+			Consequent: r.Consequent,
+			Support:    r.Support,
+			Confidence: r.Confidence,
+			Lift:       r.Lift,
+		}
+	}
+	return out
+}
 
 // startHTTP wraps a test server's handler in an httptest server.
 func startHTTP(t *testing.T, srv *Server) *httptest.Server {
@@ -305,6 +340,163 @@ func TestWriteEnqueuedMatchesJSON(t *testing.T) {
 	writeEnqueued(rec, 16)
 	if rec.Body.String() != "{\"enqueued\":16}\n" {
 		t.Errorf("reply %q", rec.Body)
+	}
+}
+
+// TestReadBodiesMatchEncodingJSON pins every read endpoint's reply, body
+// and header, to what writeJSON gives the encoding/json reference of the
+// same answer asked of the server directly: each ranking, a K past the
+// matches, an empty rule list, an antecedent filter, a recommendation, and
+// the support of a frequent and of an infrequent itemset.
+func TestReadBodiesMatchEncodingJSON(t *testing.T) {
+	srv := newTestServer(t, fixtureRows(200, 16, 21), Config{})
+	h := srv.Handler()
+	v := srv.View()
+	rule := v.Rules()[0]
+	ant := strconv.Itoa(rule.Antecedent[0])
+	items := func(its []int) string { return string(appendItems(nil, its)) }
+	rulesRef := func(rules []mining.Rule) any {
+		return rulesResponse{Version: v.Version(), NumTx: v.NumTx(), Rules: toRuleJSON(rules)}
+	}
+	cases := []struct {
+		path string
+		want func(t *testing.T, raw string) any
+	}{
+		{"/v1/rules", nil},
+		{"/v1/rules?by=confidence&k=7", nil},
+		{"/v1/rules?by=support&k=7", nil},
+		{"/v1/rules?by=lift&k=7", nil},
+		{"/v1/rules?by=lift&k=10000", nil},
+		{"/v1/rules?minconf=1&k=3", nil},
+		{"/v1/rules?antecedent=999", nil},
+		{"/v1/rules?antecedent=" + ant + "&by=support&k=10000", nil},
+		{"/v1/rules?antecedent=" + items(rule.Antecedent) + "&by=lift", nil},
+		{"/v1/recommend?items=" + items(rule.Antecedent) + ",3&k=4", func(t *testing.T, raw string) any {
+			vals, _ := url.ParseQuery(raw)
+			basket, err := ParseItems(vals.Get("items"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rules, _, err := srv.Recommend(basket, 4)
+			if err != nil || len(rules) == 0 {
+				t.Fatalf("Recommend(%v) = %d rules, %v; want some", basket, len(rules), err)
+			}
+			return rulesRef(rules)
+		}},
+		{"/v1/support?items=" + items(rule.Antecedent), nil},
+		{"/v1/support?items=0,1,2,3,4,5,6,7", nil},
+	}
+	var sawEmpty, sawPastK, sawInfrequent bool
+	for _, tc := range cases {
+		u, err := url.Parse(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want any
+		switch {
+		case tc.want != nil:
+			want = tc.want(t, u.RawQuery)
+		case u.Path == "/v1/support":
+			its, err := ParseItems(u.Query().Get("items"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := srv.ItemsetSupport(its...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sawInfrequent = sawInfrequent || !res.Frequent
+			want = res
+		default:
+			q, err := ParseRulesQuery(u.Query())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rules, _, err := srv.TopRules(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sawEmpty = sawEmpty || len(rules) == 0
+			sawPastK = sawPastK || len(rules) < q.K
+			want = rulesRef(rules)
+		}
+		got, ref := httptest.NewRecorder(), httptest.NewRecorder()
+		h.ServeHTTP(got, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		writeJSON(ref, want)
+		if got.Code != http.StatusOK || got.Body.String() != ref.Body.String() || !reflect.DeepEqual(got.Header(), ref.Header()) {
+			t.Errorf("GET %s: %d %q %v\nencoding/json: %q %v", tc.path, got.Code, got.Body, got.Header(), ref.Body, ref.Header())
+		}
+	}
+	if !sawEmpty || !sawPastK || !sawInfrequent {
+		t.Errorf("fixture misses a case: empty answer %v, K past the matches %v, infrequent itemset %v", sawEmpty, sawPastK, sawInfrequent)
+	}
+}
+
+// TestWriteReplyPoolsOnlySmallBuffers pins the cap on pooled reply
+// buffers: one that grew past maxPooledReply, as a k=10000 answer's does,
+// is left to the garbage collector, and a smaller one is handed back.
+func TestWriteReplyPoolsOnlySmallBuffers(t *testing.T) {
+	for _, size := range []int{maxPooledReply, maxPooledReply + 1} {
+		buf := new([]byte)
+		b := append(make([]byte, 0, size), "{}"...)
+		rec := httptest.NewRecorder()
+		writeReply(rec, buf, b)
+		if rec.Body.String() != "{}\n" {
+			t.Fatalf("reply %q", rec.Body)
+		}
+		if pooled := *buf != nil; pooled != (size <= maxPooledReply) {
+			t.Errorf("a buffer of capacity %d: pooled %v, want %v", size, pooled, size <= maxPooledReply)
+		}
+	}
+}
+
+// reuseWriter is an http.ResponseWriter that keeps its header map and body
+// across requests, so an allocation count sees the handler alone.
+type reuseWriter struct {
+	header http.Header
+	body   []byte
+}
+
+func (w *reuseWriter) Header() http.Header { return w.header }
+
+func (w *reuseWriter) WriteHeader(int) {}
+
+func (w *reuseWriter) Write(p []byte) (int, error) {
+	w.body = append(w.body, p...)
+	return len(p), nil
+}
+
+// TestReadHandlerAllocations pins the allocations of a read request whose
+// answer is cached. What is left is the request's own: the header value,
+// the cache key, and each parsed and normalized item list; parsing the
+// query, encoding and writing the reply allocate nothing.
+func TestReadHandlerAllocations(t *testing.T) {
+	srv := newTestServer(t, fixtureRows(200, 16, 21), Config{})
+	h := srv.Handler()
+	ant := strconv.Itoa(srv.View().Rules()[0].Antecedent[0])
+	w := &reuseWriter{header: make(http.Header)}
+	for _, tc := range []struct {
+		path string
+		want float64
+	}{
+		{"/v1/rules?k=10&by=lift", 2},
+		{"/v1/rules?k=10&by=support&antecedent=" + ant, 5},
+		{"/v1/recommend?items=" + ant + ",3&k=5", 4},
+		{"/v1/support?items=" + ant + ",3", 4},
+	} {
+		r := httptest.NewRequest(http.MethodGet, tc.path, nil)
+		serve := func() {
+			clear(w.header)
+			w.body = w.body[:0]
+			h.ServeHTTP(w, r)
+		}
+		serve() // fills the cache
+		if !strings.Contains(string(w.body), `"version":1`) {
+			t.Fatalf("GET %s: %q", tc.path, w.body)
+		}
+		if got := testing.AllocsPerRun(200, serve); got != tc.want {
+			t.Errorf("GET %s: %v allocations per request, want %v", tc.path, got, tc.want)
+		}
 	}
 }
 

@@ -136,29 +136,49 @@ func normalizeItems(items []int) ([]int, error) {
 	return out[:j], nil
 }
 
+// rulesParams are the parameters of a rule query, in the order
+// parseRulesParams takes their values.
+var rulesParams = [...]string{"k", "by", "minconf", "antecedent"}
+
 // ParseRulesQuery parses the HTTP form of a RulesQuery: k (int), by
 // (confidence|support|lift), minconf (float), antecedent (item ids
 // separated by commas or spaces). Unknown parameters are ignored so the
 // surface can grow; malformed values wrap ErrBadQuery. The returned
 // query is already normalized.
 func ParseRulesQuery(values url.Values) (RulesQuery, error) {
+	var vals [maxQueryParams]string
+	for i, key := range rulesParams {
+		vals[i] = values.Get(key)
+	}
+	return parseRulesParams(vals)
+}
+
+// parseRawRulesQuery is ParseRulesQuery(url.ParseQuery(raw)) with the
+// values read by one scan of raw instead of through the map.
+func parseRawRulesQuery(raw string) (RulesQuery, error) {
+	return parseRulesParams(queryParams(raw, rulesParams[:]...))
+}
+
+// parseRulesParams parses the values of rulesParams, in that order, into
+// a normalized query; "" is an absent parameter.
+func parseRulesParams(vals [maxQueryParams]string) (RulesQuery, error) {
 	var q RulesQuery
-	if raw := values.Get("k"); raw != "" {
+	if raw := vals[0]; raw != "" {
 		k, err := strconv.Atoi(raw)
 		if err != nil {
 			return q, fmt.Errorf("%w: k=%q: %v", ErrBadQuery, raw, err)
 		}
 		q.K = k
 	}
-	q.By = RankBy(strings.ToLower(strings.TrimSpace(values.Get("by"))))
-	if raw := values.Get("minconf"); raw != "" {
+	q.By = RankBy(strings.ToLower(strings.TrimSpace(vals[1])))
+	if raw := vals[2]; raw != "" {
 		c, err := strconv.ParseFloat(raw, 64)
 		if err != nil {
 			return q, fmt.Errorf("%w: minconf=%q: %v", ErrBadQuery, raw, err)
 		}
 		q.MinConfidence = c
 	}
-	if raw := values.Get("antecedent"); raw != "" {
+	if raw := vals[3]; raw != "" {
 		items, err := ParseItems(raw)
 		if err != nil {
 			return q, err
@@ -168,19 +188,75 @@ func ParseRulesQuery(values url.Values) (RulesQuery, error) {
 	return q.normalize()
 }
 
+// maxQueryParams is the most keys one queryParams call reads.
+const maxQueryParams = 4
+
+// queryParams returns url.ParseQuery(raw).Get(key) for each of keys (at
+// most maxQueryParams), in order, from one scan of raw and without
+// building the map: the first value of each key among raw's &-separated
+// pairs, skipping, as ParseQuery does, empty pairs, pairs that hold a ';'
+// and pairs whose key or value does not unescape. Only a key or value
+// that needs unescaping allocates.
+//
+//invcheck:hotpath
+func queryParams(raw string, keys ...string) (vals [maxQueryParams]string) {
+	want := uint(1)<<len(keys) - 1 // one bit per key not yet found
+	for raw != "" && want != 0 {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		k, err := url.QueryUnescape(k)
+		if err != nil {
+			continue
+		}
+		for i, key := range keys {
+			if want&(1<<i) == 0 || k != key {
+				continue
+			}
+			if v, err := url.QueryUnescape(v); err == nil {
+				vals[i] = v
+				want &^= 1 << i
+			}
+			break
+		}
+	}
+	return vals
+}
+
+// isItemSep reports whether c separates the ids of an item list.
+func isItemSep(c byte) bool { return c == ',' || c == ' ' || c == '\t' }
+
 // ParseItems parses an item-id list separated by commas and/or
 // whitespace ("3,1 2"). Empty fields are skipped; an empty list is an
 // error for the endpoints that require items, which they check
 // themselves. Malformed or negative ids wrap ErrBadQuery.
 func ParseItems(raw string) ([]int, error) {
-	fields := strings.FieldsFunc(raw, func(r rune) bool {
-		return r == ',' || r == ' ' || r == '\t'
-	})
-	if len(fields) > maxQueryItems {
-		return nil, fmt.Errorf("%w: %d items exceeds the %d-item limit", ErrBadQuery, len(fields), maxQueryItems)
+	// Every separator is one ASCII byte, and an ASCII byte is never part
+	// of a longer UTF-8 sequence, so fields are found byte by byte.
+	fields := 0
+	for i := 0; i < len(raw); i++ {
+		if !isItemSep(raw[i]) && (i == 0 || isItemSep(raw[i-1])) {
+			fields++
+		}
 	}
-	items := make([]int, 0, len(fields))
-	for _, f := range fields {
+	if fields > maxQueryItems {
+		return nil, fmt.Errorf("%w: %d items exceeds the %d-item limit", ErrBadQuery, fields, maxQueryItems)
+	}
+	items := make([]int, 0, fields)
+	for i := 0; i < len(raw); {
+		if isItemSep(raw[i]) {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(raw) && !isItemSep(raw[j]) {
+			j++
+		}
+		f := raw[i:j]
+		i = j
 		id, err := strconv.Atoi(f)
 		if err != nil {
 			return nil, fmt.Errorf("%w: item %q: %v", ErrBadQuery, f, err)
