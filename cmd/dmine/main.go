@@ -410,24 +410,23 @@ func runCluster(args []string) error {
 	if err != nil {
 		return err
 	}
-	var c core.Clusterer
+	var res *cluster.Result
 	switch *algo {
 	case "kmeans":
-		c = &core.KMeansClusterer{KMeans: cluster.KMeans{K: *k, Seed: *seed}}
+		res, err = (&cluster.KMeans{K: *k, Seed: *seed}).Run(pts)
 	case "pam":
-		c = &core.PAMClusterer{PAM: cluster.PAM{K: *k}}
+		res, err = (&cluster.PAM{K: *k}).Run(pts)
 	case "clara":
-		c = &core.CLARAClusterer{CLARA: cluster.CLARA{K: *k, Seed: *seed}}
+		res, err = (&cluster.CLARA{K: *k, Seed: *seed}).Run(pts)
 	case "clarans":
-		c = &core.CLARANSClusterer{CLARANS: cluster.CLARANS{K: *k, Seed: *seed}}
+		res, err = (&cluster.CLARANS{K: *k, Seed: *seed}).Run(pts)
 	case "dbscan":
-		c = &core.DBSCANClusterer{DBSCAN: cluster.DBSCAN{Eps: *eps, MinPts: *minPts, UseIndex: true}}
+		res, err = (&cluster.DBSCAN{Eps: *eps, MinPts: *minPts, UseIndex: true}).Run(pts)
 	case "birch":
-		c = &core.BIRCHClusterer{BIRCH: cluster.BIRCH{K: *k, Seed: *seed}}
+		res, err = (&cluster.BIRCH{K: *k, Seed: *seed}).Run(pts)
 	default:
 		return fmt.Errorf("unknown clusterer %q", *algo)
 	}
-	res, err := c.Cluster(pts)
 	if err != nil {
 		return err
 	}
@@ -441,7 +440,7 @@ func runCluster(args []string) error {
 		}
 	}
 	fmt.Printf("%s: %d points, %d clusters, %d noise, cost %.2f\n",
-		c.Name(), len(pts), res.NumClusters(), noise, res.Cost)
+		*algo, len(pts), res.NumClusters(), noise, res.Cost)
 	ids := make([]int, 0, len(sizes))
 	for id := range sizes {
 		ids = append(ids, id)
@@ -505,29 +504,22 @@ func runClassify(args []string) error {
 	if err != nil {
 		return err
 	}
-	trainers := core.Classifiers()
 	if *algo != "" {
+		// Single classifier: print the full confusion matrix too.
 		tr, err := core.ClassifierByName(*algo)
 		if err != nil {
 			return err
 		}
-		trainers = []core.ClassifierTrainer{tr}
-	}
-	if *algo != "" && len(trainers) == 1 {
-		// Single classifier: print the full confusion matrix too.
-		tr := trainers[0]
-		res, err := eval.CrossValidate(tbl, *folds, *seed, func(train *dataset.Table) (eval.Classifier, error) {
-			return tr.Train(train)
-		})
+		res, err := eval.CrossValidate(tbl, *folds, *seed, tr.Train)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s: %d rows, %d-fold CV accuracy %.2f%%, macro-F1 %.3f\n",
-			tr.Name(), tbl.NumRows(), *folds, res.Accuracy()*100, res.Matrix.MacroF1())
+			tr.Name, tbl.NumRows(), *folds, res.Accuracy()*100, res.Matrix.MacroF1())
 		fmt.Print(res.Matrix)
 		return nil
 	}
-	comps, err := core.CompareClassifiers(tbl, trainers, *folds, *seed)
+	comps, err := core.CompareClassifiers(tbl, core.Classifiers(), *folds, *seed)
 	if err != nil {
 		return err
 	}

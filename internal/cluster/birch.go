@@ -30,7 +30,9 @@ type BIRCH struct {
 	// MaxLeaves bounds total leaf entries before a rebuild with doubled
 	// threshold; zero means 512.
 	MaxLeaves int
-	// Seed feeds the phase-3 k-means.
+	// Seed feeds only the plain k-means that runs instead of phase 3
+	// when the tree holds fewer than K leaf entries; phase 3 itself
+	// seeds farthest-first and draws no random numbers.
 	Seed int64
 }
 
@@ -138,7 +140,7 @@ func (b *BIRCH) Run(points [][]float64) (*Result, error) {
 		km := &KMeans{K: b.K, Seed: b.Seed}
 		return km.Run(points)
 	}
-	centers, err := weightedKMeans(leaves, b.K, dims, b.Seed)
+	centers, err := weightedKMeans(leaves, b.K, dims)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +366,7 @@ func (t *cfTree) leafCFs(dst []*cf) []*cf {
 
 // weightedKMeans runs Lloyd's algorithm over CF centroids weighted by
 // their point counts.
-func weightedKMeans(cfs []*cf, k, dims int, seed int64) ([][]float64, error) {
+func weightedKMeans(cfs []*cf, k, dims int) ([][]float64, error) {
 	if len(cfs) < k {
 		return nil, fmt.Errorf("%w: %d CF entries for k=%d", ErrBadK, len(cfs), k)
 	}
@@ -403,7 +405,6 @@ func weightedKMeans(cfs []*cf, k, dims int, seed int64) ([][]float64, error) {
 			}
 		}
 	}
-	_ = seed
 	assign := make([]int, len(pts))
 	for iter := 0; iter < 50; iter++ {
 		changed := false

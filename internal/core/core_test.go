@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/synth"
 )
 
@@ -15,7 +14,7 @@ func TestClassifiersLineup(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, c := range cs {
-		names[c.Name()] = true
+		names[c.Name] = true
 	}
 	for _, want := range []string{"tree(pruned)", "naivebayes", "knn(k=5)", "neuralnet", "1R"} {
 		if !names[want] {
@@ -31,7 +30,7 @@ func TestExtendedClassifiers(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, c := range ext {
-		names[c.Name()] = true
+		names[c.Name] = true
 	}
 	if !names["bagging"] || !names["adaboost"] {
 		t.Errorf("missing ensembles in %v", names)
@@ -60,8 +59,8 @@ func TestClassifierByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Name() != "naivebayes" {
-		t.Errorf("Name = %s", c.Name())
+	if c.Name != "naivebayes" {
+		t.Errorf("Name = %s", c.Name)
 	}
 	if _, err := ClassifierByName("nope"); !errors.Is(err, ErrUnknownAlgorithm) {
 		t.Errorf("unknown error = %v", err)
@@ -98,62 +97,13 @@ func TestAllTrainersProduceWorkingClassifiers(t *testing.T) {
 	for _, tr := range Classifiers() {
 		clf, err := tr.Train(tbl)
 		if err != nil {
-			t.Fatalf("%s: %v", tr.Name(), err)
+			t.Fatalf("%s: %v", tr.Name, err)
 		}
 		for i := 0; i < 10; i++ {
 			c := clf.Predict(tbl.Rows[i])
 			if c < 0 || c >= tbl.NumClasses() {
-				t.Errorf("%s: prediction %d out of range", tr.Name(), c)
+				t.Errorf("%s: prediction %d out of range", tr.Name, c)
 			}
 		}
-	}
-}
-
-func TestPartitionClusterers(t *testing.T) {
-	p, err := synth.GaussianMixture(synth.GaussianConfig{
-		NumPoints: 120, NumCluster: 3, Dims: 2, Spread: 0.5, Separation: 50, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []Clusterer{
-		&KMeansClusterer{cluster.KMeans{K: 3, Seed: 7}},
-		&PAMClusterer{cluster.PAM{K: 3}},
-		&CLARAClusterer{cluster.CLARA{K: 3, Seed: 7}},
-		&CLARANSClusterer{cluster.CLARANS{K: 3, Seed: 7}},
-	} {
-		res, err := c.Cluster(p.X)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
-		}
-		if res.NumClusters() < 1 || res.NumClusters() > 3 {
-			t.Errorf("%s: clusters = %d", c.Name(), res.NumClusters())
-		}
-		if len(res.Assignments) != len(p.X) {
-			t.Errorf("%s: assignments = %d", c.Name(), len(res.Assignments))
-		}
-	}
-}
-
-func TestDensityAndBirchAdapters(t *testing.T) {
-	p, err := synth.GaussianMixture(synth.GaussianConfig{
-		NumPoints: 200, NumCluster: 2, Dims: 2, Spread: 0.5, Separation: 40, Seed: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dbs Clusterer = &DBSCANClusterer{}
-	dbs.(*DBSCANClusterer).Eps = 2
-	dbs.(*DBSCANClusterer).MinPts = 4
-	if _, err := dbs.Cluster(p.X); err != nil {
-		t.Fatalf("dbscan: %v", err)
-	}
-	var birch Clusterer = &BIRCHClusterer{}
-	birch.(*BIRCHClusterer).K = 2
-	if _, err := birch.Cluster(p.X); err != nil {
-		t.Fatalf("birch: %v", err)
-	}
-	if dbs.Name() != "dbscan" || birch.Name() != "birch" {
-		t.Error("adapter names wrong")
 	}
 }

@@ -1,7 +1,8 @@
 // Package dataset provides the tabular data substrate shared by the
 // classification and clustering packages: typed attributes (numeric and
 // categorical), instances, an in-memory Table, CSV I/O with schema
-// inference, train/test splitting, and equal-frequency discretization.
+// inference, train/test splitting, equal-frequency discretization, and
+// the feature Encoder that k-NN and the neural net share.
 //
 // A Table stores every cell as a float64. Numeric attributes store the value
 // directly; categorical attributes store the index into the attribute's
@@ -180,6 +181,25 @@ func (t *Table) Column(j int) ([]float64, error) {
 		out[i] = row[j]
 	}
 	return out, nil
+}
+
+// NumericRange returns the smallest and largest non-missing value of
+// column j. When every cell is missing, ok is false and min and max are 0.
+func (t *Table) NumericRange(j int) (min, max float64, ok bool) {
+	for _, row := range t.Rows {
+		v := row[j]
+		if IsMissing(v) {
+			continue
+		}
+		if !ok || v < min {
+			min = v
+		}
+		if !ok || v > max {
+			max = v
+		}
+		ok = true
+	}
+	return min, max, ok
 }
 
 // CellLabel renders the cell at (i, j) as a string: category label for

@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/assoc"
 	"repro/internal/assoc/reference"
+	"repro/internal/seqmine"
 	"repro/internal/synth"
-	"repro/internal/transactions"
 )
 
 // countingNote heads the timing tables of the Apriori family: their
@@ -232,7 +232,7 @@ func RunS1(w io.Writer, s Scale) error {
 	if err != nil {
 		return err
 	}
-	data := fromSynth(raw)
+	data := seqmine.FromSynth(raw)
 	fmt.Fprintf(w, "%-8s%14s%14s%16s%16s\n", "minsup", "AprioriAll", "GSP", "AA candidates", "GSP candidates")
 	for _, sup := range supports {
 		row := fmt.Sprintf("%-8.2f", sup*100)
@@ -244,15 +244,3 @@ func RunS1(w io.Writer, s Scale) error {
 	}
 	return nil
 }
-
-func fromSynth(raw []synth.Sequence) []seqData {
-	out := make([]seqData, len(raw))
-	for i, s := range raw {
-		out[i] = seqData(s)
-	}
-	return out
-}
-
-// seqData aliases the miner input type so expassoc.go stays free of a
-// seqmine import cycle risk; see expseq.go for the timing helpers.
-type seqData = []transactions.Itemset

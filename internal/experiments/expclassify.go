@@ -22,7 +22,7 @@ func RunT1(w io.Writer, s Scale) error {
 	trainers := core.Classifiers()
 	fmt.Fprintf(w, "%-10s", "function")
 	for _, tr := range trainers {
-		fmt.Fprintf(w, "%16s", tr.Name())
+		fmt.Fprintf(w, "%16s", tr.Name)
 	}
 	fmt.Fprintf(w, "%16s\n", "majority")
 	for fn := 1; fn <= 5; fn++ {

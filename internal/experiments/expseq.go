@@ -8,11 +8,7 @@ import (
 
 // timeSeqMiner runs one sequence miner, reporting its duration and total
 // candidate count.
-func timeSeqMiner(data []seqData, minSup float64, aprioriAll bool, candidates *int) time.Duration {
-	seqs := make([]seqmine.Sequence, len(data))
-	for i, d := range data {
-		seqs[i] = seqmine.Sequence(d)
-	}
+func timeSeqMiner(seqs []seqmine.Sequence, minSup float64, aprioriAll bool, candidates *int) time.Duration {
 	var m seqmine.Miner
 	if aprioriAll {
 		m = &seqmine.AprioriAll{}

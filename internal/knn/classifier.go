@@ -8,36 +8,32 @@ import (
 )
 
 // Classifier is a k-nearest-neighbour classifier over a dataset.Table.
-// Numeric attributes are min-max scaled to [0, 1] (so no attribute
-// dominates the distance) and categorical attributes contribute a 0/1
-// mismatch term — the standard mixed-attribute treatment. Missing values
-// are imputed at the attribute midpoint (0.5 after scaling).
+// Rows are encoded by dataset.Encoder: numeric attributes are min-max
+// scaled to [0, 1] (so no attribute dominates the distance), missing
+// values sit at the midpoint 0.5, and categorical attributes become
+// one-hot blocks weighted by oneHotWeight, so they contribute the
+// standard 0/1 mismatch term.
 type Classifier struct {
-	K        int
-	UseTree  bool
-	LeafSize int // k-d tree leaf size; zero means DefaultLeafSize
+	K       int
+	UseTree bool
 
-	attrs    []dataset.Attribute
-	classIdx int
 	nClasses int
-	mins     []float64
-	ranges   []float64
+	enc      *dataset.Encoder
 	vectors  [][]float64
 	labels   []int
 	tree     *KDTree
 }
 
+// oneHotWeight is 1/√2: two differing categories then contribute
+// exactly 1 to the squared distance, the 0/1 mismatch convention.
+const oneHotWeight = 1 / math.Sqrt2
+
 // ErrNoClassAttr reports a table without a categorical class.
 var ErrNoClassAttr = errors.New("knn: table has no categorical class attribute")
 
-// Train memorises the training table (kNN is lazy; "training" computes the
-// scaling and optionally the k-d tree).
+// Train memorises the training table (kNN is lazy; "training" fits the
+// encoding and optionally builds a k-d tree with DefaultLeafSize).
 func Train(t *dataset.Table, k int, useTree bool) (*Classifier, error) {
-	return TrainLeaf(t, k, useTree, 0)
-}
-
-// TrainLeaf is Train with an explicit k-d tree leaf size.
-func TrainLeaf(t *dataset.Table, k int, useTree bool, leafSize int) (*Classifier, error) {
 	if t == nil || t.NumRows() == 0 {
 		return nil, ErrNoPoints
 	}
@@ -48,22 +44,18 @@ func TrainLeaf(t *dataset.Table, k int, useTree bool, leafSize int) (*Classifier
 		return nil, ErrNoClassAttr
 	}
 	c := &Classifier{
-		K: k, UseTree: useTree, LeafSize: leafSize,
-		attrs: t.Attributes, classIdx: t.ClassIndex, nClasses: t.NumClasses(),
+		K: k, UseTree: useTree,
+		nClasses: t.NumClasses(),
+		enc:      dataset.NewEncoder(t, oneHotWeight),
 	}
-	c.fitScaling(t)
 	c.vectors = make([][]float64, t.NumRows())
 	c.labels = make([]int, t.NumRows())
 	for i, row := range t.Rows {
-		c.vectors[i] = c.vectorize(row)
+		c.vectors[i] = c.enc.Encode(row)
 		c.labels[i] = t.Class(i)
 	}
 	if useTree {
-		ls := leafSize
-		if ls <= 0 {
-			ls = DefaultLeafSize
-		}
-		tree, err := NewKDTreeLeaf(c.vectors, ls)
+		tree, err := NewKDTree(c.vectors)
 		if err != nil {
 			return nil, err
 		}
@@ -72,79 +64,10 @@ func TrainLeaf(t *dataset.Table, k int, useTree bool, leafSize int) (*Classifier
 	return c, nil
 }
 
-func (c *Classifier) fitScaling(t *dataset.Table) {
-	n := len(t.Attributes)
-	c.mins = make([]float64, n)
-	c.ranges = make([]float64, n)
-	for j, a := range t.Attributes {
-		if j == t.ClassIndex || a.Kind != dataset.Numeric {
-			c.ranges[j] = 1
-			continue
-		}
-		min, max := math.Inf(1), math.Inf(-1)
-		for _, row := range t.Rows {
-			v := row[j]
-			if dataset.IsMissing(v) {
-				continue
-			}
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		if min > max { // all missing
-			min, max = 0, 1
-		}
-		c.mins[j] = min
-		if max > min {
-			c.ranges[j] = max - min
-		} else {
-			c.ranges[j] = 1
-		}
-	}
-}
-
-// vectorize maps a table row to the scaled feature vector (class column
-// excluded). Categorical values are kept as indices; their distance
-// contribution is handled by matching exactly: since a mismatch of
-// category indices can differ by more than 1 after subtraction, categories
-// are expanded one-hot-scaled so any mismatch costs the same.
-func (c *Classifier) vectorize(row []float64) []float64 {
-	var out []float64
-	for j, a := range c.attrs {
-		if j == c.classIdx {
-			continue
-		}
-		v := row[j]
-		if a.Kind == dataset.Numeric {
-			if dataset.IsMissing(v) {
-				out = append(out, 0.5)
-			} else {
-				out = append(out, (v-c.mins[j])/c.ranges[j])
-			}
-			continue
-		}
-		// One-hot with 1/sqrt(2) scaling: two differing categories then
-		// contribute exactly 1 to the squared distance, matching the 0/1
-		// mismatch convention.
-		oh := make([]float64, len(a.Values))
-		if !dataset.IsMissing(v) {
-			idx := int(v)
-			if idx >= 0 && idx < len(oh) {
-				oh[idx] = 1 / math.Sqrt2
-			}
-		}
-		out = append(out, oh...)
-	}
-	return out
-}
-
 // Predict returns the majority class among the k nearest neighbours,
 // breaking ties toward the nearer neighbour's class.
 func (c *Classifier) Predict(row []float64) int {
-	q := c.vectorize(row)
+	q := c.enc.Encode(row)
 	var nn []Neighbor
 	if c.tree != nil {
 		nn, _ = c.tree.KNearest(q, c.K)

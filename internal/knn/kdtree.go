@@ -3,7 +3,8 @@
 // query-time advantage at low dimensionality EXP-K1 reproduces. A
 // brute-force query is O(n·d); a k-d tree query averages O(log n) at low
 // dimensionality and degrades toward the scan as d grows (the curse the
-// experiment shows).
+// experiment shows). Rows become points through dataset.Encoder, the
+// encoding the neural net shares, with one-hot weight 1/√2.
 package knn
 
 import (

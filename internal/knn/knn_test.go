@@ -262,12 +262,12 @@ func TestCategoricalMismatchCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	va := c.vectorize([]float64{0, 0})
-	vz := c.vectorize([]float64{2, 0})
+	va := c.enc.Encode([]float64{0, 0})
+	vz := c.enc.Encode([]float64{2, 0})
 	if d := dist2(va, vz); d < 0.999 || d > 1.001 {
 		t.Errorf("categorical mismatch distance² = %v, want 1", d)
 	}
-	vsame := c.vectorize([]float64{0, 1})
+	vsame := c.enc.Encode([]float64{0, 1})
 	if d := dist2(va, vsame); d != 0 {
 		t.Errorf("identical categorical distance² = %v, want 0", d)
 	}

@@ -1,9 +1,10 @@
 // Package neural implements the feedforward multilayer perceptron with
 // sigmoid units and stochastic backpropagation — the neural-network
 // classifier of the tutorial era (Rumelhart-style backprop, no modern
-// optimisers), operating over dataset.Table with the same mixed-attribute
-// encoding as the kNN classifier. Training costs epochs × rows × weights;
-// prediction is one O(weights) forward pass.
+// optimisers), operating over dataset.Table through dataset.Encoder, the
+// mixed-attribute encoding the kNN classifier shares, with one-hot weight
+// 1. Training costs epochs × rows × weights; prediction is one O(weights)
+// forward pass.
 package neural
 
 import (
@@ -24,6 +25,10 @@ type Config struct {
 	Seed         int64
 }
 
+// oneHotWeight is the value a present category takes in its one-hot
+// input block: a full unit input, like a numeric value at its maximum.
+const oneHotWeight = 1
+
 // Errors returned by Train.
 var (
 	ErrNoRows  = errors.New("neural: empty training table")
@@ -33,11 +38,8 @@ var (
 
 // Network is a trained MLP classifier.
 type Network struct {
-	attrs    []dataset.Attribute
-	classIdx int
 	nClasses int
-	mins     []float64
-	ranges   []float64
+	enc      *dataset.Encoder
 
 	// layers[l] transforms activations of layer l to l+1.
 	weights [][][]float64 // [layer][to][from]
@@ -72,13 +74,16 @@ func Train(t *dataset.Table, cfg Config) (*Network, error) {
 		}
 	}
 	n := &Network{
-		attrs:    t.Attributes,
-		classIdx: t.ClassIndex,
 		nClasses: t.NumClasses(),
+		enc:      dataset.NewEncoder(t, oneHotWeight),
 	}
-	n.fitScaling(t)
-	inputDim := len(n.vectorize(t.Rows[0]))
-	n.sizes = append([]int{inputDim}, hidden...)
+	inputs := make([][]float64, t.NumRows())
+	targets := make([]int, t.NumRows())
+	for i, row := range t.Rows {
+		inputs[i] = n.enc.Encode(row)
+		targets[i] = t.Class(i)
+	}
+	n.sizes = append([]int{len(inputs[0])}, hidden...)
 	n.sizes = append(n.sizes, n.nClasses)
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -103,12 +108,6 @@ func Train(t *dataset.Table, cfg Config) (*Network, error) {
 		}
 	}
 
-	inputs := make([][]float64, t.NumRows())
-	targets := make([]int, t.NumRows())
-	for i, row := range t.Rows {
-		inputs[i] = n.vectorize(row)
-		targets[i] = t.Class(i)
-	}
 	order := make([]int, len(inputs))
 	for i := range order {
 		order[i] = i
@@ -160,67 +159,6 @@ func Train(t *dataset.Table, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-func (n *Network) fitScaling(t *dataset.Table) {
-	nAttrs := len(t.Attributes)
-	n.mins = make([]float64, nAttrs)
-	n.ranges = make([]float64, nAttrs)
-	for j, a := range t.Attributes {
-		if j == t.ClassIndex || a.Kind != dataset.Numeric {
-			n.ranges[j] = 1
-			continue
-		}
-		min, max := math.Inf(1), math.Inf(-1)
-		for _, row := range t.Rows {
-			v := row[j]
-			if dataset.IsMissing(v) {
-				continue
-			}
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		if min > max {
-			min, max = 0, 1
-		}
-		n.mins[j] = min
-		if max > min {
-			n.ranges[j] = max - min
-		} else {
-			n.ranges[j] = 1
-		}
-	}
-}
-
-func (n *Network) vectorize(row []float64) []float64 {
-	var out []float64
-	for j, a := range n.attrs {
-		if j == n.classIdx {
-			continue
-		}
-		v := row[j]
-		if a.Kind == dataset.Numeric {
-			if dataset.IsMissing(v) {
-				out = append(out, 0.5)
-			} else {
-				out = append(out, (v-n.mins[j])/n.ranges[j])
-			}
-			continue
-		}
-		oh := make([]float64, len(a.Values))
-		if !dataset.IsMissing(v) {
-			idx := int(v)
-			if idx >= 0 && idx < len(oh) {
-				oh[idx] = 1
-			}
-		}
-		out = append(out, oh...)
-	}
-	return out
-}
-
 // forward fills acts[0..L] with layer activations.
 func (n *Network) forward(input []float64, acts [][]float64) {
 	acts[0] = input
@@ -244,7 +182,7 @@ func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 // Predict returns the class with the highest output activation.
 func (n *Network) Predict(row []float64) int {
 	acts := make([][]float64, len(n.sizes))
-	n.forward(n.vectorize(row), acts)
+	n.forward(n.enc.Encode(row), acts)
 	out := acts[len(acts)-1]
 	best := 0
 	for j, v := range out {

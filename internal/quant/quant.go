@@ -124,7 +124,7 @@ func Encode(t *dataset.Table, cfg Config) (*transactions.DB, *Codec, error) {
 		// Interval bounds per bin.
 		lo := make([]float64, disc.NumBins())
 		hi := make([]float64, disc.NumBins())
-		min, max := columnRange(t, j)
+		min, max, _ := t.NumericRange(j)
 		for b := 0; b < disc.NumBins(); b++ {
 			if b == 0 {
 				lo[b] = min
@@ -185,24 +185,6 @@ func Encode(t *dataset.Table, cfg Config) (*transactions.DB, *Codec, error) {
 		}
 	}
 	return db, codec, nil
-}
-
-func columnRange(t *dataset.Table, j int) (min, max float64) {
-	first := true
-	for _, row := range t.Rows {
-		v := row[j]
-		if dataset.IsMissing(v) {
-			continue
-		}
-		if first || v < min {
-			min = v
-		}
-		if first || v > max {
-			max = v
-		}
-		first = false
-	}
-	return min, max
 }
 
 // Rule is a quantitative association rule with readable conditions.

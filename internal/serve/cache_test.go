@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -37,6 +38,26 @@ func TestCacheHitMissCounters(t *testing.T) {
 	}
 	if v1 != v2 || !reflect.DeepEqual(first, again) {
 		t.Fatal("cache hit returned a different result than the computed miss")
+	}
+}
+
+// TestTopRulesRejectsBeforeTheCache pins that TopRules, which unlike
+// the HTTP handler takes a query nobody has normalized, rejects a bad
+// one with ErrBadQuery and never reaches the cache.
+func TestTopRulesRejectsBeforeTheCache(t *testing.T) {
+	srv := newTestServer(t, fixtureRows(150, 16, 11), Config{})
+	for _, q := range []RulesQuery{
+		{K: -1},
+		{By: "height"},
+		{MinConfidence: 2},
+		{Antecedent: []int{2, -1}},
+	} {
+		if _, _, err := srv.TopRules(q); !errors.Is(err, ErrBadQuery) {
+			t.Errorf("TopRules(%+v) error = %v, want ErrBadQuery", q, err)
+		}
+	}
+	if hits, misses := cacheCounters(srv); hits != 0 || misses != 0 {
+		t.Errorf("rejected queries touched the cache: hits=%d misses=%d", hits, misses)
 	}
 }
 

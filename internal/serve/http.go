@@ -169,12 +169,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := s.View()
-	rules, err := s.topRulesOn(v, q)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeRules(w, v, rules)
+	writeRules(w, v, s.topRulesOn(v, q))
 }
 
 // handleSupport serves GET /v1/support.

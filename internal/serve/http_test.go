@@ -480,7 +480,7 @@ func TestReadHandlerAllocations(t *testing.T) {
 		want float64
 	}{
 		{"/v1/rules?k=10&by=lift", 2},
-		{"/v1/rules?k=10&by=support&antecedent=" + ant, 5},
+		{"/v1/rules?k=10&by=support&antecedent=" + ant, 4},
 		{"/v1/recommend?items=" + ant + ",3&k=5", 4},
 		{"/v1/support?items=" + ant + ",3", 4},
 	} {

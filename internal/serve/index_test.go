@@ -429,10 +429,7 @@ func TestRecommendOnOneSnapshot(t *testing.T) {
 	if want := scanRecommend(old.rules, []int{2}, 5); !sameRules(got, want) {
 		t.Fatalf("recommendOn(old view) answered from another view:\n got %v\nwant %v", got, want)
 	}
-	top, err := srv.topRulesOn(old, RulesQuery{K: 4, By: BySupport})
-	if err != nil {
-		t.Fatalf("topRulesOn: %v", err)
-	}
+	top := srv.topRulesOn(old, RulesQuery{K: 4, By: BySupport}) // already normalized
 	if want := scanTopRules(old.rules, RulesQuery{K: 4, By: BySupport}); !sameRules(top, want) {
 		t.Fatalf("topRulesOn(old view) answered from another view:\n got %v\nwant %v", top, want)
 	}

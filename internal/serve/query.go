@@ -289,29 +289,27 @@ type SupportResult struct {
 // slice is shared and read-only; the version identifies the view it was
 // computed from.
 func (s *Server) TopRules(q RulesQuery) ([]mining.Rule, uint64, error) {
-	v := s.View()
-	rules, err := s.topRulesOn(v, q)
+	nq, err := q.normalize()
 	if err != nil {
 		return nil, 0, err
 	}
-	return rules, v.version, nil
+	v := s.View()
+	return s.topRulesOn(v, nq), v.version, nil
 }
 
-// topRulesOn answers q from v, through the cache. Callers that report
-// more of the view than its version (the HTTP handlers) load the
-// view once and pass it here, so the whole response is one snapshot.
-func (s *Server) topRulesOn(v *View, q RulesQuery) ([]mining.Rule, error) {
-	nq, err := q.normalize()
-	if err != nil {
-		return nil, err
-	}
-	key := cacheKey{version: v.version, query: nq.key()}
+// topRulesOn answers the normalized query q from v, through the cache.
+// Callers that report more of the view than its version (the HTTP
+// handlers) load the view once and pass it here, so the whole response
+// is one snapshot; they parse q with parseRawRulesQuery, which already
+// normalizes it.
+func (s *Server) topRulesOn(v *View, q RulesQuery) []mining.Rule {
+	key := cacheKey{version: v.version, query: q.key()}
 	if rules, ok := s.cache.get(key); ok {
-		return rules, nil
+		return rules
 	}
-	rules := v.topRules(nq)
+	rules := v.topRules(q)
 	s.cache.put(key, rules)
-	return rules, nil
+	return rules
 }
 
 // matchedOnStack is how many matched rule ids a query collects before its
